@@ -1,0 +1,455 @@
+"""Semi-explicit DAE instances and the tangent fields they induce.
+
+A system is x' = f(x,y) + lambda*h(t,x,y) with algebraic constraint
+g(x,y) = 0, where the y-block Jacobian d2g of the constraint is invertible
+on the working box. Under that hypothesis the constraint set is a smooth
+manifold and the dynamics reduce to the tangent field
+
+    (f, -[d2g]^-1 d1g f)
+
+plus the matching forcing field built from h. This module owns the problem
+definition, the sampled invertibility check (with a polished witness when it
+fails), the constraint solver, and the field evaluations.
+"""
+
+import math
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from . import expr
+from .errors import (
+    ConstraintSolveError,
+    HypothesisViolationError,
+)
+from .linalg import lu_apply, lu_factor, lu_solve, norm1
+
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def halton(n, dim, skip=20):
+    """Deterministic quasi-random points in [0,1)^dim (Halton sequence)."""
+    if dim > len(_PRIMES):
+        raise ValueError("dimension too large for the prime table")
+    out = np.empty((n, dim))
+    for d in range(dim):
+        base = _PRIMES[d]
+        for i in range(n):
+            k = i + 1 + skip
+            val, denom = 0.0, 1.0
+            while k > 0:
+                denom *= base
+                k, rem = divmod(k, base)
+                val += rem / denom
+            out[i, d] = val
+    return out
+
+
+@dataclass
+class Box:
+    """Axis-aligned working region standing in for the open domain."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+
+    def __post_init__(self):
+        self.lo = np.asarray(self.lo, dtype=float)
+        self.hi = np.asarray(self.hi, dtype=float)
+        if self.lo.shape != self.hi.shape or self.lo.ndim != 1:
+            raise ValueError("bounds must be equal-length 1-D arrays")
+        if not np.all(np.isfinite(self.lo)) or not np.all(np.isfinite(self.hi)):
+            raise ValueError("box bounds must be finite")
+        if not np.all(self.lo < self.hi):
+            raise ValueError("box requires lo < hi in every dimension")
+
+    @classmethod
+    def from_pairs(cls, pairs):
+        pairs = list(pairs)
+        return cls(np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs]))
+
+    @property
+    def dim(self):
+        return len(self.lo)
+
+    @property
+    def center(self):
+        return 0.5 * (self.lo + self.hi)
+
+    @property
+    def width(self):
+        return self.hi - self.lo
+
+    def contains(self, z, slack=0.0):
+        z = np.asarray(z, dtype=float)
+        if not np.all(np.isfinite(z)):
+            return False
+        return bool(
+            np.all(z >= self.lo - slack) and np.all(z <= self.hi + slack)
+        )
+
+    def clip(self, z):
+        return np.clip(z, self.lo, self.hi)
+
+    def boundary_distance(self, z):
+        """Smallest distance from z to any face (negative outside)."""
+        z = np.asarray(z, dtype=float)
+        return float(np.min(np.minimum(z - self.lo, self.hi - z)))
+
+    def sample(self, n, skip=20):
+        u = halton(n, self.dim, skip=skip)
+        return self.lo + u * self.width
+
+    def subbox(self, idx):
+        return Box(self.lo[list(idx)], self.hi[list(idx)])
+
+    def inflate(self, rel=0.01, absolute=1e-3):
+        pad = rel * self.width + absolute
+        return Box(self.lo - pad, self.hi + pad)
+
+
+@dataclass
+class ManifoldPoint:
+    """A point (p, q) satisfying the constraint to tolerance."""
+
+    p: np.ndarray
+    q: np.ndarray
+    residual: float
+
+    @property
+    def z(self):
+        return np.concatenate([self.p, self.q])
+
+
+@dataclass
+class ValidationReport:
+    ok: bool
+    samples: int
+    sign: int
+    min_abs_det: float
+    min_location: np.ndarray
+    refined_min_abs_det: float
+    refined_location: np.ndarray
+    witness: np.ndarray | None = None
+    message: str = ""
+
+
+class SystemDef:
+    """Problem instance: dimensions, period, formulas and working box.
+
+    Immutable by convention once constructed; all evaluations are pure, so a
+    single instance can serve concurrent workers.
+    """
+
+    def __init__(self, k, s, period, f, g, h=None, box=None, constraint_tol=1e-10,
+                 name=""):
+        if period <= 0:
+            raise ValueError("period must be positive")
+        if box is None or box.dim != k + s:
+            raise ValueError("box must cover the k+s state dimensions")
+        self.k = int(k)
+        self.s = int(s)
+        self.period = float(period)
+        self.x_names = [f"x{i + 1}" for i in range(self.k)]
+        self.y_names = [f"y{i + 1}" for i in range(self.s)]
+        self.state_names = self.x_names + self.y_names
+        self.f = list(f)
+        self.g = list(g)
+        self.h = list(h) if h is not None else [expr.Const(0.0) for _ in range(k)]
+        self.box = box
+        self.constraint_tol = float(constraint_tol)
+        self.name = name
+        if len(self.f) != self.k or len(self.h) != self.k:
+            raise ValueError("f and h must have k components")
+        if len(self.g) != self.s:
+            raise ValueError("g must have s components")
+        state = set(self.state_names)
+        for e in self.f + self.g:
+            extra = expr.variables(e) - state
+            if extra:
+                raise ValueError(
+                    f"autonomous part uses undeclared/time variables: {sorted(extra)}"
+                )
+        for e in self.h:
+            extra = expr.variables(e) - state - {"t"}
+            if extra:
+                raise ValueError(f"forcing uses undeclared variables: {sorted(extra)}")
+        self._d2g_exprs = None
+        self._d1g_exprs = None
+
+    # -- symbolic constraint Jacobian blocks (needed for witness polishing) --
+
+    @property
+    def d2g_exprs(self):
+        if self._d2g_exprs is None:
+            self._d2g_exprs = [
+                [expr.symbolic_diff(gi, y) for y in self.y_names] for gi in self.g
+            ]
+        return self._d2g_exprs
+
+    @property
+    def d1g_exprs(self):
+        if self._d1g_exprs is None:
+            self._d1g_exprs = [
+                [expr.symbolic_diff(gi, x) for x in self.x_names] for gi in self.g
+            ]
+        return self._d1g_exprs
+
+    # -- point evaluation helpers --
+
+    def env(self, p, q, t=None):
+        e = {nm: float(v) for nm, v in zip(self.x_names, p)}
+        e.update({nm: float(v) for nm, v in zip(self.y_names, q)})
+        if t is not None:
+            e["t"] = float(t)
+        return e
+
+    def eval_f(self, env):
+        return np.array([expr.evaluate(fi, env) for fi in self.f])
+
+    def eval_g(self, env):
+        return np.array([expr.evaluate(gi, env) for gi in self.g])
+
+    def eval_h(self, env):
+        return np.array([expr.evaluate(hi, env) for hi in self.h])
+
+    def jac_rows(self, exprs, env, names):
+        """Jacobian of the given expressions w.r.t. the named variables (AD)."""
+        m, n = len(exprs), len(names)
+        out = np.empty((m, n))
+        for j, nm in enumerate(names):
+            seed = {nm: 1.0}
+            for i, e in enumerate(exprs):
+                out[i, j] = expr.evaluate_dual(e, env, seed).derivative
+        return out
+
+    def constraint_blocks(self, env):
+        """(d1g, d2g) at the point described by env."""
+        d1g = self.jac_rows(self.g, env, self.x_names)
+        d2g = self.jac_rows(self.g, env, self.y_names)
+        return d1g, d2g
+
+
+def _det_and_grad(sys, z):
+    """det d2g at z plus its gradient w.r.t. the state (Jacobi's formula)."""
+    s = sys.s
+    env = sys.env(z[: sys.k], z[sys.k :])
+    a = np.empty((s, s))
+    for i in range(s):
+        for j in range(s):
+            a[i, j] = expr.evaluate(sys.d2g_exprs[i][j], env)
+    adj = _adjugate(a)
+    grad = np.zeros(sys.k + s)
+    for m, nm in enumerate(sys.state_names):
+        seed = {nm: 1.0}
+        da = np.empty((s, s))
+        for i in range(s):
+            for j in range(s):
+                da[i, j] = expr.evaluate_dual(
+                    sys.d2g_exprs[i][j], env, seed
+                ).derivative
+        grad[m] = float(np.trace(adj @ da))
+    return _det_small(a), grad
+
+
+def _det_small(a):
+    n = a.shape[0]
+    if n == 1:
+        return float(a[0, 0])
+    if n == 2:
+        return float(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
+    return float(np.linalg.det(a))
+
+
+def _adjugate(a):
+    n = a.shape[0]
+    if n == 1:
+        return np.array([[1.0]])
+    adj = np.empty((n, n))
+    for i in range(n):
+        for j in range(n):
+            minor = np.delete(np.delete(a, i, axis=0), j, axis=1)
+            adj[j, i] = (-1.0) ** (i + j) * _det_small(minor)
+    return adj
+
+
+def _polish_det_minimum(sys, z0, iterations=100):
+    """Drive |det d2g| toward its local minimum from z0 (box-clipped)."""
+    z = sys.box.clip(np.array(z0, dtype=float))
+    best_z, best_d = z.copy(), abs(_det_and_grad(sys, z)[0])
+    for _ in range(iterations):
+        d, grad = _det_and_grad(sys, z)
+        gg = float(grad @ grad)
+        if abs(d) < 1e-14 or gg < 1e-30:
+            break
+        step = -d / gg * grad
+        z = sys.box.clip(z + step)
+        ad = abs(_det_and_grad(sys, z)[0])
+        if ad < best_d:
+            best_d, best_z = ad, z.copy()
+        if norm1(step) < 1e-15:
+            break
+    return best_z, best_d
+
+
+def _refine_witness(sys, z0, iterations=100):
+    """Pull a degenerate-d2g point onto the constraint locus (det=0, g=0)."""
+    z = sys.box.clip(np.array(z0, dtype=float))
+    best = z.copy()
+    best_r = math.inf
+    for _ in range(iterations):
+        env = sys.env(z[: sys.k], z[sys.k :])
+        d, grad = _det_and_grad(sys, z)
+        gvals = sys.eval_g(env)
+        r = np.concatenate([[d], gvals])
+        rn = norm1(r)
+        if rn < best_r:
+            best_r, best = rn, z.copy()
+        if rn < 1e-12:
+            break
+        jg = sys.jac_rows(sys.g, env, sys.state_names)
+        jac = np.vstack([grad, jg])
+        step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
+        if norm1(step) < 1e-15:
+            break
+        z = sys.box.clip(z + step)
+    return best, best_r
+
+
+def validate(sys, samples=512):
+    """Check invertibility of d2g across the box; report the constant sign.
+
+    Evaluates det d2g at quasi-random samples, then polishes the smallest
+    candidates to the actual local minimum, so thin degeneracies that slip
+    between samples are still caught. On failure raises
+    HypothesisViolationError whose witness is refined onto the constraint
+    locus when possible (that is where the DAE itself breaks down).
+    """
+    pts = sys.box.sample(samples)
+    env = {nm: pts[:, i] for i, nm in enumerate(sys.state_names)}
+    a = np.empty((samples, sys.s, sys.s))
+    for i in range(sys.s):
+        for j in range(sys.s):
+            vals = expr.evaluate_batch(sys.d2g_exprs[i][j], env)
+            a[:, i, j] = np.broadcast_to(vals, (samples,))
+    dets = np.linalg.det(a)
+    abs_dets = np.abs(dets)
+    i_min = int(np.argmin(abs_dets))
+    min_sample = float(abs_dets[i_min])
+    loc = pts[i_min].copy()
+
+    order = np.argsort(abs_dets)
+    refined_z, refined_d = loc, min_sample
+    for idx in order[:6]:
+        z, d = _polish_det_minimum(sys, pts[idx])
+        if d < refined_d:
+            refined_z, refined_d = z, d
+
+    pos = int(np.sum(dets > 0))
+    neg = int(np.sum(dets < 0))
+    sign_consistent = (pos == samples) or (neg == samples)
+    sign = 1 if pos >= neg else -1
+
+    ok = sign_consistent and min_sample >= 1e-10 and refined_d >= 1e-10
+    report = ValidationReport(
+        ok=ok,
+        samples=samples,
+        sign=sign if ok else 0,
+        min_abs_det=min_sample,
+        min_location=loc,
+        refined_min_abs_det=refined_d,
+        refined_location=refined_z,
+    )
+    if ok:
+        report.message = (
+            f"det d2g keeps sign {sign:+d}; min |det| {refined_d:.3e} over box"
+        )
+        return report
+    witness, wr = _refine_witness(sys, refined_z)
+    if wr > 1e-6:
+        witness = refined_z
+    report.witness = witness
+    if pos > 0 and neg > 0:
+        report.message = (
+            f"det d2g changes sign over the box ({pos} positive, {neg} negative)"
+        )
+    elif pos + neg < samples:
+        report.message = (
+            f"det d2g vanishes at {samples - pos - neg} of {samples} samples"
+        )
+    else:
+        report.message = f"det d2g degenerates (min |det| {refined_d:.3e})"
+    raise HypothesisViolationError(report.message, witness, report)
+
+
+def solve_constraint(sys, p, q_guess):
+    """Newton in y on g(p, y) = 0 from q_guess; follows that branch only."""
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q_guess, dtype=float).copy()
+    env = sys.env(p, q)
+    r = sys.eval_g(env)
+    rn = norm1(r)
+    if rn <= sys.constraint_tol:
+        # already on the manifold: zero Newton steps, but the point is only
+        # usable if d2g is invertible there
+        lu_factor(sys.jac_rows(sys.g, env, sys.y_names))
+        return ManifoldPoint(p.copy(), q, rn)
+    for _ in range(50):
+        d2g = sys.jac_rows(sys.g, env, sys.y_names)
+        step = lu_solve(d2g, r)
+        t = 1.0
+        for _ in range(12):
+            q_new = q - t * step
+            env = sys.env(p, q_new)
+            r_new = sys.eval_g(env)
+            rn_new = norm1(r_new)
+            if rn_new < rn or rn_new <= sys.constraint_tol:
+                break
+            t *= 0.5
+        q, r, rn = q_new, r_new, rn_new
+        if rn <= sys.constraint_tol:
+            return ManifoldPoint(p.copy(), q, rn)
+    raise ConstraintSolveError(
+        f"constraint Newton stalled at residual {rn:.3e} for p = {tuple(p)}"
+    )
+
+
+def tangent_field(sys, pt):
+    """Induced autonomous field (f, -[d2g]^-1 d1g f) at a manifold point."""
+    env = sys.env(pt.p, pt.q)
+    fval = sys.eval_f(env)
+    d1g, d2g = sys.constraint_blocks(env)
+    ydot = -lu_solve(d2g, d1g @ fval)
+    return np.concatenate([fval, ydot])
+
+
+def forcing_field(sys, t, pt):
+    """Forcing field (h, -[d2g]^-1 d1g h); periodic in t like h."""
+    env = sys.env(pt.p, pt.q, t=t)
+    hval = sys.eval_h(env)
+    d1g, d2g = sys.constraint_blocks(env)
+    ydot = -lu_solve(d2g, d1g @ hval)
+    return np.concatenate([hval, ydot])
+
+
+def perturbed_field(sys, t, pt, lam):
+    """Full right-hand side tangent + lam * forcing with one shared LU."""
+    if lam < 0:
+        raise ValueError("perturbation magnitude lambda must be >= 0")
+    env = sys.env(pt.p, pt.q, t=t)
+    w = sys.eval_f(env)
+    if lam != 0.0:
+        w = w + lam * sys.eval_h(env)
+    d1g, d2g = sys.constraint_blocks(env)
+    lu, piv, _ = lu_factor(d2g)
+    ydot = -lu_apply(lu, piv, d1g @ w)
+    return np.concatenate([w, ydot])
+
+
+def tangency_defect(sys, pt, v):
+    """|dg[v]|_1 at the point: exact directional derivative of g along v."""
+    env = sys.env(pt.p, pt.q)
+    seed = {nm: float(vi) for nm, vi in zip(sys.state_names, v)}
+    total = 0.0
+    for gi in sys.g:
+        total += abs(expr.evaluate_dual(gi, env, seed).derivative)
+    return total
