@@ -8,7 +8,8 @@ pseudo-arclength continuation.
 """
 
 from .dae import Box, ManifoldPoint, SystemDef, solve_constraint, validate
-from .dae import forcing_field, perturbed_field, tangency_defect, tangent_field
+from .dae import forcing_field, perturbed_field, reduced_field, tangency_defect
+from .dae import tangent_field
 from .degree import (
     DegreeReport,
     VectorField,

@@ -13,7 +13,7 @@ fails), the constraint solver, and the field evaluations.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,14 +34,13 @@ def halton(n, dim, skip=20):
     out = np.empty((n, dim))
     for d in range(dim):
         base = _PRIMES[d]
-        for i in range(n):
-            k = i + 1 + skip
-            val, denom = 0.0, 1.0
-            while k > 0:
-                denom *= base
-                k, rem = divmod(k, base)
-                val += rem / denom
-            out[i, d] = val
+        k = np.arange(n) + 1 + skip
+        val, denom = np.zeros(n), 1.0
+        while k.any():  # one radical-inverse digit of every point per pass
+            denom *= base
+            k, rem = np.divmod(k, base)
+            val += rem / denom
+        out[:, d] = val
     return out
 
 
@@ -137,7 +136,8 @@ class SystemDef:
     """Problem instance: dimensions, period, formulas and working box.
 
     Immutable by convention once constructed; all evaluations are pure, so a
-    single instance can serve concurrent workers.
+    single instance can serve concurrent workers. Each expression list it
+    evaluates gets its compiled kernel once, kept on the instance.
     """
 
     def __init__(self, k, s, period, f, g, h=None, box=None, constraint_tol=1e-10,
@@ -175,6 +175,13 @@ class SystemDef:
                 raise ValueError(f"forcing uses undeclared variables: {sorted(extra)}")
         self._d2g_exprs = None
         self._d1g_exprs = None
+        self._d2g_flat = None
+        self._kernels = {}
+        self._column = {nm: i for i, nm in enumerate(self.state_names)}
+        # slices of the state Jacobian select much faster than index lists
+        self._slices = {id(self.x_names): slice(self.k),
+                        id(self.y_names): slice(self.k, None),
+                        id(self.state_names): slice(None)}
 
     # -- symbolic constraint Jacobian blocks (needed for witness polishing) --
 
@@ -185,6 +192,13 @@ class SystemDef:
                 [expr.symbolic_diff(gi, y) for y in self.y_names] for gi in self.g
             ]
         return self._d2g_exprs
+
+    @property
+    def d2g_flat(self):
+        """d2g_exprs row by row, as one list (kernels are kept per list)."""
+        if self._d2g_flat is None:
+            self._d2g_flat = [e for row in self.d2g_exprs for e in row]
+        return self._d2g_flat
 
     @property
     def d1g_exprs(self):
@@ -203,52 +217,52 @@ class SystemDef:
             e["t"] = float(t)
         return e
 
+    def kernel(self, exprs):
+        """The compiled kernel of the list exprs, differentiating along the
+        state; kept per list object, so pass lists the instance keeps."""
+        hit = self._kernels.get(id(exprs))
+        if hit is None:  # holding the list keeps its id unique
+            seeds = [{nm: 1.0} for nm in self.state_names]
+            hit = self._kernels[id(exprs)] = (exprs, expr.Kernel(exprs, seeds))
+        return hit[1]
+
     def eval_f(self, env):
-        return np.array([expr.evaluate(fi, env) for fi in self.f])
+        return self.kernel(self.f).values(env)
 
     def eval_g(self, env):
-        return np.array([expr.evaluate(gi, env) for gi in self.g])
+        return self.kernel(self.g).values(env)
 
     def eval_h(self, env):
-        return np.array([expr.evaluate(hi, env) for hi in self.h])
+        return self.kernel(self.h).values(env)
 
     def jac_rows(self, exprs, env, names):
-        """Jacobian of the given expressions w.r.t. the named variables (AD)."""
-        m, n = len(exprs), len(names)
-        out = np.empty((m, n))
-        for j, nm in enumerate(names):
-            seed = {nm: 1.0}
-            for i, e in enumerate(exprs):
-                out[i, j] = expr.evaluate_dual(e, env, seed).derivative
-        return out
+        """Jacobian of the given expressions w.r.t. the named state variables
+        (AD)."""
+        cols = self._slices.get(id(names))
+        if cols is None:
+            cols = [self._column[nm] for nm in names]
+        return self.kernel(exprs).dual(env, cols)[1][0]
+
+    def blocks(self, exprs, env):
+        """(d1, d2): the x- and y-blocks of the Jacobian of exprs."""
+        return self.kernel(exprs).dual(env, slice(self.k), slice(self.k, None))[1]
 
     def constraint_blocks(self, env):
         """(d1g, d2g) at the point described by env."""
-        d1g = self.jac_rows(self.g, env, self.x_names)
-        d2g = self.jac_rows(self.g, env, self.y_names)
-        return d1g, d2g
+        return self.blocks(self.g, env)
 
 
 def _det_and_grad(sys, z):
     """det d2g at z plus its gradient w.r.t. the state (Jacobi's formula)."""
-    s = sys.s
+    s, n = sys.s, sys.k + sys.s
     env = sys.env(z[: sys.k], z[sys.k :])
-    a = np.empty((s, s))
-    for i in range(s):
-        for j in range(s):
-            a[i, j] = expr.evaluate(sys.d2g_exprs[i][j], env)
+    kern = sys.kernel(sys.d2g_flat)
+    a = kern.values(env).reshape(s, s)
     adj = _adjugate(a)
-    grad = np.zeros(sys.k + s)
-    for m, nm in enumerate(sys.state_names):
-        seed = {nm: 1.0}
-        da = np.empty((s, s))
-        for i in range(s):
-            for j in range(s):
-                da[i, j] = expr.evaluate_dual(
-                    sys.d2g_exprs[i][j], env, seed
-                ).derivative
-        grad[m] = float(np.trace(adj @ da))
+    da = np.ascontiguousarray(kern.dual(env)[1][0].reshape(s, s, n).transpose(2, 0, 1))
+    grad = np.array([float(np.trace(adj @ da[m])) for m in range(n)])
     return _det_small(a), grad
+
 
 
 def _det_small(a):
@@ -326,11 +340,9 @@ def validate(sys, samples=512):
     """
     pts = sys.box.sample(samples)
     env = {nm: pts[:, i] for i, nm in enumerate(sys.state_names)}
-    a = np.empty((samples, sys.s, sys.s))
-    for i in range(sys.s):
-        for j in range(sys.s):
-            vals = expr.evaluate_batch(sys.d2g_exprs[i][j], env)
-            a[:, i, j] = np.broadcast_to(vals, (samples,))
+    a = sys.kernel(sys.d2g_flat).values_batch(
+        env, np.empty((samples, sys.s * sys.s))
+    ).reshape(samples, sys.s, sys.s)
     dets = np.linalg.det(a)
     abs_dets = np.abs(dets)
     i_min = int(np.argmin(abs_dets))
@@ -413,36 +425,47 @@ def solve_constraint(sys, p, q_guess):
     )
 
 
+def reduced_field(sys, env, lam=0.0, linearize=False, base=None):
+    """The reduced field at a manifold point and its linearization.
+
+    With w = base + lam*h (base is f unless given) returns (zdot, A): the
+    field zdot = (w, -[d2g]^-1 d1g w) and, when linearize is set, the
+    reduced linearization A = d1w - d2w [d2g]^-1 d1g (else None), both from
+    a single LU factorization of d2g.
+    """
+    base = sys.f if base is None else base
+    w = sys.kernel(base).values(env)
+    if lam != 0.0:
+        w = w + lam * sys.eval_h(env)
+    d1g, d2g = sys.constraint_blocks(env)
+    lu, piv, _ = lu_factor(d2g)
+    zdot = np.concatenate([w, -lu_apply(lu, piv, d1g @ w)])
+    if not linearize:
+        return zdot, None
+    x = np.column_stack([lu_apply(lu, piv, d1g[:, i]) for i in range(sys.k)])
+    d1w, d2w = sys.blocks(base, env)
+    a = d1w - d2w @ x
+    if lam != 0.0:
+        d1h, d2h = sys.blocks(sys.h, env)
+        a = a + lam * (d1h - d2h @ x)
+    return zdot, a
+
+
 def tangent_field(sys, pt):
     """Induced autonomous field (f, -[d2g]^-1 d1g f) at a manifold point."""
-    env = sys.env(pt.p, pt.q)
-    fval = sys.eval_f(env)
-    d1g, d2g = sys.constraint_blocks(env)
-    ydot = -lu_solve(d2g, d1g @ fval)
-    return np.concatenate([fval, ydot])
+    return reduced_field(sys, sys.env(pt.p, pt.q))[0]
 
 
 def forcing_field(sys, t, pt):
     """Forcing field (h, -[d2g]^-1 d1g h); periodic in t like h."""
-    env = sys.env(pt.p, pt.q, t=t)
-    hval = sys.eval_h(env)
-    d1g, d2g = sys.constraint_blocks(env)
-    ydot = -lu_solve(d2g, d1g @ hval)
-    return np.concatenate([hval, ydot])
+    return reduced_field(sys, sys.env(pt.p, pt.q, t=t), base=sys.h)[0]
 
 
 def perturbed_field(sys, t, pt, lam):
     """Full right-hand side tangent + lam * forcing with one shared LU."""
     if lam < 0:
         raise ValueError("perturbation magnitude lambda must be >= 0")
-    env = sys.env(pt.p, pt.q, t=t)
-    w = sys.eval_f(env)
-    if lam != 0.0:
-        w = w + lam * sys.eval_h(env)
-    d1g, d2g = sys.constraint_blocks(env)
-    lu, piv, _ = lu_factor(d2g)
-    ydot = -lu_apply(lu, piv, d1g @ w)
-    return np.concatenate([w, ydot])
+    return reduced_field(sys, sys.env(pt.p, pt.q, t=t), lam)[0]
 
 
 def tangency_defect(sys, pt, v):

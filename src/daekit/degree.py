@@ -15,11 +15,12 @@ cross-check status.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import expr
-from .dae import Box, SystemDef, validate
+from .dae import Box, SystemDef, reduced_field, validate
 from .errors import (
     BoundaryZeroError,
     DaekitError,
@@ -56,39 +57,23 @@ class VectorField:
             return {nm: z[:, i] for i, nm in enumerate(self.var_names)}
         return {nm: float(z[i]) for i, nm in enumerate(self.var_names)}
 
+    @cached_property
+    def _kernel(self):
+        return expr.Kernel(self.exprs, [{nm: 1.0} for nm in self.var_names])
+
     def value(self, z):
-        env = self.env(z)
-        return np.array([expr.evaluate(e, env) for e in self.exprs])
+        return self._kernel.values(self.env(z))
 
     def jacobian(self, z):
-        env = self.env(z)
-        n = self.dim
-        out = np.empty((n, n))
-        for j, nm in enumerate(self.var_names):
-            seed = {nm: 1.0}
-            for i, e in enumerate(self.exprs):
-                out[i, j] = expr.evaluate_dual(e, env, seed).derivative
-        return out
+        return self._kernel.dual(self.env(z))[1][0]
 
     def value_batch(self, zs):
-        env = self.env(zs, batch=True)
-        n_pts = zs.shape[0]
-        cols = [
-            np.broadcast_to(expr.evaluate_batch(e, env), (n_pts,))
-            for e in self.exprs
-        ]
-        return np.column_stack(cols)
+        out = np.empty((zs.shape[0], self.dim))
+        return self._kernel.values_batch(self.env(zs, batch=True), out)
 
     def jacobian_batch(self, zs):
-        env = self.env(zs, batch=True)
-        n_pts, n = zs.shape[0], self.dim
-        out = np.empty((n_pts, n, n))
-        for j, nm in enumerate(self.var_names):
-            seed = {nm: 1.0}
-            for i, e in enumerate(self.exprs):
-                _, d = expr.evaluate_dual_batch(e, env, seed)
-                out[:, i, j] = np.broadcast_to(d, (n_pts,))
-        return out
+        out = np.empty((zs.shape[0], self.dim, len(self.var_names)))
+        return self._kernel.dual_batch(self.env(zs, batch=True), out)
 
 
 def system_field(sys):
@@ -467,12 +452,7 @@ def chart_index(sys, zero):
 
 def reduced_matrix(sys, z):
     """A = d1f - d2f [d2g]^-1 d1g at the state z (the reduced linearization)."""
-    env = sys.env(z[: sys.k], z[sys.k :])
-    d1f = sys.jac_rows(sys.f, env, sys.x_names)
-    d2f = sys.jac_rows(sys.f, env, sys.y_names)
-    d1g, d2g = sys.constraint_blocks(env)
-    x = np.column_stack([lu_solve(d2g, d1g[:, i]) for i in range(sys.k)])
-    return d1f - d2f @ x
+    return reduced_field(sys, sys.env(z[: sys.k], z[sys.k :]), linearize=True)[1]
 
 
 def tangent_field_degree(sys, box=None, grid_per_dim=16, samples=512, rng=None):

@@ -1,4 +1,4 @@
-"""Scalar formula trees: parsing, evaluation, dual-number and symbolic derivatives.
+"""Scalar formula trees: parsing, compiled evaluation, symbolic derivatives.
 
 Grammar (standard infix): ``^`` with a literal integer exponent binds tightest,
 then unary minus, then ``* /``, then ``+ -``; parentheses group; the unary
@@ -7,12 +7,15 @@ time. Trees are immutable after construction; evaluation is pure and
 reentrant, so expressions can be shared freely across workers.
 
 Every derivative in the toolkit flows through this module: exact forward-mode
-(dual-number) evaluation for point Jacobians, and symbolic differentiation
-where a derivative is itself needed as a formula.
+AD, emitted as one straight-line function per expression list (a ``Kernel``,
+for a point or a batch), and symbolic differentiation where a derivative is
+itself needed as a formula. A strict tree walker re-evaluates failed points
+to name the offending subexpression.
 """
 
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,23 +31,17 @@ FUNCTIONS = ("sin", "cos", "exp", "ln", "sqrt")
 @dataclass(eq=False)
 class Const:
     value: float
-    _fn: object = field(default=None, init=False, repr=False, compare=False)
-    _dfn: object = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(eq=False)
 class Var:
     name: str
-    _fn: object = field(default=None, init=False, repr=False, compare=False)
-    _dfn: object = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(eq=False)
 class Unary:
     op: str  # 'neg' or a FUNCTIONS name
     a: object
-    _fn: object = field(default=None, init=False, repr=False, compare=False)
-    _dfn: object = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(eq=False)
@@ -52,16 +49,12 @@ class Binary:
     op: str  # '+', '-', '*', '/'
     a: object
     b: object
-    _fn: object = field(default=None, init=False, repr=False, compare=False)
-    _dfn: object = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(eq=False)
 class Power:
     a: object
     n: int  # literal integer exponent
-    _fn: object = field(default=None, init=False, repr=False, compare=False)
-    _dfn: object = field(default=None, init=False, repr=False, compare=False)
 
 
 Expression = (Const, Var, Unary, Binary, Power)
@@ -69,45 +62,10 @@ Expression = (Const, Var, Unary, Binary, Power)
 
 @dataclass
 class DualValue:
-    """First-order dual number: value plus a directional derivative.
-
-    Arithmetic on DualValue with zero derivative parts reproduces plain real
-    arithmetic on the values, which is what makes forward-mode AD exact.
-    """
+    """First-order dual number: value plus a directional derivative."""
 
     value: float
     derivative: float
-
-    def __add__(self, o):
-        return DualValue(self.value + o.value, self.derivative + o.derivative)
-
-    def __sub__(self, o):
-        return DualValue(self.value - o.value, self.derivative - o.derivative)
-
-    def __neg__(self):
-        return DualValue(-self.value, -self.derivative)
-
-    def __mul__(self, o):
-        return DualValue(
-            self.value * o.value,
-            self.value * o.derivative + self.derivative * o.value,
-        )
-
-    def __truediv__(self, o):
-        return DualValue(
-            self.value / o.value,
-            (self.derivative * o.value - self.value * o.derivative)
-            / (o.value * o.value),
-        )
-
-    def powi(self, n):
-        if n == 0:
-            return DualValue(self.value * 0.0 + 1.0, self.value * 0.0)
-        if n == 1:
-            return DualValue(self.value, self.derivative)
-        return DualValue(
-            self.value**n, n * self.value ** (n - 1) * self.derivative
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -321,250 +279,399 @@ def substitute(e, bindings):
 
 
 # ---------------------------------------------------------------------------
-# Compiled fast paths (no domain diagnostics; plain arithmetic errors bubble
-# up and callers fall back to the strict walkers below for the real message)
+# Compiled kernels: one straight-line function per expression list
 
 
-def _compile_scalar(e):
-    if e._fn is not None:
-        return e._fn
-    if isinstance(e, Const):
-        v = e.value
-        fn = lambda env: v
-    elif isinstance(e, Var):
-        nm = e.name
-        fn = lambda env: env[nm]
-    elif isinstance(e, Unary):
-        a = _compile_scalar(e.a)
-        if e.op == "neg":
-            fn = lambda env: -a(env)
-        else:
-            g = {"sin": math.sin, "cos": math.cos, "exp": math.exp,
-                 "ln": math.log, "sqrt": math.sqrt}[e.op]
-            fn = lambda env: g(a(env))
-    elif isinstance(e, Binary):
-        a, b = _compile_scalar(e.a), _compile_scalar(e.b)
-        if e.op == "+":
-            fn = lambda env: a(env) + b(env)
-        elif e.op == "-":
-            fn = lambda env: a(env) - b(env)
-        elif e.op == "*":
-            fn = lambda env: a(env) * b(env)
-        else:
-            fn = lambda env: a(env) / b(env)
-    else:
-        a, n = _compile_scalar(e.a), e.n
-        if n == 0:
-            fn = lambda env: 1.0
-        elif n == 1:
-            fn = a
-        else:
-            fn = lambda env: a(env) ** n
-    e._fn = fn
-    return fn
+_KERNEL_ERRORS = (ValueError, ZeroDivisionError, OverflowError, KeyError)
+_MAX_INLINE_DEPTH = 32  # deeper single-use chains get a temporary (parser limits)
 
 
-def _compile_dual(e):
-    if e._dfn is not None:
-        return e._dfn
-    if isinstance(e, Const):
-        v = e.value
-        fn = lambda env, seed: (v, 0.0)
-    elif isinstance(e, Var):
-        nm = e.name
-        fn = lambda env, seed: (env[nm], seed.get(nm, 0.0))
-    elif isinstance(e, Unary):
-        a = _compile_dual(e.a)
-        if e.op == "neg":
-            def fn(env, seed, a=a):
-                v, d = a(env, seed)
-                return -v, -d
-        elif e.op == "sin":
-            def fn(env, seed, a=a):
-                v, d = a(env, seed)
-                return math.sin(v), math.cos(v) * d
-        elif e.op == "cos":
-            def fn(env, seed, a=a):
-                v, d = a(env, seed)
-                return math.cos(v), -math.sin(v) * d
-        elif e.op == "exp":
-            def fn(env, seed, a=a):
-                v, d = a(env, seed)
+def _ones(a):
+    return np.ones_like(np.asarray(a, dtype=float))
+
+
+def _zeros(d):
+    return np.zeros_like(np.asarray(d, dtype=float))
+
+
+def _power_values(a, n):
+    return np.power(a, n) if n > 0 else np.divide(1.0, np.power(a, -n))
+
+
+# The names a kernel calls: plain float arithmetic at a point, numpy on a
+# batch. "pwv" is the power of values-only batch evaluation (1 / a^-n for
+# negative n), "pw" the one derivative code builds on.
+_POINT = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log,
+          "sqrt": math.sqrt, "div": operator.truediv, "pw": operator.pow,
+          "pwv": operator.pow, "one": lambda a: 1.0, "zero": lambda d: 0.0}
+_BATCH = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log,
+          "sqrt": np.sqrt, "div": np.divide, "pw": np.power,
+          "pwv": _power_values, "one": _ones, "zero": _zeros}
+
+
+def compile_kernel(exprs, seeds=()):
+    """Emit one straight-line Python function evaluating ``exprs``.
+
+    ``seeds`` are directions (maps from variable name to component) to
+    differentiate along in forward mode; the unit seeds ``{name: 1.0}``
+    give Jacobian columns. Returns the function bound twice, to float
+    arithmetic for a point and to numpy for a batch: ``fn(env, V, D=None)``
+    writes value i to ``V[i]`` and, when ``D`` is given, the derivative of
+    expression i along seed j to ``D[i * len(seeds) + j]``. At a point V and
+    D are lists; on a batch they are arrays indexed first by that position
+    (views of the caller's output arrays), and V may be None.
+
+    Each node runs the dual-number arithmetic a tree walk along one seed
+    would, in the same order, so results are reproducible bit for bit: the
+    products with literal 0.0 and 1.0 seed entries are kept (they fix signed
+    zeros and nan propagation), constants come in through a table, batch
+    values use np.power and np.divide where numpy evaluation of the tree
+    would, and point functions raise plain arithmetic errors that callers
+    turn into diagnostics with the strict walker. Subtrees shared by
+    identity are computed once. As in SymPy's lambdify, a result used once
+    is written inline where it is used, a result used more often gets a
+    temporary that is deleted after its last use, and unused code is
+    dropped. Derivative code runs only when D is given.
+    """
+    consts, memo, loads = {}, {}, {}
+    defs, refs, in_derivs = [], [], []  # parts: text, or ints naming defs
+
+    def define(in_deriv, parts):
+        defs.append(parts)
+        refs.append([p for p in parts if type(p) is int])
+        in_derivs.append(in_deriv)
+        return len(defs) - 1
+
+    def val(*parts):
+        return define(False, parts)
+
+    def der(*parts):
+        return define(True, parts)
+
+    def const(value):
+        name = f"k{len(consts)}"
+        consts[name] = value
+        return name
+
+    def seed_entry(seed, name):
+        d = seed.get(name, 0.0)
+        if type(d) is float and repr(d) in ("0.0", "1.0"):
+            return repr(d)
+        return const(d)
+
+    def node(e):
+        if id(e) not in memo:
+            memo[id(e)] = build(e)
+        return memo[id(e)]
+
+    def each(template, *ders):  # one derivative per seed
+        return [der(*template(*xs)) for xs in zip(*ders)]
+
+    def build(e):
+        """(value, value for derivative code, derivatives) of a node."""
+        if isinstance(e, Const):
+            k = const(e.value)
+            return k, k, ["0.0"] * len(seeds)
+        if isinstance(e, Var):
+            if e.name not in loads:
+                loads[e.name] = val(f"env[{e.name!r}]")
+            a = loads[e.name]
+            return a, a, [seed_entry(s, e.name) for s in seeds]
+        if isinstance(e, Power):
+            a, ad, da = node(e.a)
+            n = e.n
+            if n == 0:
+                v = val("one(", a, ")")
+                vd = v if ad == a else der("one(", ad, ")")
+                return v, vd, each(lambda x: ["zero(", x, ")"], da)
+            v = val("pwv(", a, f", {n})")
+            if n == 1:
+                return v, ad, da
+            vd = v if ad == a and n > 0 else der("pw(", ad, f", {n})")
+            c = der(f"{n} * pw(", ad, f", {n - 1})")
+            return v, vd, each(lambda x: [c, " * ", x], da)
+        if isinstance(e, Unary):
+            (a, ad, da), op = node(e.a), "log" if e.op == "ln" else e.op
+
+            def apply(x):
+                return ["-", x] if op == "neg" else [op + "(", x, ")"]
+
+            v = val(*apply(a))
+            vd = v if ad == a else der(*apply(ad))
+            if op == "neg":
+                return v, vd, each(apply, da)
+            if op == "sin":
+                c = der("cos(", ad, ")")
+            elif op == "cos":
+                c = der("-sin(", ad, ")")
+            elif op == "exp":
+                c = vd
+            elif op == "log":
+                return v, vd, each(lambda x: ["div(", x, ", ", ad, ")"], da)
+            else:  # sqrt
+                c = der("2.0 * ", vd)
+                return v, vd, each(lambda x: ["div(", x, ", ", c, ")"], da)
+            return v, vd, each(lambda x: [c, " * ", x], da)
+        (a, ad, da), (b, bd, db) = node(e.a), node(e.b)
+        if e.op == "/":
+            v = val("div(", a, ", ", b, ")")
+            vd = v if (ad, bd) == (a, b) else der("div(", ad, ", ", bd, ")")
+            c = der(bd, " * ", bd)
+            return v, vd, each(lambda x, y: [
+                "div(", x, " * ", bd, " - ", ad, " * ", y, ", ", c, ")"], da, db)
+        op = f" {e.op} "
+        v = val(a, op, b)
+        vd = v if (ad, bd) == (a, b) else der(ad, op, bd)
+        if e.op == "*":
+            return v, vd, each(
+                lambda x, y: [ad, " * ", y, " + ", x, " * ", bd], da, db)
+        return v, vd, each(lambda x, y: [x, op, y], da, db)
+
+    # per expression: its definitions, value output, derivative outputs
+    roots, start = [], 0
+    for i, e in enumerate(exprs):
+        v, _, ds = node(e)
+        roots.append((range(start, len(defs)), [f"V[{i}] = ", v],
+                      [[f"D[{i * len(ds) + j}] = ", d] for j, d in enumerate(ds)]))
+        start = len(defs)
+
+    # references only point backwards, so one backward pass counts uses
+    uses = [0] * len(defs)
+    for _, vout, douts in roots:
+        for p in (p for s in [vout] + douts for p in s):
+            if type(p) is int:
+                uses[p] += 1
+    for i in range(len(defs) - 1, -1, -1):
+        if uses[i]:
+            for p in refs[i]:
+                uses[p] += 1
+    temp, depth = [False] * len(defs), [0] * len(defs)
+    for i, ps in enumerate(refs):
+        if uses[i]:
+            depth[i] = 1 + max([depth[p] for p in ps if not temp[p]], default=0)
+            temp[i] = uses[i] > 1 or depth[i] > _MAX_INLINE_DEPTH
+
+    def render(parts, reads):
+        text = []
+        for p in parts:
+            if type(p) is not int:
+                text.append(p)
+            elif temp[p]:
+                text.append(f"t{p}")
+                reads.add(f"t{p}")
+            else:
+                text.append("(" + render(defs[p], reads) + ")")
+        return "".join(text)
+
+    # lines: (text, temps read, temp defined or None, inside a D block)
+    lines = []
+    for ids, vout, douts in roots:
+        for in_block in (False, True):
+            for i in ids:
+                if uses[i] and temp[i] and in_derivs[i] == in_block:
+                    reads = set()
+                    lines.append((f"t{i} = " + render(defs[i], reads), reads,
+                                  f"t{i}", in_block))
+            for s in (douts if in_block else [vout]):
+                reads = set()
+                text = render(s, reads)
+                lines.append(("if V is not None: " * (not in_block) + text,
+                              reads, None, in_block))
+    # free every temporary after its last read; on the path without
+    # derivatives, after its last read outside the D blocks
+    last, last_plain = {}, {}
+    for idx, (_, reads, target, in_block) in enumerate(lines):
+        if target is not None and not in_block:
+            last_plain[target] = idx
+        for nm in reads:
+            last[nm] = idx
+            if not in_block:
+                last_plain[nm] = idx
+    body, block = [], False
+    for idx, (text, reads, target, in_block) in enumerate(lines):
+        if in_block and not block:
+            body.append("if D is not None:")
+        block = in_block
+        pad = "    " * in_block
+        body.append(pad + text)
+        done = sorted(nm for nm in reads | {target} - {None}
+                      if last.get(nm, idx) == idx)
+        if done:
+            body.append(pad + "del " + ", ".join(done))
+        if not in_block:
+            only_d = sorted(nm for nm, at in last_plain.items()
+                            if at == idx and last.get(nm, idx) > idx)
+            if only_d:
+                body.append("if D is None: del " + ", ".join(only_d))
+    src = "\n    ".join(["def kernel(env, V, D=None):"] + (body or ["pass"]))
+    code = compile(src, "<daekit kernel>", "exec")
+    fns = []
+    for names in (_POINT, _BATCH):
+        namespace = {**consts, **names}
+        exec(code, namespace)
+        fns.append(namespace["kernel"])
+    return tuple(fns)
+
+
+class Kernel:
+    """Values and derivatives of one expression list, compiled once.
+
+    Derivatives are taken along ``seeds`` (see compile_kernel); the kernel
+    is emitted on first use and kept on the instance. When the point
+    function raises (ValueError, ZeroDivisionError, OverflowError,
+    KeyError) or gives a non-finite number, the point is re-evaluated with
+    the strict walker, which returns the same result or raises the
+    ExprDomainError naming the offending subexpression. Batch evaluation
+    checks no domain: invalid points yield nan/inf.
+    """
+
+    def __init__(self, exprs, seeds=()):
+        self.exprs = list(exprs)
+        self.seeds = [dict(s) for s in seeds]
+        self._fns = None
+
+    def _fn(self, batch):
+        if self._fns is None:
+            self._fns = compile_kernel(self.exprs, self.seeds)
+        return self._fns[batch]
+
+    def values(self, env):
+        """Values at a point, as an array."""
+        vals = [0.0] * len(self.exprs)
+        try:
+            self._fn(False)(env, vals)
+            if all(map(math.isfinite, vals)):
+                return np.array(vals, dtype=float)
+        except _KERNEL_ERRORS:
+            pass
+        return np.array([_strict(e, env) for e in self.exprs], dtype=float)
+
+    def dual(self, env, *colsets):
+        """(values, Jacobians) at a point: for each column set (a slice or a
+        list of seed numbers), the matrix whose row i holds the derivatives
+        of expression i along those seeds; the full Jacobian when no set is
+        given. The strict walk goes seed by seed, in the order of the sets."""
+        m, n = len(self.exprs), len(self.seeds)
+        vals, ders = [0.0] * m, [0.0] * (m * n)
+        try:
+            self._fn(False)(env, vals, ders)
+            ok = all(map(math.isfinite, vals)) and all(map(math.isfinite, ders))
+        except _KERNEL_ERRORS:
+            ok = False
+        if not ok:
+            order = [j for cols in colsets or [slice(None)]
+                     for j in np.arange(n)[cols]]
+            walks = {j: [_strict(e, env, self.seeds[j]) for e in self.exprs]
+                     for j in order}
+            for j, walk in walks.items():
+                ders[j::n] = [d for _, d in walk]
+            first = next(iter(walks.values()), None)
+            vals = ([v for v, _ in first] if first is not None
+                    else [_strict(e, env, {})[0] for e in self.exprs])
+        jac = np.array(ders, dtype=float).reshape(m, n)
+        if not colsets:
+            return vals, [jac]
+        return vals, [np.ascontiguousarray(jac[:, cols]) for cols in colsets]
+
+    def values_batch(self, env, out):
+        """Values on a batch into out[..., i] (out C-contiguous)."""
+        with np.errstate(all="ignore"):
+            self._fn(True)(env, out.reshape(-1, len(self.exprs)).T)
+        return out
+
+    def dual_batch(self, env, out, vout=None):
+        """Derivatives on a batch into out[..., i, j], values into vout (both
+        C-contiguous)."""
+        m, n = len(self.exprs), len(self.seeds)
+        vals = None if vout is None else vout.reshape(-1, m).T
+        with np.errstate(all="ignore"):
+            self._fn(True)(env, vals, out.reshape(-1, m * n).T)
+        return out
+
+
+# ---------------------------------------------------------------------------
+# Strict reference walker (full domain diagnostics)
+
+
+def _strict(e, env, seed=None):
+    """The value at env, or with a seed the pair (value, derivative along
+    seed), raising ExprDomainError naming the offending subexpression."""
+    dual = seed is not None
+
+    def walk(e):
+        if isinstance(e, Const):
+            return e.value, 0.0
+        if isinstance(e, Var):
+            try:
+                v = float(env[e.name])
+            except KeyError:
+                raise UndeclaredVariableError(e.name) from None
+            return v, float(seed.get(e.name, 0.0)) if dual else None
+        if isinstance(e, Unary):
+            v, d = walk(e.a)
+            if e.op == "neg":
+                return -v, -d if dual else None
+            if e.op == "sin":
+                return math.sin(v), math.cos(v) * d if dual else None
+            if e.op == "cos":
+                return math.cos(v), -math.sin(v) * d if dual else None
+            if e.op == "exp":
+                if v > 709.0:
+                    raise ExprDomainError("exp overflow", to_string(e))
                 ev = math.exp(v)
-                return ev, ev * d
-        elif e.op == "ln":
-            def fn(env, seed, a=a):
-                v, d = a(env, seed)
-                return math.log(v), d / v
-        else:  # sqrt
-            def fn(env, seed, a=a):
-                v, d = a(env, seed)
-                r = math.sqrt(v)
-                return r, d / (2.0 * r)
-    elif isinstance(e, Binary):
-        a, b = _compile_dual(e.a), _compile_dual(e.b)
-        if e.op == "+":
-            def fn(env, seed, a=a, b=b):
-                av, ad = a(env, seed)
-                bv, bd = b(env, seed)
-                return av + bv, ad + bd
-        elif e.op == "-":
-            def fn(env, seed, a=a, b=b):
-                av, ad = a(env, seed)
-                bv, bd = b(env, seed)
-                return av - bv, ad - bd
-        elif e.op == "*":
-            def fn(env, seed, a=a, b=b):
-                av, ad = a(env, seed)
-                bv, bd = b(env, seed)
-                return av * bv, av * bd + ad * bv
-        else:
-            def fn(env, seed, a=a, b=b):
-                av, ad = a(env, seed)
-                bv, bd = b(env, seed)
-                return av / bv, (ad * bv - av * bd) / (bv * bv)
-    else:
-        a, n = _compile_dual(e.a), e.n
-        if n == 0:
-            fn = lambda env, seed: (1.0, 0.0)
-        elif n == 1:
-            fn = a
-        else:
-            def fn(env, seed, a=a, n=n):
-                v, d = a(env, seed)
-                return v**n, n * v ** (n - 1) * d
-    e._dfn = fn
-    return fn
+                return ev, ev * d if dual else None
+            if e.op == "ln":
+                if v <= 0.0:
+                    raise ExprDomainError(f"ln of nonpositive value {v}", to_string(e))
+                return math.log(v), d / v if dual else None
+            if v < 0.0 or (dual and v == 0.0 and d != 0.0):
+                what = "not differentiable at" if dual else "of negative value"
+                raise ExprDomainError(f"sqrt {what} {v}", to_string(e))
+            if dual and v == 0.0:
+                return 0.0, 0.0
+            r = math.sqrt(v)
+            return r, d / (2.0 * r) if dual else None
+        if isinstance(e, Binary):
+            (a, da), (b, db) = walk(e.a), walk(e.b)
+            if e.op == "+":
+                return a + b, da + db if dual else None
+            if e.op == "-":
+                return a - b, da - db if dual else None
+            if e.op == "*":
+                return a * b, a * db + da * b if dual else None
+            if b == 0.0:
+                raise ExprDomainError("division by zero", to_string(e))
+            return a / b, (da * b - a * db) / (b * b) if dual else None
+        if e.n == 0:
+            return 1.0, 0.0  # like the kernel, never looks at the base
+        v, d = walk(e.a)
+        if e.n < 0 and v == 0.0:
+            raise ExprDomainError("zero base with negative exponent", to_string(e))
+        if e.n == 1:
+            return v, d
+        return v**e.n, e.n * v ** (e.n - 1) * d if dual else None
+
+    v, d = walk(e)
+    return (v, d) if dual else v
 
 
 # ---------------------------------------------------------------------------
-# Strict reference walkers (full domain diagnostics)
-
-
-def _eval_strict(e, env):
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        try:
-            return float(env[e.name])
-        except KeyError:
-            raise UndeclaredVariableError(e.name) from None
-    if isinstance(e, Unary):
-        v = _eval_strict(e.a, env)
-        if e.op == "neg":
-            return -v
-        if e.op == "sin":
-            return math.sin(v)
-        if e.op == "cos":
-            return math.cos(v)
-        if e.op == "exp":
-            if v > 709.0:
-                raise ExprDomainError("exp overflow", to_string(e))
-            return math.exp(v)
-        if e.op == "ln":
-            if v <= 0.0:
-                raise ExprDomainError(f"ln of nonpositive value {v}", to_string(e))
-            return math.log(v)
-        if v < 0.0:
-            raise ExprDomainError(f"sqrt of negative value {v}", to_string(e))
-        return math.sqrt(v)
-    if isinstance(e, Binary):
-        a = _eval_strict(e.a, env)
-        b = _eval_strict(e.b, env)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if b == 0.0:
-            raise ExprDomainError("division by zero", to_string(e))
-        return a / b
-    v = _eval_strict(e.a, env)
-    if e.n < 0 and v == 0.0:
-        raise ExprDomainError("zero base with negative exponent", to_string(e))
-    return v**e.n
-
-
-def _eval_dual_strict(e, env, seed):
-    if isinstance(e, Const):
-        return DualValue(e.value, 0.0)
-    if isinstance(e, Var):
-        try:
-            return DualValue(float(env[e.name]), float(seed.get(e.name, 0.0)))
-        except KeyError:
-            raise UndeclaredVariableError(e.name) from None
-    if isinstance(e, Unary):
-        u = _eval_dual_strict(e.a, env, seed)
-        if e.op == "neg":
-            return -u
-        if e.op == "sin":
-            return DualValue(math.sin(u.value), math.cos(u.value) * u.derivative)
-        if e.op == "cos":
-            return DualValue(math.cos(u.value), -math.sin(u.value) * u.derivative)
-        if e.op == "exp":
-            if u.value > 709.0:
-                raise ExprDomainError("exp overflow", to_string(e))
-            ev = math.exp(u.value)
-            return DualValue(ev, ev * u.derivative)
-        if e.op == "ln":
-            if u.value <= 0.0:
-                raise ExprDomainError(
-                    f"ln of nonpositive value {u.value}", to_string(e)
-                )
-            return DualValue(math.log(u.value), u.derivative / u.value)
-        if u.value <= 0.0:
-            if u.value < 0.0 or u.derivative != 0.0:
-                raise ExprDomainError(
-                    f"sqrt not differentiable at {u.value}", to_string(e)
-                )
-            return DualValue(0.0, 0.0)
-        r = math.sqrt(u.value)
-        return DualValue(r, u.derivative / (2.0 * r))
-    if isinstance(e, Binary):
-        u = _eval_dual_strict(e.a, env, seed)
-        w = _eval_dual_strict(e.b, env, seed)
-        if e.op == "+":
-            return u + w
-        if e.op == "-":
-            return u - w
-        if e.op == "*":
-            return u * w
-        if w.value == 0.0:
-            raise ExprDomainError("division by zero", to_string(e))
-        return u / w
-    u = _eval_dual_strict(e.a, env, seed)
-    if e.n < 0 and u.value == 0.0:
-        raise ExprDomainError("zero base with negative exponent", to_string(e))
-    return u.powi(e.n)
-
-
-# ---------------------------------------------------------------------------
-# Public evaluation API
+# Public evaluation API (one expression; compiled per call)
 
 
 def evaluate(e, env):
     """Evaluate at a point; raises ExprDomainError naming the bad subexpression."""
-    fn = e._fn or _compile_scalar(e)
-    try:
-        v = fn(env)
-    except (ValueError, ZeroDivisionError, OverflowError, KeyError):
-        return _eval_strict(e, env)  # re-walk for the precise diagnostic
-    if isinstance(v, float) and not math.isfinite(v):
-        return _eval_strict(e, env)
-    return v
+    return float(Kernel([e]).values(env)[0])
 
 
 def evaluate_dual(e, env, seed):
     """Evaluate value and directional derivative along ``seed`` at ``env``."""
-    fn = e._dfn or _compile_dual(e)
-    try:
-        v, d = fn(env, seed)
-    except (ValueError, ZeroDivisionError, OverflowError, KeyError):
-        return _eval_dual_strict(e, env, seed)
-    if isinstance(v, float) and not (math.isfinite(v) and math.isfinite(d)):
-        return _eval_dual_strict(e, env, seed)
-    return DualValue(v, d)
+    vals, (jac,) = Kernel([e], [seed]).dual(env)
+    return DualValue(float(vals[0]), float(jac[0, 0]))
+
+
+def _batch_shape(env):
+    return np.broadcast_shapes(*(np.shape(v) for v in env.values()))
 
 
 def evaluate_batch(e, env):
@@ -573,80 +680,16 @@ def evaluate_batch(e, env):
     No domain checking: invalid points yield nan/inf, which multistart
     sweeps treat as divergence.
     """
-    with np.errstate(all="ignore"):
-        return _eval_batch(e, env)
-
-
-def _eval_batch(e, env):
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        return env[e.name]
-    if isinstance(e, Unary):
-        v = _eval_batch(e.a, env)
-        if e.op == "neg":
-            return -v
-        return getattr(np, e.op if e.op != "ln" else "log")(v)
-    if isinstance(e, Binary):
-        a = _eval_batch(e.a, env)
-        b = _eval_batch(e.b, env)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        return np.divide(a, b)
-    v = _eval_batch(e.a, env)
-    if e.n == 0:
-        return np.ones_like(np.asarray(v, dtype=float))
-    return np.power(v, e.n) if e.n > 0 else np.divide(1.0, np.power(v, -e.n))
+    out = np.empty(_batch_shape(env) + (1,))
+    return Kernel([e]).values_batch(env, out)[..., 0]
 
 
 def evaluate_dual_batch(e, env, seed):
     """Vectorized dual evaluation; returns (values, derivatives) arrays."""
-    with np.errstate(all="ignore"):
-        return _eval_dual_batch(e, env, seed)
-
-
-def _eval_dual_batch(e, env, seed):
-    if isinstance(e, Const):
-        return e.value, 0.0
-    if isinstance(e, Var):
-        return env[e.name], seed.get(e.name, 0.0)
-    if isinstance(e, Unary):
-        v, d = _eval_dual_batch(e.a, env, seed)
-        if e.op == "neg":
-            return -v, -d
-        if e.op == "sin":
-            return np.sin(v), np.cos(v) * d
-        if e.op == "cos":
-            return np.cos(v), -np.sin(v) * d
-        if e.op == "exp":
-            ev = np.exp(v)
-            return ev, ev * d
-        if e.op == "ln":
-            return np.log(v), np.divide(d, v)
-        r = np.sqrt(v)
-        return r, np.divide(d, 2.0 * r)
-    if isinstance(e, Binary):
-        av, ad = _eval_dual_batch(e.a, env, seed)
-        bv, bd = _eval_dual_batch(e.b, env, seed)
-        if e.op == "+":
-            return av + bv, ad + bd
-        if e.op == "-":
-            return av - bv, ad - bd
-        if e.op == "*":
-            return av * bv, av * bd + ad * bv
-        return np.divide(av, bv), np.divide(ad * bv - av * bd, bv * bv)
-    v, d = _eval_dual_batch(e.a, env, seed)
-    if e.n == 0:
-        return np.ones_like(np.asarray(v, dtype=float)), np.zeros_like(
-            np.asarray(d, dtype=float)
-        )
-    if e.n == 1:
-        return v, d
-    return np.power(v, e.n), e.n * np.power(v, e.n - 1) * d
+    shape = _batch_shape(env)
+    vals, ders = np.empty(shape + (1,)), np.empty(shape + (1, 1))
+    Kernel([e], [seed]).dual_batch(env, ders, vals)
+    return vals[..., 0], ders[..., 0, 0]
 
 
 # ---------------------------------------------------------------------------

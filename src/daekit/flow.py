@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dae import ManifoldPoint, solve_constraint
+from .dae import ManifoldPoint, reduced_field, solve_constraint
 from .degree import reduced_matrix
 from .errors import DriftExceededError, LeavesBoxError
-from .linalg import expm, lu_apply, lu_factor, norm1
+from .linalg import expm, norm1
 
 MAX_DRIFT = 1e-8
 DEFAULT_STEPS = 512
@@ -53,34 +53,6 @@ class FlowResult:
     lambda_sensitivity: np.ndarray = None
 
 
-def _stage_data(sys, t, z, lam, want_var):
-    """Right-hand side and (optionally) reduced linearization at a stage."""
-    k = sys.k
-    env = sys.env(z[:k], z[k:], t=t)
-    w = sys.eval_f(env)
-    if lam != 0.0:
-        w = w + lam * sys.eval_h(env)
-    d1g = sys.jac_rows(sys.g, env, sys.x_names)
-    d2g = sys.jac_rows(sys.g, env, sys.y_names)
-    lu, piv, _ = lu_factor(d2g)
-    ydot = -lu_apply(lu, piv, d1g @ w)
-    zdot = np.concatenate([w, ydot])
-    if not want_var:
-        return zdot, None
-    dgamma = -np.column_stack(
-        [lu_apply(lu, piv, d1g[:, i]) for i in range(k)]
-    )
-    a = sys.jac_rows(sys.f, env, sys.x_names) + sys.jac_rows(
-        sys.f, env, sys.y_names
-    ) @ dgamma
-    if lam != 0.0:
-        a = a + lam * (
-            sys.jac_rows(sys.h, env, sys.x_names)
-            + sys.jac_rows(sys.h, env, sys.y_names) @ dgamma
-        )
-    return zdot, a
-
-
 def _flow(sys, lam, start, t0, t1, steps, want_sensitivity=False,
           want_lambda=False, record=True):
     if lam < 0:
@@ -98,13 +70,10 @@ def _flow(sys, lam, start, t0, t1, steps, want_sensitivity=False,
     want_var = want_sensitivity or want_lambda
 
     def deriv(t, z, phi, vlam):
-        zdot, a = _stage_data(sys, t, z, lam, want_var)
+        env = sys.env(z[:k], z[k:], t=t)
+        zdot, a = reduced_field(sys, env, lam, linearize=want_var)
         pdot = a @ phi if want_sensitivity else None
-        if want_lambda:
-            env = sys.env(z[:k], z[k:], t=t)
-            vdot = a @ vlam + sys.eval_h(env)
-        else:
-            vdot = None
+        vdot = a @ vlam + sys.eval_h(env) if want_lambda else None
         return zdot, pdot, vdot
 
     for n in range(steps):

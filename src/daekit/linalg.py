@@ -104,28 +104,18 @@ def expm(a):
 
 
 def near_singular(a, tol):
-    """True when the smallest singular value estimate is below tol * scale.
+    """True when the smallest singular value is below tol * scale.
 
-    The estimate runs 50 inverse-power iterations on A^T A; scale is
+    sigma_min comes from the singular value decomposition; scale is
     max(1, largest row sum), so absolute near-zero matrices count as
-    singular no matter how small their entries are.
+    singular no matter how small their entries are. Non-finite matrices
+    count as singular.
     """
     a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    scale = max(1.0, row_scale(a))
-    try:
-        lu, piv, _ = lu_factor(a.T @ a)
-    except SingularMatrixError:
+    if not np.all(np.isfinite(a)):
         return True
-    v = np.ones(n) / n
-    growth = 0.0
-    for _ in range(50):
-        w = lu_apply(lu, piv, v)
-        growth = norm1(w)
-        if growth == 0.0 or not np.isfinite(growth):
-            return True
-        v = w / growth
-    sigma_min = 1.0 / np.sqrt(growth)
+    scale = max(1.0, row_scale(a))
+    sigma_min = float(np.linalg.svd(a, compute_uv=False)[-1])
     return bool(sigma_min < tol * scale)
 
 

@@ -14,7 +14,6 @@ and implicit equations phi(x, x' + lambda*h(t,x)) = 0 (introduce y = x' +
 lambda*h).
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -291,7 +290,7 @@ def _linear_response_seed(sys, zero, lam, steps=256):
 
 
 def multiplicity_scan(sys, lam, grid_per_dim=8, steps=DEFAULT_STEPS,
-                      zeros=None, workers=1):
+                      zeros=None):
     """Distinct T-periodic orbits at forcing size lam, by multistart shooting.
 
     Starts come from a grid over the x-projection of the box, from the zeros
@@ -333,14 +332,8 @@ def multiplicity_scan(sys, lam, grid_per_dim=8, steps=DEFAULT_STEPS,
                 DriftExceededError):
             return None
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(attempt, starts))
-    else:
-        outcomes = [attempt(s) for s in starts]
-
     orbits = []
-    for bp in outcomes:
+    for bp in map(attempt, starts):
         if bp is None:
             continue
         arr = bp.orbit.array()

@@ -11,7 +11,7 @@ from daekit import (
     tangent_field,
     validate,
 )
-from daekit.dae import Box, ManifoldPoint
+from daekit.dae import Box, ManifoldPoint, halton
 from daekit.errors import (
     ConstraintSolveError,
     HypothesisViolationError,
@@ -32,6 +32,32 @@ class TestBox:
         assert box.contains([0.0, 1.0])
         assert not box.contains([0.0, 2.5])
         assert box.boundary_distance([0.5, 1.0]) == pytest.approx(0.5)
+
+
+class TestHalton:
+    def test_early_values(self):
+        # radical inverses of 1, 2, 3 in bases 2 and 3, and of 21 = 10101b
+        u = halton(3, 2, skip=0)
+        assert u.tolist() == [[0.5, 1 / 3], [0.25, 2 / 3], [0.75, 1 / 9]]
+        assert halton(1, 1)[0, 0] == 0.5 + 1 / 8 + 1 / 32
+
+    def test_matches_digit_loop(self):
+        PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+        def reference(n, dim, skip):
+            out = np.empty((n, dim))
+            for d, base in enumerate(PRIMES[:dim]):
+                for i in range(n):
+                    k, val, denom = i + 1 + skip, 0.0, 1.0
+                    while k > 0:
+                        denom *= base
+                        k, rem = divmod(k, base)
+                        val += rem / denom
+                    out[i, d] = val
+            return out
+
+        for n, dim, skip in [(512, 2, 20), (256, 3, 37), (64, 12, 0), (0, 2, 20)]:
+            assert np.array_equal(halton(n, dim, skip), reference(n, dim, skip))
 
 
 class TestValidate:

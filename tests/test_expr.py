@@ -1,11 +1,18 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from daekit import expr
+from daekit.dae import Box, SystemDef
+from daekit.degree import VectorField
 from daekit.errors import ExprDomainError, ExprSyntaxError, UndeclaredVariableError
 from helpers import usable_tree_and_point
+
+
+def bits(x):
+    return struct.pack("<d", x)
 
 
 def count_vars(e):
@@ -94,19 +101,6 @@ class TestDual:
         tree = expr.parse("sin(x1)*exp(y1) - x1/y1", ["x1", "y1"])
         d = expr.evaluate_dual(tree, {"x1": 0.7, "y1": 1.3}, {})
         assert d.derivative == 0.0
-
-    def test_dual_arithmetic_matches_real(self):
-        a = expr.DualValue(2.0, 0.0)
-        b = expr.DualValue(-3.5, 0.0)
-        for got, want in [
-            (a + b, 2.0 - 3.5),
-            (a - b, 2.0 + 3.5),
-            (a * b, -7.0),
-            (a / b, 2.0 / -3.5),
-            (a.powi(3), 8.0),
-        ]:
-            assert got.value == want
-            assert got.derivative == 0.0
 
 
 class TestSymbolicDiff:
@@ -201,3 +195,77 @@ class TestProperties:
         fixed = expr.substitute(tree, {"y1": 0.0})
         assert expr.variables(fixed) == {"x1"}
         assert expr.evaluate(fixed, {"x1": 3.0}) == 9.0
+
+
+class TestKernel:
+    def test_point_kernel_matches_strict_walker(self):
+        rng = np.random.default_rng(505)
+        names = ["x1", "y1", "t"]
+        seeds = [{nm: 1.0} for nm in names]
+        compared = 0
+        for _ in range(1000):
+            tree, env = usable_tree_and_point(rng, names)
+            point, _ = expr.compile_kernel([tree], seeds)
+            vals, ders = [0.0], [0.0] * len(seeds)
+            point(env, vals)
+            assert bits(vals[0]) == bits(expr._strict(tree, env))
+            try:
+                point(env, vals, ders)
+            except (ValueError, ZeroDivisionError, OverflowError):
+                continue  # the strict walker decides these points
+            for seed, d in zip(seeds, ders):
+                v_ref, d_ref = expr._strict(tree, env, seed)
+                assert bits(vals[0]) == bits(v_ref)
+                assert bits(d) == bits(d_ref)
+            compared += 1
+        assert compared >= 950
+
+    @pytest.mark.parametrize("text, point, message, subexpr", [
+        ("sqrt(x1)", {"x1": 0.0, "y1": 1.0}, "sqrt not differentiable at 0.0",
+         "sqrt(x1)"),
+        ("ln(x1) + y1", {"x1": -1.0, "y1": 1.0}, "ln of nonpositive value -1.0",
+         "ln(x1)"),
+        ("y1 + x1 / (y1 - 1)", {"x1": 2.0, "y1": 1.0}, "division by zero",
+         "x1 / (y1 - 1.0)"),
+    ])
+    def test_jacobians_name_the_failing_subexpression(self, text, point,
+                                                       message, subexpr):
+        names = ["x1", "y1"]
+        e = expr.parse(text, names)
+        sysdef = SystemDef(1, 1, 1.0, [expr.Var("y1")], [e],
+                           box=Box.from_pairs([(-3, 3)] * 2))
+        fld = VectorField([expr.Var("y1"), e], names)
+        calls = [
+            lambda: sysdef.jac_rows(sysdef.g, sysdef.env([point["x1"]], [point["y1"]]),
+                                    sysdef.state_names),
+            lambda: fld.jacobian(np.array([point["x1"], point["y1"]])),
+        ]
+        for call in calls:
+            with pytest.raises(ExprDomainError) as err:
+                call()
+            assert message in str(err.value)
+            assert subexpr in str(err.value)
+
+    def test_infinite_constant(self):
+        e = expr.parse("1e999*x1", ["x1"])
+        for x, want, dwant in [(2.0, math.inf, math.inf), (0.0, math.nan, math.inf),
+                               (-1.0, -math.inf, math.inf)]:
+            got = expr.evaluate(e, {"x1": x})
+            dual = expr.evaluate_dual(e, {"x1": x}, {"x1": 1.0})
+            bval, bder = expr.evaluate_dual_batch(e, {"x1": np.array([x])},
+                                                  {"x1": 1.0})
+            batch = expr.evaluate_batch(e, {"x1": np.array([x])})
+            for v in (got, dual.value, bval[0], batch[0]):
+                assert v == want or (math.isnan(v) and math.isnan(want))
+            assert dual.derivative == dwant and bder[0] == dwant
+
+    def test_negative_constant_base(self):
+        for n, want, dwant in [(2, 4.0, -0.0), (3, -8.0, 0.0)]:
+            e = expr.Power(expr.Const(-2.0), n)
+            dual = expr.evaluate_dual(e, {}, {"x1": 1.0})
+            bval, bder = expr.evaluate_dual_batch(e, {}, {})
+            for v in (expr.evaluate(e, {}), dual.value, expr.evaluate_batch(e, {}),
+                      bval):
+                assert bits(float(v)) == bits(want)
+            assert bits(dual.derivative) == bits(dwant)
+            assert bits(float(bder)) == bits(dwant)

@@ -101,6 +101,18 @@ class TestNearSingular:
     def test_zero_matrix(self):
         assert linalg.near_singular(np.zeros((2, 2)), 1e-8) is True
 
+    def test_known_smallest_singular_value(self):
+        # sigma_min = 3e-7 is 30x above tol = 1e-8 (scale stays below 3):
+        # not singular; the same matrices with sigma_min = 1e-9 are
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            u, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+            v, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+            a = u @ np.diag([1.0, 0.5, 3e-7]) @ v.T
+            assert linalg.near_singular(a, 1e-8) is False
+            b = u @ np.diag([1.0, 0.5, 1e-9]) @ v.T
+            assert linalg.near_singular(b, 1e-8) is True
+
 
 class TestBlockSchurDet:
     def test_cubic_well_blocks(self):
