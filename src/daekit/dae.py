@@ -22,7 +22,7 @@ from .errors import (
     ConstraintSolveError,
     HypothesisViolationError,
 )
-from .linalg import lu_apply, lu_factor, lu_solve, norm1
+from .linalg import lu_apply_rows, lu_factor, lu_factor_rows, norm1
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -86,6 +86,13 @@ class Box:
             np.all(z >= self.lo - slack) and np.all(z <= self.hi + slack)
         )
 
+    def contains_rows(self, zs, slack=0.0):
+        """contains() of every row of zs, as a boolean mask."""
+        zs = np.asarray(zs, dtype=float)
+        return (np.isfinite(zs).all(axis=1)
+                & (zs >= self.lo - slack).all(axis=1)
+                & (zs <= self.hi + slack).all(axis=1))
+
     def clip(self, z):
         return np.clip(z, self.lo, self.hi)
 
@@ -137,7 +144,8 @@ class SystemDef:
 
     Immutable by convention once constructed; all evaluations are pure, so a
     single instance can serve concurrent workers. Each expression list it
-    evaluates gets its compiled kernel once, kept on the instance.
+    evaluates gets its compiled kernel once, kept on the instance; f, g and
+    h together (``fgh``) make the one kernel the flow evaluates.
     """
 
     def __init__(self, k, s, period, f, g, h=None, box=None, constraint_tol=1e-10,
@@ -176,6 +184,7 @@ class SystemDef:
         self._d2g_exprs = None
         self._d1g_exprs = None
         self._d2g_flat = None
+        self.fgh = self.f + self.g + self.h
         self._kernels = {}
         self._column = {nm: i for i, nm in enumerate(self.state_names)}
         # slices of the state Jacobian select much faster than index lists
@@ -242,6 +251,19 @@ class SystemDef:
         if cols is None:
             cols = [self._column[nm] for nm in names]
         return self.kernel(exprs).dual(env, cols)[1][0]
+
+    def rows(self, exprs, z, t=None):
+        """(values, Jacobians) of the list exprs on every row of z (N, k+s):
+        (N, m) values and (N, m, k+s) state Jacobians. Rows use the point
+        arithmetic, so each equals the point evaluation bit for bit wherever
+        that is finite and is non-finite where the point kernel raises. All
+        rows share t (nan when None)."""
+        env = {nm: z[:, i] for i, nm in enumerate(self.state_names)}
+        env["t"] = math.nan if t is None else float(t)
+        vals = np.empty((len(z), len(exprs)))
+        jac = np.empty((len(z), len(exprs), len(self.state_names)))
+        self.kernel(exprs).dual_batch(env, jac, vals, expr.Kernel.ROWS)
+        return vals, jac
 
     def blocks(self, exprs, env):
         """(d1, d2): the x- and y-blocks of the Jacobian of exprs."""
@@ -393,79 +415,238 @@ def validate(sys, samples=512):
     raise HypothesisViolationError(report.message, witness, report)
 
 
+def _row_norms(v):
+    """norm1 of every row (the same sums, bit for bit)."""
+    return np.sum(np.abs(v), axis=1)
+
+
+def _finite_rows(*parts):
+    """Rows whose entries in all the given (N, ...) arrays are finite."""
+    ok = np.ones(len(parts[0]), dtype=bool)
+    for a in parts:
+        ok &= np.isfinite(a).all(axis=tuple(range(1, a.ndim)))
+    return ok
+
+
+def _at_point(rows, errors, call):
+    """call(i) for every listed row without an error; a raise becomes that
+    row's error. Used to re-evaluate non-finite rows at their point."""
+    for i in rows:
+        i = int(i)
+        if i not in errors:
+            try:
+                call(i)
+            except Exception as exc:  # the row fails alone, with its error
+                errors[i] = exc
+
+
+def constraint_rows(sys, p, q):
+    """g and its state Jacobian on the rows (p, q): (values (N, s),
+    Jacobians (N, s, k+s), errors). A row whose values are not finite gets
+    eval_g at its point: that value, or in errors the error it raises."""
+    r, jac = sys.rows(sys.g, np.hstack([p, q]))
+    errors = {}
+    if not math.isfinite(np.add.reduce(r, None)):
+        def call(i):
+            r[i] = sys.eval_g(sys.env(p[i], q[i]))
+
+        _at_point(np.flatnonzero(~_finite_rows(r)), errors, call)
+    return r, jac, errors
+
+
+def solve_constraint_rows(sys, p, q_guess, start=None):
+    """solve_constraint on every row of p (N, k) from q_guess (N, s) at once.
+
+    The rows run solve_constraint's Newton iteration in lockstep, with its
+    backtracking, constraint_tol and 50-iteration limit, on one batch call
+    of the g kernel per evaluation, and compute bit for bit what they
+    would alone. start is constraint_rows(sys, p, q_guess) when the caller
+    has it. Returns (q, residuals, errors): errors maps every failing row
+    to the error solve_constraint raises for it alone.
+    """
+    p = np.asarray(p, dtype=float)
+    q = np.array(q_guess, dtype=float)
+    k, tol = sys.k, sys.constraint_tol
+    r, jac, errors = start if start is not None else constraint_rows(sys, p, q)
+    errors = dict(errors)
+    rn = _row_norms(r)
+
+    def factored(rows, r, jac, q):
+        """LU of d2g at the given rows (jac_rows(g, y) at the point where
+        the batch is not finite); the mask of rows that factor, and the
+        factors."""
+        d2g = np.ascontiguousarray(jac[:, :, k:])
+
+        def call(i):
+            d2g[i] = sys.jac_rows(sys.g, sys.env(p[rows[i]], q[i]), sys.y_names)
+
+        bad = {}
+        if not math.isfinite(np.add.reduce(r, None) + np.add.reduce(jac, None)):
+            _at_point(np.flatnonzero(~_finite_rows(r, jac)), bad, call)
+        lu, piv, singular = lu_factor_rows(d2g)
+        bad.update((i, exc) for i, exc in singular.items() if i not in bad)
+        ok = np.ones(len(rows), dtype=bool)
+        for i, exc in bad.items():
+            errors[int(rows[i])] = exc
+            ok[i] = False
+        return ok, lu, piv
+
+    live = np.arange(len(p))
+    if errors:
+        live = np.array([i for i in live if i not in errors], dtype=int)
+    lq, lr, ljac, lrn = (a[live] if errors else a for a in (q, r, jac, rn))
+    for it in range(50):
+        if not live.size:
+            break
+        # d2g must factor at every iterate, already solved starts included
+        ok, lu, piv = factored(live, lr, ljac, lq)
+        keep = ok & ~(lrn <= tol) if it == 0 else ok
+        if not keep.all():
+            live, lq, lr, ljac, lrn, lu, piv = (
+                a[keep] for a in (live, lq, lr, ljac, lrn, lu, piv))
+            if not live.size:
+                break
+        step = lu_apply_rows(lu, piv, lr)
+        # backtracking: t = 1 for every row, then halved for the rows whose
+        # residual did not drop, on their last try
+        q_new = lq - step
+        r_new, jac_new, bad = constraint_rows(sys, p[live], q_new)
+        rn_new = _row_norms(r_new)
+        back = ~((rn_new < lrn) | (rn_new <= tol))
+        back[list(bad)] = False
+        t, b = 1.0, np.flatnonzero(back)
+        for _ in range(11):
+            if not b.size:
+                break
+            t *= 0.5
+            q_try = lq[b] - t * step[b]
+            r_try, jac_try, bad_b = constraint_rows(sys, p[live[b]], q_try)
+            bad.update((int(b[i]), exc) for i, exc in bad_b.items())
+            rn_try = _row_norms(r_try)
+            q_new[b], r_new[b], jac_new[b], rn_new[b] = q_try, r_try, jac_try, rn_try
+            stop = (rn_try < lrn[b]) | (rn_try <= tol)
+            stop[list(bad_b)] = True
+            b = b[~stop]
+        lq, lr, ljac, lrn = q_new, r_new, jac_new, rn_new
+        for i, exc in bad.items():
+            errors[int(live[i])] = exc
+        q[live], rn[live] = lq, lrn
+        going = ~(lrn <= tol)
+        going[list(bad)] = False
+        live, lq, lr, ljac, lrn = (a[going] for a in (live, lq, lr, ljac, lrn))
+    for i in live:
+        errors[int(i)] = ConstraintSolveError(
+            f"constraint Newton stalled at residual {rn[i]:.3e} "
+            f"for p = {tuple(p[i])}"
+        )
+    return q, rn, errors
+
+
 def solve_constraint(sys, p, q_guess):
     """Newton in y on g(p, y) = 0 from q_guess; follows that branch only."""
     p = np.asarray(p, dtype=float)
-    q = np.asarray(q_guess, dtype=float).copy()
-    env = sys.env(p, q)
-    r = sys.eval_g(env)
-    rn = norm1(r)
-    if rn <= sys.constraint_tol:
-        # already on the manifold: zero Newton steps, but the point is only
-        # usable if d2g is invertible there
-        lu_factor(sys.jac_rows(sys.g, env, sys.y_names))
-        return ManifoldPoint(p.copy(), q, rn)
-    for _ in range(50):
-        d2g = sys.jac_rows(sys.g, env, sys.y_names)
-        step = lu_solve(d2g, r)
-        t = 1.0
-        for _ in range(12):
-            q_new = q - t * step
-            env = sys.env(p, q_new)
-            r_new = sys.eval_g(env)
-            rn_new = norm1(r_new)
-            if rn_new < rn or rn_new <= sys.constraint_tol:
-                break
-            t *= 0.5
-        q, r, rn = q_new, r_new, rn_new
-        if rn <= sys.constraint_tol:
-            return ManifoldPoint(p.copy(), q, rn)
-    raise ConstraintSolveError(
-        f"constraint Newton stalled at residual {rn:.3e} for p = {tuple(p)}"
+    q, rn, errors = solve_constraint_rows(
+        sys, p[None], np.asarray(q_guess, dtype=float)[None]
     )
+    if errors:
+        raise errors[0]
+    return ManifoldPoint(p.copy(), q[0], float(rn[0]))
 
 
-def reduced_field(sys, env, lam=0.0, linearize=False, base=None):
-    """The reduced field at a manifold point and its linearization.
+def reduced_field(sys, z, t=None, lam=0.0, linearize=False, forcing=False,
+                  with_h=False):
+    """The reduced field on rows of manifold points and its linearization.
 
-    With w = base + lam*h (base is f unless given) returns (zdot, A): the
-    field zdot = (w, -[d2g]^-1 d1g w) and, when linearize is set, the
-    reduced linearization A = d1w - d2w [d2g]^-1 d1g (else None), both from
-    a single LU factorization of d2g.
+    z is an (N, k+s) array of states, all at time t. With w = base + lam*h
+    (base is f, or h with forcing) returns (zdot, A, hv, errors): the
+    fields zdot = (w, -[d2g]^-1 d1g w) as rows; with linearize the reduced
+    linearizations A = d1w - d2w [d2g]^-1 d1g (else None); with with_h the
+    values of h (else None); and errors, which maps every failing row to
+    the error its evaluation at the point raises. One batch call of the
+    f+g+h kernel and one batched factorization of d2g serve all rows; each
+    row equals its one-row result bit for bit. A row whose needed batch
+    values are not finite is re-evaluated with the point kernels in the
+    order f (or base), h, g, d2g factorization, derivatives of base and h,
+    so it gets the point result or the point error.
     """
-    base = sys.f if base is None else base
-    w = sys.kernel(base).values(env)
-    if lam != 0.0:
-        w = w + lam * sys.eval_h(env)
-    d1g, d2g = sys.constraint_blocks(env)
-    lu, piv, _ = lu_factor(d2g)
-    zdot = np.concatenate([w, -lu_apply(lu, piv, d1g @ w)])
+    k, s = sys.k, sys.s
+    z = np.asarray(z, dtype=float)
+    vals, jac = sys.rows(sys.fgh, z, t)
+    fb, gb, hb = slice(k), slice(k, k + s), slice(k + s, None)
+    bb, base = (hb, sys.h) if forcing else (fb, sys.f)
+    use_h = lam != 0.0
+    late_h = with_h and not use_h
+    errors = {}
+    if not math.isfinite(np.add.reduce(vals, None) + np.add.reduce(jac, None)):
+        checked = [vals[:, bb], vals[:, gb], jac[:, gb]]
+        if use_h or late_h:
+            checked.append(vals[:, hb])
+        if linearize:
+            checked.append(jac[:, bb])
+            if use_h:
+                checked.append(jac[:, hb])
+
+        def point(i):
+            env = sys.env(z[i, :k], z[i, k:], t=t)
+            vals[i, bb] = sys.kernel(base).values(env)
+            if use_h:
+                vals[i, hb] = sys.eval_h(env)
+            d1g, d2g = sys.constraint_blocks(env)
+            jac[i, gb, :k], jac[i, gb, k:] = d1g, d2g
+            lu_factor(d2g)
+            if linearize:
+                jac[i, bb, :k], jac[i, bb, k:] = sys.blocks(base, env)
+                if use_h:
+                    jac[i, hb, :k], jac[i, hb, k:] = sys.blocks(sys.h, env)
+            if late_h:
+                vals[i, hb] = sys.eval_h(env)
+
+        _at_point(np.flatnonzero(~_finite_rows(*checked)), errors, point)
+    lu, piv, singular = lu_factor_rows(jac[:, gb, k:])
+    for i, exc in singular.items():
+        errors.setdefault(i, exc)
+    w = vals[:, bb]
+    if use_h:
+        w = w + lam * vals[:, hb]
+    d1g = jac[:, gb, :k]
+    solved = lu_apply_rows(lu, piv, np.matmul(d1g, w[:, :, None])[:, :, 0])
+    zdot = np.concatenate([w, -solved], axis=1)
+    hv = vals[:, hb] if with_h else None
     if not linearize:
-        return zdot, None
-    x = np.column_stack([lu_apply(lu, piv, d1g[:, i]) for i in range(sys.k)])
-    d1w, d2w = sys.blocks(base, env)
-    a = d1w - d2w @ x
-    if lam != 0.0:
-        d1h, d2h = sys.blocks(sys.h, env)
-        a = a + lam * (d1h - d2h @ x)
-    return zdot, a
+        return zdot, None, hv, errors
+    x = lu_apply_rows(lu, piv, d1g)
+    a = jac[:, bb, :k] - np.matmul(jac[:, bb, k:], x)
+    if use_h:
+        a = a + lam * (jac[:, hb, :k] - np.matmul(jac[:, hb, k:], x))
+    return zdot, a, hv, errors
+
+
+def reduced_field_at(sys, z, t=None, lam=0.0, linearize=False,
+                     forcing=False):
+    """reduced_field at one state z: (zdot, A), raising the point's error."""
+    zdot, a, _, errors = reduced_field(
+        sys, np.asarray(z, dtype=float)[None], t, lam, linearize, forcing
+    )
+    if errors:
+        raise errors[0]
+    return zdot[0], None if a is None else a[0]
 
 
 def tangent_field(sys, pt):
     """Induced autonomous field (f, -[d2g]^-1 d1g f) at a manifold point."""
-    return reduced_field(sys, sys.env(pt.p, pt.q))[0]
+    return reduced_field_at(sys, pt.z)[0]
 
 
 def forcing_field(sys, t, pt):
     """Forcing field (h, -[d2g]^-1 d1g h); periodic in t like h."""
-    return reduced_field(sys, sys.env(pt.p, pt.q, t=t), base=sys.h)[0]
+    return reduced_field_at(sys, pt.z, t, forcing=True)[0]
 
 
 def perturbed_field(sys, t, pt, lam):
     """Full right-hand side tangent + lam * forcing with one shared LU."""
     if lam < 0:
         raise ValueError("perturbation magnitude lambda must be >= 0")
-    return reduced_field(sys, sys.env(pt.p, pt.q, t=t), lam)[0]
+    return reduced_field_at(sys, pt.z, t, lam)[0]
 
 
 def tangency_defect(sys, pt, v):

@@ -13,6 +13,7 @@ that reduction is what `tangent_field_degree` reports, together with the
 cross-check status.
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -20,7 +21,14 @@ from functools import cached_property
 import numpy as np
 
 from . import expr
-from .dae import Box, SystemDef, reduced_field, validate
+from .dae import (
+    Box,
+    SystemDef,
+    _at_point,
+    _finite_rows,
+    reduced_field_at,
+    validate,
+)
 from .errors import (
     BoundaryZeroError,
     DaekitError,
@@ -28,7 +36,14 @@ from .errors import (
     InconsistentVoteError,
     SingularMatrixError,
 )
-from .linalg import block_schur_det, det_sign, lu_solve, norm1, row_scale
+from .linalg import (
+    block_schur_det,
+    det_sign,
+    lu_apply_rows,
+    lu_factor_rows,
+    norm1,
+    row_scale,
+)
 
 DEDUP_RADIUS = 1e-6
 BOUNDARY_SLACK = 1e-6
@@ -74,6 +89,16 @@ class VectorField:
     def jacobian_batch(self, zs):
         out = np.empty((zs.shape[0], self.dim, len(self.var_names)))
         return self._kernel.dual_batch(self.env(zs, batch=True), out)
+
+    def rows(self, zs):
+        """(values, Jacobians) on the rows of zs in the point arithmetic:
+        bit for bit value() and jacobian() wherever those are finite, and
+        non-finite where the point kernel raises."""
+        vals = np.empty((zs.shape[0], self.dim))
+        jac = np.empty((zs.shape[0], self.dim, len(self.var_names)))
+        self._kernel.dual_batch(self.env(zs, batch=True), jac, vals,
+                                expr.Kernel.ROWS)
+        return vals, jac
 
 
 def system_field(sys):
@@ -193,12 +218,13 @@ def find_zeros(system_or_field, box, grid_per_dim=16):
         raise ValueError("field and box dimension mismatch")
     candidates = _newton_sweep(fld, box, _grid_starts(box, grid_per_dim))
     coarse = _dedup(
-        (z for z in candidates if box.contains(z, slack=BOUNDARY_SLACK)),
-        1e-10,
+        candidates[box.contains_rows(candidates, slack=BOUNDARY_SLACK)], 1e-10
     )
-    polished = [_polish(fld, z) for z in coarse]
+    polished, errors = _polish_rows(fld, np.array(coarse).reshape(-1, fld.dim))
+    if errors:
+        raise errors[min(errors)]
     reps = _dedup(
-        (z for z in polished if box.contains(z, slack=BOUNDARY_SLACK)),
+        polished[box.contains_rows(polished, slack=BOUNDARY_SLACK)],
         DEDUP_RADIUS,
     )
     records = [_make_record(fld, box, z) for z in reps]
@@ -207,36 +233,81 @@ def find_zeros(system_or_field, box, grid_per_dim=16):
 
 
 def _dedup(points, radius):
-    reps = []
-    for z in points:
-        for r in reps:
-            if norm1(z - r) <= radius:
+    """The rows of points at norm-1 distance > radius from every earlier
+    kept row, in input order. A sweep over the first coordinate: a kept
+    point within the radius lies within it in that coordinate too, so only
+    the kept points in a window of sorted first coordinates are measured."""
+    points = np.asarray(points, dtype=float)
+    reps, keys, order = [], [], []  # kept points; their sorted x1, indices
+    for z, x1 in zip(points, points[:, 0].tolist()):
+        if math.isnan(x1):  # never within any radius; nothing to index
+            reps.append(np.array(z, dtype=float))
+            continue
+        # 2 * radius covers the rounding of z[0] - r[0] against radius
+        lo = bisect.bisect_left(keys, x1 - 2.0 * radius)
+        hi = bisect.bisect_right(keys, x1 + 2.0 * radius)
+        for i in order[lo:hi]:
+            if norm1(z - reps[i]) <= radius:
                 break
         else:
+            at = bisect.bisect_right(keys, x1)
+            keys.insert(at, x1)
+            order.insert(at, len(reps))
             reps.append(np.array(z, dtype=float))
     return reps
 
 
-def _polish(fld, z):
-    """Sharpen a converged candidate; degenerate zeros converge linearly,
-    so this keeps stepping while the residual still drops."""
-    z = np.array(z, dtype=float)
-    best, best_res = z.copy(), norm1(fld.value(z))
-    for _ in range(60):
-        fv = fld.value(z)
-        res = norm1(fv)
-        if res < best_res:
-            best, best_res = z.copy(), res
-        if res == 0.0:
+def _polish_rows(fld, zs):
+    """Sharpen converged candidates, the rows of zs, in lockstep.
+
+    Degenerate zeros converge linearly, so each row keeps taking Newton
+    steps while its residual still drops, for at most 60, and keeps the
+    best point it met. A row stops at a zero residual, a singular
+    Jacobian, or a non-finite or negligible step. Returns (best points,
+    errors): errors maps each row whose field evaluation raises to its
+    error. Rows are evaluated in the point arithmetic, with the point
+    evaluation where that is not finite, so each row matches polishing
+    it alone bit for bit.
+    """
+    z = np.array(zs, dtype=float)
+    best = z.copy()
+    best_res = np.zeros(len(z))
+    errors = {}
+    live = np.arange(len(z))
+    for it in range(60):
+        if not live.size:
             break
-        try:
-            step = lu_solve(fld.jacobian(z), fv)
-        except SingularMatrixError:
-            break
-        if not np.all(np.isfinite(step)) or norm1(step) < 1e-15:
-            break
-        z = z - step
-    return best
+        fv, jac = fld.rows(z[live])
+
+        def value(i):
+            fv[i] = fld.value(z[live[i]])
+
+        def jacobian(i):
+            jac[i] = fld.jacobian(z[live[i]])
+
+        sub = {}
+        _at_point(np.flatnonzero(~_finite_rows(fv)), sub, value)
+        res = np.sum(np.abs(fv), axis=1)
+        if it == 0:
+            best_res[live] = res
+        better = res < best_res[live]
+        best[live[better]] = z[live[better]]
+        best_res[live[better]] = res[better]
+        go = ~(res == 0.0)
+        _at_point(np.flatnonzero(go & ~_finite_rows(fv, jac)), sub, jacobian)
+        go[list(sub)] = False
+        errors.update({int(live[i]): exc for i, exc in sub.items()})
+        idx = np.flatnonzero(go)
+        lu, piv, singular = lu_factor_rows(jac[idx])
+        fine = np.ones(idx.size, dtype=bool)
+        fine[list(singular)] = False
+        step = lu_apply_rows(lu[fine], piv[fine], fv[idx[fine]])
+        idx = idx[fine]
+        fine = (np.isfinite(step).all(axis=1)
+                & ~(np.sum(np.abs(step), axis=1) < 1e-15))
+        live = live[idx[fine]]
+        z[live] = z[live] - step[fine]
+    return best, errors
 
 
 def _make_record(fld, box, z):
@@ -452,7 +523,7 @@ def chart_index(sys, zero):
 
 def reduced_matrix(sys, z):
     """A = d1f - d2f [d2g]^-1 d1g at the state z (the reduced linearization)."""
-    return reduced_field(sys, sys.env(z[: sys.k], z[sys.k :]), linearize=True)[1]
+    return reduced_field_at(sys, z, linearize=True)[1]
 
 
 def tangent_field_degree(sys, box=None, grid_per_dim=16, samples=512, rng=None):

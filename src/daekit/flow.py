@@ -7,19 +7,32 @@ re-solves the constraint for y after every step. Fixed steps keep
 trajectories deterministic, which makes shooting Jacobians and golden tests
 reproducible.
 
+Trajectories advance as the rows of one (N, k+s) array in lockstep: each RK4
+stage is one batch evaluation of the f+g+h kernel and one batched
+factorization of d2g for all rows, and the projection is one lockstep
+Newton iteration. A row computes bit for bit what it would alone, and fails
+alone: a row that leaves the box, drifts, or meets a singular or undefined
+evaluation drops out with the error it would raise by itself, and the other
+rows go on. A single trajectory is the one-row case.
+
 Sensitivities of the time-T map are integrated from the variational equation
 of the reduced system alongside the state (never by differencing); finite
 differences survive only as a test oracle.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dae import ManifoldPoint, reduced_field, solve_constraint
+from .dae import (
+    ManifoldPoint,
+    constraint_rows,
+    reduced_field,
+    solve_constraint_rows,
+)
 from .degree import reduced_matrix
 from .errors import DriftExceededError, LeavesBoxError
-from .linalg import expm, norm1
+from .linalg import expm
 
 MAX_DRIFT = 1e-8
 DEFAULT_STEPS = 512
@@ -53,77 +66,168 @@ class FlowResult:
     lambda_sensitivity: np.ndarray = None
 
 
-def _flow(sys, lam, start, t0, t1, steps, want_sensitivity=False,
-          want_lambda=False, record=True):
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
-    if steps < 16:
-        raise ValueError("at least 16 steps required")
-    k = sys.k
-    h_step = (t1 - t0) / steps
-    z = start.z.copy()
-    phi = np.eye(k) if want_sensitivity else None
-    vlam = np.zeros(k) if want_lambda else None
+@dataclass
+class FlowRows:
+    """Rows flowed in lockstep: for row i, its states ``zs[i]`` and their
+    constraint residuals at ``times``, its drift and sensitivities, or the
+    error ``errors[i]`` it raised (its other entries are then meaningless)."""
+
+    times: np.ndarray
+    lam: float
+    k: int
+    zs: np.ndarray
+    residuals: np.ndarray
+    drift: np.ndarray
+    sensitivity: np.ndarray = None
+    lambda_sensitivity: np.ndarray = None
+    errors: dict = field(default_factory=dict)
+
+    def check(self, i):
+        if i in self.errors:
+            raise self.errors[i]
+
+    def _state(self, i, n):
+        z = self.zs[i, n]
+        return ManifoldPoint(z[: self.k].copy(), z[self.k :].copy(),
+                             float(self.residuals[i, n]))
+
+    def trajectory(self, i):
+        self.check(i)
+        states = [self._state(i, n) for n in range(len(self.times))]
+        return Trajectory(self.times, states, self.lam, float(self.drift[i]))
+
+    def result(self, i):
+        self.check(i)
+        vlam = self.lambda_sensitivity
+        return FlowResult(
+            end=self._state(i, -1),
+            sensitivity=self.sensitivity[i].copy(),
+            lambda_sensitivity=None if vlam is None else vlam[i].copy(),
+        )
+
+
+def _flow(sys, lam, z0, res0, t0, t1, steps, want_sensitivity=False,
+          want_lambda=False, errors=None):
+    """Projected RK4 flow of the rows z0 (N, k+s), residuals res0, in
+    lockstep; rows listed in errors start out failed. Returns FlowRows."""
+    errors = {} if errors is None else dict(errors)
+    n_rows, k, n = len(z0), sys.k, sys.k + sys.s
+    live = np.array([i for i in range(n_rows) if i not in errors], dtype=int)
+    if lam < 0 or steps < 16:
+        msg = "lambda must be >= 0" if lam < 0 else "at least 16 steps required"
+        errors.update({int(i): ValueError(msg) for i in live})
+        live, steps = live[:0], 0
+    h_step = (t1 - t0) / steps if steps else 0.0
     times = t0 + h_step * np.arange(steps + 1)
-    states = [ManifoldPoint(start.p.copy(), start.q.copy(), start.residual)]
-    drift = 0.0
-    want_var = want_sensitivity or want_lambda
+    out = FlowRows(times, lam, k, np.full((n_rows, steps + 1, n), np.nan),
+                   np.full((n_rows, steps + 1), np.nan), np.zeros(n_rows),
+                   errors=errors)
+    out.zs[:, 0] = z0
+    out.residuals[:, 0] = res0
+    # one row per live trajectory: the state, then the sensitivity (k*k)
+    # and the lambda-sensitivity (k) when wanted
+    kk = k * k if want_sensitivity else 0
+    kl = k if want_lambda else 0
+    y = np.zeros((live.size, n + kk + kl))
+    y[:, :n] = z0[live]
+    if kk:
+        y[:, n : n + kk] = np.eye(k).ravel()
+    drift = np.zeros(live.size)
 
-    def deriv(t, z, phi, vlam):
-        env = sys.env(z[:k], z[k:], t=t)
-        zdot, a = reduced_field(sys, env, lam, linearize=want_var)
-        pdot = a @ phi if want_sensitivity else None
-        vdot = a @ vlam + sys.eval_h(env) if want_lambda else None
-        return zdot, pdot, vdot
+    def drop(bad):
+        """Record the errors of the live rows in bad (local index -> error)
+        and remove them; returns the mask of kept rows."""
+        nonlocal live, drift, y
+        keep = np.ones(live.size, dtype=bool)
+        for i, exc in bad.items():
+            errors[int(live[i])] = exc
+            keep[i] = False
+        live, drift, y = live[keep], drift[keep], y[keep]
+        return keep
 
-    for n in range(steps):
-        t = times[n]
-        k1 = deriv(t, z, phi, vlam)
-        k2 = deriv(
-            t + 0.5 * h_step,
-            z + 0.5 * h_step * k1[0],
-            None if phi is None else phi + 0.5 * h_step * k1[1],
-            None if vlam is None else vlam + 0.5 * h_step * k1[2],
-        )
-        k3 = deriv(
-            t + 0.5 * h_step,
-            z + 0.5 * h_step * k2[0],
-            None if phi is None else phi + 0.5 * h_step * k2[1],
-            None if vlam is None else vlam + 0.5 * h_step * k2[2],
-        )
-        k4 = deriv(
-            t + h_step,
-            z + h_step * k3[0],
-            None if phi is None else phi + h_step * k3[1],
-            None if vlam is None else vlam + h_step * k3[2],
-        )
-        z = z + (h_step / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        if want_sensitivity:
-            phi = phi + (h_step / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        if want_lambda:
-            vlam = vlam + (h_step / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        if not np.all(np.isfinite(z)) or not sys.box.contains(z, slack=0.0):
-            raise LeavesBoxError(
-                "trajectory left the working box", times[n + 1], state=z
-            )
-        pre = norm1(sys.eval_g(sys.env(z[:k], z[k:])))
-        drift = max(drift, pre)
-        mp = solve_constraint(sys, z[:k], z[k:])
-        z = mp.z
-        states.append(mp)
-    if drift > MAX_DRIFT:
-        raise DriftExceededError(
-            f"constraint drift {drift:.3e} exceeds {MAX_DRIFT}; "
+    def deriv(t, y):
+        zdot, a, hv, bad = reduced_field(sys, y[:, :n], t, lam,
+                                         linearize=bool(kk or kl),
+                                         with_h=bool(kl))
+        parts = [zdot]
+        if kk:
+            phi = y[:, n : n + kk].reshape(-1, k, k)
+            parts.append(np.matmul(a, phi).reshape(-1, kk))
+        if kl:
+            vlam = y[:, n + kk :, None]
+            parts.append(np.matmul(a, vlam)[:, :, 0] + hv)
+        return np.concatenate(parts, axis=1) if len(parts) > 1 else zdot, bad
+
+    for step in range(steps):
+        if not live.size:
+            break
+        t = times[step]
+        half = 0.5 * h_step
+        ks = []
+        for ts, c in ((t, None), (t + half, half), (t + half, half),
+                      (t + h_step, h_step)):
+            d, bad = deriv(ts, y if c is None else y + c * ks[-1])
+            if bad:
+                keep = drop(bad)
+                ks = [kd[keep] for kd in ks]
+                d = d[keep]
+            ks.append(d)
+        k1, k2, k3, k4 = ks
+        y = y + (h_step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        z = y[:, :n]
+        inside = sys.box.contains_rows(z)
+        if not inside.all():
+            drop({int(i): LeavesBoxError("trajectory left the working box",
+                                         times[step + 1], state=z[i].copy())
+                  for i in np.flatnonzero(~inside)})
+            z = y[:, :n]
+        if not live.size:
+            break
+        # the constraint residual the step left is the drift; the
+        # projection starts from the same evaluation
+        start = constraint_rows(sys, z[:, :k], z[:, k:])
+        pre = np.sum(np.abs(start[0]), axis=1)
+        drift = np.where(pre > drift, pre, drift)
+        q, rn, bad = solve_constraint_rows(sys, z[:, :k], z[:, k:], start)
+        if bad:
+            keep = drop(bad)
+            q, rn = q[keep], rn[keep]
+        y[:, k:n] = q
+        out.zs[live, step + 1] = y[:, :n]
+        out.residuals[live, step + 1] = rn
+    for i in np.flatnonzero(drift > MAX_DRIFT):
+        errors[int(live[i])] = DriftExceededError(
+            f"constraint drift {drift[i]:.3e} exceeds {MAX_DRIFT}; "
             "increase the step count"
         )
-    traj = Trajectory(times, states, lam, drift) if record else None
-    return traj, states[-1], phi, vlam
+    out.drift[live] = drift
+    if kk:
+        out.sensitivity = np.full((n_rows, k, k), np.nan)
+        out.sensitivity[live] = y[:, n : n + kk].reshape(-1, k, k)
+    if kl:
+        out.lambda_sensitivity = np.full((n_rows, k), np.nan)
+        out.lambda_sensitivity[live] = y[:, n + kk :]
+    return out
 
 
 def integrate(sys, lam, start, t0, t1, steps=DEFAULT_STEPS):
     """Projected RK4 trajectory of the (possibly perturbed) system."""
-    traj, _, _, _ = _flow(sys, lam, start, t0, t1, steps)
-    return traj
+    rows = _flow(sys, lam, start.z[None], [start.residual], t0, t1, steps)
+    return rows.trajectory(0)
+
+
+def time_T_rows(sys, lam, p0, q_guess, steps=DEFAULT_STEPS,
+                want_lambda_sensitivity=False):
+    """time_T_map of every row of p0 (N, k), from q_guess (N, s), in lockstep.
+
+    Returns FlowRows with the sensitivities; a failing row carries the
+    error time_T_map raises for it alone, and the other rows go on.
+    """
+    p0 = np.asarray(p0, dtype=float)
+    q0, res0, errors = solve_constraint_rows(sys, p0, q_guess)
+    return _flow(sys, lam, np.hstack([p0, q0]), res0, 0.0, sys.period, steps,
+                 want_sensitivity=True, want_lambda=want_lambda_sensitivity,
+                 errors=errors)
 
 
 def time_T_map(sys, lam, p0, q_guess, steps=DEFAULT_STEPS,
@@ -136,15 +240,12 @@ def time_T_map(sys, lam, p0, q_guess, steps=DEFAULT_STEPS,
     ``want_lambda_sensitivity`` the derivative with respect to lambda rides
     along too. ``record=True`` additionally returns the Trajectory.
     """
-    start = solve_constraint(sys, np.asarray(p0, dtype=float), q_guess)
-    traj, end, phi, vlam = _flow(
-        sys, lam, start, 0.0, sys.period, steps,
-        want_sensitivity=True, want_lambda=want_lambda_sensitivity,
-        record=record,
-    )
-    result = FlowResult(end=end, sensitivity=phi, lambda_sensitivity=vlam)
+    rows = time_T_rows(sys, lam, np.asarray(p0, dtype=float)[None],
+                       np.asarray(q_guess, dtype=float)[None], steps,
+                       want_lambda_sensitivity)
+    result = rows.result(0)
     if record:
-        return result, traj
+        return result, rows.trajectory(0)
     return result
 
 

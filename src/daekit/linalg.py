@@ -72,6 +72,83 @@ def lu_solve(a, b):
     return lu_apply(lu, piv, b)
 
 
+def _check_pivots(a, pivot, tol, col, failed):
+    """lu_factor's singularity test on the pivots of many rows; a rejected
+    matrix becomes nan, so its elimination and solves run on quietly."""
+    small = np.abs(pivot) <= tol
+    if np.count_nonzero(small):
+        for i in np.flatnonzero(small):
+            failed.setdefault(int(i), SingularMatrixError(
+                f"pivot {pivot[i]:.3e} below threshold {tol[i]:.3e} "
+                f"at column {col}"
+            ))
+        a[small] = np.nan
+
+
+def lu_factor_rows(a, rtol=PIVOT_RTOL):
+    """lu_factor of every matrix in the stack a (N, n, n) at once.
+
+    Each row runs lu_factor's elimination with its pivot choice and its
+    scale-relative threshold, so each factor equals lu_factor's bit for
+    bit. Returns (lu, piv, failed): failed maps the index of every matrix
+    lu_factor rejects to the SingularMatrixError it raises; the factors of
+    those rows are nan.
+    """
+    a = np.array(a, dtype=float)
+    n_rows, n = a.shape[:2]
+    if a.shape != (n_rows, n, n):
+        raise ValueError("stack of square matrices required")
+    piv = np.zeros((n_rows, n), dtype=int)
+    failed = {}
+    if n == 1:  # one candidate pivot: no search, no elimination
+        _check_pivots(a, a[:, 0, 0], rtol * np.abs(a[:, 0, 0]), 0, failed)
+        return a, piv, failed
+    piv += np.arange(n)
+    rows = np.arange(n_rows)
+    tol = rtol * np.max(np.abs(a), axis=(1, 2)) if n else None
+    for col in range(n):
+        if col + 1 == n:
+            _check_pivots(a, a[:, col, col], tol, col, failed)
+            break
+        r = col + np.argmax(np.abs(a[:, col:, col]), axis=1)
+        _check_pivots(a, a[rows, r, col], tol, col, failed)
+        swap = np.flatnonzero(r != col)
+        if swap.size:
+            rs = r[swap]
+            a[swap, col], a[swap, rs] = a[swap, rs], a[swap, col]
+            piv[swap, col], piv[swap, rs] = piv[swap, rs], piv[swap, col]
+        a[:, col + 1 :, col] /= a[:, col, None, col]
+        a[:, col + 1 :, col + 1 :] -= (
+            a[:, col + 1 :, col, None] * a[:, None, col, col + 1 :]
+        )
+    return a, piv, failed
+
+
+def _dot_rows(u, v):
+    """Row-wise dot products, each computed as the 1-D u @ v would be."""
+    return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
+
+
+def lu_apply_rows(lu, piv, b):
+    """lu_apply on every row: b is (N, n), or (N, n, m) for m right-hand
+    sides per row; bit for bit lu_apply's result."""
+    b = np.asarray(b, dtype=float)
+    n = lu.shape[1]
+    if n == 1:  # lu_apply's (b - 0.0) / lu, every column at once
+        return b / lu.reshape((len(lu),) + (1,) * (b.ndim - 1))
+    if b.ndim == 3:
+        return np.stack([lu_apply_rows(lu, piv, b[:, :, j])
+                         for j in range(b.shape[2])], axis=2)
+    x = b[np.arange(len(b))[:, None], piv]
+    for i in range(1, n):
+        x[:, i] -= _dot_rows(lu[:, i, :i], x[:, :i])
+    for i in range(n - 1, -1, -1):
+        if i + 1 < n:  # lu_apply subtracts an empty dot (0.0) otherwise
+            x[:, i] -= _dot_rows(lu[:, i, i + 1 :], x[:, i + 1 :])
+        x[:, i] /= lu[:, i, i]
+    return x
+
+
 def det_sign(a, tol=1e-12):
     """(sign, det) from pivoted LU; sign is 0 when |det| < tol * scale**n.
 

@@ -22,6 +22,7 @@ from . import expr
 from .dae import SystemDef, validate
 from .degree import (
     ZeroRecord,
+    _grid_starts,
     degree_via_slice,
     find_zeros,
     reduced_matrix,
@@ -36,8 +37,16 @@ from .errors import (
     SingularMatrixError,
     SingularShootingError,
 )
-from .flow import DEFAULT_STEPS, time_T_map
-from .linalg import det_sign, expm, lu_solve, near_singular, norm1
+from .flow import DEFAULT_STEPS, time_T_map, time_T_rows
+from .linalg import (
+    det_sign,
+    expm,
+    lu_apply_rows,
+    lu_factor_rows,
+    lu_solve,
+    near_singular,
+    norm1,
+)
 
 RESONANCE_TOL = 1e-8
 SHOOT_TOL = 1e-8
@@ -102,37 +111,66 @@ def shoot(sys, lam, p_guess, q_guess=None, steps=DEFAULT_STEPS):
     with SingularShootingError even when the residual is already zero:
     such a fixed point is not certified locally unique.
     """
-    p = np.asarray(p_guess, dtype=float).copy()
     if q_guess is None:
         q_guess = sys.box.center[sys.k :]
-    q_ref = np.asarray(q_guess, dtype=float)
-    eye = np.eye(sys.k)
-    residual = np.inf
+    out = shoot_rows(sys, lam, np.asarray(p_guess, dtype=float)[None],
+                     np.asarray(q_guess, dtype=float)[None], steps)[0]
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
+def shoot_rows(sys, lam, p_guess, q_guess, steps=DEFAULT_STEPS):
+    """shoot from every row of p_guess (N, k), q_guess (N, s) at once.
+
+    All rows iterate in one Newton loop on lockstep time-T maps; a row
+    leaves the loop when it converges or fails. Returns one entry per row:
+    the BranchPoint shoot returns from it alone, or the error it raises.
+    """
+    k = sys.k
+    p = np.array(p_guess, dtype=float)
+    q_ref = np.array(q_guess, dtype=float)
+    out = [None] * len(p)
+    residual = np.full(len(p), np.inf)
+    live = np.arange(len(p))
     for _ in range(SHOOT_MAX_ITER):
-        result, traj = time_T_map(sys, lam, p, q_ref, steps=steps, record=True)
-        r = result.end.p - p
-        residual = norm1(r)
-        jac = result.sensitivity - eye
-        try:
-            step = lu_solve(jac, r)
-        except SingularMatrixError as exc:
-            raise SingularShootingError(
-                f"shooting Jacobian dP - I singular at p0 = {tuple(p)}"
-            ) from exc
-        if residual <= SHOOT_TOL:
-            return BranchPoint(
+        if not live.size:
+            break
+        rows = time_T_rows(sys, lam, p[live], q_ref[live], steps)
+        keep = np.ones(live.size, dtype=bool)
+        for i, exc in rows.errors.items():
+            out[live[i]], keep[i] = exc, False
+        r = rows.zs[:, -1, :k] - p[live]
+        res = np.sum(np.abs(r), axis=1)
+        lu, piv, singular = lu_factor_rows(rows.sensitivity - np.eye(k))
+        for i, exc in singular.items():
+            if keep[i]:
+                err = SingularShootingError(
+                    f"shooting Jacobian dP - I singular at p0 = "
+                    f"{tuple(p[live[i]])}"
+                )
+                err.__cause__ = exc
+                out[live[i]], keep[i] = err, False
+        step = lu_apply_rows(lu, piv, r)
+        for i in np.flatnonzero(keep & (res <= SHOOT_TOL)):
+            traj = rows.trajectory(i)
+            out[live[i]], keep[i] = BranchPoint(
                 lam=float(lam),
-                p0=p.copy(),
+                p0=p[live[i]].copy(),
                 orbit=traj,
                 sup_norm=traj.sup_amplitude(),
-                shooting_residual=residual,
-            )
-        p = p - step
-        q_ref = traj.states[0].q
-    raise ShootingError(
-        f"no convergence after {SHOOT_MAX_ITER} iterations "
-        f"(last residual {residual:.3e})"
-    )
+                shooting_residual=float(res[i]),
+            ), False
+        residual[live] = res
+        live, step, start = live[keep], step[keep], rows.zs[keep, 0, k:]
+        p[live] = p[live] - step
+        q_ref[live] = start
+    for i in live:
+        out[i] = ShootingError(
+            f"no convergence after {SHOOT_MAX_ITER} iterations "
+            f"(last residual {residual[i]:.3e})"
+        )
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -289,19 +327,8 @@ def _linear_response_seed(sys, zero, lam, steps=256):
     return p_star + lu_solve(mi, u)
 
 
-def multiplicity_scan(sys, lam, grid_per_dim=8, steps=DEFAULT_STEPS,
-                      zeros=None):
-    """Distinct T-periodic orbits at forcing size lam, by multistart shooting.
-
-    Starts come from a grid over the x-projection of the box, from the zeros
-    of (f, g), and from a first-order forced-response offset at each
-    non-resonant zero (grid points alone cannot hit the exponentially thin
-    shooting basins around unstable equilibria). Convergent orbits are
-    deduplicated at sampled sup-distance 1e-4; merge order is start order,
-    so the result is deterministic.
-    """
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
+def multistart_starts(sys, lam, grid_per_dim=8, zeros=None):
+    """The (p, q) starts of multiplicity_scan, in merge order."""
     k = sys.k
     q_center = sys.box.center[k:]
     if zeros is None:
@@ -317,25 +344,28 @@ def multiplicity_scan(sys, lam, grid_per_dim=8, steps=DEFAULT_STEPS,
                     starts.append((seed, z.point[k:].copy()))
             except SingularMatrixError:
                 pass
-    x_box = sys.box.subbox(range(k))
-    from .degree import _grid_starts
-
-    for p in _grid_starts(x_box, grid_per_dim):
+    for p in _grid_starts(sys.box.subbox(range(k)), grid_per_dim):
         starts.append((p, q_center.copy()))
+    return starts
 
-    def attempt(start):
-        p_guess, q_guess = start
-        try:
-            return shoot(sys, lam, p_guess, q_guess, steps=steps)
-        except (ShootingError, SingularShootingError, LeavesBoxError,
-                ConstraintSolveError, SingularMatrixError, ExprDomainError,
-                DriftExceededError):
-            return None
 
+# what a multistart start may fail with; anything else is raised
+_START_FAILURES = (ShootingError, SingularShootingError, LeavesBoxError,
+                   ConstraintSolveError, SingularMatrixError, ExprDomainError,
+                   DriftExceededError)
+
+
+def merge_orbits(shots):
+    """Distinct orbits among shoot results in order: each is kept unless
+    an earlier kept orbit lies within sampled sup-distance ORBIT_DEDUP.
+    Failed starts are skipped; an error not of a start-failure type is
+    raised (the first one, as shooting the starts in order would)."""
     orbits = []
-    for bp in map(attempt, starts):
-        if bp is None:
+    for bp in shots:
+        if isinstance(bp, _START_FAILURES):
             continue
+        if isinstance(bp, Exception):
+            raise bp
         arr = bp.orbit.array()
         for kept in orbits:
             dist = float(np.max(np.abs(arr - kept.orbit.array()).sum(axis=1)))
@@ -344,6 +374,27 @@ def multiplicity_scan(sys, lam, grid_per_dim=8, steps=DEFAULT_STEPS,
         else:
             orbits.append(bp)
     return orbits
+
+
+def multiplicity_scan(sys, lam, grid_per_dim=8, steps=DEFAULT_STEPS,
+                      zeros=None):
+    """Distinct T-periodic orbits at forcing size lam, by multistart shooting.
+
+    Starts come from a grid over the x-projection of the box, from the zeros
+    of (f, g), and from a first-order forced-response offset at each
+    non-resonant zero (grid points alone cannot hit the exponentially thin
+    shooting basins around unstable equilibria). All starts are shot as
+    rows of one lockstep Newton loop. Convergent orbits are deduplicated at
+    sampled sup-distance 1e-4; merge order is start order, so the result
+    is deterministic.
+    """
+    if lam < 0:
+        raise ValueError("lambda must be >= 0")
+    starts = multistart_starts(sys, lam, grid_per_dim, zeros)
+    if not starts:
+        return []
+    p, q = (np.array([st[i] for st in starts]) for i in (0, 1))
+    return merge_orbits(shoot_rows(sys, lam, p, q, steps))
 
 
 # ---------------------------------------------------------------------------

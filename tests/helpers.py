@@ -1,11 +1,13 @@
-"""Shared generators for randomized property tests (seeded, reproducible)."""
+"""Shared generators for randomized property tests (seeded, reproducible)
+and the reference implementations kept as test oracles."""
 
 import numpy as np
 
 from daekit import expr
 from daekit.dae import Box, SystemDef, validate
 from daekit.degree import VectorField, boundary_margin, find_zeros
-from daekit.errors import DaekitError
+from daekit.errors import DaekitError, SingularMatrixError
+from daekit.linalg import lu_solve, norm1
 
 
 def monomial(names, powers):
@@ -118,3 +120,49 @@ def random_planar_map(rng, half_width=1.5):
         if any(z.degenerate or z.near_boundary for z in zeros):
             continue
         return fld, box, zeros
+
+
+# -- reference implementations kept as test oracles -------------------------
+
+
+def dedup_oracle(points, radius):
+    """The O(N^2) first-seen clustering find_zeros used to run."""
+    reps = []
+    for z in points:
+        for r in reps:
+            if norm1(z - r) <= radius:
+                break
+        else:
+            reps.append(np.array(z, dtype=float))
+    return reps
+
+
+def polish_oracle(fld, z):
+    """The one-candidate polish find_zeros used to run: Newton steps while
+    the residual still drops, keeping the best point."""
+    z = np.array(z, dtype=float)
+    best, best_res = z.copy(), norm1(fld.value(z))
+    for _ in range(60):
+        fv = fld.value(z)
+        res = norm1(fv)
+        if res < best_res:
+            best, best_res = z.copy(), res
+        if res == 0.0:
+            break
+        try:
+            step = lu_solve(fld.jacobian(z), fv)
+        except SingularMatrixError:
+            break
+        if not np.all(np.isfinite(step)) or norm1(step) < 1e-15:
+            break
+        z = z - step
+    return best
+
+
+def degen3():
+    """The three-dimensional system whose only zero (the origin) is
+    degenerate: x1' = x2, x2' = -x1^2 + y1 - x2, y1^3 + y1 - x1^3 = 0."""
+    names = ["x1", "x2", "y1"]
+    f = [expr.parse("x2", names), expr.parse("-x1^2 + y1 - x2", names)]
+    g = [expr.parse("y1^3 + y1 - x1^3", names)]
+    return SystemDef(2, 1, 2 * np.pi, f, g, None, Box.from_pairs([(-2, 2)] * 3))

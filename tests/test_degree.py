@@ -19,7 +19,8 @@ from daekit.errors import (
     DegenerateZeroError,
     HypothesisViolationError,
 )
-from helpers import random_system
+from daekit.degree import _dedup, _grid_starts, _newton_sweep, _polish_rows
+from helpers import dedup_oracle, degen3, polish_oracle, random_system
 
 
 def planar_field(f1, f2):
@@ -219,3 +220,50 @@ class TestSliceDegree:
         box = Box.from_pairs([(-1, 1), (0.5, 1.0)])
         with pytest.raises(ValueError):
             degree_via_slice([expr.parse("x1", ["x1", "y1"])], box)
+
+
+def coarse_candidates(fld, box, grid_per_dim):
+    """The candidates find_zeros polishes: sweep, box filter, coarse merge."""
+    found = _newton_sweep(fld, box, _grid_starts(box, grid_per_dim))
+    return np.array(dedup_oracle(
+        [z for z in found if box.contains(z, slack=1e-6)], 1e-10))
+
+
+class TestLockstepPolish:
+    @pytest.mark.parametrize("make, grid", [("exmults", 16), ("degen3", 8)])
+    def test_equals_polishing_each_candidate_alone(self, make, grid, request):
+        sys = degen3() if make == "degen3" else request.getfixturevalue(make)
+        fld = system_field(sys)
+        coarse = coarse_candidates(fld, sys.box, grid)
+        assert len(coarse) > 8  # past the point-evaluation cutoff
+        best, errors = _polish_rows(fld, coarse)
+        assert not errors
+        want = np.array([polish_oracle(fld, z) for z in coarse])
+        assert best.tobytes() == want.tobytes()
+
+    def test_failures_are_per_row(self):
+        fld = planar_field("ln(x1)", "y1")
+        zs = np.array([[1.5, 0.2], [-1.0, 0.0], [2.0, 0.1], [-2.0, 0.0]])
+        best, errors = _polish_rows(fld, zs)
+        assert sorted(errors) == [1, 3]
+        for i in (1, 3):
+            with pytest.raises(type(errors[i])) as alone:
+                polish_oracle(fld, zs[i])
+            assert str(errors[i]) == str(alone.value)
+        for i in (0, 2):
+            assert best[i].tobytes() == polish_oracle(fld, zs[i]).tobytes()
+
+
+class TestDedup:
+    def test_equals_first_seen_loop_on_clusters(self):
+        rng = np.random.default_rng(31)
+        for dim in (1, 2, 3):
+            for radius in (1e-10, 1e-6, 0.05):
+                centers = rng.uniform(-1, 1, (12, dim))
+                pts = centers[rng.integers(12, size=400)]
+                pts = pts + rng.normal(scale=radius, size=pts.shape)
+                pts[::7] = pts[::7].round(3)  # exact repeats and ties
+                got = _dedup(pts, radius)
+                want = dedup_oracle(pts, radius)
+                assert len(got) == len(want)
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))

@@ -8,7 +8,7 @@ from daekit import expr
 from daekit.dae import Box, SystemDef
 from daekit.degree import VectorField
 from daekit.errors import ExprDomainError, ExprSyntaxError, UndeclaredVariableError
-from helpers import usable_tree_and_point
+from helpers import random_tree, usable_tree_and_point
 
 
 def bits(x):
@@ -205,7 +205,7 @@ class TestKernel:
         compared = 0
         for _ in range(1000):
             tree, env = usable_tree_and_point(rng, names)
-            point, _ = expr.compile_kernel([tree], seeds)
+            point = expr.compile_kernel([tree], seeds)[0]
             vals, ders = [0.0], [0.0] * len(seeds)
             point(env, vals)
             assert bits(vals[0]) == bits(expr._strict(tree, env))
@@ -219,6 +219,36 @@ class TestKernel:
                 assert bits(d) == bits(d_ref)
             compared += 1
         assert compared >= 950
+
+    @pytest.mark.parametrize("n_rows", [3, 12])  # point loop, numpy
+    def test_rows_match_the_point_kernel(self, n_rows):
+        rng = np.random.default_rng(606 + n_rows)
+        names = ["x1", "y1", "t"]
+        seeds = [{nm: 1.0} for nm in names]
+        compared = 0
+        zeroth = [expr.parse(text, names) for text in
+                  ("(x1 - y1)^0", "ln(x1)^0 * y1", "(x1 / y1)^0 + t^0")]
+        for i in range(300):
+            tree = zeroth[i] if i < len(zeroth) else random_tree(rng, names)
+            kern = expr.Kernel([tree], seeds)
+            pts = rng.uniform(-2, 2, (n_rows, 3))
+            vals, ders = np.empty((n_rows, 1)), np.empty((n_rows, 1, 3))
+            kern.dual_batch({nm: pts[:, i] for i, nm in enumerate(names)},
+                            ders, vals, expr.Kernel.ROWS)
+            for r in range(n_rows):
+                v, d = [0.0], [0.0] * 3
+                try:
+                    kern._fn(expr.Kernel.POINT)(dict(zip(names, pts[r].tolist())),
+                                                v, d)
+                except (ValueError, ZeroDivisionError, OverflowError):
+                    # the row is not finite, so callers re-evaluate it
+                    assert not (np.isfinite(vals[r]).all()
+                                and np.isfinite(ders[r]).all())
+                    continue
+                assert bits(vals[r, 0]) == bits(v[0])
+                assert all(bits(a) == bits(b) for a, b in zip(ders[r, 0], d))
+                compared += 1
+        assert compared >= 250 * n_rows
 
     @pytest.mark.parametrize("text, point, message, subexpr", [
         ("sqrt(x1)", {"x1": 0.0, "y1": 1.0}, "sqrt not differentiable at 0.0",

@@ -6,8 +6,8 @@ import pytest
 from daekit import expr
 from daekit.dae import Box, SystemDef, solve_constraint
 from daekit.degree import find_zeros, reduced_matrix
-from daekit.errors import LeavesBoxError
-from daekit.flow import integrate, monodromy, time_T_map
+from daekit.errors import ExprDomainError, LeavesBoxError
+from daekit.flow import integrate, monodromy, time_T_map, time_T_rows
 from daekit.linalg import expm, norm1
 
 
@@ -138,3 +138,70 @@ class TestMonodromy:
         assert np.max(np.abs(z.point)) <= 1e-10
         m = monodromy(sys, z)
         assert np.max(np.abs(m - np.eye(2))) <= 1e-10
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
+class TestLockstepRows:
+    def test_rows_are_independent(self, equivlien):
+        # ten rows (past the point-evaluation cutoff, so numpy arithmetic),
+        # one of them the out-of-basin guess that leaves the box
+        p0 = np.linspace(-2e-5, 2e-5, 10)[:, None]
+        q0 = np.zeros((10, 1))
+        p0[3], q0[3] = 0.05, -0.05
+        rows = time_T_rows(equivlien, 0.0, p0, q0, steps=128,
+                           want_lambda_sensitivity=True)
+        with pytest.raises(LeavesBoxError) as alone:
+            time_T_map(equivlien, 0.0, p0[3], q0[3], steps=128)
+        assert list(rows.errors) == [3]
+        err = rows.errors[3]
+        assert type(err) is LeavesBoxError
+        assert str(err) == str(alone.value)
+        assert err.exit_time == alone.value.exit_time
+        assert same_bits(err.state, alone.value.state)
+        for i in range(10):
+            if i == 3:
+                continue
+            res, traj = time_T_map(equivlien, 0.0, p0[i], q0[i], steps=128,
+                                   want_lambda_sensitivity=True, record=True)
+            got = rows.result(i)
+            assert same_bits(got.end.z, res.end.z)
+            assert got.end.residual == res.end.residual
+            assert same_bits(got.sensitivity, res.sensitivity)
+            assert same_bits(got.lambda_sensitivity, res.lambda_sensitivity)
+            mine = rows.trajectory(i)
+            assert same_bits(mine.array(), traj.array())
+            assert mine.max_constraint_drift == traj.max_constraint_drift
+
+    def test_domain_errors_are_per_row(self):
+        # x1' = -sqrt(x1) reaches x1 < 0 inside an RK4 stage for the rows
+        # that start low; the batch is wider than the point-evaluation cutoff
+        names = ["x1", "y1"]
+        sys = SystemDef(1, 1, 2.0, [expr.parse("-sqrt(x1)", names)],
+                        [expr.parse("y1 - x1", names)], None,
+                        Box.from_pairs([(-1, 2), (-2, 2)]))
+        p0 = np.linspace(0.05, 1.5, 12)[:, None]
+        q0 = np.linspace(-0.2, 1.2, 12)[:, None]
+        rows = time_T_rows(sys, 0.5, p0, q0, steps=32,
+                           want_lambda_sensitivity=True)
+        assert 0 < len(rows.errors) < 12
+        for i in range(12):
+            try:
+                res = time_T_map(sys, 0.5, p0[i], q0[i], steps=32,
+                                 want_lambda_sensitivity=True)
+            except ExprDomainError as exc:
+                assert type(rows.errors[i]) is ExprDomainError
+                assert str(rows.errors[i]) == str(exc)
+                continue
+            got = rows.result(i)
+            assert same_bits(got.end.z, res.end.z)
+            assert same_bits(got.sensitivity, res.sensitivity)
+
+    def test_lambda_and_step_checks_fail_every_row(self, equivlien):
+        rows = time_T_rows(equivlien, -1.0, np.zeros((2, 1)), np.zeros((2, 1)))
+        assert sorted(rows.errors) == [0, 1]
+        assert all(type(e) is ValueError for e in rows.errors.values())

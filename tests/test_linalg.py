@@ -152,3 +152,64 @@ class TestBlockSchurDet:
             d22, ds = linalg.block_schur_det(j, k, s)
             _, full = linalg.det_sign(j, 0.0)
             assert d22 * ds == pytest.approx(full, rel=1e-8, abs=1e-10)
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+class TestRowsFactorization:
+    """lu_factor_rows / lu_apply_rows against lu_factor / lu_apply."""
+
+    @staticmethod
+    def matrices(rng, n):
+        a = rng.uniform(-2, 2, (n, n))
+        singular = a.copy()
+        singular[:, -1] = 0.0
+        rank_one = np.outer(rng.uniform(-1, 1, n), rng.uniform(-1, 1, n))
+        out = [a, singular, rank_one, a * 1e200, a * 1e-200, np.zeros((n, n))]
+        for bad in (np.inf, -np.inf, np.nan):
+            m = a.copy()
+            m[rng.integers(n), rng.integers(n)] = bad
+            out.append(m)
+        return out
+
+    def test_same_verdicts_and_bits(self):
+        rng = np.random.default_rng(23)
+        for n in range(1, 5):
+            stack = [m for _ in range(8) for m in self.matrices(rng, n)]
+            lu, piv, failed = linalg.lu_factor_rows(np.array(stack))
+            b = rng.uniform(-1, 1, (len(stack), n))
+            x = linalg.lu_apply_rows(lu, piv, b)
+            seen = 0
+            for i, a in enumerate(stack):
+                try:
+                    lu1, piv1, _ = linalg.lu_factor(a)
+                except SingularMatrixError as exc:
+                    assert i in failed
+                    assert type(failed[i]) is SingularMatrixError
+                    assert str(failed[i]) == str(exc)
+                    continue
+                assert i not in failed
+                seen += 1
+                assert np.array_equal(bits(lu[i]), bits(lu1))
+                assert np.array_equal(piv[i], piv1)
+                x1 = linalg.lu_apply(lu1, piv1, b[i])
+                if n <= 2:
+                    assert np.array_equal(bits(x[i]), bits(x1))
+                else:
+                    assert np.allclose(x[i], x1, rtol=1e-12, atol=0.0,
+                                       equal_nan=True)
+            assert seen >= 8 and len(failed) >= 8
+
+    def test_several_right_hand_sides(self):
+        rng = np.random.default_rng(29)
+        a = rng.uniform(-2, 2, (5, 2, 2))
+        b = rng.uniform(-1, 1, (5, 2, 3))
+        lu, piv, failed = linalg.lu_factor_rows(a)
+        assert not failed
+        x = linalg.lu_apply_rows(lu, piv, b)
+        for i in range(5):
+            for j in range(3):
+                assert np.array_equal(bits(x[i, :, j]),
+                                      bits(linalg.lu_solve(a[i], b[i, :, j])))

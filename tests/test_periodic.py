@@ -10,6 +10,7 @@ from daekit.errors import (
     BranchError,
     HypothesisViolationError,
     LeavesBoxError,
+    ShootingError,
     SingularShootingError,
 )
 from daekit.flow import integrate
@@ -17,7 +18,9 @@ from daekit.linalg import det_sign, norm1
 from daekit.periodic import (
     classify_resonance,
     continue_branch,
+    merge_orbits,
     multiplicity_scan,
+    multistart_starts,
     reduce_hessenberg,
     reduce_implicit,
     shoot,
@@ -158,6 +161,36 @@ class TestMultiplicity:
     def test_unforced_orbits_are_near_constant(self, exmults):
         for bp in multiplicity_scan(exmults, 0.0, grid_per_dim=8):
             assert bp.sup_norm <= 1e-8
+
+    @pytest.mark.parametrize("name, grid", [("exmults", 8), ("pozzo", 3)])
+    def test_lockstep_equals_shooting_each_start_alone(self, name, grid,
+                                                        request):
+        sys = request.getfixturevalue(name)
+        lam, steps = 0.01, 48
+        starts = multistart_starts(sys, lam, grid)
+        assert len(starts) > 8  # past the point-evaluation cutoff
+
+        def alone(p, q):
+            try:
+                return shoot(sys, lam, p, q, steps=steps)
+            except Exception as exc:  # merged exactly as the scan merges
+                return exc
+
+        want = merge_orbits([alone(p, q) for p, q in starts])
+        got = multiplicity_scan(sys, lam, grid_per_dim=grid, steps=steps)
+        assert len(got) == len(want) >= 1
+        for a, b in zip(got, want):
+            assert a.lam == b.lam
+            assert a.p0.tobytes() == b.p0.tobytes()
+            assert a.shooting_residual == b.shooting_residual
+            assert a.sup_norm == b.sup_norm
+            assert a.orbit.array().tobytes() == b.orbit.array().tobytes()
+
+    def test_merge_skips_failed_starts_and_raises_the_first_other(self):
+        with pytest.raises(ValueError, match="first"):
+            merge_orbits([ShootingError("skipped"), ValueError("first"),
+                          LeavesBoxError("skipped", 1.0), ValueError("later")])
+        assert merge_orbits([ShootingError("skipped")]) == []
 
 
 class TestReduceHessenberg:
