@@ -22,7 +22,13 @@ from .errors import (
     ConstraintSolveError,
     HypothesisViolationError,
 )
-from .linalg import lu_apply_rows, lu_factor, lu_factor_rows, norm1
+from .linalg import (
+    lu_apply_rows,
+    lu_factor,
+    lu_factor_rows,
+    norm1,
+    norm1_rows,
+)
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -80,14 +86,11 @@ class Box:
 
     def contains(self, z, slack=0.0):
         z = np.asarray(z, dtype=float)
-        if not np.all(np.isfinite(z)):
-            return False
-        return bool(
-            np.all(z >= self.lo - slack) and np.all(z <= self.hi + slack)
-        )
+        return bool(self.contains_rows(z[None], slack)[0])
 
     def contains_rows(self, zs, slack=0.0):
-        """contains() of every row of zs, as a boolean mask."""
+        """Whether each row of zs is finite and within slack of the box, as
+        a boolean mask."""
         zs = np.asarray(zs, dtype=float)
         return (np.isfinite(zs).all(axis=1)
                 & (zs >= self.lo - slack).all(axis=1)
@@ -262,7 +265,7 @@ class SystemDef:
         env["t"] = math.nan if t is None else float(t)
         vals = np.empty((len(z), len(exprs)))
         jac = np.empty((len(z), len(exprs), len(self.state_names)))
-        self.kernel(exprs).dual_batch(env, jac, vals, expr.Kernel.ROWS)
+        self.kernel(exprs).dual_rows(env, jac, vals)
         return vals, jac
 
     def blocks(self, exprs, env):
@@ -415,11 +418,6 @@ def validate(sys, samples=512):
     raise HypothesisViolationError(report.message, witness, report)
 
 
-def _row_norms(v):
-    """norm1 of every row (the same sums, bit for bit)."""
-    return np.sum(np.abs(v), axis=1)
-
-
 def _finite_rows(*parts):
     """Rows whose entries in all the given (N, ...) arrays are finite."""
     ok = np.ones(len(parts[0]), dtype=bool)
@@ -469,7 +467,7 @@ def solve_constraint_rows(sys, p, q_guess, start=None):
     k, tol = sys.k, sys.constraint_tol
     r, jac, errors = start if start is not None else constraint_rows(sys, p, q)
     errors = dict(errors)
-    rn = _row_norms(r)
+    rn = norm1_rows(r)
 
     def factored(rows, r, jac, q):
         """LU of d2g at the given rows (jac_rows(g, y) at the point where
@@ -511,7 +509,7 @@ def solve_constraint_rows(sys, p, q_guess, start=None):
         # residual did not drop, on their last try
         q_new = lq - step
         r_new, jac_new, bad = constraint_rows(sys, p[live], q_new)
-        rn_new = _row_norms(r_new)
+        rn_new = norm1_rows(r_new)
         back = ~((rn_new < lrn) | (rn_new <= tol))
         back[list(bad)] = False
         t, b = 1.0, np.flatnonzero(back)
@@ -522,7 +520,7 @@ def solve_constraint_rows(sys, p, q_guess, start=None):
             q_try = lq[b] - t * step[b]
             r_try, jac_try, bad_b = constraint_rows(sys, p[live[b]], q_try)
             bad.update((int(b[i]), exc) for i, exc in bad_b.items())
-            rn_try = _row_norms(r_try)
+            rn_try = norm1_rows(r_try)
             q_new[b], r_new[b], jac_new[b], rn_new[b] = q_try, r_try, jac_try, rn_try
             stop = (rn_try < lrn[b]) | (rn_try <= tol)
             stop[list(bad_b)] = True

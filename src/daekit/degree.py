@@ -42,6 +42,7 @@ from .linalg import (
     lu_apply_rows,
     lu_factor_rows,
     norm1,
+    norm1_rows,
     row_scale,
 )
 
@@ -96,8 +97,7 @@ class VectorField:
         non-finite where the point kernel raises."""
         vals = np.empty((zs.shape[0], self.dim))
         jac = np.empty((zs.shape[0], self.dim, len(self.var_names)))
-        self._kernel.dual_batch(self.env(zs, batch=True), jac, vals,
-                                expr.Kernel.ROWS)
+        self._kernel.dual_rows(self.env(zs, batch=True), jac, vals)
         return vals, jac
 
 
@@ -287,7 +287,7 @@ def _polish_rows(fld, zs):
 
         sub = {}
         _at_point(np.flatnonzero(~_finite_rows(fv)), sub, value)
-        res = np.sum(np.abs(fv), axis=1)
+        res = norm1_rows(fv)
         if it == 0:
             best_res[live] = res
         better = res < best_res[live]
@@ -304,7 +304,7 @@ def _polish_rows(fld, zs):
         step = lu_apply_rows(lu[fine], piv[fine], fv[idx[fine]])
         idx = idx[fine]
         fine = (np.isfinite(step).all(axis=1)
-                & ~(np.sum(np.abs(step), axis=1) < 1e-15))
+                & ~(norm1_rows(step) < 1e-15))
         live = live[idx[fine]]
         z[live] = z[live] - step[fine]
     return best, errors

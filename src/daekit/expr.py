@@ -298,67 +298,15 @@ def _power_values(a, n):
     return np.power(a, n) if n > 0 else np.divide(1.0, np.power(a, -n))
 
 
-def _elementwise(fn):
-    """fn applied to every element as a Python float, nan where it raises."""
-
-    def safe(x, *args):
-        try:
-            return fn(x, *args)
-        except _KERNEL_ERRORS:
-            return math.nan
-
-    def apply(a, *args):
-        if type(a) is float or np.ndim(a) == 0:
-            return safe(float(a), *args)
-        a = np.asarray(a, dtype=float)
-        xs = a.ravel().tolist()
-        try:
-            out = [fn(x, *args) for x in xs]
-        except _KERNEL_ERRORS:
-            out = [safe(x, *args) for x in xs]
-        return np.array(out, dtype=float).reshape(a.shape)
-
-    return apply
-
-
-def _ones_rows(a):
-    """1 where a is finite: a non-finite base may stand for a raise."""
-    return np.asarray(a, dtype=float) * 0.0 + 1.0
-
-
-def _zeros_rows(d):
-    """+0 where d is finite (as the point's 0.0), nan where it is not."""
-    return np.abs(np.asarray(d, dtype=float)) * 0.0
-
-
-def _divide_rows(a, b):
-    """a / b, nan where b is zero (the point kernel raises there)."""
-    if type(b) is float:  # a constant, or a shared t
-        return np.divide(a, b) if b != 0.0 else np.multiply(a, math.nan)
-    q = np.divide(a, b)
-    zero = np.equal(b, 0.0)
-    return np.where(zero, math.nan, q) if zero.any() else q
-
-
 # The names a kernel calls: plain float arithmetic at a point, numpy on a
 # batch. "pwv" is the power of values-only batch evaluation (1 / a^-n for
-# negative n), "pw" the one derivative code builds on. Rows use numpy for
-# the correctly rounded operations (+ - * / sqrt) and the point functions
-# element by element for the rest, so every row equals the point result
-# bit for bit; where a point function raises, the row gets nan, and nan
-# reaches every output that depends on it (x^0 included).
+# negative n), "pw" the one derivative code builds on.
 _POINT = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log,
           "sqrt": math.sqrt, "div": operator.truediv, "pw": operator.pow,
           "pwv": operator.pow, "one": lambda a: 1.0, "zero": lambda d: 0.0}
 _BATCH = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log,
           "sqrt": np.sqrt, "div": np.divide, "pw": np.power,
           "pwv": _power_values, "one": _ones, "zero": _zeros}
-_ROWS = {"sin": _elementwise(math.sin), "cos": _elementwise(math.cos),
-         "exp": _elementwise(math.exp), "log": _elementwise(math.log),
-         "sqrt": np.sqrt, "div": _divide_rows, "pw": _elementwise(operator.pow),
-         "pwv": _elementwise(operator.pow), "one": _ones_rows,
-         "zero": _zeros_rows}
-_POINT_ROWS = 8  # up to this many rows the point function, row by row, is faster
 
 
 def compile_kernel(exprs, seeds=()):
@@ -366,15 +314,12 @@ def compile_kernel(exprs, seeds=()):
 
     ``seeds`` are directions (maps from variable name to component) to
     differentiate along in forward mode; the unit seeds ``{name: 1.0}``
-    give Jacobian columns. Returns the function bound three times: to float
-    arithmetic for a point, to numpy for a batch, and to the point
-    arithmetic on rows (a batch whose every row equals its point result
-    where that is finite, and is non-finite where the point function
-    raises): ``fn(env, V, D=None)`` writes value i to ``V[i]`` and, when
-    ``D`` is given, the derivative of expression i along seed j to
-    ``D[i * len(seeds) + j]``. At a point V and D are lists; on a batch or
-    rows they are arrays indexed first by that position (views of the
-    caller's output arrays), and V may be None.
+    give Jacobian columns. Returns the function bound twice, to float
+    arithmetic for a point and to numpy for a batch: ``fn(env, V, D=None)``
+    writes value i to ``V[i]`` and, when ``D`` is given, the derivative of
+    expression i along seed j to ``D[i * len(seeds) + j]``. At a point V and
+    D are lists; on a batch they are arrays indexed first by that position
+    (views of the caller's output arrays), and V may be None.
 
     Each node runs the dual-number arithmetic a tree walk along one seed
     would, in the same order, so results are reproducible bit for bit: the
@@ -561,7 +506,7 @@ def compile_kernel(exprs, seeds=()):
     src = "\n    ".join(["def kernel(env, V, D=None):"] + (body or ["pass"]))
     code = compile(src, "<daekit kernel>", "exec")
     fns = []
-    for names in (_POINT, _BATCH, _ROWS):
+    for names in (_POINT, _BATCH):
         namespace = {**consts, **names}
         exec(code, namespace)
         fns.append(namespace["kernel"])
@@ -576,30 +521,28 @@ class Kernel:
     function raises (ValueError, ZeroDivisionError, OverflowError,
     KeyError) or gives a non-finite number, the point is re-evaluated with
     the strict walker, which returns the same result or raises the
-    ExprDomainError naming the offending subexpression. Batch and row
-    evaluation check no domain: invalid points yield nan/inf. Rows are
-    bit for bit the point values wherever those are finite; a caller
-    re-evaluates a non-finite row at its point for the point's result or
-    diagnostic.
+    ExprDomainError naming the offending subexpression. Batch evaluation
+    checks no domain: invalid points yield nan/inf. Rows (dual_rows) run
+    the point function on every row, so each is the point result bit for
+    bit, or nan where the point function raises; a caller re-evaluates a
+    non-finite row at its point for the point's result or diagnostic.
     """
-
-    POINT, BATCH, ROWS = range(3)
 
     def __init__(self, exprs, seeds=()):
         self.exprs = list(exprs)
         self.seeds = [dict(s) for s in seeds]
         self._fns = None
 
-    def _fn(self, binding):
+    def _fn(self, batch):
         if self._fns is None:
             self._fns = compile_kernel(self.exprs, self.seeds)
-        return self._fns[binding]
+        return self._fns[batch]
 
     def values(self, env):
         """Values at a point, as an array."""
         vals = [0.0] * len(self.exprs)
         try:
-            self._fn(self.POINT)(env, vals)
+            self._fn(False)(env, vals)
             if all(map(math.isfinite, vals)):
                 return np.array(vals, dtype=float)
         except _KERNEL_ERRORS:
@@ -614,7 +557,7 @@ class Kernel:
         m, n = len(self.exprs), len(self.seeds)
         vals, ders = [0.0] * m, [0.0] * (m * n)
         try:
-            self._fn(self.POINT)(env, vals, ders)
+            self._fn(False)(env, vals, ders)
             ok = all(map(math.isfinite, vals)) and all(map(math.isfinite, ders))
         except _KERNEL_ERRORS:
             ok = False
@@ -636,26 +579,24 @@ class Kernel:
     def values_batch(self, env, out):
         """Values on a batch into out[..., i] (out C-contiguous)."""
         with np.errstate(all="ignore"):
-            self._fn(self.BATCH)(env, out.reshape(-1, len(self.exprs)).T)
+            self._fn(True)(env, out.reshape(-1, len(self.exprs)).T)
         return out
 
-    def dual_batch(self, env, out, vout=None, binding=BATCH):
+    def dual_batch(self, env, out, vout=None):
         """Derivatives on a batch into out[..., i, j], values into vout (both
-        C-contiguous); with binding=Kernel.ROWS in the point arithmetic."""
+        C-contiguous)."""
         m, n = len(self.exprs), len(self.seeds)
-        vals = None if vout is None else vout.reshape(-1, m)
-        ders = out.reshape(-1, m * n)
-        if binding == self.ROWS and len(ders) <= _POINT_ROWS:
-            self._point_rows(env, vals, ders)
-            return out
+        vals = None if vout is None else vout.reshape(-1, m).T
         with np.errstate(all="ignore"):
-            self._fn(binding)(env, None if vals is None else vals.T, ders.T)
+            self._fn(True)(env, vals, out.reshape(-1, m * n).T)
         return out
 
-    def _point_rows(self, env, vals, ders):
-        """The rows binding for a few rows: the point function row by row,
-        nan in every output of a row where it raises."""
-        fn = self._fn(self.POINT)
+    def dual_rows(self, env, out, vout):
+        """dual_batch in the point arithmetic: the point function on every
+        row, into out[r, i, j] and vout[r, i]; nan in every output of a row
+        where it raises. Names whose env entry is not an array are shared
+        by all rows."""
+        fn = self._fn(False)
         m, n = len(self.exprs), len(self.seeds)
         names = [nm for nm, v in env.items() if isinstance(v, np.ndarray)]
         point = dict(env)
@@ -670,9 +611,9 @@ class Kernel:
             vs.append(v)
             ds.append(d)
         if ds:  # an empty batch has nothing to write
-            ders[:] = ds
-            if vals is not None:
-                vals[:] = vs
+            out.reshape(-1, m * n)[:] = ds
+            vout.reshape(-1, m)[:] = vs
+        return out
 
 
 # ---------------------------------------------------------------------------

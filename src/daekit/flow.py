@@ -32,7 +32,7 @@ from .dae import (
 )
 from .degree import reduced_matrix
 from .errors import DriftExceededError, LeavesBoxError
-from .linalg import expm
+from .linalg import expm, norm1_rows
 
 MAX_DRIFT = 1e-8
 DEFAULT_STEPS = 512
@@ -56,7 +56,7 @@ class Trajectory:
     def sup_amplitude(self):
         """max_t |z(t) - mean|_1, the amplitude measure for orbits."""
         zs = self.array()
-        return float(np.max(np.abs(zs - self.mean_state()).sum(axis=1)))
+        return float(np.max(norm1_rows(zs - self.mean_state())))
 
 
 @dataclass
@@ -186,7 +186,7 @@ def _flow(sys, lam, z0, res0, t0, t1, steps, want_sensitivity=False,
         # the constraint residual the step left is the drift; the
         # projection starts from the same evaluation
         start = constraint_rows(sys, z[:, :k], z[:, k:])
-        pre = np.sum(np.abs(start[0]), axis=1)
+        pre = norm1_rows(start[0])
         drift = np.where(pre > drift, pre, drift)
         q, rn, bad = solve_constraint_rows(sys, z[:, :k], z[:, k:], start)
         if bad:

@@ -19,51 +19,54 @@ def norm1(v):
     return float(np.sum(np.abs(v)))
 
 
+def norm1_rows(v):
+    """norm1 of every row of v (N, n)."""
+    return np.sum(np.abs(v), axis=1)
+
+
 def row_scale(a):
     """Largest absolute entry by row sums; 0 only for the zero matrix."""
     a = np.asarray(a, dtype=float)
     if a.size == 0:
         return 0.0
-    return float(np.max(np.sum(np.abs(a), axis=1)))
+    return float(np.max(norm1_rows(a)))
 
 
 def lu_factor(a, rtol=PIVOT_RTOL):
     """Partial-pivot LU. Returns (lu, piv, swaps); raises on tiny pivots.
 
     The singularity threshold is rtol times the largest |entry| of the
-    input, so it is scale-relative.
+    input, so it is scale-relative. The one-matrix case of lu_factor_rows.
     """
-    a = np.array(a, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n):
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("square matrix required")
-    piv = np.arange(n)
-    swaps = 0
-    tol = rtol * (np.max(np.abs(a)) if a.size else 0.0)
-    for col in range(n):
-        r = col + int(np.argmax(np.abs(a[col:, col])))
-        if abs(a[r, col]) <= tol:
-            raise SingularMatrixError(
-                f"pivot {a[r, col]:.3e} below threshold {tol:.3e} at column {col}"
-            )
-        if r != col:
-            a[[col, r]] = a[[r, col]]
-            piv[[col, r]] = piv[[r, col]]
-            swaps += 1
-        a[col + 1 :, col] /= a[col, col]
-        a[col + 1 :, col + 1 :] -= np.outer(a[col + 1 :, col], a[col, col + 1 :])
-    return a, piv, swaps
+    lu, piv, failed = lu_factor_rows(a[None], rtol)
+    if failed:
+        raise failed[0]
+    return lu[0], piv[0], _swaps(piv[0])
+
+
+def _swaps(piv):
+    """The row exchanges partial pivoting made to reach piv: it exchanges
+    each column at most once, so their number is n minus the cycles of
+    piv."""
+    seen = [False] * len(piv)
+    cycles = 0
+    for i in range(len(piv)):
+        if not seen[i]:
+            cycles += 1
+            while not seen[i]:
+                seen[i] = True
+                i = int(piv[i])
+    return len(piv) - cycles
 
 
 def lu_apply(lu, piv, b):
-    """Solve using a factorization from lu_factor."""
-    x = np.array(b, dtype=float)[piv]
-    n = lu.shape[0]
-    for i in range(1, n):
-        x[i] -= lu[i, :i] @ x[:i]
-    for i in range(n - 1, -1, -1):
-        x[i] = (x[i] - lu[i, i + 1 :] @ x[i + 1 :]) / lu[i, i]
-    return x
+    """Solve using a factorization from lu_factor (the one-matrix case of
+    lu_apply_rows); b is (n,) or (n, m)."""
+    b = np.asarray(b, dtype=float)
+    return lu_apply_rows(lu[None], piv[None], b[None])[0]
 
 
 def lu_solve(a, b):
@@ -73,8 +76,8 @@ def lu_solve(a, b):
 
 
 def _check_pivots(a, pivot, tol, col, failed):
-    """lu_factor's singularity test on the pivots of many rows; a rejected
-    matrix becomes nan, so its elimination and solves run on quietly."""
+    """The singularity test on one pivot of every matrix; a rejected matrix
+    becomes nan, so its elimination and solves run on quietly."""
     small = np.abs(pivot) <= tol
     if np.count_nonzero(small):
         for i in np.flatnonzero(small):
@@ -86,13 +89,15 @@ def _check_pivots(a, pivot, tol, col, failed):
 
 
 def lu_factor_rows(a, rtol=PIVOT_RTOL):
-    """lu_factor of every matrix in the stack a (N, n, n) at once.
+    """Partial-pivot LU of every matrix in the stack a (N, n, n) at once.
 
-    Each row runs lu_factor's elimination with its pivot choice and its
-    scale-relative threshold, so each factor equals lu_factor's bit for
-    bit. Returns (lu, piv, failed): failed maps the index of every matrix
-    lu_factor rejects to the SingularMatrixError it raises; the factors of
-    those rows are nan.
+    Each matrix picks the largest |entry| of its column as the pivot and is
+    rejected when that is at most rtol times its largest |entry|, the
+    scale-relative threshold. Only elementwise operations touch the
+    entries, so every factor is the one its matrix gets alone, bit for bit.
+    Returns (lu, piv, failed): failed maps the index of every rejected
+    matrix to the SingularMatrixError lu_factor raises for it; the factors
+    of those rows are nan.
     """
     a = np.array(a, dtype=float)
     n_rows, n = a.shape[:2]
@@ -125,16 +130,18 @@ def lu_factor_rows(a, rtol=PIVOT_RTOL):
 
 
 def _dot_rows(u, v):
-    """Row-wise dot products, each computed as the 1-D u @ v would be."""
+    """Row-wise dot products, one stacked matmul: each row's product takes
+    the same path whatever the number of rows."""
     return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
 
 
 def lu_apply_rows(lu, piv, b):
-    """lu_apply on every row: b is (N, n), or (N, n, m) for m right-hand
-    sides per row; bit for bit lu_apply's result."""
+    """Solve with the factors of lu_factor_rows, forward then back
+    substitution: b is (N, n), or (N, n, m) for m right-hand sides per
+    row."""
     b = np.asarray(b, dtype=float)
     n = lu.shape[1]
-    if n == 1:  # lu_apply's (b - 0.0) / lu, every column at once
+    if n == 1:  # nothing to substitute
         return b / lu.reshape((len(lu),) + (1,) * (b.ndim - 1))
     if b.ndim == 3:
         return np.stack([lu_apply_rows(lu, piv, b[:, :, j])
@@ -143,7 +150,7 @@ def lu_apply_rows(lu, piv, b):
     for i in range(1, n):
         x[:, i] -= _dot_rows(lu[:, i, :i], x[:, :i])
     for i in range(n - 1, -1, -1):
-        if i + 1 < n:  # lu_apply subtracts an empty dot (0.0) otherwise
+        if i + 1 < n:
             x[:, i] -= _dot_rows(lu[:, i, i + 1 :], x[:, i + 1 :])
         x[:, i] /= lu[:, i, i]
     return x
@@ -215,7 +222,7 @@ def block_schur_det(j, k, s):
     det22 = float(np.prod(np.diag(lu))) * (-1.0 if swaps % 2 else 1.0)
     if k == 0:
         return det22, 1.0
-    x = np.column_stack([lu_apply(lu, piv, a21[:, i]) for i in range(k)])
+    x = lu_apply(lu, piv, a21)
     schur = a11 - a12 @ x
     _, det_s = det_sign(schur, tol=0.0)
     return det22, det_s

@@ -46,6 +46,7 @@ from .linalg import (
     lu_solve,
     near_singular,
     norm1,
+    norm1_rows,
 )
 
 RESONANCE_TOL = 1e-8
@@ -141,7 +142,7 @@ def shoot_rows(sys, lam, p_guess, q_guess, steps=DEFAULT_STEPS):
         for i, exc in rows.errors.items():
             out[live[i]], keep[i] = exc, False
         r = rows.zs[:, -1, :k] - p[live]
-        res = np.sum(np.abs(r), axis=1)
+        res = norm1_rows(r)
         lu, piv, singular = lu_factor_rows(rows.sensitivity - np.eye(k))
         for i, exc in singular.items():
             if keep[i]:

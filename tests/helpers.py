@@ -125,6 +125,40 @@ def random_planar_map(rng, half_width=1.5):
 # -- reference implementations kept as test oracles -------------------------
 
 
+def lu_factor_oracle(a, rtol=1e-12):
+    """The one-matrix partial-pivot LU linalg.lu_factor used to run:
+    (lu, piv, swaps), or SingularMatrixError."""
+    a = np.array(a, dtype=float)
+    n = a.shape[0]
+    piv = np.arange(n)
+    swaps = 0
+    tol = rtol * (np.max(np.abs(a)) if a.size else 0.0)
+    for col in range(n):
+        r = col + int(np.argmax(np.abs(a[col:, col])))
+        if abs(a[r, col]) <= tol:
+            raise SingularMatrixError(
+                f"pivot {a[r, col]:.3e} below threshold {tol:.3e} at column {col}"
+            )
+        if r != col:
+            a[[col, r]] = a[[r, col]]
+            piv[[col, r]] = piv[[r, col]]
+            swaps += 1
+        a[col + 1 :, col] /= a[col, col]
+        a[col + 1 :, col + 1 :] -= np.outer(a[col + 1 :, col], a[col, col + 1 :])
+    return a, piv, swaps
+
+
+def lu_apply_oracle(lu, piv, b):
+    """The substitution linalg.lu_apply used to run, with 1-D dot products."""
+    x = np.array(b, dtype=float)[piv]
+    n = lu.shape[0]
+    for i in range(1, n):
+        x[i] -= lu[i, :i] @ x[:i]
+    for i in range(n - 1, -1, -1):
+        x[i] = (x[i] - lu[i, i + 1 :] @ x[i + 1 :]) / lu[i, i]
+    return x
+
+
 def dedup_oracle(points, radius):
     """The O(N^2) first-seen clustering find_zeros used to run."""
     reps = []

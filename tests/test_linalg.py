@@ -1,10 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from daekit import linalg
 from daekit.errors import MatrixOverflowError, SingularMatrixError
+
+from helpers import lu_apply_oracle, lu_factor_oracle
 
 
 class TestLuSolve:
@@ -159,7 +162,8 @@ def bits(a):
 
 
 class TestRowsFactorization:
-    """lu_factor_rows / lu_apply_rows against lu_factor / lu_apply."""
+    """lu_factor_rows / lu_apply_rows: each matrix of a stack gets its
+    one-matrix result, and the verdicts and factors of the old loop."""
 
     @staticmethod
     def matrices(rng, n):
@@ -184,21 +188,30 @@ class TestRowsFactorization:
             seen = 0
             for i, a in enumerate(stack):
                 try:
-                    lu1, piv1, _ = linalg.lu_factor(a)
+                    old = lu_factor_oracle(a)
                 except SingularMatrixError as exc:
                     assert i in failed
                     assert type(failed[i]) is SingularMatrixError
                     assert str(failed[i]) == str(exc)
+                    with pytest.raises(SingularMatrixError, match=re.escape(str(exc))):
+                        linalg.lu_factor(a)
                     continue
                 assert i not in failed
                 seen += 1
-                assert np.array_equal(bits(lu[i]), bits(lu1))
-                assert np.array_equal(piv[i], piv1)
+                lu1, piv1, swaps1 = linalg.lu_factor(a)
+                for got in ((lu[i], piv[i]), (lu1, piv1)):
+                    assert np.array_equal(bits(got[0]), bits(old[0]))
+                    assert np.array_equal(got[1], old[1])
+                assert swaps1 == old[2]
                 x1 = linalg.lu_apply(lu1, piv1, b[i])
+                assert np.array_equal(bits(x[i]), bits(x1))
+                # the old loop's 1-D dot products may round differently in
+                # BLAS; with at most one term per dot (n <= 2) they cannot
+                x_old = lu_apply_oracle(*old[:2], b[i])
                 if n <= 2:
-                    assert np.array_equal(bits(x[i]), bits(x1))
+                    assert np.array_equal(bits(x1), bits(x_old))
                 else:
-                    assert np.allclose(x[i], x1, rtol=1e-12, atol=0.0,
+                    assert np.allclose(x1, x_old, rtol=1e-12, atol=0.0,
                                        equal_nan=True)
             assert seen >= 8 and len(failed) >= 8
 
