@@ -12,7 +12,9 @@ definition, the sampled invertibility check (with a polished witness when it
 fails), the constraint solver, and the field evaluations.
 """
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,15 +22,11 @@ import numpy as np
 from . import expr
 from .errors import (
     ConstraintSolveError,
+    DaekitError,
     HypothesisViolationError,
+    SingularMatrixError,
 )
-from .linalg import (
-    lu_apply_rows,
-    lu_factor,
-    lu_factor_rows,
-    norm1,
-    norm1_rows,
-)
+from .linalg import PIVOT_RTOL, _pivot_error, lu_factor, norm1
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -148,7 +146,8 @@ class SystemDef:
     Immutable by convention once constructed; all evaluations are pure, so a
     single instance can serve concurrent workers. Each expression list it
     evaluates gets its compiled kernel once, kept on the instance; f, g and
-    h together (``fgh``) make the one kernel the flow evaluates.
+    h together (``fgh``) make the kernel of the emitted reduced-field
+    stage, which is kept likewise.
     """
 
     def __init__(self, k, s, period, f, g, h=None, box=None, constraint_tol=1e-10,
@@ -189,6 +188,7 @@ class SystemDef:
         self._d2g_flat = None
         self.fgh = self.f + self.g + self.h
         self._kernels = {}
+        self._stages = {}
         self._column = {nm: i for i, nm in enumerate(self.state_names)}
         # slices of the state Jacobian select much faster than index lists
         self._slices = {id(self.x_names): slice(self.k),
@@ -255,19 +255,6 @@ class SystemDef:
             cols = [self._column[nm] for nm in names]
         return self.kernel(exprs).dual(env, cols)[1][0]
 
-    def rows(self, exprs, z, t=None):
-        """(values, Jacobians) of the list exprs on every row of z (N, k+s):
-        (N, m) values and (N, m, k+s) state Jacobians. Rows use the point
-        arithmetic, so each equals the point evaluation bit for bit wherever
-        that is finite and is non-finite where the point kernel raises. All
-        rows share t (nan when None)."""
-        env = {nm: z[:, i] for i, nm in enumerate(self.state_names)}
-        env["t"] = math.nan if t is None else float(t)
-        vals = np.empty((len(z), len(exprs)))
-        jac = np.empty((len(z), len(exprs), len(self.state_names)))
-        self.kernel(exprs).dual_rows(env, jac, vals)
-        return vals, jac
-
     def blocks(self, exprs, env):
         """(d1, d2): the x- and y-blocks of the Jacobian of exprs."""
         return self.kernel(exprs).dual(env, slice(self.k), slice(self.k, None))[1]
@@ -275,6 +262,21 @@ class SystemDef:
     def constraint_blocks(self, env):
         """(d1g, d2g) at the point described by env."""
         return self.blocks(self.g, env)
+
+    def _stage(self, out_a=False, out_h=False, sens=False, lsens=False,
+               forcing=False, use_h=False):
+        """The emitted reduced-field stage of one variant (_emit_stage),
+        compiled on first use and kept on the instance."""
+        key = tuple(map(bool, (out_a, out_h, sens, lsens, forcing, use_h)))
+        if key not in self._stages:
+            self._stages[key] = _emit_stage(self, *key)
+        return self._stages[key]
+
+    def _constraint_step(self):
+        """The emitted constraint Newton step (_emit_constraint_step)."""
+        if "g" not in self._stages:
+            self._stages["g"] = _emit_constraint_step(self)
+        return self._stages["g"]
 
 
 def _det_and_grad(sys, z):
@@ -314,17 +316,17 @@ def _adjugate(a):
 def _polish_det_minimum(sys, z0, iterations=100):
     """Drive |det d2g| toward its local minimum from z0 (box-clipped)."""
     z = sys.box.clip(np.array(z0, dtype=float))
-    best_z, best_d = z.copy(), abs(_det_and_grad(sys, z)[0])
+    d, grad = _det_and_grad(sys, z)
+    best_z, best_d = z.copy(), abs(d)
     for _ in range(iterations):
-        d, grad = _det_and_grad(sys, z)
         gg = float(grad @ grad)
         if abs(d) < 1e-14 or gg < 1e-30:
             break
         step = -d / gg * grad
         z = sys.box.clip(z + step)
-        ad = abs(_det_and_grad(sys, z)[0])
-        if ad < best_d:
-            best_d, best_z = ad, z.copy()
+        d, grad = _det_and_grad(sys, z)  # also where the next one starts
+        if abs(d) < best_d:
+            best_d, best_z = abs(d), z.copy()
         if norm1(step) < 1e-15:
             break
     return best_z, best_d
@@ -418,205 +420,352 @@ def validate(sys, samples=512):
     raise HypothesisViolationError(report.message, witness, report)
 
 
-def _finite_rows(*parts):
-    """Rows whose entries in all the given (N, ...) arrays are finite."""
-    ok = np.ones(len(parts[0]), dtype=bool)
-    for a in parts:
-        ok &= np.isfinite(a).all(axis=tuple(range(1, a.ndim)))
-    return ok
+# ---------------------------------------------------------------------------
+# The reduced field and the constraint Newton as emitted float code
+#
+# Per system, one straight-line function (a "stage") evaluates f, g and h
+# with their state partials (compile_kernel's point code, on locals),
+# factors d2g with lu_factor's pivot choice, threshold and message, and
+# forms zdot = (w, -[d2g]^-1 d1g w), A = d1w - d2w [d2g]^-1 d1g, and for
+# the flow A Phi and A v + h; every former matrix product is a
+# left-to-right float sum. Where its kernel raises or gives a non-finite
+# value it needs, a stage evaluates the point with the point kernels (and
+# their strict diagnostics) in the order base values, h, g blocks, d2g
+# factorization, partials, which decides the error a point raises, and runs
+# the same algebra on those values. The algebra text is emitted once and
+# compiled twice: fed by the kernel (finite values, so the builtins) and fed
+# by given values (numpy's nan order for the pivot search and threshold, and
+# its inf or nan for a division by zero).
+
+# what evaluating one row can raise; the row fails alone with it
+_ROW_ERRORS = (DaekitError, ArithmeticError, ValueError)
 
 
-def _at_point(rows, errors, call):
-    """call(i) for every listed row without an error; a raise becomes that
-    row's error. Used to re-evaluate non-finite rows at their point."""
-    for i in rows:
-        i = int(i)
-        if i not in errors:
-            try:
-                call(i)
-            except Exception as exc:  # the row fails alone, with its error
-                errors[i] = exc
+def _nan_max(*xs):
+    """max as np.max takes it: nan when any entry is nan."""
+    for x in xs:
+        if x != x:
+            return x
+    return max(xs)
 
 
-def constraint_rows(sys, p, q):
-    """g and its state Jacobian on the rows (p, q): (values (N, s),
-    Jacobians (N, s, k+s), errors). A row whose values are not finite gets
-    eval_g at its point: that value, or in errors the error it raises."""
-    r, jac = sys.rows(sys.g, np.hstack([p, q]))
-    errors = {}
-    if not math.isfinite(np.add.reduce(r, None)):
-        def call(i):
-            r[i] = sys.eval_g(sys.env(p[i], q[i]))
-
-        _at_point(np.flatnonzero(~_finite_rows(r)), errors, call)
-    return r, jac, errors
+def _nan_gt(a, b):
+    """a ranks above b in np.argmax: by value, and nan above all else."""
+    return a > b or (a != a and b == b)
 
 
-def solve_constraint_rows(sys, p, q_guess, start=None):
-    """solve_constraint on every row of p (N, k) from q_guess (N, s) at once.
+def _ieee_div(a, b):
+    """a / b, inf or nan (as numpy gives) where Python raises."""
+    if b == 0.0:
+        with np.errstate(all="ignore"):
+            return float(np.divide(a, b))
+    return a / b
 
-    The rows run solve_constraint's Newton iteration in lockstep, with its
-    backtracking, constraint_tol and 50-iteration limit, on one batch call
-    of the g kernel per evaluation, and compute bit for bit what they
-    would alone. start is constraint_rows(sys, p, q_guess) when the caller
-    has it. Returns (q, residuals, errors): errors maps every failing row
-    to the error solve_constraint raises for it alone.
+
+_FED = {"isfinite": math.isfinite, "amax": max, "gt": operator.gt,
+        "dv": operator.truediv, "singular": _pivot_error,
+        "RTOL": PIVOT_RTOL, "ERRORS": expr._KERNEL_ERRORS}
+_GIVEN = {**_FED, "amax": _nan_max, "gt": _nan_gt, "dv": _ieee_div}
+
+
+def _dot(us, vs):
+    """The sum of the products us[i] * vs[i] as code: left to right, from
+    0.0 as numpy's matmul starts (a product -0.0 sums to 0.0)."""
+    return "".join(f" + {u} * {v}" for u, v in zip(us, vs)).join(["(0.0", ")"])
+
+
+def _lu_lines(rows, carry, fail):
+    """lu_factor's partial-pivot LU of the matrix whose entries are the
+    locals rows[r][c], in place. Row exchanges take the locals carry[r]
+    along (the right-hand sides, so they end up permuted like lu_apply's
+    b[piv]). fail is the statement run on a rejected pivot, formatted with
+    the pivot {p} and the column {col}; the threshold is TOL."""
+    s = len(rows)
+    entries = [e for row in rows for e in row]
+    if s == 1:
+        lines = [f"TOL = RTOL * abs({rows[0][0]})"]
+    else:
+        lines = [f"TOL = RTOL * amax({', '.join(f'abs({e})' for e in entries)})"]
+
+    def swap(r1, r2):
+        a, b = rows[r1] + carry[r1], rows[r2] + carry[r2]
+        return f"{', '.join(a + b)} = {', '.join(b + a)}"
+
+    for col in range(s):
+        piv = rows[col][col]
+        below = range(col + 1, s)
+        if len(below) == 1:
+            lines += [f"if gt(abs({rows[col + 1][col]}), abs({piv})):",
+                      "    " + swap(col, col + 1)]
+        elif below:  # the first largest |entry| of the column, as np.argmax
+            lines.append(f"G = abs({piv}); I = {col}")
+            lines += [f"if gt(abs({rows[r][col]}), G): "
+                      f"G = abs({rows[r][col]}); I = {r}" for r in below]
+            for j, r in enumerate(below):
+                lines += [f"{'el' * (j > 0)}if I == {r}:", "    " + swap(col, r)]
+        lines += [f"if abs({piv}) <= TOL:",
+                  "    " + fail.format(p=piv, col=col)]
+        lines += [f"{rows[r][col]} = dv({rows[r][col]}, {piv})" for r in below]
+        lines += [f"{rows[r][c]} = {rows[r][c]} - {rows[r][col]} * {rows[col][c]}"
+                  for r in below for c in below]
+    return lines
+
+
+def _solve_lines(rows, xs):
+    """lu_apply's forward and back substitution on the permuted locals xs,
+    in place, with the factors _lu_lines left in rows."""
+    s = len(rows)
+    lines = [f"{xs[i]} = {xs[i]} - ({_dot(rows[i][:i], xs[:i])})"
+             for i in range(1, s)]
+    for i in range(s - 1, -1, -1):
+        if i + 1 < s:
+            lines.append(f"{xs[i]} = {xs[i]} - "
+                         f"({_dot(rows[i][i + 1:], xs[i + 1:])})")
+        lines.append(f"{xs[i]} = dv({xs[i]}, {rows[i][i]})")
+    return lines
+
+
+def _unpack(names, source):
+    return [f"{', '.join(names)}, = {source}"] if names else []
+
+
+def _compile(header, body, namespace):
+    src = "\n    ".join([header] + body)
+    exec(compile(src, "<daekit stage>", "exec"), namespace)
+    return namespace[header[4:header.index("(")]]
+
+
+def _kernel_code(sys, exprs):
+    """compile_kernel's point statements for exprs on locals: state
+    variables and t by name, value i to V{i}, the partial along state
+    variable c to D{i}_{c}. Returns (lines, consts)."""
+    lines, consts = expr._kernel_lines(
+        exprs, [{nm: 1.0} for nm in sys.state_names], load=str,
+        vout=lambda i: f"V{i} = ", dout=lambda i, c: f"D{i}_{c} = ")
+    return [text for text, *_ in lines], consts
+
+
+def _emit_stage(sys, out_a, out_h, sens, lsens, forcing, use_h):
+    """The stage function ``stage(Y, t, lam)`` of one variant.
+
+    Y holds the state, then Phi row by row when sens, then v when lsens.
+    Returns zdot; then A row by row when out_a; A Phi when sens; A v + h
+    when lsens; h when out_h. The base field w is f (h with forcing), plus
+    lam * h when use_h.
     """
-    p = np.asarray(p, dtype=float)
-    q = np.array(q_guess, dtype=float)
-    k, tol = sys.k, sys.constraint_tol
-    r, jac, errors = start if start is not None else constraint_rows(sys, p, q)
-    errors = dict(errors)
-    rn = norm1_rows(r)
+    k, s, n = sys.k, sys.s, sys.k + sys.s
+    lin, with_h = out_a or sens or lsens, out_h or lsens
+    m = len(sys.fgh)
+    F, G, H = range(k), range(k, k + s), range(k + s, m)
+    B = H if forcing else F
 
-    def factored(rows, r, jac, q):
-        """LU of d2g at the given rows (jac_rows(g, y) at the point where
-        the batch is not finite); the mask of rows that factor, and the
-        factors."""
-        d2g = np.ascontiguousarray(jac[:, :, k:])
+    def d(i, c):
+        return f"D{i}_{c}"
 
-        def call(i):
-            d2g[i] = sys.jac_rows(sys.g, sys.env(p[rows[i]], q[i]), sys.y_names)
+    inputs = list(sys.state_names)
+    phi = [[f"P{i}_{j}" for j in range(k)] for i in range(k)]
+    vl = [f"Q{i}" for i in range(k)]
+    inputs += [e for row in phi for e in row] * sens + vl * lsens
+    # what the algebra reads, and the g values: where they are not finite,
+    # the point evaluation of g can raise even if its partials are finite
+    # (the strict walker rejects exp beyond 709, which the kernel computes)
+    needed = [f"V{i}" for i in [*B, *G]] + [d(i, c) for i in G for c in range(n)]
+    if use_h or with_h:
+        needed += [f"V{i}" for i in H]
+    if lin:
+        needed += [d(i, c) for i in ([*B, *H] if use_h else B) for c in range(n)]
+    needed = list(dict.fromkeys(needed))
 
-        bad = {}
-        if not math.isfinite(np.add.reduce(r, None) + np.add.reduce(jac, None)):
-            _at_point(np.flatnonzero(~_finite_rows(r, jac)), bad, call)
-        lu, piv, singular = lu_factor_rows(d2g)
-        bad.update((i, exc) for i, exc in singular.items() if i not in bad)
-        ok = np.ones(len(rows), dtype=bool)
-        for i, exc in bad.items():
-            errors[int(rows[i])] = exc
-            ok[i] = False
-        return ok, lu, piv
+    alg = [f"W{i} = V{b} + lam * V{h}" for i, (b, h) in enumerate(zip(B, H))] * use_h
+    w = [f"W{i}" for i in range(k)] if use_h else [f"V{b}" for b in B]
+    alg += [f"R{j} = {_dot([d(g, c) for c in range(k)], w)}"
+            for j, g in enumerate(G)]
+    rows = [[d(g, k + c) for c in range(s)] for g in G]
+    carry = [[f"R{j}"] + [d(g, c) for c in range(k)] * lin
+             for j, g in enumerate(G)]
+    alg += _lu_lines(rows, carry, "raise singular({p}, TOL, {col})")
+    alg += _solve_lines(rows, [f"R{j}" for j in range(s)])
+    out = w + [f"-R{j}" for j in range(s)]
+    if lin:
+        xs = [[d(g, c) for g in G] for c in range(k)]  # [d2g]^-1 d1g by column
+        for x in xs:
+            alg += _solve_lines(rows, x)
+        a = [[f"A{i}_{c}" for c in range(k)] for i in range(k)]
+        for i in range(k):
+            for c in range(k):
+                alg.append(f"{a[i][c]} = {d(B[i], c)} - "
+                           f"({_dot([d(B[i], k + q) for q in range(s)], xs[c])})")
+                if use_h:
+                    alg.append(f"{a[i][c]} = {a[i][c]} + lam * ({d(H[i], c)} - "
+                               f"({_dot([d(H[i], k + q) for q in range(s)], xs[c])}))")
+        out += [e for row in a for e in row] * out_a
+        out += [_dot(a[i], [phi[q][j] for q in range(k)])
+                for i in range(k) for j in range(k)] * sens
+        out += [f"{_dot(a[i], vl)} + V{H[i]}" for i in range(k)] * lsens
+    out += [f"V{h}" for h in H] * out_h
+    ret = [f"return ({', '.join(out)},)"]
 
-    live = np.arange(len(p))
-    if errors:
-        live = np.array([i for i in live if i not in errors], dtype=int)
-    lq, lr, ljac, lrn = (a[live] if errors else a for a in (q, r, jac, rn))
+    kernel, consts = _kernel_code(sys, sys.fgh)
+    given = functools.cache(lambda: _compile(  # on the first fallback
+        "def given(Y, t, lam, V, D):",
+        _unpack(inputs, "Y") + _unpack([f"V{i}" for i in range(m)], "V")
+        + _unpack([d(i, c) for i in range(m) for c in range(n)], "D")
+        + alg + ret, dict(_GIVEN)))
+    base = sys.h if forcing else sys.f
+
+    def fallback(Y, t, lam):
+        """The point evaluations in their order, then the algebra."""
+        z = Y[:n]
+        env = sys.env(z[:k], z[k:], t=None if t != t else t)
+        vals, ders = [math.nan] * m, [math.nan] * (m * n)
+
+        def put(idx, values):
+            for i, v in zip(idx, values.tolist()):
+                vals[i] = v
+
+        def put_blocks(idx, blocks):
+            for i, r1, r2 in zip(idx, *blocks):
+                ders[i * n:(i + 1) * n] = r1.tolist() + r2.tolist()
+
+        put(B, sys.kernel(base).values(env))
+        if use_h:
+            put(H, sys.eval_h(env))
+        d1g, d2g = sys.constraint_blocks(env)
+        put_blocks(G, (d1g, d2g))
+        lu_factor(d2g)
+        if lin:
+            put_blocks(B, sys.blocks(base, env))
+            if use_h:
+                put_blocks(H, sys.blocks(sys.h, env))
+        if with_h and not use_h:
+            put(H, sys.eval_h(env))
+        return given()(Y, t, lam, vals, ders)
+
+    return _compile(
+        "def stage(Y, t, lam):",
+        _unpack(inputs, "Y") + ["try:"] + ["    " + ln for ln in kernel]
+        + ["except ERRORS:", "    return fallback(Y, t, lam)",
+           f"if not isfinite({' + '.join(needed)}):",
+           "    return fallback(Y, t, lam)"] + alg + ret,
+        {**_FED, **expr._POINT, **consts, "fallback": fallback})
+
+
+def _emit_constraint_step(sys):
+    """``step(Z)``: at the state Z, (|g|_1, the Newton step [d2g]^-1 g),
+    where the step is the SingularMatrixError of a singular d2g instead,
+    or a function that computes the step (or that error) from the point
+    evaluation of d2g when the kernel gives no finite g or Jacobian. Values
+    the kernel does not give finitely come from eval_g, which raises the
+    point's error."""
+    k, s, n = sys.k, sys.s, sys.k + sys.s
+    rows = [[f"D{j}_{k + c}" for c in range(s)] for j in range(s)]
+    vs = [f"V{j}" for j in range(s)]
+    alg = [f"RN = {' + '.join(f'abs({v})' for v in vs) or '0.0'}"]
+    alg += _lu_lines(rows, [[v] for v in vs], "return RN, singular({p}, TOL, {col})")
+    alg += _solve_lines(rows, vs) + [f"return RN, ({', '.join(vs)},)"]
+    ders = [f"D{j}_{c}" for j in range(s) for c in range(n)]
+    given = functools.cache(lambda: _compile(  # on the first fallback
+        "def given(V, D):", _unpack(vs, "V") + _unpack(ders, "D") + alg,
+        dict(_GIVEN)))
+
+    def at_point(env, vals):
+        d2g = sys.jac_rows(sys.g, env, sys.y_names)
+        flat = [math.nan] * (s * n)
+        for j, row in enumerate(d2g.tolist()):
+            flat[j * n + k:(j + 1) * n] = row
+        return given()(vals, flat)[1]
+
+    def fallback(Z, vals, flat):
+        """vals and flat are the kernel's g and Jacobian, None where it
+        raised."""
+        env = sys.env(Z[:k], Z[k:])
+        if vals is None:
+            vals = flat = [math.nan]
+        if not all(map(math.isfinite, vals)):
+            vals = sys.eval_g(env).tolist()
+        if all(map(math.isfinite, vals + flat)):
+            return given()(vals, flat)
+        rn = given()(vals, [math.nan] * (s * n))[0]
+        return rn, lambda: at_point(env, vals)
+
+    kernel, consts = _kernel_code(sys, sys.g)
+    return _compile(
+        "def step(Z):",
+        _unpack(sys.state_names, "Z") + ["try:"] + ["    " + ln for ln in kernel]
+        + ["except ERRORS:", "    return fallback(Z, None, None)",
+           f"if not isfinite({' + '.join(vs + ders)}):",
+           f"    return fallback(Z, [{', '.join(vs)}], [{', '.join(ders)}])"]
+        + alg, {**_FED, **expr._POINT, **consts, "fallback": fallback})
+
+
+def _solve_constraint_row(sys, p, q, first=None):
+    """solve_constraint's Newton on floats: p and q are tuples, first the
+    constraint step at (p, q) when the caller has it. d2g must factor at
+    every iterate, an already solved start included; a step that does not
+    lower the residual halves up to 11 times; at most 50 iterations.
+    Returns (q, |g|_1)."""
+    step_at, tol = sys._constraint_step(), sys.constraint_tol
+    rn, step = first if first is not None else step_at(p + q)
     for it in range(50):
-        if not live.size:
-            break
-        # d2g must factor at every iterate, already solved starts included
-        ok, lu, piv = factored(live, lr, ljac, lq)
-        keep = ok & ~(lrn <= tol) if it == 0 else ok
-        if not keep.all():
-            live, lq, lr, ljac, lrn, lu, piv = (
-                a[keep] for a in (live, lq, lr, ljac, lrn, lu, piv))
-            if not live.size:
-                break
-        step = lu_apply_rows(lu, piv, lr)
-        # backtracking: t = 1 for every row, then halved for the rows whose
-        # residual did not drop, on their last try
-        q_new = lq - step
-        r_new, jac_new, bad = constraint_rows(sys, p[live], q_new)
-        rn_new = norm1_rows(r_new)
-        back = ~((rn_new < lrn) | (rn_new <= tol))
-        back[list(bad)] = False
-        t, b = 1.0, np.flatnonzero(back)
+        if type(step) is not tuple:
+            step = step() if callable(step) else step
+            if isinstance(step, SingularMatrixError):
+                raise step
+        if it == 0 and rn <= tol:
+            return q, rn
+        q_new = tuple([a - b for a, b in zip(q, step)])
+        rn_new, step_new = step_at(p + q_new)
+        t = 1.0
         for _ in range(11):
-            if not b.size:
+            if rn_new < rn or rn_new <= tol:
                 break
             t *= 0.5
-            q_try = lq[b] - t * step[b]
-            r_try, jac_try, bad_b = constraint_rows(sys, p[live[b]], q_try)
-            bad.update((int(b[i]), exc) for i, exc in bad_b.items())
-            rn_try = norm1_rows(r_try)
-            q_new[b], r_new[b], jac_new[b], rn_new[b] = q_try, r_try, jac_try, rn_try
-            stop = (rn_try < lrn[b]) | (rn_try <= tol)
-            stop[list(bad_b)] = True
-            b = b[~stop]
-        lq, lr, ljac, lrn = q_new, r_new, jac_new, rn_new
-        for i, exc in bad.items():
-            errors[int(live[i])] = exc
-        q[live], rn[live] = lq, lrn
-        going = ~(lrn <= tol)
-        going[list(bad)] = False
-        live, lq, lr, ljac, lrn = (a[going] for a in (live, lq, lr, ljac, lrn))
-    for i in live:
-        errors[int(i)] = ConstraintSolveError(
-            f"constraint Newton stalled at residual {rn[i]:.3e} "
-            f"for p = {tuple(p[i])}"
-        )
-    return q, rn, errors
+            q_new = tuple([a - t * b for a, b in zip(q, step)])
+            rn_new, step_new = step_at(p + q_new)
+        q, rn, step = q_new, rn_new, step_new
+        if rn <= tol:
+            return q, rn
+    raise ConstraintSolveError(
+        f"constraint Newton stalled at residual {rn:.3e} "
+        f"for p = {tuple(np.array(p))}"
+    )
 
 
 def solve_constraint(sys, p, q_guess):
     """Newton in y on g(p, y) = 0 from q_guess; follows that branch only."""
     p = np.asarray(p, dtype=float)
-    q, rn, errors = solve_constraint_rows(
-        sys, p[None], np.asarray(q_guess, dtype=float)[None]
+    q, rn = _solve_constraint_row(
+        sys, tuple(p.tolist()), tuple(np.asarray(q_guess, dtype=float).tolist())
     )
-    if errors:
-        raise errors[0]
-    return ManifoldPoint(p.copy(), q[0], float(rn[0]))
+    return ManifoldPoint(p.copy(), np.array(q), float(rn))
 
 
 def reduced_field(sys, z, t=None, lam=0.0, linearize=False, forcing=False,
                   with_h=False):
     """The reduced field on rows of manifold points and its linearization.
 
-    z is an (N, k+s) array of states, all at time t. With w = base + lam*h
-    (base is f, or h with forcing) returns (zdot, A, hv, errors): the
-    fields zdot = (w, -[d2g]^-1 d1g w) as rows; with linearize the reduced
-    linearizations A = d1w - d2w [d2g]^-1 d1g (else None); with with_h the
-    values of h (else None); and errors, which maps every failing row to
-    the error its evaluation at the point raises. One batch call of the
-    f+g+h kernel and one batched factorization of d2g serve all rows; each
-    row equals its one-row result bit for bit. A row whose needed batch
-    values are not finite is re-evaluated with the point kernels in the
-    order f (or base), h, g, d2g factorization, derivatives of base and h,
-    so it gets the point result or the point error.
+    z is an (N, k+s) array of states, all at time t (nan when None). With
+    w = base + lam*h (base is f, or h with forcing) returns (zdot, A, hv,
+    errors): the fields zdot = (w, -[d2g]^-1 d1g w) as rows; with
+    linearize the reduced linearizations A = d1w - d2w [d2g]^-1 d1g (else
+    None); with with_h the values of h (else None); and errors, which maps
+    every failing row to the error its evaluation raises (its other
+    entries are nan). Each row runs the system's emitted stage.
     """
-    k, s = sys.k, sys.s
-    z = np.asarray(z, dtype=float)
-    vals, jac = sys.rows(sys.fgh, z, t)
-    fb, gb, hb = slice(k), slice(k, k + s), slice(k + s, None)
-    bb, base = (hb, sys.h) if forcing else (fb, sys.f)
-    use_h = lam != 0.0
-    late_h = with_h and not use_h
+    k, n = sys.k, sys.k + sys.s
+    stage = sys._stage(out_a=linearize, out_h=with_h, forcing=forcing,
+                       use_h=lam != 0.0)
+    t, lam = math.nan if t is None else float(t), float(lam)
+    width = n + k * k * linearize + k * with_h
+    out = np.full((len(z), width), math.nan)
     errors = {}
-    if not math.isfinite(np.add.reduce(vals, None) + np.add.reduce(jac, None)):
-        checked = [vals[:, bb], vals[:, gb], jac[:, gb]]
-        if use_h or late_h:
-            checked.append(vals[:, hb])
-        if linearize:
-            checked.append(jac[:, bb])
-            if use_h:
-                checked.append(jac[:, hb])
-
-        def point(i):
-            env = sys.env(z[i, :k], z[i, k:], t=t)
-            vals[i, bb] = sys.kernel(base).values(env)
-            if use_h:
-                vals[i, hb] = sys.eval_h(env)
-            d1g, d2g = sys.constraint_blocks(env)
-            jac[i, gb, :k], jac[i, gb, k:] = d1g, d2g
-            lu_factor(d2g)
-            if linearize:
-                jac[i, bb, :k], jac[i, bb, k:] = sys.blocks(base, env)
-                if use_h:
-                    jac[i, hb, :k], jac[i, hb, k:] = sys.blocks(sys.h, env)
-            if late_h:
-                vals[i, hb] = sys.eval_h(env)
-
-        _at_point(np.flatnonzero(~_finite_rows(*checked)), errors, point)
-    lu, piv, singular = lu_factor_rows(jac[:, gb, k:])
-    for i, exc in singular.items():
-        errors.setdefault(i, exc)
-    w = vals[:, bb]
-    if use_h:
-        w = w + lam * vals[:, hb]
-    d1g = jac[:, gb, :k]
-    solved = lu_apply_rows(lu, piv, np.matmul(d1g, w[:, :, None])[:, :, 0])
-    zdot = np.concatenate([w, -solved], axis=1)
-    hv = vals[:, hb] if with_h else None
-    if not linearize:
-        return zdot, None, hv, errors
-    x = lu_apply_rows(lu, piv, d1g)
-    a = jac[:, bb, :k] - np.matmul(jac[:, bb, k:], x)
-    if use_h:
-        a = a + lam * (jac[:, hb, :k] - np.matmul(jac[:, hb, k:], x))
-    return zdot, a, hv, errors
+    for i, row in enumerate(np.asarray(z, dtype=float).tolist()):
+        try:
+            out[i] = stage(row, t, lam)
+        except _ROW_ERRORS as exc:
+            errors[i] = exc
+    a = out[:, n:n + k * k].reshape(-1, k, k) if linearize else None
+    return out[:, :n], a, out[:, n + k * k * linearize:] if with_h else None, errors
 
 
 def reduced_field_at(sys, z, t=None, lam=0.0, linearize=False,

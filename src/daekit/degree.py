@@ -21,14 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from . import expr
-from .dae import (
-    Box,
-    SystemDef,
-    _at_point,
-    _finite_rows,
-    reduced_field_at,
-    validate,
-)
+from .dae import Box, SystemDef, reduced_field_at, validate
 from .errors import (
     BoundaryZeroError,
     DaekitError,
@@ -255,6 +248,26 @@ def _dedup(points, radius):
             order.insert(at, len(reps))
             reps.append(np.array(z, dtype=float))
     return reps
+
+
+def _finite_rows(*parts):
+    """Rows whose entries in all the given (N, ...) arrays are finite."""
+    ok = np.ones(len(parts[0]), dtype=bool)
+    for a in parts:
+        ok &= np.isfinite(a).all(axis=tuple(range(1, a.ndim)))
+    return ok
+
+
+def _at_point(rows, errors, call):
+    """call(i) for every listed row without an error; a raise becomes that
+    row's error. Used to re-evaluate non-finite rows at their point."""
+    for i in rows:
+        i = int(i)
+        if i not in errors:
+            try:
+                call(i)
+            except Exception as exc:  # the row fails alone, with its error
+                errors[i] = exc
 
 
 def _polish_rows(fld, zs):

@@ -309,30 +309,22 @@ _BATCH = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log,
           "pwv": _power_values, "one": _ones, "zero": _zeros}
 
 
-def compile_kernel(exprs, seeds=()):
-    """Emit one straight-line Python function evaluating ``exprs``.
-
-    ``seeds`` are directions (maps from variable name to component) to
-    differentiate along in forward mode; the unit seeds ``{name: 1.0}``
-    give Jacobian columns. Returns the function bound twice, to float
-    arithmetic for a point and to numpy for a batch: ``fn(env, V, D=None)``
-    writes value i to ``V[i]`` and, when ``D`` is given, the derivative of
-    expression i along seed j to ``D[i * len(seeds) + j]``. At a point V and
-    D are lists; on a batch they are arrays indexed first by that position
-    (views of the caller's output arrays), and V may be None.
-
-    Each node runs the dual-number arithmetic a tree walk along one seed
-    would, in the same order, so results are reproducible bit for bit: the
-    products with literal 0.0 and 1.0 seed entries are kept (they fix signed
-    zeros and nan propagation), constants come in through a table, batch
-    values use np.power and np.divide where numpy evaluation of the tree
-    would, and point functions raise plain arithmetic errors that callers
-    turn into diagnostics with the strict walker. Subtrees shared by
-    identity are computed once. As in SymPy's lambdify, a result used once
-    is written inline where it is used, a result used more often gets a
-    temporary that is deleted after its last use, and unused code is
-    dropped. Derivative code runs only when D is given.
+def _kernel_lines(exprs, seeds, load=None, vout=None, dout=None):
+    """The statements of compile_kernel's function, before it adds guards
+    and frees temporaries: (lines, consts). Each line is (text, temporaries
+    read, temporary defined or None, inside the derivative block); the
+    value lines of each expression precede its derivative lines. Variables
+    are read as ``env[name]``, or as the code ``load(name)`` returns;
+    outputs are written to ``V[i]`` and ``D[i * len(seeds) + j]``, or to
+    the targets ``vout(i)`` and ``dout(i, j)`` name (text ending in ``=``).
     """
+    if vout is None:
+        def vout(i):
+            return f"V[{i}] = "
+
+        def dout(i, j):
+            return f"D[{i * len(seeds) + j}] = "
+
     consts, memo, loads = {}, {}, {}
     defs, refs, in_derivs = [], [], []  # parts: text, or ints naming defs
 
@@ -374,7 +366,8 @@ def compile_kernel(exprs, seeds=()):
             return k, k, ["0.0"] * len(seeds)
         if isinstance(e, Var):
             if e.name not in loads:
-                loads[e.name] = val(f"env[{e.name!r}]")
+                loads[e.name] = (val(f"env[{e.name!r}]") if load is None
+                                 else load(e.name))
             a = loads[e.name]
             return a, a, [seed_entry(s, e.name) for s in seeds]
         if isinstance(e, Power):
@@ -431,8 +424,8 @@ def compile_kernel(exprs, seeds=()):
     roots, start = [], 0
     for i, e in enumerate(exprs):
         v, _, ds = node(e)
-        roots.append((range(start, len(defs)), [f"V[{i}] = ", v],
-                      [[f"D[{i * len(ds) + j}] = ", d] for j, d in enumerate(ds)]))
+        roots.append((range(start, len(defs)), [vout(i), v],
+                      [[dout(i, j), d] for j, d in enumerate(ds)]))
         start = len(defs)
 
     # references only point backwards, so one backward pass counts uses
@@ -475,8 +468,38 @@ def compile_kernel(exprs, seeds=()):
             for s in (douts if in_block else [vout]):
                 reads = set()
                 text = render(s, reads)
-                lines.append(("if V is not None: " * (not in_block) + text,
-                              reads, None, in_block))
+                lines.append((text, reads, None, in_block))
+    return lines, consts
+
+
+def compile_kernel(exprs, seeds=()):
+    """Emit one straight-line Python function evaluating ``exprs``.
+
+    ``seeds`` are directions (maps from variable name to component) to
+    differentiate along in forward mode; the unit seeds ``{name: 1.0}``
+    give Jacobian columns. Returns the function bound twice, to float
+    arithmetic for a point and to numpy for a batch: ``fn(env, V, D=None)``
+    writes value i to ``V[i]`` and, when ``D`` is given, the derivative of
+    expression i along seed j to ``D[i * len(seeds) + j]``. At a point V and
+    D are lists; on a batch they are arrays indexed first by that position
+    (views of the caller's output arrays), and V may be None.
+
+    Each node runs the dual-number arithmetic a tree walk along one seed
+    would, in the same order, so results are reproducible bit for bit: the
+    products with literal 0.0 and 1.0 seed entries are kept (they fix signed
+    zeros and nan propagation), constants come in through a table, batch
+    values use np.power and np.divide where numpy evaluation of the tree
+    would, and point functions raise plain arithmetic errors that callers
+    turn into diagnostics with the strict walker. Subtrees shared by
+    identity are computed once. As in SymPy's lambdify, a result used once
+    is written inline where it is used, a result used more often gets a
+    temporary that is deleted after its last use, and unused code is
+    dropped. Derivative code runs only when D is given.
+    """
+    lines, consts = _kernel_lines(exprs, seeds)
+    lines = [("if V is not None: " * (target is None and not in_block) + text,
+              reads, target, in_block)
+             for text, reads, target, in_block in lines]
     # free every temporary after its last read; on the path without
     # derivatives, after its last read outside the D blocks
     last, last_plain = {}, {}

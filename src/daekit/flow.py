@@ -7,29 +7,26 @@ re-solves the constraint for y after every step. Fixed steps keep
 trajectories deterministic, which makes shooting Jacobians and golden tests
 reproducible.
 
-Trajectories advance as the rows of one (N, k+s) array in lockstep: each RK4
-stage is one batch evaluation of the f+g+h kernel and one batched
-factorization of d2g for all rows, and the projection is one lockstep
-Newton iteration. A row computes bit for bit what it would alone, and fails
-alone: a row that leaves the box, drifts, or meets a singular or undefined
-evaluation drops out with the error it would raise by itself, and the other
-rows go on. A single trajectory is the one-row case.
+Many trajectories are flowed as the rows of one (N, k+s) array, one row
+after the other on Python floats: each RK4 stage is one call of the
+system's emitted stage (dae._emit_stage: the f+g+h kernel, the LU of d2g
+and the reduced-field algebra as straight-line code), and the projection is
+solve_constraint's Newton on floats. A row fails alone: a row that leaves
+the box, drifts, or meets a singular or undefined evaluation gets the error
+it would raise by itself, and the other rows go on. A single trajectory is
+the one-row case.
 
 Sensitivities of the time-T map are integrated from the variational equation
 of the reduced system alongside the state (never by differencing); finite
 differences survive only as a test oracle.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dae import (
-    ManifoldPoint,
-    constraint_rows,
-    reduced_field,
-    solve_constraint_rows,
-)
+from .dae import _ROW_ERRORS, ManifoldPoint, _solve_constraint_row
 from .degree import reduced_matrix
 from .errors import DriftExceededError, LeavesBoxError
 from .linalg import expm, norm1_rows
@@ -68,7 +65,7 @@ class FlowResult:
 
 @dataclass
 class FlowRows:
-    """Rows flowed in lockstep: for row i, its states ``zs[i]`` and their
+    """Flowed rows: for row i, its states ``zs[i]`` and their
     constraint residuals at ``times``, its drift and sensitivities, or the
     error ``errors[i]`` it raised (its other entries are then meaningless)."""
 
@@ -106,17 +103,51 @@ class FlowRows:
         )
 
 
+def _rk4_source(m):
+    """Code of one classical RK4 step on m floats, calling stage(Y, t, lam)
+    for the derivative, in the arithmetic of numpy on rows: y + c * k for
+    the stage points, then y + (h / 6) * (k1 + 2 k2 + 2 k3 + k4)."""
+    y = [f"Y{i}" for i in range(m)]
+
+    def at(c, ks):
+        return f"({''.join(f'{a} + {c} * {b}, ' for a, b in zip(y, ks))})"
+
+    ks = [[f"{c}{i}" for i in range(m)] for c in "ABCD"]
+    return "\n    ".join([
+        "def rk4(stage, Y, t, h, lam):",
+        "half = 0.5 * h",
+        f"{', '.join(y)}, = Y",
+        f"{', '.join(ks[0])}, = stage(Y, t, lam)",
+        f"{', '.join(ks[1])}, = stage({at('half', ks[0])}, t + half, lam)",
+        f"{', '.join(ks[2])}, = stage({at('half', ks[1])}, t + half, lam)",
+        f"{', '.join(ks[3])}, = stage({at('h', ks[2])}, t + h, lam)",
+        "h6 = h / 6.0",
+        "return (" + "".join(f"{y[i]} + h6 * ({ks[0][i]} + 2 * {ks[1][i]} + "
+                             f"2 * {ks[2][i]} + {ks[3][i]}), " for i in range(m))
+        + ")",
+    ])
+
+
+@functools.lru_cache(maxsize=32)
+def _rk4(m):
+    """The RK4 step on m floats (_rk4_source), compiled once per m."""
+    namespace = {}
+    exec(compile(_rk4_source(m), "<daekit rk4>", "exec"), namespace)
+    return namespace["rk4"]
+
+
 def _flow(sys, lam, z0, res0, t0, t1, steps, want_sensitivity=False,
           want_lambda=False, errors=None):
-    """Projected RK4 flow of the rows z0 (N, k+s), residuals res0, in
-    lockstep; rows listed in errors start out failed. Returns FlowRows."""
+    """Projected RK4 flow of the rows z0 (N, k+s), residuals res0, one row
+    after the other on floats; rows listed in errors start out failed.
+    Returns FlowRows."""
     errors = {} if errors is None else dict(errors)
     n_rows, k, n = len(z0), sys.k, sys.k + sys.s
-    live = np.array([i for i in range(n_rows) if i not in errors], dtype=int)
+    rows = [i for i in range(n_rows) if i not in errors]
     if lam < 0 or steps < 16:
         msg = "lambda must be >= 0" if lam < 0 else "at least 16 steps required"
-        errors.update({int(i): ValueError(msg) for i in live})
-        live, steps = live[:0], 0
+        errors.update({i: ValueError(msg) for i in rows})
+        rows, steps = [], 0
     h_step = (t1 - t0) / steps if steps else 0.0
     times = t0 + h_step * np.arange(steps + 1)
     out = FlowRows(times, lam, k, np.full((n_rows, steps + 1, n), np.nan),
@@ -124,89 +155,60 @@ def _flow(sys, lam, z0, res0, t0, t1, steps, want_sensitivity=False,
                    errors=errors)
     out.zs[:, 0] = z0
     out.residuals[:, 0] = res0
-    # one row per live trajectory: the state, then the sensitivity (k*k)
-    # and the lambda-sensitivity (k) when wanted
+    # after the state, each row carries its sensitivity (k*k, row by row)
+    # and its lambda-sensitivity (k) when wanted
     kk = k * k if want_sensitivity else 0
-    kl = k if want_lambda else 0
-    y = np.zeros((live.size, n + kk + kl))
-    y[:, :n] = z0[live]
-    if kk:
-        y[:, n : n + kk] = np.eye(k).ravel()
-    drift = np.zeros(live.size)
-
-    def drop(bad):
-        """Record the errors of the live rows in bad (local index -> error)
-        and remove them; returns the mask of kept rows."""
-        nonlocal live, drift, y
-        keep = np.ones(live.size, dtype=bool)
-        for i, exc in bad.items():
-            errors[int(live[i])] = exc
-            keep[i] = False
-        live, drift, y = live[keep], drift[keep], y[keep]
-        return keep
-
-    def deriv(t, y):
-        zdot, a, hv, bad = reduced_field(sys, y[:, :n], t, lam,
-                                         linearize=bool(kk or kl),
-                                         with_h=bool(kl))
-        parts = [zdot]
-        if kk:
-            phi = y[:, n : n + kk].reshape(-1, k, k)
-            parts.append(np.matmul(a, phi).reshape(-1, kk))
-        if kl:
-            vlam = y[:, n + kk :, None]
-            parts.append(np.matmul(a, vlam)[:, :, 0] + hv)
-        return np.concatenate(parts, axis=1) if len(parts) > 1 else zdot, bad
-
-    for step in range(steps):
-        if not live.size:
-            break
-        t = times[step]
-        half = 0.5 * h_step
-        ks = []
-        for ts, c in ((t, None), (t + half, half), (t + half, half),
-                      (t + h_step, h_step)):
-            d, bad = deriv(ts, y if c is None else y + c * ks[-1])
-            if bad:
-                keep = drop(bad)
-                ks = [kd[keep] for kd in ks]
-                d = d[keep]
-            ks.append(d)
-        k1, k2, k3, k4 = ks
-        y = y + (h_step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        z = y[:, :n]
-        inside = sys.box.contains_rows(z)
-        if not inside.all():
-            drop({int(i): LeavesBoxError("trajectory left the working box",
-                                         times[step + 1], state=z[i].copy())
-                  for i in np.flatnonzero(~inside)})
-            z = y[:, :n]
-        if not live.size:
-            break
-        # the constraint residual the step left is the drift; the
-        # projection starts from the same evaluation
-        start = constraint_rows(sys, z[:, :k], z[:, k:])
-        pre = norm1_rows(start[0])
-        drift = np.where(pre > drift, pre, drift)
-        q, rn, bad = solve_constraint_rows(sys, z[:, :k], z[:, k:], start)
-        if bad:
-            keep = drop(bad)
-            q, rn = q[keep], rn[keep]
-        y[:, k:n] = q
-        out.zs[live, step + 1] = y[:, :n]
-        out.residuals[live, step + 1] = rn
-    for i in np.flatnonzero(drift > MAX_DRIFT):
-        errors[int(live[i])] = DriftExceededError(
-            f"constraint drift {drift[i]:.3e} exceeds {MAX_DRIFT}; "
-            "increase the step count"
-        )
-    out.drift[live] = drift
+    extra = (tuple(np.eye(k).ravel().tolist()) if kk else ()) + (
+        (0.0,) * k if want_lambda else ())
     if kk:
         out.sensitivity = np.full((n_rows, k, k), np.nan)
-        out.sensitivity[live] = y[:, n : n + kk].reshape(-1, k, k)
-    if kl:
+    if want_lambda:
         out.lambda_sensitivity = np.full((n_rows, k), np.nan)
-        out.lambda_sensitivity[live] = y[:, n + kk :]
+    stage = sys._stage(sens=want_sensitivity, lsens=want_lambda,
+                       use_h=lam != 0.0)
+    rk4, project = _rk4(n + len(extra)), sys._constraint_step()
+    lam, ts = float(lam), times.tolist()
+    lo, hi = sys.box.lo.tolist(), sys.box.hi.tolist()
+
+    def flow_row(y):
+        zs, res, drift = [], [], 0.0
+        for step in range(steps):
+            y = rk4(stage, y, ts[step], h_step, lam)
+            z = y[:n]
+            for v, a, b in zip(z, lo, hi):
+                if not a <= v <= b:  # also false for nan
+                    raise LeavesBoxError("trajectory left the working box",
+                                         times[step + 1], state=np.array(z))
+            # the constraint residual the step left is the drift; the
+            # projection starts from the same evaluation
+            first = project(z)
+            if first[0] > drift:
+                drift = first[0]
+            q, rn = _solve_constraint_row(sys, z[:k], z[k:], first)
+            y = z[:k] + q + y[n:]
+            zs.append(y[:n])
+            res.append(rn)
+        return zs, res, drift, y
+
+    for i in rows:
+        try:
+            zs, res, drift, y = flow_row(tuple(z0[i].tolist()) + extra)
+        except _ROW_ERRORS as exc:
+            errors[i] = exc
+            continue
+        if steps:
+            out.zs[i, 1:] = zs
+            out.residuals[i, 1:] = res
+        out.drift[i] = drift
+        if kk:
+            out.sensitivity[i] = np.reshape(y[n:n + kk], (k, k))
+        if want_lambda:
+            out.lambda_sensitivity[i] = y[n + kk:]
+        if drift > MAX_DRIFT:
+            errors[i] = DriftExceededError(
+                f"constraint drift {drift:.3e} exceeds {MAX_DRIFT}; "
+                "increase the step count"
+            )
     return out
 
 
@@ -218,13 +220,23 @@ def integrate(sys, lam, start, t0, t1, steps=DEFAULT_STEPS):
 
 def time_T_rows(sys, lam, p0, q_guess, steps=DEFAULT_STEPS,
                 want_lambda_sensitivity=False):
-    """time_T_map of every row of p0 (N, k), from q_guess (N, s), in lockstep.
+    """time_T_map of every row of p0 (N, k), from q_guess (N, s).
 
     Returns FlowRows with the sensitivities; a failing row carries the
     error time_T_map raises for it alone, and the other rows go on.
     """
     p0 = np.asarray(p0, dtype=float)
-    q0, res0, errors = solve_constraint_rows(sys, p0, q_guess)
+    q0 = np.array(q_guess, dtype=float)
+    res0 = np.full(len(p0), np.nan)
+    errors = {}
+    for i in range(len(p0)):
+        try:
+            q, res0[i] = _solve_constraint_row(sys, tuple(p0[i].tolist()),
+                                               tuple(q0[i].tolist()))
+        except _ROW_ERRORS as exc:
+            errors[i] = exc
+        else:
+            q0[i] = q
     return _flow(sys, lam, np.hstack([p0, q0]), res0, 0.0, sys.period, steps,
                  want_sensitivity=True, want_lambda=want_lambda_sensitivity,
                  errors=errors)

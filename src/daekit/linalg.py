@@ -75,16 +75,20 @@ def lu_solve(a, b):
     return lu_apply(lu, piv, b)
 
 
+def _pivot_error(pivot, tol, col):
+    """The error of a pivot at most its threshold."""
+    return SingularMatrixError(
+        f"pivot {pivot:.3e} below threshold {tol:.3e} at column {col}"
+    )
+
+
 def _check_pivots(a, pivot, tol, col, failed):
     """The singularity test on one pivot of every matrix; a rejected matrix
     becomes nan, so its elimination and solves run on quietly."""
     small = np.abs(pivot) <= tol
     if np.count_nonzero(small):
         for i in np.flatnonzero(small):
-            failed.setdefault(int(i), SingularMatrixError(
-                f"pivot {pivot[i]:.3e} below threshold {tol[i]:.3e} "
-                f"at column {col}"
-            ))
+            failed.setdefault(int(i), _pivot_error(pivot[i], tol[i], col))
         a[small] = np.nan
 
 

@@ -124,8 +124,8 @@ def shoot(sys, lam, p_guess, q_guess=None, steps=DEFAULT_STEPS):
 def shoot_rows(sys, lam, p_guess, q_guess, steps=DEFAULT_STEPS):
     """shoot from every row of p_guess (N, k), q_guess (N, s) at once.
 
-    All rows iterate in one Newton loop on lockstep time-T maps; a row
-    leaves the loop when it converges or fails. Returns one entry per row:
+    All rows iterate in one Newton loop on the time-T maps of the rows; a
+    row leaves the loop when it converges or fails. Returns one entry per row:
     the BranchPoint shoot returns from it alone, or the error it raises.
     """
     k = sys.k

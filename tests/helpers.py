@@ -1,13 +1,28 @@
 """Shared generators for randomized property tests (seeded, reproducible)
 and the reference implementations kept as test oracles."""
 
+import math
+
 import numpy as np
 
 from daekit import expr
 from daekit.dae import Box, SystemDef, validate
-from daekit.degree import VectorField, boundary_margin, find_zeros
-from daekit.errors import DaekitError, SingularMatrixError
-from daekit.linalg import lu_solve, norm1
+from daekit.degree import (
+    VectorField,
+    _at_point,
+    _finite_rows,
+    boundary_margin,
+    find_zeros,
+)
+from daekit.errors import ConstraintSolveError, DaekitError, SingularMatrixError
+from daekit.linalg import (
+    lu_apply_rows,
+    lu_factor,
+    lu_factor_rows,
+    lu_solve,
+    norm1,
+    norm1_rows,
+)
 
 
 def monomial(names, powers):
@@ -122,6 +137,13 @@ def random_planar_map(rng, half_width=1.5):
         return fld, box, zeros
 
 
+def same_bits(a, b):
+    """Equal shapes and equal bits (signed zeros and nan payloads count)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
 # -- reference implementations kept as test oracles -------------------------
 
 
@@ -200,3 +222,160 @@ def degen3():
     f = [expr.parse("x2", names), expr.parse("-x1^2 + y1 - x2", names)]
     g = [expr.parse("y1^3 + y1 - x1^3", names)]
     return SystemDef(2, 1, 2 * np.pi, f, g, None, Box.from_pairs([(-2, 2)] * 3))
+
+
+def rows_oracle(sys, exprs, z, t=None):
+    """The rows evaluation SystemDef.rows used to run: (values (N, m),
+    state Jacobians (N, m, k+s)) of the list exprs on every row of z, each
+    the point kernel's, nan in every output of a row where it raises."""
+    env = {nm: z[:, i] for i, nm in enumerate(sys.state_names)}
+    env["t"] = math.nan if t is None else float(t)
+    vals = np.empty((len(z), len(exprs)))
+    jac = np.empty((len(z), len(exprs), len(sys.state_names)))
+    sys.kernel(exprs).dual_rows(env, jac, vals)
+    return vals, jac
+
+
+def constraint_rows_oracle(sys, p, q):
+    """g and its state Jacobian on the rows (p, q), as dae.constraint_rows
+    used to give them: (values, Jacobians, errors)."""
+    r, jac = rows_oracle(sys, sys.g, np.hstack([p, q]))
+    errors = {}
+    if not math.isfinite(np.add.reduce(r, None)):
+        def call(i):
+            r[i] = sys.eval_g(sys.env(p[i], q[i]))
+
+        _at_point(np.flatnonzero(~_finite_rows(r)), errors, call)
+    return r, jac, errors
+
+
+def solve_constraint_rows_oracle(sys, p, q_guess):
+    """The lockstep constraint Newton dae.solve_constraint_rows used to run
+    on numpy rows: (q, residuals, errors)."""
+    p = np.asarray(p, dtype=float)
+    q = np.array(q_guess, dtype=float)
+    k, tol = sys.k, sys.constraint_tol
+    r, jac, errors = constraint_rows_oracle(sys, p, q)
+    errors = dict(errors)
+    rn = norm1_rows(r)
+
+    def factored(rows, r, jac, q):
+        d2g = np.ascontiguousarray(jac[:, :, k:])
+
+        def call(i):
+            d2g[i] = sys.jac_rows(sys.g, sys.env(p[rows[i]], q[i]), sys.y_names)
+
+        bad = {}
+        if not math.isfinite(np.add.reduce(r, None) + np.add.reduce(jac, None)):
+            _at_point(np.flatnonzero(~_finite_rows(r, jac)), bad, call)
+        lu, piv, singular = lu_factor_rows(d2g)
+        bad.update((i, exc) for i, exc in singular.items() if i not in bad)
+        ok = np.ones(len(rows), dtype=bool)
+        for i, exc in bad.items():
+            errors[int(rows[i])] = exc
+            ok[i] = False
+        return ok, lu, piv
+
+    live = np.arange(len(p))
+    if errors:
+        live = np.array([i for i in live if i not in errors], dtype=int)
+    lq, lr, ljac, lrn = (a[live] if errors else a for a in (q, r, jac, rn))
+    for it in range(50):
+        if not live.size:
+            break
+        ok, lu, piv = factored(live, lr, ljac, lq)
+        keep = ok & ~(lrn <= tol) if it == 0 else ok
+        if not keep.all():
+            live, lq, lr, ljac, lrn, lu, piv = (
+                a[keep] for a in (live, lq, lr, ljac, lrn, lu, piv))
+            if not live.size:
+                break
+        step = lu_apply_rows(lu, piv, lr)
+        q_new = lq - step
+        r_new, jac_new, bad = constraint_rows_oracle(sys, p[live], q_new)
+        rn_new = norm1_rows(r_new)
+        back = ~((rn_new < lrn) | (rn_new <= tol))
+        back[list(bad)] = False
+        t, b = 1.0, np.flatnonzero(back)
+        for _ in range(11):
+            if not b.size:
+                break
+            t *= 0.5
+            q_try = lq[b] - t * step[b]
+            r_try, jac_try, bad_b = constraint_rows_oracle(sys, p[live[b]], q_try)
+            bad.update((int(b[i]), exc) for i, exc in bad_b.items())
+            rn_try = norm1_rows(r_try)
+            q_new[b], r_new[b], jac_new[b], rn_new[b] = q_try, r_try, jac_try, rn_try
+            stop = (rn_try < lrn[b]) | (rn_try <= tol)
+            stop[list(bad_b)] = True
+            b = b[~stop]
+        lq, lr, ljac, lrn = q_new, r_new, jac_new, rn_new
+        for i, exc in bad.items():
+            errors[int(live[i])] = exc
+        q[live], rn[live] = lq, lrn
+        going = ~(lrn <= tol)
+        going[list(bad)] = False
+        live, lq, lr, ljac, lrn = (a[going] for a in (live, lq, lr, ljac, lrn))
+    for i in live:
+        errors[int(i)] = ConstraintSolveError(
+            f"constraint Newton stalled at residual {rn[i]:.3e} "
+            f"for p = {tuple(p[i])}"
+        )
+    return q, rn, errors
+
+
+def reduced_field_oracle(sys, z, t=None, lam=0.0, linearize=False,
+                         forcing=False, with_h=False):
+    """The numpy rows evaluation of the reduced field dae.reduced_field used
+    to run: (zdot, A, hv, errors), with one batched factorization of d2g
+    and stacked matrix products."""
+    k, s = sys.k, sys.s
+    z = np.asarray(z, dtype=float)
+    vals, jac = rows_oracle(sys, sys.fgh, z, t)
+    fb, gb, hb = slice(k), slice(k, k + s), slice(k + s, None)
+    bb, base = (hb, sys.h) if forcing else (fb, sys.f)
+    use_h = lam != 0.0
+    late_h = with_h and not use_h
+    errors = {}
+    if not math.isfinite(np.add.reduce(vals, None) + np.add.reduce(jac, None)):
+        checked = [vals[:, bb], vals[:, gb], jac[:, gb]]
+        if use_h or late_h:
+            checked.append(vals[:, hb])
+        if linearize:
+            checked.append(jac[:, bb])
+            if use_h:
+                checked.append(jac[:, hb])
+
+        def point(i):
+            env = sys.env(z[i, :k], z[i, k:], t=t)
+            vals[i, bb] = sys.kernel(base).values(env)
+            if use_h:
+                vals[i, hb] = sys.eval_h(env)
+            d1g, d2g = sys.constraint_blocks(env)
+            jac[i, gb, :k], jac[i, gb, k:] = d1g, d2g
+            lu_factor(d2g)
+            if linearize:
+                jac[i, bb, :k], jac[i, bb, k:] = sys.blocks(base, env)
+                if use_h:
+                    jac[i, hb, :k], jac[i, hb, k:] = sys.blocks(sys.h, env)
+            if late_h:
+                vals[i, hb] = sys.eval_h(env)
+
+        _at_point(np.flatnonzero(~_finite_rows(*checked)), errors, point)
+    lu, piv, singular = lu_factor_rows(jac[:, gb, k:])
+    for i, exc in singular.items():
+        errors.setdefault(i, exc)
+    w = vals[:, bb]
+    if use_h:
+        w = w + lam * vals[:, hb]
+    d1g = jac[:, gb, :k]
+    solved = lu_apply_rows(lu, piv, np.matmul(d1g, w[:, :, None])[:, :, 0])
+    zdot = np.concatenate([w, -solved], axis=1)
+    hv = vals[:, hb] if with_h else None
+    if not linearize:
+        return zdot, None, hv, errors
+    x = lu_apply_rows(lu, piv, d1g)
+    a = jac[:, bb, :k] - np.matmul(jac[:, bb, k:], x)
+    if use_h:
+        a = a + lam * (jac[:, hb, :k] - np.matmul(jac[:, hb, k:], x))
+    return zdot, a, hv, errors

@@ -1,23 +1,31 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from daekit import (
+    dae,
+    expr,
     forcing_field,
+    linalg,
     perturbed_field,
     solve_constraint,
     tangency_defect,
     tangent_field,
     validate,
 )
-from daekit.dae import Box, ManifoldPoint, halton
+from daekit.dae import Box, ManifoldPoint, SystemDef, halton, reduced_field
 from daekit.errors import (
     ConstraintSolveError,
+    DaekitError,
+    ExprDomainError,
     HypothesisViolationError,
     SingularMatrixError,
 )
 from daekit.linalg import norm1
+import helpers
+from helpers import same_bits
 
 
 class TestBox:
@@ -224,3 +232,304 @@ class TestTangency:
         env = pozzo.env(mp.p, mp.q)
         v = np.concatenate([pozzo.eval_f(env), np.zeros(1)])
         assert tangency_defect(pozzo, mp, v) > 1.0  # |d1g . f| = 2 here
+
+
+@functools.lru_cache(maxsize=None)
+def forced_random_system(k, s):
+    """helpers.random_system with a time-dependent forcing h added."""
+    rng = np.random.default_rng(100 + 10 * k + s)
+    base, _ = helpers.random_system(rng, k, s)
+    h = [expr.c_add(helpers.random_poly(rng, base.state_names, 2, 1.0),
+                    expr.Unary("cos", expr.Var("t"))) for _ in range(k)]
+    return SystemDef(k, s, base.period, base.f, base.g, h, base.box)
+
+
+def failing_system(k, s):
+    """f1 = -sqrt(x1) + y1 fails for x1 < 0 (and its partial at x1 = 0),
+    g1 = y1^3 - x1 * sqrt(x1 + 1) for x1 < -1 (its x1-partial at x1 = -1);
+    d2g is singular where y1 = 0."""
+    names = [f"x{i + 1}" for i in range(k)] + [f"y{j + 1}" for j in range(s)]
+    f = [expr.parse("-sqrt(x1) + y1", names)]
+    f += [expr.parse(f"x{i} - y{min(i, s)}", names) for i in range(2, k + 1)]
+    g = [expr.parse("y1^3 - x1 * sqrt(x1 + 1)", names)]
+    g += [expr.parse(f"y{j} - x1 * y1", names) for j in range(2, s + 1)]
+    h = [expr.parse("cos(t) * x1", names + ["t"]) for _ in range(k)]
+    return SystemDef(k, s, 2 * math.pi, f, g, h,
+                     Box.from_pairs([(-2, 2)] * (k + s)))
+
+
+class TestEmittedStage:
+    """The emitted float stage and constraint Newton against the numpy rows
+    evaluation they replaced (kept as oracles in tests/helpers.py): bit for
+    bit when k = s = 1, else within a relative 1e-13 (the stacked matrix
+    products and 2-term dot products of the oracle may round differently
+    from a left-to-right float sum); the same errors everywhere."""
+
+    SHAPES = [(1, 1), (2, 1), (1, 2), (2, 2)]
+    VARIANTS = [  # (linearize, forcing, lam, with_h)
+        (False, False, 0.0, False), (True, False, 0.0, False),
+        (True, False, 0.3, True), (False, True, 0.0, False),
+        (True, True, 0.2, False), (False, False, 0.0, True),
+    ]
+
+    @staticmethod
+    def agree(new, old, exact):
+        if old is None:
+            return new is None
+        if exact:
+            return same_bits(new, old)
+        scale = np.max(np.abs(old), axis=tuple(range(1, old.ndim)), keepdims=True)
+        return bool(np.all(np.abs(new - old) <= 1e-13 * scale))
+
+    @staticmethod
+    def same_errors(new, old):
+        return (sorted(new) == sorted(old)
+                and all(type(new[i]) is type(old[i]) and str(new[i]) == str(old[i])
+                        for i in old))
+
+    @pytest.mark.parametrize("k,s", SHAPES)
+    def test_field_matches_the_rows_oracle(self, k, s):
+        sysdef = forced_random_system(k, s)
+        rng = np.random.default_rng(1)
+        z = rng.uniform(-1.2, 1.2, (60, k + s))
+        for lin, forcing, lam, with_h in self.VARIANTS:
+            new = reduced_field(sysdef, z, 0.7, lam, lin, forcing, with_h)
+            old = helpers.reduced_field_oracle(sysdef, z, 0.7, lam, lin,
+                                               forcing, with_h)
+            assert not new[3] and not old[3]
+            for a, b in zip(new[:3], old[:3]):
+                assert self.agree(a, b, exact=(k, s) == (1, 1))
+
+    @pytest.mark.parametrize("k,s", SHAPES)
+    def test_flow_stage_matches_the_rows_oracle(self, k, s):
+        # the derivative of (z, Phi, v) the flow integrates: zdot, A Phi
+        # and A v + h
+        sysdef = forced_random_system(k, s)
+        rng = np.random.default_rng(2)
+        z = rng.uniform(-1.2, 1.2, (30, k + s))
+        phi = rng.uniform(-2, 2, (30, k, k))
+        v = rng.uniform(-2, 2, (30, k))
+        for lam in (0.0, 0.4):
+            zdot, a, hv, _ = helpers.reduced_field_oracle(
+                sysdef, z, 1.1, lam, linearize=True, with_h=True)
+            want = np.hstack([zdot, np.matmul(a, phi).reshape(30, -1),
+                              np.matmul(a, v[:, :, None])[:, :, 0] + hv])
+            stage = sysdef._stage(sens=True, lsens=True, use_h=lam != 0.0)
+            got = np.array([stage(row, 1.1, lam) for row in
+                            np.hstack([z, phi.reshape(30, -1), v]).tolist()])
+            assert self.agree(got, want, exact=(k, s) == (1, 1))
+
+    @pytest.mark.parametrize("k,s", SHAPES)
+    def test_projection_matches_the_rows_oracle(self, k, s):
+        sysdef = forced_random_system(k, s)
+        rng = np.random.default_rng(3)
+        p = rng.uniform(-1.2, 1.2, (80, k))
+        q = rng.uniform(-4, 4, (80, s))
+        q_old, rn_old, err_old = helpers.solve_constraint_rows_oracle(sysdef, p, q)
+        err_new = {}
+        for i in range(80):
+            try:
+                mp = solve_constraint(sysdef, p[i], q[i])
+            except DaekitError as exc:
+                err_new[i] = exc
+                continue
+            assert i not in err_old
+            assert self.agree(mp.q[None], q_old[i][None], exact=(k, s) == (1, 1))
+            assert self.agree(np.array([mp.residual]), rn_old[i:i + 1],
+                              exact=(k, s) == (1, 1))
+        assert self.same_errors(err_new, err_old)
+
+    @pytest.mark.parametrize("k,s", SHAPES)
+    def test_errors_match_the_rows_oracle(self, k, s):
+        # sqrt of a negative value (the kernel raises mid-stage), its
+        # partial at 0, and singular d2g on y1 = 0
+        sysdef = failing_system(k, s)
+        rng = np.random.default_rng(70 + 10 * k + s)
+        z = rng.uniform(-1, 1, (50, k + s))
+        z[::5, 0] = 0.0
+        z[1::5, k] = 0.0
+        z[2::5, 0] = -np.abs(z[2::5, 0])
+        z[3::10, 0] = -1.0
+        z[4::10, 0] = -1.5
+        z[9::10, 0] = z[9::10, k] = 0.0  # singular, and the f partial fails
+        for lin, forcing, lam, with_h in self.VARIANTS:
+            new = reduced_field(sysdef, z, 0.3, lam, lin, forcing, with_h)
+            old = helpers.reduced_field_oracle(sysdef, z, 0.3, lam, lin,
+                                               forcing, with_h)
+            assert self.same_errors(new[3], old[3])
+            kinds = {type(e) for e in new[3].values()}
+            assert kinds == {ExprDomainError, SingularMatrixError}
+            ok = [i for i in range(len(z)) if i not in old[3]]
+            for a, b in zip(new[:3], old[:3]):
+                assert self.agree(None if a is None else a[ok],
+                                  None if b is None else b[ok],
+                                  exact=(k, s) == (1, 1))
+        # the flow's stage, on the state, Phi = I and v = 0
+        y = np.hstack([z, np.tile(np.eye(k).ravel(), (len(z), 1)),
+                       np.zeros((len(z), k))])
+        for lam in (0.0, 0.4):
+            old = helpers.reduced_field_oracle(sysdef, z, 0.3, lam, True,
+                                               False, True)
+            stage = sysdef._stage(sens=True, lsens=True, use_h=lam != 0.0)
+            err_new = {}
+            for i, row in enumerate(y.tolist()):
+                try:
+                    stage(row, 0.3, lam)
+                except DaekitError as exc:
+                    err_new[i] = exc
+            assert self.same_errors(err_new, old[3])
+        # the constraint Newton: singular d2g at a solved start, sqrt of a
+        # negative value, and a Jacobian only the point evaluation gives
+        p = np.zeros((5, k))
+        p[1:, 0] = 1.0, 0.5, -1.5, -1.0
+        q = np.zeros((5, s))
+        q[1:, 0] = 1.0, 0.0, 0.5, 0.5
+        q_old, rn_old, err_old = helpers.solve_constraint_rows_oracle(sysdef, p, q)
+        err_new = {}
+        for i in range(5):
+            try:
+                mp = solve_constraint(sysdef, p[i], q[i])
+            except DaekitError as exc:
+                err_new[i] = exc
+                continue
+            assert self.agree(mp.q[None], q_old[i][None], exact=(k, s) == (1, 1))
+        assert [type(err_new.get(i)) for i in (0, 3, 4)] == [
+            SingularMatrixError, ExprDomainError, type(None)]
+        assert self.same_errors(err_new, err_old)
+
+
+    def test_overflow_matches_the_rows_oracle(self):
+        # h = exp of an overflowed product: the kernel gives inf without
+        # raising where x1 > 0, the point evaluation raises "exp overflow";
+        # that matters only where h is used
+        names = ["x1", "y1"]
+        sysdef = SystemDef(
+            1, 1, 1.0, [expr.parse("y1", names)], [expr.parse("y1 - x1", names)],
+            [expr.parse("exp(x1 * 1e200 * 1e200)", names)],
+            Box.from_pairs([(-1, 1), (-1, 1)]))
+        z = np.array([[0.5, -0.5], [-0.5, 0.5]])
+        for lin, forcing, lam, with_h in self.VARIANTS:
+            new = reduced_field(sysdef, z, 0.3, lam, lin, forcing, with_h)
+            with np.errstate(all="ignore"):
+                old = helpers.reduced_field_oracle(sysdef, z, 0.3, lam, lin,
+                                                   forcing, with_h)
+            assert self.same_errors(new[3], old[3])
+            assert list(new[3]) == [0] * (forcing or lam != 0 or with_h)
+            ok = [i for i in range(2) if i not in old[3]]
+            for a, b in zip(new[:3], old[:3]):
+                assert (a is None and b is None) or np.array_equal(
+                    a[ok], b[ok], equal_nan=True)
+        # g overflows to inf where x1 = 1 with finite partials; its point
+        # evaluation meets exp(709.5), which only the strict walker rejects
+        sysdef = SystemDef(
+            1, 1, 1.0, [expr.parse("y1", names)],
+            [expr.parse("y1 - x1 + 1e308 * x1 + 1e308 + 0 * exp(709.5)", names)],
+            None, Box.from_pairs([(-1, 1), (-1, 1)]))
+        z = np.array([[1.0, 0.5], [-1.0, 0.5]])
+        new = reduced_field(sysdef, z, linearize=True)
+        with np.errstate(all="ignore"):
+            old = helpers.reduced_field_oracle(sysdef, z, linearize=True)
+        assert list(new[3]) == [0] and self.same_errors(new[3], old[3])
+        assert same_bits(new[0][1], old[0][1]) and same_bits(new[1][1], old[1][1])
+
+    def test_backtracking_matches_the_rows_oracle(self):
+        # g = y1 + 1000 y1^2 - x1: from q = 0 the full Newton step and most
+        # of its halvings raise |g| when x1 < 0 (no root for x1 < -1/4000,
+        # so Newton stalls); all 11 halvings run
+        names = ["x1", "y1"]
+        sysdef = SystemDef(1, 1, 1.0, [expr.parse("y1", names)],
+                           [expr.parse("y1 + 1000 * y1^2 - x1", names)], None,
+                           Box.from_pairs([(-5, 5), (-5, 5)]))
+        p = np.array([[-3.0], [-1e-4], [2.0], [-2e-4]])
+        q = np.array([[0.0], [0.0], [0.5], [-0.3]])
+        q_old, rn_old, err_old = helpers.solve_constraint_rows_oracle(sysdef, p, q)
+        err_new = {}
+        for i in range(len(p)):
+            try:
+                mp = solve_constraint(sysdef, p[i], q[i])
+            except DaekitError as exc:
+                err_new[i] = exc
+                continue
+            assert same_bits(mp.q, q_old[i]) and mp.residual == rn_old[i]
+        assert type(err_new.get(0)) is ConstraintSolveError
+        assert self.same_errors(err_new, err_old)
+
+
+class TestEmittedLU:
+    """The stage's emitted LU of d2g is lu_factor, bit for bit: factors,
+    pivots, the singular verdict and its message (both sides use only
+    elementwise arithmetic)."""
+
+    @staticmethod
+    def emitted(s, binding):
+        rows = [[f"M{r}_{c}" for c in range(s)] for r in range(s)]
+        carry = [[f"P{r}"] for r in range(s)]
+        flat = [e for row in rows for e in row]
+        body = ([f"{', '.join(flat)}, = A"] + [f"P{r} = {r}" for r in range(s)]
+                + dae._lu_lines(rows, carry, "raise singular({p}, TOL, {col})")
+                + [f"return [{', '.join(flat)}], [{', '.join(c[0] for c in carry)}]"])
+        return dae._compile("def lu(A):", body, dict(binding))
+
+    @staticmethod
+    def cases(s, rng):
+        out = [rng.standard_normal((s, s)) * 10.0 ** rng.integers(-3, 4)
+               for _ in range(300)]
+        out += [m * 1e200 for m in out[:20]] + [m * 1e-200 for m in out[20:40]]
+        out += [np.zeros((s, s)), np.ones((s, s)), np.eye(s)[::-1].copy()]
+        tie = np.arange(1.0, s * s + 1).reshape(s, s)
+        tie[:, 0] = [(-1.0) ** r for r in range(s)]  # equal |entries|: first wins
+        out.append(tie)
+        rank1 = np.outer(rng.standard_normal(s), rng.standard_normal(s))
+        out.append(rank1)
+        near = rng.standard_normal((s, s))
+        near[-1] = near[0] * (1 + 1e-13)
+        out.append(near)
+        return out
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_matches_lu_factor(self, s):
+        rng = np.random.default_rng(80 + s)
+        for binding in (dae._FED, dae._GIVEN):
+            lu = self.emitted(s, binding)
+            verdicts = set()
+            for a in self.cases(s, rng):
+                try:
+                    want, piv, _ = linalg.lu_factor(a)
+                except SingularMatrixError as exc:
+                    with pytest.raises(SingularMatrixError) as got:
+                        lu(a.ravel().tolist())
+                    assert str(got.value) == str(exc)
+                    verdicts.add("singular")
+                    continue
+                factors, perm = lu(a.ravel().tolist())
+                assert same_bits(np.reshape(factors, (s, s)), want)
+                assert perm == piv.tolist()
+                verdicts.add("regular")
+            assert verdicts == {"singular", "regular"}
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_non_finite_entries_follow_numpy(self, s):
+        # values given to the stage by the point evaluations may be inf or
+        # nan; that binding picks pivots and thresholds as np.argmax and
+        # np.max do, and divides by zero as numpy does
+        rng = np.random.default_rng(90 + s)
+        lu = self.emitted(s, dae._GIVEN)
+        for bad in (np.inf, -np.inf, np.nan):
+            for _ in range(40):
+                a = rng.standard_normal((s, s))
+                a[tuple(rng.integers(0, s, 2))] = bad
+                if rng.random() < 0.3:
+                    a[:, 0] = 0.0
+                    a[rng.integers(0, s), rng.integers(0, s)] = bad
+                try:
+                    with np.errstate(all="ignore"):
+                        want, piv, _ = linalg.lu_factor(a)
+                except SingularMatrixError as exc:
+                    with pytest.raises(SingularMatrixError) as got:
+                        lu(a.ravel().tolist())
+                    assert str(got.value) == str(exc)
+                    continue
+                factors, perm = lu(a.ravel().tolist())
+                assert np.array_equal(np.reshape(factors, (s, s)), want,
+                                      equal_nan=True)
+                assert perm == piv.tolist()

@@ -9,6 +9,7 @@ from daekit.degree import find_zeros, reduced_matrix
 from daekit.errors import ExprDomainError, LeavesBoxError
 from daekit.flow import integrate, monodromy, time_T_map, time_T_rows
 from daekit.linalg import expm, norm1
+from helpers import same_bits
 
 
 def rotation_system():
@@ -140,16 +141,14 @@ class TestMonodromy:
         assert np.max(np.abs(m - np.eye(2))) <= 1e-10
 
 
-def same_bits(a, b):
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
-                                                 b.view(np.uint64))
-
-
 class TestLockstepRows:
+    """time_T_rows flows its rows one after the other through the emitted
+    float stage; each row is what time_T_map gives it alone, bit for bit,
+    and fails alone."""
+
     def test_rows_are_independent(self, equivlien):
-        # ten rows (past the point-evaluation cutoff, so numpy arithmetic),
-        # one of them the out-of-basin guess that leaves the box
+        # ten rows, one of them the out-of-basin guess that leaves the box;
+        # the other rows go on past its failure
         p0 = np.linspace(-2e-5, 2e-5, 10)[:, None]
         q0 = np.zeros((10, 1))
         p0[3], q0[3] = 0.05, -0.05
@@ -179,7 +178,8 @@ class TestLockstepRows:
 
     def test_domain_errors_are_per_row(self):
         # x1' = -sqrt(x1) reaches x1 < 0 inside an RK4 stage for the rows
-        # that start low; the batch is wider than the point-evaluation cutoff
+        # that start low: their stage falls back to the point evaluation,
+        # which raises, and the rows after them are unaffected
         names = ["x1", "y1"]
         sys = SystemDef(1, 1, 2.0, [expr.parse("-sqrt(x1)", names)],
                         [expr.parse("y1 - x1", names)], None,
