@@ -26,7 +26,7 @@ from .errors import (
     HypothesisViolationError,
     SingularMatrixError,
 )
-from .linalg import PIVOT_RTOL, _pivot_error, lu_factor, norm1
+from .linalg import PIVOT_RTOL, _pivot_error, lu_factor, norm1, norm1_rows
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -279,57 +279,104 @@ class SystemDef:
         return self._stages["g"]
 
 
-def _det_and_grad(sys, z):
-    """det d2g at z plus its gradient w.r.t. the state (Jacobi's formula)."""
-    s, n = sys.s, sys.k + sys.s
-    env = sys.env(z[: sys.k], z[sys.k :])
-    kern = sys.kernel(sys.d2g_flat)
-    a = kern.values(env).reshape(s, s)
-    adj = _adjugate(a)
-    da = np.ascontiguousarray(kern.dual(env)[1][0].reshape(s, s, n).transpose(2, 0, 1))
-    grad = np.array([float(np.trace(adj @ da[m])) for m in range(n)])
-    return _det_small(a), grad
+def _det_rows(a):
+    """det of each matrix of the stack a (N, s, s): the explicit products
+    for s <= 2, LAPACK's LU otherwise."""
+    s = a.shape[-1]
+    if s == 1:
+        return a[:, 0, 0]
+    if s == 2:
+        return a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
+    return np.linalg.det(a)
 
 
-
-def _det_small(a):
-    n = a.shape[0]
-    if n == 1:
-        return float(a[0, 0])
-    if n == 2:
-        return float(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
-    return float(np.linalg.det(a))
-
-
-def _adjugate(a):
-    n = a.shape[0]
-    if n == 1:
-        return np.array([[1.0]])
-    adj = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            minor = np.delete(np.delete(a, i, axis=0), j, axis=1)
-            adj[j, i] = (-1.0) ** (i + j) * _det_small(minor)
+def _adjugate_rows(a):
+    """The adjugate of each matrix of the stack a (N, s, s), by cofactors."""
+    s = a.shape[-1]
+    adj = np.ones_like(a)
+    if s > 1:
+        for i in range(s):
+            for j in range(s):
+                minor = np.delete(np.delete(a, i, axis=1), j, axis=2)
+                adj[:, j, i] = (-1.0) ** (i + j) * _det_rows(minor)
     return adj
 
 
-def _polish_det_minimum(sys, z0, iterations=100):
-    """Drive |det d2g| toward its local minimum from z0 (box-clipped)."""
-    z = sys.box.clip(np.array(z0, dtype=float))
-    d, grad = _det_and_grad(sys, z)
-    best_z, best_d = z.copy(), abs(d)
+def _det_and_grad_rows(sys, zs):
+    """det d2g on each row of zs (N, k+s) and its gradient along the state
+    (Jacobi's formula: the trace of adj(d2g) times each partial of d2g).
+
+    Returns (dets, gradients, errors); errors maps each row whose
+    evaluation raises to its error. One rows call of the d2g kernel gives
+    values and partials in the point arithmetic; a row where it raises or
+    gives a non-finite number is evaluated at its point (values, then
+    partials, with the strict walker's diagnostics), so every row gets its
+    point result.
+    """
+    s, n = sys.s, sys.k + sys.s
+    kern = sys.kernel(sys.d2g_flat)
+    a = np.empty((len(zs), s * s))
+    da = np.empty((len(zs), s * s, n))
+    kern.dual_rows({nm: zs[:, i] for i, nm in enumerate(sys.state_names)}, da, a)
+    errors = {}
+    bad = ~(np.isfinite(a).all(axis=1) & np.isfinite(da).all(axis=(1, 2)))
+    for r in np.flatnonzero(bad).tolist():
+        env = sys.env(zs[r, : sys.k], zs[r, sys.k :])
+        try:
+            a[r] = kern.values(env)
+            da[r] = kern.dual(env)[1][0]
+        except _ROW_ERRORS as exc:
+            errors[r] = exc
+    a = a.reshape(-1, s, s)
+    da = np.ascontiguousarray(da.reshape(-1, s, s, n).transpose(0, 3, 1, 2))
+    grads = np.trace(_adjugate_rows(a)[:, None] @ da, axis1=2, axis2=3)
+    return _det_rows(a), grads, errors
+
+
+def _polish_det_rows(sys, z0s, iterations=100):
+    """Drive |det d2g| toward its local minimum from each row of z0s
+    (box-clipped), all rows in lockstep. Returns (best points, best |det|,
+    errors), errors as in _det_and_grad_rows.
+
+    A row takes steps -det / |grad|^2 grad, clipped to the box, and keeps
+    the best point it met. It stops at |det| < 1e-14, a vanishing
+    gradient, a step of norm below 1e-15, a raising evaluation, or an
+    iterate it has visited before: the clipped step is a function of the
+    point, so from there the row only retraces points it has already
+    evaluated, and its best stays as it is.
+    """
+    z = sys.box.clip(np.array(z0s, dtype=float))
+    d, grad, errors = _det_and_grad_rows(sys, z)
+    best_z, best_d = z.copy(), np.abs(d)
+    seen = [{row.tobytes()} for row in z]
+    live = np.array([r for r in range(len(z)) if r not in errors], dtype=int)
     for _ in range(iterations):
-        gg = float(grad @ grad)
-        if abs(d) < 1e-14 or gg < 1e-30:
+        gg = np.array([float(grad[r] @ grad[r]) for r in live.tolist()])
+        go = ~((np.abs(d[live]) < 1e-14) | (gg < 1e-30))
+        rows = live[go]
+        steps = (-d[rows] / gg[go])[:, None] * grad[rows]
+        znew = sys.box.clip(z[rows] + steps)
+        fresh = []
+        for i, r in enumerate(rows.tolist()):
+            key = znew[i].tobytes()
+            if key not in seen[r]:
+                seen[r].add(key)
+                fresh.append(i)
+        if not fresh:
             break
-        step = -d / gg * grad
-        z = sys.box.clip(z + step)
-        d, grad = _det_and_grad(sys, z)  # also where the next one starts
-        if abs(d) < best_d:
-            best_d, best_z = abs(d), z.copy()
-        if norm1(step) < 1e-15:
-            break
-    return best_z, best_d
+        rows, steps, znew = rows[fresh], steps[fresh], znew[fresh]
+        z[rows] = znew
+        d_new, grad_new, err = _det_and_grad_rows(sys, znew)
+        ok = np.ones(len(rows), dtype=bool)
+        for i, exc in err.items():
+            errors[int(rows[i])] = exc
+            ok[i] = False
+        rows, steps = rows[ok], steps[ok]
+        d[rows], grad[rows] = d_new[ok], grad_new[ok]
+        better = rows[np.abs(d[rows]) < best_d[rows]]
+        best_d[better], best_z[better] = np.abs(d[better]), z[better]
+        live = rows[norm1_rows(steps) >= 1e-15]
+    return best_z, best_d.tolist(), errors
 
 
 def _refine_witness(sys, z0, iterations=100):
@@ -339,9 +386,11 @@ def _refine_witness(sys, z0, iterations=100):
     best_r = math.inf
     for _ in range(iterations):
         env = sys.env(z[: sys.k], z[sys.k :])
-        d, grad = _det_and_grad(sys, z)
+        d, grad, errors = _det_and_grad_rows(sys, z[None])
+        if errors:
+            raise errors[0]
         gvals = sys.eval_g(env)
-        r = np.concatenate([[d], gvals])
+        r = np.concatenate([d, gvals])
         rn = norm1(r)
         if rn < best_r:
             best_r, best = rn, z.copy()
@@ -359,9 +408,9 @@ def _refine_witness(sys, z0, iterations=100):
 def validate(sys, samples=512):
     """Check invertibility of d2g across the box; report the constant sign.
 
-    Evaluates det d2g at quasi-random samples, then polishes the smallest
-    candidates to the actual local minimum, so thin degeneracies that slip
-    between samples are still caught. On failure raises
+    Evaluates det d2g at quasi-random samples, then polishes the six
+    smallest |det| in lockstep toward a local minimum, so thin degeneracies
+    that slip between samples can still be caught. On failure raises
     HypothesisViolationError whose witness is refined onto the constraint
     locus when possible (that is where the DAE itself breaks down).
     """
@@ -376,10 +425,13 @@ def validate(sys, samples=512):
     min_sample = float(abs_dets[i_min])
     loc = pts[i_min].copy()
 
-    order = np.argsort(abs_dets)
+    polished, polished_d, errors = _polish_det_rows(
+        sys, pts[np.argsort(abs_dets)[:6]]
+    )
+    if errors:  # the first start's, as polishing them in order would
+        raise errors[min(errors)]
     refined_z, refined_d = loc, min_sample
-    for idx in order[:6]:
-        z, d = _polish_det_minimum(sys, pts[idx])
+    for z, d in zip(polished, polished_d):
         if d < refined_d:
             refined_z, refined_d = z, d
 

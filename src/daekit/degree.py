@@ -229,8 +229,17 @@ def _dedup(points, radius):
     """The rows of points at norm-1 distance > radius from every earlier
     kept row, in input order. A sweep over the first coordinate: a kept
     point within the radius lies within it in that coordinate too, so only
-    the kept points in a window of sorted first coordinates are measured."""
+    the kept points in a window of sorted first coordinates are measured.
+    Finite rows equal to an earlier finite row go first: such a row lies
+    at distance 0 from the earlier one, so the kept row within the radius
+    of that one (itself, if it was kept) is within the radius of this one."""
     points = np.asarray(points, dtype=float)
+    finite = np.flatnonzero(np.isfinite(points).all(axis=1))
+    if finite.size:
+        keep = np.ones(len(points), dtype=bool)
+        keep[finite] = False
+        keep[finite[np.unique(points[finite], axis=0, return_index=True)[1]]] = True
+        points = points[keep]
     reps, keys, order = [], [], []  # kept points; their sorted x1, indices
     for z, x1 in zip(points, points[:, 0].tolist()):
         if math.isnan(x1):  # never within any radius; nothing to index

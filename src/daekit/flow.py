@@ -53,7 +53,7 @@ class Trajectory:
     def sup_amplitude(self):
         """max_t |z(t) - mean|_1, the amplitude measure for orbits."""
         zs = self.array()
-        return float(np.max(norm1_rows(zs - self.mean_state())))
+        return float(np.max(norm1_rows(zs - zs[:-1].mean(axis=0))))
 
 
 @dataclass

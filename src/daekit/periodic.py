@@ -361,19 +361,20 @@ def merge_orbits(shots):
     an earlier kept orbit lies within sampled sup-distance ORBIT_DEDUP.
     Failed starts are skipped; an error not of a start-failure type is
     raised (the first one, as shooting the starts in order would)."""
-    orbits = []
+    orbits, arrays = [], []
     for bp in shots:
         if isinstance(bp, _START_FAILURES):
             continue
         if isinstance(bp, Exception):
             raise bp
         arr = bp.orbit.array()
-        for kept in orbits:
-            dist = float(np.max(np.abs(arr - kept.orbit.array()).sum(axis=1)))
+        for kept in arrays:
+            dist = float(np.max(np.abs(arr - kept).sum(axis=1)))
             if dist <= ORBIT_DEDUP:
                 break
         else:
             orbits.append(bp)
+            arrays.append(arr)
     return orbits
 
 

@@ -379,3 +379,57 @@ def reduced_field_oracle(sys, z, t=None, lam=0.0, linearize=False,
     if use_h:
         a = a + lam * (jac[:, hb, :k] - np.matmul(jac[:, hb, k:], x))
     return zdot, a, hv, errors
+
+
+def _det_small_oracle(a):
+    n = a.shape[0]
+    if n == 1:
+        return float(a[0, 0])
+    if n == 2:
+        return float(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
+    return float(np.linalg.det(a))
+
+
+def _adjugate_oracle(a):
+    n = a.shape[0]
+    if n == 1:
+        return np.array([[1.0]])
+    adj = np.empty((n, n))
+    for i in range(n):
+        for j in range(n):
+            minor = np.delete(np.delete(a, i, axis=0), j, axis=1)
+            adj[j, i] = (-1.0) ** (i + j) * _det_small_oracle(minor)
+    return adj
+
+
+def det_and_grad_oracle(sys, z):
+    """The one-point det d2g and its gradient (Jacobi's formula) that
+    validate used to evaluate per iterate."""
+    s, n = sys.s, sys.k + sys.s
+    env = sys.env(z[: sys.k], z[sys.k :])
+    kern = sys.kernel(sys.d2g_flat)
+    a = kern.values(env).reshape(s, s)
+    adj = _adjugate_oracle(a)
+    da = np.ascontiguousarray(kern.dual(env)[1][0].reshape(s, s, n).transpose(2, 0, 1))
+    grad = np.array([float(np.trace(adj @ da[m])) for m in range(n)])
+    return _det_small_oracle(a), grad
+
+
+def polish_det_minimum_oracle(sys, z0, iterations=100):
+    """The one-start |det d2g| polish validate used to run: all iterations
+    unless |det|, the gradient or the step vanishes."""
+    z = sys.box.clip(np.array(z0, dtype=float))
+    d, grad = det_and_grad_oracle(sys, z)
+    best_z, best_d = z.copy(), abs(d)
+    for _ in range(iterations):
+        gg = float(grad @ grad)
+        if abs(d) < 1e-14 or gg < 1e-30:
+            break
+        step = -d / gg * grad
+        z = sys.box.clip(z + step)
+        d, grad = det_and_grad_oracle(sys, z)
+        if abs(d) < best_d:
+            best_d, best_z = abs(d), z.copy()
+        if norm1(step) < 1e-15:
+            break
+    return best_z, best_d

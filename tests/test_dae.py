@@ -24,7 +24,9 @@ from daekit.errors import (
     SingularMatrixError,
 )
 from daekit.linalg import norm1
+from daekit.sysfile import load_system
 import helpers
+from conftest import system_path
 from helpers import same_bits
 
 
@@ -109,6 +111,127 @@ class TestValidate:
         # degenerate locus y2 = 0, refined onto g = 0: x2 = 0, y1 = x1
         assert abs(w[3]) <= 1e-4 and abs(w[1]) <= 1e-4
         assert abs(w[2] - w[0]) <= 1e-6
+
+
+def fixture_system(name):
+    return helpers.degen3() if name == "degen3" else load_system(system_path(name))
+
+
+def polish_starts(sysdef, samples=512):
+    """The samples validate polishes: the six smallest |det d2g|."""
+    pts = sysdef.box.sample(samples)
+    env = {nm: pts[:, i] for i, nm in enumerate(sysdef.state_names)}
+    s = sysdef.s
+    a = sysdef.kernel(sysdef.d2g_flat).values_batch(env, np.empty((samples, s * s)))
+    with np.errstate(invalid="ignore"):
+        dets = np.linalg.det(a.reshape(samples, s, s))
+    return pts[np.argsort(np.abs(dets))[:6]]
+
+
+def sqrt_system(g):
+    """x1' = y1 with the constraint g (in x1, y1) on [-1, 1]^2."""
+    names = ["x1", "y1"]
+    return SystemDef(1, 1, 2 * math.pi, [expr.parse("y1", names)],
+                     [expr.parse(g, names)], None, Box.from_pairs([(-1, 1)] * 2))
+
+
+class TestDetPolishRows:
+    """validate's lockstep |det d2g| polish against polishing each start
+    alone with the old loop (kept as an oracle in tests/helpers.py): best
+    points and best |det| bit for bit, and the same errors."""
+
+    @staticmethod
+    def check(sysdef, starts):
+        best_z, best_d, errors = dae._polish_det_rows(sysdef, starts)
+        assert not errors
+        assert len(best_z) == len(best_d) == len(starts)
+        for z0, z, d in zip(starts, best_z, best_d):
+            want_z, want_d = helpers.polish_det_minimum_oracle(sysdef, z0)
+            assert z.tobytes() == want_z.tobytes()
+            assert type(d) is float and d == want_d
+        return best_z, best_d
+
+    @staticmethod
+    def count_rows(monkeypatch):
+        """The number of rows of every Kernel.dual_rows call, as a list."""
+        rows = []
+        dual_rows = expr.Kernel.dual_rows
+
+        def counting(self, env, out, vout):
+            rows.append(len(vout))
+            return dual_rows(self, env, out, vout)
+
+        monkeypatch.setattr(expr.Kernel, "dual_rows", counting)
+        return rows
+
+    @pytest.mark.parametrize(
+        "name", ["pozzo", "equivlien", "exmults", "eqex1", "eqex2", "degen3"])
+    def test_fixtures_match_the_oracle(self, name):
+        sysdef = fixture_system(name)
+        self.check(sysdef, polish_starts(sysdef))
+
+    @pytest.mark.parametrize("k,s", [(1, 1), (2, 1), (1, 2), (2, 2), (1, 3)])
+    def test_random_systems_match_the_oracle(self, k, s):
+        sysdef, _ = helpers.random_system(np.random.default_rng(200 + 10 * k + s),
+                                          k, s)
+        rng = np.random.default_rng(s)
+        # validate's starts, and starts some of which the box clip moves
+        self.check(sysdef, np.vstack([polish_starts(sysdef),
+                                      rng.uniform(-1.5, 1.5, (6, k + s))]))
+        zs = rng.uniform(-1.2, 1.2, (40, k + s))
+        dets, grads, errors = dae._det_and_grad_rows(sysdef, zs)
+        assert not errors
+        for z, d, grad in zip(zs, dets, grads):
+            want_d, want_grad = helpers.det_and_grad_oracle(sysdef, z)
+            assert d == want_d and grad.tobytes() == want_grad.tobytes()
+
+    def test_box_pinned_rows_stop_at_their_first_revisit(self, equivlien,
+                                                         monkeypatch):
+        # d2g = 1 - y1^2 is smallest on the faces |y1| = 0.9; the clip pins
+        # every iterate there, where the oracle spends all 100 iterations
+        rows = self.count_rows(monkeypatch)
+        report = validate(equivlien)
+        assert sum(rows) <= 6 * 3
+        best_z, _ = self.check(equivlien, polish_starts(equivlien))
+        assert np.all(np.abs(best_z[:, 1]) == 0.9)
+        assert report.refined_location.tobytes() == best_z[0].tobytes()
+
+    def test_cycling_rows_stop_at_their_first_revisit(self, pozzo, monkeypatch):
+        # d2g = 3 y1^2 + 1 has no zero: the steps overshoot, and every row
+        # falls into a cycle that the oracle retraces to its last iteration
+        starts = polish_starts(pozzo)
+        rows = self.count_rows(monkeypatch)
+        self.check(pozzo, starts)
+        assert 6 < sum(rows) < 6 * 60
+
+    def test_rows_end_early_on_a_vanishing_det(self, eqex1):
+        _, best_d = self.check(eqex1, polish_starts(eqex1))
+        assert all(0.0 < d < 1e-14 for d in best_d)
+
+    @pytest.mark.parametrize("g,failing", [
+        ("y1^2*x1 + 0.5*y1 + y1*sqrt(x1 + 0.3)", [5]),
+        ("y1^3 + 0.1*y1 + y1*sqrt(x1*y1 + 0.8)", [2, 5]),
+    ])
+    def test_failing_rows_fail_as_the_oracle(self, g, failing):
+        # sqrt of a negative value in d2g, met by some starts' iterates only
+        sysdef = sqrt_system(g)
+        starts = polish_starts(sysdef)
+        best_z, best_d, errors = dae._polish_det_rows(sysdef, starts)
+        assert sorted(errors) == failing
+        for i, z0 in enumerate(starts):
+            if i in errors:
+                with pytest.raises(ExprDomainError) as alone:
+                    helpers.polish_det_minimum_oracle(sysdef, z0)
+                assert type(errors[i]) is ExprDomainError
+                assert str(errors[i]) == str(alone.value)
+            else:
+                want_z, want_d = helpers.polish_det_minimum_oracle(sysdef, z0)
+                assert best_z[i].tobytes() == want_z.tobytes()
+                assert best_d[i] == want_d
+        # polishing the starts in order raises the first failing start's
+        with np.errstate(invalid="ignore"), pytest.raises(ExprDomainError) as err:
+            validate(sysdef)
+        assert str(err.value) == str(errors[failing[0]])
 
 
 class TestSolveConstraint:

@@ -267,3 +267,22 @@ class TestDedup:
                 want = dedup_oracle(pts, radius)
                 assert len(got) == len(want)
                 assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+    def test_exact_duplicates_go_first(self):
+        # repeated rows, rows equal up to the sign of zero, rows with nan
+        # or inf, and rows at exactly the radius from a kept row
+        rng = np.random.default_rng(37)
+        radius = 0.25
+        base = rng.integers(-4, 5, (40, 2)) * radius  # ties on the lattice
+        pts = base[rng.integers(40, size=300)]
+        pts[rng.random(pts.shape) < 0.2] *= -1.0  # 0.0 becomes -0.0 too
+        pts[::17, 1] = np.nan
+        pts[5::23, 0] = np.nan
+        pts[7::29] = np.inf
+        pts[100:104] = [[0.0, radius], [-0.0, radius], [0.0, -0.0], [-0.0, 0.0]]
+        for r in (radius, 0.0, 1e-10):
+            with np.errstate(invalid="ignore"):  # inf - inf in both
+                got = _dedup(pts, r)
+                want = dedup_oracle(pts, r)
+            assert len(got) == len(want)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
