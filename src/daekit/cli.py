@@ -142,11 +142,15 @@ def _orbit_dict(bp):
     }
 
 
-def _parse_vector(text, what):
+def _parse_vector(text, what, size):
     try:
-        return np.array([float(v) for v in text.split(",")])
+        vec = np.array([float(v) for v in text.split(",")])
     except ValueError:
         raise DaekitError(f"bad {what} '{text}'; expected comma-separated numbers")
+    if len(vec) != size:
+        raise DaekitError(f"bad {what} '{text}'; expected {size} numbers, "
+                          f"got {len(vec)}")
+    return vec
 
 
 def _validation_dict(report):
@@ -240,7 +244,7 @@ def _cmd_shoot(args):
     sysdef = sysfile.load_system(args.system)
     validate(sysdef)
     if args.guess is not None:
-        p_guess = _parse_vector(args.guess, "--guess")
+        p_guess = _parse_vector(args.guess, "--guess", sysdef.k)
         q_guess = None
     else:
         zeros = degree_mod.find_zeros(sysdef, sysdef.box)
@@ -272,7 +276,10 @@ def _cmd_branch(args):
     zeros = degree_mod.find_zeros(sysdef, sysdef.box)
     origin = None
     if args.origin is not None:
-        target = _parse_vector(args.origin, "--origin")
+        target = _parse_vector(args.origin, "--origin", sysdef.k + sysdef.s)
+        if not zeros:
+            raise DaekitError("no zero of (f, g) in the box to anchor the "
+                              "branch at")
         origin = min(zeros, key=lambda z: float(np.sum(np.abs(z.point - target))))
     else:
         for z in zeros:

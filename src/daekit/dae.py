@@ -184,7 +184,6 @@ class SystemDef:
             if extra:
                 raise ValueError(f"forcing uses undeclared variables: {sorted(extra)}")
         self._d2g_exprs = None
-        self._d1g_exprs = None
         self._d2g_flat = None
         self.fgh = self.f + self.g + self.h
         self._kernels = {}
@@ -211,14 +210,6 @@ class SystemDef:
         if self._d2g_flat is None:
             self._d2g_flat = [e for row in self.d2g_exprs for e in row]
         return self._d2g_flat
-
-    @property
-    def d1g_exprs(self):
-        if self._d1g_exprs is None:
-            self._d1g_exprs = [
-                [expr.symbolic_diff(gi, x) for x in self.x_names] for gi in self.g
-            ]
-        return self._d1g_exprs
 
     # -- point evaluation helpers --
 
@@ -263,11 +254,11 @@ class SystemDef:
         """(d1g, d2g) at the point described by env."""
         return self.blocks(self.g, env)
 
-    def _stage(self, out_a=False, out_h=False, sens=False, lsens=False,
-               forcing=False, use_h=False):
+    def _stage(self, out_a=False, sens=False, lsens=False, forcing=False,
+               use_h=False):
         """The emitted reduced-field stage of one variant (_emit_stage),
         compiled on first use and kept on the instance."""
-        key = tuple(map(bool, (out_a, out_h, sens, lsens, forcing, use_h)))
+        key = tuple(map(bool, (out_a, sens, lsens, forcing, use_h)))
         if key not in self._stages:
             self._stages[key] = _emit_stage(self, *key)
         return self._stages[key]
@@ -300,6 +291,10 @@ def _adjugate_rows(a):
                 minor = np.delete(np.delete(a, i, axis=1), j, axis=2)
                 adj[:, j, i] = (-1.0) ** (i + j) * _det_rows(minor)
     return adj
+
+
+# what evaluating one row can raise; the row fails alone with it
+_ROW_ERRORS = (DaekitError, ArithmeticError, ValueError)
 
 
 def _det_and_grad_rows(sys, zs):
@@ -475,12 +470,13 @@ def validate(sys, samples=512):
 # ---------------------------------------------------------------------------
 # The reduced field and the constraint Newton as emitted float code
 #
-# Per system, one straight-line function (a "stage") evaluates f, g and h
-# with their state partials (compile_kernel's point code, on locals),
-# factors d2g with lu_factor's pivot choice, threshold and message, and
-# forms zdot = (w, -[d2g]^-1 d1g w), A = d1w - d2w [d2g]^-1 d1g, and for
-# the flow A Phi and A v + h; every former matrix product is a
-# left-to-right float sum. Where its kernel raises or gives a non-finite
+# Per system and variant, one straight-line function (a "stage") evaluates
+# f, g and h at one state with their state partials (compile_kernel's point
+# code, on locals), factors d2g with lu_factor's pivot choice, threshold and
+# message, and forms zdot = (w, -[d2g]^-1 d1g w), A = d1w - d2w [d2g]^-1 d1g,
+# and for the flow A Phi and A v + h; every matrix product is a
+# left-to-right float sum. reduced_field calls it once, the flow once per
+# RK4 stage. Where its kernel raises or gives a non-finite
 # value it needs, a stage evaluates the point with the point kernels (and
 # their strict diagnostics) in the order base values, h, g blocks, d2g
 # factorization, partials, which decides the error a point raises, and runs
@@ -488,9 +484,6 @@ def validate(sys, samples=512):
 # compiled twice: fed by the kernel (finite values, so the builtins) and fed
 # by given values (numpy's nan order for the pivot search and threshold, and
 # its inf or nan for a division by zero).
-
-# what evaluating one row can raise; the row fails alone with it
-_ROW_ERRORS = (DaekitError, ArithmeticError, ValueError)
 
 
 def _nan_max(*xs):
@@ -597,16 +590,16 @@ def _kernel_code(sys, exprs):
     return [text for text, *_ in lines], consts
 
 
-def _emit_stage(sys, out_a, out_h, sens, lsens, forcing, use_h):
+def _emit_stage(sys, out_a, sens, lsens, forcing, use_h):
     """The stage function ``stage(Y, t, lam)`` of one variant.
 
     Y holds the state, then Phi row by row when sens, then v when lsens.
     Returns zdot; then A row by row when out_a; A Phi when sens; A v + h
-    when lsens; h when out_h. The base field w is f (h with forcing), plus
-    lam * h when use_h.
+    when lsens. The base field w is f (h with forcing), plus lam * h when
+    use_h.
     """
     k, s, n = sys.k, sys.s, sys.k + sys.s
-    lin, with_h = out_a or sens or lsens, out_h or lsens
+    lin = out_a or sens or lsens
     m = len(sys.fgh)
     F, G, H = range(k), range(k, k + s), range(k + s, m)
     B = H if forcing else F
@@ -622,7 +615,7 @@ def _emit_stage(sys, out_a, out_h, sens, lsens, forcing, use_h):
     # the point evaluation of g can raise even if its partials are finite
     # (the strict walker rejects exp beyond 709, which the kernel computes)
     needed = [f"V{i}" for i in [*B, *G]] + [d(i, c) for i in G for c in range(n)]
-    if use_h or with_h:
+    if use_h or lsens:
         needed += [f"V{i}" for i in H]
     if lin:
         needed += [d(i, c) for i in ([*B, *H] if use_h else B) for c in range(n)]
@@ -654,7 +647,6 @@ def _emit_stage(sys, out_a, out_h, sens, lsens, forcing, use_h):
         out += [_dot(a[i], [phi[q][j] for q in range(k)])
                 for i in range(k) for j in range(k)] * sens
         out += [f"{_dot(a[i], vl)} + V{H[i]}" for i in range(k)] * lsens
-    out += [f"V{h}" for h in H] * out_h
     ret = [f"return ({', '.join(out)},)"]
 
     kernel, consts = _kernel_code(sys, sys.fgh)
@@ -689,7 +681,7 @@ def _emit_stage(sys, out_a, out_h, sens, lsens, forcing, use_h):
             put_blocks(B, sys.blocks(base, env))
             if use_h:
                 put_blocks(H, sys.blocks(sys.h, env))
-        if with_h and not use_h:
+        if lsens and not use_h:
             put(H, sys.eval_h(env))
         return given()(Y, t, lam, vals, ders)
 
@@ -792,60 +784,38 @@ def solve_constraint(sys, p, q_guess):
     return ManifoldPoint(p.copy(), np.array(q), float(rn))
 
 
-def reduced_field(sys, z, t=None, lam=0.0, linearize=False, forcing=False,
-                  with_h=False):
-    """The reduced field on rows of manifold points and its linearization.
+def reduced_field(sys, z, t=None, lam=0.0, linearize=False, forcing=False):
+    """The reduced field at the state z and its linearization.
 
-    z is an (N, k+s) array of states, all at time t (nan when None). With
-    w = base + lam*h (base is f, or h with forcing) returns (zdot, A, hv,
-    errors): the fields zdot = (w, -[d2g]^-1 d1g w) as rows; with
-    linearize the reduced linearizations A = d1w - d2w [d2g]^-1 d1g (else
-    None); with with_h the values of h (else None); and errors, which maps
-    every failing row to the error its evaluation raises (its other
-    entries are nan). Each row runs the system's emitted stage.
+    With w = base + lam*h (base is f, or h with forcing) at time t (nan when
+    None), returns (zdot, A): the field zdot = (w, -[d2g]^-1 d1g w) and,
+    with linearize, the reduced linearization A = d1w - d2w [d2g]^-1 d1g
+    (else None). Raises the error the evaluation at z raises. Runs the
+    system's emitted stage.
     """
     k, n = sys.k, sys.k + sys.s
-    stage = sys._stage(out_a=linearize, out_h=with_h, forcing=forcing,
-                       use_h=lam != 0.0)
-    t, lam = math.nan if t is None else float(t), float(lam)
-    width = n + k * k * linearize + k * with_h
-    out = np.full((len(z), width), math.nan)
-    errors = {}
-    for i, row in enumerate(np.asarray(z, dtype=float).tolist()):
-        try:
-            out[i] = stage(row, t, lam)
-        except _ROW_ERRORS as exc:
-            errors[i] = exc
-    a = out[:, n:n + k * k].reshape(-1, k, k) if linearize else None
-    return out[:, :n], a, out[:, n + k * k * linearize:] if with_h else None, errors
-
-
-def reduced_field_at(sys, z, t=None, lam=0.0, linearize=False,
-                     forcing=False):
-    """reduced_field at one state z: (zdot, A), raising the point's error."""
-    zdot, a, _, errors = reduced_field(
-        sys, np.asarray(z, dtype=float)[None], t, lam, linearize, forcing
-    )
-    if errors:
-        raise errors[0]
-    return zdot[0], None if a is None else a[0]
+    stage = sys._stage(out_a=linearize, forcing=forcing, use_h=lam != 0.0)
+    out = stage(np.asarray(z, dtype=float).tolist(),
+                math.nan if t is None else float(t), float(lam))
+    a = np.reshape(out[n:], (k, k)) if linearize else None
+    return np.array(out[:n]), a
 
 
 def tangent_field(sys, pt):
     """Induced autonomous field (f, -[d2g]^-1 d1g f) at a manifold point."""
-    return reduced_field_at(sys, pt.z)[0]
+    return reduced_field(sys, pt.z)[0]
 
 
 def forcing_field(sys, t, pt):
     """Forcing field (h, -[d2g]^-1 d1g h); periodic in t like h."""
-    return reduced_field_at(sys, pt.z, t, forcing=True)[0]
+    return reduced_field(sys, pt.z, t, forcing=True)[0]
 
 
 def perturbed_field(sys, t, pt, lam):
     """Full right-hand side tangent + lam * forcing with one shared LU."""
     if lam < 0:
         raise ValueError("perturbation magnitude lambda must be >= 0")
-    return reduced_field_at(sys, pt.z, t, lam)[0]
+    return reduced_field(sys, pt.z, t, lam)[0]
 
 
 def tangency_defect(sys, pt, v):

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from . import expr
-from .dae import Box, SystemDef, reduced_field_at, validate
+from .dae import Box, SystemDef, reduced_field, validate
 from .errors import (
     BoundaryZeroError,
     DaekitError,
@@ -545,7 +545,7 @@ def chart_index(sys, zero):
 
 def reduced_matrix(sys, z):
     """A = d1f - d2f [d2g]^-1 d1g at the state z (the reduced linearization)."""
-    return reduced_field_at(sys, z, linearize=True)[1]
+    return reduced_field(sys, z, linearize=True)[1]
 
 
 def tangent_field_degree(sys, box=None, grid_per_dim=16, samples=512, rng=None):

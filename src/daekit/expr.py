@@ -746,10 +746,6 @@ def evaluate_dual_batch(e, env, seed):
 # Symbolic differentiation (constant-folds literal zeros/ones, nothing more)
 
 
-def c_const(v):
-    return Const(float(v))
-
-
 def c_neg(a):
     if isinstance(a, Const):
         return Const(-a.value)

@@ -7,14 +7,12 @@ re-solves the constraint for y after every step. Fixed steps keep
 trajectories deterministic, which makes shooting Jacobians and golden tests
 reproducible.
 
-Many trajectories are flowed as the rows of one (N, k+s) array, one row
-after the other on Python floats: each RK4 stage is one call of the
+A trajectory is flowed on Python floats: each RK4 stage is one call of the
 system's emitted stage (dae._emit_stage: the f+g+h kernel, the LU of d2g
 and the reduced-field algebra as straight-line code), and the projection is
-solve_constraint's Newton on floats. A row fails alone: a row that leaves
-the box, drifts, or meets a singular or undefined evaluation gets the error
-it would raise by itself, and the other rows go on. A single trajectory is
-the one-row case.
+solve_constraint's Newton on floats. The flow raises the first error it
+meets: leaving the box, a singular or undefined evaluation, or (after the
+last step) too much constraint drift.
 
 Sensitivities of the time-T map are integrated from the variational equation
 of the reduced system alongside the state (never by differencing); finite
@@ -22,11 +20,11 @@ differences survive only as a test oracle.
 """
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dae import _ROW_ERRORS, ManifoldPoint, _solve_constraint_row
+from .dae import ManifoldPoint, _solve_constraint_row
 from .degree import reduced_matrix
 from .errors import DriftExceededError, LeavesBoxError
 from .linalg import expm, norm1_rows
@@ -58,49 +56,26 @@ class Trajectory:
 
 @dataclass
 class FlowResult:
+    """One projected flow: its start and end on the constraint, the
+    sensitivities of the end when asked for, and the states ``zs`` at
+    ``times`` with their constraint residuals, from which trajectory()
+    builds the Trajectory."""
+
+    start: ManifoldPoint
     end: ManifoldPoint
-    sensitivity: np.ndarray
-    lambda_sensitivity: np.ndarray = None
-
-
-@dataclass
-class FlowRows:
-    """Flowed rows: for row i, its states ``zs[i]`` and their
-    constraint residuals at ``times``, its drift and sensitivities, or the
-    error ``errors[i]`` it raised (its other entries are then meaningless)."""
-
     times: np.ndarray
     lam: float
-    k: int
     zs: np.ndarray
-    residuals: np.ndarray
-    drift: np.ndarray
+    residuals: list
+    drift: float
     sensitivity: np.ndarray = None
     lambda_sensitivity: np.ndarray = None
-    errors: dict = field(default_factory=dict)
 
-    def check(self, i):
-        if i in self.errors:
-            raise self.errors[i]
-
-    def _state(self, i, n):
-        z = self.zs[i, n]
-        return ManifoldPoint(z[: self.k].copy(), z[self.k :].copy(),
-                             float(self.residuals[i, n]))
-
-    def trajectory(self, i):
-        self.check(i)
-        states = [self._state(i, n) for n in range(len(self.times))]
-        return Trajectory(self.times, states, self.lam, float(self.drift[i]))
-
-    def result(self, i):
-        self.check(i)
-        vlam = self.lambda_sensitivity
-        return FlowResult(
-            end=self._state(i, -1),
-            sensitivity=self.sensitivity[i].copy(),
-            lambda_sensitivity=None if vlam is None else vlam[i].copy(),
-        )
+    def trajectory(self):
+        k = len(self.start.p)
+        states = [ManifoldPoint(z[:k].copy(), z[k:].copy(), float(r))
+                  for z, r in zip(self.zs, self.residuals)]
+        return Trajectory(self.times, states, self.lam, self.drift)
 
 
 def _rk4_source(m):
@@ -136,129 +111,84 @@ def _rk4(m):
     return namespace["rk4"]
 
 
-def _flow(sys, lam, z0, res0, t0, t1, steps, want_sensitivity=False,
-          want_lambda=False, errors=None):
-    """Projected RK4 flow of the rows z0 (N, k+s), residuals res0, one row
-    after the other on floats; rows listed in errors start out failed.
-    Returns FlowRows."""
-    errors = {} if errors is None else dict(errors)
-    n_rows, k, n = len(z0), sys.k, sys.k + sys.s
-    rows = [i for i in range(n_rows) if i not in errors]
-    if lam < 0 or steps < 16:
-        msg = "lambda must be >= 0" if lam < 0 else "at least 16 steps required"
-        errors.update({i: ValueError(msg) for i in rows})
-        rows, steps = [], 0
-    h_step = (t1 - t0) / steps if steps else 0.0
+def _flow(sys, lam, start, t0, t1, steps, want_sensitivity=False,
+          want_lambda=False):
+    """Projected RK4 flow from the ManifoldPoint start, on floats. Returns
+    a FlowResult; raises the first error the flow meets."""
+    if lam < 0:
+        raise ValueError("lambda must be >= 0")
+    if steps < 16:
+        raise ValueError("at least 16 steps required")
+    k, n = sys.k, sys.k + sys.s
+    h_step = (t1 - t0) / steps
     times = t0 + h_step * np.arange(steps + 1)
-    out = FlowRows(times, lam, k, np.full((n_rows, steps + 1, n), np.nan),
-                   np.full((n_rows, steps + 1), np.nan), np.zeros(n_rows),
-                   errors=errors)
-    out.zs[:, 0] = z0
-    out.residuals[:, 0] = res0
-    # after the state, each row carries its sensitivity (k*k, row by row)
-    # and its lambda-sensitivity (k) when wanted
+    # after the state, y carries the sensitivity (k*k, row by row) and the
+    # lambda-sensitivity (k) when wanted
     kk = k * k if want_sensitivity else 0
     extra = (tuple(np.eye(k).ravel().tolist()) if kk else ()) + (
         (0.0,) * k if want_lambda else ())
-    if kk:
-        out.sensitivity = np.full((n_rows, k, k), np.nan)
-    if want_lambda:
-        out.lambda_sensitivity = np.full((n_rows, k), np.nan)
     stage = sys._stage(sens=want_sensitivity, lsens=want_lambda,
                        use_h=lam != 0.0)
     rk4, project = _rk4(n + len(extra)), sys._constraint_step()
     lam, ts = float(lam), times.tolist()
     lo, hi = sys.box.lo.tolist(), sys.box.hi.tolist()
-
-    def flow_row(y):
-        zs, res, drift = [], [], 0.0
-        for step in range(steps):
-            y = rk4(stage, y, ts[step], h_step, lam)
-            z = y[:n]
-            for v, a, b in zip(z, lo, hi):
-                if not a <= v <= b:  # also false for nan
-                    raise LeavesBoxError("trajectory left the working box",
-                                         times[step + 1], state=np.array(z))
-            # the constraint residual the step left is the drift; the
-            # projection starts from the same evaluation
-            first = project(z)
-            if first[0] > drift:
-                drift = first[0]
-            q, rn = _solve_constraint_row(sys, z[:k], z[k:], first)
-            y = z[:k] + q + y[n:]
-            zs.append(y[:n])
-            res.append(rn)
-        return zs, res, drift, y
-
-    for i in rows:
-        try:
-            zs, res, drift, y = flow_row(tuple(z0[i].tolist()) + extra)
-        except _ROW_ERRORS as exc:
-            errors[i] = exc
-            continue
-        if steps:
-            out.zs[i, 1:] = zs
-            out.residuals[i, 1:] = res
-        out.drift[i] = drift
-        if kk:
-            out.sensitivity[i] = np.reshape(y[n:n + kk], (k, k))
-        if want_lambda:
-            out.lambda_sensitivity[i] = y[n + kk:]
-        if drift > MAX_DRIFT:
-            errors[i] = DriftExceededError(
-                f"constraint drift {drift:.3e} exceeds {MAX_DRIFT}; "
-                "increase the step count"
-            )
-    return out
+    y = tuple(start.z.tolist())
+    zs, res, drift = [y], [start.residual], 0.0
+    y += extra
+    for step in range(steps):
+        y = rk4(stage, y, ts[step], h_step, lam)
+        z = y[:n]
+        for v, a, b in zip(z, lo, hi):
+            if not a <= v <= b:  # also false for nan
+                raise LeavesBoxError("trajectory left the working box",
+                                     times[step + 1], state=np.array(z))
+        # the constraint residual the step left is the drift; the
+        # projection starts from the same evaluation
+        first = project(z)
+        if first[0] > drift:
+            drift = first[0]
+        q, rn = _solve_constraint_row(sys, z[:k], z[k:], first)
+        y = z[:k] + q + y[n:]
+        zs.append(y[:n])
+        res.append(rn)
+    if drift > MAX_DRIFT:
+        raise DriftExceededError(
+            f"constraint drift {drift:.3e} exceeds {MAX_DRIFT}; "
+            "increase the step count"
+        )
+    zs = np.array(zs)
+    return FlowResult(
+        start=start,
+        end=ManifoldPoint(zs[-1, :k].copy(), zs[-1, k:].copy(),
+                          float(res[-1])),
+        times=times, lam=lam, zs=zs, residuals=res, drift=float(drift),
+        sensitivity=np.reshape(y[n:n + kk], (k, k)) if kk else None,
+        lambda_sensitivity=np.array(y[n + kk:]) if want_lambda else None,
+    )
 
 
 def integrate(sys, lam, start, t0, t1, steps=DEFAULT_STEPS):
     """Projected RK4 trajectory of the (possibly perturbed) system."""
-    rows = _flow(sys, lam, start.z[None], [start.residual], t0, t1, steps)
-    return rows.trajectory(0)
-
-
-def time_T_rows(sys, lam, p0, q_guess, steps=DEFAULT_STEPS,
-                want_lambda_sensitivity=False):
-    """time_T_map of every row of p0 (N, k), from q_guess (N, s).
-
-    Returns FlowRows with the sensitivities; a failing row carries the
-    error time_T_map raises for it alone, and the other rows go on.
-    """
-    p0 = np.asarray(p0, dtype=float)
-    q0 = np.array(q_guess, dtype=float)
-    res0 = np.full(len(p0), np.nan)
-    errors = {}
-    for i in range(len(p0)):
-        try:
-            q, res0[i] = _solve_constraint_row(sys, tuple(p0[i].tolist()),
-                                               tuple(q0[i].tolist()))
-        except _ROW_ERRORS as exc:
-            errors[i] = exc
-        else:
-            q0[i] = q
-    return _flow(sys, lam, np.hstack([p0, q0]), res0, 0.0, sys.period, steps,
-                 want_sensitivity=True, want_lambda=want_lambda_sensitivity,
-                 errors=errors)
+    return _flow(sys, lam, start, t0, t1, steps).trajectory()
 
 
 def time_T_map(sys, lam, p0, q_guess, steps=DEFAULT_STEPS,
-               want_lambda_sensitivity=False, record=False):
+               want_lambda_sensitivity=False):
     """One period of flow from (p0, solve_constraint(p0, q_guess)).
 
     Returns a FlowResult whose ``sensitivity`` is the derivative of the final
     x with respect to the initial x along the constraint branch (variational
     equation of the reduced system, same step grid). With
     ``want_lambda_sensitivity`` the derivative with respect to lambda rides
-    along too. ``record=True`` additionally returns the Trajectory.
+    along too; ``start`` is the projected start, and ``trajectory()`` gives
+    the whole orbit.
     """
-    rows = time_T_rows(sys, lam, np.asarray(p0, dtype=float)[None],
-                       np.asarray(q_guess, dtype=float)[None], steps,
-                       want_lambda_sensitivity)
-    result = rows.result(0)
-    if record:
-        return result, rows.trajectory(0)
-    return result
+    p0 = np.array(p0, dtype=float)
+    q0 = tuple(np.asarray(q_guess, dtype=float).tolist())
+    q, rn = _solve_constraint_row(sys, tuple(p0.tolist()), q0)
+    start = ManifoldPoint(p0, np.array(q), float(rn))
+    return _flow(sys, lam, start, 0.0, sys.period, steps,
+                 want_sensitivity=True, want_lambda=want_lambda_sensitivity)
 
 
 def monodromy(sys, zero):

@@ -37,16 +37,15 @@ from .errors import (
     SingularMatrixError,
     SingularShootingError,
 )
-from .flow import DEFAULT_STEPS, time_T_map, time_T_rows
+from .flow import DEFAULT_STEPS, time_T_map
 from .linalg import (
     det_sign,
     expm,
-    lu_apply_rows,
-    lu_factor_rows,
+    lu_apply,
+    lu_factor,
     lu_solve,
     near_singular,
     norm1,
-    norm1_rows,
 )
 
 RESONANCE_TOL = 1e-8
@@ -114,64 +113,34 @@ def shoot(sys, lam, p_guess, q_guess=None, steps=DEFAULT_STEPS):
     """
     if q_guess is None:
         q_guess = sys.box.center[sys.k :]
-    out = shoot_rows(sys, lam, np.asarray(p_guess, dtype=float)[None],
-                     np.asarray(q_guess, dtype=float)[None], steps)[0]
-    if isinstance(out, Exception):
-        raise out
-    return out
-
-
-def shoot_rows(sys, lam, p_guess, q_guess, steps=DEFAULT_STEPS):
-    """shoot from every row of p_guess (N, k), q_guess (N, s) at once.
-
-    All rows iterate in one Newton loop on the time-T maps of the rows; a
-    row leaves the loop when it converges or fails. Returns one entry per row:
-    the BranchPoint shoot returns from it alone, or the error it raises.
-    """
-    k = sys.k
+    eye = np.eye(sys.k)
     p = np.array(p_guess, dtype=float)
-    q_ref = np.array(q_guess, dtype=float)
-    out = [None] * len(p)
-    residual = np.full(len(p), np.inf)
-    live = np.arange(len(p))
+    q_ref = q_guess
     for _ in range(SHOOT_MAX_ITER):
-        if not live.size:
-            break
-        rows = time_T_rows(sys, lam, p[live], q_ref[live], steps)
-        keep = np.ones(live.size, dtype=bool)
-        for i, exc in rows.errors.items():
-            out[live[i]], keep[i] = exc, False
-        r = rows.zs[:, -1, :k] - p[live]
-        res = norm1_rows(r)
-        lu, piv, singular = lu_factor_rows(rows.sensitivity - np.eye(k))
-        for i, exc in singular.items():
-            if keep[i]:
-                err = SingularShootingError(
-                    f"shooting Jacobian dP - I singular at p0 = "
-                    f"{tuple(p[live[i]])}"
-                )
-                err.__cause__ = exc
-                out[live[i]], keep[i] = err, False
-        step = lu_apply_rows(lu, piv, r)
-        for i in np.flatnonzero(keep & (res <= SHOOT_TOL)):
-            traj = rows.trajectory(i)
-            out[live[i]], keep[i] = BranchPoint(
+        result = time_T_map(sys, lam, p, q_ref, steps)
+        r = result.end.p - p
+        res = norm1(r)
+        try:
+            lu, piv, _ = lu_factor(result.sensitivity - eye)
+        except SingularMatrixError as exc:
+            raise SingularShootingError(
+                f"shooting Jacobian dP - I singular at p0 = {tuple(p)}"
+            ) from exc
+        if res <= SHOOT_TOL:
+            traj = result.trajectory()
+            return BranchPoint(
                 lam=float(lam),
-                p0=p[live[i]].copy(),
+                p0=p.copy(),
                 orbit=traj,
                 sup_norm=traj.sup_amplitude(),
-                shooting_residual=float(res[i]),
-            ), False
-        residual[live] = res
-        live, step, start = live[keep], step[keep], rows.zs[keep, 0, k:]
-        p[live] = p[live] - step
-        q_ref[live] = start
-    for i in live:
-        out[i] = ShootingError(
-            f"no convergence after {SHOOT_MAX_ITER} iterations "
-            f"(last residual {residual[i]:.3e})"
-        )
-    return out
+                shooting_residual=res,
+            )
+        p = p - lu_apply(lu, piv, r)
+        q_ref = result.start.q
+    raise ShootingError(
+        f"no convergence after {SHOOT_MAX_ITER} iterations "
+        f"(last residual {res:.3e})"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -186,10 +155,8 @@ def _corrector(sys, z_pred, tau, q_ref, steps):
     for it in range(12):
         if w[k] < 0.0:
             raise ShootingError("corrector left the lambda >= 0 half-space")
-        result, traj = time_T_map(
-            sys, w[k], w[:k], q_ref, steps=steps,
-            want_lambda_sensitivity=True, record=True,
-        )
+        result = time_T_map(sys, w[k], w[:k], q_ref, steps=steps,
+                            want_lambda_sensitivity=True)
         r = result.end.p - w[:k]
         plane = float(tau @ (w - z_pred))
         jac = np.zeros((k + 1, k + 1))
@@ -197,9 +164,9 @@ def _corrector(sys, z_pred, tau, q_ref, steps):
         jac[:k, k] = result.lambda_sensitivity
         jac[k, :] = tau
         if norm1(r) <= SHOOT_TOL and abs(plane) <= 1e-10:
-            return w, traj, norm1(r), jac, it
+            return w, result.trajectory(), norm1(r), jac, it
         w = w - lu_solve(jac, np.concatenate([r, [plane]]))
-        q_ref = traj.states[0].q
+        q_ref = result.start.q
     raise ShootingError("corrector did not converge")
 
 
@@ -223,10 +190,9 @@ def continue_branch(sys, origin, lambda_max, norm_bound, max_steps=200,
     k = sys.k
     p_star = origin.point[:k].copy()
     q_star = origin.point[k:].copy()
-    result, traj = time_T_map(
-        sys, 0.0, p_star, q_star, steps=steps,
-        want_lambda_sensitivity=True, record=True,
-    )
+    result = time_T_map(sys, 0.0, p_star, q_star, steps=steps,
+                        want_lambda_sensitivity=True)
+    traj = result.trajectory()
     r0 = norm1(result.end.p - p_star)
     points = [
         BranchPoint(0.0, p_star, traj, traj.sup_amplitude(), r0, ds=0.0)
@@ -385,18 +351,21 @@ def multiplicity_scan(sys, lam, grid_per_dim=8, steps=DEFAULT_STEPS,
     Starts come from a grid over the x-projection of the box, from the zeros
     of (f, g), and from a first-order forced-response offset at each
     non-resonant zero (grid points alone cannot hit the exponentially thin
-    shooting basins around unstable equilibria). All starts are shot as
-    rows of one lockstep Newton loop. Convergent orbits are deduplicated at
+    shooting basins around unstable equilibria). Each start is shot in
+    turn; a start that fails with a start-failure type is skipped, and any
+    other error is raised. Convergent orbits are deduplicated at
     sampled sup-distance 1e-4; merge order is start order, so the result
     is deterministic.
     """
     if lam < 0:
         raise ValueError("lambda must be >= 0")
-    starts = multistart_starts(sys, lam, grid_per_dim, zeros)
-    if not starts:
-        return []
-    p, q = (np.array([st[i] for st in starts]) for i in (0, 1))
-    return merge_orbits(shoot_rows(sys, lam, p, q, steps))
+    shots = []
+    for p, q in multistart_starts(sys, lam, grid_per_dim, zeros):
+        try:
+            shots.append(shoot(sys, lam, p, q, steps))
+        except _START_FAILURES as exc:
+            shots.append(exc)
+    return merge_orbits(shots)
 
 
 # ---------------------------------------------------------------------------

@@ -389,11 +389,30 @@ class TestEmittedStage:
     from a left-to-right float sum); the same errors everywhere."""
 
     SHAPES = [(1, 1), (2, 1), (1, 2), (2, 2)]
-    VARIANTS = [  # (linearize, forcing, lam, with_h)
-        (False, False, 0.0, False), (True, False, 0.0, False),
-        (True, False, 0.3, True), (False, True, 0.0, False),
-        (True, True, 0.2, False), (False, False, 0.0, True),
+    VARIANTS = [  # (linearize, forcing, lam)
+        (False, False, 0.0), (True, False, 0.0), (True, False, 0.3),
+        (False, True, 0.0), (True, True, 0.2),
     ]
+
+    @staticmethod
+    def field_rows(sysdef, z, t=None, lam=0.0, linearize=False,
+                   forcing=False):
+        """reduced_field on each row of z: (zdot, A, errors) in the layout
+        of the oracle, nan where a row raises."""
+        k, n = sysdef.k, sysdef.k + sysdef.s
+        zdot = np.full((len(z), n), np.nan)
+        a = np.full((len(z), k, k), np.nan) if linearize else None
+        errors = {}
+        for i, row in enumerate(z):
+            try:
+                zdot[i], ai = reduced_field(sysdef, row, t, lam, linearize,
+                                            forcing)
+            except DaekitError as exc:
+                errors[i] = exc
+                continue
+            if linearize:
+                a[i] = ai
+        return zdot, a, errors
 
     @staticmethod
     def agree(new, old, exact):
@@ -415,12 +434,12 @@ class TestEmittedStage:
         sysdef = forced_random_system(k, s)
         rng = np.random.default_rng(1)
         z = rng.uniform(-1.2, 1.2, (60, k + s))
-        for lin, forcing, lam, with_h in self.VARIANTS:
-            new = reduced_field(sysdef, z, 0.7, lam, lin, forcing, with_h)
+        for lin, forcing, lam in self.VARIANTS:
+            new = self.field_rows(sysdef, z, 0.7, lam, lin, forcing)
             old = helpers.reduced_field_oracle(sysdef, z, 0.7, lam, lin,
-                                               forcing, with_h)
-            assert not new[3] and not old[3]
-            for a, b in zip(new[:3], old[:3]):
+                                               forcing)
+            assert not new[2] and not old[3]
+            for a, b in zip(new[:2], old[:2]):
                 assert self.agree(a, b, exact=(k, s) == (1, 1))
 
     @pytest.mark.parametrize("k,s", SHAPES)
@@ -475,15 +494,15 @@ class TestEmittedStage:
         z[3::10, 0] = -1.0
         z[4::10, 0] = -1.5
         z[9::10, 0] = z[9::10, k] = 0.0  # singular, and the f partial fails
-        for lin, forcing, lam, with_h in self.VARIANTS:
-            new = reduced_field(sysdef, z, 0.3, lam, lin, forcing, with_h)
+        for lin, forcing, lam in self.VARIANTS:
+            new = self.field_rows(sysdef, z, 0.3, lam, lin, forcing)
             old = helpers.reduced_field_oracle(sysdef, z, 0.3, lam, lin,
-                                               forcing, with_h)
-            assert self.same_errors(new[3], old[3])
-            kinds = {type(e) for e in new[3].values()}
+                                               forcing)
+            assert self.same_errors(new[2], old[3])
+            kinds = {type(e) for e in new[2].values()}
             assert kinds == {ExprDomainError, SingularMatrixError}
             ok = [i for i in range(len(z)) if i not in old[3]]
-            for a, b in zip(new[:3], old[:3]):
+            for a, b in zip(new[:2], old[:2]):
                 assert self.agree(None if a is None else a[ok],
                                   None if b is None else b[ok],
                                   exact=(k, s) == (1, 1))
@@ -531,17 +550,30 @@ class TestEmittedStage:
             [expr.parse("exp(x1 * 1e200 * 1e200)", names)],
             Box.from_pairs([(-1, 1), (-1, 1)]))
         z = np.array([[0.5, -0.5], [-0.5, 0.5]])
-        for lin, forcing, lam, with_h in self.VARIANTS:
-            new = reduced_field(sysdef, z, 0.3, lam, lin, forcing, with_h)
+        for lin, forcing, lam in self.VARIANTS:
+            new = self.field_rows(sysdef, z, 0.3, lam, lin, forcing)
             with np.errstate(all="ignore"):
                 old = helpers.reduced_field_oracle(sysdef, z, 0.3, lam, lin,
-                                                   forcing, with_h)
-            assert self.same_errors(new[3], old[3])
-            assert list(new[3]) == [0] * (forcing or lam != 0 or with_h)
+                                                   forcing)
+            assert self.same_errors(new[2], old[3])
+            assert list(new[2]) == [0] * (forcing or lam != 0)
             ok = [i for i in range(2) if i not in old[3]]
-            for a, b in zip(new[:3], old[:3]):
+            for a, b in zip(new[:2], old[:2]):
                 assert (a is None and b is None) or np.array_equal(
                     a[ok], b[ok], equal_nan=True)
+        # the flow's stage needs h for A v + h also when lam = 0
+        stage = sysdef._stage(sens=True, lsens=True)
+        err_new = {}
+        for i, row in enumerate(np.hstack([z, np.ones((2, 1)),
+                                           np.zeros((2, 1))]).tolist()):
+            try:
+                stage(row, 0.3, 0.0)
+            except DaekitError as exc:
+                err_new[i] = exc
+        with np.errstate(all="ignore"):
+            old = helpers.reduced_field_oracle(sysdef, z, 0.3, 0.0, True,
+                                               False, True)
+        assert list(err_new) == [0] and self.same_errors(err_new, old[3])
         # g overflows to inf where x1 = 1 with finite partials; its point
         # evaluation meets exp(709.5), which only the strict walker rejects
         sysdef = SystemDef(
@@ -549,10 +581,10 @@ class TestEmittedStage:
             [expr.parse("y1 - x1 + 1e308 * x1 + 1e308 + 0 * exp(709.5)", names)],
             None, Box.from_pairs([(-1, 1), (-1, 1)]))
         z = np.array([[1.0, 0.5], [-1.0, 0.5]])
-        new = reduced_field(sysdef, z, linearize=True)
+        new = self.field_rows(sysdef, z, linearize=True)
         with np.errstate(all="ignore"):
             old = helpers.reduced_field_oracle(sysdef, z, linearize=True)
-        assert list(new[3]) == [0] and self.same_errors(new[3], old[3])
+        assert list(new[2]) == [0] and self.same_errors(new[2], old[3])
         assert same_bits(new[0][1], old[0][1]) and same_bits(new[1][1], old[1][1])
 
     def test_backtracking_matches_the_rows_oracle(self):

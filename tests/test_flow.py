@@ -6,8 +6,8 @@ import pytest
 from daekit import expr
 from daekit.dae import Box, SystemDef, solve_constraint
 from daekit.degree import find_zeros, reduced_matrix
-from daekit.errors import ExprDomainError, LeavesBoxError
-from daekit.flow import integrate, monodromy, time_T_map, time_T_rows
+from daekit.errors import ExprDomainError, LeavesBoxError, SingularMatrixError
+from daekit.flow import integrate, monodromy, time_T_map
 from daekit.linalg import expm, norm1
 from helpers import same_bits
 
@@ -141,67 +141,88 @@ class TestMonodromy:
         assert np.max(np.abs(m - np.eye(2))) <= 1e-10
 
 
-class TestLockstepRows:
-    """time_T_rows flows its rows one after the other through the emitted
-    float stage; each row is what time_T_map gives it alone, bit for bit,
-    and fails alone."""
+class TestFlowErrors:
+    """A flow raises the first error it meets; the state it flows, and so
+    the error, do not depend on the sensitivities riding along."""
 
-    def test_rows_are_independent(self, equivlien):
-        # ten rows, one of them the out-of-basin guess that leaves the box;
-        # the other rows go on past its failure
-        p0 = np.linspace(-2e-5, 2e-5, 10)[:, None]
-        q0 = np.zeros((10, 1))
-        p0[3], q0[3] = 0.05, -0.05
-        rows = time_T_rows(equivlien, 0.0, p0, q0, steps=128,
-                           want_lambda_sensitivity=True)
+    def test_leaving_the_box(self, equivlien):
+        # the out-of-basin guess leaves the box; integrate from the same
+        # projected start leaves it at the same step, at the same state
+        p0, q0 = np.array([0.05]), np.array([-0.05])
+        with pytest.raises(LeavesBoxError) as err:
+            time_T_map(equivlien, 0.0, p0, q0, steps=128,
+                       want_lambda_sensitivity=True)
         with pytest.raises(LeavesBoxError) as alone:
-            time_T_map(equivlien, 0.0, p0[3], q0[3], steps=128)
-        assert list(rows.errors) == [3]
-        err = rows.errors[3]
-        assert type(err) is LeavesBoxError
-        assert str(err) == str(alone.value)
-        assert err.exit_time == alone.value.exit_time
-        assert same_bits(err.state, alone.value.state)
-        for i in range(10):
-            if i == 3:
-                continue
-            res, traj = time_T_map(equivlien, 0.0, p0[i], q0[i], steps=128,
-                                   want_lambda_sensitivity=True, record=True)
-            got = rows.result(i)
-            assert same_bits(got.end.z, res.end.z)
-            assert got.end.residual == res.end.residual
-            assert same_bits(got.sensitivity, res.sensitivity)
-            assert same_bits(got.lambda_sensitivity, res.lambda_sensitivity)
-            mine = rows.trajectory(i)
-            assert same_bits(mine.array(), traj.array())
-            assert mine.max_constraint_drift == traj.max_constraint_drift
+            integrate(equivlien, 0.0, solve_constraint(equivlien, p0, q0),
+                      0.0, equivlien.period, steps=128)
+        exc = err.value
+        assert str(exc) == str(alone.value) == (
+            f"trajectory left the working box (t = {float(exc.exit_time)!r})")
+        times = np.linspace(0.0, equivlien.period, 129)
+        assert 2.0 < exc.exit_time < 3.0
+        assert np.min(np.abs(times - exc.exit_time)) <= 1e-12
+        assert exc.exit_time == alone.value.exit_time
+        assert same_bits(exc.state, alone.value.state)
+        assert not equivlien.box.contains(exc.state)
 
-    def test_domain_errors_are_per_row(self):
-        # x1' = -sqrt(x1) reaches x1 < 0 inside an RK4 stage for the rows
-        # that start low: their stage falls back to the point evaluation,
-        # which raises, and the rows after them are unaffected
+    def test_result_carries_its_trajectory(self, equivlien):
+        # start, end and trajectory() of time_T_map are integrate's
+        # trajectory from the projected start, bit for bit
+        for p in (-2e-5, 0.0, 1.5e-5):
+            p0, q0 = np.array([p]), np.zeros(1)
+            res = time_T_map(equivlien, 0.0, p0, q0, steps=128,
+                             want_lambda_sensitivity=True)
+            mp = solve_constraint(equivlien, p0, q0)
+            assert same_bits(res.start.z, mp.z)
+            assert res.start.residual == mp.residual
+            traj = integrate(equivlien, 0.0, mp, 0.0, equivlien.period,
+                             steps=128)
+            mine = res.trajectory()
+            assert same_bits(mine.array(), traj.array())
+            assert same_bits(mine.times, traj.times)
+            assert [st.residual for st in mine.states] == [
+                st.residual for st in traj.states]
+            assert mine.max_constraint_drift == traj.max_constraint_drift
+            assert same_bits(res.end.z, traj.states[-1].z)
+            assert res.end.residual == traj.states[-1].residual
+
+    def test_domain_error_mid_stage(self):
+        # x1' = -sqrt(x1) reaches x1 < 0 inside an RK4 stage for the
+        # starts that are low: their stage falls back to the point
+        # evaluation, which raises
         names = ["x1", "y1"]
         sys = SystemDef(1, 1, 2.0, [expr.parse("-sqrt(x1)", names)],
                         [expr.parse("y1 - x1", names)], None,
                         Box.from_pairs([(-1, 2), (-2, 2)]))
         p0 = np.linspace(0.05, 1.5, 12)[:, None]
         q0 = np.linspace(-0.2, 1.2, 12)[:, None]
-        rows = time_T_rows(sys, 0.5, p0, q0, steps=32,
-                           want_lambda_sensitivity=True)
-        assert 0 < len(rows.errors) < 12
+        failed = 0
         for i in range(12):
             try:
-                res = time_T_map(sys, 0.5, p0[i], q0[i], steps=32,
-                                 want_lambda_sensitivity=True)
+                time_T_map(sys, 0.5, p0[i], q0[i], steps=32,
+                           want_lambda_sensitivity=True)
             except ExprDomainError as exc:
-                assert type(rows.errors[i]) is ExprDomainError
-                assert str(rows.errors[i]) == str(exc)
-                continue
-            got = rows.result(i)
-            assert same_bits(got.end.z, res.end.z)
-            assert same_bits(got.sensitivity, res.sensitivity)
+                failed += 1
+                assert "sqrt" in str(exc)
+                with pytest.raises(ExprDomainError) as alone:
+                    integrate(sys, 0.5, solve_constraint(sys, p0[i], q0[i]),
+                              0.0, 2.0, steps=32)
+                assert str(alone.value) == str(exc)
+        assert 0 < failed < 12
 
-    def test_lambda_and_step_checks_fail_every_row(self, equivlien):
-        rows = time_T_rows(equivlien, -1.0, np.zeros((2, 1)), np.zeros((2, 1)))
-        assert sorted(rows.errors) == [0, 1]
-        assert all(type(e) is ValueError for e in rows.errors.values())
+    def test_lambda_and_step_checks(self, equivlien):
+        def error(lam, p0, q0, steps):
+            with pytest.raises(Exception) as err:
+                time_T_map(equivlien, lam, np.array([p0]), np.array([q0]),
+                           steps=steps)
+            return type(err.value), str(err.value)
+
+        assert error(-1.0, 0.0, 0.0, 8) == (ValueError, "lambda must be >= 0")
+        assert error(0.0, 0.0, 0.0, 8) == (ValueError,
+                                           "at least 16 steps required")
+        # the projection of the start fails first: d2g = 1 - y1^2 is
+        # singular at y1 = 1
+        assert error(-1.0, -2 / 3, 1.0, 8)[0] is SingularMatrixError
+        mp = solve_constraint(equivlien, np.zeros(1), np.zeros(1))
+        with pytest.raises(ValueError, match="lambda must be >= 0"):
+            integrate(equivlien, -1.0, mp, 0.0, 1.0, steps=8)

@@ -17,6 +17,7 @@ import contextlib
 import io
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -32,8 +33,9 @@ QUERIES = {
                          "--guess", "0", "--steps", "128"], True),
     "shoot_pozzo": (["shoot", "systems/pozzo.sys", "--lambda", "0.01",
                      "--steps", "128"], False),
-    "branch_equivlien": (["branch", "systems/equivlien.sys", "--lambda-max",
-                          "0.1", "--norm-bound", "0.9", "--steps", "128"], True),
+    "branch_equivlien": (["branch", "systems/equivlien.sys",
+                          "--lambda-max", "0.1", "--norm-bound", "0.9",
+                          "--steps", "128"], True),
     "multiplicity_exmults": (["multiplicity", "systems/exmults.sys",
                               "--lambda", "0.01", "--steps", "128"], False),
 }
@@ -69,8 +71,6 @@ def test_report_matches_golden(name, tmp_path, monkeypatch):
 
 
 def regen():
-    import tempfile
-
     os.environ.pop("DAEKIT_OUT_DIR", None)
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:

@@ -11,6 +11,7 @@ from daekit.errors import (
     HypothesisViolationError,
     LeavesBoxError,
     ShootingError,
+    SingularMatrixError,
     SingularShootingError,
 )
 from daekit.flow import integrate
@@ -75,8 +76,16 @@ class TestShoot:
         assert bp.sup_norm == pytest.approx(lam * math.sqrt(2.0), rel=1e-3)
 
     def test_singular_at_resonant_zero(self, exmults):
-        with pytest.raises(SingularShootingError):
+        # the residual at the resonant zero is already 0: the singularity
+        # check comes before the convergence test, and the pivot error is
+        # the cause
+        with pytest.raises(SingularShootingError) as err:
             shoot(exmults, 0.0, np.zeros(1), np.zeros(1))
+        assert str(err.value).startswith(
+            "shooting Jacobian dP - I singular at p0 = ")
+        cause = err.value.__cause__
+        assert type(cause) is SingularMatrixError
+        assert str(cause).startswith("pivot ")
 
     def test_out_of_basin_guess_leaves_box(self, equivlien):
         # the eq. at 0 is unstable with rate e^{2pi}: 0.05 escapes within T
@@ -168,7 +177,7 @@ class TestMultiplicity:
         sys = request.getfixturevalue(name)
         lam, steps = 0.01, 48
         starts = multistart_starts(sys, lam, grid)
-        assert len(starts) > 8  # past the point-evaluation cutoff
+        assert len(starts) > 8
 
         def alone(p, q):
             try:

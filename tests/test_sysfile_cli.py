@@ -89,6 +89,23 @@ class TestCliExitCodes:
     def test_bad_usage(self, capsys):
         assert main(["branch", system_path("pozzo")]) == 1  # missing lambda-max
 
+    def test_bad_vectors_exit_1_with_one_error_line(self, capsys, tmp_path):
+        nozero = tmp_path / "nozero.sys"
+        nozero.write_text('dim_x = 1\ndim_y = 1\nperiod = 1\nf = "1"\n'
+                          'g = "y1"\nbox = [-1, 1], [-1, 1]\n')
+        for argv, why in [
+            (["shoot", system_path("equivlien"), "--guess", "0,0"],
+             "expected 1 numbers, got 2"),
+            (["branch", system_path("pozzo"), "--lambda-max", "0.1",
+              "--origin", "0,0"], "expected 3 numbers, got 2"),
+            (["branch", str(nozero), "--lambda-max", "0.1",
+              "--origin", "0,0"], "no zero of (f, g) in the box"),
+        ]:
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 1 and out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert why in err
+
     def test_hypothesis_violation_on_semantic_command(self, capsys):
         code, _, err = run_cli(capsys, "degree", system_path("eqex1"))
         assert code == 2
