@@ -1,9 +1,12 @@
 """Golden reports: fixed CLI queries whose stdout, and the CSV files some of
 them write, must match the files under tests/golden/ byte for byte.
 
-The queries are the four orbit queries of the benchmark's ``orbits``
-workload at 128 steps, run from the repository root with ``systems/...``
-paths; the equivlien shoot and branch also write their CSV files.
+The orbit side is the four queries of the benchmark's ``orbits`` workload
+at 128 steps; the equivlien shoot and branch also write their CSV files.
+The degree side is ``check`` on every fixture (eqex1 and eqex2 fail the
+d2g hypothesis and exit 2 with their report) and ``zeros``, ``degree`` and
+``resonance`` at grid 8 on pozzo, equivlien, exmults and the degenerate
+``bench/systems/degen3.sys``. Every query runs from the repository root.
 
 A change meant to alter a report regenerates the files with
 
@@ -27,24 +30,35 @@ from daekit.cli import main
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
-# name: (argv, whether the query also writes a CSV file)
+# name: (argv, whether the query also writes a CSV file, exit code)
 QUERIES = {
     "shoot_equivlien": (["shoot", "systems/equivlien.sys", "--lambda", "1e-3",
-                         "--guess", "0", "--steps", "128"], True),
+                         "--guess", "0", "--steps", "128"], True, 0),
     "shoot_pozzo": (["shoot", "systems/pozzo.sys", "--lambda", "0.01",
-                     "--steps", "128"], False),
+                     "--steps", "128"], False, 0),
     "branch_equivlien": (["branch", "systems/equivlien.sys",
                           "--lambda-max", "0.1", "--norm-bound", "0.9",
-                          "--steps", "128"], True),
+                          "--steps", "128"], True, 0),
     "multiplicity_exmults": (["multiplicity", "systems/exmults.sys",
-                              "--lambda", "0.01", "--steps", "128"], False),
+                              "--lambda", "0.01", "--steps", "128"], False, 0),
 }
+FIXTURES = {name: f"systems/{name}.sys"
+            for name in ("pozzo", "equivlien", "exmults", "eqex1", "eqex2")}
+FIXTURES["degen3"] = "bench/systems/degen3.sys"
+for _name, _path in FIXTURES.items():
+    # eqex1 and eqex2 fail the d2g hypothesis: report on stdout, exit 2
+    QUERIES[f"check_{_name}"] = (["check", _path], False,
+                                 2 if _name.startswith("eqex") else 0)
+for _cmd in ("zeros", "degree", "resonance"):
+    for _name in ("pozzo", "equivlien", "exmults", "degen3"):
+        QUERIES[f"{_cmd}_{_name}"] = ([_cmd, FIXTURES[_name], "--grid", "8"],
+                                      False, 0)
 
 
 def run_query(name, csv_dir):
     """{golden file name: bytes} of one query, run in-process from the
     repository root; the CSV file goes through csv_dir."""
-    argv, csv = QUERIES[name]
+    argv, csv, expected = QUERIES[name]
     if csv:
         argv = argv + ["--csv", str(Path(csv_dir) / f"{name}.csv")]
     out = io.StringIO()
@@ -55,8 +69,8 @@ def run_query(name, csv_dir):
             code = main(argv)
     finally:
         os.chdir(cwd)
-    if code != 0:
-        raise RuntimeError(f"{name} exited with {code}")
+    if code != expected:
+        raise RuntimeError(f"{name} exited with {code}, not {expected}")
     files = {f"{name}.json": out.getvalue().encode("utf-8")}
     if csv:
         files[f"{name}.csv"] = (Path(csv_dir) / f"{name}.csv").read_bytes()
