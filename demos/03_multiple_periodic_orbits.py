@@ -51,6 +51,6 @@ for bp in orbits:
     print(f"  orbit near ({mean[0]:+.4f}, {mean[1]:+.4f}): "
           f"x(0) = {bp.p0[0]:+.6f}, amplitude {bp.sup_norm:.5f}, "
           f"residual {bp.shooting_residual:.1e}")
-a, b = orbits[0].orbit.array(), orbits[1].orbit.array()
+a, b = orbits[0].orbit.zs, orbits[1].orbit.zs
 print(f"sup-distance between the two orbits: "
       f"{float(np.max(np.abs(a - b).sum(axis=1))):.3f}")

@@ -33,7 +33,7 @@ from .expr import (
     to_string,
     variables,
 )
-from .flow import FlowResult, Trajectory, integrate, monodromy, time_T_map
+from .flow import Trajectory, integrate, monodromy, time_T_map
 from .periodic import (
     Branch,
     BranchPoint,

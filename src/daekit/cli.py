@@ -1,7 +1,9 @@
 """Command-line front end: machine-readable reports, plot-ready CSV files.
 
 Exit codes: 0 success, 2 when the d2g-invertibility hypothesis fails on the
-system's box, 1 for every other error. Reports are JSON with all numbers at
+system's box, 1 for every other error (a toolkit error, a bad argument value
+the library rejects with ValueError, or an i/o error), reported as one line
+on stderr. Reports are JSON with all numbers at
 full double precision; given the same inputs and --seed they are
 byte-identical run to run.
 """
@@ -77,8 +79,7 @@ def _num(v):
 
 def write_trajectory_csv(traj, path):
     """CSV with columns t, x1..xk, y1..ys, residual (17 significant digits)."""
-    k = len(traj.states[0].p)
-    s = len(traj.states[0].q)
+    k, s = len(traj.start.p), len(traj.start.q)
     header = (
         ["t"]
         + [f"x{i + 1}" for i in range(k)]
@@ -87,9 +88,8 @@ def write_trajectory_csv(traj, path):
     )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for t, mp in zip(traj.times, traj.states):
-            row = [_num(t)] + [_num(v) for v in mp.p] + [_num(v) for v in mp.q]
-            row.append(_num(mp.residual))
+        for t, z, r in zip(traj.times, traj.zs, traj.residuals):
+            row = [_num(t)] + [_num(v) for v in z] + [_num(r)]
             fh.write(",".join(row) + "\n")
 
 
@@ -460,7 +460,7 @@ def main(argv=None):
         else:
             _sys.stderr.write(f"hypothesis violation: {exc}\n")
         return 2
-    except DaekitError as exc:
+    except (DaekitError, ValueError) as exc:
         _sys.stderr.write(f"error: {exc}\n")
         return 1
     except OSError as exc:

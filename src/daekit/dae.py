@@ -409,6 +409,8 @@ def validate(sys, samples=512):
     HypothesisViolationError whose witness is refined onto the constraint
     locus when possible (that is where the DAE itself breaks down).
     """
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     pts = sys.box.sample(samples)
     env = {nm: pts[:, i] for i, nm in enumerate(sys.state_names)}
     a = sys.kernel(sys.d2g_flat).values_batch(

@@ -43,6 +43,7 @@ DEDUP_RADIUS = 1e-6
 BOUNDARY_SLACK = 1e-6
 DEGENERATE_TOL = 1e-8
 MIN_BOUNDARY_MARGIN = 1e-8
+FACE_SAMPLES = 256  # quasi-random samples per box face in boundary_margin
 PERTURB_SIZE = 1e-5
 
 
@@ -379,8 +380,8 @@ def degree_sum(zeros, box):
 # Boundary oracle
 
 
-def boundary_margin(system_or_field, box, samples_per_face=256):
-    """min |F|_1 over quasi-random samples of every box face."""
+def boundary_margin(system_or_field, box):
+    """min |F|_1 over FACE_SAMPLES quasi-random samples of every box face."""
     fld = as_field(system_or_field)
     n = box.dim
     margin = math.inf
@@ -392,9 +393,9 @@ def boundary_margin(system_or_field, box, samples_per_face=256):
     for d in range(n):
         others = [i for i in range(n) if i != d]
         sub = box.subbox(others)
-        pts = sub.sample(samples_per_face, skip=37 + 11 * face_id)
+        pts = sub.sample(FACE_SAMPLES, skip=37 + 11 * face_id)
         for side in (box.lo[d], box.hi[d]):
-            full = np.empty((samples_per_face, n))
+            full = np.empty((FACE_SAMPLES, n))
             full[:, others] = pts
             full[:, d] = side
             vals = fld.value_batch(full)

@@ -14,6 +14,12 @@ solve_constraint's Newton on floats. The flow raises the first error it
 meets: leaving the box, a singular or undefined evaluation, or (after the
 last step) too much constraint drift.
 
+Every flow returns one record, a Trajectory: the (steps+1, k+s) array of
+projected states with their residuals, the start and end ManifoldPoints,
+the largest drift, and the sensitivities when asked for. integrate and
+time_T_map both return it, and shooting, branches and the multistart scan
+keep it as the orbit.
+
 Sensitivities of the time-T map are integrated from the variational equation
 of the reduced system alongside the state (never by differencing); finite
 differences survive only as a test oracle.
@@ -35,47 +41,27 @@ DEFAULT_STEPS = 512
 
 @dataclass
 class Trajectory:
-    """States at uniform times, all projected back onto the constraint."""
+    """One projected flow: the states ``zs`` at ``times`` (one row each,
+    all projected back onto the constraint) with their constraint
+    residuals, its start and end as ManifoldPoints, and the sensitivities
+    of the end when asked for."""
 
     times: np.ndarray
-    states: list
-    lam: float
-    max_constraint_drift: float
-
-    def array(self):
-        return np.vstack([mp.z for mp in self.states])
-
-    def mean_state(self):
-        return self.array()[:-1].mean(axis=0)
-
-    def sup_amplitude(self):
-        """max_t |z(t) - mean|_1, the amplitude measure for orbits."""
-        zs = self.array()
-        return float(np.max(norm1_rows(zs - zs[:-1].mean(axis=0))))
-
-
-@dataclass
-class FlowResult:
-    """One projected flow: its start and end on the constraint, the
-    sensitivities of the end when asked for, and the states ``zs`` at
-    ``times`` with their constraint residuals, from which trajectory()
-    builds the Trajectory."""
-
-    start: ManifoldPoint
-    end: ManifoldPoint
-    times: np.ndarray
-    lam: float
     zs: np.ndarray
     residuals: list
-    drift: float
+    lam: float
+    max_constraint_drift: float
+    start: ManifoldPoint
+    end: ManifoldPoint
     sensitivity: np.ndarray = None
     lambda_sensitivity: np.ndarray = None
 
-    def trajectory(self):
-        k = len(self.start.p)
-        states = [ManifoldPoint(z[:k].copy(), z[k:].copy(), float(r))
-                  for z, r in zip(self.zs, self.residuals)]
-        return Trajectory(self.times, states, self.lam, self.drift)
+    def mean_state(self):
+        return self.zs[:-1].mean(axis=0)
+
+    def sup_amplitude(self):
+        """max_t |z(t) - mean|_1, the amplitude measure for orbits."""
+        return float(np.max(norm1_rows(self.zs - self.mean_state())))
 
 
 def _rk4_source(m):
@@ -114,7 +100,7 @@ def _rk4(m):
 def _flow(sys, lam, start, t0, t1, steps, want_sensitivity=False,
           want_lambda=False):
     """Projected RK4 flow from the ManifoldPoint start, on floats. Returns
-    a FlowResult; raises the first error the flow meets."""
+    the Trajectory; raises the first error the flow meets."""
     if lam < 0:
         raise ValueError("lambda must be >= 0")
     if steps < 16:
@@ -157,11 +143,11 @@ def _flow(sys, lam, start, t0, t1, steps, want_sensitivity=False,
             "increase the step count"
         )
     zs = np.array(zs)
-    return FlowResult(
-        start=start,
+    return Trajectory(
+        times=times, zs=zs, residuals=res, lam=lam,
+        max_constraint_drift=float(drift), start=start,
         end=ManifoldPoint(zs[-1, :k].copy(), zs[-1, k:].copy(),
                           float(res[-1])),
-        times=times, lam=lam, zs=zs, residuals=res, drift=float(drift),
         sensitivity=np.reshape(y[n:n + kk], (k, k)) if kk else None,
         lambda_sensitivity=np.array(y[n + kk:]) if want_lambda else None,
     )
@@ -169,19 +155,19 @@ def _flow(sys, lam, start, t0, t1, steps, want_sensitivity=False,
 
 def integrate(sys, lam, start, t0, t1, steps=DEFAULT_STEPS):
     """Projected RK4 trajectory of the (possibly perturbed) system."""
-    return _flow(sys, lam, start, t0, t1, steps).trajectory()
+    return _flow(sys, lam, start, t0, t1, steps)
 
 
 def time_T_map(sys, lam, p0, q_guess, steps=DEFAULT_STEPS,
                want_lambda_sensitivity=False):
     """One period of flow from (p0, solve_constraint(p0, q_guess)).
 
-    Returns a FlowResult whose ``sensitivity`` is the derivative of the final
+    Returns the Trajectory of that flow, as integrate does; its ``start`` is
+    the projected start and its ``sensitivity`` the derivative of the final
     x with respect to the initial x along the constraint branch (variational
     equation of the reduced system, same step grid). With
     ``want_lambda_sensitivity`` the derivative with respect to lambda rides
-    along too; ``start`` is the projected start, and ``trajectory()`` gives
-    the whole orbit.
+    along too.
     """
     p0 = np.array(p0, dtype=float)
     q0 = tuple(np.asarray(q_guess, dtype=float).tolist())

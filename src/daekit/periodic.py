@@ -52,7 +52,7 @@ RESONANCE_TOL = 1e-8
 SHOOT_TOL = 1e-8
 SHOOT_MAX_ITER = 30
 ORBIT_DEDUP = 1e-4
-DS_MIN, DS_MAX = 1e-4, 0.1
+DS_START, DS_MIN, DS_MAX = 0.02, 1e-4, 0.1
 
 
 @dataclass
@@ -117,17 +117,16 @@ def shoot(sys, lam, p_guess, q_guess=None, steps=DEFAULT_STEPS):
     p = np.array(p_guess, dtype=float)
     q_ref = q_guess
     for _ in range(SHOOT_MAX_ITER):
-        result = time_T_map(sys, lam, p, q_ref, steps)
-        r = result.end.p - p
+        traj = time_T_map(sys, lam, p, q_ref, steps)
+        r = traj.end.p - p
         res = norm1(r)
         try:
-            lu, piv, _ = lu_factor(result.sensitivity - eye)
+            lu, piv, _ = lu_factor(traj.sensitivity - eye)
         except SingularMatrixError as exc:
             raise SingularShootingError(
                 f"shooting Jacobian dP - I singular at p0 = {tuple(p)}"
             ) from exc
         if res <= SHOOT_TOL:
-            traj = result.trajectory()
             return BranchPoint(
                 lam=float(lam),
                 p0=p.copy(),
@@ -136,7 +135,7 @@ def shoot(sys, lam, p_guess, q_guess=None, steps=DEFAULT_STEPS):
                 shooting_residual=res,
             )
         p = p - lu_apply(lu, piv, r)
-        q_ref = result.start.q
+        q_ref = traj.start.q
     raise ShootingError(
         f"no convergence after {SHOOT_MAX_ITER} iterations "
         f"(last residual {res:.3e})"
@@ -155,30 +154,31 @@ def _corrector(sys, z_pred, tau, q_ref, steps):
     for it in range(12):
         if w[k] < 0.0:
             raise ShootingError("corrector left the lambda >= 0 half-space")
-        result = time_T_map(sys, w[k], w[:k], q_ref, steps=steps,
-                            want_lambda_sensitivity=True)
-        r = result.end.p - w[:k]
+        traj = time_T_map(sys, w[k], w[:k], q_ref, steps=steps,
+                          want_lambda_sensitivity=True)
+        r = traj.end.p - w[:k]
         plane = float(tau @ (w - z_pred))
         jac = np.zeros((k + 1, k + 1))
-        jac[:k, :k] = result.sensitivity - eye
-        jac[:k, k] = result.lambda_sensitivity
+        jac[:k, :k] = traj.sensitivity - eye
+        jac[:k, k] = traj.lambda_sensitivity
         jac[k, :] = tau
         if norm1(r) <= SHOOT_TOL and abs(plane) <= 1e-10:
-            return w, result.trajectory(), norm1(r), jac, it
+            return w, traj, norm1(r), jac, it
         w = w - lu_solve(jac, np.concatenate([r, [plane]]))
-        q_ref = result.start.q
+        q_ref = traj.start.q
     raise ShootingError("corrector did not converge")
 
 
 def continue_branch(sys, origin, lambda_max, norm_bound, max_steps=200,
-                    steps=DEFAULT_STEPS, ds=0.02):
+                    steps=DEFAULT_STEPS):
     """Trace the branch of forced periodic orbits rooted at a zero of (f, g).
 
     Starts at the trivial pair (lambda = 0, constant orbit at the origin
     zero), which requires the origin to be non-resonant so the branch is
     locally unique. Pseudo-arclength steps follow folds in lambda; the step
-    halves on corrector failure and doubles after three easy accepts inside
-    [1e-4, 0.1]. Termination is always reported, never inferred.
+    starts at DS_START, halves on corrector failure and doubles after three
+    easy accepts inside [DS_MIN, DS_MAX]. Termination is always reported,
+    never inferred.
     """
     if lambda_max <= 0:
         raise ValueError("lambda_max must be positive")
@@ -190,19 +190,18 @@ def continue_branch(sys, origin, lambda_max, norm_bound, max_steps=200,
     k = sys.k
     p_star = origin.point[:k].copy()
     q_star = origin.point[k:].copy()
-    result = time_T_map(sys, 0.0, p_star, q_star, steps=steps,
-                        want_lambda_sensitivity=True)
-    traj = result.trajectory()
-    r0 = norm1(result.end.p - p_star)
+    traj = time_T_map(sys, 0.0, p_star, q_star, steps=steps,
+                      want_lambda_sensitivity=True)
+    r0 = norm1(traj.end.p - p_star)
     points = [
         BranchPoint(0.0, p_star, traj, traj.sup_amplitude(), r0, ds=0.0)
     ]
-    jac_s = result.sensitivity - np.eye(k)
-    tau = np.concatenate([lu_solve(jac_s, -result.lambda_sensitivity), [1.0]])
+    jac_s = traj.sensitivity - np.eye(k)
+    tau = np.concatenate([lu_solve(jac_s, -traj.lambda_sensitivity), [1.0]])
     tau /= norm1(tau)
     z = np.concatenate([p_star, [0.0]])
     q_ref = q_star
-    easy = 0
+    ds, easy = DS_START, 0
     termination, detail = "MaxSteps", ""
     first_step = True
     step_count = 0
@@ -237,7 +236,7 @@ def continue_branch(sys, origin, lambda_max, norm_bound, max_steps=200,
         )
         points.append(bp)
         z = w
-        q_ref = traj.states[0].q
+        q_ref = traj.start.q
         if bp.sup_norm > norm_bound:
             termination, detail = "ExceededNormBound", f"sup_norm {bp.sup_norm:.3e}"
             break
@@ -294,14 +293,12 @@ def _linear_response_seed(sys, zero, lam, steps=256):
     return p_star + lu_solve(mi, u)
 
 
-def multistart_starts(sys, lam, grid_per_dim=8, zeros=None):
+def multistart_starts(sys, lam, grid_per_dim=8):
     """The (p, q) starts of multiplicity_scan, in merge order."""
     k = sys.k
     q_center = sys.box.center[k:]
-    if zeros is None:
-        zeros = find_zeros(sys, sys.box, grid_per_dim=16)
     starts = []
-    for z in zeros:
+    for z in find_zeros(sys, sys.box, grid_per_dim=16):
         starts.append((z.point[:k].copy(), z.point[k:].copy()))
         if lam > 0 and not z.degenerate:
             try:
@@ -327,25 +324,23 @@ def merge_orbits(shots):
     an earlier kept orbit lies within sampled sup-distance ORBIT_DEDUP.
     Failed starts are skipped; an error not of a start-failure type is
     raised (the first one, as shooting the starts in order would)."""
-    orbits, arrays = [], []
+    orbits = []
     for bp in shots:
         if isinstance(bp, _START_FAILURES):
             continue
         if isinstance(bp, Exception):
             raise bp
-        arr = bp.orbit.array()
-        for kept in arrays:
-            dist = float(np.max(np.abs(arr - kept).sum(axis=1)))
+        zs = bp.orbit.zs
+        for kept in orbits:
+            dist = float(np.max(np.abs(zs - kept.orbit.zs).sum(axis=1)))
             if dist <= ORBIT_DEDUP:
                 break
         else:
             orbits.append(bp)
-            arrays.append(arr)
     return orbits
 
 
-def multiplicity_scan(sys, lam, grid_per_dim=8, steps=DEFAULT_STEPS,
-                      zeros=None):
+def multiplicity_scan(sys, lam, grid_per_dim=8, steps=DEFAULT_STEPS):
     """Distinct T-periodic orbits at forcing size lam, by multistart shooting.
 
     Starts come from a grid over the x-projection of the box, from the zeros
@@ -360,7 +355,7 @@ def multiplicity_scan(sys, lam, grid_per_dim=8, steps=DEFAULT_STEPS,
     if lam < 0:
         raise ValueError("lambda must be >= 0")
     shots = []
-    for p, q in multistart_starts(sys, lam, grid_per_dim, zeros):
+    for p, q in multistart_starts(sys, lam, grid_per_dim):
         try:
             shots.append(shoot(sys, lam, p, q, steps))
         except _START_FAILURES as exc:

@@ -104,6 +104,14 @@ def _parse_formulas(texts, declared, key, lines):
     return out
 
 
+def _box(pairs, lines):
+    """The Box of the bounds pairs; bad bounds name the ``box`` line."""
+    try:
+        return Box.from_pairs(pairs)
+    except ValueError as exc:
+        raise SystemFileError(str(exc), lines["box"]) from exc
+
+
 def load_system(path, name=None):
     """Load a standard semi-explicit system definition."""
     raw, lines = load_raw(path)
@@ -135,9 +143,10 @@ def load_system(path, name=None):
         raise SystemFileError(f"g needs {s} formulas, got {len(g)}", lines["g"])
     if h is not None and len(h) != k:
         raise SystemFileError(f"h needs {k} formulas, got {len(h)}", lines["h"])
+    box = _box(pairs, lines)
     try:
         return SystemDef(
-            k, s, period, f, g, h, Box.from_pairs(pairs),
+            k, s, period, f, g, h, box,
             constraint_tol=raw.get("constraint_tol", 1e-10),
             name=name or str(path),
         )
@@ -163,7 +172,7 @@ def load_hessenberg(path):
         raise SystemFileError(f"gamma needs {s} formulas", lines["gamma"])
     if len(pairs) != k + s:
         raise SystemFileError(f"box needs {k + s} bounds pairs", lines["box"])
-    return f, gamma, h, period, Box.from_pairs(pairs)
+    return f, gamma, h, period, _box(pairs, lines)
 
 
 def load_implicit(path):
@@ -183,4 +192,4 @@ def load_implicit(path):
         raise SystemFileError(f"phi needs {k} formulas", lines["phi"])
     if len(pairs) != 2 * k:
         raise SystemFileError(f"box needs {2 * k} bounds pairs", lines["box"])
-    return phi, h, period, Box.from_pairs(pairs)
+    return phi, h, period, _box(pairs, lines)

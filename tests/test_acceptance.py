@@ -90,7 +90,7 @@ def test_criterion_3_two_wells(exmults):
         assert classify_resonance(exmults, z1).verdict == "NonResonant"
         orbits = multiplicity_scan(exmults, 0.01, grid_per_dim=8)
         assert len(orbits) >= 2
-        arrays = [bp.orbit.array() for bp in orbits]
+        arrays = [bp.orbit.zs for bp in orbits]
         seps = [
             float(np.max(np.abs(a - b).sum(axis=1)))
             for i, a in enumerate(arrays) for b in arrays[i + 1 :]

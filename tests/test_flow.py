@@ -26,21 +26,20 @@ class TestIntegrate:
         mp = solve_constraint(pozzo, np.zeros(2), np.zeros(1))
         traj = integrate(pozzo, 0.0, mp, 0.0, pozzo.period, steps=128)
         assert traj.max_constraint_drift == 0.0
-        assert np.max(np.abs(traj.array())) <= 1e-12
+        assert np.max(np.abs(traj.zs)) <= 1e-12
         assert traj.times[0] == 0.0 and traj.times[-1] == pozzo.period
 
     def test_lienard_growth(self, equivlien):
         mp = solve_constraint(equivlien, np.array([0.1]), np.array([-0.1]))
         traj = integrate(equivlien, 0.0, mp, 0.0, 1.0, steps=128)
-        xs = traj.array()[:, 0]
+        xs = traj.zs[:, 0]
         assert np.all(np.diff(xs) > 0)  # reduced equation is x' ~ x near 0
         assert xs[-1] / xs[0] == pytest.approx(math.e, rel=0.05)
 
     def test_cubic_well_spiral_decay(self, pozzo):
         mp = solve_constraint(pozzo, np.array([0.1, 0.0]), np.array([0.01]))
         traj = integrate(pozzo, 0.0, mp, 0.0, 20.0, steps=1024)
-        arr = traj.array()
-        norms = np.abs(arr[:, :2]).sum(axis=1)
+        norms = np.abs(traj.zs[:, :2]).sum(axis=1)
         probes = norms[[0, 256, 512, 768, 1024]]
         assert np.all(np.diff(probes) < 0)
         assert norms[-1] <= 1e-4
@@ -104,9 +103,9 @@ class TestTimeTMap:
 
     def test_fourth_order_convergence(self, equivlien):
         mp = solve_constraint(equivlien, np.array([1e-3]), np.zeros(1))
-        ref = integrate(equivlien, 0.0, mp, 0.0, 2.0, steps=2048).array()[-1]
-        e1 = norm1(integrate(equivlien, 0.0, mp, 0.0, 2.0, steps=64).array()[-1] - ref)
-        e2 = norm1(integrate(equivlien, 0.0, mp, 0.0, 2.0, steps=128).array()[-1] - ref)
+        ref = integrate(equivlien, 0.0, mp, 0.0, 2.0, steps=2048).zs[-1]
+        e1 = norm1(integrate(equivlien, 0.0, mp, 0.0, 2.0, steps=64).zs[-1] - ref)
+        e2 = norm1(integrate(equivlien, 0.0, mp, 0.0, 2.0, steps=128).zs[-1] - ref)
         assert e1 / e2 >= 8.0
 
     def test_lambda_sensitivity(self, equivlien):
@@ -166,8 +165,8 @@ class TestFlowErrors:
         assert not equivlien.box.contains(exc.state)
 
     def test_result_carries_its_trajectory(self, equivlien):
-        # start, end and trajectory() of time_T_map are integrate's
-        # trajectory from the projected start, bit for bit
+        # the states, residuals, drift, start and end of time_T_map are
+        # integrate's from the projected start, bit for bit
         for p in (-2e-5, 0.0, 1.5e-5):
             p0, q0 = np.array([p]), np.zeros(1)
             res = time_T_map(equivlien, 0.0, p0, q0, steps=128,
@@ -177,14 +176,13 @@ class TestFlowErrors:
             assert res.start.residual == mp.residual
             traj = integrate(equivlien, 0.0, mp, 0.0, equivlien.period,
                              steps=128)
-            mine = res.trajectory()
-            assert same_bits(mine.array(), traj.array())
-            assert same_bits(mine.times, traj.times)
-            assert [st.residual for st in mine.states] == [
-                st.residual for st in traj.states]
-            assert mine.max_constraint_drift == traj.max_constraint_drift
-            assert same_bits(res.end.z, traj.states[-1].z)
-            assert res.end.residual == traj.states[-1].residual
+            assert same_bits(res.zs, traj.zs)
+            assert same_bits(res.times, traj.times)
+            assert res.residuals == traj.residuals
+            assert res.max_constraint_drift == traj.max_constraint_drift
+            assert same_bits(res.end.z, res.zs[-1])
+            assert same_bits(res.end.z, traj.end.z)
+            assert res.end.residual == traj.residuals[-1]
 
     def test_domain_error_mid_stage(self):
         # x1' = -sqrt(x1) reaches x1 < 0 inside an RK4 stage for the

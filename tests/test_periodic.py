@@ -96,10 +96,9 @@ class TestShoot:
         # guess at the linear response x(0) ~ lam/2; from 0 the transient
         # (lam/2) e^t escapes the box at this forcing size
         bp = shoot(equivlien, 1e-2, np.array([5e-3]), np.zeros(1))
-        start = bp.orbit.states[0]
-        again = integrate(equivlien, bp.lam, bp.orbit.states[-1],
+        again = integrate(equivlien, bp.lam, bp.orbit.end,
                           equivlien.period, 2 * equivlien.period)
-        assert norm1(again.states[-1].z - start.z) <= 1e-6
+        assert norm1(again.end.z - bp.orbit.start.z) <= 1e-6
 
 
 class TestBranch:
@@ -110,7 +109,7 @@ class TestBranch:
         first = br.points[0]
         assert first.lam == 0.0
         assert first.sup_norm <= 1e-10
-        assert np.max(np.abs(first.orbit.array())) <= 1e-9  # trivial pair
+        assert np.max(np.abs(first.orbit.zs)) <= 1e-9  # trivial pair
         sups = [bp.sup_norm for bp in br.points]
         assert all(a < b for a, b in zip(sups, sups[1:]))
         for bp in br.points[1:]:
@@ -157,7 +156,7 @@ class TestMultiplicity:
                     if abs(bp.orbit.mean_state()[0] - 1.0) < 0.1]
         assert near_zero and near_one
         dist = np.max(np.abs(
-            near_zero[0].orbit.array() - near_one[0].orbit.array()
+            near_zero[0].orbit.zs - near_one[0].orbit.zs
         ).sum(axis=1))
         assert dist >= 0.5
 
@@ -193,7 +192,7 @@ class TestMultiplicity:
             assert a.p0.tobytes() == b.p0.tobytes()
             assert a.shooting_residual == b.shooting_residual
             assert a.sup_norm == b.sup_norm
-            assert a.orbit.array().tobytes() == b.orbit.array().tobytes()
+            assert a.orbit.zs.tobytes() == b.orbit.zs.tobytes()
 
     def test_merge_skips_failed_starts_and_raises_the_first_other(self):
         with pytest.raises(ValueError, match="first"):

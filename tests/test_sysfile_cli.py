@@ -106,6 +106,41 @@ class TestCliExitCodes:
             assert err.startswith("error: ") and err.count("\n") == 1
             assert why in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["shoot", "equivlien", "--lambda", "-1", "--guess", "0"],
+         "lambda must be >= 0"),
+        (["shoot", "equivlien", "--guess", "0", "--steps", "8"],
+         "at least 16 steps required"),
+        (["multiplicity", "exmults", "--lambda", "-1"], "lambda must be >= 0"),
+        (["branch", "equivlien", "--lambda-max", "-1"],
+         "lambda_max must be positive"),
+        (["zeros", "pozzo", "--grid", "1"], "grid_per_dim must be at least 2"),
+        (["check", "pozzo", "--samples", "0"], "samples must be at least 1"),
+    ])
+    def test_bad_argument_values_exit_1_with_one_error_line(self, capsys,
+                                                            argv, message):
+        cmd, name, *rest = argv
+        code, out, err = run_cli(capsys, cmd, system_path(name), *rest)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("cmd", ["check", "reduce-hessenberg",
+                                     "reduce-implicit"])
+    def test_bad_box_names_its_line(self, capsys, tmp_path, cmd):
+        body = {
+            "check": 'dim_x = 1\ndim_y = 1\nperiod = 1\nf = "y1"\ng = "y1"\n',
+            "reduce-hessenberg":
+                'dim_x = 1\ndim_y = 1\nperiod = 1\nf = "y1"\ngamma = "x1"\n',
+            "reduce-implicit": 'dim_x = 1\nperiod = 1\nphi = "y1 + x1"\n',
+        }[cmd]
+        path = tmp_path / "bad.sys"
+        path.write_text(body + "box = [1, -1], [-1, 1]\n")
+        line = body.count("\n") + 1
+        code, out, err = run_cli(capsys, cmd, str(path))
+        assert code == 1 and out == ""
+        assert err == (f"error: box requires lo < hi in every dimension "
+                       f"(line {line})\n")
+
     def test_hypothesis_violation_on_semantic_command(self, capsys):
         code, _, err = run_cli(capsys, "degree", system_path("eqex1"))
         assert code == 2
@@ -206,9 +241,9 @@ class TestCliReports:
 
 def constant_trajectory(n_steps, period=2 * math.pi):
     times = np.linspace(0.0, period, n_steps + 1)
-    states = [ManifoldPoint(np.array([0.1]), np.array([-0.1]), 0.0)
-              for _ in range(n_steps + 1)]
-    return Trajectory(times, states, 0.0, 0.0)
+    zs = np.tile([0.1, -0.1], (n_steps + 1, 1))
+    mp = ManifoldPoint(np.array([0.1]), np.array([-0.1]), 0.0)
+    return Trajectory(times, zs, [0.0] * (n_steps + 1), 0.0, 0.0, mp, mp)
 
 
 def synthetic_branch(n_points):
