@@ -3,9 +3,8 @@
 Exit codes: 0 success, 2 when the d2g-invertibility hypothesis fails on the
 system's box, 1 for every other error (a toolkit error, a bad argument value
 the library rejects with ValueError, or an i/o error), reported as one line
-on stderr. Reports are JSON with all numbers at
-full double precision; given the same inputs and --seed they are
-byte-identical run to run.
+on stderr. Reports are JSON with all numbers at full double precision; given
+the same inputs and --seed they are byte-identical run to run.
 """
 
 import argparse
