@@ -6,7 +6,11 @@ at 128 steps; the equivlien shoot and branch also write their CSV files.
 The degree side is ``check`` on every fixture (eqex1 and eqex2 fail the
 d2g hypothesis and exit 2 with their report) and ``zeros``, ``degree`` and
 ``resonance`` at grid 8 on pozzo, equivlien, exmults and the degenerate
-``bench/systems/degen3.sys``. Every query runs from the repository root.
+``bench/systems/degen3.sys``. The pool side is the benchmark's seeded random
+systems at ``--seed 1``, committed as ``tests/golden/r12.sys``, ``r21.sys``
+and ``r22.sys``: ``check`` and ``degree`` on all three, ``zeros`` and
+``resonance`` on r12 and r21, at the default grid as the benchmark asks
+them. Every query runs from the repository root.
 
 A change meant to alter a report regenerates the files with
 
@@ -53,6 +57,12 @@ for _cmd in ("zeros", "degree", "resonance"):
     for _name in ("pozzo", "equivlien", "exmults", "degen3"):
         QUERIES[f"{_cmd}_{_name}"] = ([_cmd, FIXTURES[_name], "--grid", "8"],
                                       False, 0)
+for _name in ("r12", "r21", "r22"):
+    _path = f"tests/golden/{_name}.sys"
+    _cmds = ("check", "degree") + (("zeros", "resonance")
+                                   if _name != "r22" else ())
+    for _cmd in _cmds:
+        QUERIES[f"{_cmd}_{_name}"] = ([_cmd, _path], False, 0)
 
 
 def run_query(name, csv_dir):
