@@ -25,6 +25,7 @@ from .errors import (
     DaekitError,
     HypothesisViolationError,
     SingularMatrixError,
+    point_text,
 )
 from .linalg import PIVOT_RTOL, _pivot_error, lu_factor, norm1, norm1_rows
 
@@ -773,7 +774,7 @@ def _solve_constraint_row(sys, p, q, first=None):
             return q, rn
     raise ConstraintSolveError(
         f"constraint Newton stalled at residual {rn:.3e} "
-        f"for p = {tuple(np.array(p))}"
+        f"for p = {point_text(p)}"
     )
 
 
@@ -815,6 +816,8 @@ def forcing_field(sys, t, pt):
 
 def perturbed_field(sys, t, pt, lam):
     """Full right-hand side tangent + lam * forcing with one shared LU."""
+    if not math.isfinite(lam):
+        raise ValueError("perturbation magnitude lambda must be finite")
     if lam < 0:
         raise ValueError("perturbation magnitude lambda must be >= 0")
     return reduced_field(sys, pt.z, t, lam)[0]

@@ -13,7 +13,6 @@ that reduction is what `tangent_field_degree` reports, together with the
 cross-check status.
 """
 
-import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -28,6 +27,7 @@ from .errors import (
     DegenerateZeroError,
     InconsistentVoteError,
     SingularMatrixError,
+    point_text,
 )
 from .linalg import (
     block_schur_det,
@@ -199,65 +199,49 @@ def _newton_sweep(fld, box, starts, tol=1e-12, iterations=60):
 def find_zeros(system_or_field, box, grid_per_dim=16):
     """All zeros of the field in the box, deduplicated, with index data.
 
-    Multistart Newton from a grid_per_dim^n grid of cell centers; converged
-    points inside the box are merged at radius 1e-6 and each survivor gets
-    an AD Jacobian, a degeneracy flag (det_sign at relative tolerance 1e-8)
-    and, when nondegenerate, the Jacobian sign as its index. Points within
-    1e-6 of the box boundary are flagged.
+    Multistart Newton from a grid_per_dim^n grid of cell centers. The
+    converged points inside the box are merged at radius 1e-10, polished,
+    and merged again at radius 1e-6, each time by first-seen clustering
+    in sweep order (`_first_seen`). Each survivor gets an AD Jacobian, a
+    degeneracy flag (det_sign at relative tolerance 1e-8) and, when
+    nondegenerate, the Jacobian sign as its index. Points within 1e-6 of
+    the box boundary are flagged.
     """
     if grid_per_dim < 2:
         raise ValueError("grid_per_dim must be at least 2")
     fld = as_field(system_or_field)
     if fld.dim != box.dim:
         raise ValueError("field and box dimension mismatch")
-    candidates = _newton_sweep(fld, box, _grid_starts(box, grid_per_dim))
-    coarse = _dedup(
-        candidates[box.contains_rows(candidates, slack=BOUNDARY_SLACK)], 1e-10
-    )
-    polished, errors = _polish_rows(fld, np.array(coarse).reshape(-1, fld.dim))
+    rows = _newton_sweep(fld, box, _grid_starts(box, grid_per_dim))
+    rows = rows[box.contains_rows(rows, slack=BOUNDARY_SLACK)]
+    rows, errors = _polish_rows(fld, rows[_first_seen(rows, 1e-10)])
     if errors:
         raise errors[min(errors)]
-    reps = _dedup(
-        polished[box.contains_rows(polished, slack=BOUNDARY_SLACK)],
-        DEDUP_RADIUS,
-    )
-    records = [_make_record(fld, box, z) for z in reps]
+    rows = rows[box.contains_rows(rows, slack=BOUNDARY_SLACK)]
+    records = [_make_record(fld, box, z)
+               for z in rows[_first_seen(rows, DEDUP_RADIUS)]]
     records.sort(key=lambda r: tuple(r.point))
     return records
 
 
-def _dedup(points, radius):
-    """The rows of points at norm-1 distance > radius from every earlier
-    kept row, in input order. A sweep over the first coordinate: a kept
-    point within the radius lies within it in that coordinate too, so only
-    the kept points in a window of sorted first coordinates are measured.
-    Finite rows equal to an earlier finite row go first: such a row lies
-    at distance 0 from the earlier one, so the kept row within the radius
-    of that one (itself, if it was kept) is within the radius of this one."""
+def _first_seen(points, radius):
+    """Indices of the entries of points that first-seen clustering keeps,
+    in input order: an entry is kept unless an earlier kept entry lies
+    within radius. points is (N, n), or (N, T, n) for orbits, whose
+    distance is the largest norm-1 distance between their rows. Each kept
+    entry drops every later entry within the radius in one pass; nan is
+    never within any radius."""
     points = np.asarray(points, dtype=float)
-    finite = np.flatnonzero(np.isfinite(points).all(axis=1))
-    if finite.size:
-        keep = np.ones(len(points), dtype=bool)
-        keep[finite] = False
-        keep[finite[np.unique(points[finite], axis=0, return_index=True)[1]]] = True
-        points = points[keep]
-    reps, keys, order = [], [], []  # kept points; their sorted x1, indices
-    for z, x1 in zip(points, points[:, 0].tolist()):
-        if math.isnan(x1):  # never within any radius; nothing to index
-            reps.append(np.array(z, dtype=float))
-            continue
-        # 2 * radius covers the rounding of z[0] - r[0] against radius
-        lo = bisect.bisect_left(keys, x1 - 2.0 * radius)
-        hi = bisect.bisect_right(keys, x1 + 2.0 * radius)
-        for i in order[lo:hi]:
-            if norm1(z - reps[i]) <= radius:
-                break
-        else:
-            at = bisect.bisect_right(keys, x1)
-            keys.insert(at, x1)
-            order.insert(at, len(reps))
-            reps.append(np.array(z, dtype=float))
-    return reps
+    kept = []
+    rest = np.arange(len(points))
+    while rest.size:
+        i, rest = rest[0], rest[1:]
+        kept.append(i)
+        dist = np.abs(points[rest] - points[i]).sum(axis=-1)
+        if dist.ndim > 1:
+            dist = dist.max(axis=1)
+        rest = rest[~(dist <= radius)]
+    return np.array(kept, dtype=np.intp)
 
 
 def _finite_rows(*parts):
@@ -368,7 +352,7 @@ def degree_sum(zeros, box):
     if near:
         raise BoundaryZeroError(
             f"zero(s) within {BOUNDARY_SLACK} of the box boundary: "
-            + ", ".join(str(tuple(p)) for p in near)
+            + ", ".join(point_text(p) for p in near)
         )
     bad = [z.point for z in zeros if z.degenerate]
     if bad:
@@ -430,7 +414,7 @@ def _winding_number(fld, box):
         m = norm1(v)
         if m <= MIN_BOUNDARY_MARGIN * scale:
             raise BoundaryZeroError(
-                f"|F| = {m:.3e} at boundary point {tuple(z)}"
+                f"|F| = {m:.3e} at boundary point {point_text(z)}"
             )
         return math.atan2(v[1], v[0])
 
@@ -454,7 +438,7 @@ def _winding_number(fld, box):
             if t1 - t0 < 2.0**-46:
                 raise BoundaryZeroError(
                     "field direction unresolved on the boundary "
-                    f"near {tuple(a + t0 * (b - a))}"
+                    f"near {point_text(a + t0 * (b - a))}"
                 )
             tm = 0.5 * (t0 + t1)
             stack.append((tm, t1))

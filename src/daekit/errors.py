@@ -5,6 +5,11 @@ to locate the failure without re-running the computation.
 """
 
 
+def point_text(point):
+    """A point as the text of a tuple of Python floats, e.g. "(0.0, 1.5)"."""
+    return str(tuple(float(c) for c in point))
+
+
 class DaekitError(Exception):
     """Base class for all toolkit errors."""
 
@@ -51,7 +56,7 @@ class HypothesisViolationError(DaekitError):
     """
 
     def __init__(self, message, witness, report=None):
-        super().__init__(f"{message}; witness {tuple(float(w) for w in witness)}")
+        super().__init__(f"{message}; witness {point_text(witness)}")
         self.witness = witness
         self.report = report
 
@@ -77,7 +82,7 @@ class DegenerateZeroError(DaekitError):
     """Signed index summation refused: some zero has a singular Jacobian."""
 
     def __init__(self, points):
-        pts = ", ".join(str(tuple(float(c) for c in p)) for p in points)
+        pts = ", ".join(point_text(p) for p in points)
         super().__init__(f"degenerate zero(s) at {pts}; use the boundary oracle")
         self.points = points
 

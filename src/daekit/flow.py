@@ -26,6 +26,7 @@ differences survive only as a test oracle.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,6 +102,8 @@ def _flow(sys, lam, start, t0, t1, steps, want_sensitivity=False,
           want_lambda=False):
     """Projected RK4 flow from the ManifoldPoint start, on floats. Returns
     the Trajectory; raises the first error the flow meets."""
+    if not math.isfinite(lam):
+        raise ValueError("lambda must be finite")
     if lam < 0:
         raise ValueError("lambda must be >= 0")
     if steps < 16:

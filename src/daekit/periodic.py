@@ -14,6 +14,7 @@ and implicit equations phi(x, x' + lambda*h(t,x)) = 0 (introduce y = x' +
 lambda*h).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,7 @@ from . import expr
 from .dae import SystemDef, validate
 from .degree import (
     ZeroRecord,
+    _first_seen,
     _grid_starts,
     degree_via_slice,
     find_zeros,
@@ -36,6 +38,7 @@ from .errors import (
     ShootingError,
     SingularMatrixError,
     SingularShootingError,
+    point_text,
 )
 from .flow import DEFAULT_STEPS, time_T_map
 from .linalg import (
@@ -124,7 +127,7 @@ def shoot(sys, lam, p_guess, q_guess=None, steps=DEFAULT_STEPS):
             lu, piv, _ = lu_factor(traj.sensitivity - eye)
         except SingularMatrixError as exc:
             raise SingularShootingError(
-                f"shooting Jacobian dP - I singular at p0 = {tuple(p)}"
+                f"shooting Jacobian dP - I singular at p0 = {point_text(p)}"
             ) from exc
         if res <= SHOOT_TOL:
             return BranchPoint(
@@ -180,12 +183,14 @@ def continue_branch(sys, origin, lambda_max, norm_bound, max_steps=200,
     easy accepts inside [DS_MIN, DS_MAX]. Termination is always reported,
     never inferred.
     """
+    if not math.isfinite(lambda_max):
+        raise ValueError("lambda_max must be finite")
     if lambda_max <= 0:
         raise ValueError("lambda_max must be positive")
     if classify_resonance(sys, origin).resonant:
         raise BranchError(
-            f"origin {tuple(origin.point)} is resonant; the branch is not "
-            "locally unique there"
+            f"origin {point_text(origin.point)} is resonant; the branch is "
+            "not locally unique there"
         )
     k = sys.k
     p_star = origin.point[:k].copy()
@@ -295,6 +300,8 @@ def _linear_response_seed(sys, zero, lam, steps=256):
 
 def multistart_starts(sys, lam, grid_per_dim=8):
     """The (p, q) starts of multiplicity_scan, in merge order."""
+    if grid_per_dim < 1:
+        raise ValueError("grid_per_dim must be at least 1")
     k = sys.k
     q_center = sys.box.center[k:]
     starts = []
@@ -320,24 +327,22 @@ _START_FAILURES = (ShootingError, SingularShootingError, LeavesBoxError,
 
 
 def merge_orbits(shots):
-    """Distinct orbits among shoot results in order: each is kept unless
-    an earlier kept orbit lies within sampled sup-distance ORBIT_DEDUP.
-    Failed starts are skipped; an error not of a start-failure type is
-    raised (the first one, as shooting the starts in order would)."""
+    """Distinct orbits among shoot results in order. Failed starts are
+    skipped; an error not of a start-failure type is raised (the first
+    one, as shooting the starts in order would). The orbits are then
+    clustered first-seen (`_first_seen`): each is kept unless an earlier
+    kept orbit lies within sampled sup-distance ORBIT_DEDUP."""
     orbits = []
     for bp in shots:
         if isinstance(bp, _START_FAILURES):
             continue
         if isinstance(bp, Exception):
             raise bp
-        zs = bp.orbit.zs
-        for kept in orbits:
-            dist = float(np.max(np.abs(zs - kept.orbit.zs).sum(axis=1)))
-            if dist <= ORBIT_DEDUP:
-                break
-        else:
-            orbits.append(bp)
-    return orbits
+        orbits.append(bp)
+    if not orbits:
+        return []
+    zs = np.stack([bp.orbit.zs for bp in orbits])
+    return [orbits[i] for i in _first_seen(zs, ORBIT_DEDUP)]
 
 
 def multiplicity_scan(sys, lam, grid_per_dim=8, steps=DEFAULT_STEPS):
@@ -352,6 +357,8 @@ def multiplicity_scan(sys, lam, grid_per_dim=8, steps=DEFAULT_STEPS):
     sampled sup-distance 1e-4; merge order is start order, so the result
     is deterministic.
     """
+    if not math.isfinite(lam):
+        raise ValueError("lambda must be finite")
     if lam < 0:
         raise ValueError("lambda must be >= 0")
     shots = []

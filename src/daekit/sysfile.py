@@ -19,6 +19,7 @@ format is deliberately line-based and dependency-free so fixtures diff
 cleanly.
 """
 
+import math
 import re
 
 from . import expr
@@ -92,20 +93,52 @@ def _require(raw, lines, key):
     return raw[key]
 
 
-def _parse_formulas(texts, declared, key, lines):
+def _header(raw, lines, *dims):
+    """The dimensions named by dims, each a whole number of at least 1,
+    then the period; the period and a given constraint_tol must be finite
+    and positive. A bad value names its line."""
+    out = []
+    for key in dims:
+        value = _require(raw, lines, key)
+        if not (value >= 1 and value.is_integer()):
+            raise SystemFileError(
+                f"'{key}' must be a whole number of at least 1", lines[key]
+            )
+        out.append(int(value))
+    period = _require(raw, lines, "period")
+    for key in ("period", "constraint_tol"):
+        if key in raw and not 0 < raw[key] < math.inf:
+            raise SystemFileError(f"'{key}' must be finite and positive",
+                                  lines[key])
+    return (*out, period)
+
+
+def _formulas(raw, lines, key, declared, count):
+    """The count formulas of key over the declared names; a wrong count
+    or a bad formula names the key's line."""
+    texts = _require(raw, lines, key)
+    if len(texts) != count:
+        raise SystemFileError(
+            f"{key} needs {count} formulas, got {len(texts)}", lines[key]
+        )
     out = []
     for text in texts:
         try:
             out.append(expr.parse(text, declared))
         except Exception as exc:
             raise SystemFileError(
-                f"in '{key}' formula '{text}': {exc}", lines.get(key)
+                f"in '{key}' formula '{text}': {exc}", lines[key]
             ) from exc
     return out
 
 
-def _box(pairs, lines):
-    """The Box of the bounds pairs; bad bounds name the ``box`` line."""
+def _box(raw, lines, count):
+    """The Box of the count bounds pairs; bad bounds name the box line."""
+    pairs = _require(raw, lines, "box")
+    if len(pairs) != count:
+        raise SystemFileError(
+            f"box needs {count} bounds pairs, got {len(pairs)}", lines["box"]
+        )
     try:
         return Box.from_pairs(pairs)
     except ValueError as exc:
@@ -121,29 +154,12 @@ def load_system(path, name=None):
                 f"'{key}' belongs to a reduction input, not a standard system",
                 lines[key],
             )
-    k = int(_require(raw, lines, "dim_x"))
-    s = int(_require(raw, lines, "dim_y"))
-    period = _require(raw, lines, "period")
-    x_names = [f"x{i + 1}" for i in range(k)]
-    y_names = [f"y{i + 1}" for i in range(s)]
-    state = x_names + y_names
-    f = _parse_formulas(_require(raw, lines, "f"), state, "f", lines)
-    g = _parse_formulas(_require(raw, lines, "g"), state, "g", lines)
-    h = None
-    if "h" in raw:
-        h = _parse_formulas(raw["h"], state + ["t"], "h", lines)
-    pairs = _require(raw, lines, "box")
-    if len(pairs) != k + s:
-        raise SystemFileError(
-            f"box needs {k + s} bounds pairs, got {len(pairs)}", lines["box"]
-        )
-    if len(f) != k:
-        raise SystemFileError(f"f needs {k} formulas, got {len(f)}", lines["f"])
-    if len(g) != s:
-        raise SystemFileError(f"g needs {s} formulas, got {len(g)}", lines["g"])
-    if h is not None and len(h) != k:
-        raise SystemFileError(f"h needs {k} formulas, got {len(h)}", lines["h"])
-    box = _box(pairs, lines)
+    k, s, period = _header(raw, lines, "dim_x", "dim_y")
+    state = [f"x{i + 1}" for i in range(k)] + [f"y{i + 1}" for i in range(s)]
+    f = _formulas(raw, lines, "f", state, k)
+    g = _formulas(raw, lines, "g", state, s)
+    h = _formulas(raw, lines, "h", state + ["t"], k) if "h" in raw else None
+    box = _box(raw, lines, k + s)
     try:
         return SystemDef(
             k, s, period, f, g, h, box,
@@ -157,39 +173,21 @@ def load_system(path, name=None):
 def load_hessenberg(path):
     """Load a reduction input with constraint ``gamma`` depending on x only."""
     raw, lines = load_raw(path)
-    k = int(_require(raw, lines, "dim_x"))
-    s = int(_require(raw, lines, "dim_y"))
-    period = _require(raw, lines, "period")
+    k, s, period = _header(raw, lines, "dim_x", "dim_y")
     x_names = [f"x{i + 1}" for i in range(k)]
-    y_names = [f"y{i + 1}" for i in range(s)]
-    f = _parse_formulas(_require(raw, lines, "f"), x_names + y_names, "f", lines)
-    gamma = _parse_formulas(_require(raw, lines, "gamma"), x_names, "gamma", lines)
-    h = None
-    if "h" in raw:
-        h = _parse_formulas(raw["h"], x_names + y_names + ["t"], "h", lines)
-    pairs = _require(raw, lines, "box")
-    if len(gamma) != s:
-        raise SystemFileError(f"gamma needs {s} formulas", lines["gamma"])
-    if len(pairs) != k + s:
-        raise SystemFileError(f"box needs {k + s} bounds pairs", lines["box"])
-    return f, gamma, h, period, _box(pairs, lines)
+    state = x_names + [f"y{i + 1}" for i in range(s)]
+    f = _formulas(raw, lines, "f", state, k)
+    gamma = _formulas(raw, lines, "gamma", x_names, s)
+    h = _formulas(raw, lines, "h", state + ["t"], k) if "h" in raw else None
+    return f, gamma, h, period, _box(raw, lines, k + s)
 
 
 def load_implicit(path):
     """Load an implicit-equation input phi(x, x' + lambda h(t, x)) = 0."""
     raw, lines = load_raw(path)
-    k = int(_require(raw, lines, "dim_x"))
-    period = _require(raw, lines, "period")
+    k, period = _header(raw, lines, "dim_x")
     x_names = [f"x{i + 1}" for i in range(k)]
     y_names = [f"y{i + 1}" for i in range(k)]
-    phi = _parse_formulas(_require(raw, lines, "phi"), x_names + y_names,
-                          "phi", lines)
-    h = None
-    if "h" in raw:
-        h = _parse_formulas(raw["h"], x_names + ["t"], "h", lines)
-    pairs = _require(raw, lines, "box")
-    if len(phi) != k:
-        raise SystemFileError(f"phi needs {k} formulas", lines["phi"])
-    if len(pairs) != 2 * k:
-        raise SystemFileError(f"box needs {2 * k} bounds pairs", lines["box"])
-    return phi, h, period, _box(pairs, lines)
+    phi = _formulas(raw, lines, "phi", x_names + y_names, k)
+    h = _formulas(raw, lines, "h", x_names + ["t"], k) if "h" in raw else None
+    return phi, h, period, _box(raw, lines, 2 * k)

@@ -14,7 +14,12 @@ from daekit.degree import (
     boundary_margin,
     find_zeros,
 )
-from daekit.errors import ConstraintSolveError, DaekitError, SingularMatrixError
+from daekit.errors import (
+    ConstraintSolveError,
+    DaekitError,
+    SingularMatrixError,
+    point_text,
+)
 from daekit.linalg import (
     lu_apply_rows,
     lu_factor,
@@ -193,6 +198,20 @@ def dedup_oracle(points, radius):
     return reps
 
 
+def merge_orbits_oracle(orbits, radius):
+    """The pairwise loop periodic.merge_orbits used to run over the state
+    arrays of converged orbits: the indices of the orbits it kept."""
+    kept = []
+    for i, zs in enumerate(orbits):
+        for j in kept:
+            dist = float(np.max(np.abs(zs - orbits[j]).sum(axis=1)))
+            if dist <= radius:
+                break
+        else:
+            kept.append(i)
+    return kept
+
+
 def polish_oracle(fld, z):
     """The one-candidate polish find_zeros used to run: Newton steps while
     the residual still drops, keeping the best point."""
@@ -319,7 +338,7 @@ def solve_constraint_rows_oracle(sys, p, q_guess):
     for i in live:
         errors[int(i)] = ConstraintSolveError(
             f"constraint Newton stalled at residual {rn[i]:.3e} "
-            f"for p = {tuple(p[i])}"
+            f"for p = {point_text(p[i])}"
         )
     return q, rn, errors
 

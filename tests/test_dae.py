@@ -329,6 +329,12 @@ class TestPerturbedField:
         with pytest.raises(ValueError):
             perturbed_field(pozzo, 0.0, mp, -0.1)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_non_finite_lambda_rejected(self, pozzo, lam):
+        mp = solve_constraint(pozzo, np.zeros(2), np.zeros(1))
+        with pytest.raises(ValueError, match="lambda must be finite"):
+            perturbed_field(pozzo, 0.0, mp, lam)
+
 
 class TestTangency:
     def manifold_samples(self, sys, n, q_guess):

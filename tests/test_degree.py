@@ -19,7 +19,7 @@ from daekit.errors import (
     DegenerateZeroError,
     HypothesisViolationError,
 )
-from daekit.degree import _dedup, _grid_starts, _newton_sweep, _polish_rows
+from daekit.degree import _first_seen, _grid_starts, _newton_sweep, _polish_rows
 from helpers import dedup_oracle, degen3, polish_oracle, random_system
 
 
@@ -263,12 +263,12 @@ class TestDedup:
                 pts = centers[rng.integers(12, size=400)]
                 pts = pts + rng.normal(scale=radius, size=pts.shape)
                 pts[::7] = pts[::7].round(3)  # exact repeats and ties
-                got = _dedup(pts, radius)
+                got = pts[_first_seen(pts, radius)]
                 want = dedup_oracle(pts, radius)
                 assert len(got) == len(want)
                 assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
-    def test_exact_duplicates_go_first(self):
+    def test_repeats_ties_and_non_finite_rows(self):
         # repeated rows, rows equal up to the sign of zero, rows with nan
         # or inf, and rows at exactly the radius from a kept row
         rng = np.random.default_rng(37)
@@ -282,7 +282,7 @@ class TestDedup:
         pts[100:104] = [[0.0, radius], [-0.0, radius], [0.0, -0.0], [-0.0, 0.0]]
         for r in (radius, 0.0, 1e-10):
             with np.errstate(invalid="ignore"):  # inf - inf in both
-                got = _dedup(pts, r)
+                got = pts[_first_seen(pts, r)]
                 want = dedup_oracle(pts, r)
             assert len(got) == len(want)
             assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))

@@ -5,7 +5,7 @@ import pytest
 
 from daekit import expr
 from daekit.dae import Box, solve_constraint
-from daekit.degree import chart_index, find_zeros
+from daekit.degree import _first_seen, chart_index, find_zeros
 from daekit.errors import (
     BranchError,
     HypothesisViolationError,
@@ -17,6 +17,7 @@ from daekit.errors import (
 from daekit.flow import integrate
 from daekit.linalg import det_sign, norm1
 from daekit.periodic import (
+    ORBIT_DEDUP,
     classify_resonance,
     continue_branch,
     merge_orbits,
@@ -26,6 +27,7 @@ from daekit.periodic import (
     reduce_implicit,
     shoot,
 )
+from helpers import merge_orbits_oracle
 from test_flow import rotation_system
 
 
@@ -199,6 +201,25 @@ class TestMultiplicity:
             merge_orbits([ShootingError("skipped"), ValueError("first"),
                           LeavesBoxError("skipped", 1.0), ValueError("later")])
         assert merge_orbits([ShootingError("skipped")]) == []
+
+    def test_first_seen_equals_the_pairwise_orbit_loop(self):
+        # stacked (N, T, n) orbits on a lattice of ORBIT_DEDUP, so that
+        # many pairs lie at exactly the radius, plus orbits with nan
+        rng = np.random.default_rng(41)
+        base = rng.integers(-1, 2, (6, 9, 3)) * ORBIT_DEDUP
+        orbits = base[rng.integers(6, size=80)]
+        step = rng.integers(-1, 2, orbits.shape) * ORBIT_DEDUP
+        orbits = orbits + step * (rng.random(orbits.shape) < 0.05)
+        orbits[3::11, 4, 0] = np.nan
+        orbits[20] = np.nan
+        tie = np.zeros((2, 9, 3))
+        tie[1, 5, 2] = ORBIT_DEDUP  # exactly at the radius from tie[0]
+        orbits = np.concatenate([tie, orbits])
+        for r in (ORBIT_DEDUP, 0.0, 2 * ORBIT_DEDUP):
+            got = _first_seen(orbits, r)
+            want = merge_orbits_oracle(orbits, r)
+            assert got.tolist() == want
+        assert 1 not in _first_seen(orbits, ORBIT_DEDUP)
 
 
 class TestReduceHessenberg:

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 
@@ -116,6 +117,16 @@ class TestCliExitCodes:
          "lambda_max must be positive"),
         (["zeros", "pozzo", "--grid", "1"], "grid_per_dim must be at least 2"),
         (["check", "pozzo", "--samples", "0"], "samples must be at least 1"),
+        (["shoot", "equivlien", "--lambda", "nan", "--guess", "0",
+          "--steps", "32"], "lambda must be finite"),
+        (["shoot", "equivlien", "--lambda", "inf", "--guess", "0",
+          "--steps", "32"], "lambda must be finite"),
+        (["multiplicity", "exmults", "--lambda", "nan", "--grid", "2",
+          "--steps", "32"], "lambda must be finite"),
+        (["branch", "equivlien", "--lambda-max", "nan", "--steps", "32"],
+         "lambda_max must be finite"),
+        (["multiplicity", "exmults", "--lambda", "0.01", "--grid", "0",
+          "--steps", "32"], "grid_per_dim must be at least 1"),
     ])
     def test_bad_argument_values_exit_1_with_one_error_line(self, capsys,
                                                             argv, message):
@@ -140,6 +151,56 @@ class TestCliExitCodes:
         assert code == 1 and out == ""
         assert err == (f"error: box requires lo < hi in every dimension "
                        f"(line {line})\n")
+
+    @pytest.mark.parametrize("argv, prefix, suffix", [
+        (["shoot", "exmults", "--guess", "0", "--steps", "32"],
+         "shooting Jacobian dP - I singular at p0 = ", ""),
+        (["branch", "exmults", "--lambda-max", "0.1", "--origin", "0,0",
+          "--steps", "32"], "origin ",
+         " is resonant; the branch is not locally unique there"),
+    ])
+    def test_error_points_are_tuples_of_floats(self, capsys, argv, prefix,
+                                               suffix):
+        cmd, name, *rest = argv
+        code, out, err = run_cli(capsys, cmd, system_path(name), *rest)
+        assert code == 1 and out == ""
+        assert err.startswith("error: " + prefix)
+        assert err.endswith(suffix + "\n") and err.count("\n") == 1
+        text = err[len("error: " + prefix):len(err) - len(suffix) - 1]
+        point = ast.literal_eval(text)  # no np.float64(...) reprs
+        assert type(point) is tuple and point
+        assert all(type(c) is float for c in point)
+
+    # one bad header value or formula count per file; the error names its line
+    @pytest.mark.parametrize("cmd, body, message", [
+        ("check", 'dim_x = 1.5\ndim_y = 1\nperiod = 1\nf = "y1"\ng = "y1"\n'
+         'box = [-1, 1], [-1, 1]\n',
+         "'dim_x' must be a whole number of at least 1 (line 1)"),
+        ("check", 'dim_x = 1\ndim_y = 0\nperiod = 1\nf = "x1"\ng = "x1"\n'
+         'box = [-1, 1]\n',
+         "'dim_y' must be a whole number of at least 1 (line 2)"),
+        ("check", 'dim_x = 1\ndim_y = 1\nperiod = nan\nf = "y1"\ng = "y1"\n'
+         'box = [-1, 1], [-1, 1]\n',
+         "'period' must be finite and positive (line 3)"),
+        ("check", 'dim_x = 1\ndim_y = 1\nperiod = 1\nconstraint_tol = -1\n'
+         'f = "y1"\ng = "y1"\nbox = [-1, 1], [-1, 1]\n',
+         "'constraint_tol' must be finite and positive (line 4)"),
+        ("reduce-hessenberg", 'dim_x = 1\ndim_y = 1\nperiod = 1\n'
+         'f = "y1", "x1"\ngamma = "x1"\nbox = [-1, 1], [-1, 1]\n',
+         "f needs 1 formulas, got 2 (line 4)"),
+        ("reduce-implicit", 'dim_x = 1\nperiod = 1\nphi = "y1 + x1"\n'
+         'h = "cos(t)", "sin(t)"\nbox = [-1, 1], [-1, 1]\n',
+         "h needs 1 formulas, got 2 (line 4)"),
+    ], ids=["dim_x-fraction", "dim_y-zero", "period-nan",
+            "constraint_tol-negative", "hessenberg-f-count",
+            "implicit-h-count"])
+    def test_bad_header_or_count_names_its_line(self, capsys, tmp_path, cmd,
+                                                body, message):
+        path = tmp_path / "bad.sys"
+        path.write_text(body)
+        code, out, err = run_cli(capsys, cmd, str(path))
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
 
     def test_hypothesis_violation_on_semantic_command(self, capsys):
         code, _, err = run_cli(capsys, "degree", system_path("eqex1"))
