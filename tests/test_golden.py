@@ -10,7 +10,10 @@ d2g hypothesis and exit 2 with their report) and ``zeros``, ``degree`` and
 systems at ``--seed 1``, committed as ``tests/golden/r12.sys``, ``r21.sys``
 and ``r22.sys``: ``check`` and ``degree`` on all three, ``zeros`` and
 ``resonance`` on r12 and r21, at the default grid as the benchmark asks
-them. Every query runs from the repository root.
+them. The reduction side is ``reduce-hessenberg`` on ``tests/golden/hess.sys``
+and ``reduce-implicit`` on ``tests/golden/implicit.sys``, the two inputs of
+``demos/04_problem_reductions.py``. Every query runs from the repository
+root.
 
 A change meant to alter a report regenerates the files with
 
@@ -63,6 +66,10 @@ for _name in ("r12", "r21", "r22"):
                                    if _name != "r22" else ())
     for _cmd in _cmds:
         QUERIES[f"{_cmd}_{_name}"] = ([_cmd, _path], False, 0)
+QUERIES["reduce-hessenberg_hess"] = (
+    ["reduce-hessenberg", "tests/golden/hess.sys"], False, 0)
+QUERIES["reduce-implicit_implicit"] = (
+    ["reduce-implicit", "tests/golden/implicit.sys"], False, 0)
 
 
 def run_query(name, csv_dir):
