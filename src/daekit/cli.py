@@ -239,6 +239,16 @@ def _cmd_resonance(args):
     return 0
 
 
+def _first_nonresonant(sysdef, zeros):
+    """The first nondegenerate, non-resonant zero of the list, or None."""
+    for z in zeros:
+        if not z.degenerate and not periodic.classify_resonance(
+            sysdef, z
+        ).resonant:
+            return z
+    return None
+
+
 def _cmd_shoot(args):
     sysdef = sysfile.load_system(args.system)
     validate(sysdef)
@@ -246,18 +256,13 @@ def _cmd_shoot(args):
         p_guess = _parse_vector(args.guess, "--guess", sysdef.k)
         q_guess = None
     else:
-        zeros = degree_mod.find_zeros(sysdef, sysdef.box)
-        for z in zeros:
-            if not z.degenerate and not periodic.classify_resonance(
-                sysdef, z
-            ).resonant:
-                p_guess = z.point[: sysdef.k]
-                q_guess = z.point[sysdef.k :]
-                break
-        else:
+        z = _first_nonresonant(sysdef, degree_mod.find_zeros(sysdef, sysdef.box))
+        if z is None:
             raise DaekitError(
                 "no non-resonant zero to start from; pass --guess"
             )
+        p_guess = z.point[: sysdef.k]
+        q_guess = z.point[sysdef.k :]
     bp = periodic.shoot(sysdef, args.lam, p_guess, q_guess, steps=args.steps)
     if args.csv:
         write_trajectory_csv(bp.orbit, _resolve_out(args.csv))
@@ -273,7 +278,6 @@ def _cmd_branch(args):
     sysdef = sysfile.load_system(args.system)
     validate(sysdef)
     zeros = degree_mod.find_zeros(sysdef, sysdef.box)
-    origin = None
     if args.origin is not None:
         target = _parse_vector(args.origin, "--origin", sysdef.k + sysdef.s)
         if not zeros:
@@ -281,12 +285,7 @@ def _cmd_branch(args):
                               "branch at")
         origin = min(zeros, key=lambda z: float(np.sum(np.abs(z.point - target))))
     else:
-        for z in zeros:
-            if not z.degenerate and not periodic.classify_resonance(
-                sysdef, z
-            ).resonant:
-                origin = z
-                break
+        origin = _first_nonresonant(sysdef, zeros)
     if origin is None:
         raise DaekitError("no non-resonant zero to anchor the branch; "
                           "pass --origin")
@@ -335,9 +334,7 @@ def _cmd_multiplicity(args):
 
 def _cmd_reduce_hessenberg(args):
     f, gamma, h, period, box = sysfile.load_hessenberg(args.system)
-    sysdef = periodic.reduce_hessenberg(
-        f, gamma, box, period=period, h_exprs=h, samples=args.samples
-    )
+    sysdef = periodic._hessenberg_system(f, gamma, box, period, h)
     report = validate(sysdef, samples=args.samples)
     _emit(
         {
@@ -386,8 +383,6 @@ def _build_parser():
         p = sub.add_parser(name, **kwargs)
         p.add_argument("system", help="system definition file")
         p.add_argument("--out", default=None, help="write the JSON report here")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized perturbation votes")
         p.set_defaults(fn=fn)
         return p
 
@@ -401,6 +396,8 @@ def _build_parser():
             help="degree of (f, g) and of the induced tangent field")
     p.add_argument("--grid", type=int, default=16)
     p.add_argument("--samples", type=int, default=512)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for randomized perturbation votes")
 
     p = add("resonance", _cmd_resonance,
             help="classify each zero as resonant / non-resonant")

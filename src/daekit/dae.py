@@ -22,7 +22,6 @@ import numpy as np
 from . import expr
 from .errors import (
     ConstraintSolveError,
-    DaekitError,
     HypothesisViolationError,
     SingularMatrixError,
     point_text,
@@ -30,6 +29,8 @@ from .errors import (
 from .linalg import PIVOT_RTOL, _pivot_error, lu_factor, norm1, norm1_rows
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+DET_POLISH_ITERATIONS = 100  # per start of validate's |det d2g| polish
+WITNESS_ITERATIONS = 100  # of the witness refinement onto det = g = 0
 
 
 def halton(n, dim, skip=20):
@@ -245,11 +246,13 @@ class SystemDef:
         cols = self._slices.get(id(names))
         if cols is None:
             cols = [self._column[nm] for nm in names]
-        return self.kernel(exprs).dual(env, cols)[1][0]
+        return self.kernel(exprs).dual(env, cols)[1]
 
     def blocks(self, exprs, env):
         """(d1, d2): the x- and y-blocks of the Jacobian of exprs."""
-        return self.kernel(exprs).dual(env, slice(self.k), slice(self.k, None))[1]
+        jac = self.kernel(exprs).dual(env)[1]
+        return (np.ascontiguousarray(jac[:, : self.k]),
+                np.ascontiguousarray(jac[:, self.k :]))
 
     def constraint_blocks(self, env):
         """(d1g, d2g) at the point described by env."""
@@ -294,42 +297,24 @@ def _adjugate_rows(a):
     return adj
 
 
-# what evaluating one row can raise; the row fails alone with it
-_ROW_ERRORS = (DaekitError, ArithmeticError, ValueError)
-
-
 def _det_and_grad_rows(sys, zs):
     """det d2g on each row of zs (N, k+s) and its gradient along the state
     (Jacobi's formula: the trace of adj(d2g) times each partial of d2g).
 
-    Returns (dets, gradients, errors); errors maps each row whose
-    evaluation raises to its error. One rows call of the d2g kernel gives
-    values and partials in the point arithmetic; a row where it raises or
-    gives a non-finite number is evaluated at its point (values, then
-    partials, with the strict walker's diagnostics), so every row gets its
-    point result.
+    Returns (dets, gradients, errors): one Kernel.dual_rows call of the
+    d2g kernel gives each row its point values and partials, and errors
+    maps each row whose evaluation raises to its error.
     """
     s, n = sys.s, sys.k + sys.s
-    kern = sys.kernel(sys.d2g_flat)
-    a = np.empty((len(zs), s * s))
-    da = np.empty((len(zs), s * s, n))
-    kern.dual_rows({nm: zs[:, i] for i, nm in enumerate(sys.state_names)}, da, a)
-    errors = {}
-    bad = ~(np.isfinite(a).all(axis=1) & np.isfinite(da).all(axis=(1, 2)))
-    for r in np.flatnonzero(bad).tolist():
-        env = sys.env(zs[r, : sys.k], zs[r, sys.k :])
-        try:
-            a[r] = kern.values(env)
-            da[r] = kern.dual(env)[1][0]
-        except _ROW_ERRORS as exc:
-            errors[r] = exc
+    a, da, errors = sys.kernel(sys.d2g_flat).dual_rows(
+        {nm: zs[:, i] for i, nm in enumerate(sys.state_names)})
     a = a.reshape(-1, s, s)
     da = np.ascontiguousarray(da.reshape(-1, s, s, n).transpose(0, 3, 1, 2))
     grads = np.trace(_adjugate_rows(a)[:, None] @ da, axis1=2, axis2=3)
     return _det_rows(a), grads, errors
 
 
-def _polish_det_rows(sys, z0s, iterations=100):
+def _polish_det_rows(sys, z0s):
     """Drive |det d2g| toward its local minimum from each row of z0s
     (box-clipped), all rows in lockstep. Returns (best points, best |det|,
     errors), errors as in _det_and_grad_rows.
@@ -346,7 +331,7 @@ def _polish_det_rows(sys, z0s, iterations=100):
     best_z, best_d = z.copy(), np.abs(d)
     seen = [{row.tobytes()} for row in z]
     live = np.array([r for r in range(len(z)) if r not in errors], dtype=int)
-    for _ in range(iterations):
+    for _ in range(DET_POLISH_ITERATIONS):
         gg = np.array([float(grad[r] @ grad[r]) for r in live.tolist()])
         go = ~((np.abs(d[live]) < 1e-14) | (gg < 1e-30))
         rows = live[go]
@@ -375,12 +360,12 @@ def _polish_det_rows(sys, z0s, iterations=100):
     return best_z, best_d.tolist(), errors
 
 
-def _refine_witness(sys, z0, iterations=100):
+def _refine_witness(sys, z0):
     """Pull a degenerate-d2g point onto the constraint locus (det=0, g=0)."""
     z = sys.box.clip(np.array(z0, dtype=float))
     best = z.copy()
     best_r = math.inf
-    for _ in range(iterations):
+    for _ in range(WITNESS_ITERATIONS):
         env = sys.env(z[: sys.k], z[sys.k :])
         d, grad, errors = _det_and_grad_rows(sys, z[None])
         if errors:

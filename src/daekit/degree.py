@@ -45,6 +45,8 @@ DEGENERATE_TOL = 1e-8
 MIN_BOUNDARY_MARGIN = 1e-8
 FACE_SAMPLES = 256  # quasi-random samples per box face in boundary_margin
 PERTURB_SIZE = 1e-5
+SWEEP_TOL = 1e-12  # norm-1 residual at which a sweep start has converged
+SWEEP_ITERATIONS = 60  # Newton steps per sweep start
 
 
 @dataclass
@@ -75,7 +77,7 @@ class VectorField:
         return self._kernel.values(self.env(z))
 
     def jacobian(self, z):
-        return self._kernel.dual(self.env(z))[1][0]
+        return self._kernel.dual(self.env(z))[1]
 
     def value_batch(self, zs):
         out = np.empty((zs.shape[0], self.dim))
@@ -86,13 +88,9 @@ class VectorField:
         return self._kernel.dual_batch(self.env(zs, batch=True), out)
 
     def rows(self, zs):
-        """(values, Jacobians) on the rows of zs in the point arithmetic:
-        bit for bit value() and jacobian() wherever those are finite, and
-        non-finite where the point kernel raises."""
-        vals = np.empty((zs.shape[0], self.dim))
-        jac = np.empty((zs.shape[0], self.dim, len(self.var_names)))
-        self._kernel.dual_rows(self.env(zs, batch=True), jac, vals)
-        return vals, jac
+        """(values, Jacobians, errors) on the rows of zs, each row value()
+        and jacobian() at its point or their error (Kernel.dual_rows)."""
+        return self._kernel.dual_rows(self.env(zs, batch=True))
 
 
 def system_field(sys):
@@ -143,14 +141,14 @@ def _grid_starts(box, grid_per_dim):
     return np.column_stack([m.ravel() for m in mesh])
 
 
-def _newton_sweep(fld, box, starts, tol=1e-12, iterations=60):
+def _newton_sweep(fld, box, starts):
     zs = starts.astype(float).copy()
     n_pts = zs.shape[0]
     alive = np.ones(n_pts, dtype=bool)
     converged = np.zeros(n_pts, dtype=bool)
     lo_big = box.lo - 5.0 * box.width
     hi_big = box.hi + 5.0 * box.width
-    for _ in range(iterations):
+    for _ in range(SWEEP_ITERATIONS):
         idx = np.nonzero(alive)[0]
         if idx.size == 0:
             break
@@ -158,7 +156,7 @@ def _newton_sweep(fld, box, starts, tol=1e-12, iterations=60):
         fv = fld.value_batch(za)
         res = np.abs(fv).sum(axis=1)
         good = np.isfinite(res)
-        done = good & (res <= tol)
+        done = good & (res <= SWEEP_TOL)
         converged[idx[done]] = True
         alive[idx[done]] = False
         alive[idx[~good]] = False
@@ -244,26 +242,6 @@ def _first_seen(points, radius):
     return np.array(kept, dtype=np.intp)
 
 
-def _finite_rows(*parts):
-    """Rows whose entries in all the given (N, ...) arrays are finite."""
-    ok = np.ones(len(parts[0]), dtype=bool)
-    for a in parts:
-        ok &= np.isfinite(a).all(axis=tuple(range(1, a.ndim)))
-    return ok
-
-
-def _at_point(rows, errors, call):
-    """call(i) for every listed row without an error; a raise becomes that
-    row's error. Used to re-evaluate non-finite rows at their point."""
-    for i in rows:
-        i = int(i)
-        if i not in errors:
-            try:
-                call(i)
-            except Exception as exc:  # the row fails alone, with its error
-                errors[i] = exc
-
-
 def _polish_rows(fld, zs):
     """Sharpen converged candidates, the rows of zs, in lockstep.
 
@@ -272,9 +250,8 @@ def _polish_rows(fld, zs):
     best point it met. A row stops at a zero residual, a singular
     Jacobian, or a non-finite or negligible step. Returns (best points,
     errors): errors maps each row whose field evaluation raises to its
-    error. Rows are evaluated in the point arithmetic, with the point
-    evaluation where that is not finite, so each row matches polishing
-    it alone bit for bit.
+    error. Rows are evaluated with VectorField.rows, each the point
+    result, so each row matches polishing it alone bit for bit.
     """
     z = np.array(zs, dtype=float)
     best = z.copy()
@@ -284,16 +261,7 @@ def _polish_rows(fld, zs):
     for it in range(60):
         if not live.size:
             break
-        fv, jac = fld.rows(z[live])
-
-        def value(i):
-            fv[i] = fld.value(z[live[i]])
-
-        def jacobian(i):
-            jac[i] = fld.jacobian(z[live[i]])
-
-        sub = {}
-        _at_point(np.flatnonzero(~_finite_rows(fv)), sub, value)
+        fv, jac, sub = fld.rows(z[live])
         res = norm1_rows(fv)
         if it == 0:
             best_res[live] = res
@@ -301,7 +269,9 @@ def _polish_rows(fld, zs):
         best[live[better]] = z[live[better]]
         best_res[live[better]] = res[better]
         go = ~(res == 0.0)
-        _at_point(np.flatnonzero(go & ~_finite_rows(fv, jac)), sub, jacobian)
+        # a row at a zero residual takes no step, so its Jacobian's error
+        # is dropped
+        sub = {i: exc for i, exc in sub.items() if go[i]}
         go[list(sub)] = False
         errors.update({int(live[i]): exc for i, exc in sub.items()})
         idx = np.flatnonzero(go)

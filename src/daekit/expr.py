@@ -19,7 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExprDomainError, ExprSyntaxError, UndeclaredVariableError
+from .errors import (
+    DaekitError,
+    ExprDomainError,
+    ExprSyntaxError,
+    UndeclaredVariableError,
+)
 
 FUNCTIONS = ("sin", "cos", "exp", "ln", "sqrt")
 
@@ -283,6 +288,8 @@ def substitute(e, bindings):
 
 
 _KERNEL_ERRORS = (ValueError, ZeroDivisionError, OverflowError, KeyError)
+# what evaluating one row at its point can raise; the row fails alone with it
+ROW_ERRORS = (DaekitError, ArithmeticError, ValueError)
 _MAX_INLINE_DEPTH = 32  # deeper single-use chains get a temporary (parser limits)
 
 
@@ -545,10 +552,8 @@ class Kernel:
     KeyError) or gives a non-finite number, the point is re-evaluated with
     the strict walker, which returns the same result or raises the
     ExprDomainError naming the offending subexpression. Batch evaluation
-    checks no domain: invalid points yield nan/inf. Rows (dual_rows) run
-    the point function on every row, so each is the point result bit for
-    bit, or nan where the point function raises; a caller re-evaluates a
-    non-finite row at its point for the point's result or diagnostic.
+    checks no domain: invalid points yield nan/inf. Rows (dual_rows) give
+    each row its point result bit for bit, or its point error.
     """
 
     def __init__(self, exprs, seeds=()):
@@ -572,11 +577,11 @@ class Kernel:
             pass
         return np.array([_strict(e, env) for e in self.exprs], dtype=float)
 
-    def dual(self, env, *colsets):
-        """(values, Jacobians) at a point: for each column set (a slice or a
-        list of seed numbers), the matrix whose row i holds the derivatives
-        of expression i along those seeds; the full Jacobian when no set is
-        given. The strict walk goes seed by seed, in the order of the sets."""
+    def dual(self, env, cols=None):
+        """(values, Jacobian) at a point: row i of the Jacobian holds the
+        derivatives of expression i along the seeds of cols (a slice or a
+        list of seed numbers), along every seed when cols is None. The
+        strict walk goes seed by seed, in the order of cols."""
         m, n = len(self.exprs), len(self.seeds)
         vals, ders = [0.0] * m, [0.0] * (m * n)
         try:
@@ -585,8 +590,7 @@ class Kernel:
         except _KERNEL_ERRORS:
             ok = False
         if not ok:
-            order = [j for cols in colsets or [slice(None)]
-                     for j in np.arange(n)[cols]]
+            order = np.arange(n)[slice(None) if cols is None else cols]
             walks = {j: [_strict(e, env, self.seeds[j]) for e in self.exprs]
                      for j in order}
             for j, walk in walks.items():
@@ -595,9 +599,9 @@ class Kernel:
             vals = ([v for v, _ in first] if first is not None
                     else [_strict(e, env, {})[0] for e in self.exprs])
         jac = np.array(ders, dtype=float).reshape(m, n)
-        if not colsets:
-            return vals, [jac]
-        return vals, [np.ascontiguousarray(jac[:, cols]) for cols in colsets]
+        if cols is None:
+            return vals, jac
+        return vals, np.ascontiguousarray(jac[:, cols])
 
     def values_batch(self, env, out):
         """Values on a batch into out[..., i] (out C-contiguous)."""
@@ -614,17 +618,22 @@ class Kernel:
             self._fn(True)(env, vals, out.reshape(-1, m * n).T)
         return out
 
-    def dual_rows(self, env, out, vout):
-        """dual_batch in the point arithmetic: the point function on every
-        row, into out[r, i, j] and vout[r, i]; nan in every output of a row
-        where it raises. Names whose env entry is not an array are shared
-        by all rows."""
+    def dual_rows(self, env):
+        """(values (N, m), derivatives (N, m, n), errors) on the rows of a
+        batch, each row the point result bit for bit. The point function
+        runs on every row; a row where it raises or gives a non-finite
+        number is evaluated at its point, with values and then dual, so it
+        gets their result or their diagnostic. errors maps each row where
+        that raises a ROW_ERRORS type to its error; the row keeps the
+        numbers it got. Names whose env entry is not an array are shared by
+        all rows."""
         fn = self._fn(False)
         m, n = len(self.exprs), len(self.seeds)
         names = [nm for nm, v in env.items() if isinstance(v, np.ndarray)]
+        rows = list(zip(*(env[nm].tolist() for nm in names)))
         point = dict(env)
         vs, ds = [], []
-        for row in zip(*(env[nm].tolist() for nm in names)):
+        for row in rows:
             point.update(zip(names, row))
             v, d = [0.0] * m, [0.0] * (m * n)
             try:
@@ -633,10 +642,18 @@ class Kernel:
                 v, d = [math.nan] * m, [math.nan] * (m * n)
             vs.append(v)
             ds.append(d)
-        if ds:  # an empty batch has nothing to write
-            out.reshape(-1, m * n)[:] = ds
-            vout.reshape(-1, m)[:] = vs
-        return out
+        vals = np.array(vs, dtype=float).reshape(len(rows), m)
+        ders = np.array(ds, dtype=float).reshape(len(rows), m, n)
+        errors = {}
+        bad = ~(np.isfinite(vals).all(axis=1) & np.isfinite(ders).all(axis=(1, 2)))
+        for r in np.flatnonzero(bad).tolist():
+            point.update(zip(names, rows[r]))
+            try:
+                vals[r] = self.values(point)
+                ders[r] = self.dual(point)[1]
+            except ROW_ERRORS as exc:
+                errors[r] = exc
+        return vals, ders, errors
 
 
 # ---------------------------------------------------------------------------
@@ -716,7 +733,7 @@ def evaluate(e, env):
 
 def evaluate_dual(e, env, seed):
     """Evaluate value and directional derivative along ``seed`` at ``env``."""
-    vals, (jac,) = Kernel([e], [seed]).dual(env)
+    vals, jac = Kernel([e], [seed]).dual(env)
     return DualValue(float(vals[0]), float(jac[0, 0]))
 
 

@@ -40,7 +40,7 @@ from .errors import (
     SingularShootingError,
     point_text,
 )
-from .flow import DEFAULT_STEPS, time_T_map
+from .flow import DEFAULT_STEPS, _rk4, time_T_map
 from .linalg import (
     det_sign,
     expm,
@@ -56,6 +56,7 @@ SHOOT_TOL = 1e-8
 SHOOT_MAX_ITER = 30
 ORBIT_DEDUP = 1e-4
 DS_START, DS_MIN, DS_MAX = 0.02, 1e-4, 0.1
+RESPONSE_STEPS = 256  # RK4 steps of the linear-response seed
 
 
 @dataclass
@@ -187,6 +188,12 @@ def continue_branch(sys, origin, lambda_max, norm_bound, max_steps=200,
         raise ValueError("lambda_max must be finite")
     if lambda_max <= 0:
         raise ValueError("lambda_max must be positive")
+    if not math.isfinite(norm_bound):
+        raise ValueError("norm_bound must be finite")
+    if norm_bound <= 0:
+        raise ValueError("norm_bound must be positive")
+    if max_steps < 1:
+        raise ValueError("max_steps must be at least 1")
     if classify_resonance(sys, origin).resonant:
         raise BranchError(
             f"origin {point_text(origin.point)} is resonant; the branch is "
@@ -269,33 +276,28 @@ def continue_branch(sys, origin, lambda_max, norm_bound, max_steps=200,
 # Multiplicity scan
 
 
-def _linear_response_seed(sys, zero, lam, steps=256):
-    """First-order initial state of the forced orbit near a non-resonant zero.
+def _linear_response_seed(sys, verdict, lam):
+    """First-order initial state of the forced orbit near the non-resonant
+    zero of a ResonanceVerdict.
 
-    Integrates u' = A u + lambda*h(t, zero) over one period from zero and
-    solves (I - e^{AT}) u0 = u(T); the forced orbit starts at p0 + u0 up to
+    Integrates u' = A u + lambda*h(t, zero) over one period from zero, in
+    RESPONSE_STEPS RK4 steps, and solves (I - e^{AT}) u0 = u(T) with the
+    verdict's A and e^{AT}; the forced orbit starts at p0 + u0 up to
     O(lambda^2).
     """
     k = sys.k
-    a = reduced_matrix(sys, zero.point)
-    mono = expm(a * sys.period)
-    mi = np.eye(k) - mono
-    p_star, q_star = zero.point[:k], zero.point[k:]
-    h_step = sys.period / steps
-    u = np.zeros(k)
+    a = verdict.linearization
+    p_star, q_star = verdict.zero.point[:k], verdict.zero.point[k:]
+    h_step = sys.period / RESPONSE_STEPS
 
-    def du(t, u):
+    def du(u, t, lam):
         env = sys.env(p_star, q_star, t=t)
-        return a @ u + lam * sys.eval_h(env)
+        return tuple((a @ np.array(u) + lam * sys.eval_h(env)).tolist())
 
-    for n in range(steps):
-        t = n * h_step
-        k1 = du(t, u)
-        k2 = du(t + 0.5 * h_step, u + 0.5 * h_step * k1)
-        k3 = du(t + 0.5 * h_step, u + 0.5 * h_step * k2)
-        k4 = du(t + h_step, u + h_step * k3)
-        u = u + (h_step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return p_star + lu_solve(mi, u)
+    rk4, u = _rk4(k), (0.0,) * k
+    for n in range(RESPONSE_STEPS):
+        u = rk4(du, u, n * h_step, h_step, lam)
+    return p_star + lu_solve(np.eye(k) - verdict.monodromy, np.array(u))
 
 
 def multistart_starts(sys, lam, grid_per_dim=8):
@@ -311,7 +313,7 @@ def multistart_starts(sys, lam, grid_per_dim=8):
             try:
                 verdict = classify_resonance(sys, z)
                 if not verdict.resonant:
-                    seed = _linear_response_seed(sys, z, lam)
+                    seed = _linear_response_seed(sys, verdict, lam)
                     starts.append((seed, z.point[k:].copy()))
             except SingularMatrixError:
                 pass
@@ -382,6 +384,14 @@ def reduce_hessenberg(f_exprs, gamma_exprs, box, period=2 * np.pi,
     equation g = dc/dx . f, whose y-Jacobian dc/dx . d2f must be invertible;
     that is checked by the standard box validation of the produced system.
     """
+    sysdef = _hessenberg_system(f_exprs, gamma_exprs, box, period, h_exprs,
+                                name)
+    validate(sysdef, samples=samples)
+    return sysdef
+
+
+def _hessenberg_system(f_exprs, gamma_exprs, box, period, h_exprs, name=""):
+    """The system reduce_hessenberg produces, not yet validated."""
     k, s = len(f_exprs), len(gamma_exprs)
     x_names = [f"x{i + 1}" for i in range(k)]
     for gamma in gamma_exprs:
@@ -398,10 +408,7 @@ def reduce_hessenberg(f_exprs, gamma_exprs, box, period=2 * np.pi,
                 total, expr.c_mul(expr.symbolic_diff(gamma, xj), f_exprs[j])
             )
         g_exprs.append(total)
-    sysdef = SystemDef(k, s, period, f_exprs, g_exprs, h_exprs, box,
-                       name=name)
-    validate(sysdef, samples=samples)
-    return sysdef
+    return SystemDef(k, s, period, f_exprs, g_exprs, h_exprs, box, name=name)
 
 
 def reduce_implicit(phi_exprs, h_exprs, period, box, grid_per_dim=16,

@@ -7,13 +7,7 @@ import numpy as np
 
 from daekit import expr
 from daekit.dae import Box, SystemDef, validate
-from daekit.degree import (
-    VectorField,
-    _at_point,
-    _finite_rows,
-    boundary_margin,
-    find_zeros,
-)
+from daekit.degree import VectorField, boundary_margin, find_zeros
 from daekit.errors import (
     ConstraintSolveError,
     DaekitError,
@@ -243,16 +237,57 @@ def degen3():
     return SystemDef(2, 1, 2 * np.pi, f, g, None, Box.from_pairs([(-2, 2)] * 3))
 
 
+def _finite_rows(*parts):
+    """Rows whose entries in all the given (N, ...) arrays are finite."""
+    ok = np.ones(len(parts[0]), dtype=bool)
+    for a in parts:
+        ok &= np.isfinite(a).all(axis=tuple(range(1, a.ndim)))
+    return ok
+
+
+def _at_point(rows, errors, call):
+    """call(i) for every listed row without an error; a raise becomes that
+    row's error. The oracles re-evaluate non-finite rows at their point
+    with it."""
+    for i in rows:
+        i = int(i)
+        if i not in errors:
+            try:
+                call(i)
+            except Exception as exc:  # the row fails alone, with its error
+                errors[i] = exc
+
+
+def point_kernel_rows(kern, env):
+    """The point function of kern on every row of env, as Kernel.dual_rows
+    ran it before it re-evaluated failed rows: (values (N, m), derivatives
+    (N, m, n)), nan in every output of a row where it raises. Names whose
+    env entry is not an array are shared by all rows."""
+    fn = kern._fn(False)
+    m, n = len(kern.exprs), len(kern.seeds)
+    names = [nm for nm, v in env.items() if isinstance(v, np.ndarray)]
+    point = dict(env)
+    vs, ds = [], []
+    for row in zip(*(env[nm].tolist() for nm in names)):
+        point.update(zip(names, row))
+        v, d = [0.0] * m, [0.0] * (m * n)
+        try:
+            fn(point, v, d)
+        except (ValueError, ZeroDivisionError, OverflowError, KeyError):
+            v, d = [math.nan] * m, [math.nan] * (m * n)
+        vs.append(v)
+        ds.append(d)
+    return (np.array(vs, dtype=float).reshape(len(vs), m),
+            np.array(ds, dtype=float).reshape(len(ds), m, n))
+
+
 def rows_oracle(sys, exprs, z, t=None):
     """The rows evaluation SystemDef.rows used to run: (values (N, m),
     state Jacobians (N, m, k+s)) of the list exprs on every row of z, each
     the point kernel's, nan in every output of a row where it raises."""
     env = {nm: z[:, i] for i, nm in enumerate(sys.state_names)}
     env["t"] = math.nan if t is None else float(t)
-    vals = np.empty((len(z), len(exprs)))
-    jac = np.empty((len(z), len(exprs), len(sys.state_names)))
-    sys.kernel(exprs).dual_rows(env, jac, vals)
-    return vals, jac
+    return point_kernel_rows(sys.kernel(exprs), env)
 
 
 def constraint_rows_oracle(sys, p, q):
@@ -429,7 +464,7 @@ def det_and_grad_oracle(sys, z):
     kern = sys.kernel(sys.d2g_flat)
     a = kern.values(env).reshape(s, s)
     adj = _adjugate_oracle(a)
-    da = np.ascontiguousarray(kern.dual(env)[1][0].reshape(s, s, n).transpose(2, 0, 1))
+    da = np.ascontiguousarray(kern.dual(env)[1].reshape(s, s, n).transpose(2, 0, 1))
     grad = np.array([float(np.trace(adj @ da[m])) for m in range(n)])
     return _det_small_oracle(a), grad
 

@@ -253,6 +253,19 @@ class TestLockstepPolish:
         for i in (0, 2):
             assert best[i].tobytes() == polish_oracle(fld, zs[i]).tobytes()
 
+    def test_a_row_at_a_zero_keeps_no_jacobian_error(self):
+        # the Jacobian of sqrt(x1) raises at x1 = 0: a row that starts at
+        # the zero takes no step, so it ends without an error, as alone
+        fld = planar_field("sqrt(x1)", "y1")
+        zs = np.array([[0.0, 0.0], [0.0, 0.5]])
+        best, errors = _polish_rows(fld, zs)
+        assert sorted(errors) == [1]
+        assert best[0].tobytes() == polish_oracle(fld, zs[0]).tobytes()
+        with pytest.raises(type(errors[1])) as alone:
+            polish_oracle(fld, zs[1])
+        assert str(errors[1]) == str(alone.value)
+        assert "sqrt not differentiable" in str(errors[1])
+
 
 class TestDedup:
     def test_equals_first_seen_loop_on_clusters(self):

@@ -127,6 +127,12 @@ class TestCliExitCodes:
          "lambda_max must be finite"),
         (["multiplicity", "exmults", "--lambda", "0.01", "--grid", "0",
           "--steps", "32"], "grid_per_dim must be at least 1"),
+        (["branch", "equivlien", "--lambda-max", "0.1", "--norm-bound", "nan",
+          "--steps", "32"], "norm_bound must be finite"),
+        (["branch", "equivlien", "--lambda-max", "0.1", "--norm-bound", "0",
+          "--steps", "32"], "norm_bound must be positive"),
+        (["branch", "equivlien", "--lambda-max", "0.1", "--max-steps", "0",
+          "--steps", "32"], "max_steps must be at least 1"),
     ])
     def test_bad_argument_values_exit_1_with_one_error_line(self, capsys,
                                                             argv, message):
@@ -266,6 +272,12 @@ class TestCliReports:
             )
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_only_degree_takes_a_seed(self, capsys):
+        code, out, err = run_cli(capsys, "zeros", system_path("pozzo"),
+                                 "--seed", "1")
+        assert code == 1 and out == ""
+        assert "error: unrecognized arguments: --seed 1\n" in err
 
     def test_out_dir_override(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("DAEKIT_OUT_DIR", str(tmp_path))
