@@ -7,7 +7,6 @@ scale so sign tests behave the same under rescaling of the equations.
 """
 
 import numpy as np
-import scipy.linalg
 
 from .errors import MatrixOverflowError, SingularMatrixError
 
@@ -182,10 +181,22 @@ def det_sign(a, tol=1e-12):
 
 
 def expm(a):
-    """Matrix exponential (scaling-and-squaring with a high-order approximant)."""
+    """Matrix exponential of a square matrix.
+
+    A 1x1 matrix is np.exp of its entry, which is what scipy.linalg.expm
+    returns for it. A larger one goes to scipy.linalg.expm, the
+    scaling-and-squaring Pade method (Higham, SIAM J. Matrix Anal. Appl. 26,
+    2005); scipy is imported here, so a process that never exponentiates a
+    matrix of order 2 or more never loads it. Raises MatrixOverflowError
+    when any entry is not finite.
+    """
     a = np.asarray(a, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = scipy.linalg.expm(a)
+        if a.shape == (1, 1):
+            out = np.exp(a)
+        else:
+            import scipy.linalg
+            out = scipy.linalg.expm(a)
     if not np.all(np.isfinite(out)):
         raise MatrixOverflowError("matrix exponential overflowed")
     return out

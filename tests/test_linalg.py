@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from daekit import linalg
 from daekit.errors import MatrixOverflowError, SingularMatrixError
@@ -65,6 +66,20 @@ class TestDetSign:
             assert dab == pytest.approx(da * db, rel=1e-8, abs=1e-12)
 
 
+def assert_expm_matches_scipy(a):
+    """linalg.expm(a) has scipy.linalg.expm(a)'s bits, dtype and shape, or
+    raises MatrixOverflowError where scipy's result is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = scipy.linalg.expm(a)
+    if not np.all(np.isfinite(want)):
+        with pytest.raises(MatrixOverflowError):
+            linalg.expm(a)
+        return
+    got = linalg.expm(a)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes(), a
+
+
 class TestExpm:
     def test_zero(self):
         assert np.array_equal(linalg.expm(np.zeros((3, 3))), np.eye(3))
@@ -89,6 +104,37 @@ class TestExpm:
             a = rng.uniform(-2, 2, (n, n))
             prod = linalg.expm(a) @ linalg.expm(-a)
             assert np.max(np.abs(prod - np.eye(n))) <= 1e-8
+
+    # The 1x1 path is np.exp and skips scipy; larger inputs call scipy.
+    # Both must give scipy.linalg.expm's bits.
+    def test_scipy_bits_one_by_one_random(self):
+        rng = np.random.default_rng(2005)
+        for x in rng.uniform(-750.0, 750.0, 2000):
+            assert_expm_matches_scipy(np.array([[x]]))
+
+    @pytest.mark.parametrize("x", [
+        0.0, -0.0, 1.0, -1.0,
+        709.78, 709.782712893384, np.nextafter(709.782712893384, np.inf),
+        710.0, -745.1, -745.13321910194122, -745.2, -1e4, 1e4])
+    def test_scipy_bits_one_by_one_edges(self, x):
+        assert_expm_matches_scipy(np.array([[x]]))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_scipy_bits_random(self, n):
+        rng = np.random.default_rng(n)
+        for scale in (0.1, 2.0, 50.0):
+            for _ in range(100):
+                assert_expm_matches_scipy(rng.uniform(-scale, scale, (n, n)))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_scipy_bits_diagonal(self, n):
+        rng = np.random.default_rng(10 + n)
+        for _ in range(100):
+            assert_expm_matches_scipy(np.diag(rng.uniform(-750.0, 750.0, n)))
+
+    def test_overflow_two_by_two(self):
+        with pytest.raises(MatrixOverflowError):
+            linalg.expm(np.array([[1e3, 1.0], [1.0, 1e3]]))
 
 
 class TestNearSingular:
