@@ -37,12 +37,12 @@ print(f"resonance verdict: {verdict.verdict} "
 
 print("\n== one shot: forced orbit at lambda = 1e-3 ==")
 lam = 1e-3
-bp = shoot(sysdef, lam, np.zeros(1), np.zeros(1))
-print(f"x(0) = {bp.p0[0]:.10f}")
+orbit = shoot(sysdef, lam, np.zeros(1), np.zeros(1))
+print(f"x(0) = {orbit.start.p[0]:.10f}")
 print(f"first-order theory: x(t) = lambda (cos t + sin t)/2, "
       f"so x(0) = lambda/2 = {lam / 2}")
-print(f"error {abs(bp.p0[0] - lam / 2):.2e}, "
-      f"orbit amplitude {bp.sup_norm:.6f} "
+print(f"error {abs(orbit.start.p[0] - lam / 2):.2e}, "
+      f"orbit amplitude {orbit.sup_amplitude():.6f} "
       f"(theory lambda*sqrt(2) = {lam * math.sqrt(2):.6f})")
 
 print("\n== continuation of the branch up to lambda = 0.1 ==")
@@ -50,9 +50,9 @@ branch = continue_branch(sysdef, origin, lambda_max=0.1, norm_bound=0.9)
 print(f"{len(branch.points)} points, termination: {branch.termination} "
       f"({branch.detail})")
 print(f"{'lambda':>9} {'x(0)':>10} {'amplitude':>10} {'residual':>9}")
-for bp in branch.points:
-    print(f"{bp.lam:9.5f} {bp.p0[0]:10.6f} {bp.sup_norm:10.6f} "
-          f"{bp.shooting_residual:9.1e}")
+for orbit in branch.points:
+    print(f"{orbit.lam:9.5f} {orbit.start.p[0]:10.6f} "
+          f"{orbit.sup_amplitude():10.6f} {orbit.closure_residual:9.1e}")
 
 out = Path(__file__).with_name("vanderpol_branch.csv")
 write_branch_csv(branch, out)

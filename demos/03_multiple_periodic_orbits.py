@@ -46,11 +46,12 @@ print(f"winding number of F along the box boundary: {deg}")
 print("\n== multistart shooting at lambda = 0.01 ==")
 orbits = multiplicity_scan(sysdef, 0.01, grid_per_dim=8)
 print(f"{len(orbits)} distinct periodic orbits found:")
-for bp in orbits:
-    mean = bp.orbit.mean_state()
+for orbit in orbits:
+    mean = orbit.mean_state()
     print(f"  orbit near ({mean[0]:+.4f}, {mean[1]:+.4f}): "
-          f"x(0) = {bp.p0[0]:+.6f}, amplitude {bp.sup_norm:.5f}, "
-          f"residual {bp.shooting_residual:.1e}")
-a, b = orbits[0].orbit.zs, orbits[1].orbit.zs
+          f"x(0) = {orbit.start.p[0]:+.6f}, "
+          f"amplitude {orbit.sup_amplitude():.5f}, "
+          f"residual {orbit.closure_residual:.1e}")
+a, b = orbits[0].zs, orbits[1].zs
 print(f"sup-distance between the two orbits: "
       f"{float(np.max(np.abs(a - b).sum(axis=1))):.3f}")

@@ -24,7 +24,6 @@ from .degree import (
     tangent_field_degree,
 )
 from .expr import (
-    DualValue,
     evaluate,
     evaluate_dual,
     parse,
@@ -33,10 +32,9 @@ from .expr import (
     to_string,
     variables,
 )
-from .flow import Trajectory, integrate, monodromy, time_T_map
+from .flow import Trajectory, integrate, time_T_map
 from .periodic import (
     Branch,
-    BranchPoint,
     ResonanceVerdict,
     classify_resonance,
     continue_branch,

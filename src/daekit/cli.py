@@ -94,7 +94,7 @@ def write_trajectory_csv(traj, path):
 
 def write_branch_csv(branch, path):
     """CSV with step, lambda, p0, sup_norm, residual; termination on last row."""
-    k = len(branch.points[0].p0)
+    k = len(branch.points[0].start.p)
     header = (
         ["step", "lambda"]
         + [f"p0_{i + 1}" for i in range(k)]
@@ -103,10 +103,10 @@ def write_branch_csv(branch, path):
     last = len(branch.points) - 1
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for i, bp in enumerate(branch.points):
-            row = [str(i), _num(bp.lam)]
-            row += [_num(v) for v in bp.p0]
-            row += [_num(bp.sup_norm), _num(bp.shooting_residual)]
+        for i, orbit in enumerate(branch.points):
+            row = [str(i), _num(orbit.lam)]
+            row += [_num(v) for v in orbit.start.p]
+            row += [_num(orbit.sup_amplitude()), _num(orbit.closure_residual)]
             row.append(branch.termination if i == last else "")
             fh.write(",".join(row) + "\n")
 
@@ -132,12 +132,12 @@ def _zero_dict(z):
     }
 
 
-def _orbit_dict(bp):
+def _orbit_dict(orbit):
     return {
-        "lambda": bp.lam,
-        "p0": bp.p0,
-        "sup_norm": bp.sup_norm,
-        "shooting_residual": bp.shooting_residual,
+        "lambda": orbit.lam,
+        "p0": orbit.start.p,
+        "sup_norm": orbit.sup_amplitude(),
+        "shooting_residual": orbit.closure_residual,
     }
 
 
@@ -263,12 +263,12 @@ def _cmd_shoot(args):
             )
         p_guess = z.point[: sysdef.k]
         q_guess = z.point[sysdef.k :]
-    bp = periodic.shoot(sysdef, args.lam, p_guess, q_guess, steps=args.steps)
+    orbit = periodic.shoot(sysdef, args.lam, p_guess, q_guess, steps=args.steps)
     if args.csv:
-        write_trajectory_csv(bp.orbit, _resolve_out(args.csv))
+        write_trajectory_csv(orbit, _resolve_out(args.csv))
     _emit(
         {"command": "shoot", "system": args.system, "steps": args.steps,
-         **_orbit_dict(bp)},
+         **_orbit_dict(orbit)},
         args.out,
     )
     return 0
@@ -305,7 +305,8 @@ def _cmd_branch(args):
             "termination": branch.termination,
             "detail": branch.detail,
             "points": [
-                {**_orbit_dict(bp), "ds": bp.ds} for bp in branch.points
+                {**_orbit_dict(orbit), "ds": ds}
+                for orbit, ds in zip(branch.points, branch.ds)
             ],
         },
         args.out,
@@ -325,7 +326,7 @@ def _cmd_multiplicity(args):
             "system": args.system,
             "lambda": args.lam,
             "count": len(orbits),
-            "orbits": [_orbit_dict(bp) for bp in orbits],
+            "orbits": [_orbit_dict(orbit) for orbit in orbits],
         },
         args.out,
     )

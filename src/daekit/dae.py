@@ -152,8 +152,7 @@ class SystemDef:
     stage, which is kept likewise.
     """
 
-    def __init__(self, k, s, period, f, g, h=None, box=None, constraint_tol=1e-10,
-                 name=""):
+    def __init__(self, k, s, period, f, g, h=None, box=None, constraint_tol=1e-10):
         if period <= 0:
             raise ValueError("period must be positive")
         if box is None or box.dim != k + s:
@@ -169,7 +168,6 @@ class SystemDef:
         self.h = list(h) if h is not None else [expr.Const(0.0) for _ in range(k)]
         self.box = box
         self.constraint_tol = float(constraint_tol)
-        self.name = name
         if len(self.f) != self.k or len(self.h) != self.k:
             raise ValueError("f and h must have k components")
         if len(self.g) != self.s:
@@ -814,5 +812,5 @@ def tangency_defect(sys, pt, v):
     seed = {nm: float(vi) for nm, vi in zip(sys.state_names, v)}
     total = 0.0
     for gi in sys.g:
-        total += abs(expr.evaluate_dual(gi, env, seed).derivative)
+        total += abs(expr.evaluate_dual(gi, env, seed)[1])
     return total

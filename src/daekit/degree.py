@@ -503,8 +503,8 @@ def reduced_matrix(sys, z):
     return reduced_field(sys, z, linearize=True)[1]
 
 
-def tangent_field_degree(sys, box=None, grid_per_dim=16, samples=512, rng=None):
-    """Full degree report for a DAE system over a box.
+def tangent_field_degree(sys, grid_per_dim=16, samples=512, rng=None):
+    """Full degree report for a DAE system over its box.
 
     Validates the d2g hypothesis (raises on violation), finds the zeros of
     the flat map (f, g), computes its degree by signed summation (falling
@@ -512,7 +512,7 @@ def tangent_field_degree(sys, box=None, grid_per_dim=16, samples=512, rng=None):
     reports the induced tangent-field degree sign(det d2g) * deg(f, g). In
     the plane the winding oracle is always recorded as a cross-check.
     """
-    box = box or sys.box
+    box = sys.box
     vr = validate(sys, samples=samples)
     fld = system_field(sys)
     zeros = find_zeros(fld, box, grid_per_dim)

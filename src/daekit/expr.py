@@ -65,14 +65,6 @@ class Power:
 Expression = (Const, Var, Unary, Binary, Power)
 
 
-@dataclass
-class DualValue:
-    """First-order dual number: value plus a directional derivative."""
-
-    value: float
-    derivative: float
-
-
 # ---------------------------------------------------------------------------
 # Tokenizer / parser
 
@@ -732,9 +724,9 @@ def evaluate(e, env):
 
 
 def evaluate_dual(e, env, seed):
-    """Evaluate value and directional derivative along ``seed`` at ``env``."""
+    """The pair (value, directional derivative along ``seed``) at ``env``."""
     vals, jac = Kernel([e], [seed]).dual(env)
-    return DualValue(float(vals[0]), float(jac[0, 0]))
+    return float(vals[0]), float(jac[0, 0])
 
 
 def _batch_shape(env):

@@ -18,7 +18,8 @@ Every flow returns one record, a Trajectory: the (steps+1, k+s) array of
 projected states with their residuals, the start and end ManifoldPoints,
 the largest drift, and the sensitivities when asked for. integrate and
 time_T_map both return it, and shooting, branches and the multistart scan
-keep it as the orbit.
+return it as the orbit: lambda, x(0), amplitude and shooting residual of
+an orbit are all read off its Trajectory.
 
 Sensitivities of the time-T map are integrated from the variational equation
 of the reduced system alongside the state (never by differencing); finite
@@ -32,9 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dae import ManifoldPoint, _solve_constraint_row
-from .degree import reduced_matrix
 from .errors import DriftExceededError, LeavesBoxError
-from .linalg import expm, norm1_rows
+from .linalg import norm1, norm1_rows
 
 MAX_DRIFT = 1e-8
 DEFAULT_STEPS = 512
@@ -63,6 +63,11 @@ class Trajectory:
     def sup_amplitude(self):
         """max_t |z(t) - mean|_1, the amplitude measure for orbits."""
         return float(np.max(norm1_rows(self.zs - self.mean_state())))
+
+    @property
+    def closure_residual(self):
+        """|x(end) - x(start)|_1, the shooting residual of a time-T orbit."""
+        return norm1(self.end.p - self.start.p)
 
 
 def _rk4_source(m):
@@ -178,9 +183,3 @@ def time_T_map(sys, lam, p0, q_guess, steps=DEFAULT_STEPS,
     start = ManifoldPoint(p0, np.array(q), float(rn))
     return _flow(sys, lam, start, 0.0, sys.period, steps,
                  want_sensitivity=True, want_lambda=want_lambda_sensitivity)
-
-
-def monodromy(sys, zero):
-    """exp(A T) with A the reduced linearization at a zero of (f, g)."""
-    a = reduced_matrix(sys, zero.point)
-    return expm(a * sys.period)

@@ -6,7 +6,9 @@ when exp(A T) - I is singular, which is how it is tested here (no
 eigensolver needed). Non-resonant equilibria admit locally unique forced
 periodic orbits; branches of those orbits are traced in (lambda, x(0)) by
 pseudo-arclength continuation on the shooting residual, and a multistart
-scan counts distinct orbits at a fixed forcing size.
+scan counts distinct orbits at a fixed forcing size. Every orbit found is
+the flow's own record, the Trajectory of its time-T map: lambda, x(0)
+(``start.p``), amplitude and shooting residual are read off it.
 
 Two front ends reduce other problem classes to this setting: constrained
 systems whose constraint depends on x only (differentiate it once along f),
@@ -73,20 +75,13 @@ class ResonanceVerdict:
 
 
 @dataclass
-class BranchPoint:
-    """One T-periodic orbit of the lambda-forced system."""
-
-    lam: float
-    p0: np.ndarray
-    orbit: object  # Trajectory
-    sup_norm: float
-    shooting_residual: float
-    ds: float = 0.0
-
-
-@dataclass
 class Branch:
+    """A traced branch: its orbits (Trajectories, the trivial pair first),
+    the arclength step that reached each (0.0 for the trivial pair), and
+    why it ended."""
+
     points: list
+    ds: list
     origin: ZeroRecord
     termination: str
     detail: str = ""
@@ -110,7 +105,9 @@ def classify_resonance(sys, zero):
 def shoot(sys, lam, p_guess, q_guess=None, steps=DEFAULT_STEPS):
     """Newton on the fixed-point equation P_lambda(p0) = p0 of the time-T map.
 
-    The Jacobian comes from the variational sensitivity of the map; it is
+    Returns the converged orbit, the Trajectory of its last time-T map: its
+    ``start.p`` is p0, its ``closure_residual`` the shooting residual. The
+    Jacobian comes from the variational sensitivity of the map; it is
     factored on every iterate, so shooting at a resonant equilibrium fails
     with SingularShootingError even when the residual is already zero:
     such a fixed point is not certified locally unique.
@@ -131,19 +128,20 @@ def shoot(sys, lam, p_guess, q_guess=None, steps=DEFAULT_STEPS):
                 f"shooting Jacobian dP - I singular at p0 = {point_text(p)}"
             ) from exc
         if res <= SHOOT_TOL:
-            return BranchPoint(
-                lam=float(lam),
-                p0=p.copy(),
-                orbit=traj,
-                sup_norm=traj.sup_amplitude(),
-                shooting_residual=res,
-            )
+            return traj
         p = p - lu_apply(lu, piv, r)
         q_ref = traj.start.q
     raise ShootingError(
         f"no convergence after {SHOOT_MAX_ITER} iterations "
         f"(last residual {res:.3e})"
     )
+
+
+# what a shot may fail with, in a multistart start or a corrector step;
+# anything else is raised
+_START_FAILURES = (ShootingError, SingularShootingError, LeavesBoxError,
+                   ConstraintSolveError, SingularMatrixError, ExprDomainError,
+                   DriftExceededError)
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +165,7 @@ def _corrector(sys, z_pred, tau, q_ref, steps):
         jac[:k, k] = traj.lambda_sensitivity
         jac[k, :] = tau
         if norm1(r) <= SHOOT_TOL and abs(plane) <= 1e-10:
-            return w, traj, norm1(r), jac, it
+            return w, traj, jac, it
         w = w - lu_solve(jac, np.concatenate([r, [plane]]))
         q_ref = traj.start.q
     raise ShootingError("corrector did not converge")
@@ -180,9 +178,12 @@ def continue_branch(sys, origin, lambda_max, norm_bound, max_steps=200,
     Starts at the trivial pair (lambda = 0, constant orbit at the origin
     zero), which requires the origin to be non-resonant so the branch is
     locally unique. Pseudo-arclength steps follow folds in lambda; the step
-    starts at DS_START, halves on corrector failure and doubles after three
-    easy accepts inside [DS_MIN, DS_MAX]. Termination is always reported,
-    never inferred.
+    starts at DS_START, halves when the corrector fails with a shot failure
+    (_START_FAILURES, as in the multistart scan) and doubles after three
+    easy accepts inside [DS_MIN, DS_MAX]. The points are the orbits'
+    Trajectories, with the step of each in ``ds``. Termination is always
+    reported, never inferred: a failure at DS_MIN ends the branch with
+    LeftBox, DriftExceeded or SingularShooting after its error.
     """
     if not math.isfinite(lambda_max):
         raise ValueError("lambda_max must be finite")
@@ -204,10 +205,7 @@ def continue_branch(sys, origin, lambda_max, norm_bound, max_steps=200,
     q_star = origin.point[k:].copy()
     traj = time_T_map(sys, 0.0, p_star, q_star, steps=steps,
                       want_lambda_sensitivity=True)
-    r0 = norm1(traj.end.p - p_star)
-    points = [
-        BranchPoint(0.0, p_star, traj, traj.sup_amplitude(), r0, ds=0.0)
-    ]
+    points, ds_taken = [traj], [0.0]
     jac_s = traj.sensitivity - np.eye(k)
     tau = np.concatenate([lu_solve(jac_s, -traj.lambda_sensitivity), [1.0]])
     tau /= norm1(tau)
@@ -215,45 +213,37 @@ def continue_branch(sys, origin, lambda_max, norm_bound, max_steps=200,
     q_ref = q_star
     ds, easy = DS_START, 0
     termination, detail = "MaxSteps", ""
-    first_step = True
-    step_count = 0
-    while step_count < max_steps:
+    while len(points) <= max_steps:
         z_pred = z + ds * tau
         try:
-            w, traj, res, jac, iters = _corrector(sys, z_pred, tau, q_ref, steps)
-        except (ShootingError, SingularMatrixError, SingularShootingError,
-                LeavesBoxError, ConstraintSolveError) as exc:
+            w, traj, jac, iters = _corrector(sys, z_pred, tau, q_ref, steps)
+        except _START_FAILURES as exc:
             if ds > DS_MIN:
                 ds = max(DS_MIN, 0.5 * ds)
                 easy = 0
                 continue
-            if first_step:
+            if len(points) == 1:
                 raise BranchError(
                     f"first corrector step failed: {exc}"
                 ) from exc
             if isinstance(exc, LeavesBoxError):
-                termination, detail = "LeftBox", str(exc)
+                termination = "LeftBox"
+            elif isinstance(exc, DriftExceededError):
+                termination = "DriftExceeded"
             else:
-                termination, detail = "SingularShooting", str(exc)
+                termination = "SingularShooting"
+            detail = str(exc)
             break
-        first_step = False
-        step_count += 1
-        bp = BranchPoint(
-            lam=float(w[k]),
-            p0=w[:k].copy(),
-            orbit=traj,
-            sup_norm=traj.sup_amplitude(),
-            shooting_residual=res,
-            ds=ds,
-        )
-        points.append(bp)
+        points.append(traj)
+        ds_taken.append(ds)
         z = w
         q_ref = traj.start.q
-        if bp.sup_norm > norm_bound:
-            termination, detail = "ExceededNormBound", f"sup_norm {bp.sup_norm:.3e}"
+        sup_norm = traj.sup_amplitude()
+        if sup_norm > norm_bound:
+            termination, detail = "ExceededNormBound", f"sup_norm {sup_norm:.3e}"
             break
-        if bp.lam >= lambda_max:
-            termination, detail = "ReachedLambdaMax", f"lambda {bp.lam:.6g}"
+        if traj.lam >= lambda_max:
+            termination, detail = "ReachedLambdaMax", f"lambda {traj.lam:.6g}"
             break
         try:
             tau_new = lu_solve(jac, np.concatenate([np.zeros(k), [1.0]]))
@@ -268,8 +258,8 @@ def continue_branch(sys, origin, lambda_max, norm_bound, max_steps=200,
         if easy >= 3:
             ds = min(DS_MAX, 2.0 * ds)
             easy = 0
-    return Branch(points=points, origin=origin, termination=termination,
-                  detail=detail)
+    return Branch(points=points, ds=ds_taken, origin=origin,
+                  termination=termination, detail=detail)
 
 
 # ---------------------------------------------------------------------------
@@ -322,28 +312,23 @@ def multistart_starts(sys, lam, grid_per_dim=8):
     return starts
 
 
-# what a multistart start may fail with; anything else is raised
-_START_FAILURES = (ShootingError, SingularShootingError, LeavesBoxError,
-                   ConstraintSolveError, SingularMatrixError, ExprDomainError,
-                   DriftExceededError)
-
-
 def merge_orbits(shots):
-    """Distinct orbits among shoot results in order. Failed starts are
-    skipped; an error not of a start-failure type is raised (the first
-    one, as shooting the starts in order would). The orbits are then
-    clustered first-seen (`_first_seen`): each is kept unless an earlier
-    kept orbit lies within sampled sup-distance ORBIT_DEDUP."""
+    """Distinct orbits among shoot results (Trajectories, or the errors of
+    failed shots) in order. Failed starts are skipped; an error not of a
+    start-failure type is raised (the first one, as shooting the starts in
+    order would). The orbits are then clustered first-seen
+    (`_first_seen`): each is kept unless an earlier kept orbit lies within
+    sampled sup-distance ORBIT_DEDUP."""
     orbits = []
-    for bp in shots:
-        if isinstance(bp, _START_FAILURES):
+    for shot in shots:
+        if isinstance(shot, _START_FAILURES):
             continue
-        if isinstance(bp, Exception):
-            raise bp
-        orbits.append(bp)
+        if isinstance(shot, Exception):
+            raise shot
+        orbits.append(shot)
     if not orbits:
         return []
-    zs = np.stack([bp.orbit.zs for bp in orbits])
+    zs = np.stack([orbit.zs for orbit in orbits])
     return [orbits[i] for i in _first_seen(zs, ORBIT_DEDUP)]
 
 
@@ -356,8 +341,8 @@ def multiplicity_scan(sys, lam, grid_per_dim=8, steps=DEFAULT_STEPS):
     shooting basins around unstable equilibria). Each start is shot in
     turn; a start that fails with a start-failure type is skipped, and any
     other error is raised. Convergent orbits are deduplicated at
-    sampled sup-distance 1e-4; merge order is start order, so the result
-    is deterministic.
+    sampled sup-distance 1e-4; merge order is start order, so the result,
+    a list of the kept orbits' Trajectories, is deterministic.
     """
     if not math.isfinite(lam):
         raise ValueError("lambda must be finite")
@@ -377,20 +362,19 @@ def multiplicity_scan(sys, lam, grid_per_dim=8, steps=DEFAULT_STEPS):
 
 
 def reduce_hessenberg(f_exprs, gamma_exprs, box, period=2 * np.pi,
-                      h_exprs=None, samples=512, name=""):
+                      h_exprs=None, samples=512):
     """Reduce x' = f(x,y), c(x) = 0 (constraint on x only) to standard form.
 
     Differentiating the constraint along the flow gives the algebraic
     equation g = dc/dx . f, whose y-Jacobian dc/dx . d2f must be invertible;
     that is checked by the standard box validation of the produced system.
     """
-    sysdef = _hessenberg_system(f_exprs, gamma_exprs, box, period, h_exprs,
-                                name)
+    sysdef = _hessenberg_system(f_exprs, gamma_exprs, box, period, h_exprs)
     validate(sysdef, samples=samples)
     return sysdef
 
 
-def _hessenberg_system(f_exprs, gamma_exprs, box, period, h_exprs, name=""):
+def _hessenberg_system(f_exprs, gamma_exprs, box, period, h_exprs):
     """The system reduce_hessenberg produces, not yet validated."""
     k, s = len(f_exprs), len(gamma_exprs)
     x_names = [f"x{i + 1}" for i in range(k)]
@@ -408,11 +392,11 @@ def _hessenberg_system(f_exprs, gamma_exprs, box, period, h_exprs, name=""):
                 total, expr.c_mul(expr.symbolic_diff(gamma, xj), f_exprs[j])
             )
         g_exprs.append(total)
-    return SystemDef(k, s, period, f_exprs, g_exprs, h_exprs, box, name=name)
+    return SystemDef(k, s, period, f_exprs, g_exprs, h_exprs, box)
 
 
 def reduce_implicit(phi_exprs, h_exprs, period, box, grid_per_dim=16,
-                    samples=512, name=""):
+                    samples=512):
     """Reduce phi(x, x' + lambda*h(t,x)) = 0 to a semi-explicit system.
 
     Introduces y = x' + lambda*h, producing x' = y - lambda*h(t,x) with
@@ -433,7 +417,7 @@ def reduce_implicit(phi_exprs, h_exprs, period, box, grid_per_dim=16,
             )
     f_exprs = [expr.Var(f"y{i + 1}") for i in range(k)]
     neg_h = [expr.c_neg(h) for h in h_exprs]
-    sysdef = SystemDef(k, k, period, f_exprs, phi_exprs, neg_h, box, name=name)
+    sysdef = SystemDef(k, k, period, f_exprs, phi_exprs, neg_h, box)
     validate(sysdef, samples=samples)
     deg = degree_via_slice(phi_exprs, box, grid_per_dim=grid_per_dim)
     return sysdef, deg

@@ -145,7 +145,7 @@ def _box(raw, lines, count):
         raise SystemFileError(str(exc), lines["box"]) from exc
 
 
-def load_system(path, name=None):
+def load_system(path):
     """Load a standard semi-explicit system definition."""
     raw, lines = load_raw(path)
     for key in ("gamma", "phi"):
@@ -164,7 +164,6 @@ def load_system(path, name=None):
         return SystemDef(
             k, s, period, f, g, h, box,
             constraint_tol=raw.get("constraint_tol", 1e-10),
-            name=name or str(path),
         )
     except ValueError as exc:
         raise SystemFileError(str(exc)) from exc

@@ -77,7 +77,7 @@ def usable_tree_and_point(rng, names, need_dual=False):
                 continue
             if need_dual:
                 seed = {nm: float(rng.uniform(-1, 1)) for nm in names}
-                d = expr.evaluate_dual(tree, env, seed).derivative
+                _, d = expr.evaluate_dual(tree, env, seed)
                 if not np.isfinite(d) or abs(d) > 1e5:
                     continue
                 return tree, env, seed

@@ -68,8 +68,8 @@ def test_criterion_2_lienard_chain(equivlien):
         assert np.max(np.abs(origin.point)) <= 1e-10
         assert classify_resonance(equivlien, origin).verdict == "NonResonant"
         lam = 1e-3
-        bp = shoot(equivlien, lam, np.zeros(1), np.zeros(1))
-        assert abs(bp.p0[0] - 5e-4) <= 1e-5
+        orbit = shoot(equivlien, lam, np.zeros(1), np.zeros(1))
+        assert abs(orbit.start.p[0] - 5e-4) <= 1e-5
         branch = continue_branch(equivlien, origin, lambda_max=0.1,
                                  norm_bound=0.9)
         assert branch.termination == "ReachedLambdaMax"
@@ -90,7 +90,7 @@ def test_criterion_3_two_wells(exmults):
         assert classify_resonance(exmults, z1).verdict == "NonResonant"
         orbits = multiplicity_scan(exmults, 0.01, grid_per_dim=8)
         assert len(orbits) >= 2
-        arrays = [bp.orbit.zs for bp in orbits]
+        arrays = [orbit.zs for orbit in orbits]
         seps = [
             float(np.max(np.abs(a - b).sum(axis=1)))
             for i, a in enumerate(arrays) for b in arrays[i + 1 :]
@@ -184,7 +184,7 @@ def test_criterion_8_numerical_hygiene(pozzo, equivlien, exmults):
         checked = 0
         while checked < 1000:
             tree, env, seed = usable_tree_and_point(rng, names, need_dual=True)
-            d = expr.evaluate_dual(tree, env, seed).derivative
+            _, d = expr.evaluate_dual(tree, env, seed)
             try:
                 plus = expr.evaluate(
                     tree, {k: v + h * seed.get(k, 0.0) for k, v in env.items()}

@@ -7,8 +7,9 @@ from daekit import expr
 from daekit.dae import Box, SystemDef, solve_constraint
 from daekit.degree import find_zeros, reduced_matrix
 from daekit.errors import ExprDomainError, LeavesBoxError, SingularMatrixError
-from daekit.flow import integrate, monodromy, time_T_map
+from daekit.flow import integrate, time_T_map
 from daekit.linalg import expm, norm1
+from daekit.periodic import classify_resonance
 from helpers import same_bits
 
 
@@ -122,21 +123,23 @@ class TestTimeTMap:
 
 
 class TestMonodromy:
+    """The monodromy exp(A T) of a zero, as its resonance verdict holds it."""
+
     def test_lienard(self, equivlien):
         z = find_zeros(equivlien, equivlien.box)[0]
-        m = monodromy(equivlien, z)
+        m = classify_resonance(equivlien, z).monodromy
         assert m[0, 0] == pytest.approx(math.exp(2 * math.pi), rel=1e-12)
 
     def test_two_wells_nonresonant_zero(self, exmults):
         z = find_zeros(exmults, exmults.box)[1]
-        m = monodromy(exmults, z)
+        m = classify_resonance(exmults, z).monodromy
         assert m[0, 0] == pytest.approx(math.exp(2 * math.pi), rel=1e-12)
 
     def test_full_rotation_gives_identity(self):
         sys = rotation_system()
         z = find_zeros(sys, sys.box)[0]
         assert np.max(np.abs(z.point)) <= 1e-10
-        m = monodromy(sys, z)
+        m = classify_resonance(sys, z).monodromy
         assert np.max(np.abs(m - np.eye(2))) <= 1e-10
 
 

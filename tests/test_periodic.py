@@ -65,17 +65,18 @@ class TestResonance:
 
 class TestShoot:
     def test_trivial_solution_from_nearby(self, equivlien):
-        bp = shoot(equivlien, 0.0, np.array([5e-4]), np.zeros(1))
-        assert abs(bp.p0[0]) <= 1e-9
-        assert bp.sup_norm <= 1e-8
-        assert bp.shooting_residual <= 1e-8
+        orbit = shoot(equivlien, 0.0, np.array([5e-4]), np.zeros(1))
+        assert abs(orbit.start.p[0]) <= 1e-9
+        assert orbit.sup_amplitude() <= 1e-8
+        assert orbit.closure_residual <= 1e-8
 
     def test_linear_response(self, equivlien):
         lam = 1e-3
-        bp = shoot(equivlien, lam, np.zeros(1), np.zeros(1))
+        orbit = shoot(equivlien, lam, np.zeros(1), np.zeros(1))
         # closed-form first order: x(t) = lam*(cos t + sin t)/2, x(0) = lam/2
-        assert abs(bp.p0[0] - lam / 2) <= 1e-4 * lam
-        assert bp.sup_norm == pytest.approx(lam * math.sqrt(2.0), rel=1e-3)
+        assert abs(orbit.start.p[0] - lam / 2) <= 1e-4 * lam
+        assert orbit.sup_amplitude() == pytest.approx(lam * math.sqrt(2.0),
+                                                      rel=1e-3)
 
     def test_singular_at_resonant_zero(self, exmults):
         # the residual at the resonant zero is already 0: the singularity
@@ -97,10 +98,10 @@ class TestShoot:
     def test_orbit_is_periodic(self, equivlien):
         # guess at the linear response x(0) ~ lam/2; from 0 the transient
         # (lam/2) e^t escapes the box at this forcing size
-        bp = shoot(equivlien, 1e-2, np.array([5e-3]), np.zeros(1))
-        again = integrate(equivlien, bp.lam, bp.orbit.end,
+        orbit = shoot(equivlien, 1e-2, np.array([5e-3]), np.zeros(1))
+        again = integrate(equivlien, orbit.lam, orbit.end,
                           equivlien.period, 2 * equivlien.period)
-        assert norm1(again.end.z - bp.orbit.start.z) <= 1e-6
+        assert norm1(again.end.z - orbit.start.z) <= 1e-6
 
 
 class TestBranch:
@@ -109,22 +110,39 @@ class TestBranch:
         br = continue_branch(equivlien, origin, lambda_max=0.2, norm_bound=0.9)
         assert br.termination == "ReachedLambdaMax"
         first = br.points[0]
-        assert first.lam == 0.0
-        assert first.sup_norm <= 1e-10
-        assert np.max(np.abs(first.orbit.zs)) <= 1e-9  # trivial pair
-        sups = [bp.sup_norm for bp in br.points]
+        assert first.lam == 0.0 and br.ds[0] == 0.0
+        assert first.sup_amplitude() <= 1e-10
+        assert np.max(np.abs(first.zs)) <= 1e-9  # trivial pair
+        sups = [orbit.sup_amplitude() for orbit in br.points]
         assert all(a < b for a, b in zip(sups, sups[1:]))
-        for bp in br.points[1:]:
-            assert bp.shooting_residual <= 1e-8
+        for orbit, sup in zip(br.points[1:], sups[1:]):
+            assert orbit.closure_residual <= 1e-8
             # amplitude of the linear response, within a few percent
-            assert bp.sup_norm == pytest.approx(bp.lam * math.sqrt(2), rel=0.05)
+            assert sup == pytest.approx(orbit.lam * math.sqrt(2), rel=0.05)
 
     def test_step_bound(self, equivlien):
         origin = find_zeros(equivlien, equivlien.box)[0]
         br = continue_branch(equivlien, origin, lambda_max=0.1, norm_bound=0.9)
-        zs = [np.concatenate([bp.p0, [bp.lam]]) for bp in br.points]
-        for (a, b, bp) in zip(zs, zs[1:], br.points[1:]):
-            assert norm1(b - a) <= bp.ds * (1.0 + 1e-6)
+        zs = [np.concatenate([orbit.start.p, [orbit.lam]])
+              for orbit in br.points]
+        assert len(br.ds) == len(br.points)
+        for (a, b, ds) in zip(zs, zs[1:], br.ds[1:]):
+            assert norm1(b - a) <= ds * (1.0 + 1e-6)
+
+    def test_a_drifting_corrector_step_halves_the_step(self, equivlien):
+        # at 128 steps a corrector step near lambda 0.5 exceeds the drift
+        # bound; like any failed shot it halves ds, and the branch goes on
+        origin = find_zeros(equivlien, equivlien.box)[0]
+        br = continue_branch(equivlien, origin, 0.5, 1e6, steps=128)
+        assert br.termination == "ReachedLambdaMax"
+        assert br.points[-1].lam >= 0.5
+
+    def test_drift_at_the_smallest_step_ends_the_branch(self, equivlien):
+        origin = find_zeros(equivlien, equivlien.box)[0]
+        br = continue_branch(equivlien, origin, 0.5, 1e6, steps=16)
+        assert br.termination == "DriftExceeded"
+        assert br.detail.startswith("constraint drift ")
+        assert len(br.points) == len(br.ds) > 1
 
     def test_resonant_origin_rejected(self, exmults):
         origin = find_zeros(exmults, exmults.box)[0]
@@ -144,8 +162,8 @@ class TestBranch:
         assert not classify_resonance(pozzo, origin).resonant
         br = continue_branch(pozzo, origin, lambda_max=0.1, norm_bound=2.0)
         assert br.termination == "ReachedLambdaMax"
-        assert all(bp.shooting_residual <= 1e-8 for bp in br.points[1:])
-        sups = [bp.sup_norm for bp in br.points]
+        assert all(orbit.closure_residual <= 1e-8 for orbit in br.points[1:])
+        sups = [orbit.sup_amplitude() for orbit in br.points]
         assert all(a < b for a, b in zip(sups, sups[1:]))
 
 
@@ -153,24 +171,21 @@ class TestMultiplicity:
     def test_two_orbits_at_small_forcing(self, exmults):
         orbits = multiplicity_scan(exmults, 0.01, grid_per_dim=8)
         assert len(orbits) >= 2
-        near_zero = [bp for bp in orbits if abs(bp.orbit.mean_state()[0]) < 0.1]
-        near_one = [bp for bp in orbits
-                    if abs(bp.orbit.mean_state()[0] - 1.0) < 0.1]
+        near_zero = [o for o in orbits if abs(o.mean_state()[0]) < 0.1]
+        near_one = [o for o in orbits if abs(o.mean_state()[0] - 1.0) < 0.1]
         assert near_zero and near_one
-        dist = np.max(np.abs(
-            near_zero[0].orbit.zs - near_one[0].orbit.zs
-        ).sum(axis=1))
+        dist = np.max(np.abs(near_zero[0].zs - near_one[0].zs).sum(axis=1))
         assert dist >= 0.5
 
     def test_lienard_unforced_single_orbit(self, equivlien):
         orbits = multiplicity_scan(equivlien, 0.0, grid_per_dim=8)
         assert len(orbits) == 1
-        assert abs(orbits[0].p0[0]) <= 1e-9
-        assert orbits[0].sup_norm <= 1e-8
+        assert abs(orbits[0].start.p[0]) <= 1e-9
+        assert orbits[0].sup_amplitude() <= 1e-8
 
     def test_unforced_orbits_are_near_constant(self, exmults):
-        for bp in multiplicity_scan(exmults, 0.0, grid_per_dim=8):
-            assert bp.sup_norm <= 1e-8
+        for orbit in multiplicity_scan(exmults, 0.0, grid_per_dim=8):
+            assert orbit.sup_amplitude() <= 1e-8
 
     @pytest.mark.parametrize("name, grid", [("exmults", 8), ("pozzo", 3)])
     def test_lockstep_equals_shooting_each_start_alone(self, name, grid,
@@ -191,10 +206,9 @@ class TestMultiplicity:
         assert len(got) == len(want) >= 1
         for a, b in zip(got, want):
             assert a.lam == b.lam
-            assert a.p0.tobytes() == b.p0.tobytes()
-            assert a.shooting_residual == b.shooting_residual
-            assert a.sup_norm == b.sup_norm
-            assert a.orbit.zs.tobytes() == b.orbit.zs.tobytes()
+            assert a.start.p.tobytes() == b.start.p.tobytes()
+            assert a.closure_residual == b.closure_residual
+            assert a.zs.tobytes() == b.zs.tobytes()
 
     def test_merge_skips_failed_starts_and_raises_the_first_other(self):
         with pytest.raises(ValueError, match="first"):

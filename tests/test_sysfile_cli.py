@@ -10,7 +10,7 @@ from daekit.cli import emit_plot_data, main, write_branch_csv
 from daekit.dae import ManifoldPoint
 from daekit.errors import SystemFileError
 from daekit.flow import Trajectory
-from daekit.periodic import Branch, BranchPoint
+from daekit.periodic import Branch
 from daekit.sysfile import load_system
 
 
@@ -253,6 +253,19 @@ class TestCliReports:
         assert lines[0] == "t,x1,y1,residual"
         assert len(lines) == 1 + 513  # header + 512 steps + initial state
 
+    def test_branch_reports_a_drift_termination(self, capsys):
+        # at 16 steps a corrector step drifts even at the smallest step:
+        # the branch ends there, with its points, instead of exit 1
+        code, out, err = run_cli(
+            capsys, "branch", system_path("equivlien"),
+            "--lambda-max", "0.5", "--steps", "16",
+        )
+        assert (code, err) == (0, "")
+        rep = json.loads(out)
+        assert rep["termination"] == "DriftExceeded"
+        assert rep["detail"].startswith("constraint drift ")
+        assert len(rep["points"]) > 1
+
     def test_multiplicity_report(self, capsys):
         code, out, _ = run_cli(
             capsys, "multiplicity", system_path("exmults"),
@@ -320,11 +333,13 @@ def constant_trajectory(n_steps, period=2 * math.pi):
 
 
 def synthetic_branch(n_points):
-    points = [
-        BranchPoint(0.01 * i, np.array([0.005 * i]), None, 0.0, 0.0, ds=0.01)
-        for i in range(n_points)
-    ]
-    return Branch(points, origin=None, termination="ReachedLambdaMax")
+    points = []
+    for i in range(n_points):
+        mp = ManifoldPoint(np.array([0.005 * i]), np.array([0.0]), 0.0)
+        points.append(Trajectory(np.zeros(2), np.zeros((2, 2)), [0.0, 0.0],
+                                 0.01 * i, 0.0, mp, mp))
+    return Branch(points, [0.01] * n_points, origin=None,
+                  termination="ReachedLambdaMax")
 
 
 class TestPlotData:
