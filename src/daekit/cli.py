@@ -146,6 +146,8 @@ def _parse_vector(text, what, size):
         vec = np.array([float(v) for v in text.split(",")])
     except ValueError:
         raise DaekitError(f"bad {what} '{text}'; expected comma-separated numbers")
+    if not np.isfinite(vec).all():
+        raise DaekitError(f"bad {what} '{text}'; expected finite numbers")
     if len(vec) != size:
         raise DaekitError(f"bad {what} '{text}'; expected {size} numbers, "
                           f"got {len(vec)}")

@@ -84,8 +84,12 @@ class VectorField:
         return self._kernel.values_batch(self.env(zs, batch=True), out)
 
     def jacobian_batch(self, zs):
-        out = np.empty((zs.shape[0], self.dim, len(self.var_names)))
-        return self._kernel.dual_batch(self.env(zs, batch=True), out)
+        """(values (N, n), Jacobians (N, n, n)) on the rows of zs, from one
+        kernel pass."""
+        vals = np.empty((zs.shape[0], self.dim))
+        jac = np.empty((zs.shape[0], self.dim, len(self.var_names)))
+        self._kernel.dual_batch(self.env(zs, batch=True), jac, vals)
+        return vals, jac
 
     def rows(self, zs):
         """(values, Jacobians, errors) on the rows of zs, each row value()
@@ -142,56 +146,39 @@ def _grid_starts(box, grid_per_dim):
 
 
 def _newton_sweep(fld, box, starts):
-    zs = starts.astype(float).copy()
-    n_pts = zs.shape[0]
-    alive = np.ones(n_pts, dtype=bool)
-    converged = np.zeros(n_pts, dtype=bool)
+    """The points Newton's method reaches from the rows of starts, in start
+    order. Only live rows are carried, each with its start index, and each
+    step takes one values-and-Jacobian pass. A row converges at a norm-1
+    residual of at most SWEEP_TOL. It is dropped at a non-finite residual,
+    a det that is not finite or at most 1e-280, a step that leaves the box
+    inflated by 5 widths, or after SWEEP_ITERATIONS steps. A finite det
+    above 1e-280 means getrf met no zero pivot, and solve runs the same
+    getrf, so it cannot fail on the rows it is given."""
+    zs = starts.astype(float)
+    live = np.arange(len(zs))
+    hits, points = [live[:0]], [zs[:0]]
     lo_big = box.lo - 5.0 * box.width
     hi_big = box.hi + 5.0 * box.width
     for _ in range(SWEEP_ITERATIONS):
-        idx = np.nonzero(alive)[0]
-        if idx.size == 0:
+        if not live.size:
             break
-        za = zs[idx]
-        fv = fld.value_batch(za)
+        fv, jac = fld.jacobian_batch(zs)
         res = np.abs(fv).sum(axis=1)
-        good = np.isfinite(res)
-        done = good & (res <= SWEEP_TOL)
-        converged[idx[done]] = True
-        alive[idx[done]] = False
-        alive[idx[~good]] = False
-        work = good & ~done
-        widx = idx[work]
-        if widx.size == 0:
-            continue
-        jac = fld.jacobian_batch(zs[widx])
-        dets = np.linalg.det(jac)
-        solvable = np.isfinite(dets) & (np.abs(dets) > 1e-280)
-        alive[widx[~solvable]] = False
-        sidx = widx[solvable]
-        if sidx.size == 0:
-            continue
-        try:
-            steps = np.linalg.solve(
-                jac[solvable], fv[work][solvable][..., None]
-            )[..., 0]
-        except np.linalg.LinAlgError:
-            steps = np.empty((sidx.size, box.dim))
-            js, fs = jac[solvable], fv[work][solvable]
-            for i in range(sidx.size):
-                try:
-                    steps[i] = np.linalg.solve(js[i], fs[i])
-                except np.linalg.LinAlgError:
-                    steps[i] = np.nan
-        znew = zs[sidx] - steps
-        inside = (
-            np.all(np.isfinite(znew), axis=1)
-            & np.all(znew >= lo_big, axis=1)
-            & np.all(znew <= hi_big, axis=1)
-        )
-        zs[sidx[inside]] = znew[inside]
-        alive[sidx[~inside]] = False
-    return zs[converged]
+        done = res <= SWEEP_TOL
+        hits.append(live[done])
+        points.append(zs[done])
+        with np.errstate(all="ignore"):
+            dets = np.linalg.det(jac)
+            keep = (np.isfinite(res) & ~done & np.isfinite(dets)
+                    & (np.abs(dets) > 1e-280))
+            zs = zs[keep] - np.linalg.solve(
+                jac[keep], fv[keep][..., None])[..., 0]
+        live = live[keep]
+        keep = (np.all(np.isfinite(zs), axis=1)
+                & np.all(zs >= lo_big, axis=1)
+                & np.all(zs <= hi_big, axis=1))
+        zs, live = zs[keep], live[keep]
+    return np.concatenate(points)[np.argsort(np.concatenate(hits))]
 
 
 def find_zeros(system_or_field, box, grid_per_dim=16):

@@ -481,7 +481,7 @@ def compile_kernel(exprs, seeds=()):
     writes value i to ``V[i]`` and, when ``D`` is given, the derivative of
     expression i along seed j to ``D[i * len(seeds) + j]``. At a point V and
     D are lists; on a batch they are arrays indexed first by that position
-    (views of the caller's output arrays), and V may be None.
+    (views of the caller's output arrays).
 
     Each node runs the dual-number arithmetic a tree walk along one seed
     would, in the same order, so results are reproducible bit for bit: the
@@ -496,19 +496,11 @@ def compile_kernel(exprs, seeds=()):
     dropped. Derivative code runs only when D is given.
     """
     lines, consts = _kernel_lines(exprs, seeds)
-    lines = [("if V is not None: " * (target is None and not in_block) + text,
-              reads, target, in_block)
-             for text, reads, target, in_block in lines]
-    # free every temporary after its last read; on the path without
-    # derivatives, after its last read outside the D blocks
-    last, last_plain = {}, {}
-    for idx, (_, reads, target, in_block) in enumerate(lines):
-        if target is not None and not in_block:
-            last_plain[target] = idx
+    # free every temporary after its last read
+    last = {}
+    for idx, (_, reads, _, _) in enumerate(lines):
         for nm in reads:
             last[nm] = idx
-            if not in_block:
-                last_plain[nm] = idx
     body, block = [], False
     for idx, (text, reads, target, in_block) in enumerate(lines):
         if in_block and not block:
@@ -520,11 +512,6 @@ def compile_kernel(exprs, seeds=()):
                       if last.get(nm, idx) == idx)
         if done:
             body.append(pad + "del " + ", ".join(done))
-        if not in_block:
-            only_d = sorted(nm for nm, at in last_plain.items()
-                            if at == idx and last.get(nm, idx) > idx)
-            if only_d:
-                body.append("if D is None: del " + ", ".join(only_d))
     src = "\n    ".join(["def kernel(env, V, D=None):"] + (body or ["pass"]))
     code = compile(src, "<daekit kernel>", "exec")
     fns = []
@@ -601,13 +588,13 @@ class Kernel:
             self._fn(True)(env, out.reshape(-1, len(self.exprs)).T)
         return out
 
-    def dual_batch(self, env, out, vout=None):
-        """Derivatives on a batch into out[..., i, j], values into vout (both
-        C-contiguous)."""
+    def dual_batch(self, env, out, vout):
+        """Derivatives on a batch into out[..., i, j] and values into
+        vout[..., i] (both C-contiguous), in one pass; returns out."""
         m, n = len(self.exprs), len(self.seeds)
-        vals = None if vout is None else vout.reshape(-1, m).T
         with np.errstate(all="ignore"):
-            self._fn(True)(env, vals, out.reshape(-1, m * n).T)
+            self._fn(True)(env, vout.reshape(-1, m).T,
+                           out.reshape(-1, m * n).T)
         return out
 
     def dual_rows(self, env):

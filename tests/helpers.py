@@ -7,7 +7,13 @@ import numpy as np
 
 from daekit import expr
 from daekit.dae import Box, SystemDef, validate
-from daekit.degree import VectorField, boundary_margin, find_zeros
+from daekit.degree import (
+    SWEEP_ITERATIONS,
+    SWEEP_TOL,
+    VectorField,
+    boundary_margin,
+    find_zeros,
+)
 from daekit.errors import (
     ConstraintSolveError,
     DaekitError,
@@ -204,6 +210,70 @@ def merge_orbits_oracle(orbits, radius):
         else:
             kept.append(i)
     return kept
+
+
+def newton_sweep_oracle(fld, box, starts):
+    """The masked sweep find_zeros used to run over the whole start grid,
+    with a values pass and a Jacobian pass per step and a per-row retry
+    after a stacked solve raises. Returns (converged points, counts): how
+    many rows each drop path took ("residual" non-finite, "det" not finite
+    or at most 1e-280, "box" a step leaving the box inflated by 5 widths)
+    and how many rows the retry solved alone ("retry")."""
+    counts = dict.fromkeys(("residual", "det", "box", "retry"), 0)
+    zs = starts.astype(float).copy()
+    n_pts = zs.shape[0]
+    alive = np.ones(n_pts, dtype=bool)
+    converged = np.zeros(n_pts, dtype=bool)
+    lo_big = box.lo - 5.0 * box.width
+    hi_big = box.hi + 5.0 * box.width
+    for _ in range(SWEEP_ITERATIONS):
+        idx = np.nonzero(alive)[0]
+        if idx.size == 0:
+            break
+        za = zs[idx]
+        fv = fld.value_batch(za)
+        res = np.abs(fv).sum(axis=1)
+        good = np.isfinite(res)
+        done = good & (res <= SWEEP_TOL)
+        converged[idx[done]] = True
+        alive[idx[done]] = False
+        alive[idx[~good]] = False
+        counts["residual"] += int(np.sum(~good))
+        work = good & ~done
+        widx = idx[work]
+        if widx.size == 0:
+            continue
+        jac = fld.jacobian_batch(zs[widx])[1]
+        dets = np.linalg.det(jac)
+        solvable = np.isfinite(dets) & (np.abs(dets) > 1e-280)
+        alive[widx[~solvable]] = False
+        counts["det"] += int(np.sum(~solvable))
+        sidx = widx[solvable]
+        if sidx.size == 0:
+            continue
+        try:
+            steps = np.linalg.solve(
+                jac[solvable], fv[work][solvable][..., None]
+            )[..., 0]
+        except np.linalg.LinAlgError:
+            counts["retry"] += sidx.size
+            steps = np.empty((sidx.size, box.dim))
+            js, fs = jac[solvable], fv[work][solvable]
+            for i in range(sidx.size):
+                try:
+                    steps[i] = np.linalg.solve(js[i], fs[i])
+                except np.linalg.LinAlgError:
+                    steps[i] = np.nan
+        znew = zs[sidx] - steps
+        inside = (
+            np.all(np.isfinite(znew), axis=1)
+            & np.all(znew >= lo_big, axis=1)
+            & np.all(znew <= hi_big, axis=1)
+        )
+        zs[sidx[inside]] = znew[inside]
+        alive[sidx[~inside]] = False
+        counts["box"] += int(np.sum(~inside))
+    return zs[converged], counts
 
 
 def polish_oracle(fld, z):

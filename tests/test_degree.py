@@ -1,7 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from daekit import expr
+from daekit import expr, load_system
 from daekit.dae import Box
 from daekit.degree import (
     VectorField,
@@ -20,7 +22,15 @@ from daekit.errors import (
     HypothesisViolationError,
 )
 from daekit.degree import _first_seen, _grid_starts, _newton_sweep, _polish_rows
-from helpers import dedup_oracle, degen3, polish_oracle, random_system
+from helpers import (
+    dedup_oracle,
+    degen3,
+    newton_sweep_oracle,
+    polish_oracle,
+    random_system,
+)
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def planar_field(f1, f2):
@@ -227,6 +237,66 @@ def coarse_candidates(fld, box, grid_per_dim):
     found = _newton_sweep(fld, box, _grid_starts(box, grid_per_dim))
     return np.array(dedup_oracle(
         [z for z in found if box.contains(z, slack=1e-6)], 1e-10))
+
+
+class TestNewtonSweep:
+    @pytest.mark.parametrize("name", ["pozzo", "exmults", "degen3",
+                                      "r12", "r21", "r22"])
+    def test_equals_the_masked_sweep(self, name, request):
+        if name == "degen3":
+            sys = degen3()
+        elif name.startswith("r"):
+            sys = load_system(str(GOLDEN / f"{name}.sys"))
+        else:
+            sys = request.getfixturevalue(name)
+        fld = system_field(sys)
+        starts = _grid_starts(sys.box, 16)
+        got = _newton_sweep(fld, sys.box, starts)
+        with np.errstate(all="ignore"):
+            want, counts = newton_sweep_oracle(fld, sys.box, starts)
+        assert len(got) > 0 and counts["retry"] == 0
+        assert got.tobytes() == want.tobytes()
+
+    def test_crafted_field_takes_every_drop_path(self):
+        # sqrt(y1) is nan below y1 = 0 and has an infinite slope at it;
+        # x1^2 - 1 has a zero slope at x1 = 0 and a far step near it
+        fld = planar_field("x1^2 - 1", "sqrt(y1) - 0.5")
+        box = Box.from_pairs([(-2, 2), (-2, 2)])
+        starts = np.vstack([_grid_starts(box, 9),
+                            [[0.0, 1.0], [1e-3, 1.0], [1.0, 0.0]]])
+        got = _newton_sweep(fld, box, starts)
+        with np.errstate(all="ignore"):
+            want, counts = newton_sweep_oracle(fld, box, starts)
+        assert min(counts["residual"], counts["det"], counts["box"]) >= 1
+        assert counts["retry"] == 0
+        assert len(got) > 0 and got.tobytes() == want.tobytes()
+
+    def test_a_finite_det_leaves_solve_no_zero_pivot(self):
+        # the sweep solves every row whose det is finite and above 1e-280
+        # in one stack: det and solve factor the same copy with getrf, so
+        # such a row never makes solve raise, even when it is exactly
+        # singular before rounding
+        rng = np.random.default_rng(4242)
+        m = 2048  # matrices per order and scale
+        solved = singular = 0
+        for n in (2, 3, 4):
+            base = (rng.integers(-8, 9, (m, n, n))
+                    / 2.0 ** rng.integers(0, 4, (m, 1, 1)))
+            # the last row is an integer combination of the others, exact
+            # in binary, then the rows are shuffled
+            coef = rng.integers(-3, 4, (m, n - 1))
+            base[:, -1] = np.einsum("mi,mij->mj", coef, base[:, :-1])
+            order = rng.permuted(np.tile(np.arange(n), (m, 1)), axis=1)
+            base = np.take_along_axis(base, order[..., None], axis=1)
+            for k in range(-60, 61):
+                a = base * 10.0**k
+                with np.errstate(all="ignore"):
+                    dets = np.linalg.det(a)
+                    ok = np.isfinite(dets) & (np.abs(dets) > 1e-280)
+                    np.linalg.solve(a[ok], np.ones((int(ok.sum()), n, 1)))
+                solved += int(ok.sum())
+                singular += int(np.sum(dets == 0.0))
+        assert solved > 100_000 and singular > 100_000
 
 
 class TestLockstepPolish:

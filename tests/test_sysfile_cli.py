@@ -1,6 +1,7 @@
 import ast
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -133,6 +134,10 @@ class TestCliExitCodes:
           "--steps", "32"], "norm_bound must be positive"),
         (["branch", "equivlien", "--lambda-max", "0.1", "--max-steps", "0",
           "--steps", "32"], "max_steps must be at least 1"),
+        (["branch", "equivlien", "--lambda-max", "0.01", "--origin", "nan,nan",
+          "--steps", "32"], "bad --origin 'nan,nan'; expected finite numbers"),
+        (["shoot", "equivlien", "--guess", "inf", "--steps", "32"],
+         "bad --guess 'inf'; expected finite numbers"),
     ])
     def test_bad_argument_values_exit_1_with_one_error_line(self, capsys,
                                                             argv, message):
@@ -215,6 +220,20 @@ class TestCliExitCodes:
 
 
 class TestCliReports:
+    def test_sweep_det_overflow_warns_nothing(self, capsys, tmp_path):
+        # Jacobian entries near 1e160 overflow det in the sweep; those
+        # starts are dropped quietly, as the batch kernel drops its own
+        path = tmp_path / "huge.sys"
+        path.write_text('dim_x = 1\ndim_y = 1\nperiod = 1\n'
+                        'f = "1e160*x1 - 1e160*x1^3"\ng = "1e160*y1 + x1"\n'
+                        'box = [-1.5, 1.5], [-1.5, 1.5]\n')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "zeros", str(path))
+        assert code == 0 and err == ""
+        assert json.loads(out) == {"command": "zeros", "system": str(path),
+                                   "grid": 16, "zeros": []}
+
     def test_degree_report(self, capsys):
         code, out, _ = run_cli(capsys, "degree", system_path("pozzo"))
         assert code == 0
