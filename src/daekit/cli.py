@@ -9,7 +9,6 @@ the same inputs and --seed they are byte-identical run to run.
 
 import argparse
 import json
-import os
 import sys as _sys
 
 import numpy as np
@@ -18,7 +17,6 @@ from . import degree as degree_mod
 from . import expr, periodic, sysfile
 from .dae import validate
 from .errors import DaekitError, HypothesisViolationError
-from .flow import Trajectory
 
 FMT = "%.17g"
 
@@ -28,12 +26,8 @@ class _Parser(argparse.ArgumentParser):
     # hypothesis violation
     def error(self, message):
         self.print_usage(_sys.stderr)
-        raise SystemExit(self._exit_code(message))
-
-    @staticmethod
-    def _exit_code(message):
         _sys.stderr.write(f"error: {message}\n")
-        return 1
+        raise SystemExit(1)
 
 
 def _jsonable(obj):
@@ -52,19 +46,8 @@ def _jsonable(obj):
     return obj
 
 
-def _resolve_out(path):
-    """Relative output paths honor the DAEKIT_OUT_DIR override, if set."""
-    if path is None:
-        return None
-    base = os.environ.get("DAEKIT_OUT_DIR")
-    if base and not os.path.isabs(path):
-        return os.path.join(base, path)
-    return path
-
-
 def _emit(report, out_path):
     text = json.dumps(_jsonable(report), indent=2) + "\n"
-    out_path = _resolve_out(out_path)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -109,16 +92,6 @@ def write_branch_csv(branch, path):
             row += [_num(orbit.sup_amplitude()), _num(orbit.closure_residual)]
             row.append(branch.termination if i == last else "")
             fh.write(",".join(row) + "\n")
-
-
-def emit_plot_data(obj, path):
-    """Write a Trajectory or Branch in its canonical CSV layout."""
-    if isinstance(obj, Trajectory):
-        write_trajectory_csv(obj, path)
-    elif isinstance(obj, periodic.Branch):
-        write_branch_csv(obj, path)
-    else:
-        raise TypeError(f"cannot plot objects of type {type(obj).__name__}")
 
 
 def _zero_dict(z):
@@ -267,7 +240,7 @@ def _cmd_shoot(args):
         q_guess = z.point[sysdef.k :]
     orbit = periodic.shoot(sysdef, args.lam, p_guess, q_guess, steps=args.steps)
     if args.csv:
-        write_trajectory_csv(orbit, _resolve_out(args.csv))
+        write_trajectory_csv(orbit, args.csv)
     _emit(
         {"command": "shoot", "system": args.system, "steps": args.steps,
          **_orbit_dict(orbit)},
@@ -296,7 +269,7 @@ def _cmd_branch(args):
         max_steps=args.max_steps, steps=args.steps,
     )
     if args.csv:
-        write_branch_csv(branch, _resolve_out(args.csv))
+        write_branch_csv(branch, args.csv)
     _emit(
         {
             "command": "branch",

@@ -14,7 +14,6 @@ fails), the constraint solver, and the field evaluations.
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,18 @@ from .errors import (
     SingularMatrixError,
     point_text,
 )
-from .linalg import PIVOT_RTOL, _pivot_error, lu_factor, norm1, norm1_rows
+from .linalg import (
+    _FED,
+    _GIVEN,
+    _compile,
+    _dot,
+    _lu_lines,
+    _solve_lines,
+    _unpack,
+    lu_factor,
+    norm1,
+    norm1_rows,
+)
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 DET_POLISH_ITERATIONS = 100  # per start of validate's |det d2g| polish
@@ -458,112 +468,21 @@ def validate(sys, samples=512):
 #
 # Per system and variant, one straight-line function (a "stage") evaluates
 # f, g and h at one state with their state partials (compile_kernel's point
-# code, on locals), factors d2g with lu_factor's pivot choice, threshold and
-# message, and forms zdot = (w, -[d2g]^-1 d1g w), A = d1w - d2w [d2g]^-1 d1g,
-# and for the flow A Phi and A v + h; every matrix product is a
-# left-to-right float sum. reduced_field calls it once, the flow once per
-# RK4 stage. Where its kernel raises or gives a non-finite
+# code, on locals), factors d2g with linalg's emitted LU (_lu_lines, the
+# code lu_factor runs), and forms zdot = (w, -[d2g]^-1 d1g w),
+# A = d1w - d2w [d2g]^-1 d1g, and for the flow A Phi and A v + h; every
+# matrix product is a left-to-right float sum. reduced_field calls it once,
+# the flow once per RK4 stage. Where its kernel raises or gives a non-finite
 # value it needs, a stage evaluates the point with the point kernels (and
 # their strict diagnostics) in the order base values, h, g blocks, d2g
 # factorization, partials, which decides the error a point raises, and runs
 # the same algebra on those values. The algebra text is emitted once and
-# compiled twice: fed by the kernel (finite values, so the builtins) and fed
-# by given values (numpy's nan order for the pivot search and threshold, and
-# its inf or nan for a division by zero).
+# compiled twice, with linalg's two bindings: _FED for the kernel's finite
+# values, _GIVEN for the values the point evaluations give.
 
 
-def _nan_max(*xs):
-    """max as np.max takes it: nan when any entry is nan."""
-    for x in xs:
-        if x != x:
-            return x
-    return max(xs)
-
-
-def _nan_gt(a, b):
-    """a ranks above b in np.argmax: by value, and nan above all else."""
-    return a > b or (a != a and b == b)
-
-
-def _ieee_div(a, b):
-    """a / b, inf or nan (as numpy gives) where Python raises."""
-    if b == 0.0:
-        with np.errstate(all="ignore"):
-            return float(np.divide(a, b))
-    return a / b
-
-
-_FED = {"isfinite": math.isfinite, "amax": max, "gt": operator.gt,
-        "dv": operator.truediv, "singular": _pivot_error,
-        "RTOL": PIVOT_RTOL, "ERRORS": expr._KERNEL_ERRORS}
-_GIVEN = {**_FED, "amax": _nan_max, "gt": _nan_gt, "dv": _ieee_div}
-
-
-def _dot(us, vs):
-    """The sum of the products us[i] * vs[i] as code: left to right, from
-    0.0 as numpy's matmul starts (a product -0.0 sums to 0.0)."""
-    return "".join(f" + {u} * {v}" for u, v in zip(us, vs)).join(["(0.0", ")"])
-
-
-def _lu_lines(rows, carry, fail):
-    """lu_factor's partial-pivot LU of the matrix whose entries are the
-    locals rows[r][c], in place. Row exchanges take the locals carry[r]
-    along (the right-hand sides, so they end up permuted like lu_apply's
-    b[piv]). fail is the statement run on a rejected pivot, formatted with
-    the pivot {p} and the column {col}; the threshold is TOL."""
-    s = len(rows)
-    entries = [e for row in rows for e in row]
-    if s == 1:
-        lines = [f"TOL = RTOL * abs({rows[0][0]})"]
-    else:
-        lines = [f"TOL = RTOL * amax({', '.join(f'abs({e})' for e in entries)})"]
-
-    def swap(r1, r2):
-        a, b = rows[r1] + carry[r1], rows[r2] + carry[r2]
-        return f"{', '.join(a + b)} = {', '.join(b + a)}"
-
-    for col in range(s):
-        piv = rows[col][col]
-        below = range(col + 1, s)
-        if len(below) == 1:
-            lines += [f"if gt(abs({rows[col + 1][col]}), abs({piv})):",
-                      "    " + swap(col, col + 1)]
-        elif below:  # the first largest |entry| of the column, as np.argmax
-            lines.append(f"G = abs({piv}); I = {col}")
-            lines += [f"if gt(abs({rows[r][col]}), G): "
-                      f"G = abs({rows[r][col]}); I = {r}" for r in below]
-            for j, r in enumerate(below):
-                lines += [f"{'el' * (j > 0)}if I == {r}:", "    " + swap(col, r)]
-        lines += [f"if abs({piv}) <= TOL:",
-                  "    " + fail.format(p=piv, col=col)]
-        lines += [f"{rows[r][col]} = dv({rows[r][col]}, {piv})" for r in below]
-        lines += [f"{rows[r][c]} = {rows[r][c]} - {rows[r][col]} * {rows[col][c]}"
-                  for r in below for c in below]
-    return lines
-
-
-def _solve_lines(rows, xs):
-    """lu_apply's forward and back substitution on the permuted locals xs,
-    in place, with the factors _lu_lines left in rows."""
-    s = len(rows)
-    lines = [f"{xs[i]} = {xs[i]} - ({_dot(rows[i][:i], xs[:i])})"
-             for i in range(1, s)]
-    for i in range(s - 1, -1, -1):
-        if i + 1 < s:
-            lines.append(f"{xs[i]} = {xs[i]} - "
-                         f"({_dot(rows[i][i + 1:], xs[i + 1:])})")
-        lines.append(f"{xs[i]} = dv({xs[i]}, {rows[i][i]})")
-    return lines
-
-
-def _unpack(names, source):
-    return [f"{', '.join(names)}, = {source}"] if names else []
-
-
-def _compile(header, body, namespace):
-    src = "\n    ".join([header] + body)
-    exec(compile(src, "<daekit stage>", "exec"), namespace)
-    return namespace[header[4:header.index("(")]]
+_STAGE = {**_FED, **expr._POINT, "isfinite": math.isfinite,
+          "ERRORS": expr._KERNEL_ERRORS}
 
 
 def _kernel_code(sys, exprs):
@@ -677,7 +596,7 @@ def _emit_stage(sys, out_a, sens, lsens, forcing, use_h):
         + ["except ERRORS:", "    return fallback(Y, t, lam)",
            f"if not isfinite({' + '.join(needed)}):",
            "    return fallback(Y, t, lam)"] + alg + ret,
-        {**_FED, **expr._POINT, **consts, "fallback": fallback})
+        {**_STAGE, **consts, "fallback": fallback})
 
 
 def _emit_constraint_step(sys):
@@ -725,7 +644,7 @@ def _emit_constraint_step(sys):
         + ["except ERRORS:", "    return fallback(Z, None, None)",
            f"if not isfinite({' + '.join(vs + ders)}):",
            f"    return fallback(Z, [{', '.join(vs)}], [{', '.join(ders)}])"]
-        + alg, {**_FED, **expr._POINT, **consts, "fallback": fallback})
+        + alg, {**_STAGE, **consts, "fallback": fallback})
 
 
 def _solve_constraint_row(sys, p, q, first=None):

@@ -14,8 +14,9 @@ cross-check status.
 """
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -29,15 +30,7 @@ from .errors import (
     SingularMatrixError,
     point_text,
 )
-from .linalg import (
-    block_schur_det,
-    det_sign,
-    lu_apply_rows,
-    lu_factor_rows,
-    norm1,
-    norm1_rows,
-    row_scale,
-)
+from .linalg import PIVOT_RTOL, _lu, block_schur_det, det_sign, norm1, row_scale
 
 DEDUP_RADIUS = 1e-6
 BOUNDARY_SLACK = 1e-6
@@ -90,11 +83,6 @@ class VectorField:
         jac = np.empty((zs.shape[0], self.dim, len(self.var_names)))
         self._kernel.dual_batch(self.env(zs, batch=True), jac, vals)
         return vals, jac
-
-    def rows(self, zs):
-        """(values, Jacobians, errors) on the rows of zs, each row value()
-        and jacobian() at its point or their error (Kernel.dual_rows)."""
-        return self._kernel.dual_rows(self.env(zs, batch=True))
 
 
 def system_field(sys):
@@ -230,48 +218,67 @@ def _first_seen(points, radius):
 
 
 def _polish_rows(fld, zs):
-    """Sharpen converged candidates, the rows of zs, in lockstep.
+    """Sharpen converged candidates, the rows of zs, each alone on floats.
 
-    Degenerate zeros converge linearly, so each row keeps taking Newton
+    Degenerate zeros converge linearly, so a candidate keeps taking Newton
     steps while its residual still drops, for at most 60, and keeps the
-    best point it met. A row stops at a zero residual, a singular
-    Jacobian, or a non-finite or negligible step. Returns (best points,
-    errors): errors maps each row whose field evaluation raises to its
-    error. Rows are evaluated with VectorField.rows, each the point
-    result, so each row matches polishing it alone bit for bit.
+    best point it met. It stops at a zero residual, a singular Jacobian,
+    or a non-finite or negligible step. Returns (best points, errors):
+    errors maps each row whose field evaluation raises to its error.
+
+    The point kernel gives values and Jacobian. Where it raises or gives
+    a non-finite number, Kernel.values and then Kernel.dual give them or
+    the error, so each candidate gets value() and jacobian() at its point.
+    A step is one call of linalg's compiled LU and solve, bound to the
+    builtins on the kernel's finite numbers and to numpy's nan order
+    otherwise, as dae's stage is.
     """
-    z = np.array(zs, dtype=float)
-    best = z.copy()
-    best_res = np.zeros(len(z))
+    kern, names, n = fld._kernel, fld.var_names, fld.dim
+    fn, lus = kern._fn(False), (_lu(n), _lu(n, True))
+    best = np.array(zs, dtype=float)
     errors = {}
-    live = np.arange(len(z))
-    for it in range(60):
-        if not live.size:
-            break
-        fv, jac, sub = fld.rows(z[live])
-        res = norm1_rows(fv)
-        if it == 0:
-            best_res[live] = res
-        better = res < best_res[live]
-        best[live[better]] = z[live[better]]
-        best_res[live[better]] = res[better]
-        go = ~(res == 0.0)
-        # a row at a zero residual takes no step, so its Jacobian's error
-        # is dropped
-        sub = {i: exc for i, exc in sub.items() if go[i]}
-        go[list(sub)] = False
-        errors.update({int(live[i]): exc for i, exc in sub.items()})
-        idx = np.flatnonzero(go)
-        lu, piv, singular = lu_factor_rows(jac[idx])
-        fine = np.ones(idx.size, dtype=bool)
-        fine[list(singular)] = False
-        step = lu_apply_rows(lu[fine], piv[fine], fv[idx[fine]])
-        idx = idx[fine]
-        fine = (np.isfinite(step).all(axis=1)
-                & ~(norm1_rows(step) < 1e-15))
-        live = live[idx[fine]]
-        z[live] = z[live] - step[fine]
+    for r, z in enumerate(best.tolist()):
+        best_z, v, d = z, [0.0] * n, [0.0] * (n * n)
+        for it in range(60):
+            env = dict(zip(names, z))
+            try:
+                fn(env, v, d)
+                # a sum is finite only if its terms are (an overflowing sum
+                # only takes the slower path to the same numbers)
+                fed = math.isfinite(sum(v) + sum(d))
+            except expr._KERNEL_ERRORS:
+                fed = False
+            try:
+                if not fed:
+                    v = kern.values(env).tolist()
+                res = _norm1_floats(v)
+                if it == 0 or res < best_res:
+                    best_z, best_res = z, res
+                if res == 0.0:
+                    break
+                if not fed:
+                    d = kern.dual(env)[1].ravel().tolist()
+            except expr.ROW_ERRORS as exc:
+                errors[r] = exc
+                break
+            try:
+                step = lus[fed](d, PIVOT_RTOL, v)
+            except SingularMatrixError:
+                break
+            if (not all(map(math.isfinite, step))
+                    or _norm1_floats(step) < 1e-15):
+                break
+            z = list(map(operator.sub, z, step))
+        best[r] = best_z
     return best, errors
+
+
+def _norm1_floats(v):
+    """norm1 of a list of floats, summed in np.sum's order: left to right
+    below 8 entries (numpy's pairwise sum starts unrolling at 8)."""
+    if len(v) >= 8:
+        return norm1(v)
+    return reduce(operator.add, map(abs, v))
 
 
 def _make_record(fld, box, z):

@@ -6,6 +6,9 @@ O(n^3) with deterministic pivoting; thresholds are relative to the row-norm
 scale so sign tests behave the same under rescaling of the equations.
 """
 
+import functools
+import operator
+
 import numpy as np
 
 from .errors import MatrixOverflowError, SingularMatrixError
@@ -34,16 +37,16 @@ def row_scale(a):
 def lu_factor(a, rtol=PIVOT_RTOL):
     """Partial-pivot LU. Returns (lu, piv, swaps); raises on tiny pivots.
 
-    The singularity threshold is rtol times the largest |entry| of the
-    input, so it is scale-relative. The one-matrix case of lu_factor_rows.
+    Each column takes the first largest |entry| at or below the diagonal as
+    its pivot, and the matrix is rejected when that is at most rtol times
+    its largest |entry|, so the threshold is scale-relative. Runs the
+    compiled LU of its order (_lu) on floats, in numpy's nan order.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("square matrix required")
-    lu, piv, failed = lu_factor_rows(a[None], rtol)
-    if failed:
-        raise failed[0]
-    return lu[0], piv[0], _swaps(piv[0])
+    lu, piv = _lu(len(a))(a.ravel().tolist(), rtol, None)
+    return np.reshape(lu, a.shape), np.array(piv, dtype=int), _swaps(piv)
 
 
 def _swaps(piv):
@@ -62,10 +65,14 @@ def _swaps(piv):
 
 
 def lu_apply(lu, piv, b):
-    """Solve using a factorization from lu_factor (the one-matrix case of
-    lu_apply_rows); b is (n,) or (n, m)."""
+    """Solve using a factorization from lu_factor; b is (n,) or (n, m).
+    Forward then back substitution on floats, each dot product summed left
+    to right, so the bits do not depend on the host's BLAS."""
     b = np.asarray(b, dtype=float)
-    return lu_apply_rows(lu[None], piv[None], b[None])[0]
+    n, flat = len(lu), np.ravel(lu).tolist()
+    cols, solve = b.reshape(n, -1)[piv].T.tolist(), _lu(n)
+    x = [solve(flat, None, col) for col in cols]
+    return np.array(x, dtype=float).reshape(len(cols), n).T.reshape(b.shape)
 
 
 def lu_solve(a, b):
@@ -81,82 +88,136 @@ def _pivot_error(pivot, tol, col):
     )
 
 
-def _check_pivots(a, pivot, tol, col, failed):
-    """The singularity test on one pivot of every matrix; a rejected matrix
-    becomes nan, so its elimination and solves run on quietly."""
-    small = np.abs(pivot) <= tol
-    if np.count_nonzero(small):
-        for i in np.flatnonzero(small):
-            failed.setdefault(int(i), _pivot_error(pivot[i], tol[i], col))
-        a[small] = np.nan
+# ---------------------------------------------------------------------------
+# The LU as emitted float code
+#
+# _lu_lines and _solve_lines write the partial-pivot LU and its
+# substitution as straight-line statements on named locals. lu_factor and
+# lu_apply run them through _lu, and dae's reduced-field stage and
+# constraint step emit them inline. Every dot product is a left-to-right
+# float sum. The text binds to two namespaces: _FED for numbers known to be
+# finite (the builtins), and _GIVEN for any numbers, which picks pivots and
+# thresholds in numpy's nan order and divides by zero as numpy does.
 
 
-def lu_factor_rows(a, rtol=PIVOT_RTOL):
-    """Partial-pivot LU of every matrix in the stack a (N, n, n) at once.
-
-    Each matrix picks the largest |entry| of its column as the pivot and is
-    rejected when that is at most rtol times its largest |entry|, the
-    scale-relative threshold. Only elementwise operations touch the
-    entries, so every factor is the one its matrix gets alone, bit for bit.
-    Returns (lu, piv, failed): failed maps the index of every rejected
-    matrix to the SingularMatrixError lu_factor raises for it; the factors
-    of those rows are nan.
-    """
-    a = np.array(a, dtype=float)
-    n_rows, n = a.shape[:2]
-    if a.shape != (n_rows, n, n):
-        raise ValueError("stack of square matrices required")
-    piv = np.zeros((n_rows, n), dtype=int)
-    failed = {}
-    if n == 1:  # one candidate pivot: no search, no elimination
-        _check_pivots(a, a[:, 0, 0], rtol * np.abs(a[:, 0, 0]), 0, failed)
-        return a, piv, failed
-    piv += np.arange(n)
-    rows = np.arange(n_rows)
-    tol = rtol * np.max(np.abs(a), axis=(1, 2)) if n else None
-    for col in range(n):
-        if col + 1 == n:
-            _check_pivots(a, a[:, col, col], tol, col, failed)
-            break
-        r = col + np.argmax(np.abs(a[:, col:, col]), axis=1)
-        _check_pivots(a, a[rows, r, col], tol, col, failed)
-        swap = np.flatnonzero(r != col)
-        if swap.size:
-            rs = r[swap]
-            a[swap, col], a[swap, rs] = a[swap, rs], a[swap, col]
-            piv[swap, col], piv[swap, rs] = piv[swap, rs], piv[swap, col]
-        a[:, col + 1 :, col] /= a[:, col, None, col]
-        a[:, col + 1 :, col + 1 :] -= (
-            a[:, col + 1 :, col, None] * a[:, None, col, col + 1 :]
-        )
-    return a, piv, failed
+def _nan_max(*xs):
+    """max as np.max takes it: nan when any entry is nan."""
+    for x in xs:
+        if x != x:
+            return x
+    return max(xs)
 
 
-def _dot_rows(u, v):
-    """Row-wise dot products, one stacked matmul: each row's product takes
-    the same path whatever the number of rows."""
-    return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
+def _nan_gt(a, b):
+    """a ranks above b in np.argmax: by value, and nan above all else."""
+    return a > b or (a != a and b == b)
 
 
-def lu_apply_rows(lu, piv, b):
-    """Solve with the factors of lu_factor_rows, forward then back
-    substitution: b is (N, n), or (N, n, m) for m right-hand sides per
-    row."""
-    b = np.asarray(b, dtype=float)
-    n = lu.shape[1]
-    if n == 1:  # nothing to substitute
-        return b / lu.reshape((len(lu),) + (1,) * (b.ndim - 1))
-    if b.ndim == 3:
-        return np.stack([lu_apply_rows(lu, piv, b[:, :, j])
-                         for j in range(b.shape[2])], axis=2)
-    x = b[np.arange(len(b))[:, None], piv]
-    for i in range(1, n):
-        x[:, i] -= _dot_rows(lu[:, i, :i], x[:, :i])
-    for i in range(n - 1, -1, -1):
-        if i + 1 < n:
-            x[:, i] -= _dot_rows(lu[:, i, i + 1 :], x[:, i + 1 :])
-        x[:, i] /= lu[:, i, i]
-    return x
+def _ieee_div(a, b):
+    """a / b, inf or nan (as numpy gives) where Python raises."""
+    if b == 0.0:
+        with np.errstate(all="ignore"):
+            return float(np.divide(a, b))
+    return a / b
+
+
+_FED = {"amax": max, "gt": operator.gt, "dv": operator.truediv,
+        "singular": _pivot_error, "RTOL": PIVOT_RTOL}
+_GIVEN = {**_FED, "amax": _nan_max, "gt": _nan_gt, "dv": _ieee_div}
+
+
+def _dot(us, vs):
+    """The sum of the products us[i] * vs[i] as code: left to right, from
+    0.0 (so a product -0.0 sums to 0.0)."""
+    return "".join(f" + {u} * {v}" for u, v in zip(us, vs)).join(["(0.0", ")"])
+
+
+def _lu_lines(rows, carry, fail):
+    """The partial-pivot LU of the matrix whose entries are the locals
+    rows[r][c], in place. Row exchanges take the locals carry[r] along (the
+    right-hand sides, so they end up permuted like lu_apply's b[piv]). fail
+    is the statement run on a rejected pivot, formatted with the pivot {p}
+    and the column {col}; the threshold is TOL, RTOL times the largest
+    |entry|."""
+    s = len(rows)
+    if s == 0:
+        return []
+    entries = [e for row in rows for e in row]
+    if s == 1:
+        lines = [f"TOL = RTOL * abs({rows[0][0]})"]
+    else:
+        lines = [f"TOL = RTOL * amax({', '.join(f'abs({e})' for e in entries)})"]
+
+    def swap(r1, r2):
+        a, b = rows[r1] + carry[r1], rows[r2] + carry[r2]
+        return f"{', '.join(a + b)} = {', '.join(b + a)}"
+
+    for col in range(s):
+        piv = rows[col][col]
+        below = range(col + 1, s)
+        if len(below) == 1:
+            lines += [f"if gt(abs({rows[col + 1][col]}), abs({piv})):",
+                      "    " + swap(col, col + 1)]
+        elif below:  # the first largest |entry| of the column, as np.argmax
+            lines.append(f"G = abs({piv}); I = {col}")
+            lines += [f"if gt(abs({rows[r][col]}), G): "
+                      f"G = abs({rows[r][col]}); I = {r}" for r in below]
+            for j, r in enumerate(below):
+                lines += [f"{'el' * (j > 0)}if I == {r}:", "    " + swap(col, r)]
+        lines += [f"if abs({piv}) <= TOL:",
+                  "    " + fail.format(p=piv, col=col)]
+        lines += [f"{rows[r][col]} = dv({rows[r][col]}, {piv})" for r in below]
+        lines += [f"{rows[r][c]} = {rows[r][c]} - {rows[r][col]} * {rows[col][c]}"
+                  for r in below for c in below]
+    return lines
+
+
+def _solve_lines(rows, xs):
+    """Forward and back substitution on the permuted locals xs, in place,
+    with the factors _lu_lines left in rows."""
+    s = len(rows)
+    lines = [f"{xs[i]} = {xs[i]} - ({_dot(rows[i][:i], xs[:i])})"
+             for i in range(1, s)]
+    for i in range(s - 1, -1, -1):
+        if i + 1 < s:
+            lines.append(f"{xs[i]} = {xs[i]} - "
+                         f"({_dot(rows[i][i + 1:], xs[i + 1:])})")
+        lines.append(f"{xs[i]} = dv({xs[i]}, {rows[i][i]})")
+    return lines
+
+
+def _unpack(names, source):
+    return [f"{', '.join(names)}, = {source}"] if names else []
+
+
+def _compile(header, body, namespace):
+    name = header[4:header.index("(")]
+    src = "\n    ".join([header] + body)
+    exec(compile(src, f"<daekit {name}>", "exec"), namespace)
+    return namespace[name]
+
+
+@functools.lru_cache(maxsize=32)
+def _lu(n, fed=False):
+    """``lu(A, RTOL, b)`` on floats for order n, compiled once per order and
+    binding (_GIVEN, or _FED when fed). A is the matrix as a flat row-major
+    list; its row indices are exchanged along with its rows. Returns the
+    factors and piv as lists when b is None, else the solution of A x = b
+    (b a list of n floats). With RTOL None, A holds factors already and b
+    is in their row order."""
+    rows = [[f"M{r}_{c}" for c in range(n)] for r in range(n)]
+    flat = [e for row in rows for e in row]
+    ps, xs = [f"P{r}" for r in range(n)], [f"X{r}" for r in range(n)]
+    factor = _lu_lines(rows, [[p] for p in ps],
+                       "raise singular({p}, TOL, {col})")
+    body = _unpack(flat, "A") + [f"{p} = {r}" for r, p in enumerate(ps)]
+    if factor:
+        body += ["if RTOL is not None:"] + ["    " + ln for ln in factor]
+    body += ["if b is None:",
+             f"    return [{', '.join(flat)}], [{', '.join(ps)}]"]
+    body += [f"{x} = b[{p}]" for x, p in zip(xs, ps)] + _solve_lines(rows, xs)
+    body += [f"return [{', '.join(xs)}]"]
+    return _compile("def lu(A, RTOL, b):", body, dict(_FED if fed else _GIVEN))
 
 
 def det_sign(a, tol=1e-12):

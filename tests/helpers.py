@@ -20,14 +20,7 @@ from daekit.errors import (
     SingularMatrixError,
     point_text,
 )
-from daekit.linalg import (
-    lu_apply_rows,
-    lu_factor,
-    lu_factor_rows,
-    lu_solve,
-    norm1,
-    norm1_rows,
-)
+from daekit.linalg import lu_solve, norm1, norm1_rows
 
 
 def monomial(names, powers):
@@ -184,6 +177,26 @@ def lu_apply_oracle(lu, piv, b):
     for i in range(n - 1, -1, -1):
         x[i] = (x[i] - lu[i, i + 1 :] @ x[i + 1 :]) / lu[i, i]
     return x
+
+
+def lu_factor_rows_oracle(a):
+    """lu_factor_oracle on each matrix of the stack a (N, n, n): (lu, piv,
+    failed), failed mapping the index of each rejected matrix to its
+    SingularMatrixError, whose factors are nan."""
+    a = np.asarray(a, dtype=float)
+    lu, piv, failed = np.full(a.shape, np.nan), np.zeros(a.shape[:2], int), {}
+    for i, m in enumerate(a):
+        try:
+            lu[i], piv[i], _ = lu_factor_oracle(m)
+        except SingularMatrixError as exc:
+            failed[i] = exc
+    return lu, piv, failed
+
+
+def lu_apply_rows_oracle(lu, piv, b):
+    """lu_apply_oracle on each row: b is (N, n), or (N, n, m)."""
+    return np.array([lu_apply_oracle(*row) for row in zip(lu, piv, b)],
+                    dtype=float).reshape(np.shape(b))
 
 
 def dedup_oracle(points, radius):
@@ -392,7 +405,7 @@ def solve_constraint_rows_oracle(sys, p, q_guess):
         bad = {}
         if not math.isfinite(np.add.reduce(r, None) + np.add.reduce(jac, None)):
             _at_point(np.flatnonzero(~_finite_rows(r, jac)), bad, call)
-        lu, piv, singular = lu_factor_rows(d2g)
+        lu, piv, singular = lu_factor_rows_oracle(d2g)
         bad.update((i, exc) for i, exc in singular.items() if i not in bad)
         ok = np.ones(len(rows), dtype=bool)
         for i, exc in bad.items():
@@ -414,7 +427,7 @@ def solve_constraint_rows_oracle(sys, p, q_guess):
                 a[keep] for a in (live, lq, lr, ljac, lrn, lu, piv))
             if not live.size:
                 break
-        step = lu_apply_rows(lu, piv, lr)
+        step = lu_apply_rows_oracle(lu, piv, lr)
         q_new = lq - step
         r_new, jac_new, bad = constraint_rows_oracle(sys, p[live], q_new)
         rn_new = norm1_rows(r_new)
@@ -477,7 +490,7 @@ def reduced_field_oracle(sys, z, t=None, lam=0.0, linearize=False,
                 vals[i, hb] = sys.eval_h(env)
             d1g, d2g = sys.constraint_blocks(env)
             jac[i, gb, :k], jac[i, gb, k:] = d1g, d2g
-            lu_factor(d2g)
+            lu_factor_oracle(d2g)
             if linearize:
                 jac[i, bb, :k], jac[i, bb, k:] = sys.blocks(base, env)
                 if use_h:
@@ -486,19 +499,20 @@ def reduced_field_oracle(sys, z, t=None, lam=0.0, linearize=False,
                 vals[i, hb] = sys.eval_h(env)
 
         _at_point(np.flatnonzero(~_finite_rows(*checked)), errors, point)
-    lu, piv, singular = lu_factor_rows(jac[:, gb, k:])
+    lu, piv, singular = lu_factor_rows_oracle(jac[:, gb, k:])
     for i, exc in singular.items():
         errors.setdefault(i, exc)
     w = vals[:, bb]
     if use_h:
         w = w + lam * vals[:, hb]
     d1g = jac[:, gb, :k]
-    solved = lu_apply_rows(lu, piv, np.matmul(d1g, w[:, :, None])[:, :, 0])
+    solved = lu_apply_rows_oracle(lu, piv,
+                                  np.matmul(d1g, w[:, :, None])[:, :, 0])
     zdot = np.concatenate([w, -solved], axis=1)
     hv = vals[:, hb] if with_h else None
     if not linearize:
         return zdot, None, hv, errors
-    x = lu_apply_rows(lu, piv, d1g)
+    x = lu_apply_rows_oracle(lu, piv, d1g)
     a = jac[:, bb, :k] - np.matmul(jac[:, bb, k:], x)
     if use_h:
         a = a + lam * (jac[:, hb, :k] - np.matmul(jac[:, hb, k:], x))

@@ -58,7 +58,6 @@ def run_fresh(names, csv_dir):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    env.pop("DAEKIT_OUT_DIR", None)
     proc = subprocess.run([sys.executable, "-c", SCRIPT, json.dumps(queries)],
                           cwd=ROOT, env=env, capture_output=True, text=True,
                           check=True)

@@ -27,7 +27,7 @@ from daekit.linalg import norm1
 from daekit.sysfile import load_system
 import helpers
 from conftest import system_path
-from helpers import same_bits
+from helpers import lu_factor_oracle, same_bits
 
 
 class TestBox:
@@ -618,9 +618,10 @@ class TestEmittedStage:
 
 
 class TestEmittedLU:
-    """The stage's emitted LU of d2g is lu_factor, bit for bit: factors,
-    pivots, the singular verdict and its message (both sides use only
-    elementwise arithmetic)."""
+    """The emitted LU (linalg._lu_lines, which the stage and lu_factor run)
+    is the numpy loop it replaced (helpers.lu_factor_oracle), bit for bit:
+    factors, pivots, the singular verdict and its message (both sides use
+    only elementwise arithmetic)."""
 
     @staticmethod
     def emitted(s, binding):
@@ -628,9 +629,9 @@ class TestEmittedLU:
         carry = [[f"P{r}"] for r in range(s)]
         flat = [e for row in rows for e in row]
         body = ([f"{', '.join(flat)}, = A"] + [f"P{r} = {r}" for r in range(s)]
-                + dae._lu_lines(rows, carry, "raise singular({p}, TOL, {col})")
+                + linalg._lu_lines(rows, carry, "raise singular({p}, TOL, {col})")
                 + [f"return [{', '.join(flat)}], [{', '.join(c[0] for c in carry)}]"])
-        return dae._compile("def lu(A):", body, dict(binding))
+        return linalg._compile("def lu(A):", body, dict(binding))
 
     @staticmethod
     def cases(s, rng):
@@ -651,12 +652,12 @@ class TestEmittedLU:
     @pytest.mark.parametrize("s", [1, 2, 3])
     def test_matches_lu_factor(self, s):
         rng = np.random.default_rng(80 + s)
-        for binding in (dae._FED, dae._GIVEN):
+        for binding in (linalg._FED, linalg._GIVEN):
             lu = self.emitted(s, binding)
             verdicts = set()
             for a in self.cases(s, rng):
                 try:
-                    want, piv, _ = linalg.lu_factor(a)
+                    want, piv, _ = lu_factor_oracle(a)
                 except SingularMatrixError as exc:
                     with pytest.raises(SingularMatrixError) as got:
                         lu(a.ravel().tolist())
@@ -675,7 +676,7 @@ class TestEmittedLU:
         # nan; that binding picks pivots and thresholds as np.argmax and
         # np.max do, and divides by zero as numpy does
         rng = np.random.default_rng(90 + s)
-        lu = self.emitted(s, dae._GIVEN)
+        lu = self.emitted(s, linalg._GIVEN)
         for bad in (np.inf, -np.inf, np.nan):
             for _ in range(40):
                 a = rng.standard_normal((s, s))
@@ -685,7 +686,7 @@ class TestEmittedLU:
                     a[rng.integers(0, s), rng.integers(0, s)] = bad
                 try:
                     with np.errstate(all="ignore"):
-                        want, piv, _ = linalg.lu_factor(a)
+                        want, piv, _ = lu_factor_oracle(a)
                 except SingularMatrixError as exc:
                     with pytest.raises(SingularMatrixError) as got:
                         lu(a.ravel().tolist())

@@ -95,14 +95,12 @@ def run_query(name, csv_dir):
 
 
 @pytest.mark.parametrize("name", sorted(QUERIES))
-def test_report_matches_golden(name, tmp_path, monkeypatch):
-    monkeypatch.delenv("DAEKIT_OUT_DIR", raising=False)
+def test_report_matches_golden(name, tmp_path):
     for fname, got in run_query(name, tmp_path).items():
         assert got == (GOLDEN / fname).read_bytes(), f"{fname} changed"
 
 
 def regen():
-    os.environ.pop("DAEKIT_OUT_DIR", None)
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for name in sorted(QUERIES):

@@ -208,8 +208,10 @@ def bits(a):
 
 
 class TestRowsFactorization:
-    """lu_factor_rows / lu_apply_rows: each matrix of a stack gets its
-    one-matrix result, and the verdicts and factors of the old loop."""
+    """lu_factor / lu_apply, one matrix at a time, against the numpy loop
+    they replaced (helpers.lu_factor_oracle) on the matrix families the
+    stacked LU was checked on: random, singular, rank one, scaled by
+    1e+-200, zero, and with an inf, -inf or nan entry."""
 
     @staticmethod
     def matrices(rng, n):
@@ -227,48 +229,72 @@ class TestRowsFactorization:
     def test_same_verdicts_and_bits(self):
         rng = np.random.default_rng(23)
         for n in range(1, 5):
-            stack = [m for _ in range(8) for m in self.matrices(rng, n)]
-            lu, piv, failed = linalg.lu_factor_rows(np.array(stack))
-            b = rng.uniform(-1, 1, (len(stack), n))
-            x = linalg.lu_apply_rows(lu, piv, b)
-            seen = 0
-            for i, a in enumerate(stack):
+            regular = singular = 0
+            for a in [m for _ in range(8) for m in self.matrices(rng, n)]:
+                b = rng.uniform(-1, 1, n)
                 try:
                     old = lu_factor_oracle(a)
                 except SingularMatrixError as exc:
-                    assert i in failed
-                    assert type(failed[i]) is SingularMatrixError
-                    assert str(failed[i]) == str(exc)
                     with pytest.raises(SingularMatrixError, match=re.escape(str(exc))):
                         linalg.lu_factor(a)
+                    singular += 1
                     continue
-                assert i not in failed
-                seen += 1
-                lu1, piv1, swaps1 = linalg.lu_factor(a)
-                for got in ((lu[i], piv[i]), (lu1, piv1)):
-                    assert np.array_equal(bits(got[0]), bits(old[0]))
-                    assert np.array_equal(got[1], old[1])
-                assert swaps1 == old[2]
-                x1 = linalg.lu_apply(lu1, piv1, b[i])
-                assert np.array_equal(bits(x[i]), bits(x1))
-                # the old loop's 1-D dot products may round differently in
+                regular += 1
+                lu, piv, swaps = linalg.lu_factor(a)
+                assert np.array_equal(bits(lu), bits(old[0]))
+                assert np.array_equal(piv, old[1]) and piv.dtype == old[1].dtype
+                assert swaps == old[2]
+                x = linalg.lu_apply(lu, piv, b)
+                x_old = lu_apply_oracle(*old[:2], b)
+                # the oracle's 1-D dot products may round differently in
                 # BLAS; with at most one term per dot (n <= 2) they cannot
-                x_old = lu_apply_oracle(*old[:2], b[i])
                 if n <= 2:
-                    assert np.array_equal(bits(x1), bits(x_old))
+                    assert np.array_equal(bits(x), bits(x_old))
                 else:
-                    assert np.allclose(x1, x_old, rtol=1e-12, atol=0.0,
+                    assert np.allclose(x, x_old, rtol=1e-12, atol=0.0,
                                        equal_nan=True)
-            assert seen >= 8 and len(failed) >= 8
+            assert regular >= 8 and singular >= 8
 
     def test_several_right_hand_sides(self):
         rng = np.random.default_rng(29)
-        a = rng.uniform(-2, 2, (5, 2, 2))
-        b = rng.uniform(-1, 1, (5, 2, 3))
-        lu, piv, failed = linalg.lu_factor_rows(a)
-        assert not failed
-        x = linalg.lu_apply_rows(lu, piv, b)
-        for i in range(5):
-            for j in range(3):
-                assert np.array_equal(bits(x[i, :, j]),
-                                      bits(linalg.lu_solve(a[i], b[i, :, j])))
+        for _ in range(5):
+            a = rng.uniform(-2, 2, (3, 3))
+            b = rng.uniform(-1, 1, (3, 4))
+            lu, piv, _ = linalg.lu_factor(a)
+            x = linalg.lu_apply(lu, piv, b)
+            assert x.shape == (3, 4)
+            for j in range(4):
+                assert np.array_equal(bits(x[:, j]),
+                                      bits(linalg.lu_solve(a, b[:, j])))
+
+
+def substitution_left_to_right(lu, piv, b):
+    """Forward then back substitution in plain Python floats, each dot
+    product summed left to right from 0.0."""
+    lu, x = lu.tolist(), [float(b[p]) for p in piv]
+    n = len(x)
+    for i in range(n):
+        acc = 0.0
+        for j in range(i):
+            acc += lu[i][j] * x[j]
+        x[i] -= acc
+    for i in range(n - 1, -1, -1):
+        acc = 0.0
+        for j in range(i + 1, n):
+            acc += lu[i][j] * x[j]
+        x[i] = (x[i] - acc) / lu[i][i]
+    return x
+
+
+class TestHostIndependentSolve:
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_lu_apply_sums_left_to_right(self, n):
+        # a matmul or BLAS dot may sum or fuse the products of the
+        # substitution in a host-dependent order; lu_apply may not
+        rng = np.random.default_rng(300 + n)
+        for _ in range(200):
+            a = rng.standard_normal((n, n))
+            b = rng.standard_normal(n)
+            lu, piv, _ = linalg.lu_factor(a)
+            want = substitution_left_to_right(lu, piv, b)
+            assert np.array_equal(bits(linalg.lu_apply(lu, piv, b)), bits(want))

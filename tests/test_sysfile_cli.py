@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import system_path
-from daekit.cli import emit_plot_data, main, write_branch_csv
+from daekit.cli import main, write_branch_csv, write_trajectory_csv
 from daekit.dae import ManifoldPoint
 from daekit.errors import SystemFileError
 from daekit.flow import Trajectory
@@ -311,13 +311,6 @@ class TestCliReports:
         assert code == 1 and out == ""
         assert "error: unrecognized arguments: --seed 1\n" in err
 
-    def test_out_dir_override(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("DAEKIT_OUT_DIR", str(tmp_path))
-        code, _, _ = run_cli(capsys, "check", system_path("pozzo"),
-                             "--out", "rel.json")
-        assert code == 0
-        assert json.loads((tmp_path / "rel.json").read_text())["ok"] is True
-
     def test_reduce_hessenberg_cli(self, capsys, tmp_path):
         src = tmp_path / "hess.sys"
         src.write_text(
@@ -364,13 +357,13 @@ def synthetic_branch(n_points):
 class TestPlotData:
     def test_trajectory_row_count(self, tmp_path):
         path = tmp_path / "t.csv"
-        emit_plot_data(constant_trajectory(512), str(path))
+        write_trajectory_csv(constant_trajectory(512), str(path))
         lines = path.read_text().splitlines()
         assert len(lines) == 1 + 513
 
     def test_branch_row_counts(self, tmp_path):
         path = tmp_path / "b.csv"
-        emit_plot_data(synthetic_branch(1), str(path))  # origin only
+        write_branch_csv(synthetic_branch(1), str(path))  # origin only
         assert len(path.read_text().splitlines()) == 2  # header + 1 data row
         write_branch_csv(synthetic_branch(10), str(path))
         lines = path.read_text().splitlines()
@@ -382,12 +375,8 @@ class TestPlotData:
     def test_seventeen_significant_digits(self, tmp_path):
         path = tmp_path / "t.csv"
         traj = constant_trajectory(16, period=0.1)
-        emit_plot_data(traj, str(path))
+        write_trajectory_csv(traj, str(path))
         header, first, *_ = path.read_text().splitlines()
         fields = first.split(",")
         assert fields[1] == "0.10000000000000001"  # full double round-trip
         assert float(fields[2]) == -0.1
-
-    def test_rejects_other_types(self, tmp_path):
-        with pytest.raises(TypeError):
-            emit_plot_data(42, str(tmp_path / "x.csv"))
