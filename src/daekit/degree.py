@@ -30,7 +30,15 @@ from .errors import (
     SingularMatrixError,
     point_text,
 )
-from .linalg import PIVOT_RTOL, _lu, block_schur_det, det_sign, norm1, row_scale
+from .linalg import (
+    PIVOT_RTOL,
+    _lu,
+    _solve_rows,
+    block_schur_det,
+    det_sign,
+    norm1,
+    row_scale,
+)
 
 DEDUP_RADIUS = 1e-6
 BOUNDARY_SLACK = 1e-6
@@ -136,12 +144,11 @@ def _grid_starts(box, grid_per_dim):
 def _newton_sweep(fld, box, starts):
     """The points Newton's method reaches from the rows of starts, in start
     order. Only live rows are carried, each with its start index, and each
-    step takes one values-and-Jacobian pass. A row converges at a norm-1
-    residual of at most SWEEP_TOL. It is dropped at a non-finite residual,
-    a det that is not finite or at most 1e-280, a step that leaves the box
-    inflated by 5 widths, or after SWEEP_ITERATIONS steps. A finite det
-    above 1e-280 means getrf met no zero pivot, and solve runs the same
-    getrf, so it cannot fail on the rows it is given."""
+    step takes one values-and-Jacobian pass and one stacked solve. A row
+    converges at a norm-1 residual of at most SWEEP_TOL. It is dropped at
+    a non-finite residual, at a step that is not finite (a zero pivot
+    leaves it nan) or leaves the box inflated by 5 widths, or after
+    SWEEP_ITERATIONS steps."""
     zs = starts.astype(float)
     live = np.arange(len(zs))
     hits, points = [live[:0]], [zs[:0]]
@@ -151,18 +158,15 @@ def _newton_sweep(fld, box, starts):
         if not live.size:
             break
         fv, jac = fld.jacobian_batch(zs)
-        res = np.abs(fv).sum(axis=1)
+        with np.errstate(all="ignore"):
+            res = np.abs(fv).sum(axis=1)
         done = res <= SWEEP_TOL
         hits.append(live[done])
         points.append(zs[done])
-        with np.errstate(all="ignore"):
-            dets = np.linalg.det(jac)
-            keep = (np.isfinite(res) & ~done & np.isfinite(dets)
-                    & (np.abs(dets) > 1e-280))
-            zs = zs[keep] - np.linalg.solve(
-                jac[keep], fv[keep][..., None])[..., 0]
-        live = live[keep]
-        keep = (np.all(np.isfinite(zs), axis=1)
+        zs = zs - _solve_rows(jac, fv)
+        del fv, jac  # one Jacobian stack alive at a time
+        # nan and +-inf fail the box test
+        keep = (~done & np.isfinite(res)
                 & np.all(zs >= lo_big, axis=1)
                 & np.all(zs <= hi_big, axis=1))
         zs, live = zs[keep], live[keep]

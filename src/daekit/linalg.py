@@ -7,6 +7,7 @@ scale so sign tests behave the same under rescaling of the equations.
 """
 
 import functools
+import math
 import operator
 
 import numpy as np
@@ -79,6 +80,16 @@ def lu_solve(a, b):
     """Solve A x = b with partial pivoting; raises SingularMatrixError."""
     lu, piv, _ = lu_factor(a)
     return lu_apply(lu, piv, b)
+
+
+def _solve_rows(a, b):
+    """x[i] solving a[i] x = b[i] for a stack a (N, n, n) and b (N, n), in
+    one stacked LAPACK gesv. This is the gufunc behind np.linalg.solve,
+    called directly: a row whose factorization meets a zero pivot comes
+    back nan, where np.linalg.solve raises for the whole stack, and every
+    other row gets np.linalg.solve's bits. Warns about nothing."""
+    with np.errstate(all="ignore"):
+        return np.linalg._umath_linalg.solve1(a, b, signature="dd->d")
 
 
 def _pivot_error(pivot, tol, col):
@@ -224,21 +235,43 @@ def det_sign(a, tol=1e-12):
     """(sign, det) from pivoted LU; sign is 0 when |det| < tol * scale**n.
 
     scale is the largest row sum of |entries|, making the zero test invariant
-    under uniform rescaling of the matrix.
+    under uniform rescaling of the matrix. Where the pivots' product or
+    scale**n is 0 or overflows, the test compares log |det| with
+    log tol + n log scale instead, and det is that product (+-inf, +-0.0)
+    with the sign the pivots give. A factored matrix has no zero pivot, so
+    tol = 0.0 never reports 0.
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
-    scale = row_scale(a)
+    with np.errstate(all="ignore"):
+        scale = row_scale(a)
     if scale == 0.0:
         return 0, 0.0
     try:
         lu, _, swaps = lu_factor(a, rtol=0.0)
     except SingularMatrixError:
         return 0, 0.0
-    det = float(np.prod(np.diag(lu))) * (-1.0 if swaps % 2 else 1.0)
-    if abs(det) < tol * scale**n:
-        return 0, det
-    return (1 if det > 0 else -1), det
+    pivots = np.diag(lu)
+    with np.errstate(all="ignore"):
+        det = float(np.prod(pivots)) * (-1.0 if swaps % 2 else 1.0)
+    try:
+        bound = scale**n
+    except OverflowError:
+        bound = math.inf
+    if (0.0 < abs(det) < math.inf and 0.0 < bound < math.inf
+            or not np.all(np.isfinite(a))):
+        if abs(det) < tol * bound:
+            return 0, det
+        return (1 if det > 0 else -1), det
+    sign = -1 if (swaps + np.count_nonzero(pivots < 0.0)) % 2 else 1
+    if tol > 0.0:
+        # scale from the matrix over its largest |entry|, which cannot
+        # overflow
+        big = float(np.max(np.abs(a)))
+        log_scale = math.log(big) + math.log(row_scale(a / big))
+        if np.sum(np.log(np.abs(pivots))) < math.log(tol) + n * log_scale:
+            return 0, det
+    return sign, det
 
 
 def expm(a):

@@ -37,6 +37,7 @@ from .errors import (
     DriftExceededError,
     ExprDomainError,
     LeavesBoxError,
+    MatrixOverflowError,
     ShootingError,
     SingularMatrixError,
     SingularShootingError,
@@ -88,11 +89,15 @@ class Branch:
 
 
 def classify_resonance(sys, zero):
-    """Resonance verdict for a zero of (f, g) via the monodromy test."""
+    """Resonance verdict for a zero of (f, g) via the monodromy test.
+    Raises MatrixOverflowError when e^{AT} or det(e^{AT} - I) is not
+    finite."""
     a = reduced_matrix(sys, zero.point)
     mono = expm(a * sys.period)
     mi = mono - np.eye(sys.k)
     _, det_mi = det_sign(mi, tol=0.0)
+    if not math.isfinite(det_mi):
+        raise MatrixOverflowError("det(monodromy - I) overflowed")
     return ResonanceVerdict(
         zero=zero,
         linearization=a,

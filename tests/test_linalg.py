@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -64,6 +65,50 @@ class TestDetSign:
             _, db = linalg.det_sign(b, 0.0)
             _, dab = linalg.det_sign(a @ b, 0.0)
             assert dab == pytest.approx(da * db, rel=1e-8, abs=1e-12)
+
+    @pytest.mark.parametrize("a", [
+        [[1.0, 2.0], [3.0, 4.0]],
+        [[1.0, 1.0], [1.0, 1.0 + 2.0**-40]],  # below tol: sign 0
+        [[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]],
+        [[0.0, 1.0, 2.0, 3.0], [1.0, 0.0, 1.0, 2.0], [2.0, 1.0, 0.0, 1.0],
+         [3.0, 2.0, 1.0, 0.0]],
+    ])
+    def test_sign_survives_overflow_and_underflow(self, a):
+        # a * 2^k scales the LU exactly; past about 2^(+-1000/n) the
+        # pivots' product or scale**n leaves the floats, and the test
+        # moves to logs
+        a = np.array(a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want, det = linalg.det_sign(a, 1e-8)
+            for k in range(-1000, 1001, 50):
+                got, det_k = linalg.det_sign(a * 2.0**k, 1e-8)
+                assert got == want, k
+                assert math.copysign(1.0, det_k) == math.copysign(1.0, det)
+                assert linalg.det_sign(a * 2.0**k, 0.0)[0] == np.sign(det)
+
+    def test_overflow_gives_inf(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert linalg.det_sign(1e191 * np.eye(2), 0.0) == (1, math.inf)
+            assert linalg.det_sign(np.diag([-1e200, 1e200]), 1e-12) == (
+                -1, -math.inf)
+            sign, det = linalg.det_sign(np.diag([1e-200, -1e-200]), 0.0)
+            assert sign == -1 and det == 0.0
+
+    def test_finite_bits_unchanged(self):
+        # where the pivots' product and scale**n are finite, det is that
+        # product and the zero test is |det| < tol * scale**n
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            n = int(rng.integers(1, 6))
+            a = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-5, 6)
+            lu, _, swaps = linalg.lu_factor(a, rtol=0.0)
+            det = float(np.prod(np.diag(lu))) * (-1.0 if swaps % 2 else 1.0)
+            sign, got = linalg.det_sign(a, 1e-3)
+            assert bits(got) == bits(det)
+            small = abs(det) < 1e-3 * linalg.row_scale(a) ** n
+            assert sign == (0 if small else (1 if det > 0 else -1))
 
 
 def assert_expm_matches_scipy(a):
@@ -298,3 +343,41 @@ class TestHostIndependentSolve:
             lu, piv, _ = linalg.lu_factor(a)
             want = substitution_left_to_right(lu, piv, b)
             assert np.array_equal(bits(linalg.lu_apply(lu, piv, b)), bits(want))
+
+
+class TestSolveRows:
+    def test_zero_pivots_give_nan_rows_and_lapack_bits_elsewhere(self):
+        # exactly singular binary-fraction matrices, scaled by 10^k: some
+        # meet a zero pivot in getrf and come back nan, the rest (rounding
+        # made them nonsingular) must equal np.linalg.solve bit for bit,
+        # and a random nonsingular stack must too
+        rng = np.random.default_rng(4242)
+        m = 2048  # matrices per order and scale
+        rows = nan_rows = 0
+        for n in (2, 3, 4):
+            base = (rng.integers(-8, 9, (m, n, n))
+                    / 2.0 ** rng.integers(0, 4, (m, 1, 1)))
+            # the last row is an integer combination of the others, exact
+            # in binary, then the rows are shuffled
+            coef = rng.integers(-3, 4, (m, n - 1))
+            base[:, -1] = np.einsum("mi,mij->mj", coef, base[:, :-1])
+            order = rng.permuted(np.tile(np.arange(n), (m, 1)), axis=1)
+            base = np.take_along_axis(base, order[..., None], axis=1)
+            stacks = [base * 10.0**k for k in range(-60, 61)]
+            stacks.append(rng.standard_normal((m, n, n)))
+            for a in stacks:
+                b = rng.standard_normal((m, n))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    x = linalg._solve_rows(a, b)
+                bad = np.isnan(x).any(axis=1)
+                assert np.isnan(x[bad]).all()
+                for i in np.flatnonzero(bad)[:20]:  # alone, each raises
+                    with pytest.raises(np.linalg.LinAlgError):
+                        np.linalg.solve(a[i], b[i])
+                with np.errstate(all="ignore"):
+                    want = np.linalg.solve(a[~bad], b[~bad][..., None])[..., 0]
+                assert bits(x[~bad]).tobytes() == bits(want).tobytes()
+                rows += len(a)
+                nan_rows += int(bad.sum())
+        assert rows == 743_424 + 3 * m and nan_rows > 100_000

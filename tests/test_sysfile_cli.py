@@ -84,6 +84,18 @@ class TestCliExitCodes:
             report = json.loads(out)
             assert report["ok"] == (want == 0)
 
+    def test_overflowing_monodromy_det_exits_1(self, capsys, tmp_path):
+        # e^{AT} is finite (entries near e^{440}), det(e^{AT} - I) is not
+        path = tmp_path / "fast.sys"
+        path.write_text('dim_x = 2\ndim_y = 1\nperiod = 6.283185307179586\n'
+                        'f = "70*x1", "70*x2"\ng = "y1"\n'
+                        'box = [-1, 1], [-1, 1], [-1, 1]\n')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "resonance", str(path))
+        assert code == 1 and out == ""
+        assert err == "error: det(monodromy - I) overflowed\n"
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "check", "/nonexistent.sys")
         assert code == 1
@@ -221,8 +233,8 @@ class TestCliExitCodes:
 
 class TestCliReports:
     def test_sweep_det_overflow_warns_nothing(self, capsys, tmp_path):
-        # Jacobian entries near 1e160 overflow det in the sweep; those
-        # starts are dropped quietly, as the batch kernel drops its own
+        # Jacobian entries near 1e160 overflow det; the sweep takes no det,
+        # and LAPACK's solve converges from them to all three zeros
         path = tmp_path / "huge.sys"
         path.write_text('dim_x = 1\ndim_y = 1\nperiod = 1\n'
                         'f = "1e160*x1 - 1e160*x1^3"\ng = "1e160*y1 + x1"\n'
@@ -231,8 +243,17 @@ class TestCliReports:
             warnings.simplefilter("error")
             code, out, err = run_cli(capsys, "zeros", str(path))
         assert code == 0 and err == ""
-        assert json.loads(out) == {"command": "zeros", "system": str(path),
-                                   "grid": 16, "zeros": []}
+        rep = json.loads(out)
+        assert (rep["command"], rep["system"], rep["grid"]) == (
+            "zeros", str(path), 16)
+        zeros = rep["zeros"]
+        assert [z["point"][0] for z in zeros] == pytest.approx(
+            [-1.0, 0.0, 1.0], abs=1e-12)
+        assert [z["index"] for z in zeros] == [-1, 1, -1]
+        assert not any(z["degenerate"] or z["near_boundary"] for z in zeros)
+        assert zeros[0]["point"][1] == pytest.approx(1e-160, rel=1e-12)
+        assert abs(zeros[1]["point"][1]) < 1e-170
+        assert zeros[2]["point"][1] == pytest.approx(-1e-160, rel=1e-12)
 
     def test_degree_report(self, capsys):
         code, out, _ = run_cli(capsys, "degree", system_path("pozzo"))
