@@ -408,8 +408,8 @@ def validate(sys, samples=512):
     pts = sys.box.sample(samples)
     env = {nm: pts[:, i] for i, nm in enumerate(sys.state_names)}
     a = sys.kernel(sys.d2g_flat).values_batch(
-        env, np.empty((samples, sys.s * sys.s))
-    ).reshape(samples, sys.s, sys.s)
+        env, np.empty((sys.s * sys.s, samples))
+    ).T.reshape(samples, sys.s, sys.s)
     dets = np.linalg.det(a)
     abs_dets = np.abs(dets)
     i_min = int(np.argmin(abs_dets))

@@ -37,6 +37,7 @@ from .linalg import (
     block_schur_det,
     det_sign,
     norm1,
+    norm1_rows,
     row_scale,
 )
 
@@ -81,16 +82,22 @@ class VectorField:
         return self._kernel.dual(self.env(z))[1]
 
     def value_batch(self, zs):
-        out = np.empty((zs.shape[0], self.dim))
-        return self._kernel.values_batch(self.env(zs, batch=True), out)
+        """Values (N, m) on the rows of zs, a view of an entry-major (m, N)
+        array."""
+        out = np.empty((self.dim, len(zs)))
+        return self._kernel.values_batch(self.env(zs, batch=True), out).T
 
-    def jacobian_batch(self, zs):
-        """(values (N, n), Jacobians (N, n, n)) on the rows of zs, from one
-        kernel pass."""
-        vals = np.empty((zs.shape[0], self.dim))
-        jac = np.empty((zs.shape[0], self.dim, len(self.var_names)))
+    def jacobian_batch(self, zs, out=None):
+        """(values (N, m), Jacobians (N, m, n)) on the rows of zs, from one
+        kernel pass: views of entry-major (m, N) and (m * n, N) arrays, so
+        the kernel writes every entry contiguously. out, when given, is
+        that pair of arrays; a column slice of a larger pair will do."""
+        m, n, rows = self.dim, len(self.var_names), len(zs)
+        if out is None:
+            out = np.empty((m, rows)), np.empty((m * n, rows))
+        vals, jac = out
         self._kernel.dual_batch(self.env(zs, batch=True), jac, vals)
-        return vals, jac
+        return vals.T, jac.reshape(m, n, rows).transpose(2, 0, 1)
 
 
 def system_field(sys):
@@ -137,40 +144,48 @@ def _grid_starts(box, grid_per_dim):
         box.lo[d] + (np.arange(grid_per_dim) + 0.5) * box.width[d] / grid_per_dim
         for d in range(box.dim)
     ]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.column_stack([m.ravel() for m in mesh])
+    # rows (N, n) viewing one (n, N) array, the sweep's layout
+    mesh = np.meshgrid(*axes, indexing="ij", copy=False)
+    return np.stack(mesh).reshape(box.dim, -1).T
 
 
 def _newton_sweep(fld, box, starts):
     """The points Newton's method reaches from the rows of starts, in start
-    order. Only live rows are carried, each with its start index, and each
-    step takes one values-and-Jacobian pass and one stacked solve. A row
-    converges at a norm-1 residual of at most SWEEP_TOL. It is dropped at
-    a non-finite residual, at a step that is not finite (a zero pivot
-    leaves it nan) or leaves the box inflated by 5 widths, or after
-    SWEEP_ITERATIONS steps."""
-    zs = starts.astype(float)
-    live = np.arange(len(zs))
-    hits, points = [live[:0]], [zs[:0]]
-    lo_big = box.lo - 5.0 * box.width
-    hi_big = box.hi + 5.0 * box.width
+    order. Only live points are carried, entry-major as an (n, N) array,
+    each with its start index, and each step takes one values-and-Jacobian
+    pass and one stacked solve. A point converges at a norm-1 residual of
+    at most SWEEP_TOL. It is dropped at a non-finite residual, at a step
+    that is not finite (a zero pivot leaves it nan) or leaves the box
+    inflated by 5 widths, or after SWEEP_ITERATIONS steps."""
+    zt = np.ascontiguousarray(starts.T, dtype=float)
+    n, rows = zt.shape
+    live = np.arange(rows)
+    hits, points = [live[:0]], [zt[:, :0]]
+    lo_big = (box.lo - 5.0 * box.width)[:, None]
+    hi_big = (box.hi + 5.0 * box.width)[:, None]
+    # one pair of kernel outputs for the whole sweep, sliced to the live
+    # points, so no step allocates a new Jacobian stack
+    vbuf, jbuf = np.empty((fld.dim, rows)), np.empty((fld.dim * n, rows))
     for _ in range(SWEEP_ITERATIONS):
         if not live.size:
             break
-        fv, jac = fld.jacobian_batch(zs)
+        rows = live.size
+        fv, jac = fld.jacobian_batch(zt.T, out=(vbuf[:, :rows],
+                                                jbuf[:, :rows]))
         with np.errstate(all="ignore"):
-            res = np.abs(fv).sum(axis=1)
+            res = norm1_rows(fv)
         done = res <= SWEEP_TOL
         hits.append(live[done])
-        points.append(zs[done])
-        zs = zs - _solve_rows(jac, fv)
-        del fv, jac  # one Jacobian stack alive at a time
+        points.append(zt[:, done])
+        step = np.empty_like(zt)
+        _solve_rows(jac, fv, out=step.T)
+        zt = np.subtract(zt, step, out=step)
         # nan and +-inf fail the box test
         keep = (~done & np.isfinite(res)
-                & np.all(zs >= lo_big, axis=1)
-                & np.all(zs <= hi_big, axis=1))
-        zs, live = zs[keep], live[keep]
-    return np.concatenate(points)[np.argsort(np.concatenate(hits))]
+                & np.all(zt >= lo_big, axis=0)
+                & np.all(zt <= hi_big, axis=0))
+        zt, live = np.compress(keep, zt, axis=1), live[keep]
+    return np.concatenate(points, axis=1).T[np.argsort(np.concatenate(hits))]
 
 
 def find_zeros(system_or_field, box, grid_per_dim=16):
@@ -351,7 +366,7 @@ def boundary_margin(system_or_field, box):
             full[:, others] = pts
             full[:, d] = side
             vals = fld.value_batch(full)
-            margin = min(margin, float(np.min(np.abs(vals).sum(axis=1))))
+            margin = min(margin, float(np.min(norm1_rows(vals))))
             face_id += 1
     return margin
 

@@ -480,8 +480,8 @@ def compile_kernel(exprs, seeds=()):
     arithmetic for a point and to numpy for a batch: ``fn(env, V, D=None)``
     writes value i to ``V[i]`` and, when ``D`` is given, the derivative of
     expression i along seed j to ``D[i * len(seeds) + j]``. At a point V and
-    D are lists; on a batch they are arrays indexed first by that position
-    (views of the caller's output arrays).
+    D are lists; on a batch they are the caller's entry-major output arrays,
+    indexed first by that position, so every write is contiguous.
 
     Each node runs the dual-number arithmetic a tree walk along one seed
     would, in the same order, so results are reproducible bit for bit: the
@@ -583,18 +583,18 @@ class Kernel:
         return vals, np.ascontiguousarray(jac[:, cols])
 
     def values_batch(self, env, out):
-        """Values on a batch into out[..., i] (out C-contiguous)."""
+        """Values on a batch into out[i], entry-major: out is (m, *shape)
+        and each out[i] is one array of the batch's shape."""
         with np.errstate(all="ignore"):
-            self._fn(True)(env, out.reshape(-1, len(self.exprs)).T)
+            self._fn(True)(env, out)
         return out
 
     def dual_batch(self, env, out, vout):
-        """Derivatives on a batch into out[..., i, j] and values into
-        vout[..., i] (both C-contiguous), in one pass; returns out."""
-        m, n = len(self.exprs), len(self.seeds)
+        """Derivatives on a batch into out[i * n + j] and values into
+        vout[i], in one pass, entry-major as in values_batch: out is
+        (m * n, *shape) and vout (m, *shape). Returns out."""
         with np.errstate(all="ignore"):
-            self._fn(True)(env, vout.reshape(-1, m).T,
-                           out.reshape(-1, m * n).T)
+            self._fn(True)(env, vout, out)
         return out
 
     def dual_rows(self, env):
@@ -726,16 +726,16 @@ def evaluate_batch(e, env):
     No domain checking: invalid points yield nan/inf, which multistart
     sweeps treat as divergence.
     """
-    out = np.empty(_batch_shape(env) + (1,))
-    return Kernel([e]).values_batch(env, out)[..., 0]
+    out = np.empty((1,) + _batch_shape(env))
+    return Kernel([e]).values_batch(env, out)[0]
 
 
 def evaluate_dual_batch(e, env, seed):
     """Vectorized dual evaluation; returns (values, derivatives) arrays."""
-    shape = _batch_shape(env)
-    vals, ders = np.empty(shape + (1,)), np.empty(shape + (1, 1))
+    shape = (1,) + _batch_shape(env)
+    vals, ders = np.empty(shape), np.empty(shape)
     Kernel([e], [seed]).dual_batch(env, ders, vals)
-    return vals[..., 0], ders[..., 0, 0]
+    return vals[0], ders[0]
 
 
 # ---------------------------------------------------------------------------

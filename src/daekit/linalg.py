@@ -23,8 +23,14 @@ def norm1(v):
 
 
 def norm1_rows(v):
-    """norm1 of every row of v (N, n)."""
-    return np.sum(np.abs(v), axis=1)
+    """norm1 of every row of v (N, n), with the bits of a C-contiguous v in
+    any layout. np.sum adds fewer than 8 entries left to right in every
+    layout, but sums a contiguous row of 8 or more pairwise, so such rows
+    are summed from a C-contiguous copy."""
+    a = np.abs(v)
+    if a.shape[1] >= 8:
+        a = np.ascontiguousarray(a)
+    return np.sum(a, axis=1)
 
 
 def row_scale(a):
@@ -82,14 +88,17 @@ def lu_solve(a, b):
     return lu_apply(lu, piv, b)
 
 
-def _solve_rows(a, b):
+def _solve_rows(a, b, out=None):
     """x[i] solving a[i] x = b[i] for a stack a (N, n, n) and b (N, n), in
-    one stacked LAPACK gesv. This is the gufunc behind np.linalg.solve,
-    called directly: a row whose factorization meets a zero pivot comes
-    back nan, where np.linalg.solve raises for the whole stack, and every
-    other row gets np.linalg.solve's bits. Warns about nothing."""
+    one stacked LAPACK gesv, written into out (N, n) when given. This is
+    the gufunc behind np.linalg.solve, called directly: a row whose
+    factorization meets a zero pivot comes back nan, where np.linalg.solve
+    raises for the whole stack, and every other row gets np.linalg.solve's
+    bits. The gufunc copies each matrix into its own LAPACK buffer, so
+    strided views in and out give the same bits. Warns about nothing."""
     with np.errstate(all="ignore"):
-        return np.linalg._umath_linalg.solve1(a, b, signature="dd->d")
+        return np.linalg._umath_linalg.solve1(a, b, out=out,
+                                              signature="dd->d")
 
 
 def _pivot_error(pivot, tol, col):
@@ -239,7 +248,8 @@ def det_sign(a, tol=1e-12):
     scale**n is 0 or overflows, the test compares log |det| with
     log tol + n log scale instead, and det is that product (+-inf, +-0.0)
     with the sign the pivots give. A factored matrix has no zero pivot, so
-    tol = 0.0 never reports 0.
+    tol = 0.0 reports 0 only where det is nan (a nan entry, or inf - inf,
+    reached the pivots), which is no sign at all.
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
@@ -254,6 +264,8 @@ def det_sign(a, tol=1e-12):
     pivots = np.diag(lu)
     with np.errstate(all="ignore"):
         det = float(np.prod(pivots)) * (-1.0 if swaps % 2 else 1.0)
+    if math.isnan(det):  # a nan entry reached the pivots: no sign
+        return 0, det
     try:
         bound = scale**n
     except OverflowError:

@@ -245,7 +245,8 @@ def newton_sweep_oracle(fld, box, starts):
             break
         za = zs[idx]
         fv = fld.value_batch(za)
-        res = np.abs(fv).sum(axis=1)
+        # summed as C-contiguous rows: pairwise from 8 entries on
+        res = np.abs(np.ascontiguousarray(fv)).sum(axis=1)
         good = np.isfinite(res)
         done = good & (res <= SWEEP_TOL)
         converged[idx[done]] = True

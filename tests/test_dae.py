@@ -122,9 +122,9 @@ def polish_starts(sysdef, samples=512):
     pts = sysdef.box.sample(samples)
     env = {nm: pts[:, i] for i, nm in enumerate(sysdef.state_names)}
     s = sysdef.s
-    a = sysdef.kernel(sysdef.d2g_flat).values_batch(env, np.empty((samples, s * s)))
+    a = sysdef.kernel(sysdef.d2g_flat).values_batch(env, np.empty((s * s, samples)))
     with np.errstate(invalid="ignore"):
-        dets = np.linalg.det(a.reshape(samples, s, s))
+        dets = np.linalg.det(np.ascontiguousarray(a.T).reshape(samples, s, s))
     return pts[np.argsort(np.abs(dets))[:6]]
 
 

@@ -25,6 +25,7 @@ from daekit.degree import (
     SWEEP_TOL,
     _first_seen,
     _grid_starts,
+    _make_record,
     _newton_sweep,
     _polish_rows,
 )
@@ -42,6 +43,15 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 def planar_field(f1, f2):
     names = ["x1", "y1"]
     return VectorField([expr.parse(f1, names), expr.parse(f2, names)], names)
+
+
+def ring_field(n):
+    """x_i^3 - x_i + 0.3 x_{i+1} - 0.1 on a ring of n variables, on the
+    box [-1.4, 1.6]^n: many regular zeros, and residuals of n entries."""
+    names = [f"x{i + 1}" for i in range(n)]
+    exprs = [expr.parse(f"{a}^3 - {a} + 0.3*{b} - 0.1", names)
+             for a, b in zip(names, names[1:] + names[:1])]
+    return VectorField(exprs, names), Box.from_pairs([(-1.4, 1.6)] * n)
 
 
 class TestFindZeros:
@@ -247,19 +257,25 @@ def coarse_candidates(fld, box, grid_per_dim):
 
 class TestNewtonSweep:
     @pytest.mark.parametrize("name", ["pozzo", "exmults", "degen3",
-                                      "r12", "r21", "r22"])
+                                      "r12", "r21", "r22", "ring8"])
     def test_equals_the_masked_sweep(self, name, request):
-        if name == "degen3":
-            sys = degen3()
-        elif name.startswith("r"):
-            sys = load_system(str(GOLDEN / f"{name}.sys"))
+        # ring8: residuals of 8 entries, which np.sum adds pairwise
+        grid = 16
+        if name == "ring8":
+            fld, box = ring_field(8)
+            grid = 3
         else:
-            sys = request.getfixturevalue(name)
-        fld = system_field(sys)
-        starts = _grid_starts(sys.box, 16)
-        got = _newton_sweep(fld, sys.box, starts)
+            if name == "degen3":
+                sys = degen3()
+            elif name.startswith("r"):
+                sys = load_system(str(GOLDEN / f"{name}.sys"))
+            else:
+                sys = request.getfixturevalue(name)
+            fld, box = system_field(sys), sys.box
+        starts = _grid_starts(box, grid)
+        got = _newton_sweep(fld, box, starts)
         with np.errstate(all="ignore"):
-            want, counts = newton_sweep_oracle(fld, sys.box, starts)
+            want, counts = newton_sweep_oracle(fld, box, starts)
         assert len(got) > 0 and counts["retry"] == 0
         assert got.tobytes() == want.tobytes()
 
@@ -291,6 +307,20 @@ class TestNewtonSweep:
         res = np.abs(fld.value_batch(got)).sum(axis=1)
         assert np.all(res <= SWEEP_TOL)
         assert sorted(set(np.round(got[:, 0], 6))) == [-1.0, 0.0, 1.0]
+
+
+class TestMakeRecord:
+    def test_nan_jacobian_is_degenerate(self):
+        # a nan det has no sign, so the zero gets no index
+        class NanJacobian(VectorField):
+            def jacobian(self, z):
+                return np.array([[np.nan, 0.0], [0.0, 1.0]])
+
+        fld = planar_field("x1", "y1")
+        fld = NanJacobian(fld.exprs, fld.var_names)
+        box = Box.from_pairs([(-1, 1), (-1, 1)])
+        rec = _make_record(fld, box, np.zeros(2))
+        assert rec.degenerate and rec.index is None
 
 
 class TestLockstepPolish:

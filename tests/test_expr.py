@@ -8,7 +8,7 @@ from daekit import expr
 from daekit.dae import Box, SystemDef
 from daekit.degree import VectorField
 from daekit.errors import ExprDomainError, ExprSyntaxError, UndeclaredVariableError
-from helpers import random_tree, usable_tree_and_point
+from helpers import random_tree, same_bits, usable_tree_and_point
 
 
 def bits(x):
@@ -247,6 +247,68 @@ class TestKernel:
                     assert bits(vals[r, 0]) == bits(v[0])
         assert compared >= 250 * n_rows
         assert failed > 0
+
+    def test_entry_major_batch_equals_row_major_views(self):
+        # the batch code writes entry i to out[i], one contiguous array;
+        # written through strided views of row-major (N, m) and (N, m, n)
+        # arrays, the former layout, it gives the same bits
+        rng = np.random.default_rng(707)
+        names = ["x1", "y1", "t"]
+        seeds = [{nm: 1.0} for nm in names]
+        n_pts = 64
+        for _ in range(200):
+            kern = expr.Kernel([random_tree(rng, names) for _ in range(3)],
+                               seeds)
+            zs = rng.uniform(-2, 2, (n_pts, 3))
+            env = {nm: zs[:, i] for i, nm in enumerate(names)}
+            vals, ders = np.empty((3, n_pts)), np.empty((9, n_pts))
+            assert kern.dual_batch(env, ders, vals) is ders
+            only = kern.values_batch(env, np.empty((3, n_pts)))
+            rv, rd = np.empty((n_pts, 3)), np.empty((n_pts, 9))
+            with np.errstate(all="ignore"):
+                kern._fn(True)(env, rv.T, rd.T)
+            assert same_bits(vals, rv.T) and same_bits(only, rv.T)
+            assert same_bits(ders, rd.T)
+
+    def test_entry_major_batch_equals_the_point_kernel(self):
+        # on trees of + - * / and negation, which numpy and float
+        # arithmetic round alike (numpy's exp, log and power need not),
+        # each column of the entry-major batch is the point kernel's
+        # result at that point, bit for bit
+        def exact(e):
+            if isinstance(e, expr.Binary):
+                return exact(e.a) and exact(e.b)
+            if isinstance(e, expr.Unary):
+                return e.op == "neg" and exact(e.a)
+            return not isinstance(e, expr.Power)
+
+        rng = np.random.default_rng(808)
+        names = ["x1", "y1"]
+        seeds = [{nm: 1.0} for nm in names]
+        n_pts = 32
+        compared = kernels = 0
+        while kernels < 150:
+            trees = [random_tree(rng, names) for _ in range(2)]
+            if not all(map(exact, trees)):
+                continue
+            kernels += 1
+            kern = expr.Kernel(trees, seeds)
+            zs = rng.uniform(-2, 2, (2, n_pts))
+            env = dict(zip(names, zs))
+            vals, ders = np.empty((2, n_pts)), np.empty((4, n_pts))
+            kern.dual_batch(env, ders, vals)
+            only = kern.values_batch(env, np.empty((2, n_pts)))
+            point = kern._fn(False)
+            for r in range(n_pts):
+                v, d = [0.0] * 2, [0.0] * 4
+                try:
+                    point(dict(zip(names, zs[:, r].tolist())), v, d)
+                except ZeroDivisionError:
+                    continue
+                assert same_bits(vals[:, r], v) and same_bits(only[:, r], v)
+                assert same_bits(ders[:, r], d)
+                compared += 1
+        assert compared >= 140 * n_pts
 
     @pytest.mark.parametrize("text, point, message, subexpr", [
         ("sqrt(x1)", {"x1": 0.0, "y1": 1.0}, "sqrt not differentiable at 0.0",

@@ -96,6 +96,16 @@ class TestDetSign:
             sign, det = linalg.det_sign(np.diag([1e-200, -1e-200]), 0.0)
             assert sign == -1 and det == 0.0
 
+    @pytest.mark.parametrize("a", [
+        [[math.nan, 0.0], [0.0, 1.0]],
+        [[1.0, 2.0], [3.0, math.nan]],
+        [[math.inf, math.inf], [math.inf, math.inf]],  # inf - inf
+    ])
+    def test_nan_det_has_no_sign(self, a):
+        for tol in (1e-8, 0.0):
+            sign, det = linalg.det_sign(np.array(a), tol)
+            assert sign == 0 and math.isnan(det)
+
     def test_finite_bits_unchanged(self):
         # where the pivots' product and scale**n are finite, det is that
         # product and the zero test is |det| < tol * scale**n
@@ -381,3 +391,44 @@ class TestSolveRows:
                 rows += len(a)
                 nan_rows += int(bad.sum())
         assert rows == 743_424 + 3 * m and nan_rows > 100_000
+
+    def test_entry_major_views_and_out_give_the_same_bits(self):
+        # the zero sweep passes (N, n, n) and (N, n) views of entry-major
+        # (n, n, N) and (n, N) arrays and takes the solution through out=
+        # as a view of an (n, N) array: the bits and the nan rows (zero
+        # pivots, which binary-fraction matrices with a repeated row often
+        # meet) equal those of C-contiguous input
+        rng = np.random.default_rng(2718)
+        m, nan_rows = 4096, 0
+        for n in (1, 2, 3, 4, 8):
+            a = rng.integers(-4, 5, (m, n, n)) / 2.0
+            a[::3, -1] = a[::3, 0] if n > 1 else 0.0
+            a[1::3] = rng.standard_normal((len(a[1::3]), n, n))
+            b = rng.standard_normal((m, n))
+            want = linalg._solve_rows(a, b)
+            at = np.ascontiguousarray(a.transpose(1, 2, 0))
+            bt = np.ascontiguousarray(b.T)
+            xt = np.full((n, m), 7.0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = linalg._solve_rows(at.transpose(2, 0, 1), bt.T,
+                                         out=xt.T)
+            assert np.shares_memory(got, xt)
+            assert bits(xt.T).tobytes() == bits(want).tobytes()
+            bad = np.isnan(want).any(axis=1)
+            assert np.isnan(want[bad]).all() and not bad[1::3].any()
+            nan_rows += int(bad.sum())
+        assert nan_rows > m
+
+
+class TestNorm1Rows:
+    def test_any_layout_gives_the_c_contiguous_bits(self):
+        # np.sum adds a contiguous row of 8 or more entries pairwise, and
+        # the columns of an entry-major array left to right
+        rng = np.random.default_rng(1618)
+        for n in range(1, 17):
+            em = (rng.standard_normal((n, 5000))
+                  * 10.0 ** rng.integers(-20, 21, (n, 5000)))
+            want = np.sum(np.abs(np.ascontiguousarray(em.T)), axis=1)
+            got = linalg.norm1_rows(em.T)
+            assert bits(got).tobytes() == bits(want).tobytes(), n
