@@ -153,10 +153,11 @@ def _newton_sweep(fld, box, starts):
     """The points Newton's method reaches from the rows of starts, in start
     order. Only live points are carried, entry-major as an (n, N) array,
     each with its start index, and each step takes one values-and-Jacobian
-    pass and one stacked solve. A point converges at a norm-1 residual of
-    at most SWEEP_TOL. It is dropped at a non-finite residual, at a step
-    that is not finite (a zero pivot leaves it nan) or leaves the box
-    inflated by 5 widths, or after SWEEP_ITERATIONS steps."""
+    pass and one elimination over the stack, in the kernel's outputs. A
+    point converges at a norm-1 residual of at most SWEEP_TOL. It is
+    dropped at a non-finite residual, at a step that is not finite (a zero
+    pivot leaves it nan) or leaves the box inflated by 5 widths, or after
+    SWEEP_ITERATIONS steps."""
     zt = np.ascontiguousarray(starts.T, dtype=float)
     n, rows = zt.shape
     live = np.arange(rows)
@@ -169,16 +170,15 @@ def _newton_sweep(fld, box, starts):
     for _ in range(SWEEP_ITERATIONS):
         if not live.size:
             break
-        rows = live.size
-        fv, jac = fld.jacobian_batch(zt.T, out=(vbuf[:, :rows],
-                                                jbuf[:, :rows]))
+        vals, jac = vbuf[:, :live.size], jbuf[:, :live.size]
+        fv, _ = fld.jacobian_batch(zt.T, out=(vals, jac))
         with np.errstate(all="ignore"):
             res = norm1_rows(fv)
         done = res <= SWEEP_TOL
         hits.append(live[done])
         points.append(zt[:, done])
-        step = np.empty_like(zt)
-        _solve_rows(jac, fv, out=step.T)
+        # the solve overwrites vals and jac, which this step no longer reads
+        step = _solve_rows(jac, vals, out=np.empty_like(zt))
         zt = np.subtract(zt, step, out=step)
         # nan and +-inf fail the box test
         keep = (~done & np.isfinite(res)

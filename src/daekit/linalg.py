@@ -88,17 +88,22 @@ def lu_solve(a, b):
     return lu_apply(lu, piv, b)
 
 
-def _solve_rows(a, b, out=None):
-    """x[i] solving a[i] x = b[i] for a stack a (N, n, n) and b (N, n), in
-    one stacked LAPACK gesv, written into out (N, n) when given. This is
-    the gufunc behind np.linalg.solve, called directly: a row whose
-    factorization meets a zero pivot comes back nan, where np.linalg.solve
-    raises for the whole stack, and every other row gets np.linalg.solve's
-    bits. The gufunc copies each matrix into its own LAPACK buffer, so
-    strided views in and out give the same bits. Warns about nothing."""
+def _solve_rows(jac, b, out=None):
+    """The solutions x of the N systems A x = b stacked entry-major: jac
+    (n * n, N) holds entry (r, c) of every A in row r * n + c, b is (n, N)
+    and x goes to row r of out (n, N), which must not overlap them. Runs
+    _gauss's elimination of order n, which overwrites jac and b. Each
+    column's pivot is the first largest |entry| at or below the diagonal,
+    with no threshold; a zero pivot makes the whole solution nan. Warns
+    about nothing; returns out."""
+    n, rows = b.shape
+    if jac.shape != (n * n, rows):
+        raise ValueError("jac must be (n * n, N) for b (n, N)")
+    if out is None:
+        out = np.empty((n, rows))
     with np.errstate(all="ignore"):
-        return np.linalg._umath_linalg.solve1(a, b, out=out,
-                                              signature="dd->d")
+        _gauss(n)(jac, b, out, np.empty((n, rows), dtype=bool))
+    return out
 
 
 def _pivot_error(pivot, tol, col):
@@ -240,6 +245,90 @@ def _lu(n, fed=False):
     return _compile("def lu(A, RTOL, b):", body, dict(_FED if fed else _GIVEN))
 
 
+# The elimination of _solve_rows as emitted numpy calls. Only correctly
+# rounded elementwise ufuncs touch the numbers: abs, comparisons, masked
+# copies, and - * / each rounded once and never fused into an FMA. So
+# every host gets the same bits.
+_UFUNCS = {"absolute": np.absolute, "greater": np.greater, "equal": np.equal,
+           "maximum": np.maximum, "logical_or": np.logical_or,
+           "copyto": np.copyto, "multiply": np.multiply,
+           "subtract": np.subtract, "divide": np.divide, "nan": math.nan}
+
+
+@functools.lru_cache(maxsize=32)
+def _gauss(n):
+    """``gauss(J, B, X, E)``: Gaussian elimination with partial pivoting,
+    in place, on the N systems of order n stacked entry-major in J (n * n,
+    N) and B (n, N), compiled once per order. The solutions go to X (n,
+    N), whose rows serve as scratch until then, and E (n, N) is boolean
+    scratch.
+
+    Column c exchanges row c with the row of the first largest |entry| at
+    or below the diagonal, by masked copies; an exchange whose mask is all
+    false is skipped. A zero pivot is made nan, which makes the whole
+    solution nan. Each row below then takes l = a[r][c] / a[c][c] and
+    a[r][j] - l * a[c][j], b alike. Back substitution goes column by
+    column: x[j] = b[j] / a[j][j], then b[i] - a[i][j] * x[j] for i < j.
+    The pivot search compares with > and keeps its running largest |entry|
+    by np.maximum, not in np.argmax's nan order; the two differ only where
+    a nan entry reaches a pivot column, and then either pivot leaves the
+    whole solution nan."""
+    a = [[f"M{r}_{c}" for c in range(n)] for r in range(n)]
+    bs, xs, es = ([f"{v}{r}" for r in range(n)] for v in "BXE")
+
+    def exchange(c, r, m):
+        # row c and row r, entries c on and then b, where m holds
+        k = n - c
+        rc, rr = (f"J[{i * n + c}:{i * n + n}]" for i in (c, r))
+        return [f"if {m}.any():",
+                f"    copyto(X[:{k}], {rc})",
+                f"    copyto({rc}, {rr}, where={m})",
+                f"    copyto({rr}, X[:{k}], where={m})",
+                f"    copyto(X0, {bs[c]})",
+                f"    copyto({bs[c]}, {bs[r]}, where={m})",
+                f"    copyto({bs[r]}, X0, where={m})"]
+
+    body = _unpack([e for row in a for e in row], "J")
+    body += _unpack(bs, "B") + _unpack(xs, "X") + _unpack(es, "E")
+    for c in range(n):
+        below = range(c + 1, n)
+        if below:
+            # es[j] marks where row c + 1 + j beats the rows above it; X0
+            # holds the largest |entry| so far, X1 the next one
+            body.append(f"absolute({a[c][c]}, out=X0)")
+            for j, r in enumerate(below):
+                body += [f"absolute({a[r][c]}, out=X1)",
+                         f"greater(X1, X0, out={es[j]})"]
+                if r < n - 1:
+                    body.append("maximum(X0, X1, out=X0)")
+            # the pivot is the last row that beat the rows above it: the
+            # last marked row, then each one marked by no later row (last
+            # collects the later marks)
+            last = es[n - c - 2]
+            body += exchange(c, n - 1, last)
+            for j in range(n - c - 3, -1, -1):
+                body += [f"greater({es[j]}, {last}, out={es[j]})"]
+                body += exchange(c, c + 1 + j, es[j])
+                if j:
+                    body.append(f"logical_or({last}, {es[j]}, out={last})")
+        body += [f"equal({a[c][c]}, 0.0, out=E0)",
+                 "if E0.any():",
+                 f"    copyto({a[c][c]}, nan, where=E0)"]
+        for r in below:
+            body.append(f"divide({a[r][c]}, {a[c][c]}, out={a[r][c]})")
+            for j in below:
+                body += [f"multiply({a[r][c]}, {a[c][j]}, out=X0)",
+                         f"subtract({a[r][j]}, X0, out={a[r][j]})"]
+            body += [f"multiply({a[r][c]}, {bs[c]}, out=X0)",
+                     f"subtract({bs[r]}, X0, out={bs[r]})"]
+    for j in range(n - 1, -1, -1):
+        body.append(f"divide({bs[j]}, {a[j][j]}, out={xs[j]})")
+        for i in range(j):
+            body += [f"multiply({a[i][j]}, {xs[j]}, out={a[i][j]})",
+                     f"subtract({bs[i]}, {a[i][j]}, out={bs[i]})"]
+    return _compile("def gauss(J, B, X, E):", body, dict(_UFUNCS))
+
+
 def det_sign(a, tol=1e-12):
     """(sign, det) from pivoted LU; sign is 0 when |det| < tol * scale**n.
 
@@ -289,19 +378,22 @@ def det_sign(a, tol=1e-12):
 def expm(a):
     """Matrix exponential of a square matrix.
 
-    A 1x1 matrix is np.exp of its entry, which is what scipy.linalg.expm
-    returns for it. A larger one goes to scipy.linalg.expm, the
-    scaling-and-squaring Pade method (Higham, SIAM J. Matrix Anal. Appl. 26,
-    2005); scipy is imported here, so a process that never exponentiates a
-    matrix of order 2 or more never loads it. Raises MatrixOverflowError
-    when any entry is not finite.
+    A 1x1 matrix is math.exp of its entry, which does not depend on the
+    SIMD loop numpy picks for np.exp. A larger one goes to
+    scipy.linalg.expm, the scaling-and-squaring Pade method (Higham, SIAM
+    J. Matrix Anal. Appl. 26, 2005); scipy is imported here, so a process
+    that never exponentiates a matrix of order 2 or more never loads it.
+    Raises MatrixOverflowError when any entry is not finite.
     """
     a = np.asarray(a, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if a.shape == (1, 1):
-            out = np.exp(a)
-        else:
-            import scipy.linalg
+    if a.shape == (1, 1):
+        try:
+            out = np.array([[math.exp(a[0, 0])]])
+        except OverflowError:
+            out = np.array([[math.inf]])
+    else:
+        import scipy.linalg
+        with np.errstate(over="ignore", invalid="ignore"):
             out = scipy.linalg.expm(a)
     if not np.all(np.isfinite(out)):
         raise MatrixOverflowError("matrix exponential overflowed")

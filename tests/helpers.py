@@ -179,6 +179,68 @@ def lu_apply_oracle(lu, piv, b):
     return x
 
 
+def gauss_solve_oracle(a, b):
+    """x solving a x = b by the elimination of linalg._solve_rows, on one
+    matrix in plain Python floats (each - * / rounded once): the first
+    largest |entry| of each column, in np.argmax's nan order, pivots; a
+    zero pivot gives all nan; l = a[r][c] / a[c][c] updates a[r][j] and
+    b[r] by one product and one difference each; back substitution goes
+    column by column."""
+    a, x = [[float(e) for e in row] for row in a], [float(e) for e in b]
+    n = len(x)
+    for c in range(n):
+        p = c
+        for r in range(c + 1, n):
+            v, best = abs(a[r][c]), abs(a[p][c])
+            if v > best or (v != v and best == best):
+                p = r
+        a[c], a[p], x[c], x[p] = a[p], a[c], x[p], x[c]
+        piv = a[c][c]
+        if piv == 0.0:
+            return [math.nan] * n
+        for r in range(c + 1, n):
+            row, l = a[r], a[r][c] / piv
+            for j in range(c + 1, n):
+                row[j] = row[j] - l * a[c][j]
+            x[r] = x[r] - l * x[c]
+    for j in range(n - 1, -1, -1):
+        x[j] = x[j] / a[j][j]
+        for i in range(j):
+            x[i] = x[i] - a[i][j] * x[j]
+    return x
+
+
+def gauss_solve_rows_oracle(a, b):
+    """gauss_solve_oracle on each row of the stacks a (N, n, n) and b (N,
+    n): an (N, n) array."""
+    xs = list(map(gauss_solve_oracle, np.asarray(a).tolist(),
+                  np.asarray(b).tolist()))
+    return np.array(xs, dtype=float).reshape(np.shape(b))
+
+
+def gauss_solve_stack_oracle(a, b):
+    """gauss_solve_oracle's elimination on a row-major stack a (N, n, n)
+    and b (N, n) at once: np.argmax picks the pivots, fancy indexing
+    exchanges the rows, and rows that met a zero pivot end all nan."""
+    a, x = np.array(a, dtype=float), np.array(b, dtype=float)
+    rows, n = np.arange(len(x)), x.shape[1]
+    zero = np.zeros(len(x), dtype=bool)
+    with np.errstate(all="ignore"):
+        for c in range(n):
+            p = c + np.argmax(np.abs(a[:, c:, c]), axis=1)
+            a[rows, c], a[rows, p] = a[rows, p], a[rows, c]
+            x[rows, c], x[rows, p] = x[rows, p], x[rows, c]
+            zero |= a[:, c, c] == 0.0
+            l = a[:, c + 1:, c] / a[:, c, c, None]
+            a[:, c + 1:, c + 1:] -= l[:, :, None] * a[:, c, None, c + 1:]
+            x[:, c + 1:] -= l * x[:, c, None]
+        for j in range(n - 1, -1, -1):
+            x[:, j] /= a[:, j, j]
+            x[:, :j] -= a[:, :j, j] * x[:, j, None]
+    x[zero] = math.nan
+    return x
+
+
 def lu_factor_rows_oracle(a):
     """lu_factor_oracle on each matrix of the stack a (N, n, n): (lu, piv,
     failed), failed mapping the index of each rejected matrix to its
@@ -227,12 +289,12 @@ def merge_orbits_oracle(orbits, radius):
 
 def newton_sweep_oracle(fld, box, starts):
     """The masked sweep find_zeros used to run over the whole start grid,
-    with a values pass and a Jacobian pass per step and a per-row retry
-    after a stacked solve raises. Returns (converged points, counts): how
-    many rows each drop path took ("residual" non-finite, "det" not finite
-    or at most 1e-280, "box" a step leaving the box inflated by 5 widths)
-    and how many rows the retry solved alone ("retry")."""
-    counts = dict.fromkeys(("residual", "det", "box", "retry"), 0)
+    with a values pass and a Jacobian pass per step, each Newton step
+    solved with gauss_solve_stack_oracle. Returns (converged points,
+    counts): how many rows each drop path took ("residual" non-finite,
+    "det" not finite or at most 1e-280, "box" a step leaving the box
+    inflated by 5 widths, or not finite)."""
+    counts = dict.fromkeys(("residual", "det", "box"), 0)
     zs = starts.astype(float).copy()
     n_pts = zs.shape[0]
     alive = np.ones(n_pts, dtype=bool)
@@ -265,19 +327,7 @@ def newton_sweep_oracle(fld, box, starts):
         sidx = widx[solvable]
         if sidx.size == 0:
             continue
-        try:
-            steps = np.linalg.solve(
-                jac[solvable], fv[work][solvable][..., None]
-            )[..., 0]
-        except np.linalg.LinAlgError:
-            counts["retry"] += sidx.size
-            steps = np.empty((sidx.size, box.dim))
-            js, fs = jac[solvable], fv[work][solvable]
-            for i in range(sidx.size):
-                try:
-                    steps[i] = np.linalg.solve(js[i], fs[i])
-                except np.linalg.LinAlgError:
-                    steps[i] = np.nan
+        steps = gauss_solve_stack_oracle(jac[solvable], fv[work][solvable])
         znew = zs[sidx] - steps
         inside = (
             np.all(np.isfinite(znew), axis=1)

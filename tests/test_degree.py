@@ -276,7 +276,7 @@ class TestNewtonSweep:
         got = _newton_sweep(fld, box, starts)
         with np.errstate(all="ignore"):
             want, counts = newton_sweep_oracle(fld, box, starts)
-        assert len(got) > 0 and counts["retry"] == 0
+        assert len(got) > 0
         assert got.tobytes() == want.tobytes()
 
     def test_crafted_field_takes_every_drop_path(self):
@@ -290,12 +290,12 @@ class TestNewtonSweep:
         with np.errstate(all="ignore"):
             want, counts = newton_sweep_oracle(fld, box, starts)
         assert min(counts["residual"], counts["det"], counts["box"]) >= 1
-        assert counts["retry"] == 0
         assert len(got) > 0 and got.tobytes() == want.tobytes()
 
     def test_huge_jacobian_entries_converge(self):
         # det overflows at every start of this field, so the masked sweep
-        # drops all 256 starts at its det filter; LAPACK solves them all
+        # drops all 256 starts at its det filter; the elimination solves them
+        # all
         fld = planar_field("1e160*x1 - 1e160*x1^3", "1e160*y1 + x1")
         box = Box.from_pairs([(-1.5, 1.5), (-1.5, 1.5)])
         starts = _grid_starts(box, 16)

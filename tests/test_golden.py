@@ -20,11 +20,20 @@ A change meant to alter a report regenerates the files with
     PYTHONPATH=src python tests/test_golden.py --regen
 
 and names the reason in CHANGES.md. Never replace the byte comparison with
-a tolerance.
+a tolerance. To see how far a regeneration moved the reports, keep a copy
+of the old files and run
+
+    PYTHONPATH=src python tests/test_golden.py --drift OLD_DIR
+
+which lists the files that changed, checks that every JSON value other
+than a float is equal and every float within 1e-12 of its old value
+relative to max(1, |value|), and names the largest such change.
 """
 
 import contextlib
 import io
+import json
+import math
 import os
 import sys
 import tempfile
@@ -109,7 +118,47 @@ def regen():
                 print(f"wrote tests/golden/{fname}")
 
 
+def _drift(old, new, where, out):
+    """Walk two JSON values: (change / max(1, |value|), where) of each
+    float that moved goes into out. Raises AssertionError where anything
+    else differs, or a float moves by more than 1e-12 * max(1, |value|)."""
+    if isinstance(old, float) and isinstance(new, float):
+        if old != new and not (math.isnan(old) and math.isnan(new)):
+            change = abs(old - new) / max(1.0, abs(old), abs(new))
+            assert change <= 1e-12, (where, old, new)
+            out.append((change, where))
+    elif isinstance(old, dict) and isinstance(new, dict):
+        assert list(old) == list(new), where
+        for key in old:
+            _drift(old[key], new[key], f"{where}.{key}", out)
+    elif isinstance(old, list) and isinstance(new, list):
+        assert len(old) == len(new), where
+        for i, (a, b) in enumerate(zip(old, new)):
+            _drift(a, b, f"{where}[{i}]", out)
+    else:
+        assert type(old) is type(new) and old == new, (where, old, new)
+
+
+def drift(old_dir):
+    changes = []
+    for path in sorted(GOLDEN.iterdir()):
+        old = Path(old_dir) / path.name
+        if old.read_bytes() == path.read_bytes():
+            continue
+        assert path.suffix == ".json", f"{path.name} changed"
+        print(f"changed tests/golden/{path.name}")
+        _drift(json.loads(old.read_text()), json.loads(path.read_text()),
+               path.stem, changes)
+    print(f"{len(changes)} floats moved, the most by (change / max(1, "
+          f"|value|), where) = {max(changes, default=None)}")
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--regen"]:
-        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --regen")
-    regen()
+    if sys.argv[1:] == ["--regen"]:
+        regen()
+    elif sys.argv[1:2] == ["--drift"] and len(sys.argv) == 3:
+        drift(sys.argv[2])
+    else:
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --regen\n"
+                 "       PYTHONPATH=src python tests/test_golden.py "
+                 "--drift OLD_DIR")

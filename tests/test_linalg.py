@@ -9,7 +9,12 @@ import scipy.linalg
 from daekit import linalg
 from daekit.errors import MatrixOverflowError, SingularMatrixError
 
-from helpers import lu_apply_oracle, lu_factor_oracle
+from helpers import (
+    gauss_solve_rows_oracle,
+    gauss_solve_stack_oracle,
+    lu_apply_oracle,
+    lu_factor_oracle,
+)
 
 
 class TestLuSolve:
@@ -135,6 +140,23 @@ def assert_expm_matches_scipy(a):
     assert got.tobytes() == want.tobytes(), a
 
 
+def assert_expm_one_by_one(x):
+    """linalg.expm([[x]]) is [[math.exp(x)]] bit for bit and within one ulp
+    of scipy.linalg.expm's, or raises MatrixOverflowError where both
+    overflow."""
+    a = np.array([[x]])
+    with np.errstate(over="ignore"):
+        want = scipy.linalg.expm(a)
+    if not np.isfinite(want).all():
+        with pytest.raises(MatrixOverflowError):
+            linalg.expm(a)
+        return
+    got = linalg.expm(a)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == bits([[math.exp(x)]]).tobytes(), x
+    assert abs(got[0, 0] - want[0, 0]) <= np.spacing(want[0, 0]), x
+
+
 class TestExpm:
     def test_zero(self):
         assert np.array_equal(linalg.expm(np.zeros((3, 3))), np.eye(3))
@@ -160,19 +182,30 @@ class TestExpm:
             prod = linalg.expm(a) @ linalg.expm(-a)
             assert np.max(np.abs(prod - np.eye(n))) <= 1e-8
 
-    # The 1x1 path is np.exp and skips scipy; larger inputs call scipy.
-    # Both must give scipy.linalg.expm's bits.
+    # The 1x1 path is math.exp and skips scipy: it must give math.exp's
+    # bits, which lie within one ulp of scipy.linalg.expm's (numpy's SIMD
+    # exp), and overflow where scipy's result is not finite. Larger inputs
+    # call scipy and must give its bits.
     def test_scipy_bits_one_by_one_random(self):
         rng = np.random.default_rng(2005)
         for x in rng.uniform(-750.0, 750.0, 2000):
-            assert_expm_matches_scipy(np.array([[x]]))
+            assert_expm_one_by_one(x)
 
     @pytest.mark.parametrize("x", [
         0.0, -0.0, 1.0, -1.0,
         709.78, 709.782712893384, np.nextafter(709.782712893384, np.inf),
         710.0, -745.1, -745.13321910194122, -745.2, -1e4, 1e4])
     def test_scipy_bits_one_by_one_edges(self, x):
-        assert_expm_matches_scipy(np.array([[x]]))
+        assert_expm_one_by_one(x)
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_one_by_one_non_finite(self, x):
+        if x == -math.inf:
+            got = linalg.expm(np.array([[x]]))
+            assert got.tobytes() == bits([[0.0]]).tobytes()
+        else:
+            with pytest.raises(MatrixOverflowError):
+                linalg.expm(np.array([[x]]))
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_scipy_bits_random(self, n):
@@ -355,12 +388,34 @@ class TestHostIndependentSolve:
             assert np.array_equal(bits(linalg.lu_apply(lu, piv, b)), bits(want))
 
 
+def solve_entry_major(a, b):
+    """linalg._solve_rows on row-major stacks a (N, n, n) and b (N, n),
+    through entry-major copies: the solutions (N, n)."""
+    n = b.shape[1]
+    jac = a.reshape(len(a), n * n).T.copy()  # the solve overwrites it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return linalg._solve_rows(jac, b.T.copy()).T
+
+
+def assert_same_solutions(got, want):
+    """nan in the same places, and the same bits everywhere else."""
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert bits(got[~nan]).tobytes() == bits(want[~nan]).tobytes()
+
+
 class TestSolveRows:
-    def test_zero_pivots_give_nan_rows_and_lapack_bits_elsewhere(self):
+    """linalg._solve_rows against the plain-Python elimination of
+    helpers.gauss_solve_oracle, one matrix at a time, and against its
+    row-major stacked form helpers.gauss_solve_stack_oracle, which the
+    sweep oracle uses."""
+
+    def test_zero_pivots_give_nan_rows_and_the_oracle_bits_elsewhere(self):
         # exactly singular binary-fraction matrices, scaled by 10^k: some
-        # meet a zero pivot in getrf and come back nan, the rest (rounding
-        # made them nonsingular) must equal np.linalg.solve bit for bit,
-        # and a random nonsingular stack must too
+        # meet a zero pivot and come back all nan, the rest (rounding made
+        # them nonsingular) must have the oracles' bits, and a random
+        # nonsingular stack must too
         rng = np.random.default_rng(4242)
         m = 2048  # matrices per order and scale
         rows = nan_rows = 0
@@ -377,48 +432,73 @@ class TestSolveRows:
             stacks.append(rng.standard_normal((m, n, n)))
             for a in stacks:
                 b = rng.standard_normal((m, n))
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    x = linalg._solve_rows(a, b)
+                x = solve_entry_major(a, b)
                 bad = np.isnan(x).any(axis=1)
                 assert np.isnan(x[bad]).all()
-                for i in np.flatnonzero(bad)[:20]:  # alone, each raises
-                    with pytest.raises(np.linalg.LinAlgError):
-                        np.linalg.solve(a[i], b[i])
-                with np.errstate(all="ignore"):
-                    want = np.linalg.solve(a[~bad], b[~bad][..., None])[..., 0]
-                assert bits(x[~bad]).tobytes() == bits(want).tobytes()
+                assert_same_solutions(x, gauss_solve_stack_oracle(a, b))
+                # one row in 64 from the plain-Python oracle, nan rows
+                # first
+                some = np.concatenate([np.flatnonzero(bad)[:8],
+                                       np.arange(0, m, 64)])
+                assert_same_solutions(
+                    x[some], gauss_solve_rows_oracle(a[some], b[some]))
                 rows += len(a)
                 nan_rows += int(bad.sum())
         assert rows == 743_424 + 3 * m and nan_rows > 100_000
 
     def test_entry_major_views_and_out_give_the_same_bits(self):
-        # the zero sweep passes (N, n, n) and (N, n) views of entry-major
-        # (n, n, N) and (n, N) arrays and takes the solution through out=
-        # as a view of an (n, N) array: the bits and the nan rows (zero
-        # pivots, which binary-fraction matrices with a repeated row often
-        # meet) equal those of C-contiguous input
+        # the zero sweep passes column slices of larger entry-major (n * n,
+        # M) and (n, M) buffers and takes the solution through out=: the
+        # bits and the nan rows (zero pivots, which binary-fraction
+        # matrices with a repeated row often meet; nan and inf entries)
+        # equal the oracle's
         rng = np.random.default_rng(2718)
         m, nan_rows = 4096, 0
         for n in (1, 2, 3, 4, 8):
             a = rng.integers(-4, 5, (m, n, n)) / 2.0
             a[::3, -1] = a[::3, 0] if n > 1 else 0.0
             a[1::3] = rng.standard_normal((len(a[1::3]), n, n))
+            odd = rng.random((m, n, n)) < 0.2 / n**2
+            a[odd] = rng.choice([np.inf, -np.inf, np.nan], int(odd.sum()))
             b = rng.standard_normal((m, n))
-            want = linalg._solve_rows(a, b)
-            at = np.ascontiguousarray(a.transpose(1, 2, 0))
-            bt = np.ascontiguousarray(b.T)
+            want = gauss_solve_rows_oracle(a, b)
+            jbuf = np.full((n * n, m + 100), 7.0)
+            vbuf = np.full((n, m + 100), 7.0)
+            jbuf[:, :m] = a.reshape(m, n * n).T
+            vbuf[:, :m] = b.T
             xt = np.full((n, m), 7.0)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                got = linalg._solve_rows(at.transpose(2, 0, 1), bt.T,
-                                         out=xt.T)
-            assert np.shares_memory(got, xt)
-            assert bits(xt.T).tobytes() == bits(want).tobytes()
+                got = linalg._solve_rows(jbuf[:, :m], vbuf[:, :m], out=xt)
+            assert got is xt
+            assert_same_solutions(xt.T, want)
+            assert (jbuf[:, m:] == 7.0).all() and (vbuf[:, m:] == 7.0).all()
+            # an inf entry may leave a row partly nan; a zero pivot does not
             bad = np.isnan(want).any(axis=1)
-            assert np.isnan(want[bad]).all() and not bad[1::3].any()
+            assert np.isnan(want[bad & ~odd.any(axis=(1, 2))]).all()
             nan_rows += int(bad.sum())
         assert nan_rows > m
+
+    def test_a_row_has_the_same_bits_alone_and_in_a_large_stack(self):
+        # elementwise ufuncs give each row the same numbers whatever the
+        # stack's length, its other rows, or which exchanges they need
+        rng = np.random.default_rng(65536)
+        m, n = 65536, 4
+        a = (rng.standard_normal((m, n, n))
+             * 10.0 ** rng.integers(-3, 4, (m, 1, 1)))
+        a[::5, :, 0] = 0.0  # a zero column: a zero pivot, all nan
+        b = rng.standard_normal((m, n))
+        x = solve_entry_major(a, b)
+        for i in rng.choice(m, 200, replace=False).tolist() + [0, m - 1]:
+            assert_same_solutions(solve_entry_major(a[i:i + 1], b[i:i + 1]),
+                                  x[i:i + 1])
+            assert_same_solutions(
+                x[i:i + 1], gauss_solve_rows_oracle(a[i:i + 1], b[i:i + 1]))
+        assert np.isnan(x[::5]).all()
+
+    def test_needs_an_entry_major_stack(self):
+        with pytest.raises(ValueError):
+            linalg._solve_rows(np.zeros((3, 2, 2)), np.zeros((3, 2)))
 
 
 class TestNorm1Rows:

@@ -234,7 +234,7 @@ class TestCliExitCodes:
 class TestCliReports:
     def test_sweep_det_overflow_warns_nothing(self, capsys, tmp_path):
         # Jacobian entries near 1e160 overflow det; the sweep takes no det,
-        # and LAPACK's solve converges from them to all three zeros
+        # and the sweep's elimination converges from them to all three zeros
         path = tmp_path / "huge.sys"
         path.write_text('dim_x = 1\ndim_y = 1\nperiod = 1\n'
                         'f = "1e160*x1 - 1e160*x1^3"\ng = "1e160*y1 + x1"\n'
