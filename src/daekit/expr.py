@@ -289,10 +289,6 @@ def _ones(a):
     return np.ones_like(np.asarray(a, dtype=float))
 
 
-def _zeros(d):
-    return np.zeros_like(np.asarray(d, dtype=float))
-
-
 def _power_values(a, n):
     return np.power(a, n) if n > 0 else np.divide(1.0, np.power(a, -n))
 
@@ -302,10 +298,11 @@ def _power_values(a, n):
 # negative n), "pw" the one derivative code builds on.
 _POINT = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log,
           "sqrt": math.sqrt, "div": operator.truediv, "pw": operator.pow,
-          "pwv": operator.pow, "one": lambda a: 1.0, "zero": lambda d: 0.0}
+          "pwv": operator.pow, "one": lambda a: 1.0}
 _BATCH = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log,
           "sqrt": np.sqrt, "div": np.divide, "pw": np.power,
-          "pwv": _power_values, "one": _ones, "zero": _zeros}
+          "pwv": _power_values, "one": _ones}
+_ONE = "1.0"  # the unit seed entry as a derivative term
 
 
 def _kernel_lines(exprs, seeds, load=None, vout=None, dout=None):
@@ -316,6 +313,12 @@ def _kernel_lines(exprs, seeds, load=None, vout=None, dout=None):
     are read as ``env[name]``, or as the code ``load(name)`` returns;
     outputs are written to ``V[i]`` and ``D[i * len(seeds) + j]``, or to
     the targets ``vout(i)`` and ``dout(i, j)`` name (text ending in ``=``).
+
+    Derivatives are sparse forward mode: a zero seed entry and the
+    derivative of a constant are no term (None); a term that would
+    multiply, add to, subtract or negate no term is dropped; a product
+    with the unit seed entry is its other factor; a derivative that is no
+    term is written as the constant 0.0.
     """
     if vout is None:
         def vout(i):
@@ -346,23 +349,34 @@ def _kernel_lines(exprs, seeds, load=None, vout=None, dout=None):
 
     def seed_entry(seed, name):
         d = seed.get(name, 0.0)
-        if type(d) is float and repr(d) in ("0.0", "1.0"):
-            return repr(d)
-        return const(d)
+        if d == 0.0:
+            return None
+        return _ONE if d == 1.0 else const(d)
 
     def node(e):
         if id(e) not in memo:
             memo[id(e)] = build(e)
         return memo[id(e)]
 
-    def each(template, *ders):  # one derivative per seed
-        return [der(*template(*xs)) for xs in zip(*ders)]
+    def each(template, *ders):
+        """One derivative per seed: no term where every input is none,
+        else the template's parts, a single part passed through."""
+        out = []
+        for xs in zip(*ders):
+            parts = None if xs.count(None) == len(xs) else template(*xs)
+            if parts is not None:
+                parts = parts[0] if len(parts) == 1 else der(*parts)
+            out.append(parts)
+        return out
+
+    def times(x, y):  # the parts of x * y, where either may be the unit seed
+        return [y] if x == _ONE else [x] if y == _ONE else [x, " * ", y]
 
     def build(e):
         """(value, value for derivative code, derivatives) of a node."""
         if isinstance(e, Const):
             k = const(e.value)
-            return k, k, ["0.0"] * len(seeds)
+            return k, k, [None] * len(seeds)
         if isinstance(e, Var):
             if e.name not in loads:
                 loads[e.name] = (val(f"env[{e.name!r}]") if load is None
@@ -375,13 +389,14 @@ def _kernel_lines(exprs, seeds, load=None, vout=None, dout=None):
             if n == 0:
                 v = val("one(", a, ")")
                 vd = v if ad == a else der("one(", ad, ")")
-                return v, vd, each(lambda x: ["zero(", x, ")"], da)
+                return v, vd, [None] * len(seeds)
             v = val("pwv(", a, f", {n})")
             if n == 1:
                 return v, ad, da
             vd = v if ad == a and n > 0 else der("pw(", ad, f", {n})")
-            c = der(f"{n} * pw(", ad, f", {n - 1})")
-            return v, vd, each(lambda x: [c, " * ", x], da)
+            c = der(f"{n} * ", ad) if n == 2 else der(
+                f"{n} * pw(", ad, f", {n - 1})")
+            return v, vd, each(lambda x: times(c, x), da)
         if isinstance(e, Unary):
             (a, ad, da), op = node(e.a), "log" if e.op == "ln" else e.op
 
@@ -403,28 +418,50 @@ def _kernel_lines(exprs, seeds, load=None, vout=None, dout=None):
             else:  # sqrt
                 c = der("2.0 * ", vd)
                 return v, vd, each(lambda x: ["div(", x, ", ", c, ")"], da)
-            return v, vd, each(lambda x: [c, " * ", x], da)
+            return v, vd, each(lambda x: times(c, x), da)
         (a, ad, da), (b, bd, db) = node(e.a), node(e.b)
         if e.op == "/":
             v = val("div(", a, ", ", b, ")")
             vd = v if (ad, bd) == (a, b) else der("div(", ad, ", ", bd, ")")
             c = der(bd, " * ", bd)
-            return v, vd, each(lambda x, y: [
-                "div(", x, " * ", bd, " - ", ad, " * ", y, ", ", c, ")"], da, db)
+
+            def quotient(x, y):
+                if y is None:
+                    num = times(x, bd)
+                elif x is None:  # 0 - p is -p, and -(a * y) is -a * y
+                    num = ["-", *times(ad, y)]
+                else:
+                    num = [*times(x, bd), " - ", *times(ad, y)]
+                return ["div(", *num, ", ", c, ")"]
+
+            return v, vd, each(quotient, da, db)
         op = f" {e.op} "
         v = val(a, op, b)
         vd = v if (ad, bd) == (a, b) else der(ad, op, bd)
-        if e.op == "*":
-            return v, vd, each(
-                lambda x, y: [ad, " * ", y, " + ", x, " * ", bd], da, db)
-        return v, vd, each(lambda x, y: [x, op, y], da, db)
+
+        def product(x, y):
+            if y is None:
+                return times(x, bd)
+            if x is None:
+                return times(ad, y)
+            return [*times(ad, y), " + ", *times(x, bd)]
+
+        def combine(x, y):  # x + y or x - y
+            if y is None:
+                return [x]
+            if x is None:
+                return [y] if e.op == "+" else ["-", y]
+            return [x, op, y]
+
+        return v, vd, each(product if e.op == "*" else combine, da, db)
 
     # per expression: its definitions, value output, derivative outputs
     roots, start = [], 0
     for i, e in enumerate(exprs):
         v, _, ds = node(e)
         roots.append((range(start, len(defs)), [vout(i), v],
-                      [[dout(i, j), d] for j, d in enumerate(ds)]))
+                      [[dout(i, j), "0.0" if d is None else d]
+                       for j, d in enumerate(ds)]))
         start = len(defs)
 
     # references only point backwards, so one backward pass counts uses
@@ -483,13 +520,18 @@ def compile_kernel(exprs, seeds=()):
     D are lists; on a batch they are the caller's entry-major output arrays,
     indexed first by that position, so every write is contiguous.
 
-    Each node runs the dual-number arithmetic a tree walk along one seed
-    would, in the same order, so results are reproducible bit for bit: the
-    products with literal 0.0 and 1.0 seed entries are kept (they fix signed
-    zeros and nan propagation), constants come in through a table, batch
-    values use np.power and np.divide where numpy evaluation of the tree
-    would, and point functions raise plain arithmetic errors that callers
-    turn into diagnostics with the strict walker. Subtrees shared by
+    Each node runs the dual-number arithmetic the strict walker does along
+    one seed, in the same order, so results are reproducible bit for bit.
+    Derivatives drop their structural zeros (see _kernel_lines): a dropped
+    term is +-0, and x +- 0 = x and x * 1.0 = x exactly, so every
+    derivative that dense forward mode gives as a finite nonzero number
+    keeps its bits; a derivative that is exactly zero may change sign (a
+    structurally zero one reads +0.0), and where an intermediate value is
+    inf or nan a derivative may be finite where the dense one was nan.
+    Constants come in through a table, batch values use np.power and
+    np.divide where numpy evaluation of the tree would, and point
+    functions raise plain arithmetic errors that callers turn into
+    diagnostics with the strict walker. Subtrees shared by
     identity are computed once. As in SymPy's lambdify, a result used once
     is written inline where it is used, a result used more often gets a
     temporary that is deleted after its last use, and unused code is
@@ -525,12 +567,14 @@ def compile_kernel(exprs, seeds=()):
 class Kernel:
     """Values and derivatives of one expression list, compiled once.
 
-    Derivatives are taken along ``seeds`` (see compile_kernel); the kernel
-    is emitted on first use and kept on the instance. When the point
+    Derivatives are taken along ``seeds`` in sparse forward mode, with
+    their structural zeros dropped (see compile_kernel); the kernel is
+    emitted on first use and kept on the instance. When the point
     function raises (ValueError, ZeroDivisionError, OverflowError,
     KeyError) or gives a non-finite number, the point is re-evaluated with
-    the strict walker, which returns the same result or raises the
-    ExprDomainError naming the offending subexpression. Batch evaluation
+    the strict walker, which drops the same terms, so it returns the same
+    result or raises the ExprDomainError naming the offending
+    subexpression. Batch evaluation
     checks no domain: invalid points yield nan/inf. Rows (dual_rows) give
     each row its point result bit for bit, or its point error.
     """
@@ -641,64 +685,75 @@ class Kernel:
 
 def _strict(e, env, seed=None):
     """The value at env, or with a seed the pair (value, derivative along
-    seed), raising ExprDomainError naming the offending subexpression."""
+    seed), raising ExprDomainError naming the offending subexpression.
+    The derivative drops the kernel's structural zeros (None while
+    walking: a zero seed entry, a constant's derivative, and every term
+    built on them), so it does the point kernel's arithmetic; a
+    structurally zero derivative reads +0.0."""
     dual = seed is not None
 
     def walk(e):
         if isinstance(e, Const):
-            return e.value, 0.0
+            return e.value, None
         if isinstance(e, Var):
             try:
                 v = float(env[e.name])
             except KeyError:
                 raise UndeclaredVariableError(e.name) from None
-            return v, float(seed.get(e.name, 0.0)) if dual else None
+            d = float(seed.get(e.name, 0.0)) if dual else 0.0
+            return v, None if d == 0.0 else d
         if isinstance(e, Unary):
             v, d = walk(e.a)
             if e.op == "neg":
-                return -v, -d if dual else None
+                return -v, None if d is None else -d
             if e.op == "sin":
-                return math.sin(v), math.cos(v) * d if dual else None
+                return math.sin(v), None if d is None else math.cos(v) * d
             if e.op == "cos":
-                return math.cos(v), -math.sin(v) * d if dual else None
+                return math.cos(v), None if d is None else -math.sin(v) * d
             if e.op == "exp":
                 if v > 709.0:
                     raise ExprDomainError("exp overflow", to_string(e))
                 ev = math.exp(v)
-                return ev, ev * d if dual else None
+                return ev, None if d is None else ev * d
             if e.op == "ln":
                 if v <= 0.0:
                     raise ExprDomainError(f"ln of nonpositive value {v}", to_string(e))
-                return math.log(v), d / v if dual else None
-            if v < 0.0 or (dual and v == 0.0 and d != 0.0):
+                return math.log(v), None if d is None else d / v
+            if v < 0.0 or (d is not None and v == 0.0 and d != 0.0):
                 what = "not differentiable at" if dual else "of negative value"
                 raise ExprDomainError(f"sqrt {what} {v}", to_string(e))
-            if dual and v == 0.0:
+            if d is not None and v == 0.0:
                 return 0.0, 0.0
             r = math.sqrt(v)
-            return r, d / (2.0 * r) if dual else None
+            return r, None if d is None else d / (2.0 * r)
         if isinstance(e, Binary):
             (a, da), (b, db) = walk(e.a), walk(e.b)
             if e.op == "+":
-                return a + b, da + db if dual else None
+                return a + b, db if da is None else da if db is None else da + db
             if e.op == "-":
-                return a - b, da - db if dual else None
+                if da is None:
+                    return a - b, None if db is None else -db
+                return a - b, da if db is None else da - db
             if e.op == "*":
-                return a * b, a * db + da * b if dual else None
+                if da is None:
+                    return a * b, None if db is None else a * db
+                return a * b, da * b if db is None else a * db + da * b
             if b == 0.0:
                 raise ExprDomainError("division by zero", to_string(e))
-            return a / b, (da * b - a * db) / (b * b) if dual else None
+            if da is None:
+                return a / b, None if db is None else -a * db / (b * b)
+            return a / b, (da * b if db is None else da * b - a * db) / (b * b)
         if e.n == 0:
-            return 1.0, 0.0  # like the kernel, never looks at the base
+            return 1.0, None  # like the kernel, never looks at the base
         v, d = walk(e.a)
         if e.n < 0 and v == 0.0:
             raise ExprDomainError("zero base with negative exponent", to_string(e))
         if e.n == 1:
             return v, d
-        return v**e.n, e.n * v ** (e.n - 1) * d if dual else None
+        return v**e.n, None if d is None else e.n * v ** (e.n - 1) * d
 
     v, d = walk(e)
-    return (v, d) if dual else v
+    return (v, 0.0 if d is None else d) if dual else v
 
 
 # ---------------------------------------------------------------------------

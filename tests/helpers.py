@@ -17,6 +17,7 @@ from daekit.degree import (
 from daekit.errors import (
     ConstraintSolveError,
     DaekitError,
+    ExprDomainError,
     SingularMatrixError,
     point_text,
 )
@@ -43,8 +44,9 @@ def random_poly(rng, names, max_degree=2, coeff_scale=1.0, n_terms=4):
     return out
 
 
-def random_tree(rng, names, depth=3):
-    """Random expression over the full operator set (for AD/printing tests)."""
+def random_tree(rng, names, depth=3, exponents=(2, 3)):
+    """Random expression over the full operator set (for AD/printing tests);
+    powers draw their exponent from exponents."""
     if depth == 0 or rng.random() < 0.25:
         if rng.random() < 0.4:
             return expr.Const(float(rng.uniform(-3, 3)))
@@ -52,13 +54,13 @@ def random_tree(rng, names, depth=3):
     roll = rng.random()
     if roll < 0.45:
         op = str(rng.choice(["+", "-", "*", "/"]))
-        return expr.Binary(op, random_tree(rng, names, depth - 1),
-                           random_tree(rng, names, depth - 1))
+        return expr.Binary(op, random_tree(rng, names, depth - 1, exponents),
+                           random_tree(rng, names, depth - 1, exponents))
     if roll < 0.75:
         op = str(rng.choice(["neg", "sin", "cos", "exp", "ln", "sqrt"]))
-        return expr.Unary(op, random_tree(rng, names, depth - 1))
-    return expr.Power(random_tree(rng, names, depth - 1),
-                      int(rng.integers(2, 4)))
+        return expr.Unary(op, random_tree(rng, names, depth - 1, exponents))
+    return expr.Power(random_tree(rng, names, depth - 1, exponents),
+                      exponents[int(rng.integers(len(exponents)))])
 
 
 def random_point(rng, names, lo=-2.0, hi=2.0):
@@ -143,6 +145,74 @@ def same_bits(a, b):
 
 
 # -- reference implementations kept as test oracles -------------------------
+
+
+def dense_dual_oracle(e, env, seed, ns=expr._POINT):
+    """(value, derivative along seed) by dense forward mode, the dual walk
+    the kernels and the strict walker did before they dropped structural
+    zeros: every product with a 0.0 or 1.0 seed entry and with the 0.0
+    derivative of a constant is kept. With ns=expr._POINT it walks a point
+    on floats with the strict walker's domain checks; with ns=expr._BATCH
+    it walks arrays with the batch kernel's functions and no checks (values
+    by pwv, derivative code by pw, as the batch kernel)."""
+    point = ns is expr._POINT
+
+    def fail(message, e):
+        raise ExprDomainError(message, expr.to_string(e))
+
+    def walk(e):  # (value, value for derivative code, derivative)
+        if isinstance(e, expr.Const):
+            return e.value, e.value, 0.0
+        if isinstance(e, expr.Var):
+            v = float(env[e.name]) if point else env[e.name]
+            return v, v, float(seed.get(e.name, 0.0))
+        if isinstance(e, expr.Unary):
+            v, vd, d = walk(e.a)
+            if e.op == "neg":
+                return -v, -vd, -d
+            if e.op == "sin":
+                return ns["sin"](v), ns["sin"](vd), ns["cos"](vd) * d
+            if e.op == "cos":
+                return ns["cos"](v), ns["cos"](vd), -ns["sin"](vd) * d
+            if e.op == "exp":
+                if point and v > 709.0:
+                    fail("exp overflow", e)
+                evd = ns["exp"](vd)
+                return ns["exp"](v), evd, evd * d
+            if e.op == "ln":
+                if point and v <= 0.0:
+                    fail(f"ln of nonpositive value {v}", e)
+                return ns["log"](v), ns["log"](vd), ns["div"](d, vd)
+            if point and (v < 0.0 or (v == 0.0 and d != 0.0)):
+                fail(f"sqrt not differentiable at {v}", e)
+            if point and v == 0.0:
+                return 0.0, 0.0, 0.0
+            rd = ns["sqrt"](vd)
+            return ns["sqrt"](v), rd, ns["div"](d, 2.0 * rd)
+        if isinstance(e, expr.Binary):
+            (a, ad, da), (b, bd, db) = walk(e.a), walk(e.b)
+            if e.op == "+":
+                return a + b, ad + bd, da + db
+            if e.op == "-":
+                return a - b, ad - bd, da - db
+            if e.op == "*":
+                return a * b, ad * bd, ad * db + da * bd
+            if point and b == 0.0:
+                fail("division by zero", e)
+            return (ns["div"](a, b), ns["div"](ad, bd),
+                    ns["div"](da * bd - ad * db, bd * bd))
+        if e.n == 0:
+            return 1.0, 1.0, 0.0
+        v, vd, d = walk(e.a)
+        if point and e.n < 0 and v == 0.0:
+            fail("zero base with negative exponent", e)
+        if e.n == 1:
+            return ns["pwv"](v, 1), vd, d
+        return (ns["pwv"](v, e.n), ns["pw"](vd, e.n),
+                e.n * ns["pw"](vd, e.n - 1) * d)
+
+    v, _, d = walk(e)
+    return v, d
 
 
 def lu_factor_oracle(a, rtol=1e-12):

@@ -1,14 +1,20 @@
 import math
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from daekit import expr
+import helpers
+from conftest import system_path
+from daekit import dae, expr, load_system
 from daekit.dae import Box, SystemDef
-from daekit.degree import VectorField
+from daekit.degree import VectorField, system_field
 from daekit.errors import ExprDomainError, ExprSyntaxError, UndeclaredVariableError
 from helpers import random_tree, same_bits, usable_tree_and_point
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def bits(x):
@@ -350,7 +356,9 @@ class TestKernel:
             assert deriv == dwant and bder[0] == dwant
 
     def test_negative_constant_base(self):
-        for n, want, dwant in [(2, 4.0, -0.0), (3, -8.0, 0.0)]:
+        # the derivative of (-2)^n is a structural zero, +0.0 everywhere
+        # (dense forward mode read -0.0 for n = 2, from 2 * (-2.0) * 0.0)
+        for n, want, dwant in [(2, 4.0, 0.0), (3, -8.0, 0.0)]:
             e = expr.Power(expr.Const(-2.0), n)
             value, deriv = expr.evaluate_dual(e, {}, {"x1": 1.0})
             bval, bder = expr.evaluate_dual_batch(e, {}, {})
@@ -359,3 +367,92 @@ class TestKernel:
                 assert bits(float(v)) == bits(want)
             assert bits(deriv) == bits(dwant)
             assert bits(float(bder)) == bits(dwant)
+
+    def test_folding_keeps_every_nonzero_derivative(self):
+        # sparse forward mode against the dense walk (every product with a
+        # 0.0 or 1.0 seed entry kept): where every dense value is finite, a
+        # nonzero dense derivative keeps its bits at the point kernel, in
+        # each batch column and in the strict walker, and a zero one stays
+        # zero (its sign may change)
+        rng = np.random.default_rng(909)
+        names = ["x1", "y1"]
+        seeds = [{"x1": 1.0}, {"y1": 1.0}, {"x1": 0.5, "y1": -1.25}, {}]
+        exponents = (-3, -2, -1, 0, 1, 2, 3)
+        n_pts, m, n = 8, 2, len(seeds)
+        counts = {"point": 0, "batch": 0, "strict": 0, "zero": 0}
+
+        def agree(got, dense, where):
+            if dense == 0.0:
+                assert got == 0.0, where
+                counts["zero"] += 1
+            else:
+                assert bits(got) == bits(dense), where
+
+        for _ in range(1000):
+            trees = [random_tree(rng, names, exponents=exponents)
+                     for _ in range(m)]
+            point, batch = expr.compile_kernel(trees, seeds)
+            zs = rng.uniform(-2, 2, (2, n_pts))
+            env = dict(zip(names, zs))
+            vals, ders = np.empty((m, n_pts)), np.empty((m * n, n_pts))
+            with np.errstate(all="ignore"):
+                batch(env, vals, ders)
+                dense = [[helpers.dense_dual_oracle(e, env, s, expr._BATCH)
+                          for s in seeds] for e in trees]
+            for i, e in enumerate(trees):
+                for j in range(n):
+                    dv, dd = np.broadcast_arrays(*dense[i][j], zs[0])[:2]
+                    for r in np.flatnonzero(np.isfinite(dv) & np.isfinite(dd)):
+                        assert bits(vals[i, r]) == bits(dv[r])
+                        agree(ders[i * n + j, r], dd[r], (e, j, r))
+                        counts["batch"] += 1
+            for r in range(n_pts):
+                at = {nm: float(z) for nm, z in zip(names, zs[:, r])}
+                try:
+                    ref = [[helpers.dense_dual_oracle(e, at, s) for s in seeds]
+                           for e in trees]
+                except expr.ROW_ERRORS:
+                    continue
+                if not all(map(math.isfinite, np.ravel(ref))):
+                    continue
+                v, d = [0.0] * m, [0.0] * (m * n)
+                try:
+                    point(at, v, d)
+                except (ValueError, ZeroDivisionError, OverflowError):
+                    pass  # sqrt at 0, or the base of x^0: the walks decide
+                else:
+                    for i in range(m):
+                        assert bits(v[i]) == bits(ref[i][0][0])
+                        for j in range(n):
+                            agree(d[i * n + j], ref[i][j][1], (trees[i], j, at))
+                    counts["point"] += 1
+                for i, e in enumerate(trees):
+                    for j, s in enumerate(seeds):
+                        sv, sd = expr._strict(e, at, s)
+                        assert bits(sv) == bits(ref[i][j][0])
+                        agree(sd, ref[i][j][1], (e, j, at))
+                counts["strict"] += 1
+        assert counts["point"] >= 2500 and counts["strict"] >= 2500
+        assert counts["batch"] >= 40000 and counts["zero"] >= 10000
+
+    def test_derivatives_multiply_by_no_literal_zero_or_one(self):
+        literal_product = re.compile(r"(?<![\w.])[01]\.0\s*\*|\*\s*[01]\.0(?![\w.])")
+        r22 = load_system(str(GOLDEN / "r22.sys"))
+        fld = system_field(r22)
+        lines, _ = expr._kernel_lines(fld.exprs,
+                                      [{nm: 1.0} for nm in fld.var_names])
+        texts = [text for text, _, _, in_block in lines if in_block]
+        # f2 has no y2 term: its partial along y2 is D[1 * 4 + 3]
+        assert "D[7] = 0.0" in texts
+        stage, _ = dae._kernel_code(r22, r22.fgh)
+        assert "D1_3 = 0.0" in stage
+        pozzo = load_system(system_path("pozzo"))
+        pozzo_stage, _ = dae._kernel_code(pozzo, pozzo.fgh)
+        rng = np.random.default_rng(910)
+        names = ["x1", "y1"]
+        trees = [random_tree(rng, names, exponents=(-2, 0, 1, 2, 3))
+                 for _ in range(200)]
+        tree_lines, _ = expr._kernel_lines(
+            trees, [{"x1": 1.0}, {"y1": 1.0}, {"x1": 0.0, "y1": 2.5}])
+        texts += stage + pozzo_stage + [text for text, *_ in tree_lines]
+        assert texts and not [t for t in texts if literal_product.search(t)]
