@@ -485,12 +485,13 @@ _STAGE = {**_FED, **expr._POINT, "isfinite": math.isfinite,
           "ERRORS": expr._KERNEL_ERRORS}
 
 
-def _kernel_code(sys, exprs):
-    """compile_kernel's point statements for exprs on locals: state
-    variables and t by name, value i to V{i}, the partial along state
-    variable c to D{i}_{c}. Returns (lines, consts)."""
+def _kernel_code(exprs, names, load=str):
+    """compile_kernel's point statements for exprs on locals, with the
+    partials along the variables names: a variable is read as the code
+    load(name) returns (by its own name by default), value i goes to V{i}
+    and the partial along names[c] to D{i}_{c}. Returns (lines, consts)."""
     lines, consts = expr._kernel_lines(
-        exprs, [{nm: 1.0} for nm in sys.state_names], load=str,
+        exprs, [{nm: 1.0} for nm in names], load=load,
         vout=lambda i: f"V{i} = ", dout=lambda i, c: f"D{i}_{c} = ")
     return [text for text, *_ in lines], consts
 
@@ -554,7 +555,7 @@ def _emit_stage(sys, out_a, sens, lsens, forcing, use_h):
         out += [f"{_dot(a[i], vl)} + V{H[i]}" for i in range(k)] * lsens
     ret = [f"return ({', '.join(out)},)"]
 
-    kernel, consts = _kernel_code(sys, sys.fgh)
+    kernel, consts = _kernel_code(sys.fgh, sys.state_names)
     given = functools.cache(lambda: _compile(  # on the first fallback
         "def given(Y, t, lam, V, D):",
         _unpack(inputs, "Y") + _unpack([f"V{i}" for i in range(m)], "V")
@@ -637,7 +638,7 @@ def _emit_constraint_step(sys):
         rn = given()(vals, [math.nan] * (s * n))[0]
         return rn, lambda: at_point(env, vals)
 
-    kernel, consts = _kernel_code(sys, sys.g)
+    kernel, consts = _kernel_code(sys.g, sys.state_names)
     return _compile(
         "def step(Z):",
         _unpack(sys.state_names, "Z") + ["try:"] + ["    " + ln for ln in kernel]

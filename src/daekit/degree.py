@@ -21,7 +21,7 @@ from functools import cached_property, reduce
 import numpy as np
 
 from . import expr
-from .dae import Box, SystemDef, reduced_field, validate
+from .dae import _STAGE, Box, SystemDef, _kernel_code, reduced_field, validate
 from .errors import (
     BoundaryZeroError,
     DaekitError,
@@ -32,8 +32,12 @@ from .errors import (
 )
 from .linalg import (
     PIVOT_RTOL,
+    _compile,
     _lu,
+    _lu_lines,
+    _solve_lines,
     _solve_rows,
+    _unpack,
     block_schur_det,
     det_sign,
     norm1,
@@ -49,6 +53,9 @@ FACE_SAMPLES = 256  # quasi-random samples per box face in boundary_margin
 PERTURB_SIZE = 1e-5
 SWEEP_TOL = 1e-12  # norm-1 residual at which a sweep start has converged
 SWEEP_ITERATIONS = 60  # Newton steps per sweep start
+POLISH_ITERATIONS = 60  # Newton steps per candidate of the zero polish
+# generic polish steps a call takes before it compiles the emitted loop
+POLISH_EMIT_STEPS = 60
 
 
 @dataclass
@@ -74,6 +81,11 @@ class VectorField:
     @cached_property
     def _kernel(self):
         return expr.Kernel(self.exprs, [{nm: 1.0} for nm in self.var_names])
+
+    @cached_property
+    def _polish(self):
+        """The emitted polish loop of the field (_emit_polish)."""
+        return _emit_polish(self)
 
     def value(self, z):
         return self._kernel.values(self.env(z))
@@ -240,10 +252,43 @@ def _polish_rows(fld, zs):
     """Sharpen converged candidates, the rows of zs, each alone on floats.
 
     Degenerate zeros converge linearly, so a candidate keeps taking Newton
-    steps while its residual still drops, for at most 60, and keeps the
-    best point it met. It stops at a zero residual, a singular Jacobian,
-    or a non-finite or negligible step. Returns (best points, errors):
-    errors maps each row whose field evaluation raises to its error.
+    steps while its residual still drops, for at most POLISH_ITERATIONS,
+    and keeps the best point it met. It stops at a zero residual, a
+    singular Jacobian, or a non-finite or negligible step. Returns (best
+    points, errors): errors maps each row whose field evaluation raises to
+    its error.
+
+    The first candidates run the generic loop (_polish_from). Once the
+    call has spent POLISH_EMIT_STEPS steps there, a field of fewer than 8
+    entries polishes the rest with its emitted loop (_emit_polish),
+    compiled on first use and kept on the field, which takes the same
+    float operations in the same order without a call per step. It hands
+    a candidate back to the generic loop, at the iteration and point
+    where the kernel raises or gives a sum that is not finite, with its
+    best point so far. So a call with a few quickly converging candidates
+    never pays the compile, and every candidate gets the same bits either
+    way. From 8 entries on the residual is numpy's pairwise sum, which
+    only the generic loop takes.
+    """
+    best = np.array(zs, dtype=float)
+    errors, spent = {}, 0
+    for r, z in enumerate(best.tolist()):
+        if spent < POLISH_EMIT_STEPS or fld.dim >= 8:
+            best_z, exc, steps = _polish_from(fld, z)
+            spent += steps
+        else:
+            best_z, exc = fld._polish(z)
+        if exc is not None:
+            errors[r] = exc
+        best[r] = best_z
+    return best, errors
+
+
+def _polish_from(fld, z, it0=0, best_z=None, best_res=math.nan):
+    """The polish of one candidate on the generic loop, from iteration it0
+    at the point z (a list), with the best point and residual met before
+    it: (best point, the error its field evaluation raised or None, the
+    iterations run).
 
     The point kernel gives values and Jacobian. Where it raises or gives
     a non-finite number, Kernel.values and then Kernel.dual give them or
@@ -254,42 +299,92 @@ def _polish_rows(fld, zs):
     """
     kern, names, n = fld._kernel, fld.var_names, fld.dim
     fn, lus = kern._fn(False), (_lu(n), _lu(n, True))
-    best = np.array(zs, dtype=float)
-    errors = {}
-    for r, z in enumerate(best.tolist()):
-        best_z, v, d = z, [0.0] * n, [0.0] * (n * n)
-        for it in range(60):
-            env = dict(zip(names, z))
-            try:
-                fn(env, v, d)
-                # a sum is finite only if its terms are (an overflowing sum
-                # only takes the slower path to the same numbers)
-                fed = math.isfinite(sum(v) + sum(d))
-            except expr._KERNEL_ERRORS:
-                fed = False
-            try:
-                if not fed:
-                    v = kern.values(env).tolist()
-                res = _norm1_floats(v)
-                if it == 0 or res < best_res:
-                    best_z, best_res = z, res
-                if res == 0.0:
-                    break
-                if not fed:
-                    d = kern.dual(env)[1].ravel().tolist()
-            except expr.ROW_ERRORS as exc:
-                errors[r] = exc
+    best_z = z if best_z is None else best_z
+    v, d, exc = [0.0] * n, [0.0] * (n * n), None
+    for it in range(it0, POLISH_ITERATIONS):
+        env = dict(zip(names, z))
+        try:
+            fn(env, v, d)
+            # a sum is finite only if its terms are (an overflowing sum
+            # only takes the slower path to the same numbers)
+            fed = math.isfinite(sum(v) + sum(d))
+        except expr._KERNEL_ERRORS:
+            fed = False
+        try:
+            if not fed:
+                v = kern.values(env).tolist()
+            res = _norm1_floats(v)
+            if it == 0 or res < best_res:
+                best_z, best_res = z, res
+            if res == 0.0:
                 break
-            try:
-                step = lus[fed](d, PIVOT_RTOL, v)
-            except SingularMatrixError:
-                break
-            if (not all(map(math.isfinite, step))
-                    or _norm1_floats(step) < 1e-15):
-                break
-            z = list(map(operator.sub, z, step))
-        best[r] = best_z
-    return best, errors
+            if not fed:
+                d = kern.dual(env)[1].ravel().tolist()
+        except expr.ROW_ERRORS as err:
+            exc = err
+            break
+        try:
+            step = lus[fed](d, PIVOT_RTOL, v)
+        except SingularMatrixError:
+            break
+        if (not all(map(math.isfinite, step))
+                or _norm1_floats(step) < 1e-15):
+            break
+        z = list(map(operator.sub, z, step))
+    return best_z, exc, it + 1 - it0
+
+
+def _emit_polish(fld):
+    """``polish(z)``: _polish_from's loop for one candidate, from its
+    start z (a list), as one emitted function over named locals. Each
+    iteration runs the field's point code (_kernel_code, the point at
+    Z{i}), the finiteness guard, the residual summed left to right as
+    _norm1_floats sums it, the best-point bookkeeping, linalg's LU and
+    solve bound to _FED (a rejected pivot breaks the loop), the step tests
+    and the update. Returns (best point, None). Where the kernel raises or
+    its guard sum is not finite, it returns what _polish_from returns from
+    that iteration, point and best so far. The residual is a left-to-right
+    sum, so the field must have fewer than 8 entries."""
+    n = fld.dim
+    col = {nm: c for c, nm in enumerate(fld.var_names)}
+    zs, bs, vs = ([f"{x}{i}" for i in range(n)] for x in "ZBV")
+    rows = [[f"D{i}_{c}" for c in range(n)] for i in range(n)]
+    kernel, consts = _kernel_code(fld.exprs, fld.var_names,
+                                  load=lambda nm: f"Z{col[nm]}")
+    state = f"it, [{', '.join(zs)}], [{', '.join(bs)}], BR"
+    guard = f"({' + '.join(vs)}) + ({' + '.join(e for r in rows for e in r)})"
+    norm = " + ".join(f"abs({v})" for v in vs)
+    step = ["try:"] + ["    " + ln for ln in kernel] + [
+        "except ERRORS:",
+        f"    return handoff({state})",
+        f"if not isfinite({guard}):",
+        f"    return handoff({state})",
+        f"RES = {norm}",
+        "if it == 0 or RES < BR:",
+        f"    {', '.join(bs)}, BR = {', '.join(zs)}, RES",
+        "if RES == 0.0:",
+        "    break"]
+    step += _lu_lines(rows, [[v] for v in vs], "break")
+    step += _solve_lines(rows, vs)
+    # SN is inf or nan where a step entry is not finite, or where its sum
+    # overflows
+    step += [f"SN = {norm}",
+             "if not SN < INF:",
+             f"    if not ({' and '.join(f'isfinite({v})' for v in vs)}):",
+             "        break",
+             "elif SN < 1e-15:",
+             "    break",
+             f"{', '.join(zs)} = "
+             + ", ".join(f"{z} - {v}" for z, v in zip(zs, vs))]
+    body = _unpack(zs, "z") + _unpack(bs, "z") + [
+        "BR = INF", f"for it in range({POLISH_ITERATIONS}):"]
+    body += ["    " + ln for ln in step] + [f"return [{', '.join(bs)}], None"]
+
+    def handoff(it, z, best_z, best_res):
+        return _polish_from(fld, z, it, best_z, best_res)[:2]
+
+    return _compile("def polish(z):", body,
+                    {**_STAGE, **consts, "INF": math.inf, "handoff": handoff})
 
 
 def _norm1_floats(v):

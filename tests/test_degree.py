@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import daekit.degree as degree_module
 from daekit import expr, load_system
 from daekit.dae import Box
 from daekit.degree import (
@@ -19,6 +20,7 @@ from daekit.degree import (
 from daekit.errors import (
     BoundaryZeroError,
     DegenerateZeroError,
+    ExprDomainError,
     HypothesisViolationError,
 )
 from daekit.degree import (
@@ -360,6 +362,149 @@ class TestLockstepPolish:
         assert str(errors[1]) == str(alone.value)
         assert "sqrt not differentiable" in str(errors[1])
 
+
+
+FIELDS = ["pozzo", "equivlien", "exmults", "eqex1", "eqex2", "degen3",
+          "r12", "r21", "r22"]
+
+
+def fixture_system(name, request):
+    if name == "degen3":
+        return degen3()
+    if name.startswith("r"):
+        return load_system(str(GOLDEN / f"{name}.sys"))
+    return request.getfixturevalue(name)
+
+
+@pytest.fixture
+def emitted(monkeypatch):
+    """Counts of the emitted polish loops compiled, the candidates they
+    ran, and the iterations at which the generic loop took a candidate
+    up (0 for every candidate it polished from its start)."""
+    counts = {"compiled": 0, "ran": 0, "generic_from": []}
+    emit, generic = degree_module._emit_polish, degree_module._polish_from
+
+    def counting_emit(fld):
+        counts["compiled"] += 1
+        polish = emit(fld)
+
+        def run(z):
+            counts["ran"] += 1
+            return polish(z)
+        return run
+
+    def counting_generic(fld, z, it0=0, *rest):
+        counts["generic_from"].append(it0)
+        return generic(fld, z, it0, *rest)
+
+    monkeypatch.setattr(degree_module, "_emit_polish", counting_emit)
+    monkeypatch.setattr(degree_module, "_polish_from", counting_generic)
+    return counts
+
+
+def assert_polish_is_oracle(fld, zs, best, errors):
+    """Each row of best is polish_oracle's point bit for bit, or errors
+    holds the error polish_oracle raises, with its message."""
+    for i, z in enumerate(zs):
+        if i in errors:
+            with pytest.raises(type(errors[i])) as alone:
+                polish_oracle(fld, z)
+            assert str(errors[i]) == str(alone.value)
+        else:
+            assert best[i].tobytes() == polish_oracle(fld, z).tobytes()
+
+
+class TestEmittedPolish:
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_random_starts_equal_the_oracle(self, name, request, emitted,
+                                            monkeypatch):
+        sys = fixture_system(name, request)
+        fld = system_field(sys)
+        rng = np.random.default_rng(FIELDS.index(name) + 180)
+        zs = sys.box.lo + rng.random((96, sys.box.dim)) * sys.box.width
+        best, errors = _polish_rows(fld, zs)
+        # the call spends its generic budget (eqex1: one step a row, at a
+        # singular Jacobian), then runs the emitted loop
+        assert emitted["compiled"] == 1 and 0 < emitted["ran"] < len(zs)
+        assert_polish_is_oracle(fld, zs, best, errors)
+        # every candidate on the emitted loop, compiled once per field
+        monkeypatch.setattr(degree_module, "POLISH_EMIT_STEPS", 0)
+        again = _polish_rows(fld, zs)
+        assert emitted["compiled"] == 1
+        assert emitted["ran"] > len(zs)
+        assert again[0].tobytes() == best.tobytes()
+        assert list(again[1]) == list(errors)
+
+    @pytest.mark.parametrize("f, starts, taken_up", [
+        # ln: Newton from 3 steps to x1 < 0, where the kernel raises
+        (["ln(x1)", "y1"], [[3.0, 0.2], [0.5, 0.1], [-1.0, 0.0],
+                            [2.0, 0.1]], {0, 1}),
+        # sqrt: from 0.25 to -0.25; at x1 = 0 the partial divides by 0,
+        # which raises for the row off the zero only
+        (["sqrt(x1)", "y1"], [[0.25, 0.3], [0.0, 0.0], [0.0, 0.5]], {0, 1}),
+        # exp: from -8 to about 2972, beyond exp's range
+        (["exp(x1) - 1"], [[-8.0], [0.5], [0.0]], {1}),
+        (["ln(x1)"], [[3.0], [0.5]], {1}),
+        # finite partials whose sum overflows: numpy's nan order from the
+        # start, on the generic loop
+        (["1e308*x1 - 1e308", "1e308*y1"], [[1.5, 0.5], [0.9, -0.2]], {0}),
+        # no hand-off: a Newton 2-cycle 0 <-> 1 whose residuals tie at 0.5
+        # keeps the earlier point, and a step that overflows to -inf ends
+        # the polish on the emitted loop
+        (["x1^3 - 1.5*x1^2 - 0.5*x1 + 0.5"], [[0.0], [1.0]], set()),
+        (["1e-300*x1 + 1e300"], [[1.0]], set()),
+    ])
+    def test_hand_off_to_the_generic_loop(self, f, starts, taken_up,
+                                          emitted, monkeypatch):
+        names = ["x1", "y1"][:len(f)]
+        fld = VectorField([expr.parse(e, names) for e in f], names)
+        zs = np.array(starts)
+        monkeypatch.setattr(degree_module, "POLISH_EMIT_STEPS", 0)
+        best, errors = _polish_rows(fld, zs)
+        assert emitted["ran"] == len(zs)
+        assert set(emitted["generic_from"]) == taken_up
+        assert_polish_is_oracle(fld, zs, best, errors)
+
+    def test_hand_off_errors_are_per_row(self, emitted, monkeypatch):
+        # the errors the generic loop raises after the hand-off, by row
+        monkeypatch.setattr(degree_module, "POLISH_EMIT_STEPS", 0)
+        cases = [
+            (["ln(x1)", "y1"], [[3.0, 0.2], [0.5, 0.1], [-1.0, 0.0]],
+             {0: "ln of nonpositive value -0.29583686600432957 in 'ln(x1)'",
+              2: "ln of nonpositive value -1.0 in 'ln(x1)'"}),
+            (["sqrt(x1)", "y1"], [[0.25, 0.3], [0.0, 0.0], [0.0, 0.5]],
+             {0: "sqrt of negative value -0.25 in 'sqrt(x1)'",
+              2: "sqrt not differentiable at 0.0 in 'sqrt(x1)'"}),
+            (["exp(x1) - 1"], [[-8.0], [0.5]],
+             {0: "exp overflow in 'exp(x1)'"}),
+        ]
+        for f, starts, want in cases:
+            names = ["x1", "y1"][:len(f)]
+            fld = VectorField([expr.parse(e, names) for e in f], names)
+            errors = _polish_rows(fld, np.array(starts))[1]
+            assert {r: str(exc) for r, exc in errors.items()} == want
+            assert all(type(exc) is ExprDomainError for exc in errors.values())
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_eight_entries_stay_on_the_generic_loop(self, n, emitted,
+                                                    monkeypatch):
+        # from 8 entries np.sum adds the residual pairwise, which only the
+        # generic loop does; 7 entries still take the emitted loop
+        fld, box = ring_field(n)
+        rng = np.random.default_rng(188)
+        zs = box.lo + rng.random((24, n)) * box.width
+        monkeypatch.setattr(degree_module, "POLISH_EMIT_STEPS", 0)
+        best, errors = _polish_rows(fld, zs)
+        assert emitted["ran"] == (len(zs) if n < 8 else 0)
+        assert_polish_is_oracle(fld, zs, best, errors)
+
+    @pytest.mark.parametrize("name", ["pozzo", "equivlien", "eqex1", "eqex2",
+                                      "r12", "r21", "r22"])
+    def test_regular_fixtures_never_compile_it(self, name, request, emitted):
+        sys = fixture_system(name, request)
+        for grid in (8, 16):
+            find_zeros(sys, sys.box, grid)
+        assert emitted["compiled"] == 0 and emitted["ran"] == 0
 
 class TestDedup:
     def test_equals_first_seen_loop_on_clusters(self):

@@ -444,10 +444,10 @@ class TestKernel:
         texts = [text for text, _, _, in_block in lines if in_block]
         # f2 has no y2 term: its partial along y2 is D[1 * 4 + 3]
         assert "D[7] = 0.0" in texts
-        stage, _ = dae._kernel_code(r22, r22.fgh)
+        stage, _ = dae._kernel_code(r22.fgh, r22.state_names)
         assert "D1_3 = 0.0" in stage
         pozzo = load_system(system_path("pozzo"))
-        pozzo_stage, _ = dae._kernel_code(pozzo, pozzo.fgh)
+        pozzo_stage, _ = dae._kernel_code(pozzo.fgh, pozzo.state_names)
         rng = np.random.default_rng(910)
         names = ["x1", "y1"]
         trees = [random_tree(rng, names, exponents=(-2, 0, 1, 2, 3))
