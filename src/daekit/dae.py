@@ -14,6 +14,7 @@ fails), the constraint solver, and the field evaluations.
 
 import functools
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,6 @@ from .linalg import (
     _unpack,
     lu_factor,
     norm1,
-    norm1_rows,
 )
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -282,90 +282,85 @@ class SystemDef:
         return self._stages["g"]
 
 
-def _det_rows(a):
-    """det of each matrix of the stack a (N, s, s): the explicit products
-    for s <= 2, LAPACK's LU otherwise."""
-    s = a.shape[-1]
-    if s == 1:
-        return a[:, 0, 0]
-    if s == 2:
-        return a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
-    return np.linalg.det(a)
+def _det(a):
+    """det of the square matrix a (a list of rows of floats): the explicit
+    product for order <= 2, LAPACK's LU above that."""
+    if len(a) == 1:
+        return a[0][0]
+    if len(a) == 2:
+        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
+    return float(np.linalg.det(np.array(a)))
 
 
-def _adjugate_rows(a):
-    """The adjugate of each matrix of the stack a (N, s, s), by cofactors."""
-    s = a.shape[-1]
-    adj = np.ones_like(a)
-    if s > 1:
+def _det_and_grad(sys, z):
+    """det d2g at the point z (floats) and its gradient along the state
+    (Jacobi's formula: sum_i sum_j adj[i][j] * d a[j][i], the adjugate by
+    cofactors, each sum left to right from 0.0), as (det, list of floats).
+
+    The d2g kernel's values and then its dual give the numbers at z, so a
+    point where d2g is undefined raises their ExprDomainError.
+    """
+    s = sys.s
+    env = sys.env(z[: sys.k], z[sys.k :])
+    kern = sys.kernel(sys.d2g_flat)
+    flat = kern.values(env).tolist()
+    jac = kern.dual(env)[1].tolist()  # jac[i * s + j]: the partials of a[i][j]
+    a = [flat[i * s : (i + 1) * s] for i in range(s)]
+    adj = [[1.0]]
+    if s > 1:  # adj[i][j] is the cofactor of a[j][i]
+        adj = [[(-1.0) ** (i + j)
+                * _det([row[:i] + row[i + 1 :] for r, row in enumerate(a) if r != j])
+                for j in range(s)] for i in range(s)]
+    grad = []
+    for c in range(sys.k + s):
+        total = 0.0
         for i in range(s):
+            inner = 0.0
             for j in range(s):
-                minor = np.delete(np.delete(a, i, axis=1), j, axis=2)
-                adj[:, j, i] = (-1.0) ** (i + j) * _det_rows(minor)
-    return adj
+                inner += adj[i][j] * jac[j * s + i][c]
+            total += inner
+        grad.append(total)
+    return _det(a), grad
 
 
-def _det_and_grad_rows(sys, zs):
-    """det d2g on each row of zs (N, k+s) and its gradient along the state
-    (Jacobi's formula: the trace of adj(d2g) times each partial of d2g).
+def _polish_det_minimum(sys, z0):
+    """Drive |det d2g| toward its local minimum from z0 (box-clipped).
+    Returns (best point, best |det|).
 
-    Returns (dets, gradients, errors): one Kernel.dual_rows call of the
-    d2g kernel gives each row its point values and partials, and errors
-    maps each row whose evaluation raises to its error.
+    Each step is -det / |grad|^2 grad, clipped to the box, and the best
+    point met is kept. The loop stops at |det| < 1e-14, a vanishing
+    gradient, a step of norm below 1e-15, or an iterate it has visited
+    before (keyed on its bits): the clipped step is a function of the
+    point, so from there it only retraces points it has already evaluated,
+    and the best stays as it is. A raising evaluation raises.
     """
-    s, n = sys.s, sys.k + sys.s
-    a, da, errors = sys.kernel(sys.d2g_flat).dual_rows(
-        {nm: zs[:, i] for i, nm in enumerate(sys.state_names)})
-    a = a.reshape(-1, s, s)
-    da = np.ascontiguousarray(da.reshape(-1, s, s, n).transpose(0, 3, 1, 2))
-    grads = np.trace(_adjugate_rows(a)[:, None] @ da, axis1=2, axis2=3)
-    return _det_rows(a), grads, errors
-
-
-def _polish_det_rows(sys, z0s):
-    """Drive |det d2g| toward its local minimum from each row of z0s
-    (box-clipped), all rows in lockstep. Returns (best points, best |det|,
-    errors), errors as in _det_and_grad_rows.
-
-    A row takes steps -det / |grad|^2 grad, clipped to the box, and keeps
-    the best point it met. It stops at |det| < 1e-14, a vanishing
-    gradient, a step of norm below 1e-15, a raising evaluation, or an
-    iterate it has visited before: the clipped step is a function of the
-    point, so from there the row only retraces points it has already
-    evaluated, and its best stays as it is.
-    """
-    z = sys.box.clip(np.array(z0s, dtype=float))
-    d, grad, errors = _det_and_grad_rows(sys, z)
-    best_z, best_d = z.copy(), np.abs(d)
-    seen = [{row.tobytes()} for row in z]
-    live = np.array([r for r in range(len(z)) if r not in errors], dtype=int)
+    box = list(zip(sys.box.lo.tolist(), sys.box.hi.tolist()))
+    z = [min(max(float(v), lo), hi) for v, (lo, hi) in zip(z0, box)]
+    d, grad = _det_and_grad(sys, z)
+    best_z, best_d = z, abs(d)
+    seen = {struct.pack(f"{len(z)}d", *z)}
     for _ in range(DET_POLISH_ITERATIONS):
-        gg = np.array([float(grad[r] @ grad[r]) for r in live.tolist()])
-        go = ~((np.abs(d[live]) < 1e-14) | (gg < 1e-30))
-        rows = live[go]
-        steps = (-d[rows] / gg[go])[:, None] * grad[rows]
-        znew = sys.box.clip(z[rows] + steps)
-        fresh = []
-        for i, r in enumerate(rows.tolist()):
-            key = znew[i].tobytes()
-            if key not in seen[r]:
-                seen[r].add(key)
-                fresh.append(i)
-        if not fresh:
+        gg = 0.0
+        for g in grad:
+            gg += g * g
+        if abs(d) < 1e-14 or gg < 1e-30:
             break
-        rows, steps, znew = rows[fresh], steps[fresh], znew[fresh]
-        z[rows] = znew
-        d_new, grad_new, err = _det_and_grad_rows(sys, znew)
-        ok = np.ones(len(rows), dtype=bool)
-        for i, exc in err.items():
-            errors[int(rows[i])] = exc
-            ok[i] = False
-        rows, steps = rows[ok], steps[ok]
-        d[rows], grad[rows] = d_new[ok], grad_new[ok]
-        better = rows[np.abs(d[rows]) < best_d[rows]]
-        best_d[better], best_z[better] = np.abs(d[better]), z[better]
-        live = rows[norm1_rows(steps) >= 1e-15]
-    return best_z, best_d.tolist(), errors
+        c = -d / gg
+        step = [c * g for g in grad]
+        z = [min(max(v + dv, lo), hi) for v, dv, (lo, hi) in zip(z, step, box)]
+        key = struct.pack(f"{len(z)}d", *z)
+        if key in seen:
+            break
+        seen.add(key)
+        d, grad = _det_and_grad(sys, z)
+        if abs(d) < best_d:
+            best_d, best_z = abs(d), z
+        size = 0.0
+        for dv in step:
+            size += abs(dv)
+        if size < 1e-15:
+            break
+    return np.array(best_z), best_d
 
 
 def _refine_witness(sys, z0):
@@ -375,11 +370,9 @@ def _refine_witness(sys, z0):
     best_r = math.inf
     for _ in range(WITNESS_ITERATIONS):
         env = sys.env(z[: sys.k], z[sys.k :])
-        d, grad, errors = _det_and_grad_rows(sys, z[None])
-        if errors:
-            raise errors[0]
+        d, grad = _det_and_grad(sys, z)
         gvals = sys.eval_g(env)
-        r = np.concatenate([d, gvals])
+        r = np.concatenate([[d], gvals])
         rn = norm1(r)
         if rn < best_r:
             best_r, best = rn, z.copy()
@@ -398,8 +391,9 @@ def validate(sys, samples=512):
     """Check invertibility of d2g across the box; report the constant sign.
 
     Evaluates det d2g at quasi-random samples, then polishes the six
-    smallest |det| in lockstep toward a local minimum, so thin degeneracies
-    that slip between samples can still be caught. On failure raises
+    smallest |det|, one at a time in stable sample order, toward a local
+    minimum, so thin degeneracies that slip between samples can still be
+    caught; the first start whose polish raises raises. On failure raises
     HypothesisViolationError whose witness is refined onto the constraint
     locus when possible (that is where the DAE itself breaks down).
     """
@@ -410,19 +404,16 @@ def validate(sys, samples=512):
     a = sys.kernel(sys.d2g_flat).values_batch(
         env, np.empty((sys.s * sys.s, samples))
     ).T.reshape(samples, sys.s, sys.s)
-    dets = np.linalg.det(a)
+    with np.errstate(all="ignore"):  # where d2g is undefined: nan dets
+        dets = np.linalg.det(a)
     abs_dets = np.abs(dets)
     i_min = int(np.argmin(abs_dets))
     min_sample = float(abs_dets[i_min])
     loc = pts[i_min].copy()
 
-    polished, polished_d, errors = _polish_det_rows(
-        sys, pts[np.argsort(abs_dets)[:6]]
-    )
-    if errors:  # the first start's, as polishing them in order would
-        raise errors[min(errors)]
     refined_z, refined_d = loc, min_sample
-    for z, d in zip(polished, polished_d):
+    for z0 in pts[np.argsort(abs_dets, kind="stable")[:6]]:
+        z, d = _polish_det_minimum(sys, z0)
         if d < refined_d:
             refined_z, refined_d = z, d
 

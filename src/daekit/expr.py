@@ -574,9 +574,8 @@ class Kernel:
     KeyError) or gives a non-finite number, the point is re-evaluated with
     the strict walker, which drops the same terms, so it returns the same
     result or raises the ExprDomainError naming the offending
-    subexpression. Batch evaluation
-    checks no domain: invalid points yield nan/inf. Rows (dual_rows) give
-    each row its point result bit for bit, or its point error.
+    subexpression. Batch evaluation checks no domain: invalid points yield
+    nan/inf.
     """
 
     def __init__(self, exprs, seeds=()):
@@ -640,43 +639,6 @@ class Kernel:
         with np.errstate(all="ignore"):
             self._fn(True)(env, vout, out)
         return out
-
-    def dual_rows(self, env):
-        """(values (N, m), derivatives (N, m, n), errors) on the rows of a
-        batch, each row the point result bit for bit. The point function
-        runs on every row; a row where it raises or gives a non-finite
-        number is evaluated at its point, with values and then dual, so it
-        gets their result or their diagnostic. errors maps each row where
-        that raises a ROW_ERRORS type to its error; the row keeps the
-        numbers it got. Names whose env entry is not an array are shared by
-        all rows."""
-        fn = self._fn(False)
-        m, n = len(self.exprs), len(self.seeds)
-        names = [nm for nm, v in env.items() if isinstance(v, np.ndarray)]
-        rows = list(zip(*(env[nm].tolist() for nm in names)))
-        point = dict(env)
-        vs, ds = [], []
-        for row in rows:
-            point.update(zip(names, row))
-            v, d = [0.0] * m, [0.0] * (m * n)
-            try:
-                fn(point, v, d)
-            except _KERNEL_ERRORS:
-                v, d = [math.nan] * m, [math.nan] * (m * n)
-            vs.append(v)
-            ds.append(d)
-        vals = np.array(vs, dtype=float).reshape(len(rows), m)
-        ders = np.array(ds, dtype=float).reshape(len(rows), m, n)
-        errors = {}
-        bad = ~(np.isfinite(vals).all(axis=1) & np.isfinite(ders).all(axis=(1, 2)))
-        for r in np.flatnonzero(bad).tolist():
-            point.update(zip(names, rows[r]))
-            try:
-                vals[r] = self.values(point)
-                ders[r] = self.dual(point)[1]
-            except ROW_ERRORS as exc:
-                errors[r] = exc
-        return vals, ders, errors
 
 
 # ---------------------------------------------------------------------------

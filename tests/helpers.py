@@ -463,10 +463,10 @@ def _at_point(rows, errors, call):
 
 
 def point_kernel_rows(kern, env):
-    """The point function of kern on every row of env, as Kernel.dual_rows
-    ran it before it re-evaluated failed rows: (values (N, m), derivatives
-    (N, m, n)), nan in every output of a row where it raises. Names whose
-    env entry is not an array are shared by all rows."""
+    """The point function of kern run on every row of env in turn:
+    (values (N, m), derivatives (N, m, n)), nan in every output of a row
+    where it raises. Names whose env entry is not an array are shared by
+    all rows."""
     fn = kern._fn(False)
     m, n = len(kern.exprs), len(kern.seeds)
     names = [nm for nm, v in env.items() if isinstance(v, np.ndarray)]
@@ -661,16 +661,28 @@ def _adjugate_oracle(a):
     return adj
 
 
+def _sum_left(terms):
+    """The float sum of terms, left to right from 0.0."""
+    total = 0.0
+    for t in terms:
+        total += t
+    return total
+
+
 def det_and_grad_oracle(sys, z):
     """The one-point det d2g and its gradient (Jacobi's formula) that
-    validate used to evaluate per iterate."""
+    validate used to evaluate per iterate, with the trace of adj @ da[m]
+    summed left to right (sum_i of sum_j adj[i, j] * da[m, j, i])."""
     s, n = sys.s, sys.k + sys.s
     env = sys.env(z[: sys.k], z[sys.k :])
     kern = sys.kernel(sys.d2g_flat)
     a = kern.values(env).reshape(s, s)
     adj = _adjugate_oracle(a)
     da = np.ascontiguousarray(kern.dual(env)[1].reshape(s, s, n).transpose(2, 0, 1))
-    grad = np.array([float(np.trace(adj @ da[m])) for m in range(n)])
+    grad = np.array([
+        _sum_left(_sum_left(float(adj[i, j] * da[m, j, i]) for j in range(s))
+                  for i in range(s))
+        for m in range(n)])
     return _det_small_oracle(a), grad
 
 
@@ -681,7 +693,7 @@ def polish_det_minimum_oracle(sys, z0, iterations=100):
     d, grad = det_and_grad_oracle(sys, z)
     best_z, best_d = z.copy(), abs(d)
     for _ in range(iterations):
-        gg = float(grad @ grad)
+        gg = _sum_left(float(g) * float(g) for g in grad)
         if abs(d) < 1e-14 or gg < 1e-30:
             break
         step = -d / gg * grad

@@ -118,14 +118,15 @@ def fixture_system(name):
 
 
 def polish_starts(sysdef, samples=512):
-    """The samples validate polishes: the six smallest |det d2g|."""
+    """The samples validate polishes: the six smallest |det d2g|, in stable
+    sample order."""
     pts = sysdef.box.sample(samples)
     env = {nm: pts[:, i] for i, nm in enumerate(sysdef.state_names)}
     s = sysdef.s
     a = sysdef.kernel(sysdef.d2g_flat).values_batch(env, np.empty((s * s, samples)))
     with np.errstate(invalid="ignore"):
         dets = np.linalg.det(np.ascontiguousarray(a.T).reshape(samples, s, s))
-    return pts[np.argsort(np.abs(dets))[:6]]
+    return pts[np.argsort(np.abs(dets), kind="stable")[:6]]
 
 
 def sqrt_system(g):
@@ -136,34 +137,34 @@ def sqrt_system(g):
 
 
 class TestDetPolishRows:
-    """validate's lockstep |det d2g| polish against polishing each start
-    alone with the old loop (kept as an oracle in tests/helpers.py): best
-    points and best |det| bit for bit, and the same errors."""
+    """validate's |det d2g| polish of one start on floats against the
+    one-point loop kept as an oracle in tests/helpers.py: best point and
+    best |det| bit for bit, and the same errors."""
 
     @staticmethod
     def check(sysdef, starts):
-        best_z, best_d, errors = dae._polish_det_rows(sysdef, starts)
-        assert not errors
-        assert len(best_z) == len(best_d) == len(starts)
-        for z0, z, d in zip(starts, best_z, best_d):
+        best_z, best_d = [], []
+        for z0 in starts:
+            z, d = dae._polish_det_minimum(sysdef, z0)
             want_z, want_d = helpers.polish_det_minimum_oracle(sysdef, z0)
             assert z.tobytes() == want_z.tobytes()
             assert type(d) is float and d == want_d
-        return best_z, best_d
+            best_z.append(z)
+            best_d.append(d)
+        return np.array(best_z), best_d
 
     @staticmethod
-    def count_rows(monkeypatch):
-        """The number of rows of every Kernel.dual_rows call, as a list."""
-        rows = []
-        dual_rows = expr.Kernel.dual_rows
+    def count_calls(monkeypatch):
+        """A list that gets one entry per dae._det_and_grad call."""
+        calls = []
+        det_and_grad = dae._det_and_grad
 
-        def counting(self, env):
-            result = dual_rows(self, env)
-            rows.append(len(result[0]))
-            return result
+        def counting(sys, z):
+            calls.append(z)
+            return det_and_grad(sys, z)
 
-        monkeypatch.setattr(expr.Kernel, "dual_rows", counting)
-        return rows
+        monkeypatch.setattr(dae, "_det_and_grad", counting)
+        return calls
 
     @pytest.mark.parametrize(
         "name", ["pozzo", "equivlien", "exmults", "eqex1", "eqex2", "degen3"])
@@ -179,35 +180,73 @@ class TestDetPolishRows:
         # validate's starts, and starts some of which the box clip moves
         self.check(sysdef, np.vstack([polish_starts(sysdef),
                                       rng.uniform(-1.5, 1.5, (6, k + s))]))
-        zs = rng.uniform(-1.2, 1.2, (40, k + s))
-        dets, grads, errors = dae._det_and_grad_rows(sysdef, zs)
-        assert not errors
-        for z, d, grad in zip(zs, dets, grads):
+        for z in rng.uniform(-1.2, 1.2, (40, k + s)):
+            d, grad = dae._det_and_grad(sysdef, z)
             want_d, want_grad = helpers.det_and_grad_oracle(sysdef, z)
-            assert d == want_d and grad.tobytes() == want_grad.tobytes()
+            assert type(d) is float and d == want_d
+            assert np.array(grad).tobytes() == want_grad.tobytes()
+
+    @pytest.mark.parametrize("k,s", [(1, 1), (2, 1), (1, 2), (2, 2), (1, 3)])
+    def test_random_systems_match_lapack_and_blas(self, k, s):
+        # an independent check of the cofactor det and the left-to-right
+        # Jacobi sums: LAPACK's det, and the trace of a BLAS product of the
+        # adjugate det * inv(a) with each partial of d2g
+        sysdef, _ = helpers.random_system(np.random.default_rng(200 + 10 * k + s),
+                                          k, s)
+        kern = sysdef.kernel(sysdef.d2g_flat)
+        rng = np.random.default_rng(30 + s)
+        for z in rng.uniform(-1.2, 1.2, (40, k + s)):
+            d, grad = dae._det_and_grad(sysdef, z)
+            env = sysdef.env(z[:k], z[k:])
+            a = kern.values(env).reshape(s, s)
+            da = kern.dual(env)[1].reshape(s, s, k + s).transpose(2, 0, 1)
+            want_d = np.linalg.det(a)
+            adj = want_d * np.linalg.inv(a)
+            want_grad = [np.trace(adj @ da[m]) for m in range(k + s)]
+            assert d == pytest.approx(want_d, rel=1e-12, abs=0)
+            assert grad == pytest.approx(want_grad, rel=1e-12, abs=0)
 
     def test_box_pinned_rows_stop_at_their_first_revisit(self, equivlien,
                                                          monkeypatch):
         # d2g = 1 - y1^2 is smallest on the faces |y1| = 0.9; the clip pins
         # every iterate there, where the oracle spends all 100 iterations
-        rows = self.count_rows(monkeypatch)
+        calls = self.count_calls(monkeypatch)
         report = validate(equivlien)
-        assert sum(rows) <= 6 * 3
+        assert len(calls) <= 6 * 3
         best_z, _ = self.check(equivlien, polish_starts(equivlien))
         assert np.all(np.abs(best_z[:, 1]) == 0.9)
         assert report.refined_location.tobytes() == best_z[0].tobytes()
 
     def test_cycling_rows_stop_at_their_first_revisit(self, pozzo, monkeypatch):
-        # d2g = 3 y1^2 + 1 has no zero: the steps overshoot, and every row
+        # d2g = 3 y1^2 + 1 has no zero: the steps overshoot, and every start
         # falls into a cycle that the oracle retraces to its last iteration
         starts = polish_starts(pozzo)
-        rows = self.count_rows(monkeypatch)
+        calls = self.count_calls(monkeypatch)
         self.check(pozzo, starts)
-        assert 6 < sum(rows) < 6 * 60
+        assert 6 < len(calls) < 6 * 60
 
     def test_rows_end_early_on_a_vanishing_det(self, eqex1):
         _, best_d = self.check(eqex1, polish_starts(eqex1))
         assert all(0.0 < d < 1e-14 for d in best_d)
+
+    def test_starts_follow_the_stable_sample_order(self, pozzo, monkeypatch):
+        # samples 291 and 416 tie in |det|: a stable sort keeps them in
+        # sample order on every host, where numpy's default sort may not
+        polish = dae._polish_det_minimum
+        starts = []
+
+        def recording(sys, z0):
+            starts.append(np.array(z0))
+            return polish(sys, z0)
+
+        monkeypatch.setattr(dae, "_polish_det_minimum", recording)
+        validate(pozzo)
+        pts = pozzo.box.sample(512)
+        index = [next(i for i, p in enumerate(pts) if p.tobytes() == z.tobytes())
+                 for z in starts]
+        assert len(index) == 6 and 291 in index and 416 in index
+        assert index.index(291) < index.index(416)
+        assert np.array(starts).tobytes() == polish_starts(pozzo).tobytes()
 
     @pytest.mark.parametrize("g,failing", [
         ("y1^2*x1 + 0.5*y1 + y1*sqrt(x1 + 0.3)", [5]),
@@ -217,20 +256,22 @@ class TestDetPolishRows:
         # sqrt of a negative value in d2g, met by some starts' iterates only
         sysdef = sqrt_system(g)
         starts = polish_starts(sysdef)
-        best_z, best_d, errors = dae._polish_det_rows(sysdef, starts)
-        assert sorted(errors) == failing
+        errors = {}
         for i, z0 in enumerate(starts):
-            if i in errors:
-                with pytest.raises(ExprDomainError) as alone:
-                    helpers.polish_det_minimum_oracle(sysdef, z0)
-                assert type(errors[i]) is ExprDomainError
-                assert str(errors[i]) == str(alone.value)
-            else:
+            try:
                 want_z, want_d = helpers.polish_det_minimum_oracle(sysdef, z0)
-                assert best_z[i].tobytes() == want_z.tobytes()
-                assert best_d[i] == want_d
+            except ExprDomainError as alone:
+                with pytest.raises(ExprDomainError) as err:
+                    dae._polish_det_minimum(sysdef, z0)
+                assert type(err.value) is ExprDomainError
+                assert str(err.value) == str(alone)
+                errors[i] = err.value
+            else:
+                z, d = dae._polish_det_minimum(sysdef, z0)
+                assert z.tobytes() == want_z.tobytes() and d == want_d
+        assert sorted(errors) == failing
         # polishing the starts in order raises the first failing start's
-        with np.errstate(invalid="ignore"), pytest.raises(ExprDomainError) as err:
+        with pytest.raises(ExprDomainError) as err:
             validate(sysdef)
         assert str(err.value) == str(errors[failing[0]])
 

@@ -221,39 +221,6 @@ class TestKernel:
             compared += 1
         assert compared >= 950
 
-    def test_rows_match_the_point_kernel(self):
-        # each row is values then dual at its point, or their error
-        n_rows = 12
-        rng = np.random.default_rng(618)
-        names = ["x1", "y1", "t"]
-        seeds = [{nm: 1.0} for nm in names]
-        compared = failed = 0
-        for _ in range(300):
-            kern = expr.Kernel([random_tree(rng, names)], seeds)
-            pts = rng.uniform(-2, 2, (n_rows, 2))
-            t = float(rng.uniform(-2, 2))  # shared by all rows
-            vals, ders, errors = kern.dual_rows(
-                {"x1": pts[:, 0], "y1": pts[:, 1], "t": t})
-            assert vals.shape == (n_rows, 1) and ders.shape == (n_rows, 1, 3)
-            for r in range(n_rows):
-                point = {"x1": float(pts[r, 0]), "y1": float(pts[r, 1]), "t": t}
-                v = None
-                try:
-                    v = kern.values(point)
-                    d = kern.dual(point)[1]
-                except expr.ROW_ERRORS as exc:
-                    assert type(errors[r]) is type(exc)
-                    assert str(errors[r]) == str(exc)
-                    failed += 1
-                else:
-                    assert r not in errors
-                    assert all(bits(a) == bits(b) for a, b in zip(ders[r, 0], d[0]))
-                    compared += 1
-                if v is not None:  # the row keeps the values it got
-                    assert bits(vals[r, 0]) == bits(v[0])
-        assert compared >= 250 * n_rows
-        assert failed > 0
-
     def test_entry_major_batch_equals_row_major_views(self):
         # the batch code writes entry i to out[i], one contiguous array;
         # written through strided views of row-major (N, m) and (N, m, n)

@@ -96,6 +96,20 @@ class TestCliExitCodes:
         assert code == 1 and out == ""
         assert err == "error: det(monodromy - I) overflowed\n"
 
+    def test_undefined_d2g_exits_1_with_one_error_line(self, capsys, tmp_path):
+        # d2g = sqrt(x1 + 0.5) + 1 is nan at the samples with x1 < -0.5:
+        # their dets are nan without a warning, and the polish of a start
+        # steps into that region and names the sqrt
+        path = tmp_path / "sqrt.sys"
+        path.write_text('dim_x = 1\ndim_y = 1\nperiod = 1\nf = "y1"\n'
+                        'g = "y1*sqrt(x1 + 0.5) + y1 - x1"\n'
+                        'box = [-1, 1], [-1, 1]\n')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "check", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "check", "/nonexistent.sys")
         assert code == 1
