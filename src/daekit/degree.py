@@ -21,7 +21,15 @@ from functools import cached_property, reduce
 import numpy as np
 
 from . import expr
-from .dae import _STAGE, Box, SystemDef, _kernel_code, reduced_field, validate
+from .dae import (
+    POLISH_EMIT_STEPS,
+    _STAGE,
+    Box,
+    SystemDef,
+    _kernel_code,
+    reduced_field,
+    validate,
+)
 from .errors import (
     BoundaryZeroError,
     DaekitError,
@@ -54,8 +62,6 @@ PERTURB_SIZE = 1e-5
 SWEEP_TOL = 1e-12  # norm-1 residual at which a sweep start has converged
 SWEEP_ITERATIONS = 60  # Newton steps per sweep start
 POLISH_ITERATIONS = 60  # Newton steps per candidate of the zero polish
-# generic polish steps a call takes before it compiles the emitted loop
-POLISH_EMIT_STEPS = 60
 
 
 @dataclass

@@ -180,11 +180,14 @@ class TestDetPolishRows:
         # validate's starts, and starts some of which the box clip moves
         self.check(sysdef, np.vstack([polish_starts(sysdef),
                                       rng.uniform(-1.5, 1.5, (6, k + s))]))
-        for z in rng.uniform(-1.2, 1.2, (40, k + s)):
-            d, grad = dae._det_and_grad(sysdef, z)
-            want_d, want_grad = helpers.det_and_grad_oracle(sysdef, z)
-            assert type(d) is float and d == want_d
-            assert np.array(grad).tobytes() == want_grad.tobytes()
+        # the generic evaluation and the system's emitted one
+        for evaluate in (functools.partial(dae._det_and_grad, sysdef),
+                         sysdef._det_and_grad()):
+            for z in rng.uniform(-1.2, 1.2, (40, k + s)):
+                d, grad = evaluate(z.tolist())
+                want_d, want_grad = helpers.det_and_grad_oracle(sysdef, z)
+                assert type(d) is float and d == want_d
+                assert np.array(grad).tobytes() == want_grad.tobytes()
 
     @pytest.mark.parametrize("k,s", [(1, 1), (2, 1), (1, 2), (2, 2), (1, 3)])
     def test_random_systems_match_lapack_and_blas(self, k, s):
@@ -235,9 +238,9 @@ class TestDetPolishRows:
         polish = dae._polish_det_minimum
         starts = []
 
-        def recording(sys, z0):
+        def recording(sys, z0, *evaluator):
             starts.append(np.array(z0))
-            return polish(sys, z0)
+            return polish(sys, z0, *evaluator)
 
         monkeypatch.setattr(dae, "_polish_det_minimum", recording)
         validate(pozzo)
@@ -274,6 +277,87 @@ class TestDetPolishRows:
         with pytest.raises(ExprDomainError) as err:
             validate(sysdef)
         assert str(err.value) == str(errors[failing[0]])
+
+
+    @staticmethod
+    def validate_polishes(monkeypatch, sysdef):
+        """validate(sysdef), with each polish as (start, best point, best
+        |det|, the generic _det_and_grad calls it made)."""
+        calls = TestDetPolishRows.count_calls(monkeypatch)
+        polish, polished = dae._polish_det_minimum, []
+
+        def recording(sys, z0, *evaluator):
+            before = len(calls)
+            z, d = polish(sys, z0, *evaluator)
+            polished.append((z0, z, d, len(calls) - before))
+            return z, d
+
+        monkeypatch.setattr(dae, "_polish_det_minimum", recording)
+        try:
+            validate(sysdef)
+        except HypothesisViolationError:
+            pass
+        assert len(polished) == 6
+        for z0, z, d, _ in polished:
+            want_z, want_d = helpers.polish_det_minimum_oracle(sysdef, z0)
+            assert z.tobytes() == want_z.tobytes()
+            assert type(d) is float and d == want_d
+        return polished
+
+    @pytest.mark.parametrize(
+        "name", ["pozzo", "equivlien", "exmults", "eqex1", "eqex2", "degen3"])
+    def test_validate_on_the_emitted_evaluator_matches_the_oracle(
+            self, name, monkeypatch):
+        monkeypatch.setattr(dae, "POLISH_EMIT_STEPS", 0)
+        polished = self.validate_polishes(monkeypatch, fixture_system(name))
+        assert [generic for *_, generic in polished] == [0] * 6
+
+    @pytest.mark.parametrize("name,emits", [("pozzo", True), ("equivlien", False)])
+    def test_validate_compiles_once_its_budget_is_spent(self, name, emits,
+                                                        monkeypatch):
+        # pozzo's polish takes 354 evaluations, equivlien's fewer than 18
+        sysdef = load_system(system_path(name))
+        polished = self.validate_polishes(monkeypatch, sysdef)
+        generic = sum(generic for *_, generic in polished)
+        assert ("det" in sysdef._stages) == emits
+        assert (generic == dae.POLISH_EMIT_STEPS) == emits
+
+    def test_emitted_evaluator_hands_undefined_points_back(self, monkeypatch):
+        # the first start's polish steps from x1 < 0.5 to x1 = 0.75390625,
+        # where sqrt(0.5 - x1) in d2g is undefined
+        sysdef = sqrt_system("y1*(2+sqrt(0.5 - x1)) - x1")
+        z0 = polish_starts(sysdef)[0]
+        with pytest.raises(ExprDomainError) as want:
+            helpers.polish_det_minimum_oracle(sysdef, z0)
+        assert str(want.value) == (
+            "sqrt of negative value -0.25390625 in 'sqrt(0.5 - x1)'")
+        emitted = sysdef._det_and_grad()
+        for evaluator in (None, emitted):
+            with pytest.raises(ExprDomainError) as err:
+                dae._polish_det_minimum(sysdef, z0, evaluator)
+            assert str(err.value) == str(want.value)
+        z = [0.75390625, 0.5]
+        with pytest.raises(ExprDomainError) as generic:
+            dae._det_and_grad(sysdef, z)
+        with pytest.raises(ExprDomainError) as err:
+            emitted(z)
+        assert type(err.value) is ExprDomainError
+        assert str(err.value) == str(generic.value)
+        monkeypatch.setattr(dae, "POLISH_EMIT_STEPS", 0)
+        with pytest.raises(ExprDomainError) as err:
+            validate(sysdef)
+        assert str(err.value) == str(want.value)
+
+    def test_undefined_samples_raise_after_the_polish(self, monkeypatch):
+        # d2g = (1 + y1^2)(3 - sqrt(0.5 - x1)) has nan dets at the samples
+        # with x1 > 0.5, and the polish steps x1 down, away from them; the
+        # error is the point evaluation's at the first such sample, sample
+        # 2 at x1 = 0.8125, before any witness refinement
+        sysdef = sqrt_system("(y1 + y1^3/3)*(3 - sqrt(0.5 - x1)) - x1")
+        monkeypatch.setattr(dae, "_refine_witness", None)
+        with pytest.raises(ExprDomainError) as err:
+            validate(sysdef)
+        assert str(err.value) == "sqrt of negative value -0.3125 in 'sqrt(0.5 - x1)'"
 
 
 class TestSolveConstraint:

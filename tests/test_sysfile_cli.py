@@ -110,6 +110,22 @@ class TestCliExitCodes:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("g,value", [
+        # the polish of the first start steps to x1 = 0.75390625 and raises
+        ("y1*(2+sqrt(0.5 - x1)) - x1", "-0.25390625"),
+        # no polish iterate leaves x1 <= 0.5: the first sample with x1 > 0.5
+        # (x1 = 0.8125) names the sqrt
+        ("(y1 + y1^3/3)*(3 - sqrt(0.5 - x1)) - x1", "-0.3125"),
+    ])
+    def test_undefined_d2g_names_the_first_undefined_point(self, capsys,
+                                                          tmp_path, g, value):
+        path = tmp_path / "sqrt.sys"
+        path.write_text(f'dim_x = 1\ndim_y = 1\nperiod = 1\nf = "y1"\n'
+                        f'g = "{g}"\nbox = [-1, 1], [-1, 1]\n')
+        code, out, err = run_cli(capsys, "check", str(path))
+        assert code == 1 and out == ""
+        assert err == f"error: sqrt of negative value {value} in 'sqrt(0.5 - x1)'\n"
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "check", "/nonexistent.sys")
         assert code == 1
