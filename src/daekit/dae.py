@@ -41,10 +41,6 @@ from .linalg import (
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 DET_POLISH_ITERATIONS = 100  # per start of validate's |det d2g| polish
 WITNESS_ITERATIONS = 100  # of the witness refinement onto det = g = 0
-# evaluations a call of validate's det polish, or steps a call of
-# degree's zero polish, takes on the generic path before it compiles and
-# runs the system's or field's emitted code
-POLISH_EMIT_STEPS = 60
 
 
 def halton(n, dim, skip=20):
@@ -286,20 +282,18 @@ class SystemDef:
         return self._stages["g"]
 
     def _det_and_grad(self):
-        """The emitted det d2g and gradient (_emit_det_and_grad)."""
+        """``det_and_grad(z)``: det d2g and its gradient along the state at
+        the point z, a list of floats (_emit_det_and_grad), emitted on
+        first use and kept on the instance."""
         if "det" not in self._stages:
             self._stages["det"] = _emit_det_and_grad(self)
         return self._stages["det"]
 
 
-def _det(a):
-    """det of the square matrix a (a list of rows of floats): the explicit
-    product for order <= 2, LAPACK's LU above that."""
-    if len(a) == 1:
-        return a[0][0]
-    if len(a) == 2:
-        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    return float(np.linalg.det(np.array(a)))
+def _det(rows):
+    """det of a square matrix of order 3 or more (a list of rows of
+    floats), by LAPACK's LU."""
+    return float(np.linalg.det(np.array(rows)))
 
 
 def _minor(a, j, i):
@@ -307,50 +301,9 @@ def _minor(a, j, i):
     return [row[:i] + row[i + 1 :] for r, row in enumerate(a) if r != j]
 
 
-def _det_and_grad(sys, z):
-    """det d2g at the point z (floats) and its gradient along the state
-    (Jacobi's formula: sum_i sum_j adj[i][j] * d a[j][i], the adjugate by
-    cofactors, each sum left to right from 0.0), as (det, list of floats).
-
-    One call of the d2g point kernel gives the values and partials. Where
-    it raises or gives a non-finite number, the kernel's values and then
-    its dual give the numbers at z, so a point where d2g is undefined
-    raises their ExprDomainError.
-    """
-    s, n = sys.s, sys.k + sys.s
-    env = dict(zip(sys.state_names, map(float, z)))
-    kern = sys.kernel(sys.d2g_flat)
-    flat, jac = [0.0] * (s * s), [0.0] * (s * s * n)
-    try:
-        kern._fn(False)(env, flat, jac)
-        # a sum is finite only if its terms are (an overflowing sum only
-        # takes the slower path to the same numbers)
-        fed = math.isfinite(sum(flat) + sum(jac))
-    except expr._KERNEL_ERRORS:
-        fed = False
-    if not fed:
-        flat = kern.values(env).tolist()
-        jac = kern.dual(env)[1].ravel().tolist()
-    # jac[(i * s + j) * n + c]: the partial of a[i][j] along state c
-    a = [flat[i * s : (i + 1) * s] for i in range(s)]
-    adj = [[1.0]]
-    if s > 1:  # adj[i][j] is the cofactor of a[j][i]
-        adj = [[(-1.0) ** (i + j) * _det(_minor(a, j, i)) for j in range(s)]
-               for i in range(s)]
-    grad = []
-    for c in range(n):
-        total = 0.0
-        for i in range(s):
-            inner = 0.0
-            for j in range(s):
-                inner += adj[i][j] * jac[(j * s + i) * n + c]
-            total += inner
-        grad.append(total)
-    return _det(a), grad
-
-
 def _det_code(rows):
-    """_det of the matrix of locals rows, as code."""
+    """The det of the matrix of locals rows as code: the explicit product
+    for order <= 2, a call of _det above that."""
     if len(rows) == 1:
         return rows[0][0]
     if len(rows) == 2:
@@ -359,13 +312,17 @@ def _det_code(rows):
 
 
 def _emit_det_and_grad(sys):
-    """``det_and_grad(z)``: _det_and_grad at the point z (a list of floats)
-    as one emitted function. It runs the d2g point code (_kernel_code, the
-    point in Z{c}), then the cofactors and the det as _det forms them
-    (written out for order <= 2, a call of _det above that), and the
-    Jacobi sums left to right from 0.0. Where the kernel raises or the sum
-    of its values and partials is not finite, it returns _det_and_grad at
-    z, so the point gets the same numbers or the same error."""
+    """``det_and_grad(z)``: det d2g at the point z (a list of floats) and
+    its gradient along the state, as (det, list of floats), in one emitted
+    function.
+
+    It runs the d2g point code (_kernel_code, the point in Z{c}), then the
+    algebra: the cofactors and the det (_det_code), and Jacobi's formula
+    sum_i sum_j adj[i][j] * d a[j][i], each sum left to right from 0.0.
+    Where the kernel raises or the sum of its values and partials is not
+    finite, the same algebra, compiled a second time with _GIVEN, runs on
+    Kernel.values and then Kernel.dual at z, so a point where d2g is
+    undefined raises their ExprDomainError."""
     s, n = sys.s, sys.k + sys.s
     a = [[f"V{i * s + j}" for j in range(s)] for i in range(s)]
     ders = [f"D{e}_{c}" for e in range(s * s) for c in range(n)]
@@ -377,6 +334,18 @@ def _emit_det_and_grad(sys):
     grad = ["(0.0" + "".join(
         f" + {_dot(adj[i], [f'D{j * s + i}_{c}' for j in range(s)])}"
         for i in range(s)) + ")" for c in range(n)]
+    alg += [f"return {_det_code(a)}, [{', '.join(grad)}]"]
+    flat = [e for row in a for e in row]
+    given = functools.cache(lambda: _compile(  # on the first fallback
+        "def given(V, D):", _unpack(flat, "V") + _unpack(ders, "D") + alg,
+        {**_GIVEN, "det": _det}))
+    kern = sys.kernel(sys.d2g_flat)
+
+    def fallback(z):
+        env = dict(zip(sys.state_names, z))
+        return given()(kern.values(env).tolist(),
+                       kern.dual(env)[1].ravel().tolist())
+
     col = sys._column
     kernel, consts = _kernel_code(sys.d2g_flat, sys.state_names,
                                   load=lambda nm: f"Z{col[nm]}")
@@ -384,15 +353,13 @@ def _emit_det_and_grad(sys):
         "    " + ln for ln in kernel] + [
         "except ERRORS:",
         "    return fallback(z)",
-        f"if not isfinite({' + '.join([e for row in a for e in row] + ders)}):",
-        "    return fallback(z)"] + alg + [
-        f"return {_det_code(a)}, [{', '.join(grad)}]"]
+        f"if not isfinite({' + '.join(flat + ders)}):",
+        "    return fallback(z)"] + alg
     return _compile("def det_and_grad(z):", body,
-                    {**_STAGE, **consts, "det": _det,
-                     "fallback": functools.partial(_det_and_grad, sys)})
+                    {**_STAGE, **consts, "det": _det, "fallback": fallback})
 
 
-def _polish_det_minimum(sys, z0, det_and_grad=None):
+def _polish_det_minimum(sys, z0):
     """Drive |det d2g| toward its local minimum from z0 (box-clipped).
     Returns (best point, best |det|).
 
@@ -401,11 +368,11 @@ def _polish_det_minimum(sys, z0, det_and_grad=None):
     gradient, a step of norm below 1e-15, or an iterate it has visited
     before (keyed on its bits): the clipped step is a function of the
     point, so from there it only retraces points it has already evaluated,
-    and the best stays as it is. det_and_grad(z) evaluates an iterate,
-    _det_and_grad by default. A raising evaluation raises.
+    and the best stays as it is. Every iterate is evaluated by the
+    system's emitted evaluator (SystemDef._det_and_grad); an iterate where
+    d2g is undefined raises its error.
     """
-    if det_and_grad is None:
-        det_and_grad = functools.partial(_det_and_grad, sys)
+    det_and_grad = sys._det_and_grad()
     box = list(zip(sys.box.lo.tolist(), sys.box.hi.tolist()))
     z = [min(max(float(v), lo), hi) for v, (lo, hi) in zip(z0, box)]
     d, grad = det_and_grad(z)
@@ -442,7 +409,7 @@ def _refine_witness(sys, z0):
     best_r = math.inf
     for _ in range(WITNESS_ITERATIONS):
         env = sys.env(z[: sys.k], z[sys.k :])
-        d, grad = _det_and_grad(sys, z)
+        d, grad = sys._det_and_grad()(z.tolist())
         gvals = sys.eval_g(env)
         r = np.concatenate([[d], gvals])
         rn = norm1(r)
@@ -465,13 +432,11 @@ def validate(sys, samples=512):
     Evaluates det d2g at quasi-random samples, then polishes the six
     smallest |det|, one at a time in stable sample order, toward a local
     minimum, so thin degeneracies that slip between samples can still be
-    caught; the first start whose polish raises raises. The polish
-    evaluates its first POLISH_EMIT_STEPS iterates with _det_and_grad and
-    the rest with the system's emitted evaluator (_emit_det_and_grad),
-    which gives the same numbers without a call per kernel output, so a
-    call whose polish ends quickly never pays the compile. Where d2g is
-    undefined at a sample (a nan det), the point evaluation of d2g at the
-    first such sample raises its error after the polish. On failure raises
+    caught; the first start whose polish raises raises. Each polish runs
+    on the system's emitted evaluator (_emit_det_and_grad), compiled once
+    per process for each evaluator text. Where d2g is undefined at a
+    sample (a nan det), the point evaluation of d2g at the first such
+    sample raises its error after the polish. On failure raises
     HypothesisViolationError whose witness is refined onto the constraint
     locus when possible (that is where the DAE itself breaks down).
     """
@@ -490,18 +455,9 @@ def validate(sys, samples=512):
     min_sample = float(abs_dets[i_min])
     loc = pts[i_min].copy()
 
-    spent = 0
-
-    def det_and_grad(z):
-        nonlocal spent
-        spent += 1
-        if spent > POLISH_EMIT_STEPS:
-            return sys._det_and_grad()(z)
-        return _det_and_grad(sys, z)
-
     refined_z, refined_d = loc, min_sample
     for z0 in pts[np.argsort(abs_dets, kind="stable")[:6]]:
-        z, d = _polish_det_minimum(sys, z0, det_and_grad)
+        z, d = _polish_det_minimum(sys, z0)
         if d < refined_d:
             refined_z, refined_d = z, d
     undefined = np.flatnonzero(np.isnan(dets))

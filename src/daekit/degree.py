@@ -14,15 +14,13 @@ cross-check status.
 """
 
 import math
-import operator
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
 from . import expr
 from .dae import (
-    POLISH_EMIT_STEPS,
     _STAGE,
     Box,
     SystemDef,
@@ -39,7 +37,6 @@ from .errors import (
     point_text,
 )
 from .linalg import (
-    PIVOT_RTOL,
     _compile,
     _lu,
     _lu_lines,
@@ -260,118 +257,77 @@ def _polish_rows(fld, zs):
     Degenerate zeros converge linearly, so a candidate keeps taking Newton
     steps while its residual still drops, for at most POLISH_ITERATIONS,
     and keeps the best point it met. It stops at a zero residual, a
-    singular Jacobian, or a non-finite or negligible step. Returns (best
-    points, errors): errors maps each row whose field evaluation raises to
-    its error.
-
-    The first candidates run the generic loop (_polish_from). Once the
-    call has spent POLISH_EMIT_STEPS steps there, a field of fewer than 8
-    entries polishes the rest with its emitted loop (_emit_polish),
-    compiled on first use and kept on the field, which takes the same
-    float operations in the same order without a call per step. It hands
-    a candidate back to the generic loop, at the iteration and point
-    where the kernel raises or gives a sum that is not finite, with its
-    best point so far. So a call with a few quickly converging candidates
-    never pays the compile, and every candidate gets the same bits either
-    way. From 8 entries on the residual is numpy's pairwise sum, which
-    only the generic loop takes.
+    singular Jacobian, or a non-finite or negligible step. Every candidate
+    runs the field's emitted loop (_emit_polish), kept on the field; equal
+    loop texts share one compile in the process. Returns (best points,
+    errors): errors maps each row whose field evaluation raises to its
+    error.
     """
     best = np.array(zs, dtype=float)
-    errors, spent = {}, 0
+    errors = {}
     for r, z in enumerate(best.tolist()):
-        if spent < POLISH_EMIT_STEPS or fld.dim >= 8:
-            best_z, exc, steps = _polish_from(fld, z)
-            spent += steps
-        else:
-            best_z, exc = fld._polish(z)
+        best[r], exc = fld._polish(z)
         if exc is not None:
             errors[r] = exc
-        best[r] = best_z
     return best, errors
 
 
-def _polish_from(fld, z, it0=0, best_z=None, best_res=math.nan):
-    """The polish of one candidate on the generic loop, from iteration it0
-    at the point z (a list), with the best point and residual met before
-    it: (best point, the error its field evaluation raised or None, the
-    iterations run).
-
-    The point kernel gives values and Jacobian. Where it raises or gives
-    a non-finite number, Kernel.values and then Kernel.dual give them or
-    the error, so each candidate gets value() and jacobian() at its point.
-    A step is one call of linalg's compiled LU and solve, bound to the
-    builtins on the kernel's finite numbers and to numpy's nan order
-    otherwise, as dae's stage is.
-    """
-    kern, names, n = fld._kernel, fld.var_names, fld.dim
-    fn, lus = kern._fn(False), (_lu(n), _lu(n, True))
-    best_z = z if best_z is None else best_z
-    v, d, exc = [0.0] * n, [0.0] * (n * n), None
-    for it in range(it0, POLISH_ITERATIONS):
-        env = dict(zip(names, z))
-        try:
-            fn(env, v, d)
-            # a sum is finite only if its terms are (an overflowing sum
-            # only takes the slower path to the same numbers)
-            fed = math.isfinite(sum(v) + sum(d))
-        except expr._KERNEL_ERRORS:
-            fed = False
-        try:
-            if not fed:
-                v = kern.values(env).tolist()
-            res = _norm1_floats(v)
-            if it == 0 or res < best_res:
-                best_z, best_res = z, res
-            if res == 0.0:
-                break
-            if not fed:
-                d = kern.dual(env)[1].ravel().tolist()
-        except expr.ROW_ERRORS as err:
-            exc = err
-            break
-        try:
-            step = lus[fed](d, PIVOT_RTOL, v)
-        except SingularMatrixError:
-            break
-        if (not all(map(math.isfinite, step))
-                or _norm1_floats(step) < 1e-15):
-            break
-        z = list(map(operator.sub, z, step))
-    return best_z, exc, it + 1 - it0
-
-
 def _emit_polish(fld):
-    """``polish(z)``: _polish_from's loop for one candidate, from its
-    start z (a list), as one emitted function over named locals. Each
-    iteration runs the field's point code (_kernel_code, the point at
-    Z{i}), the finiteness guard, the residual summed left to right as
-    _norm1_floats sums it, the best-point bookkeeping, linalg's LU and
-    solve bound to _FED (a rejected pivot breaks the loop), the step tests
-    and the update. Returns (best point, None). Where the kernel raises or
-    its guard sum is not finite, it returns what _polish_from returns from
-    that iteration, point and best so far. The residual is a left-to-right
-    sum, so the field must have fewer than 8 entries."""
-    n = fld.dim
+    """``polish(z)``: the polish of one candidate from its start z (a list)
+    as one emitted function over named locals: (best point, None), or
+    (best point so far, the error) where the field's evaluation raises.
+
+    Each iteration runs the field's point code (_kernel_code, the point at
+    Z{i}) and its finiteness guard. On a good iterate it sums the residual,
+    keeps the best point, factors and solves with linalg's LU bound to
+    _FED (a rejected pivot ends the loop), tests the step and updates the
+    point. An iterate where the kernel raises or the guard sum is not
+    finite takes its values from Kernel.values, then its residual and best
+    point, stops at a zero residual, takes its partials from Kernel.dual
+    and solves with _lu(n), bound to _GIVEN; an error of either
+    evaluation (ROW_ERRORS) ends the loop with it. Residual and step norm
+    are summed in np.sum's order, as norm1 sums them: left to right in the
+    code below 8 entries, by a call of norm1 from 8 on (numpy's pairwise
+    sum starts unrolling at 8)."""
+    n, kern = fld.dim, fld._kernel
     col = {nm: c for c, nm in enumerate(fld.var_names)}
     zs, bs, vs = ([f"{x}{i}" for i in range(n)] for x in "ZBV")
     rows = [[f"D{i}_{c}" for c in range(n)] for i in range(n)]
     kernel, consts = _kernel_code(fld.exprs, fld.var_names,
                                   load=lambda nm: f"Z{col[nm]}")
-    state = f"it, [{', '.join(zs)}], [{', '.join(bs)}], BR"
+    best = f"[{', '.join(bs)}]"
     guard = f"({' + '.join(vs)}) + ({' + '.join(e for r in rows for e in r)})"
-    norm = " + ".join(f"abs({v})" for v in vs)
+    if n < 8:
+        norm = " + ".join(f"abs({v})" for v in vs)
+    else:
+        norm = f"norm1([{', '.join(vs)}])"
     step = ["try:"] + ["    " + ln for ln in kernel] + [
+        f"    FED = isfinite({guard})",
         "except ERRORS:",
-        f"    return handoff({state})",
-        f"if not isfinite({guard}):",
-        f"    return handoff({state})",
+        "    FED = False",
+        "if not FED:",
+        f"    ENV = dict(zip(NAMES, ({', '.join(zs)},)))",
+        "    try:",
+        f"        {', '.join(vs)}, = values(ENV).tolist()",
+        "    except ROW_ERRORS as err:",
+        f"        return {best}, err",
         f"RES = {norm}",
         "if it == 0 or RES < BR:",
         f"    {', '.join(bs)}, BR = {', '.join(zs)}, RES",
         "if RES == 0.0:",
-        "    break"]
-    step += _lu_lines(rows, [[v] for v in vs], "break")
-    step += _solve_lines(rows, vs)
+        "    break",
+        "if FED:"]
+    step += ["    " + ln for ln in _lu_lines(rows, [[v] for v in vs], "break")
+             + _solve_lines(rows, vs)]
+    step += ["else:",
+             "    try:",
+             "        D = dual(ENV)[1].ravel().tolist()",
+             "    except ROW_ERRORS as err:",
+             f"        return {best}, err",
+             "    try:",
+             f"        {', '.join(vs)}, = lu(D, RTOL, [{', '.join(vs)}])",
+             "    except SingularMatrixError:",
+             "        break"]
     # SN is inf or nan where a step entry is not finite, or where its sum
     # overflows
     step += [f"SN = {norm}",
@@ -384,21 +340,12 @@ def _emit_polish(fld):
              + ", ".join(f"{z} - {v}" for z, v in zip(zs, vs))]
     body = _unpack(zs, "z") + _unpack(bs, "z") + [
         "BR = INF", f"for it in range({POLISH_ITERATIONS}):"]
-    body += ["    " + ln for ln in step] + [f"return [{', '.join(bs)}], None"]
-
-    def handoff(it, z, best_z, best_res):
-        return _polish_from(fld, z, it, best_z, best_res)[:2]
-
-    return _compile("def polish(z):", body,
-                    {**_STAGE, **consts, "INF": math.inf, "handoff": handoff})
-
-
-def _norm1_floats(v):
-    """norm1 of a list of floats, summed in np.sum's order: left to right
-    below 8 entries (numpy's pairwise sum starts unrolling at 8)."""
-    if len(v) >= 8:
-        return norm1(v)
-    return reduce(operator.add, map(abs, v))
+    body += ["    " + ln for ln in step] + [f"return {best}, None"]
+    return _compile("def polish(z):", body, {
+        **_STAGE, **consts, "INF": math.inf, "NAMES": tuple(fld.var_names),
+        "values": kern.values, "dual": kern.dual, "lu": _lu(n),
+        "ROW_ERRORS": expr.ROW_ERRORS, "norm1": norm1,
+        "SingularMatrixError": SingularMatrixError})
 
 
 def _make_record(fld, box, z):

@@ -25,6 +25,7 @@ from .errors import (
     ExprSyntaxError,
     UndeclaredVariableError,
 )
+from .linalg import _compile
 
 FUNCTIONS = ("sin", "cos", "exp", "ln", "sqrt")
 
@@ -554,14 +555,8 @@ def compile_kernel(exprs, seeds=()):
                       if last.get(nm, idx) == idx)
         if done:
             body.append(pad + "del " + ", ".join(done))
-    src = "\n    ".join(["def kernel(env, V, D=None):"] + (body or ["pass"]))
-    code = compile(src, "<daekit kernel>", "exec")
-    fns = []
-    for names in (_POINT, _BATCH):
-        namespace = {**consts, **names}
-        exec(code, namespace)
-        fns.append(namespace["kernel"])
-    return tuple(fns)
+    return tuple(_compile("def kernel(env, V, D=None):", body or ["pass"],
+                          {**consts, **names}) for names in (_POINT, _BATCH))
 
 
 class Kernel:

@@ -1,11 +1,12 @@
 """Cold start: a fresh CLI process loads scipy only when it exponentiates a
-matrix of order 2 or more.
+matrix of order 2 or more, and compiles each emitted function once.
 
 scipy.linalg is most of the import time of a one-shot ``python -m daekit``
 call, and ``linalg.expm`` is daekit's only use of it. The queries below are
 golden queries, run through ``cli.main`` in a new interpreter as ``python -m
-daekit`` does; after each one the test reads ``"scipy" in sys.modules``, and
-its report must still match its golden file. No time is measured.
+daekit`` does; after each one the test reads ``"scipy" in sys.modules`` and
+counts the calls of ``builtins.compile`` it made, and its report must still
+match its golden file. No time is measured.
 """
 
 import json
@@ -32,14 +33,20 @@ WITHOUT_SCIPY = sorted(
 WITH_SCIPY = ["resonance_pozzo", "shoot_pozzo"]
 
 SCRIPT = """\
-import contextlib, io, json, sys
+import builtins, contextlib, io, json, sys
 from daekit.cli import main
+compiles, compile_ = [], builtins.compile
+def counting(*args, **kwargs):
+    compiles.append(None)
+    return compile_(*args, **kwargs)
+builtins.compile = counting
 results = []
 for argv in json.loads(sys.argv[1]):
-    out = io.StringIO()
+    out, before = io.StringIO(), len(compiles)
     with contextlib.redirect_stdout(out):
         code = main(argv)
     results.append({"code": code, "scipy": "scipy" in sys.modules,
+                    "compiles": len(compiles) - before,
                     "report": out.getvalue()})
 print(json.dumps(results))
 """
@@ -48,7 +55,8 @@ print(json.dumps(results))
 def run_fresh(names, csv_dir):
     """Run the golden queries of the names, in order, in one new interpreter
     started from the repository root; one dict per query with its exit
-    code, whether scipy was loaded after it, and its report."""
+    code, whether scipy was loaded after it, its calls of builtins.compile
+    and its report."""
     queries = []
     for name in names:
         argv, csv, _ = QUERIES[name]
@@ -85,3 +93,15 @@ def test_order_two_expm_loads_scipy(name, tmp_path):
     results = run_fresh([name], tmp_path)
     assert results[0]["scipy"] is True
     check_reports([name], results)
+
+
+def test_a_second_run_compiles_nothing(tmp_path):
+    # every golden query, then all of them again in the same process: the
+    # second run finds the code of every emitted function in the
+    # process-wide compile cache, and gives the same reports
+    names = sorted(QUERIES)
+    results = run_fresh(names + names, tmp_path)
+    assert sum(r["compiles"] for r in results[:len(names)]) > 0
+    assert [r["compiles"] for r in results[len(names):]] == [0] * len(names)
+    check_reports(names, results[:len(names)])
+    check_reports(names, results[len(names):])

@@ -154,16 +154,16 @@ class TestDetPolishRows:
         return np.array(best_z), best_d
 
     @staticmethod
-    def count_calls(monkeypatch):
-        """A list that gets one entry per dae._det_and_grad call."""
+    def count_calls(monkeypatch, sysdef):
+        """A list that gets one entry per call of sysdef's det evaluator."""
         calls = []
-        det_and_grad = dae._det_and_grad
+        det_and_grad = sysdef._det_and_grad()
 
-        def counting(sys, z):
+        def counting(z):
             calls.append(z)
-            return det_and_grad(sys, z)
+            return det_and_grad(z)
 
-        monkeypatch.setattr(dae, "_det_and_grad", counting)
+        monkeypatch.setitem(sysdef._stages, "det", counting)
         return calls
 
     @pytest.mark.parametrize(
@@ -180,9 +180,10 @@ class TestDetPolishRows:
         # validate's starts, and starts some of which the box clip moves
         self.check(sysdef, np.vstack([polish_starts(sysdef),
                                       rng.uniform(-1.5, 1.5, (6, k + s))]))
-        # the generic evaluation and the system's emitted one
-        for evaluate in (functools.partial(dae._det_and_grad, sysdef),
-                         sysdef._det_and_grad()):
+        # the system's emitted evaluator, and its algebra bound to _GIVEN
+        # on the point evaluations (the path of an undefined point)
+        emitted = sysdef._det_and_grad()
+        for evaluate in (emitted, emitted.__globals__["fallback"]):
             for z in rng.uniform(-1.2, 1.2, (40, k + s)):
                 d, grad = evaluate(z.tolist())
                 want_d, want_grad = helpers.det_and_grad_oracle(sysdef, z)
@@ -199,7 +200,7 @@ class TestDetPolishRows:
         kern = sysdef.kernel(sysdef.d2g_flat)
         rng = np.random.default_rng(30 + s)
         for z in rng.uniform(-1.2, 1.2, (40, k + s)):
-            d, grad = dae._det_and_grad(sysdef, z)
+            d, grad = sysdef._det_and_grad()(z.tolist())
             env = sysdef.env(z[:k], z[k:])
             a = kern.values(env).reshape(s, s)
             da = kern.dual(env)[1].reshape(s, s, k + s).transpose(2, 0, 1)
@@ -213,7 +214,7 @@ class TestDetPolishRows:
                                                          monkeypatch):
         # d2g = 1 - y1^2 is smallest on the faces |y1| = 0.9; the clip pins
         # every iterate there, where the oracle spends all 100 iterations
-        calls = self.count_calls(monkeypatch)
+        calls = self.count_calls(monkeypatch, equivlien)
         report = validate(equivlien)
         assert len(calls) <= 6 * 3
         best_z, _ = self.check(equivlien, polish_starts(equivlien))
@@ -224,7 +225,7 @@ class TestDetPolishRows:
         # d2g = 3 y1^2 + 1 has no zero: the steps overshoot, and every start
         # falls into a cycle that the oracle retraces to its last iteration
         starts = polish_starts(pozzo)
-        calls = self.count_calls(monkeypatch)
+        calls = self.count_calls(monkeypatch, pozzo)
         self.check(pozzo, starts)
         assert 6 < len(calls) < 6 * 60
 
@@ -238,9 +239,9 @@ class TestDetPolishRows:
         polish = dae._polish_det_minimum
         starts = []
 
-        def recording(sys, z0, *evaluator):
+        def recording(sys, z0):
             starts.append(np.array(z0))
-            return polish(sys, z0, *evaluator)
+            return polish(sys, z0)
 
         monkeypatch.setattr(dae, "_polish_det_minimum", recording)
         validate(pozzo)
@@ -282,13 +283,13 @@ class TestDetPolishRows:
     @staticmethod
     def validate_polishes(monkeypatch, sysdef):
         """validate(sysdef), with each polish as (start, best point, best
-        |det|, the generic _det_and_grad calls it made)."""
-        calls = TestDetPolishRows.count_calls(monkeypatch)
+        |det|, the calls of the system's emitted evaluator it made)."""
+        calls = TestDetPolishRows.count_calls(monkeypatch, sysdef)
         polish, polished = dae._polish_det_minimum, []
 
-        def recording(sys, z0, *evaluator):
+        def recording(sys, z0):
             before = len(calls)
-            z, d = polish(sys, z0, *evaluator)
+            z, d = polish(sys, z0)
             polished.append((z0, z, d, len(calls) - before))
             return z, d
 
@@ -308,42 +309,29 @@ class TestDetPolishRows:
         "name", ["pozzo", "equivlien", "exmults", "eqex1", "eqex2", "degen3"])
     def test_validate_on_the_emitted_evaluator_matches_the_oracle(
             self, name, monkeypatch):
-        monkeypatch.setattr(dae, "POLISH_EMIT_STEPS", 0)
         polished = self.validate_polishes(monkeypatch, fixture_system(name))
-        assert [generic for *_, generic in polished] == [0] * 6
+        assert all(calls > 0 for *_, calls in polished)
 
-    @pytest.mark.parametrize("name,emits", [("pozzo", True), ("equivlien", False)])
-    def test_validate_compiles_once_its_budget_is_spent(self, name, emits,
-                                                        monkeypatch):
-        # pozzo's polish takes 354 evaluations, equivlien's fewer than 18
-        sysdef = load_system(system_path(name))
-        polished = self.validate_polishes(monkeypatch, sysdef)
-        generic = sum(generic for *_, generic in polished)
-        assert ("det" in sysdef._stages) == emits
-        assert (generic == dae.POLISH_EMIT_STEPS) == emits
-
-    def test_emitted_evaluator_hands_undefined_points_back(self, monkeypatch):
+    def test_emitted_evaluator_hands_undefined_points_back(self):
         # the first start's polish steps from x1 < 0.5 to x1 = 0.75390625,
-        # where sqrt(0.5 - x1) in d2g is undefined
+        # where sqrt(0.5 - x1) in d2g is undefined: the evaluator hands
+        # that point to its algebra on the point evaluations, which raise
         sysdef = sqrt_system("y1*(2+sqrt(0.5 - x1)) - x1")
         z0 = polish_starts(sysdef)[0]
         with pytest.raises(ExprDomainError) as want:
             helpers.polish_det_minimum_oracle(sysdef, z0)
         assert str(want.value) == (
             "sqrt of negative value -0.25390625 in 'sqrt(0.5 - x1)'")
-        emitted = sysdef._det_and_grad()
-        for evaluator in (None, emitted):
-            with pytest.raises(ExprDomainError) as err:
-                dae._polish_det_minimum(sysdef, z0, evaluator)
-            assert str(err.value) == str(want.value)
-        z = [0.75390625, 0.5]
-        with pytest.raises(ExprDomainError) as generic:
-            dae._det_and_grad(sysdef, z)
         with pytest.raises(ExprDomainError) as err:
-            emitted(z)
+            dae._polish_det_minimum(sysdef, z0)
+        assert str(err.value) == str(want.value)
+        z = [0.75390625, 0.5]
+        with pytest.raises(ExprDomainError) as oracle:
+            helpers.det_and_grad_oracle(sysdef, np.array(z))
+        with pytest.raises(ExprDomainError) as err:
+            sysdef._det_and_grad()(z)
         assert type(err.value) is ExprDomainError
-        assert str(err.value) == str(generic.value)
-        monkeypatch.setattr(dae, "POLISH_EMIT_STEPS", 0)
+        assert str(err.value) == str(oracle.value)
         with pytest.raises(ExprDomainError) as err:
             validate(sysdef)
         assert str(err.value) == str(want.value)

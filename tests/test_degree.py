@@ -1,3 +1,5 @@
+import builtins
+import math
 from pathlib import Path
 
 import numpy as np
@@ -5,7 +7,7 @@ import pytest
 
 import daekit.degree as degree_module
 from daekit import expr, load_system
-from daekit.dae import Box
+from daekit.dae import Box, SystemDef, _kernel_code, validate
 from daekit.degree import (
     VectorField,
     boundary_margin,
@@ -31,6 +33,7 @@ from daekit.degree import (
     _newton_sweep,
     _polish_rows,
 )
+from conftest import system_path
 from helpers import (
     dedup_oracle,
     degen3,
@@ -378,11 +381,10 @@ def fixture_system(name, request):
 
 @pytest.fixture
 def emitted(monkeypatch):
-    """Counts of the emitted polish loops compiled, the candidates they
-    ran, and the iterations at which the generic loop took a candidate
-    up (0 for every candidate it polished from its start)."""
-    counts = {"compiled": 0, "ran": 0, "generic_from": []}
-    emit, generic = degree_module._emit_polish, degree_module._polish_from
+    """Counts of the emitted polish loops made and the candidates they
+    ran."""
+    counts = {"compiled": 0, "ran": 0}
+    emit = degree_module._emit_polish
 
     def counting_emit(fld):
         counts["compiled"] += 1
@@ -393,13 +395,21 @@ def emitted(monkeypatch):
             return polish(z)
         return run
 
-    def counting_generic(fld, z, it0=0, *rest):
-        counts["generic_from"].append(it0)
-        return generic(fld, z, it0, *rest)
-
     monkeypatch.setattr(degree_module, "_emit_polish", counting_emit)
-    monkeypatch.setattr(degree_module, "_polish_from", counting_generic)
     return counts
+
+
+@pytest.fixture
+def compiles(monkeypatch):
+    """The sources builtins.compile is called with, one entry a call."""
+    sources, compile_ = [], builtins.compile
+
+    def counting(source, *args, **kwargs):
+        sources.append(source)
+        return compile_(source, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "compile", counting)
+    return sources
 
 
 def assert_polish_is_oracle(fld, zs, best, errors):
@@ -416,58 +426,70 @@ def assert_polish_is_oracle(fld, zs, best, errors):
 
 class TestEmittedPolish:
     @pytest.mark.parametrize("name", FIELDS)
-    def test_random_starts_equal_the_oracle(self, name, request, emitted,
-                                            monkeypatch):
+    def test_random_starts_equal_the_oracle(self, name, request, emitted):
         sys = fixture_system(name, request)
         fld = system_field(sys)
         rng = np.random.default_rng(FIELDS.index(name) + 180)
         zs = sys.box.lo + rng.random((96, sys.box.dim)) * sys.box.width
         best, errors = _polish_rows(fld, zs)
-        # the call spends its generic budget (eqex1: one step a row, at a
-        # singular Jacobian), then runs the emitted loop
-        assert emitted["compiled"] == 1 and 0 < emitted["ran"] < len(zs)
+        # every candidate on the emitted loop, made once per field
+        assert emitted["compiled"] == 1 and emitted["ran"] == len(zs)
         assert_polish_is_oracle(fld, zs, best, errors)
-        # every candidate on the emitted loop, compiled once per field
-        monkeypatch.setattr(degree_module, "POLISH_EMIT_STEPS", 0)
         again = _polish_rows(fld, zs)
         assert emitted["compiled"] == 1
-        assert emitted["ran"] > len(zs)
+        assert emitted["ran"] == 2 * len(zs)
         assert again[0].tobytes() == best.tobytes()
         assert list(again[1]) == list(errors)
 
     @pytest.mark.parametrize("f, starts, taken_up", [
         # ln: Newton from 3 steps to x1 < 0, where the kernel raises
         (["ln(x1)", "y1"], [[3.0, 0.2], [0.5, 0.1], [-1.0, 0.0],
-                            [2.0, 0.1]], {0, 1}),
+                            [2.0, 0.1]], {0, 2}),
         # sqrt: from 0.25 to -0.25; at x1 = 0 the partial divides by 0,
         # which raises for the row off the zero only
-        (["sqrt(x1)", "y1"], [[0.25, 0.3], [0.0, 0.0], [0.0, 0.5]], {0, 1}),
+        (["sqrt(x1)", "y1"], [[0.25, 0.3], [0.0, 0.0], [0.0, 0.5]],
+         {0, 1, 2}),
         # exp: from -8 to about 2972, beyond exp's range
-        (["exp(x1) - 1"], [[-8.0], [0.5], [0.0]], {1}),
-        (["ln(x1)"], [[3.0], [0.5]], {1}),
+        (["exp(x1) - 1"], [[-8.0], [0.5], [0.0]], {0}),
+        (["ln(x1)"], [[3.0], [0.5]], {0}),
         # finite partials whose sum overflows: numpy's nan order from the
-        # start, on the generic loop
-        (["1e308*x1 - 1e308", "1e308*y1"], [[1.5, 0.5], [0.9, -0.2]], {0}),
-        # no hand-off: a Newton 2-cycle 0 <-> 1 whose residuals tie at 0.5
-        # keeps the earlier point, and a step that overflows to -inf ends
-        # the polish on the emitted loop
+        # start
+        (["1e308*x1 - 1e308", "1e308*y1"], [[1.5, 0.5], [0.9, -0.2]],
+         {0, 1}),
+        # no bad iterate: a Newton 2-cycle 0 <-> 1 whose residuals tie at
+        # 0.5 keeps the earlier point, and a step that overflows to -inf
+        # ends the polish
         (["x1^3 - 1.5*x1^2 - 0.5*x1 + 0.5"], [[0.0], [1.0]], set()),
         (["1e-300*x1 + 1e300"], [[1.0]], set()),
     ])
     def test_hand_off_to_the_generic_loop(self, f, starts, taken_up,
-                                          emitted, monkeypatch):
+                                          emitted):
+        # taken_up: the rows that meet an iterate where the kernel raises
+        # or its guard sum is not finite, which the loop evaluates at its
+        # point (Kernel.values, then Kernel.dual)
         names = ["x1", "y1"][:len(f)]
         fld = VectorField([expr.parse(e, names) for e in f], names)
         zs = np.array(starts)
-        monkeypatch.setattr(degree_module, "POLISH_EMIT_STEPS", 0)
+        at_point, values = [], fld._kernel.values
+
+        def recording(env):
+            at_point.append(env)
+            return values(env)
+
+        fld._kernel.values = recording
+        taken = set()
+        for r, z in enumerate(zs.tolist()):
+            before = len(at_point)
+            fld._polish(z)
+            if len(at_point) > before:
+                taken.add(r)
+        assert taken == taken_up
         best, errors = _polish_rows(fld, zs)
-        assert emitted["ran"] == len(zs)
-        assert set(emitted["generic_from"]) == taken_up
+        assert emitted["ran"] == 2 * len(zs)
         assert_polish_is_oracle(fld, zs, best, errors)
 
-    def test_hand_off_errors_are_per_row(self, emitted, monkeypatch):
-        # the errors the generic loop raises after the hand-off, by row
-        monkeypatch.setattr(degree_module, "POLISH_EMIT_STEPS", 0)
+    def test_hand_off_errors_are_per_row(self, emitted):
+        # the errors the point evaluations raise at a bad iterate, by row
         cases = [
             (["ln(x1)", "y1"], [[3.0, 0.2], [0.5, 0.1], [-1.0, 0.0]],
              {0: "ln of nonpositive value -0.29583686600432957 in 'ln(x1)'",
@@ -486,25 +508,72 @@ class TestEmittedPolish:
             assert all(type(exc) is ExprDomainError for exc in errors.values())
 
     @pytest.mark.parametrize("n", [7, 8])
-    def test_eight_entries_stay_on_the_generic_loop(self, n, emitted,
-                                                    monkeypatch):
-        # from 8 entries np.sum adds the residual pairwise, which only the
-        # generic loop does; 7 entries still take the emitted loop
+    def test_eight_entries_run_the_emitted_loop(self, n, emitted):
+        # from 8 entries np.sum adds the residual pairwise, which the loop
+        # does by calling norm1; below 8 it sums in its own code
         fld, box = ring_field(n)
         rng = np.random.default_rng(188)
         zs = box.lo + rng.random((24, n)) * box.width
-        monkeypatch.setattr(degree_module, "POLISH_EMIT_STEPS", 0)
         best, errors = _polish_rows(fld, zs)
-        assert emitted["ran"] == (len(zs) if n < 8 else 0)
+        assert emitted["ran"] == len(zs)
         assert_polish_is_oracle(fld, zs, best, errors)
 
     @pytest.mark.parametrize("name", ["pozzo", "equivlien", "eqex1", "eqex2",
                                       "r12", "r21", "r22"])
-    def test_regular_fixtures_never_compile_it(self, name, request, emitted):
-        sys = fixture_system(name, request)
-        for grid in (8, 16):
-            find_zeros(sys, sys.box, grid)
-        assert emitted["compiled"] == 0 and emitted["ran"] == 0
+    def test_regular_fixtures_never_compile_it(self, name, emitted, compiles):
+        # a second load of the same system compiles nothing: its zero
+        # polish, which every find_zeros call now emits, and its other
+        # emitted functions come from the process-wide compile cache
+        path = (GOLDEN / f"{name}.sys" if name.startswith("r")
+                else system_path(name))
+        for _ in range(2):
+            sys, ran = load_system(str(path)), emitted["ran"]
+            compiles.clear()
+            for grid in (8, 16):
+                find_zeros(sys, sys.box, grid)
+            try:
+                validate(sys)
+            except HypothesisViolationError:
+                pass
+        assert compiles == []
+        # eqex1 (f = 1) has no zero, so no candidate to polish
+        assert (emitted["ran"] > ran) == (name != "eqex1")
+
+
+class TestCompileCache:
+    @staticmethod
+    def system(c):
+        """x1' = c*x1 - y1 with g = c*y1 - 1 on [-1, 1]^2: one zero, at
+        (1/c^2, 1/c), and det d2g = c everywhere."""
+        names = ["x1", "y1"]
+        return SystemDef(1, 1, 2 * math.pi,
+                         [expr.parse(f"{c}*x1 - y1", names)],
+                         [expr.parse(f"{c}*y1 - 1", names)], None,
+                         Box.from_pairs([(-1, 1)] * 2))
+
+    def test_equal_sources_share_one_code_object(self):
+        # the emitted text is the same for both constants, which come in
+        # through each function's own table
+        names = ["x1", "y1"]
+        (lines_a, consts_a), (lines_b, consts_b) = (
+            _kernel_code([expr.parse(f"{c}*x1 - y1", names)], names)
+            for c in (2.5, 3.5))
+        assert lines_a == lines_b
+        assert (consts_a, consts_b) == ({"k0": 2.5}, {"k0": 3.5})
+        a, b = self.system(2.5), self.system(3.5)
+        fa, fb = system_field(a), system_field(b)
+        assert fa._polish.__code__ is fb._polish.__code__
+        assert a._det_and_grad().__code__ is b._det_and_grad().__code__
+        for batch in (False, True):
+            assert (a.kernel(a.f)._fn(batch).__code__
+                    is b.kernel(b.f)._fn(batch).__code__)
+        # each still gets its own answers
+        for c, sys, fld in ((2.5, a, fa), (3.5, b, fb)):
+            [zero] = find_zeros(fld, sys.box, 8)
+            assert zero.point == pytest.approx([1 / c**2, 1 / c], rel=1e-14)
+            report = validate(sys)
+            assert report.min_abs_det == c and report.refined_min_abs_det == c
+
 
 class TestDedup:
     def test_equals_first_seen_loop_on_clusters(self):
