@@ -199,10 +199,6 @@ class SystemDef:
         self._kernels = {}
         self._stages = {}
         self._column = {nm: i for i, nm in enumerate(self.state_names)}
-        # slices of the state Jacobian select much faster than index lists
-        self._slices = {id(self.x_names): slice(self.k),
-                        id(self.y_names): slice(self.k, None),
-                        id(self.state_names): slice(None)}
 
     # -- symbolic constraint Jacobian blocks (needed for witness polishing) --
 
@@ -251,9 +247,7 @@ class SystemDef:
     def jac_rows(self, exprs, env, names):
         """Jacobian of the given expressions w.r.t. the named state variables
         (AD)."""
-        cols = self._slices.get(id(names))
-        if cols is None:
-            cols = [self._column[nm] for nm in names]
+        cols = [self._column[nm] for nm in names]
         return self.kernel(exprs).dual(env, cols)[1]
 
     def blocks(self, exprs, env):
@@ -281,14 +275,6 @@ class SystemDef:
             self._stages["g"] = _emit_constraint_step(self)
         return self._stages["g"]
 
-    def _det_and_grad(self):
-        """``det_and_grad(z)``: det d2g and its gradient along the state at
-        the point z, a list of floats (_emit_det_and_grad), emitted on
-        first use and kept on the instance."""
-        if "det" not in self._stages:
-            self._stages["det"] = _emit_det_and_grad(self)
-        return self._stages["det"]
-
 
 def _det(rows):
     """det of a square matrix of order 3 or more (a list of rows of
@@ -311,95 +297,108 @@ def _det_code(rows):
     return f"det([{', '.join('[' + ', '.join(row) + ']' for row in rows)}])"
 
 
-def _emit_det_and_grad(sys):
-    """``det_and_grad(z)``: det d2g at the point z (a list of floats) and
-    its gradient along the state, as (det, list of floats), in one emitted
-    function.
-
-    It runs the d2g point code (_kernel_code, the point in Z{c}), then the
-    algebra: the cofactors and the det (_det_code), and Jacobi's formula
-    sum_i sum_j adj[i][j] * d a[j][i], each sum left to right from 0.0.
-    Where the kernel raises or the sum of its values and partials is not
-    finite, the same algebra, compiled a second time with _GIVEN, runs on
-    Kernel.values and then Kernel.dual at z, so a point where d2g is
-    undefined raises their ExprDomainError."""
-    s, n = sys.s, sys.k + sys.s
+def _det_lines(s, n):
+    """(inputs, lines): d2g's entries V{e}, row by row, and their partials
+    D{e}_{c} along the n state coordinates, and the statements from them
+    to DET, the det, and G{c}, its gradient: the cofactors and the det
+    (_det_code), and Jacobi's formula sum_i sum_j adj[i][j] * d a[j][i],
+    each sum left to right from 0.0."""
     a = [[f"V{i * s + j}" for j in range(s)] for i in range(s)]
-    ders = [f"D{e}_{c}" for e in range(s * s) for c in range(n)]
-    adj, alg = [["1.0"]], []
+    adj, lines = [["1.0"]], []
     if s > 1:  # C{i}_{j} is the cofactor of a[j][i]
         adj = [[f"C{i}_{j}" for j in range(s)] for i in range(s)]
-        alg = [f"{adj[i][j]} = {'-' * ((i + j) % 2)}1.0 * "
-               f"({_det_code(_minor(a, j, i))})" for i in range(s) for j in range(s)]
-    grad = ["(0.0" + "".join(
+        lines = [f"{adj[i][j]} = {'-' * ((i + j) % 2)}1.0 * "
+                 f"({_det_code(_minor(a, j, i))})"
+                 for i in range(s) for j in range(s)]
+    lines += [f"DET = {_det_code(a)}"] + [f"G{c} = (0.0" + "".join(
         f" + {_dot(adj[i], [f'D{j * s + i}_{c}' for j in range(s)])}"
         for i in range(s)) + ")" for c in range(n)]
-    alg += [f"return {_det_code(a)}, [{', '.join(grad)}]"]
-    flat = [e for row in a for e in row]
-    given = functools.cache(lambda: _compile(  # on the first fallback
-        "def given(V, D):", _unpack(flat, "V") + _unpack(ders, "D") + alg,
-        {**_GIVEN, "det": _det}))
-    kern = sys.kernel(sys.d2g_flat)
+    return ([e for row in a for e in row],
+            [f"D{e}_{c}" for e in range(s * s) for c in range(n)]), lines
 
-    def fallback(z):
-        env = dict(zip(sys.state_names, z))
-        return given()(kern.values(env).tolist(),
-                       kern.dual(env)[1].ravel().tolist())
 
-    col = sys._column
+@functools.lru_cache(maxsize=32)
+def _det_given(s, n):
+    """``given(V, D)``: _det_lines bound to _GIVEN on the lists of d2g's
+    values and partials, returning (DET, [G0, ...])."""
+    (vs, ders), lines = _det_lines(s, n)
+    grad = ", ".join(f"G{c}" for c in range(n))
+    return _compile("def given(V, D):", _unpack(vs, "V") + _unpack(ders, "D")
+                    + lines + [f"return DET, [{grad}]"], {**_GIVEN, "det": _det})
+
+
+def _det_at(sys, z):
+    """(det d2g, its gradient along the state) at the point z, a list of
+    floats, from Kernel.values and then Kernel.dual, so a point where d2g
+    is undefined raises their ExprDomainError."""
+    env, kern = dict(zip(sys.state_names, z)), sys.kernel(sys.d2g_flat)
+    return _det_given(sys.s, sys.k + sys.s)(
+        kern.values(env).tolist(), kern.dual(env)[1].ravel().tolist())
+
+
+def _emit_det_polish(sys):
+    """``polish(z)``: validate's |det d2g| polish from the start z (a list
+    of floats), clipped to the box, as one emitted function; returns (best
+    point, best |det|).
+
+    Each iterate runs the d2g point code (_kernel_code, the point at
+    Z{c}), its finiteness guard and _det_lines, or _det_at where the
+    kernel raises or the guard sum is not finite. The step -det / gg times
+    the gradient (gg left to right) is clipped to the box. The loop takes
+    at most DET_POLISH_ITERATIONS steps and stops at |det| < 1e-14,
+    gg < 1e-30, a step of norm 1 below 1e-15, or an iterate visited
+    before, keyed on its bits (struct.pack): the clipped step is a
+    function of the point, so from there it would only retrace points
+    already evaluated. The box bounds come in through the namespace, like
+    the kernel's constants."""
+    n, col = sys.k + sys.s, sys._column
+    zs, bs, gs, ss, los, his = ([f"{x}{c}" for c in range(n)]
+                                for x in ("Z", "B", "G", "S", "LO", "HI"))
+    (vs, ders), lines = _det_lines(sys.s, n)
     kernel, consts = _kernel_code(sys.d2g_flat, sys.state_names,
                                   load=lambda nm: f"Z{col[nm]}")
-    body = _unpack([f"Z{c}" for c in range(n)], "z") + ["try:"] + [
-        "    " + ln for ln in kernel] + [
+    key = f"pack('{n}d', {', '.join(zs)})"
+    step = ["try:"] + ["    " + ln for ln in kernel] + [
+        f"    FED = isfinite({' + '.join(vs + ders)})",
         "except ERRORS:",
-        "    return fallback(z)",
-        f"if not isfinite({' + '.join(flat + ders)}):",
-        "    return fallback(z)"] + alg
-    return _compile("def det_and_grad(z):", body,
-                    {**_STAGE, **consts, "det": _det, "fallback": fallback})
+        "    FED = False",
+        "if FED:"] + ["    " + ln for ln in lines] + [
+        "else:",
+        f"    DET, ({', '.join(gs)},) = at_point([{', '.join(zs)}])",
+        "AD = abs(DET)",
+        "if it == 0 or AD < BD:",
+        f"    {', '.join(bs)}, BD = {', '.join(zs)}, AD",
+        f"if SIZE < 1e-15 or it == {DET_POLISH_ITERATIONS}:",
+        "    break",
+        f"GG = {_dot(gs, gs)}",
+        "if AD < 1e-14 or GG < 1e-30:",
+        "    break",
+        "CS = -DET / GG"]
+    step += [f"{sv} = CS * {g}" for sv, g in zip(ss, gs)]
+    step += [f"{z} = min(max({z} + {sv}, {lo}), {hi})"
+             for z, sv, lo, hi in zip(zs, ss, los, his)]
+    step += [f"KEY = {key}", "if KEY in SEEN:", "    break", "SEEN.add(KEY)",
+             "SIZE = (0.0" + "".join(f" + abs({sv})" for sv in ss) + ")"]
+    body = _unpack(zs, "z") + _unpack(los, "LO") + _unpack(his, "HI") + [
+        f"{z} = min(max({z}, {lo}), {hi})" for z, lo, hi in zip(zs, los, his)]
+    body += [f"SEEN = {{{key}}}", "SIZE = INF",
+             f"for it in range({DET_POLISH_ITERATIONS + 1}):"]
+    body += ["    " + ln for ln in step] + [f"return [{', '.join(bs)}], BD"]
+    return _compile("def polish(z):", body, {
+        **_STAGE, **consts, "det": _det, "pack": struct.pack, "INF": math.inf,
+        "LO": tuple(sys.box.lo.tolist()), "HI": tuple(sys.box.hi.tolist()),
+        "at_point": functools.partial(_det_at, sys)})
 
 
 def _polish_det_minimum(sys, z0):
-    """Drive |det d2g| toward its local minimum from z0 (box-clipped).
-    Returns (best point, best |det|).
-
-    Each step is -det / |grad|^2 grad, clipped to the box, and the best
-    point met is kept. The loop stops at |det| < 1e-14, a vanishing
-    gradient, a step of norm below 1e-15, or an iterate it has visited
-    before (keyed on its bits): the clipped step is a function of the
-    point, so from there it only retraces points it has already evaluated,
-    and the best stays as it is. Every iterate is evaluated by the
-    system's emitted evaluator (SystemDef._det_and_grad); an iterate where
-    d2g is undefined raises its error.
-    """
-    det_and_grad = sys._det_and_grad()
-    box = list(zip(sys.box.lo.tolist(), sys.box.hi.tolist()))
-    z = [min(max(float(v), lo), hi) for v, (lo, hi) in zip(z0, box)]
-    d, grad = det_and_grad(z)
-    best_z, best_d = z, abs(d)
-    seen = {struct.pack(f"{len(z)}d", *z)}
-    for _ in range(DET_POLISH_ITERATIONS):
-        gg = 0.0
-        for g in grad:
-            gg += g * g
-        if abs(d) < 1e-14 or gg < 1e-30:
-            break
-        c = -d / gg
-        step = [c * g for g in grad]
-        z = [min(max(v + dv, lo), hi) for v, dv, (lo, hi) in zip(z, step, box)]
-        key = struct.pack(f"{len(z)}d", *z)
-        if key in seen:
-            break
-        seen.add(key)
-        d, grad = det_and_grad(z)
-        if abs(d) < best_d:
-            best_d, best_z = abs(d), z
-        size = 0.0
-        for dv in step:
-            size += abs(dv)
-        if size < 1e-15:
-            break
-    return np.array(best_z), best_d
+    """Drive |det d2g| toward its local minimum from z0 (box-clipped) on
+    the system's emitted loop (_emit_det_polish), emitted on first use and
+    kept on the instance. Returns (best point, best |det|); an iterate
+    where d2g is undefined raises its error."""
+    if "det" not in sys._stages:
+        sys._stages["det"] = _emit_det_polish(sys)
+    z, d = sys._stages["det"](np.asarray(z0, dtype=float).tolist())
+    return np.array(z), d
 
 
 def _refine_witness(sys, z0):
@@ -409,7 +408,7 @@ def _refine_witness(sys, z0):
     best_r = math.inf
     for _ in range(WITNESS_ITERATIONS):
         env = sys.env(z[: sys.k], z[sys.k :])
-        d, grad = sys._det_and_grad()(z.tolist())
+        d, grad = _det_at(sys, z.tolist())
         gvals = sys.eval_g(env)
         r = np.concatenate([[d], gvals])
         rn = norm1(r)
@@ -433,8 +432,8 @@ def validate(sys, samples=512):
     smallest |det|, one at a time in stable sample order, toward a local
     minimum, so thin degeneracies that slip between samples can still be
     caught; the first start whose polish raises raises. Each polish runs
-    on the system's emitted evaluator (_emit_det_and_grad), compiled once
-    per process for each evaluator text. Where d2g is undefined at a
+    the system's emitted loop (_emit_det_polish), compiled once per
+    process for each loop text. Where d2g is undefined at a
     sample (a nan det), the point evaluation of d2g at the first such
     sample raises its error after the polish. On failure raises
     HypothesisViolationError whose witness is refined onto the constraint

@@ -596,8 +596,8 @@ class Kernel:
 
     def dual(self, env, cols=None):
         """(values, Jacobian) at a point: row i of the Jacobian holds the
-        derivatives of expression i along the seeds of cols (a slice or a
-        list of seed numbers), along every seed when cols is None. The
+        derivatives of expression i along the seeds of cols (a list of
+        seed numbers), along every seed when cols is None. The
         strict walk goes seed by seed, in the order of cols."""
         m, n = len(self.exprs), len(self.seeds)
         vals, ders = [0.0] * m, [0.0] * (m * n)

@@ -232,10 +232,10 @@ def _compile(header, body, namespace):
 
 
 @functools.lru_cache(maxsize=32)
-def _lu(n, fed=False):
-    """``lu(A, RTOL, b)`` on floats for order n, compiled once per order and
-    binding (_GIVEN, or _FED when fed). A is the matrix as a flat row-major
-    list; its row indices are exchanged along with its rows. Returns the
+def _lu(n):
+    """``lu(A, RTOL, b)`` on floats for order n, bound to _GIVEN and
+    compiled once per order. A is the matrix as a flat row-major list; its
+    row indices are exchanged along with its rows. Returns the
     factors and piv as lists when b is None, else the solution of A x = b
     (b a list of n floats). With RTOL None, A holds factors already and b
     is in their row order."""
@@ -251,7 +251,7 @@ def _lu(n, fed=False):
              f"    return [{', '.join(flat)}], [{', '.join(ps)}]"]
     body += [f"{x} = b[{p}]" for x, p in zip(xs, ps)] + _solve_lines(rows, xs)
     body += [f"return [{', '.join(xs)}]"]
-    return _compile("def lu(A, RTOL, b):", body, dict(_FED if fed else _GIVEN))
+    return _compile("def lu(A, RTOL, b):", body, dict(_GIVEN))
 
 
 # The elimination of _solve_rows as emitted numpy calls. Only correctly

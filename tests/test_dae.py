@@ -155,15 +155,18 @@ class TestDetPolishRows:
 
     @staticmethod
     def count_calls(monkeypatch, sysdef):
-        """A list that gets one entry per call of sysdef's det evaluator."""
-        calls = []
-        det_and_grad = sysdef._det_and_grad()
+        """A list that gets one entry per iterate sysdef's emitted polish
+        loop evaluates: the loop's finiteness guard, isfinite in its
+        namespace, runs once per evaluated iterate."""
+        calls, polish = [], dae._emit_det_polish(sysdef)
+        isfinite = polish.__globals__["isfinite"]
 
-        def counting(z):
-            calls.append(z)
-            return det_and_grad(z)
+        def counting(x):
+            calls.append(x)
+            return isfinite(x)
 
-        monkeypatch.setitem(sysdef._stages, "det", counting)
+        monkeypatch.setitem(polish.__globals__, "isfinite", counting)
+        monkeypatch.setitem(sysdef._stages, "det", polish)
         return calls
 
     @pytest.mark.parametrize(
@@ -180,15 +183,13 @@ class TestDetPolishRows:
         # validate's starts, and starts some of which the box clip moves
         self.check(sysdef, np.vstack([polish_starts(sysdef),
                                       rng.uniform(-1.5, 1.5, (6, k + s))]))
-        # the system's emitted evaluator, and its algebra bound to _GIVEN
-        # on the point evaluations (the path of an undefined point)
-        emitted = sysdef._det_and_grad()
-        for evaluate in (emitted, emitted.__globals__["fallback"]):
-            for z in rng.uniform(-1.2, 1.2, (40, k + s)):
-                d, grad = evaluate(z.tolist())
-                want_d, want_grad = helpers.det_and_grad_oracle(sysdef, z)
-                assert type(d) is float and d == want_d
-                assert np.array(grad).tobytes() == want_grad.tobytes()
+        # the det algebra bound to _GIVEN on the point evaluations: the
+        # loop's path at a bad iterate, and the witness refinement's
+        for z in rng.uniform(-1.2, 1.2, (40, k + s)):
+            d, grad = dae._det_at(sysdef, z.tolist())
+            want_d, want_grad = helpers.det_and_grad_oracle(sysdef, z)
+            assert type(d) is float and d == want_d
+            assert np.array(grad).tobytes() == want_grad.tobytes()
 
     @pytest.mark.parametrize("k,s", [(1, 1), (2, 1), (1, 2), (2, 2), (1, 3)])
     def test_random_systems_match_lapack_and_blas(self, k, s):
@@ -200,7 +201,7 @@ class TestDetPolishRows:
         kern = sysdef.kernel(sysdef.d2g_flat)
         rng = np.random.default_rng(30 + s)
         for z in rng.uniform(-1.2, 1.2, (40, k + s)):
-            d, grad = sysdef._det_and_grad()(z.tolist())
+            d, grad = dae._det_at(sysdef, z.tolist())
             env = sysdef.env(z[:k], z[k:])
             a = kern.values(env).reshape(s, s)
             da = kern.dual(env)[1].reshape(s, s, k + s).transpose(2, 0, 1)
@@ -228,6 +229,24 @@ class TestDetPolishRows:
         calls = self.count_calls(monkeypatch, pozzo)
         self.check(pozzo, starts)
         assert 6 < len(calls) < 6 * 60
+
+    def test_nan_iterates_stop_at_their_first_revisit(self, monkeypatch):
+        # d2g = 1 + 1e308 x1^2 is finite near |x1| = 1, its x1-partial is
+        # not: the step -det / inf * inf is nan, and so is every iterate
+        # after it. The revisit key compares bits, so the nan iterate ends
+        # the polish where float equality (nan != nan) would run on to
+        # the last iteration, as the oracle does
+        names = ["x1", "y1"]
+        sysdef = SystemDef(1, 1, 1.0, [expr.parse("y1", names)],
+                           [expr.parse("y1 + 1e308*x1^2*y1", names)], None,
+                           Box.from_pairs([(-1, 1)] * 2))
+        calls = self.count_calls(monkeypatch, sysdef)
+        for z0 in ([1.0, 0.0], [0.95, 0.3]):
+            z, d = dae._polish_det_minimum(sysdef, z0)
+            with np.errstate(invalid="ignore"):
+                want_z, want_d = helpers.polish_det_minimum_oracle(sysdef, z0)
+            assert z.tobytes() == want_z.tobytes() and d == want_d
+        assert len(calls) == 2 * 3
 
     def test_rows_end_early_on_a_vanishing_det(self, eqex1):
         _, best_d = self.check(eqex1, polish_starts(eqex1))
@@ -283,7 +302,7 @@ class TestDetPolishRows:
     @staticmethod
     def validate_polishes(monkeypatch, sysdef):
         """validate(sysdef), with each polish as (start, best point, best
-        |det|, the calls of the system's emitted evaluator it made)."""
+        |det|, the iterates its emitted loop evaluated)."""
         calls = TestDetPolishRows.count_calls(monkeypatch, sysdef)
         polish, polished = dae._polish_det_minimum, []
 
@@ -312,10 +331,10 @@ class TestDetPolishRows:
         polished = self.validate_polishes(monkeypatch, fixture_system(name))
         assert all(calls > 0 for *_, calls in polished)
 
-    def test_emitted_evaluator_hands_undefined_points_back(self):
+    def test_undefined_iterates_raise_the_point_error(self):
         # the first start's polish steps from x1 < 0.5 to x1 = 0.75390625,
-        # where sqrt(0.5 - x1) in d2g is undefined: the evaluator hands
-        # that point to its algebra on the point evaluations, which raise
+        # where sqrt(0.5 - x1) in d2g is undefined: the loop evaluates that
+        # iterate by the point evaluations (_det_at), which raise
         sysdef = sqrt_system("y1*(2+sqrt(0.5 - x1)) - x1")
         z0 = polish_starts(sysdef)[0]
         with pytest.raises(ExprDomainError) as want:
@@ -329,7 +348,7 @@ class TestDetPolishRows:
         with pytest.raises(ExprDomainError) as oracle:
             helpers.det_and_grad_oracle(sysdef, np.array(z))
         with pytest.raises(ExprDomainError) as err:
-            sysdef._det_and_grad()(z)
+            dae._det_at(sysdef, z)
         assert type(err.value) is ExprDomainError
         assert str(err.value) == str(oracle.value)
         with pytest.raises(ExprDomainError) as err:

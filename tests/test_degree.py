@@ -7,7 +7,7 @@ import pytest
 
 import daekit.degree as degree_module
 from daekit import expr, load_system
-from daekit.dae import Box, SystemDef, _kernel_code, validate
+from daekit.dae import Box, SystemDef, _emit_det_polish, _kernel_code, validate
 from daekit.degree import (
     VectorField,
     boundary_margin,
@@ -87,6 +87,19 @@ class TestFindZeros:
         assert np.max(np.abs(zeros[0].point)) <= 1e-10
         assert zeros[0].index == 1
 
+    def test_raises_the_lowest_failing_rows_error(self, monkeypatch):
+        # candidates 0 and 2 both meet ln of a nonpositive value in their
+        # polish; find_zeros raises candidate 0's error
+        fld = planar_field("ln(x1)", "y1")
+        rows = np.array([[-1.0, 0.0], [0.5, 0.1], [3.0, 0.2]])
+        monkeypatch.setattr(degree_module, "_newton_sweep",
+                            lambda fld, box, starts: rows)
+        box = Box.from_pairs([(-2.0, 4.0), (-1.0, 1.0)])
+        assert sorted(_polish_rows(fld, rows)[1]) == [0, 2]
+        with pytest.raises(ExprDomainError) as err:
+            find_zeros(fld, box, 4)
+        assert str(err.value) == "ln of nonpositive value -1.0 in 'ln(x1)'"
+
     def test_nondegenerate_index_consistency(self, pozzo, equivlien):
         for sys in (pozzo, equivlien):
             for z in find_zeros(sys, sys.box):
@@ -137,6 +150,12 @@ class TestBoundaryOracle:
         assert degree_boundary_oracle(squared, box) == 2
         cubed = planar_field("x1^3 - 3*x1*y1^2", "3*x1^2*y1 - y1^3")
         assert degree_boundary_oracle(cubed, box) == 3
+
+    def test_one_dimensional_margin_takes_both_ends(self):
+        # in 1-D the faces are the two end points, |F| 0.75 and 3.75
+        fld = VectorField([expr.parse("x1^2 - 0.25", ["x1"])], ["x1"])
+        assert boundary_margin(fld, Box.from_pairs([(-1.0, 2.0)])) == 0.75
+        assert boundary_margin(fld, Box.from_pairs([(-3.0, 0.75)])) == 0.3125
 
     def test_matches_sum_on_fixtures(self, pozzo, equivlien):
         for sys in (pozzo, equivlien):
@@ -507,6 +526,32 @@ class TestEmittedPolish:
             assert {r: str(exc) for r, exc in errors.items()} == want
             assert all(type(exc) is ExprDomainError for exc in errors.values())
 
+    @pytest.mark.parametrize("f, start", [
+        # a step to a subnormal x1, where ln's partial 1/x1 overflows to
+        # inf (and the huge y1 residual makes that iterate the best)
+        (["ln(x1) + 691.7755278982127", "1e300*y1"], [1e-300, 0.5]),
+        # at a subnormal x1 the partial of ln(x1) - ln(x1) is inf - inf
+        (["ln(x1) - ln(x1) + y1", "x1 - 1e-310"], [1e-310, 0.5]),
+    ])
+    def test_non_finite_point_jacobians_end_as_the_oracle(self, f, start):
+        # the bad iterate's Kernel.dual Jacobian is not finite but raises
+        # nothing; the loop's solve on it (_lu(n), bound to _GIVEN) ends
+        # the polish at the oracle's best point
+        names = ["x1", "y1"]
+        fld = VectorField([expr.parse(e, names) for e in f], names)
+        jacobians, dual = [], fld._kernel.dual
+
+        def recording(env, cols=None):
+            vals, jac = dual(env, cols)
+            jacobians.append(jac)
+            return vals, jac
+
+        fld._kernel.dual = recording
+        best, errors = _polish_rows(fld, np.array([start]))
+        assert errors == {} and len(jacobians) == 1
+        assert not np.isfinite(jacobians[0]).all()
+        assert_polish_is_oracle(fld, [start], best, errors)
+
     @pytest.mark.parametrize("n", [7, 8])
     def test_eight_entries_run_the_emitted_loop(self, n, emitted):
         # from 8 entries np.sum adds the residual pairwise, which the loop
@@ -542,28 +587,28 @@ class TestEmittedPolish:
 
 class TestCompileCache:
     @staticmethod
-    def system(c):
-        """x1' = c*x1 - y1 with g = c*y1 - 1 on [-1, 1]^2: one zero, at
+    def system(c, w):
+        """x1' = c*x1 - y1 with g = c*y1 - 1 on [-w, w]^2: one zero, at
         (1/c^2, 1/c), and det d2g = c everywhere."""
         names = ["x1", "y1"]
         return SystemDef(1, 1, 2 * math.pi,
                          [expr.parse(f"{c}*x1 - y1", names)],
                          [expr.parse(f"{c}*y1 - 1", names)], None,
-                         Box.from_pairs([(-1, 1)] * 2))
+                         Box.from_pairs([(-w, w)] * 2))
 
     def test_equal_sources_share_one_code_object(self):
-        # the emitted text is the same for both constants, which come in
-        # through each function's own table
+        # the emitted text is the same for both constants and both boxes,
+        # which come in through each function's own namespace
         names = ["x1", "y1"]
         (lines_a, consts_a), (lines_b, consts_b) = (
             _kernel_code([expr.parse(f"{c}*x1 - y1", names)], names)
             for c in (2.5, 3.5))
         assert lines_a == lines_b
         assert (consts_a, consts_b) == ({"k0": 2.5}, {"k0": 3.5})
-        a, b = self.system(2.5), self.system(3.5)
+        a, b = self.system(2.5, 1.0), self.system(3.5, 1.5)
         fa, fb = system_field(a), system_field(b)
         assert fa._polish.__code__ is fb._polish.__code__
-        assert a._det_and_grad().__code__ is b._det_and_grad().__code__
+        assert _emit_det_polish(a).__code__ is _emit_det_polish(b).__code__
         for batch in (False, True):
             assert (a.kernel(a.f)._fn(batch).__code__
                     is b.kernel(b.f)._fn(batch).__code__)

@@ -290,6 +290,8 @@ class TestKernel:
          "ln(x1)"),
         ("y1 + x1 / (y1 - 1)", {"x1": 2.0, "y1": 1.0}, "division by zero",
          "x1 / (y1 - 1.0)"),
+        ("y1 + x1^-2", {"x1": 0.0, "y1": 1.0},
+         "zero base with negative exponent", "x1^-2"),
     ])
     def test_jacobians_name_the_failing_subexpression(self, text, point,
                                                        message, subexpr):
