@@ -159,7 +159,8 @@ class SystemDef:
     single instance can serve concurrent workers. Each expression list it
     evaluates gets its compiled kernel once, kept on the instance; f, g and
     h together (``fgh``) make the kernel of the emitted reduced-field
-    stage, which is kept likewise.
+    stage, whose point code (_point_code), like g's, is built once for all
+    the stages, constraint steps and flow loops emitted for the instance.
     """
 
     def __init__(self, k, s, period, f, g, h=None, box=None, constraint_tol=1e-10):
@@ -198,6 +199,7 @@ class SystemDef:
         self.fgh = self.f + self.g + self.h
         self._kernels = {}
         self._stages = {}
+        self._lines, self._consts = {}, {}
         self._column = {nm: i for i, nm in enumerate(self.state_names)}
 
     # -- symbolic constraint Jacobian blocks (needed for witness polishing) --
@@ -268,6 +270,23 @@ class SystemDef:
         if key not in self._stages:
             self._stages[key] = _emit_stage(self, *key)
         return self._stages[key]
+
+    def _point_code(self, part):
+        """The point statements (_kernel_code) of one of the system's
+        kernels on the state names, built on first use and kept: "fgh" and
+        "g" with their partials, "U" the values of g alone, written to
+        U{j}. fgh names its constants k{i}, g and U (which meet the same
+        constants in the same order) kg{i}, all in the one table _consts,
+        so emitted code can inline any of them together."""
+        if part not in self._lines:
+            exprs, names, value, prefix = {
+                "fgh": (self.fgh, self.state_names, "V", "k"),
+                "g": (self.g, self.state_names, "V", "kg"),
+                "U": (self.g, [], "U", "kg")}[part]
+            self._lines[part], consts = _kernel_code(exprs, names, value=value,
+                                                     prefix=prefix)
+            self._consts.update(consts)
+        return self._lines[part]
 
     def _constraint_step(self):
         """The emitted constraint Newton step (_emit_constraint_step)."""
@@ -358,11 +377,7 @@ def _emit_det_polish(sys):
     kernel, consts = _kernel_code(sys.d2g_flat, sys.state_names,
                                   load=lambda nm: f"Z{col[nm]}")
     key = f"pack('{n}d', {', '.join(zs)})"
-    step = ["try:"] + ["    " + ln for ln in kernel] + [
-        f"    FED = isfinite({' + '.join(vs + ders)})",
-        "except ERRORS:",
-        "    FED = False",
-        "if FED:"] + ["    " + ln for ln in lines] + [
+    step = _guarded(kernel, vs + ders) + ["if FED:"] + _indent(lines) + [
         "else:",
         f"    DET, ({', '.join(gs)},) = at_point([{', '.join(zs)}])",
         "AD = abs(DET)",
@@ -383,7 +398,7 @@ def _emit_det_polish(sys):
         f"{z} = min(max({z}, {lo}), {hi})" for z, lo, hi in zip(zs, los, his)]
     body += [f"SEEN = {{{key}}}", "SIZE = INF",
              f"for it in range({DET_POLISH_ITERATIONS + 1}):"]
-    body += ["    " + ln for ln in step] + [f"return [{', '.join(bs)}], BD"]
+    body += _indent(step) + [f"return [{', '.join(bs)}], BD"]
     return _compile("def polish(z):", body, {
         **_STAGE, **consts, "det": _det, "pack": struct.pack, "INF": math.inf,
         "LO": tuple(sys.box.lo.tolist()), "HI": tuple(sys.box.hi.tolist()),
@@ -402,7 +417,9 @@ def _polish_det_minimum(sys, z0):
 
 
 def _refine_witness(sys, z0):
-    """Pull a degenerate-d2g point onto the constraint locus (det=0, g=0)."""
+    """Pull a degenerate-d2g point onto the constraint locus (det=0, g=0),
+    by least-squares Newton steps; ends at the best point so far where the
+    residual or its Jacobian is not finite (an overflowing d2g)."""
     z = sys.box.clip(np.array(z0, dtype=float))
     best = z.copy()
     best_r = math.inf
@@ -418,6 +435,8 @@ def _refine_witness(sys, z0):
             break
         jg = sys.jac_rows(sys.g, env, sys.state_names)
         jac = np.vstack([grad, jg])
+        if not (np.isfinite(r).all() and np.isfinite(jac).all()):
+            break
         step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
         if norm1(step) < 1e-15:
             break
@@ -509,39 +528,65 @@ def validate(sys, samples=512):
 # code, on locals), factors d2g with linalg's emitted LU (_lu_lines, the
 # code lu_factor runs), and forms zdot = (w, -[d2g]^-1 d1g w),
 # A = d1w - d2w [d2g]^-1 d1g, and for the flow A Phi and A v + h; every
-# matrix product is a left-to-right float sum. reduced_field calls it once,
-# the flow once per RK4 stage. Where its kernel raises or gives a non-finite
-# value it needs, a stage evaluates the point with the point kernels (and
-# their strict diagnostics) in the order base values, h, g blocks, d2g
-# factorization, partials, which decides the error a point raises, and runs
-# the same algebra on those values. The algebra text is emitted once and
-# compiled twice, with linalg's two bindings: _FED for the kernel's finite
-# values, _GIVEN for the values the point evaluations give.
+# matrix product is a left-to-right float sum. reduced_field calls it once.
+# Where its kernel raises or gives a non-finite value it needs, a stage
+# evaluates the point with the point kernels (and their strict diagnostics)
+# in the order base values, h, g blocks, d2g factorization, partials, which
+# decides the error a point raises, and runs the same algebra on those
+# values. The stage and the constraint Newton step are written once each,
+# as line lists (_stage_lines, _constraint_lines): their standalone
+# functions are built from them, and so is the flow's step loop
+# (flow._emit_flow), which inlines four stages and a constraint step per
+# RK4 step. The algebra text is compiled with linalg's two bindings: _FED
+# for the kernel's finite values, _GIVEN for the values the point
+# evaluations give.
 
 
 _STAGE = {**_FED, **expr._POINT, "isfinite": math.isfinite,
           "ERRORS": expr._KERNEL_ERRORS}
 
 
-def _kernel_code(exprs, names, load=str):
+def _kernel_code(exprs, names, load=str, value="V", prefix="k"):
     """compile_kernel's point statements for exprs on locals, with the
     partials along the variables names: a variable is read as the code
-    load(name) returns (by its own name by default), value i goes to V{i}
-    and the partial along names[c] to D{i}_{c}. Returns (lines, consts)."""
+    load(name) returns (by its own name by default), value i goes to
+    {value}{i} and the partial along names[c] to D{i}_{c}; constants are
+    named {prefix}{i}. Returns (lines, consts)."""
     lines, consts = expr._kernel_lines(
         exprs, [{nm: 1.0} for nm in names], load=load,
-        vout=lambda i: f"V{i} = ", dout=lambda i, c: f"D{i}_{c} = ")
+        vout=lambda i: f"{value}{i} = ", dout=lambda i, c: f"D{i}_{c} = ",
+        prefix=prefix)
     return [text for text, *_ in lines], consts
 
 
-def _emit_stage(sys, out_a, sens, lsens, forcing, use_h):
-    """The stage function ``stage(Y, t, lam)`` of one variant.
+def _indent(lines):
+    return ["    " + ln for ln in lines]
 
-    Y holds the state, then Phi row by row when sens, then v when lsens.
-    Returns zdot; then A row by row when out_a; A Phi when sens; A v + h
-    when lsens. The base field w is f (h with forcing), plus lam * h when
-    use_h.
-    """
+
+def _guarded(kernel, checked):
+    """The kernel lines, then FED: whether the sum of the locals checked is
+    finite, False where the kernel raises."""
+    return ["try:"] + _indent(kernel) + [
+        f"    FED = isfinite({' + '.join(checked)})",
+        "except ERRORS:",
+        "    FED = False"]
+
+
+def _norm_code(vs):
+    """|vs|_1 as code, left to right."""
+    return " + ".join(f"abs({v})" for v in vs) or "0.0"
+
+
+def _stage_lines(sys, out_a, sens, lsens, forcing, use_h):
+    """The stage of one variant as line lists: (inputs, guarded, alg, out).
+
+    The stage reads the locals inputs: the state names, then Phi as
+    P{i}_{j} row by row when sens, then v as Q{i} when lsens, and the time
+    t and lam. guarded is the fgh kernel (SystemDef._point_code) and its
+    finiteness guard FED (_guarded) over what the algebra reads;
+    alg, run where FED holds, forms the output expressions out: zdot; then
+    A row by row when out_a; A Phi when sens; A v + h when lsens. The base
+    field w is f (h with forcing), plus lam * h when use_h."""
     k, s, n = sys.k, sys.s, sys.k + sys.s
     lin = out_a or sens or lsens
     m = len(sys.fgh)
@@ -591,13 +636,26 @@ def _emit_stage(sys, out_a, sens, lsens, forcing, use_h):
         out += [_dot(a[i], [phi[q][j] for q in range(k)])
                 for i in range(k) for j in range(k)] * sens
         out += [f"{_dot(a[i], vl)} + V{H[i]}" for i in range(k)] * lsens
-    ret = [f"return ({', '.join(out)},)"]
+    return inputs, _guarded(sys._point_code("fgh"), needed), alg, out
 
-    kernel, consts = _kernel_code(sys.fgh, sys.state_names)
+
+def _emit_stage(sys, out_a, sens, lsens, forcing, use_h):
+    """The stage function ``stage(Y, t, lam)`` of one variant: Y holds the
+    inputs of _stage_lines, and it returns their out as a tuple. Where FED
+    does not hold, it runs the algebra bound to _GIVEN on the point
+    evaluations, in the order above."""
+    k, s, n = sys.k, sys.s, sys.k + sys.s
+    lin = out_a or sens or lsens
+    m = len(sys.fgh)
+    G, H = range(k, k + s), range(k + s, m)
+    B = H if forcing else range(k)
+    inputs, guarded, alg, out = _stage_lines(sys, out_a, sens, lsens, forcing,
+                                             use_h)
+    ret = [f"return ({', '.join(out)},)"]
     given = functools.cache(lambda: _compile(  # on the first fallback
         "def given(Y, t, lam, V, D):",
         _unpack(inputs, "Y") + _unpack([f"V{i}" for i in range(m)], "V")
-        + _unpack([d(i, c) for i in range(m) for c in range(n)], "D")
+        + _unpack([f"D{i}_{c}" for i in range(m) for c in range(n)], "D")
         + alg + ret, dict(_GIVEN)))
     base = sys.h if forcing else sys.f
 
@@ -631,11 +689,26 @@ def _emit_stage(sys, out_a, sens, lsens, forcing, use_h):
 
     return _compile(
         "def stage(Y, t, lam):",
-        _unpack(inputs, "Y") + ["try:"] + ["    " + ln for ln in kernel]
-        + ["except ERRORS:", "    return fallback(Y, t, lam)",
-           f"if not isfinite({' + '.join(needed)}):",
-           "    return fallback(Y, t, lam)"] + alg + ret,
-        {**_STAGE, **consts, "fallback": fallback})
+        _unpack(inputs, "Y") + guarded
+        + ["if not FED:", "    return fallback(Y, t, lam)"] + alg + ret,
+        {**_STAGE, **sys._consts, "fallback": fallback})
+
+
+def _constraint_lines(sys, fail):
+    """The constraint Newton step as line lists: (kernel, vs, ders, alg).
+
+    kernel is the g kernel on the state names (SystemDef._point_code),
+    which leaves g in the locals vs and its partials in ders; alg
+    sums RN = |g|_1, factors d2g and overwrites vs with the step
+    [d2g]^-1 g. fail is the statement run on a rejected pivot, as in
+    _lu_lines."""
+    k, s, n = sys.k, sys.s, sys.k + sys.s
+    rows = [[f"D{j}_{k + c}" for c in range(s)] for j in range(s)]
+    vs = [f"V{j}" for j in range(s)]
+    alg = [f"RN = {_norm_code(vs)}"]
+    alg += _lu_lines(rows, [[v] for v in vs], fail) + _solve_lines(rows, vs)
+    ders = [f"D{j}_{c}" for j in range(s) for c in range(n)]
+    return sys._point_code("g"), vs, ders, alg
 
 
 def _emit_constraint_step(sys):
@@ -646,12 +719,9 @@ def _emit_constraint_step(sys):
     the kernel does not give finitely come from eval_g, which raises the
     point's error."""
     k, s, n = sys.k, sys.s, sys.k + sys.s
-    rows = [[f"D{j}_{k + c}" for c in range(s)] for j in range(s)]
-    vs = [f"V{j}" for j in range(s)]
-    alg = [f"RN = {' + '.join(f'abs({v})' for v in vs) or '0.0'}"]
-    alg += _lu_lines(rows, [[v] for v in vs], "return RN, singular({p}, TOL, {col})")
-    alg += _solve_lines(rows, vs) + [f"return RN, ({', '.join(vs)},)"]
-    ders = [f"D{j}_{c}" for j in range(s) for c in range(n)]
+    kernel, vs, ders, alg = _constraint_lines(
+        sys, "return RN, singular({p}, TOL, {col})")
+    alg += [f"return RN, ({', '.join(vs)},)"]
     given = functools.cache(lambda: _compile(  # on the first fallback
         "def given(V, D):", _unpack(vs, "V") + _unpack(ders, "D") + alg,
         dict(_GIVEN)))
@@ -676,14 +746,13 @@ def _emit_constraint_step(sys):
         rn = given()(vals, [math.nan] * (s * n))[0]
         return rn, lambda: at_point(env, vals)
 
-    kernel, consts = _kernel_code(sys.g, sys.state_names)
     return _compile(
         "def step(Z):",
-        _unpack(sys.state_names, "Z") + ["try:"] + ["    " + ln for ln in kernel]
+        _unpack(sys.state_names, "Z") + ["try:"] + _indent(kernel)
         + ["except ERRORS:", "    return fallback(Z, None, None)",
            f"if not isfinite({' + '.join(vs + ders)}):",
            f"    return fallback(Z, [{', '.join(vs)}], [{', '.join(ders)}])"]
-        + alg, {**_STAGE, **consts, "fallback": fallback})
+        + alg, {**_STAGE, **sys._consts, "fallback": fallback})
 
 
 def _solve_constraint_row(sys, p, q, first=None):

@@ -24,6 +24,8 @@ from .dae import (
     _STAGE,
     Box,
     SystemDef,
+    _guarded,
+    _indent,
     _kernel_code,
     reduced_field,
     validate,
@@ -38,7 +40,6 @@ from .errors import (
 )
 from .linalg import (
     _compile,
-    _lu,
     _lu_lines,
     _solve_lines,
     _solve_rows,
@@ -278,14 +279,17 @@ def _emit_polish(fld):
     (best point so far, the error) where the field's evaluation raises.
 
     Each iteration runs the field's point code (_kernel_code, the point at
-    Z{i}) and its finiteness guard. On a good iterate it sums the residual,
-    keeps the best point, factors and solves with linalg's LU bound to
-    _FED (a rejected pivot ends the loop), tests the step and updates the
-    point. An iterate where the kernel raises or the guard sum is not
-    finite takes its values from Kernel.values, then its residual and best
-    point, stops at a zero residual, takes its partials from Kernel.dual
-    and solves with _lu(n), bound to _GIVEN; an error of either
-    evaluation (ROW_ERRORS) ends the loop with it. Residual and step norm
+    Z{i}) and its finiteness guard (_guarded). An iterate where the kernel
+    raises or the guard sum is not finite takes its values from
+    Kernel.values and, past the zero-residual stop, its partials from
+    Kernel.dual; an error of either evaluation (ROW_ERRORS) ends the loop
+    with it. Every iterate sums the residual, keeps the best point, stops
+    at a zero residual, factors and solves with linalg's LU bound to _FED
+    (a rejected pivot ends the loop), tests the step and updates the
+    point. Partials that are not finite cannot make that LU divide by
+    zero (a nan first entry makes the threshold and every later pivot nan;
+    any other threshold rejects a zero pivot), so they end the loop at a
+    rejected pivot or at the step test. Residual and step norm
     are summed in np.sum's order, as norm1 sums them: left to right in the
     code below 8 entries, by a call of norm1 from 8 on (numpy's pairwise
     sum starts unrolling at 8)."""
@@ -295,16 +299,14 @@ def _emit_polish(fld):
     rows = [[f"D{i}_{c}" for c in range(n)] for i in range(n)]
     kernel, consts = _kernel_code(fld.exprs, fld.var_names,
                                   load=lambda nm: f"Z{col[nm]}")
+    ders = [e for r in rows for e in r]
     best = f"[{', '.join(bs)}]"
-    guard = f"({' + '.join(vs)}) + ({' + '.join(e for r in rows for e in r)})"
     if n < 8:
         norm = " + ".join(f"abs({v})" for v in vs)
     else:
         norm = f"norm1([{', '.join(vs)}])"
-    step = ["try:"] + ["    " + ln for ln in kernel] + [
-        f"    FED = isfinite({guard})",
-        "except ERRORS:",
-        "    FED = False",
+    guard = [f"({' + '.join(vs)})", f"({' + '.join(ders)})"]
+    step = _guarded(kernel, guard) + [
         "if not FED:",
         f"    ENV = dict(zip(NAMES, ({', '.join(zs)},)))",
         "    try:",
@@ -316,18 +318,12 @@ def _emit_polish(fld):
         f"    {', '.join(bs)}, BR = {', '.join(zs)}, RES",
         "if RES == 0.0:",
         "    break",
-        "if FED:"]
-    step += ["    " + ln for ln in _lu_lines(rows, [[v] for v in vs], "break")
-             + _solve_lines(rows, vs)]
-    step += ["else:",
-             "    try:",
-             "        D = dual(ENV)[1].ravel().tolist()",
-             "    except ROW_ERRORS as err:",
-             f"        return {best}, err",
-             "    try:",
-             f"        {', '.join(vs)}, = lu(D, RTOL, [{', '.join(vs)}])",
-             "    except SingularMatrixError:",
-             "        break"]
+        "if not FED:",
+        "    try:",
+        f"        {', '.join(ders)}, = dual(ENV)[1].ravel().tolist()",
+        "    except ROW_ERRORS as err:",
+        f"        return {best}, err"]
+    step += _lu_lines(rows, [[v] for v in vs], "break") + _solve_lines(rows, vs)
     # SN is inf or nan where a step entry is not finite, or where its sum
     # overflows
     step += [f"SN = {norm}",
@@ -340,12 +336,11 @@ def _emit_polish(fld):
              + ", ".join(f"{z} - {v}" for z, v in zip(zs, vs))]
     body = _unpack(zs, "z") + _unpack(bs, "z") + [
         "BR = INF", f"for it in range({POLISH_ITERATIONS}):"]
-    body += ["    " + ln for ln in step] + [f"return {best}, None"]
+    body += _indent(step) + [f"return {best}, None"]
     return _compile("def polish(z):", body, {
         **_STAGE, **consts, "INF": math.inf, "NAMES": tuple(fld.var_names),
-        "values": kern.values, "dual": kern.dual, "lu": _lu(n),
-        "ROW_ERRORS": expr.ROW_ERRORS, "norm1": norm1,
-        "SingularMatrixError": SingularMatrixError})
+        "values": kern.values, "dual": kern.dual,
+        "ROW_ERRORS": expr.ROW_ERRORS, "norm1": norm1})
 
 
 def _make_record(fld, box, z):

@@ -306,7 +306,7 @@ _BATCH = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log,
 _ONE = "1.0"  # the unit seed entry as a derivative term
 
 
-def _kernel_lines(exprs, seeds, load=None, vout=None, dout=None):
+def _kernel_lines(exprs, seeds, load=None, vout=None, dout=None, prefix="k"):
     """The statements of compile_kernel's function, before it adds guards
     and frees temporaries: (lines, consts). Each line is (text, temporaries
     read, temporary defined or None, inside the derivative block); the
@@ -314,6 +314,9 @@ def _kernel_lines(exprs, seeds, load=None, vout=None, dout=None):
     are read as ``env[name]``, or as the code ``load(name)`` returns;
     outputs are written to ``V[i]`` and ``D[i * len(seeds) + j]``, or to
     the targets ``vout(i)`` and ``dout(i, j)`` name (text ending in ``=``).
+    Constants are named prefix0, prefix1, ... (k0, k1, ... by default) in
+    the table consts; kernels inlined into one function take different
+    prefixes.
 
     Derivatives are sparse forward mode: a zero seed entry and the
     derivative of a constant are no term (None); a term that would
@@ -344,7 +347,7 @@ def _kernel_lines(exprs, seeds, load=None, vout=None, dout=None):
         return define(True, parts)
 
     def const(value):
-        name = f"k{len(consts)}"
+        name = f"{prefix}{len(consts)}"
         consts[name] = value
         return name
 

@@ -7,12 +7,18 @@ re-solves the constraint for y after every step. Fixed steps keep
 trajectories deterministic, which makes shooting Jacobians and golden tests
 reproducible.
 
-A trajectory is flowed on Python floats: each RK4 stage is one call of the
-system's emitted stage (dae._emit_stage: the f+g+h kernel, the LU of d2g
-and the reduced-field algebra as straight-line code), and the projection is
-solve_constraint's Newton on floats. The flow raises the first error it
-meets: leaving the box, a singular or undefined evaluation, or (after the
-last step) too much constraint drift.
+A trajectory is flowed on Python floats by one emitted function per
+system and variant (_emit_flow), which holds the whole step loop: the
+four RK4 stages inline on locals (each dae._stage_lines: the f+g+h kernel,
+the LU of d2g and the reduced-field algebra as straight-line code), the
+RK4 sum, the box test, and the projection's constraint step with its two
+common exits (a residual already within tolerance, or one full Newton
+step that reaches it). A stage whose kernel fails calls the system's
+stage function, and any other projection solve_constraint's Newton on
+floats, so a step in the common case makes no Python call. The
+flow raises the first error it meets: leaving the box, a singular or
+undefined evaluation, or (after the last step) too much constraint
+drift.
 
 Every flow returns one record, a Trajectory: the (steps+1, k+s) array of
 projected states with their residuals, the start and end ManifoldPoints,
@@ -32,7 +38,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dae import ManifoldPoint, _solve_constraint_row
+from .dae import (
+    _STAGE,
+    ManifoldPoint,
+    _constraint_lines,
+    _guarded,
+    _indent,
+    _norm_code,
+    _solve_constraint_row,
+    _stage_lines,
+)
 from .errors import DriftExceededError, LeavesBoxError
 from .linalg import _compile, norm1, norm1_rows
 
@@ -70,6 +85,18 @@ class Trajectory:
         return norm1(self.end.p - self.start.p)
 
 
+def _rk4_point(ys, c, ks):
+    """The RK4 stage point y + c * k over the locals ys and ks, as code."""
+    return ", ".join(f"{a} + {c} * {b}" for a, b in zip(ys, ks))
+
+
+def _rk4_sum(ys, ks):
+    """The RK4 step y + (h / 6) * (k1 + 2 k2 + 2 k3 + k4) over the locals
+    ys and the four stages' locals ks, with h / 6 in H6, as code."""
+    return ", ".join(f"{ys[i]} + H6 * ({ks[0][i]} + 2 * {ks[1][i]} + "
+                     f"2 * {ks[2][i]} + {ks[3][i]})" for i in range(len(ys)))
+
+
 @functools.lru_cache(maxsize=32)
 def _rk4(m):
     """``rk4(stage, Y, t, h, lam)``: one classical RK4 step on m floats,
@@ -77,29 +104,119 @@ def _rk4(m):
     on rows: y + c * k for the stage points, then
     y + (h / 6) * (k1 + 2 k2 + 2 k3 + k4). Emitted once per m."""
     y = [f"Y{i}" for i in range(m)]
-
-    def at(c, ks):
-        return f"({''.join(f'{a} + {c} * {b}, ' for a, b in zip(y, ks))})"
-
     ks = [[f"{c}{i}" for i in range(m)] for c in "ABCD"]
     return _compile("def rk4(stage, Y, t, h, lam):", [
-        "half = 0.5 * h",
+        "HALF = 0.5 * h",
         f"{', '.join(y)}, = Y",
         f"{', '.join(ks[0])}, = stage(Y, t, lam)",
-        f"{', '.join(ks[1])}, = stage({at('half', ks[0])}, t + half, lam)",
-        f"{', '.join(ks[2])}, = stage({at('half', ks[1])}, t + half, lam)",
-        f"{', '.join(ks[3])}, = stage({at('h', ks[2])}, t + h, lam)",
-        "h6 = h / 6.0",
-        "return (" + "".join(f"{y[i]} + h6 * ({ks[0][i]} + 2 * {ks[1][i]} + "
-                             f"2 * {ks[2][i]} + {ks[3][i]}), " for i in range(m))
-        + ")",
+        f"{', '.join(ks[1])}, = stage(({_rk4_point(y, 'HALF', ks[0])},), "
+        "t + HALF, lam)",
+        f"{', '.join(ks[2])}, = stage(({_rk4_point(y, 'HALF', ks[1])},), "
+        "t + HALF, lam)",
+        f"{', '.join(ks[3])}, = stage(({_rk4_point(y, 'h', ks[2])},), "
+        "t + h, lam)",
+        "H6 = h / 6.0",
+        f"return ({_rk4_sum(y, ks)},)",
     ], {})
+
+
+def _emit_flow(sys, sens, lsens, use_h):
+    """``flow(Y, TIMES, H, lam, ZS, RES)``: _flow's step loop as one
+    emitted function; returns (the largest drift, the end of Y after the
+    state: Phi and v).
+
+    Y holds the projected start, then Phi row by row when sens, then v
+    when lsens; the loop takes one step from each of TIMES but the last,
+    of size H, and appends each projected state (a tuple) to ZS and its
+    residual to RES. A step runs the four RK4 stages on locals, each the
+    stage of dae._stage_lines (the fgh kernel, its guard and the algebra)
+    or, where the kernel raises or the guard sum is not finite, a call of
+    the system's stage function of the variant for that stage only. Then
+    the RK4 sum, the box test (false on nan), which raises LeavesBoxError
+    at the step's end time, and the projection: the g kernel and the
+    constraint step of dae._constraint_lines, whose |g|_1 is the step's
+    drift. A singular d2g raises; a residual within constraint_tol keeps
+    q; else q - step is kept if its |g|_1 (values only) is within it. Any
+    other projection runs _solve_constraint_row from the first step, which
+    is the constraint step function's where the g kernel raised or the
+    guard sum is not finite. The kernels' constants come from the
+    system's one table (SystemDef._point_code)."""
+    k, n = sys.k, sys.k + sys.s
+    inputs, guarded, alg, out = _stage_lines(sys, False, sens, lsens, False,
+                                             use_h)
+    kernel, vs, ders, calg = _constraint_lines(
+        sys, "raise singular({p}, TOL, {col})")
+    values = sys._point_code("U")
+    m, us = len(inputs), [f"U{j}" for j in range(sys.s)]
+    ys = [f"S{i}" for i in range(m)]
+    ks = [[f"K{c}{i}" for i in range(m)] for c in "ABCD"]
+
+    def tup(names):  # a tuple display, or an assignment target
+        return "".join(f"{nm}, " for nm in names).rstrip()
+
+    z, p, q = tup(ys[:n]), tup(ys[:k]), tup(ys[k:n])
+    points = [(", ".join(ys), "TA"),
+              (_rk4_point(ys, "HALF", ks[0]), "TA + HALF"),
+              (_rk4_point(ys, "HALF", ks[1]), "TA + HALF"),
+              (_rk4_point(ys, "H", ks[2]), "TA + H")]
+    step = ["TA = TS[STEP]"]
+    for (point, time), kc in zip(points, ks):
+        step += [f"{tup(inputs)} = {point},", f"t = {time}"] + guarded
+        step += ["if FED:"] + _indent(alg + [f"{tup(kc)} = {tup(out)}"])
+        step += ["else:", f"    {tup(kc)} = stage(({tup(inputs)}), t, lam)"]
+    step += [f"{tup(ys)} = {_rk4_sum(ys, ks)},", "if not ({}):".format(
+        " and ".join(f"LO{i} <= {y} <= HI{i}" for i, y in enumerate(ys[:n])))]
+    step += ["    raise LeavesBoxError('trajectory left the working box', "
+             f"TIMES[STEP + 1], state=array(({z})))"]
+    step += [f"{tup(sys.state_names)} = {z}"] + _guarded(kernel, vs + ders)
+    newton = [f"{tup(sys.y_names)} = "
+              + tup(f"{a} - {b}" for a, b in zip(ys[k:n], vs))]
+    newton += _guarded(values, us) + [
+        "if FED:",
+        f"    RM = {_norm_code(us)}",
+        "    FED = RM <= CTOL",
+        "if FED:",
+        f"    {q} = {tup(sys.y_names)}",
+        "    RESIDUAL = RM",
+        "else:",
+        f"    ({q}), RESIDUAL = solve_row(({p}), ({q}), (RN, ({tup(vs)})))"]
+    step += ["if FED:"] + _indent(calg + [
+        "if RN > DRIFT:",
+        "    DRIFT = RN",
+        "if RN <= CTOL:",
+        "    RESIDUAL = RN",
+        "else:"] + _indent(newton))
+    step += ["else:",
+             f"    FIRST = project(({z}))",
+             "    if FIRST[0] > DRIFT:",
+             "        DRIFT = FIRST[0]",
+             f"    ({q}), RESIDUAL = solve_row(({p}), ({q}), FIRST)",
+             f"ZS.append(({z}))",
+             "RES.append(RESIDUAL)"]
+    body = [f"{tup(ys)} = Y", f"{tup(f'LO{i}' for i in range(n))} = LO",
+            f"{tup(f'HI{i}' for i in range(n))} = HI", "TS = TIMES.tolist()",
+            "HALF = 0.5 * H", "H6 = H / 6.0", "DRIFT = 0.0",
+            "for STEP in range(len(TS) - 1):"]
+    body += _indent(step) + [f"return DRIFT, ({tup(ys[n:])})"]
+
+    def stage(Y, t, lam):  # compiled on the first stage that needs it
+        return sys._stage(sens=sens, lsens=lsens, use_h=use_h)(Y, t, lam)
+
+    return _compile("def flow(Y, TIMES, H, lam, ZS, RES):", body, {
+        **_STAGE, **sys._consts, "stage": stage,
+        "project": sys._constraint_step(),
+        "solve_row": functools.partial(_solve_constraint_row, sys),
+        "LeavesBoxError": LeavesBoxError, "array": np.array,
+        "LO": tuple(sys.box.lo.tolist()), "HI": tuple(sys.box.hi.tolist()),
+        "CTOL": sys.constraint_tol})
 
 
 def _flow(sys, lam, start, t0, t1, steps, want_sensitivity=False,
           want_lambda=False):
-    """Projected RK4 flow from the ManifoldPoint start, on floats. Returns
-    the Trajectory; raises the first error the flow meets."""
+    """Projected RK4 flow from the ManifoldPoint start, on floats: the
+    system's emitted step loop of the variant (_emit_flow), emitted on
+    first use and kept on the instance. Returns the Trajectory; raises the
+    first error the flow meets."""
     if not math.isfinite(lam):
         raise ValueError("lambda must be finite")
     if lam < 0:
@@ -114,30 +231,13 @@ def _flow(sys, lam, start, t0, t1, steps, want_sensitivity=False,
     kk = k * k if want_sensitivity else 0
     extra = (tuple(np.eye(k).ravel().tolist()) if kk else ()) + (
         (0.0,) * k if want_lambda else ())
-    stage = sys._stage(sens=want_sensitivity, lsens=want_lambda,
-                       use_h=lam != 0.0)
-    rk4, project = _rk4(n + len(extra)), sys._constraint_step()
-    lam, ts = float(lam), times.tolist()
-    lo, hi = sys.box.lo.tolist(), sys.box.hi.tolist()
+    key = ("flow", bool(want_sensitivity), bool(want_lambda), bool(lam != 0.0))
+    if key not in sys._stages:
+        sys._stages[key] = _emit_flow(sys, *key[1:])
     y = tuple(start.z.tolist())
-    zs, res, drift = [y], [start.residual], 0.0
-    y += extra
-    for step in range(steps):
-        y = rk4(stage, y, ts[step], h_step, lam)
-        z = y[:n]
-        for v, a, b in zip(z, lo, hi):
-            if not a <= v <= b:  # also false for nan
-                raise LeavesBoxError("trajectory left the working box",
-                                     times[step + 1], state=np.array(z))
-        # the constraint residual the step left is the drift; the
-        # projection starts from the same evaluation
-        first = project(z)
-        if first[0] > drift:
-            drift = first[0]
-        q, rn = _solve_constraint_row(sys, z[:k], z[k:], first)
-        y = z[:k] + q + y[n:]
-        zs.append(y[:n])
-        res.append(rn)
+    zs, res = [y], [start.residual]
+    drift, extra = sys._stages[key](y + extra, times, h_step, float(lam),
+                                    zs, res)
     if drift > MAX_DRIFT:
         raise DriftExceededError(
             f"constraint drift {drift:.3e} exceeds {MAX_DRIFT}; "
@@ -145,12 +245,12 @@ def _flow(sys, lam, start, t0, t1, steps, want_sensitivity=False,
         )
     zs = np.array(zs)
     return Trajectory(
-        times=times, zs=zs, residuals=res, lam=lam,
+        times=times, zs=zs, residuals=res, lam=float(lam),
         max_constraint_drift=float(drift), start=start,
         end=ManifoldPoint(zs[-1, :k].copy(), zs[-1, k:].copy(),
                           float(res[-1])),
-        sensitivity=np.reshape(y[n:n + kk], (k, k)) if kk else None,
-        lambda_sensitivity=np.array(y[n + kk:]) if want_lambda else None,
+        sensitivity=np.reshape(extra[:kk], (k, k)) if kk else None,
+        lambda_sensitivity=np.array(extra[kk:]) if want_lambda else None,
     )
 
 

@@ -1,12 +1,19 @@
 """Shared generators for randomized property tests (seeded, reproducible)
 and the reference implementations kept as test oracles."""
 
+import functools
 import math
 
 import numpy as np
 
 from daekit import expr
-from daekit.dae import Box, SystemDef, validate
+from daekit.dae import (
+    Box,
+    ManifoldPoint,
+    SystemDef,
+    _solve_constraint_row,
+    validate,
+)
 from daekit.degree import (
     SWEEP_ITERATIONS,
     SWEEP_TOL,
@@ -17,10 +24,13 @@ from daekit.degree import (
 from daekit.errors import (
     ConstraintSolveError,
     DaekitError,
+    DriftExceededError,
     ExprDomainError,
+    LeavesBoxError,
     SingularMatrixError,
     point_text,
 )
+from daekit.flow import MAX_DRIFT, Trajectory, _rk4
 from daekit.linalg import lu_solve, norm1, norm1_rows
 
 
@@ -704,3 +714,84 @@ def polish_det_minimum_oracle(sys, z0, iterations=100):
         if norm1(step) < 1e-15:
             break
     return best_z, best_d
+
+
+@functools.lru_cache(maxsize=None)
+def forced_random_system(k, s):
+    """random_system with a time-dependent forcing h added."""
+    rng = np.random.default_rng(100 + 10 * k + s)
+    base, _ = random_system(rng, k, s)
+    h = [expr.c_add(random_poly(rng, base.state_names, 2, 1.0),
+                    expr.Unary("cos", expr.Var("t"))) for _ in range(k)]
+    return SystemDef(k, s, base.period, base.f, base.g, h, base.box)
+
+
+def failing_system(k, s):
+    """f1 = -sqrt(x1) + y1 fails for x1 < 0 (and its partial at x1 = 0),
+    g1 = y1^3 - x1 * sqrt(x1 + 1) for x1 < -1 (its x1-partial at x1 = -1);
+    d2g is singular where y1 = 0."""
+    names = [f"x{i + 1}" for i in range(k)] + [f"y{j + 1}" for j in range(s)]
+    f = [expr.parse("-sqrt(x1) + y1", names)]
+    f += [expr.parse(f"x{i} - y{min(i, s)}", names) for i in range(2, k + 1)]
+    g = [expr.parse("y1^3 - x1 * sqrt(x1 + 1)", names)]
+    g += [expr.parse(f"y{j} - x1 * y1", names) for j in range(2, s + 1)]
+    h = [expr.parse("cos(t) * x1", names + ["t"]) for _ in range(k)]
+    return SystemDef(k, s, 2 * math.pi, f, g, h,
+                     Box.from_pairs([(-2, 2)] * (k + s)))
+
+
+def flow_oracle(sys, lam, start, t0, t1, steps, want_sensitivity=False,
+                want_lambda=False):
+    """The step loop flow._flow ran in Python before it was emitted as one
+    function: per step the generic RK4 step through the system's stage
+    function, the box test, the constraint step at the new state (its
+    |g|_1 is the drift) and _solve_constraint_row from it. Same signature
+    and Trajectory as flow._flow."""
+    if not math.isfinite(lam):
+        raise ValueError("lambda must be finite")
+    if lam < 0:
+        raise ValueError("lambda must be >= 0")
+    if steps < 16:
+        raise ValueError("at least 16 steps required")
+    k, n = sys.k, sys.k + sys.s
+    h_step = (t1 - t0) / steps
+    times = t0 + h_step * np.arange(steps + 1)
+    kk = k * k if want_sensitivity else 0
+    extra = (tuple(np.eye(k).ravel().tolist()) if kk else ()) + (
+        (0.0,) * k if want_lambda else ())
+    stage = sys._stage(sens=want_sensitivity, lsens=want_lambda,
+                       use_h=lam != 0.0)
+    rk4, project = _rk4(n + len(extra)), sys._constraint_step()
+    lam, ts = float(lam), times.tolist()
+    lo, hi = sys.box.lo.tolist(), sys.box.hi.tolist()
+    y = tuple(start.z.tolist())
+    zs, res, drift = [y], [start.residual], 0.0
+    y += extra
+    for step in range(steps):
+        y = rk4(stage, y, ts[step], h_step, lam)
+        z = y[:n]
+        for v, a, b in zip(z, lo, hi):
+            if not a <= v <= b:  # also false for nan
+                raise LeavesBoxError("trajectory left the working box",
+                                     times[step + 1], state=np.array(z))
+        first = project(z)
+        if first[0] > drift:
+            drift = first[0]
+        q, rn = _solve_constraint_row(sys, z[:k], z[k:], first)
+        y = z[:k] + q + y[n:]
+        zs.append(y[:n])
+        res.append(rn)
+    if drift > MAX_DRIFT:
+        raise DriftExceededError(
+            f"constraint drift {drift:.3e} exceeds {MAX_DRIFT}; "
+            "increase the step count"
+        )
+    zs = np.array(zs)
+    return Trajectory(
+        times=times, zs=zs, residuals=res, lam=lam,
+        max_constraint_drift=float(drift), start=start,
+        end=ManifoldPoint(zs[-1, :k].copy(), zs[-1, k:].copy(),
+                          float(res[-1])),
+        sensitivity=np.reshape(y[n:n + kk], (k, k)) if kk else None,
+        lambda_sensitivity=np.array(y[n + kk:]) if want_lambda else None,
+    )

@@ -1,4 +1,3 @@
-import functools
 import math
 
 import numpy as np
@@ -27,7 +26,12 @@ from daekit.linalg import norm1
 from daekit.sysfile import load_system
 import helpers
 from conftest import system_path
-from helpers import lu_factor_oracle, same_bits
+from helpers import (
+    failing_system,
+    forced_random_system,
+    lu_factor_oracle,
+    same_bits,
+)
 
 
 class TestBox:
@@ -494,30 +498,6 @@ class TestTangency:
         env = pozzo.env(mp.p, mp.q)
         v = np.concatenate([pozzo.eval_f(env), np.zeros(1)])
         assert tangency_defect(pozzo, mp, v) > 1.0  # |d1g . f| = 2 here
-
-
-@functools.lru_cache(maxsize=None)
-def forced_random_system(k, s):
-    """helpers.random_system with a time-dependent forcing h added."""
-    rng = np.random.default_rng(100 + 10 * k + s)
-    base, _ = helpers.random_system(rng, k, s)
-    h = [expr.c_add(helpers.random_poly(rng, base.state_names, 2, 1.0),
-                    expr.Unary("cos", expr.Var("t"))) for _ in range(k)]
-    return SystemDef(k, s, base.period, base.f, base.g, h, base.box)
-
-
-def failing_system(k, s):
-    """f1 = -sqrt(x1) + y1 fails for x1 < 0 (and its partial at x1 = 0),
-    g1 = y1^3 - x1 * sqrt(x1 + 1) for x1 < -1 (its x1-partial at x1 = -1);
-    d2g is singular where y1 = 0."""
-    names = [f"x{i + 1}" for i in range(k)] + [f"y{j + 1}" for j in range(s)]
-    f = [expr.parse("-sqrt(x1) + y1", names)]
-    f += [expr.parse(f"x{i} - y{min(i, s)}", names) for i in range(2, k + 1)]
-    g = [expr.parse("y1^3 - x1 * sqrt(x1 + 1)", names)]
-    g += [expr.parse(f"y{j} - x1 * y1", names) for j in range(2, s + 1)]
-    h = [expr.parse("cos(t) * x1", names + ["t"]) for _ in range(k)]
-    return SystemDef(k, s, 2 * math.pi, f, g, h,
-                     Box.from_pairs([(-2, 2)] * (k + s)))
 
 
 class TestEmittedStage:

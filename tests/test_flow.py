@@ -1,16 +1,32 @@
+import contextlib
+import io
 import math
 
 import numpy as np
 import pytest
 
-from daekit import expr
+from daekit import expr, flow
+from daekit.cli import main
 from daekit.dae import Box, SystemDef, solve_constraint
 from daekit.degree import find_zeros, reduced_matrix
-from daekit.errors import ExprDomainError, LeavesBoxError, SingularMatrixError
+from daekit.errors import (
+    ConstraintSolveError,
+    DaekitError,
+    DriftExceededError,
+    ExprDomainError,
+    LeavesBoxError,
+    SingularMatrixError,
+)
 from daekit.flow import integrate, time_T_map
 from daekit.linalg import expm, norm1
 from daekit.periodic import classify_resonance
-from helpers import same_bits
+from conftest import system_path
+from helpers import (
+    failing_system,
+    flow_oracle,
+    forced_random_system,
+    same_bits,
+)
 
 
 def rotation_system():
@@ -227,3 +243,188 @@ class TestFlowErrors:
         mp = solve_constraint(equivlien, np.zeros(1), np.zeros(1))
         with pytest.raises(ValueError, match="lambda must be >= 0"):
             integrate(equivlien, -1.0, mp, 0.0, 1.0, steps=8)
+
+
+def constants_system(k, s):
+    """f and g with table constants of their own (2.5 and 0.125 in f,
+    0.75 and 3.5 in g), which the emitted flow loop inlines in one function.
+    Over one period x1 falls by about 1.25, so the starts near the fold of
+    g1 = y1^3 - 0.75 y1 - x1 (at x1 = -0.25 on the upper branch) cross it:
+    their projections halve and stall."""
+    names = [f"x{i + 1}" for i in range(k)] + [f"y{j + 1}" for j in range(s)]
+    f = [expr.parse("0.5*y1 - 2.5 + 0.125*x1", names)]
+    f += [expr.parse(f"1.25*x{i - 1} - 0.5*x{i}", names)
+          for i in range(2, k + 1)]
+    g = [expr.parse("y1^3 - 0.75*y1 - x1", names)]
+    g += [expr.parse(f"3.5*y{j} - x1*y1", names) for j in range(2, s + 1)]
+    h = [expr.parse("0.25*cos(t)", names + ["t"]) for _ in range(k)]
+    return SystemDef(k, s, 0.5, f, g, h, Box.from_pairs([(-2, 2)] * (k + s)))
+
+
+def pole_system():
+    """d2g = x1 vanishes on x1 = 0, which x1' = -2.5 reaches exactly in the
+    last stage of the fourth step from x1 = 1.25 with h = 1/8 (every number
+    on the way is dyadic)."""
+    names = ["x1", "y1"]
+    return SystemDef(1, 1, 2.0, [expr.parse("-2.5", names)],
+                     [expr.parse("x1*y1 - 0.75", names)], None,
+                     Box.from_pairs([(-2, 2), (-8, 8)]))
+
+
+def kink_system():
+    """x1' = -2.5 reaches x1 = 0 exactly as pole_system does, where the
+    kernel's partial of sqrt(x1^2) divides 0 by 0 and the point evaluation
+    gives 0; the forcing cos(t) * (x2 + sqrt(x1^2)) reads the time."""
+    names = ["x1", "x2", "y1"]
+    return SystemDef(
+        2, 1, 2.0, [expr.parse(e, names) for e in ("-2.5", "-0.5*x2")],
+        [expr.parse("y1 - x2", names)],
+        [expr.parse(e, names + ["t"])
+         for e in ("0", "cos(t)*(x2 + sqrt(x1^2))")],
+        Box.from_pairs([(-4, 2), (-2, 2), (-2, 2)]))
+
+
+def halved(points, k):
+    """Whether the constraint evaluations at points (in order) hold a
+    halved Newton step: three at one p whose q's a, b, c have
+    c - a = (b - a) / 2 with b != a."""
+    for a, b, c in zip(points, points[1:], points[2:]):
+        if a[:k] == b[:k] == c[:k] and a[k:] != b[k:]:
+            qa, qb, qc = (np.array(v[k:]) for v in (a, b, c))
+            if np.allclose(qc - qa, 0.5 * (qb - qa), rtol=1e-9, atol=0.0):
+                return True
+    return False
+
+
+class TestEmittedFlowLoop:
+    """flow._flow's emitted step loop against the Python loop it replaced
+    (helpers.flow_oracle): the same states, residuals, drift and
+    sensitivities bit for bit, or the same error with the same message
+    and state."""
+
+    SHAPES = [(1, 1), (2, 1), (1, 2), (2, 2)]
+    VARIANTS = [(False, False), (True, False), (True, True)]  # sens, lsens
+
+    @staticmethod
+    def outcome(run, *args):
+        try:
+            traj = run(*args)
+        except DaekitError as exc:
+            state = getattr(exc, "state", None)
+            return (type(exc), str(exc),
+                    None if state is None else state.tobytes())
+        return ("completed", traj.zs.tobytes(), traj.residuals,
+                traj.max_constraint_drift,
+                *(None if a is None else a.tobytes() for a in
+                  (traj.sensitivity, traj.lambda_sensitivity)))
+
+    def compare(self, sysdef, start, steps, lam, sens, lsens):
+        """The outcome kind of one flow, after asserting that the loop and
+        the oracle agree. The oracle's constraint evaluations are recorded
+        to tell a projection that halved."""
+        args = (sysdef, lam, start, 0.0, sysdef.period, steps, sens, lsens)
+        new = self.outcome(flow._flow, *args)  # emits the loop first
+        step, points = sysdef._constraint_step(), []
+
+        def record(z):
+            points.append(tuple(z))
+            return step(z)
+
+        sysdef._stages["g"] = record
+        try:
+            old = self.outcome(flow_oracle, *args)
+        finally:
+            sysdef._stages["g"] = step
+        assert new == old
+        if new[0] is ConstraintSolveError or halved(points, sysdef.k):
+            return "halved or stalled"
+        return new[0]
+
+    def test_matches_the_oracle(self):
+        kinds = set()
+        for k, s in self.SHAPES:
+            for sysdef in (forced_random_system(k, s), failing_system(k, s),
+                           constants_system(k, s)):
+                rng = np.random.default_rng(30 + 10 * k + s)
+                for _ in range(16):
+                    z = rng.uniform(sysdef.box.lo, sysdef.box.hi)
+                    try:
+                        start = solve_constraint(sysdef, z[:k], z[k:])
+                    except DaekitError:
+                        continue
+                    steps = int(rng.choice([16, 32, 64]))
+                    for lam in (0.0, 0.3):
+                        for sens, lsens in self.VARIANTS:
+                            kinds.add(self.compare(sysdef, start, steps, lam,
+                                                   sens, lsens))
+        sysdef = pole_system()
+        start = solve_constraint(sysdef, np.array([1.25]), np.array([0.5]))
+        for sens, lsens in self.VARIANTS:
+            kinds.add(self.compare(sysdef, start, 16, 0.0, sens, lsens))
+        assert kinds == {"completed", LeavesBoxError, DriftExceededError,
+                         ExprDomainError, SingularMatrixError,
+                         "halved or stalled"}
+
+    def test_stages_that_fall_back_keep_their_time(self):
+        # the stages at x1 = 0 run the system's stage function of the
+        # variant, which is compiled on the first such stage
+        sysdef = kink_system()
+        start = solve_constraint(sysdef, np.array([1.25, 0.5]),
+                                 np.array([0.5]))
+        for lam in (0.0, 0.3):
+            for sens, lsens in self.VARIANTS:
+                key = (False, sens, lsens, False, lam != 0.0)
+                assert key not in sysdef._stages
+                flow._flow(sysdef, lam, start, 0.0, 2.0, 16, sens, lsens)
+                assert key in sysdef._stages
+                assert self.compare(sysdef, start, 16, lam, sens,
+                                    lsens) == "completed"
+
+    def test_a_singular_projection_raises_on_a_solved_start(self):
+        # y1 = 0.5 solves g1 = (x1 - c) * (y1 - 0.5) exactly all along, and
+        # d2g = x1 - c vanishes where x1' = -2.5 - 0.5 x1 lands after four
+        # steps (c read off the flow of g1 = y1 - 0.5), at no stage point
+        names = ["x1", "y1"]
+        f = [expr.parse("-2.5 - 0.5*x1", names)]
+        box = Box.from_pairs([(-4, 2), (-1, 1)])
+        free = SystemDef(1, 1, 2.0, f, [expr.parse("y1 - 0.5", names)], None,
+                         box)
+        start = solve_constraint(free, np.array([1.25]), np.array([0.5]))
+        c = float(integrate(free, 0.0, start, 0.0, 2.0, steps=16).zs[4, 0])
+        sysdef = SystemDef(1, 1, 2.0, f,
+                           [expr.parse(f"(x1 - {c!r})*(y1 - 0.5)", names)],
+                           None, box)
+        start = solve_constraint(sysdef, np.array([1.25]), np.array([0.5]))
+        step, points = sysdef._constraint_step(), []
+
+        def record(z):
+            points.append(tuple(z))
+            return step(z)
+
+        for sens, lsens in self.VARIANTS:
+            assert self.compare(sysdef, start, 16, 0.0, sens,
+                                lsens) is SingularMatrixError
+        sysdef._stages["g"] = record
+        with pytest.raises(SingularMatrixError):
+            flow_oracle(sysdef, 0.0, start, 0.0, 2.0, 16)
+        assert points[-1] == (c, 0.5) and len(points) == 4
+
+    @pytest.mark.parametrize("argv", [
+        ["branch", system_path("equivlien"), "--lambda-max", "3",
+         "--norm-bound", "5", "--steps", "128"],
+        ["branch", system_path("exmults"), "--lambda-max", "3",
+         "--norm-bound", "5", "--steps", "128"],
+        ["branch", system_path("pozzo"), "--lambda-max", "3", "--steps", "128"],
+    ], ids=["equivlien", "exmults", "pozzo"])
+    def test_long_branches_match_the_oracle(self, argv, monkeypatch):
+        # each branch ends on a flow error
+        def report():
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(argv)
+            return code, out.getvalue()
+
+        new = report()
+        monkeypatch.setattr(flow, "_flow", flow_oracle)
+        assert report() == new
+        assert '"termination": "DriftExceeded"' in new[1]

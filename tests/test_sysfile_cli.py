@@ -110,6 +110,23 @@ class TestCliExitCodes:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_overflowing_d2g_refines_no_witness_past_it(self, capfd, tmp_path):
+        # d2g = 2e308 * y1 + 1 changes sign and overflows over most of the
+        # box: the witness refinement ends where its Jacobian is not finite,
+        # so no least-squares solve sees an inf (LAPACK would print to the
+        # process's stderr)
+        path = tmp_path / "overflow.sys"
+        path.write_text('dim_x = 1\ndim_y = 1\nperiod = 1\nf = "y1"\n'
+                        'g = "1e308*y1^2 + y1 - x1"\nbox = [-1, 1], [-1, 1]\n')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["check", str(path)])
+        out, err = capfd.readouterr()
+        assert code == 2 and err == ""
+        report = json.loads(out)
+        assert report["message"].startswith("det d2g changes sign")
+        assert all(-1 <= v <= 1 for v in report["witness"])
+
     @pytest.mark.parametrize("g,value", [
         # the polish of the first start steps to x1 = 0.75390625 and raises
         ("y1*(2+sqrt(0.5 - x1)) - x1", "-0.25390625"),
