@@ -97,29 +97,6 @@ def _rk4_sum(ys, ks):
                      f"2 * {ks[2][i]} + {ks[3][i]})" for i in range(len(ys)))
 
 
-@functools.lru_cache(maxsize=32)
-def _rk4(m):
-    """``rk4(stage, Y, t, h, lam)``: one classical RK4 step on m floats,
-    calling stage(Y, t, lam) for the derivative, in the arithmetic of numpy
-    on rows: y + c * k for the stage points, then
-    y + (h / 6) * (k1 + 2 k2 + 2 k3 + k4). Emitted once per m."""
-    y = [f"Y{i}" for i in range(m)]
-    ks = [[f"{c}{i}" for i in range(m)] for c in "ABCD"]
-    return _compile("def rk4(stage, Y, t, h, lam):", [
-        "HALF = 0.5 * h",
-        f"{', '.join(y)}, = Y",
-        f"{', '.join(ks[0])}, = stage(Y, t, lam)",
-        f"{', '.join(ks[1])}, = stage(({_rk4_point(y, 'HALF', ks[0])},), "
-        "t + HALF, lam)",
-        f"{', '.join(ks[2])}, = stage(({_rk4_point(y, 'HALF', ks[1])},), "
-        "t + HALF, lam)",
-        f"{', '.join(ks[3])}, = stage(({_rk4_point(y, 'h', ks[2])},), "
-        "t + h, lam)",
-        "H6 = h / 6.0",
-        f"return ({_rk4_sum(y, ks)},)",
-    ], {})
-
-
 def _emit_flow(sys, sens, lsens, use_h):
     """``flow(Y, TIMES, H, lam, ZS, RES)``: _flow's step loop as one
     emitted function; returns (the largest drift, the end of Y after the

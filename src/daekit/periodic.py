@@ -43,7 +43,7 @@ from .errors import (
     SingularShootingError,
     point_text,
 )
-from .flow import DEFAULT_STEPS, _rk4, time_T_map
+from .flow import DEFAULT_STEPS, time_T_map
 from .linalg import (
     det_sign,
     expm,
@@ -59,7 +59,6 @@ SHOOT_TOL = 1e-8
 SHOOT_MAX_ITER = 30
 ORBIT_DEDUP = 1e-4
 DS_START, DS_MIN, DS_MAX = 0.02, 1e-4, 0.1
-RESPONSE_STEPS = 256  # RK4 steps of the linear-response seed
 
 
 @dataclass
@@ -153,6 +152,19 @@ _START_FAILURES = (ShootingError, SingularShootingError, LeavesBoxError,
 # Pseudo-arclength continuation
 
 
+def _trivial_tangent(sys, zero, steps):
+    """The trivial pair at a zero of (f, g): its time-T map at lambda = 0
+    with both sensitivities, S and v, and the x-part d = (I - S)^-1 v of
+    the pseudo-arclength tangent [d, 1] there. p* + lambda * d is the
+    first-order forced response near a non-resonant zero p*. Raises what
+    the map or the solve raises."""
+    k = sys.k
+    traj = time_T_map(sys, 0.0, zero.point[:k], zero.point[k:], steps=steps,
+                      want_lambda_sensitivity=True)
+    d = lu_solve(traj.sensitivity - np.eye(k), -traj.lambda_sensitivity)
+    return traj, d
+
+
 def _corrector(sys, z_pred, tau, q_ref, steps):
     """Newton on (shooting residual, arclength hyperplane) from z_pred."""
     k = sys.k
@@ -206,16 +218,12 @@ def continue_branch(sys, origin, lambda_max, norm_bound, max_steps=200,
             "not locally unique there"
         )
     k = sys.k
-    p_star = origin.point[:k].copy()
-    q_star = origin.point[k:].copy()
-    traj = time_T_map(sys, 0.0, p_star, q_star, steps=steps,
-                      want_lambda_sensitivity=True)
+    traj, d = _trivial_tangent(sys, origin, steps)
     points, ds_taken = [traj], [0.0]
-    jac_s = traj.sensitivity - np.eye(k)
-    tau = np.concatenate([lu_solve(jac_s, -traj.lambda_sensitivity), [1.0]])
+    tau = np.concatenate([d, [1.0]])
     tau /= norm1(tau)
-    z = np.concatenate([p_star, [0.0]])
-    q_ref = q_star
+    z = np.concatenate([origin.point[:k], [0.0]])
+    q_ref = origin.point[k:]
     ds, easy = DS_START, 0
     termination, detail = "MaxSteps", ""
     while len(points) <= max_steps:
@@ -271,32 +279,15 @@ def continue_branch(sys, origin, lambda_max, norm_bound, max_steps=200,
 # Multiplicity scan
 
 
-def _linear_response_seed(sys, verdict, lam):
-    """First-order initial state of the forced orbit near the non-resonant
-    zero of a ResonanceVerdict.
-
-    Integrates u' = A u + lambda*h(t, zero) over one period from zero, in
-    RESPONSE_STEPS RK4 steps, and solves (I - e^{AT}) u0 = u(T) with the
-    verdict's A and e^{AT}; the forced orbit starts at p0 + u0 up to
-    O(lambda^2).
-    """
-    k = sys.k
-    a = verdict.linearization
-    p_star, q_star = verdict.zero.point[:k], verdict.zero.point[k:]
-    h_step = sys.period / RESPONSE_STEPS
-
-    def du(u, t, lam):
-        env = sys.env(p_star, q_star, t=t)
-        return tuple((a @ np.array(u) + lam * sys.eval_h(env)).tolist())
-
-    rk4, u = _rk4(k), (0.0,) * k
-    for n in range(RESPONSE_STEPS):
-        u = rk4(du, u, n * h_step, h_step, lam)
-    return p_star + lu_solve(np.eye(k) - verdict.monodromy, np.array(u))
-
-
-def multistart_starts(sys, lam, grid_per_dim=8):
-    """The (p, q) starts of multiplicity_scan, in merge order."""
+def multistart_starts(sys, lam, grid_per_dim=8, steps=DEFAULT_STEPS):
+    """The (p, q) starts of multiplicity_scan, in merge order: each zero
+    of (f, g), followed when lam > 0 by its seed p* + lam * d where it is
+    non-degenerate and non-resonant, then the grid over the x-projection
+    of the box. d is the x-part of the branch's first tangent at the zero
+    (_trivial_tangent on a time-T map of the given steps), so the seed is
+    the point at lambda = lam on continue_branch's first predictor line. A
+    zero whose resonance test, map or solve fails with a start-failure
+    type gets no seed."""
     if grid_per_dim < 1:
         raise ValueError("grid_per_dim must be at least 1")
     k = sys.k
@@ -306,11 +297,10 @@ def multistart_starts(sys, lam, grid_per_dim=8):
         starts.append((z.point[:k].copy(), z.point[k:].copy()))
         if lam > 0 and not z.degenerate:
             try:
-                verdict = classify_resonance(sys, z)
-                if not verdict.resonant:
-                    seed = _linear_response_seed(sys, verdict, lam)
-                    starts.append((seed, z.point[k:].copy()))
-            except SingularMatrixError:
+                if not classify_resonance(sys, z).resonant:
+                    _, d = _trivial_tangent(sys, z, steps)
+                    starts.append((z.point[:k] + lam * d, z.point[k:].copy()))
+            except _START_FAILURES:
                 pass
     for p in _grid_starts(sys.box.subbox(range(k)), grid_per_dim):
         starts.append((p, q_center.copy()))
@@ -341,11 +331,14 @@ def multiplicity_scan(sys, lam, grid_per_dim=8, steps=DEFAULT_STEPS):
     """Distinct T-periodic orbits at forcing size lam, by multistart shooting.
 
     Starts come from a grid over the x-projection of the box, from the zeros
-    of (f, g), and from a first-order forced-response offset at each
+    of (f, g), and from a first-order forced-response seed at each
     non-resonant zero (grid points alone cannot hit the exponentially thin
-    shooting basins around unstable equilibria). Each start is shot in
-    turn; a start that fails with a start-failure type is skipped, and any
-    other error is raised. Convergent orbits are deduplicated at
+    shooting basins around unstable equilibria). The seed is the branch's
+    first predictor from that zero, p* + lam * (I - S)^-1 v, with S and v
+    the x- and lambda-sensitivities of the time-T map at lambda = 0 on the
+    scan's steps (multistart_starts). Each start is shot in turn; a start
+    that fails with a start-failure type is skipped, and any other error
+    is raised. Convergent orbits are deduplicated at
     sampled sup-distance 1e-4; merge order is start order, so the result,
     a list of the kept orbits' Trajectories, is deterministic.
     """
@@ -354,7 +347,7 @@ def multiplicity_scan(sys, lam, grid_per_dim=8, steps=DEFAULT_STEPS):
     if lam < 0:
         raise ValueError("lambda must be >= 0")
     shots = []
-    for p, q in multistart_starts(sys, lam, grid_per_dim):
+    for p, q in multistart_starts(sys, lam, grid_per_dim, steps):
         try:
             shots.append(shoot(sys, lam, p, q, steps))
         except _START_FAILURES as exc:

@@ -30,8 +30,8 @@ from daekit.errors import (
     SingularMatrixError,
     point_text,
 )
-from daekit.flow import MAX_DRIFT, Trajectory, _rk4
-from daekit.linalg import lu_solve, norm1, norm1_rows
+from daekit.flow import MAX_DRIFT, Trajectory, _rk4_point, _rk4_sum
+from daekit.linalg import _compile, lu_solve, norm1, norm1_rows
 
 
 def monomial(names, powers):
@@ -738,6 +738,30 @@ def failing_system(k, s):
     h = [expr.parse("cos(t) * x1", names + ["t"]) for _ in range(k)]
     return SystemDef(k, s, 2 * math.pi, f, g, h,
                      Box.from_pairs([(-2, 2)] * (k + s)))
+
+
+@functools.lru_cache(maxsize=32)
+def _rk4(m):
+    """``rk4(stage, Y, t, h, lam)``: one classical RK4 step on m floats,
+    calling stage(Y, t, lam) for the derivative, in the arithmetic of numpy
+    on rows: y + c * k for the stage points, then
+    y + (h / 6) * (k1 + 2 k2 + 2 k3 + k4). Emitted once per m; the step
+    flow_oracle takes, in the order of the emitted flow loop's RK4 sum."""
+    y = [f"Y{i}" for i in range(m)]
+    ks = [[f"{c}{i}" for i in range(m)] for c in "ABCD"]
+    return _compile("def rk4(stage, Y, t, h, lam):", [
+        "HALF = 0.5 * h",
+        f"{', '.join(y)}, = Y",
+        f"{', '.join(ks[0])}, = stage(Y, t, lam)",
+        f"{', '.join(ks[1])}, = stage(({_rk4_point(y, 'HALF', ks[0])},), "
+        "t + HALF, lam)",
+        f"{', '.join(ks[2])}, = stage(({_rk4_point(y, 'HALF', ks[1])},), "
+        "t + HALF, lam)",
+        f"{', '.join(ks[3])}, = stage(({_rk4_point(y, 'h', ks[2])},), "
+        "t + h, lam)",
+        "H6 = h / 6.0",
+        f"return ({_rk4_sum(y, ks)},)",
+    ], {})
 
 
 def flow_oracle(sys, lam, start, t0, t1, steps, want_sensitivity=False,

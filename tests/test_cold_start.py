@@ -21,8 +21,9 @@ from test_golden import GOLDEN, QUERIES, ROOT
 # check, degree and zeros never exponentiate a matrix, nor does shoot with
 # --guess. resonance, branch and multiplicity do, and so does shoot without
 # --guess, which starts from the first non-resonant zero; on a system with
-# dim_x = 1 that matrix is 1x1. pozzo has dim_x = 2, so its resonance query
-# and its guess-free shoot must still load scipy.
+# dim_x = 1 that matrix is 1x1. pozzo and r21 have dim_x = 2, so pozzo's
+# resonance query and guess-free shoot, and r21's multiplicity scan, must
+# still load scipy.
 WITHOUT_SCIPY = sorted(
     [f"check_{name}" for name in
      ("pozzo", "equivlien", "exmults", "eqex1", "eqex2")]
@@ -30,7 +31,7 @@ WITHOUT_SCIPY = sorted(
        for name in ("pozzo", "equivlien", "exmults")]
     + ["shoot_equivlien", "resonance_exmults", "branch_equivlien",
        "multiplicity_exmults"])
-WITH_SCIPY = ["resonance_pozzo", "shoot_pozzo"]
+WITH_SCIPY = ["resonance_pozzo", "shoot_pozzo", "multiplicity_r21"]
 
 SCRIPT = """\
 import builtins, contextlib, io, json, sys

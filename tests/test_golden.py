@@ -3,6 +3,9 @@ them write, must match the files under tests/golden/ byte for byte.
 
 The orbit side is the four queries of the benchmark's ``orbits`` workload
 at 128 steps; the equivlien shoot and branch also write their CSV files.
+``multiplicity`` on ``tests/golden/r21.sys`` (grid 2, 32 steps) adds a
+k = 2 scan that seeds both of its non-resonant zeros from the branch's
+first predictor; its kept orbits come from the zero starts.
 The degree side is ``check`` on every fixture (eqex1 and eqex2 fail the
 d2g hypothesis and exit 2 with their report) and ``zeros``, ``degree`` and
 ``resonance`` at grid 8 on pozzo, equivlien, exmults and the degenerate
@@ -57,6 +60,9 @@ QUERIES = {
                           "--steps", "128"], True, 0),
     "multiplicity_exmults": (["multiplicity", "systems/exmults.sys",
                               "--lambda", "0.01", "--steps", "128"], False, 0),
+    "multiplicity_r21": (["multiplicity", "tests/golden/r21.sys",
+                          "--lambda", "0.05", "--grid", "2", "--steps", "32"],
+                         False, 0),
 }
 FIXTURES = {name: f"systems/{name}.sys"
             for name in ("pozzo", "equivlien", "exmults", "eqex1", "eqex2")}

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from daekit import expr
-from daekit.dae import Box, solve_constraint
+from daekit import expr, load_system
+from daekit.dae import Box, ManifoldPoint, _solve_constraint_row
 from daekit.degree import _first_seen, chart_index, find_zeros
 from daekit.errors import (
     BranchError,
@@ -15,7 +15,7 @@ from daekit.errors import (
     SingularShootingError,
 )
 from daekit.flow import integrate
-from daekit.linalg import det_sign, norm1
+from daekit.linalg import det_sign, lu_solve, norm1
 from daekit.periodic import (
     ORBIT_DEDUP,
     classify_resonance,
@@ -27,8 +27,9 @@ from daekit.periodic import (
     reduce_implicit,
     shoot,
 )
-from helpers import merge_orbits_oracle
+from helpers import flow_oracle, merge_orbits_oracle
 from test_flow import rotation_system
+from test_golden import GOLDEN
 
 
 class TestResonance:
@@ -192,7 +193,7 @@ class TestMultiplicity:
                                                         request):
         sys = request.getfixturevalue(name)
         lam, steps = 0.01, 48
-        starts = multistart_starts(sys, lam, grid)
+        starts = multistart_starts(sys, lam, grid, steps)
         assert len(starts) > 8
 
         def alone(p, q):
@@ -209,6 +210,46 @@ class TestMultiplicity:
             assert a.start.p.tobytes() == b.start.p.tobytes()
             assert a.closure_residual == b.closure_residual
             assert a.zs.tobytes() == b.zs.tobytes()
+
+    @pytest.mark.parametrize("name, seeded", [
+        ("equivlien", 1), ("pozzo", 1), ("r21", 2)])
+    def test_each_seed_is_the_branch_first_predictor(self, name, seeded,
+                                                     request):
+        # the seed of a non-resonant zero is p* + lam * (S - I)^-1 (-v),
+        # with S and v from the oracle's 64-step time-T map at lambda = 0
+        if name == "r21":
+            sys = load_system(str(GOLDEN / "r21.sys"))
+        else:
+            sys = request.getfixturevalue(name)
+        lam, steps, k = 0.01, 64, sys.k
+        starts = iter(multistart_starts(sys, lam, 1, steps))
+        seeds = 0
+        for z in find_zeros(sys, sys.box, grid_per_dim=16):
+            p, q = next(starts)
+            assert p.tobytes() == z.point[:k].tobytes()
+            if z.degenerate or classify_resonance(sys, z).resonant:
+                continue
+            q0, rn = _solve_constraint_row(sys, tuple(z.point[:k].tolist()),
+                                           tuple(z.point[k:].tolist()))
+            start = ManifoldPoint(z.point[:k].copy(), np.array(q0), rn)
+            traj = flow_oracle(sys, 0.0, start, 0.0, sys.period, steps,
+                               want_sensitivity=True, want_lambda=True)
+            d = lu_solve(traj.sensitivity - np.eye(k),
+                         -traj.lambda_sensitivity)
+            p, q = next(starts)
+            assert p.tobytes() == (z.point[:k] + lam * d).tobytes()
+            assert q.tobytes() == z.point[k:].tobytes()
+            seeds += 1
+        assert seeds == seeded
+        assert len(list(starts)) == 1  # the one grid start
+
+    def test_lienard_seed_is_the_first_order_response(self, equivlien):
+        # near x = 0 the reduced Lienard equation is x' = x - lam * sin t,
+        # whose periodic solution starts at x(0) = lam / 2
+        lam = 1e-3
+        starts = multistart_starts(equivlien, lam, 1, 128)
+        assert len(starts) == 3
+        assert abs(starts[1][0][0] - lam / 2) <= 1e-4 * lam
 
     def test_merge_skips_failed_starts_and_raises_the_first_other(self):
         with pytest.raises(ValueError, match="first"):

@@ -9,6 +9,7 @@ import pytest
 from conftest import system_path
 from daekit.cli import main, write_branch_csv, write_trajectory_csv
 from daekit.dae import ManifoldPoint
+from daekit.degree import find_zeros
 from daekit.errors import SystemFileError
 from daekit.flow import Trajectory
 from daekit.periodic import Branch
@@ -126,6 +127,24 @@ class TestCliExitCodes:
         report = json.loads(out)
         assert report["message"].startswith("det d2g changes sign")
         assert all(-1 <= v <= 1 for v in report["witness"])
+
+    def test_a_seed_whose_map_leaves_the_box_is_a_failed_start(self, capsys,
+                                                               tmp_path):
+        # the only zero, x1 = 1.0000005, lies within BOUNDARY_SLACK outside
+        # the box: its seed's time-T map leaves the box on its first step,
+        # so the zero gets no seed, and every start fails
+        path = tmp_path / "edge.sys"
+        path.write_text('dim_x = 1\ndim_y = 1\nperiod = 6.283185307179586\n'
+                        'f = "y1"\ng = "y1 - x1 + 1.0000005"\nh = "cos(t)"\n'
+                        'box = [-1, 1], [-3, 3]\n')
+        sys = load_system(path)
+        zeros = find_zeros(sys, sys.box, grid_per_dim=16)
+        assert [z.point[0] for z in zeros] == pytest.approx([1.0000005])
+        code, out, err = run_cli(capsys, "multiplicity", str(path),
+                                 "--lambda", "0.01", "--steps", "64",
+                                 "--grid", "2")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["count"] == 0
 
     @pytest.mark.parametrize("g,value", [
         # the polish of the first start steps to x1 = 0.75390625 and raises
@@ -362,6 +381,22 @@ class TestCliReports:
         assert code == 0
         assert rep["count"] >= 2
         assert len(rep["orbits"]) == rep["count"]
+
+    def test_stiff_zero_seed_warns_nothing(self, capfd, tmp_path):
+        # A = -400 at the zero x1 = 0: the seed's map takes the scan's 1024
+        # steps (h * |A| = 2.45, inside RK4's stability interval), so no
+        # step overflows on the way to the one orbit
+        path = tmp_path / "stiff.sys"
+        path.write_text('dim_x = 1\ndim_y = 1\nperiod = 6.283185307179586\n'
+                        'f = "y1"\ng = "y1 + 400*x1"\nh = "cos(t)"\n'
+                        'box = [-1, 1], [-500, 500]\n')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["multiplicity", str(path), "--lambda", "0.01",
+                         "--steps", "1024", "--grid", "2"])
+        out, err = capfd.readouterr()
+        assert (code, err) == (0, "")
+        assert json.loads(out)["count"] == 1
 
     def test_determinism(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
