@@ -384,26 +384,82 @@ def det_sign(a, tol=1e-12):
     return sign, det
 
 
-def expm(a):
-    """Matrix exponential of a square matrix.
+# Higham's [13/13] Pade coefficients b_0..b_13, and theta_13: the largest
+# 1-norm for which the approximant alone meets double precision
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+           960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
 
-    A 1x1 matrix is math.exp of its entry, which does not depend on the
-    SIMD loop numpy picks for np.exp. A larger one goes to
-    scipy.linalg.expm, the scaling-and-squaring Pade method (Higham, SIAM
-    J. Matrix Anal. Appl. 26, 2005); scipy is imported here, so a process
-    that never exponentiates a matrix of order 2 or more never loads it.
-    Raises MatrixOverflowError when any entry is not finite.
+
+def _sum(xs):
+    """The float sum of xs, left to right from 0.0 (the builtin sum
+    compensates from Python 3.12 on)."""
+    return functools.reduce(operator.add, xs, 0.0)
+
+
+def _matmul(x, y):
+    """x @ y on floats, for square matrices as lists of rows."""
+    return [[_sum(map(operator.mul, row, col)) for col in zip(*y)] for row in x]
+
+
+def _combine(cs, ms):
+    """The sum of c * m over the coefficients cs and the matrices ms."""
+    n = range(len(ms[0]))
+    return [[_sum(c * m[i][j] for c, m in zip(cs, ms)) for j in n] for i in n]
+
+
+def expm(a):
+    """Matrix exponential of a square matrix; raises ValueError on any other
+    shape.
+
+    A 1x1 matrix is math.exp of its entry. A larger one is scaled and
+    squared with the [13/13] Pade approximant r = q(A)^-1 p(A) (Higham,
+    SIAM J. Matrix Anal. Appl. 26(4), 2005): A is scaled by 2^-s, with s
+    the least s >= 0 that brings its 1-norm to at most theta_13, then
+    r(A 2^-s) is squared s times. The powers A^2, A^4, A^6, the odd part U
+    and the even part V are formed on Python floats, every product and
+    every sum of terms added left to right; (V - U) X = V + U is solved by
+    lu_factor (rtol 0.0) and lu_apply. No step goes through numpy's
+    matmul or a BLAS, so the bits do not depend on the host.
+
+    Raises MatrixOverflowError when any entry of the result is not finite,
+    and, before scaling, when an entry of a larger matrix, or its 1-norm,
+    is not finite.
     """
     a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("square matrix required")
     if a.shape == (1, 1):
         try:
             out = np.array([[math.exp(a[0, 0])]])
         except OverflowError:
             out = np.array([[math.inf]])
     else:
-        import scipy.linalg
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = scipy.linalg.expm(a)
+        m = a.tolist()
+        norms = [_sum(map(abs, col)) for col in zip(*m)]
+        if not all(map(math.isfinite, norms)):
+            raise MatrixOverflowError("matrix exponential overflowed")
+        norm = max(norms)
+        s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
+        m = [[math.ldexp(x, -s) for x in row] for row in m]
+        eye = np.eye(len(m)).tolist()
+        m2 = _matmul(m, m)
+        m4 = _matmul(m2, m2)
+        m6 = _matmul(m4, m2)
+        b = _PADE13
+        u = _matmul(m, _combine(
+            (1.0, b[7], b[5], b[3], b[1]),
+            (_matmul(m6, _combine(b[13:8:-2], (m6, m4, m2))), m6, m4, m2, eye)))
+        v = _combine(
+            (1.0, b[6], b[4], b[2], b[0]),
+            (_matmul(m6, _combine(b[12:7:-2], (m6, m4, m2))), m6, m4, m2, eye))
+        lu, piv, _ = lu_factor(np.subtract(v, u), rtol=0.0)
+        x = lu_apply(lu, piv, np.add(v, u)).tolist()
+        for _ in range(s):
+            x = _matmul(x, x)
+        out = np.array(x)
     if not np.all(np.isfinite(out)):
         raise MatrixOverflowError("matrix exponential overflowed")
     return out

@@ -1,12 +1,12 @@
-"""Cold start: a fresh CLI process loads scipy only when it exponentiates a
-matrix of order 2 or more, and compiles each emitted function once.
+"""Cold start: a fresh CLI process never loads scipy, and compiles each
+emitted function once.
 
-scipy.linalg is most of the import time of a one-shot ``python -m daekit``
-call, and ``linalg.expm`` is daekit's only use of it. The queries below are
-golden queries, run through ``cli.main`` in a new interpreter as ``python -m
-daekit`` does; after each one the test reads ``"scipy" in sys.modules`` and
-counts the calls of ``builtins.compile`` it made, and its report must still
-match its golden file. No time is measured.
+daekit needs only numpy at run time: its matrix exponential is its own, on
+floats. The golden queries are run through ``cli.main`` in a new
+interpreter as ``python -m daekit`` does; after each one the test reads
+``"scipy" in sys.modules`` and counts the calls of ``builtins.compile`` it
+made, and its report must still match its golden file. No time is
+measured.
 """
 
 import json
@@ -14,24 +14,17 @@ import os
 import subprocess
 import sys
 
-import pytest
-
 from test_golden import GOLDEN, QUERIES, ROOT
 
 # check, degree and zeros never exponentiate a matrix, nor does shoot with
-# --guess. resonance, branch and multiplicity do, and so does shoot without
-# --guess, which starts from the first non-resonant zero; on a system with
-# dim_x = 1 that matrix is 1x1. pozzo and r21 have dim_x = 2, so pozzo's
-# resonance query and guess-free shoot, and r21's multiplicity scan, must
-# still load scipy.
-WITHOUT_SCIPY = sorted(
+# --guess; these never loaded scipy even when expm came from scipy.linalg.
+WITHOUT_EXPM = sorted(
     [f"check_{name}" for name in
      ("pozzo", "equivlien", "exmults", "eqex1", "eqex2")]
     + [f"{cmd}_{name}" for cmd in ("degree", "zeros")
        for name in ("pozzo", "equivlien", "exmults")]
     + ["shoot_equivlien", "resonance_exmults", "branch_equivlien",
        "multiplicity_exmults"])
-WITH_SCIPY = ["resonance_pozzo", "shoot_pozzo", "multiplicity_r21"]
 
 SCRIPT = """\
 import builtins, contextlib, io, json, sys
@@ -81,27 +74,20 @@ def check_reports(names, results):
 
 
 def test_queries_without_expm_never_load_scipy(tmp_path):
-    # one process for all of them: scipy stays loaded once imported, so
-    # the first query that loads it is the first True
-    results = run_fresh(WITHOUT_SCIPY, tmp_path)
-    loaded = [name for name, r in zip(WITHOUT_SCIPY, results) if r["scipy"]]
+    results = run_fresh(WITHOUT_EXPM, tmp_path)
+    loaded = [name for name, r in zip(WITHOUT_EXPM, results) if r["scipy"]]
     assert loaded == []
-    check_reports(WITHOUT_SCIPY, results)
-
-
-@pytest.mark.parametrize("name", WITH_SCIPY)
-def test_order_two_expm_loads_scipy(name, tmp_path):
-    results = run_fresh([name], tmp_path)
-    assert results[0]["scipy"] is True
-    check_reports([name], results)
+    check_reports(WITHOUT_EXPM, results)
 
 
 def test_a_second_run_compiles_nothing(tmp_path):
-    # every golden query, then all of them again in the same process: the
-    # second run finds the code of every emitted function in the
-    # process-wide compile cache, and gives the same reports
+    # every golden query, then all of them again in the same process: no
+    # query loads scipy, the second run finds the code of every emitted
+    # function in the process-wide compile cache, and gives the same
+    # reports
     names = sorted(QUERIES)
     results = run_fresh(names + names, tmp_path)
+    assert [name for name, r in zip(names, results) if r["scipy"]] == []
     assert sum(r["compiles"] for r in results[:len(names)]) > 0
     assert [r["compiles"] for r in results[len(names):]] == [0] * len(names)
     check_reports(names, results[:len(names)])
