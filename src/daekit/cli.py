@@ -8,6 +8,7 @@ the same inputs and --seed they are byte-identical run to run.
 """
 
 import argparse
+import functools
 import json
 import sys as _sys
 
@@ -349,7 +350,10 @@ def _cmd_reduce_implicit(args):
     return 0
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on the first main call and kept: parsing
+    leaves it as it was."""
     parser = _Parser(prog="daekit",
                      description="degree / resonance / periodic-branch "
                                  "toolkit for semi-explicit DAEs")

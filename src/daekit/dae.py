@@ -68,8 +68,11 @@ class Box:
     hi: np.ndarray
 
     def __post_init__(self):
-        self.lo = np.asarray(self.lo, dtype=float)
-        self.hi = np.asarray(self.hi, dtype=float)
+        # read-only copies: no caller's array is aliased, and a Box shared
+        # by a loaded system cannot be changed in place
+        self.lo = np.array(self.lo, dtype=float)
+        self.hi = np.array(self.hi, dtype=float)
+        self.lo.flags.writeable = self.hi.flags.writeable = False
         if self.lo.shape != self.hi.shape or self.lo.ndim != 1:
             raise ValueError("bounds must be equal-length 1-D arrays")
         if not np.all(np.isfinite(self.lo)) or not np.all(np.isfinite(self.hi)):
@@ -156,11 +159,14 @@ class SystemDef:
     """Problem instance: dimensions, period, formulas and working box.
 
     Immutable by convention once constructed; all evaluations are pure, so a
-    single instance can serve concurrent workers. Each expression list it
-    evaluates gets its compiled kernel once, kept on the instance; f, g and
-    h together (``fgh``) make the kernel of the emitted reduced-field
-    stage, whose point code (_point_code), like g's, is built once for all
-    the stages, constraint steps and flow loops emitted for the instance.
+    single instance can serve concurrent workers. sysfile.load_system
+    shares one instance among all loads of the same file text, so callers
+    must not mutate it; the box's bounds are read-only. Each expression
+    list it evaluates gets its compiled kernel once, kept on the instance;
+    f, g and h together (``fgh``) make the kernel of the emitted
+    reduced-field stage, whose point code (_point_code), like g's, is built
+    once for all the stages, constraint steps and flow loops emitted for
+    the instance.
     """
 
     def __init__(self, k, s, period, f, g, h=None, box=None, constraint_tol=1e-10):

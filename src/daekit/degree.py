@@ -13,9 +13,9 @@ that reduction is what `tangent_field_degree` reports, together with the
 cross-check status.
 """
 
+import functools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -62,9 +62,10 @@ SWEEP_ITERATIONS = 60  # Newton steps per sweep start
 POLISH_ITERATIONS = 60  # Newton steps per candidate of the zero polish
 
 
-@dataclass
+@dataclass(eq=False)
 class VectorField:
-    """A map R^n -> R^n given by n formulas over n ordered variables."""
+    """A map R^n -> R^n given by n formulas over n ordered variables;
+    equal only to itself."""
 
     exprs: list
     var_names: list
@@ -82,11 +83,11 @@ class VectorField:
             return {nm: z[:, i] for i, nm in enumerate(self.var_names)}
         return {nm: float(z[i]) for i, nm in enumerate(self.var_names)}
 
-    @cached_property
+    @functools.cached_property
     def _kernel(self):
         return expr.Kernel(self.exprs, [{nm: 1.0} for nm in self.var_names])
 
-    @cached_property
+    @functools.cached_property
     def _polish(self):
         """The emitted polish loop of the field (_emit_polish)."""
         return _emit_polish(self)
@@ -117,9 +118,14 @@ class VectorField:
 
 
 def system_field(sys):
-    """The flat map (f, g) of a DAE system as a VectorField."""
-    return VectorField(list(sys.f) + list(sys.g), list(sys.state_names),
-                       k=sys.k, s=sys.s)
+    """The flat map (f, g) of a DAE system as a VectorField, made on first
+    use and kept on the instance, so its batch kernel and emitted polish
+    are made once per system."""
+    if "field" not in sys._stages:
+        sys._stages["field"] = VectorField(list(sys.f) + list(sys.g),
+                                           list(sys.state_names),
+                                           k=sys.k, s=sys.s)
+    return sys._stages["field"]
 
 
 def as_field(obj):
@@ -475,8 +481,13 @@ def _winding_number(fld, box):
     return int(round(w))
 
 
-def _perturbed_field(fld, c):
-    """Shift the differential components of the field by the constant c."""
+@functools.lru_cache(maxsize=32)
+def _perturbed_field(fld, shift):
+    """Shift the differential components of the field by the constants c
+    whose float64 bytes are shift. Each (field, shift) is made once and
+    kept (the last 32), so a vote the same seed casts again makes no
+    kernel or polish again."""
+    c = np.frombuffer(shift)
     k = fld.k if fld.k is not None else fld.dim
     new = []
     for i, e in enumerate(fld.exprs):
@@ -518,7 +529,7 @@ def degree_boundary_oracle(system_or_field, box, grid_per_dim=16, rng=None):
         for _attempt in range(8):
             c = rng.standard_normal(k)
             c *= PERTURB_SIZE / norm1(c)
-            pfld = _perturbed_field(fld, c)
+            pfld = _perturbed_field(fld, c.tobytes())
             pzeros = find_zeros(pfld, inflated, grid_per_dim)
             try:
                 votes.append(degree_sum(pzeros, inflated))

@@ -414,15 +414,16 @@ def expm(a):
     """Matrix exponential of a square matrix; raises ValueError on any other
     shape.
 
-    A 1x1 matrix is math.exp of its entry. A larger one is scaled and
-    squared with the [13/13] Pade approximant r = q(A)^-1 p(A) (Higham,
-    SIAM J. Matrix Anal. Appl. 26(4), 2005): A is scaled by 2^-s, with s
-    the least s >= 0 that brings its 1-norm to at most theta_13, then
-    r(A 2^-s) is squared s times. The powers A^2, A^4, A^6, the odd part U
-    and the even part V are formed on Python floats, every product and
-    every sum of terms added left to right; (V - U) X = V + U is solved by
-    lu_factor (rtol 0.0) and lu_apply. No step goes through numpy's
-    matmul or a BLAS, so the bits do not depend on the host.
+    A 0x0 matrix gives a 0x0 array, and a 1x1 matrix math.exp of its
+    entry. A larger one is scaled and squared with the [13/13] Pade
+    approximant r = q(A)^-1 p(A) (Higham, SIAM J. Matrix Anal. Appl. 26(4),
+    2005): A is scaled by 2^-s, with s the least s >= 0 that brings its
+    1-norm to at most theta_13, then r(A 2^-s) is squared s times. The
+    powers A^2, A^4, A^6, the odd part U and the even part V are formed on
+    Python floats, every product and every sum of terms added left to
+    right; (V - U) X = V + U is solved by lu_factor (rtol 0.0) and
+    lu_apply. No step goes through numpy's matmul or a BLAS, so the bits
+    do not depend on the host.
 
     Raises MatrixOverflowError when any entry of the result is not finite,
     and, before scaling, when an entry of a larger matrix, or its 1-norm,
@@ -431,7 +432,9 @@ def expm(a):
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("square matrix required")
-    if a.shape == (1, 1):
+    if a.shape == (0, 0):
+        out = np.empty((0, 0))
+    elif a.shape == (1, 1):
         try:
             out = np.array([[math.exp(a[0, 0])]])
         except OverflowError:

@@ -19,6 +19,7 @@ format is deliberately line-based and dependency-free so fixtures diff
 cleanly.
 """
 
+import functools
 import math
 import re
 
@@ -57,33 +58,38 @@ def _parse_box_list(text, line_no):
     return out
 
 
-def load_raw(path):
-    """Parse a system file into a dict of typed values plus line numbers."""
-    raw, lines = {}, {}
+def _read(path):
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            if "=" not in body:
-                raise SystemFileError("expected 'key = value'", line_no)
-            key, value = (s.strip() for s in body.split("=", 1))
-            if key not in _KNOWN:
-                raise SystemFileError(f"unknown key '{key}'", line_no)
-            if key in raw:
-                raise SystemFileError(f"duplicate key '{key}'", line_no)
-            if key in _SCALAR_KEYS:
-                try:
-                    raw[key] = float(value)
-                except ValueError:
-                    raise SystemFileError(
-                        f"expected a number for '{key}'", line_no
-                    ) from None
-            elif key == "box":
-                raw[key] = _parse_box_list(value, line_no)
-            else:
-                raw[key] = _parse_quoted_list(value, line_no)
-            lines[key] = line_no
+        return fh.read()
+
+
+def load_raw(text):
+    """Parse the text of a system file into a dict of typed values plus
+    line numbers."""
+    raw, lines = {}, {}
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        if "=" not in body:
+            raise SystemFileError("expected 'key = value'", line_no)
+        key, value = (s.strip() for s in body.split("=", 1))
+        if key not in _KNOWN:
+            raise SystemFileError(f"unknown key '{key}'", line_no)
+        if key in raw:
+            raise SystemFileError(f"duplicate key '{key}'", line_no)
+        if key in _SCALAR_KEYS:
+            try:
+                raw[key] = float(value)
+            except ValueError:
+                raise SystemFileError(
+                    f"expected a number for '{key}'", line_no
+                ) from None
+        elif key == "box":
+            raw[key] = _parse_box_list(value, line_no)
+        else:
+            raw[key] = _parse_quoted_list(value, line_no)
+        lines[key] = line_no
     return raw, lines
 
 
@@ -146,8 +152,21 @@ def _box(raw, lines, count):
 
 
 def load_system(path):
-    """Load a standard semi-explicit system definition."""
-    raw, lines = load_raw(path)
+    """Load a standard semi-explicit system definition.
+
+    The file is read on every call; each distinct text gets one SystemDef,
+    kept for the process (the last 32 texts), so every call with the same
+    text returns the same instance, with every kernel and emitted function
+    it has made. Callers must not mutate it. A text that fails to load
+    raises on every call.
+    """
+    return _system(_read(path))
+
+
+@functools.lru_cache(maxsize=32)
+def _system(text):
+    """The SystemDef of the text of a standard system file."""
+    raw, lines = load_raw(text)
     for key in ("gamma", "phi"):
         if key in raw:
             raise SystemFileError(
@@ -171,7 +190,7 @@ def load_system(path):
 
 def load_hessenberg(path):
     """Load a reduction input with constraint ``gamma`` depending on x only."""
-    raw, lines = load_raw(path)
+    raw, lines = load_raw(_read(path))
     k, s, period = _header(raw, lines, "dim_x", "dim_y")
     x_names = [f"x{i + 1}" for i in range(k)]
     state = x_names + [f"y{i + 1}" for i in range(s)]
@@ -183,7 +202,7 @@ def load_hessenberg(path):
 
 def load_implicit(path):
     """Load an implicit-equation input phi(x, x' + lambda h(t, x)) = 0."""
-    raw, lines = load_raw(path)
+    raw, lines = load_raw(_read(path))
     k, period = _header(raw, lines, "dim_x")
     x_names = [f"x{i + 1}" for i in range(k)]
     y_names = [f"y{i + 1}" for i in range(k)]

@@ -4,9 +4,10 @@ emitted function once.
 daekit needs only numpy at run time: its matrix exponential is its own, on
 floats. The golden queries are run through ``cli.main`` in a new
 interpreter as ``python -m daekit`` does; after each one the test reads
-``"scipy" in sys.modules`` and counts the calls of ``builtins.compile`` it
-made, and its report must still match its golden file. No time is
-measured.
+``"scipy" in sys.modules`` and counts the calls of ``builtins.compile`` and
+of ``expr._kernel_lines`` (the point code every emitted function starts
+from) it made, and its report must still match its golden file. No time
+is measured.
 """
 
 import json
@@ -26,21 +27,32 @@ WITHOUT_EXPM = sorted(
     + ["shoot_equivlien", "resonance_exmults", "branch_equivlien",
        "multiplicity_exmults"])
 
+# the queries that build their SystemDef from the formulas they reduce,
+# not through load_system, so a second run emits their point code again
+REDUCTIONS = {"reduce-hessenberg_hess", "reduce-implicit_implicit"}
+
 SCRIPT = """\
 import builtins, contextlib, io, json, sys
+from daekit import expr
 from daekit.cli import main
 compiles, compile_ = [], builtins.compile
 def counting(*args, **kwargs):
     compiles.append(None)
     return compile_(*args, **kwargs)
 builtins.compile = counting
+emits, kernel_lines = [], expr._kernel_lines
+def emitting(*args, **kwargs):
+    emits.append(None)
+    return kernel_lines(*args, **kwargs)
+expr._kernel_lines = emitting
 results = []
 for argv in json.loads(sys.argv[1]):
-    out, before = io.StringIO(), len(compiles)
+    out, before, emitted = io.StringIO(), len(compiles), len(emits)
     with contextlib.redirect_stdout(out):
         code = main(argv)
     results.append({"code": code, "scipy": "scipy" in sys.modules,
                     "compiles": len(compiles) - before,
+                    "emits": len(emits) - emitted,
                     "report": out.getvalue()})
 print(json.dumps(results))
 """
@@ -50,7 +62,7 @@ def run_fresh(names, csv_dir):
     """Run the golden queries of the names, in order, in one new interpreter
     started from the repository root; one dict per query with its exit
     code, whether scipy was loaded after it, its calls of builtins.compile
-    and its report."""
+    and of expr._kernel_lines, and its report."""
     queries = []
     for name in names:
         argv, csv, _ = QUERIES[name]
@@ -84,11 +96,16 @@ def test_a_second_run_compiles_nothing(tmp_path):
     # every golden query, then all of them again in the same process: no
     # query loads scipy, the second run finds the code of every emitted
     # function in the process-wide compile cache, and gives the same
-    # reports
+    # reports. load_system returns the first run's SystemDef of each
+    # system text, with its kernels and emitted functions, so the second
+    # run emits no point code either, except in the reductions
     names = sorted(QUERIES)
     results = run_fresh(names + names, tmp_path)
+    first, second = results[:len(names)], results[len(names):]
     assert [name for name, r in zip(names, results) if r["scipy"]] == []
-    assert sum(r["compiles"] for r in results[:len(names)]) > 0
-    assert [r["compiles"] for r in results[len(names):]] == [0] * len(names)
-    check_reports(names, results[:len(names)])
-    check_reports(names, results[len(names):])
+    assert sum(r["compiles"] for r in first) > 0
+    assert [r["compiles"] for r in second] == [0] * len(names)
+    assert sum(r["emits"] for r in first) > 0
+    assert {name for name, r in zip(names, second) if r["emits"]} == REDUCTIONS
+    check_reports(names, first)
+    check_reports(names, second)

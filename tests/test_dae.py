@@ -41,6 +41,21 @@ class TestBox:
         with pytest.raises(ValueError):
             Box(np.array([0.0]), np.array([np.inf]))
 
+    def test_bounds_are_read_only_copies(self):
+        # a Box shared by loaded systems cannot be changed in place, and
+        # changing the caller's arrays leaves it as it was
+        lo, hi = np.array([-1.0, 0.0]), np.array([1.0, 2.0])
+        box = Box(lo, hi)
+        lo[0], hi[1] = -5.0, 5.0
+        assert box.lo.tolist() == [-1.0, 0.0] and box.hi.tolist() == [1.0, 2.0]
+        for bound in (box.lo, box.hi):
+            with pytest.raises(ValueError, match="read-only"):
+                bound[0] = 0.5
+            with pytest.raises(ValueError, match="read-only"):
+                bound += 1.0
+        assert box.inflate().lo.flags.writeable is False
+        assert box.subbox([1]).hi.tolist() == [2.0]
+
     def test_membership(self):
         box = Box.from_pairs([(-1, 1), (0, 2)])
         assert box.contains([0.0, 1.0])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import daekit.degree as degree_module
-from daekit import expr, load_system
+from daekit import expr, load_system, sysfile
 from daekit.dae import Box, SystemDef, _emit_det_polish, _kernel_code, validate
 from daekit.degree import (
     VectorField,
@@ -31,6 +31,7 @@ from daekit.degree import (
     _grid_starts,
     _make_record,
     _newton_sweep,
+    _perturbed_field,
     _polish_rows,
 )
 from conftest import system_path
@@ -156,6 +157,19 @@ class TestBoundaryOracle:
         fld = VectorField([expr.parse("x1^2 - 0.25", ["x1"])], ["x1"])
         assert boundary_margin(fld, Box.from_pairs([(-1.0, 2.0)])) == 0.75
         assert boundary_margin(fld, Box.from_pairs([(-3.0, 0.75)])) == 0.3125
+
+    def test_a_vote_keeps_its_perturbed_field(self, pozzo, equivlien):
+        # the same seed draws the same shifts, so a repeated vote gets the
+        # field, kernel and polish it made before
+        fld, c = system_field(pozzo), np.array([3e-6, -7e-6])
+        shifted = _perturbed_field(fld, c.tobytes())
+        assert _perturbed_field(fld, c.copy().tobytes()) is shifted
+        assert _perturbed_field(fld, (-c).tobytes()) is not shifted
+        assert _perturbed_field(system_field(equivlien),
+                                c[:1].tobytes()) is not shifted
+        z = np.array([0.3, -0.2, 0.1])
+        want = fld.value(z) + np.array([3e-6, -7e-6, 0.0])
+        assert shifted.value(z).tobytes() == want.tobytes()
 
     def test_matches_sum_on_fixtures(self, pozzo, equivlien):
         for sys in (pozzo, equivlien):
@@ -446,8 +460,11 @@ def assert_polish_is_oracle(fld, zs, best, errors):
 class TestEmittedPolish:
     @pytest.mark.parametrize("name", FIELDS)
     def test_random_starts_equal_the_oracle(self, name, request, emitted):
+        # a new field: the one system_field keeps on a shared system may
+        # have made its polish in an earlier test
         sys = fixture_system(name, request)
-        fld = system_field(sys)
+        fld = VectorField(list(sys.f) + list(sys.g), sys.state_names,
+                          k=sys.k, s=sys.s)
         rng = np.random.default_rng(FIELDS.index(name) + 180)
         zs = sys.box.lo + rng.random((96, sys.box.dim)) * sys.box.width
         best, errors = _polish_rows(fld, zs)
@@ -566,13 +583,16 @@ class TestEmittedPolish:
     @pytest.mark.parametrize("name", ["pozzo", "equivlien", "eqex1", "eqex2",
                                       "r12", "r21", "r22"])
     def test_regular_fixtures_never_compile_it(self, name, emitted, compiles):
-        # a second load of the same system compiles nothing: its zero
+        # a second SystemDef of the same text compiles nothing: its zero
         # polish, which every find_zeros call now emits, and its other
-        # emitted functions come from the process-wide compile cache
+        # emitted functions come from the process-wide compile cache.
+        # Each is built past load_system's cache, which would return the
+        # one instance whose polish an earlier test may have made.
         path = (GOLDEN / f"{name}.sys" if name.startswith("r")
                 else system_path(name))
         for _ in range(2):
-            sys, ran = load_system(str(path)), emitted["ran"]
+            sys = sysfile._system.__wrapped__(Path(path).read_text())
+            ran = emitted["ran"]
             compiles.clear()
             for grid in (8, 16):
                 find_zeros(sys, sys.box, grid)

@@ -44,6 +44,7 @@ from pathlib import Path
 
 import pytest
 
+from daekit import cli
 from daekit.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -113,6 +114,20 @@ def run_query(name, csv_dir):
 def test_report_matches_golden(name, tmp_path):
     for fname, got in run_query(name, tmp_path).items():
         assert got == (GOLDEN / fname).read_bytes(), f"{fname} changed"
+
+
+def test_main_after_usage_errors_and_help(capsys, tmp_path):
+    # main keeps one parser for the process: a usage error (exit 1) or
+    # --help (exit 0) before a query leaves its report as it was
+    assert cli._build_parser() is cli._build_parser()
+    for argv, code in ((["branch", "systems/pozzo.sys"], 1),
+                       (["--help"], 0), (["check", "--help"], 0),
+                       (["check"], 1), (["nosuchcommand"], 1)):
+        assert main(argv) == code
+    capsys.readouterr()
+    for name in ("check_pozzo", "branch_equivlien"):
+        for fname, got in run_query(name, tmp_path).items():
+            assert got == (GOLDEN / fname).read_bytes(), f"{fname} changed"
 
 
 def regen():

@@ -162,6 +162,14 @@ class TestExpm:
     def test_zero(self):
         assert np.array_equal(linalg.expm(np.zeros((3, 3))), np.eye(3))
 
+    def test_empty(self):
+        # a 0x0 matrix gives a 0x0 array, as scipy.linalg.expm does
+        got, want = linalg.expm(np.zeros((0, 0))), scipy.linalg.expm(np.zeros((0, 0)))
+        assert (got.dtype, got.shape) == (want.dtype, want.shape) == (
+            np.dtype(float), (0, 0))
+        with pytest.raises(ValueError):
+            linalg.expm(np.zeros((0, 1)))
+
     def test_rotation_by_pi(self):
         m = linalg.expm(np.array([[0.0, -math.pi], [math.pi, 0.0]]))
         assert np.max(np.abs(m + np.eye(2))) <= 1e-10

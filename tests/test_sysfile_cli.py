@@ -36,6 +36,43 @@ class TestSystemFile:
         p.write_text(text)
         return str(p)
 
+    def test_one_instance_per_text(self, tmp_path):
+        # the same text, from the same path or another, is the same
+        # SystemDef, with the kernels and emitted code it has made
+        pozzo = load_system(system_path("pozzo"))
+        find_zeros(pozzo, pozzo.box, grid_per_dim=4)
+        copy = tmp_path / "copy.sys"
+        copy.write_text(open(system_path("pozzo"), encoding="utf-8").read())
+        for path in (system_path("pozzo"), str(copy)):
+            again = load_system(path)
+            assert again is pozzo
+            assert again.box is pozzo.box and again._stages is pozzo._stages
+
+    def test_an_edited_file_is_reloaded(self, tmp_path):
+        text = ('dim_x = 1\ndim_y = 1\nperiod = 1\nf = "{}"\ng = "x1 - y1"\n'
+                'box = [-1, 1], [-1, 1]\n')
+        path = self.write(tmp_path, text.format("y1"))
+        first = load_system(path)
+        self.write(tmp_path, text.format("2*y1"))
+        edited = load_system(path)
+        env = edited.env([0.5], [0.25])
+        assert edited is not first
+        assert (first.eval_f(env).tolist(), edited.eval_f(env).tolist()) == (
+            [0.25], [0.5])
+        self.write(tmp_path, text.format("y1"))
+        assert load_system(path) is first
+
+    def test_a_malformed_file_raises_on_every_load(self, tmp_path):
+        path = self.write(tmp_path, 'dim_x = 1\ndim_y = 1\nperiod = 1\n'
+                          'f = "y1"\ng = "x1 +"\nbox = [-1, 1], [-1, 1]\n')
+        errors = []
+        for _ in range(2):
+            with pytest.raises(SystemFileError) as err:
+                load_system(path)
+            errors.append(err.value)
+        assert errors[0] is not errors[1]
+        assert [e.line for e in errors] == [5, 5]
+
     def test_missing_key(self, tmp_path):
         path = self.write(tmp_path, 'dim_x = 1\ndim_y = 1\nperiod = 1\nf = "y1"\n'
                           'box = [-1, 1], [-1, 1]\n')
