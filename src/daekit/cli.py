@@ -310,8 +310,7 @@ def _cmd_multiplicity(args):
 
 
 def _cmd_reduce_hessenberg(args):
-    f, gamma, h, period, box = sysfile.load_hessenberg(args.system)
-    sysdef = periodic._hessenberg_system(f, gamma, box, period, h)
+    sysdef = sysfile.load_hessenberg(args.system)
     report = validate(sysdef, samples=args.samples)
     _emit(
         {
@@ -329,10 +328,10 @@ def _cmd_reduce_hessenberg(args):
 
 
 def _cmd_reduce_implicit(args):
-    phi, h, period, box = sysfile.load_implicit(args.system)
-    sysdef, deg = periodic.reduce_implicit(
-        phi, h, period, box, grid_per_dim=args.grid, samples=args.samples
-    )
+    sysdef = sysfile.load_implicit(args.system)
+    validate(sysdef, samples=args.samples)
+    deg = degree_mod.degree_via_slice(sysdef.g, sysdef.box,
+                                      grid_per_dim=args.grid)
     _emit(
         {
             "command": "reduce-implicit",

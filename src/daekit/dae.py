@@ -103,11 +103,13 @@ class Box:
 
     def contains_rows(self, zs, slack=0.0):
         """Whether each row of zs is finite and within slack of the box, as
-        a boolean mask."""
+        a boolean mask. Tested column by column against finite bounds,
+        which nan and +-inf fail."""
         zs = np.asarray(zs, dtype=float)
-        return (np.isfinite(zs).all(axis=1)
-                & (zs >= self.lo - slack).all(axis=1)
-                & (zs <= self.hi + slack).all(axis=1))
+        inside = np.ones(len(zs), dtype=bool)
+        for d, (lo, hi) in enumerate(zip(self.lo - slack, self.hi + slack)):
+            inside &= (zs[:, d] >= lo) & (zs[:, d] <= hi)
+        return inside
 
     def clip(self, z):
         return np.clip(z, self.lo, self.hi)

@@ -13,8 +13,10 @@ that reduction is what `tangent_field_degree` reports, together with the
 cross-check status.
 """
 
+import contextvars
 import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +43,7 @@ from .errors import (
 from .linalg import (
     _compile,
     _lu_lines,
+    _norm1_rows,
     _solve_lines,
     _solve_rows,
     _unpack,
@@ -60,6 +63,14 @@ PERTURB_SIZE = 1e-5
 SWEEP_TOL = 1e-12  # norm-1 residual at which a sweep start has converged
 SWEEP_ITERATIONS = 60  # Newton steps per sweep start
 POLISH_ITERATIONS = 60  # Newton steps per candidate of the zero polish
+# fewest columns in a half of a split sweep step (_newton_sweep). Below
+# about this size the hand-off to the worker and the shorter numpy passes
+# cost more than the second core gives. Median sweep times on a 2-core
+# Xeon (numpy 2.4.6): halves of 8 192 columns made r21's sweep at 26^3
+# starts 27-32 % slower and pozzo's at 26^3 17-20 % slower; halves of
+# 16 384 or more were never slower (r22 at 16^4 starts 22-26 % faster,
+# pozzo at 40^3 9 %)
+SPLIT = 16384
 
 
 @dataclass(eq=False)
@@ -174,11 +185,15 @@ def _grid_starts(box, grid_per_dim):
 def _newton_sweep(fld, box, starts):
     """The points Newton's method reaches from the rows of starts, in start
     order. Only live points are carried, entry-major as an (n, N) array,
-    each with its start index, and each step takes one values-and-Jacobian
-    pass and one elimination over the stack, in the kernel's outputs. A
-    point converges at a norm-1 residual of at most SWEEP_TOL. It is
-    dropped at a non-finite residual, at a step that is not finite (a zero
-    pivot leaves it nan) or leaves the box inflated by 5 widths, or after
+    each with its start index. Each step takes one values-and-Jacobian pass
+    over the stack in the caller's thread, then _sweep_step on the kernel's
+    outputs: on two column halves at once, one in a worker thread, when the
+    stack holds at least 2 * SPLIT points and the process may run on two
+    CPUs, else on the whole stack. Every operation of _sweep_step acts on
+    each column alone, so the points do not depend on the split. A point
+    converges at a norm-1 residual of at most SWEEP_TOL. It is dropped at a
+    non-finite residual, at a step that is not finite (a zero pivot leaves
+    it nan) or leaves the box inflated by 5 widths, or after
     SWEEP_ITERATIONS steps."""
     zt = np.ascontiguousarray(starts.T, dtype=float)
     n, rows = zt.shape
@@ -186,36 +201,82 @@ def _newton_sweep(fld, box, starts):
     hits, points = [live[:0]], [zt[:, :0]]
     lo_big = (box.lo - 5.0 * box.width)[:, None]
     hi_big = (box.hi + 5.0 * box.width)[:, None]
-    # one pair of kernel outputs for the whole sweep, sliced to the live
-    # points, so no step allocates a new Jacobian stack
+    # one set of kernel outputs and step results for the whole sweep,
+    # sliced to the live points, so no step allocates a new stack
     vbuf, jbuf = np.empty((fld.dim, rows)), np.empty((fld.dim * n, rows))
+    rbuf, kbuf, sbuf = np.empty(rows), np.empty(rows, bool), np.empty((n, rows))
+    # platforms without os.sched_getaffinity (macOS, Windows) never split
+    split = (rows >= 2 * SPLIT and hasattr(os, "sched_getaffinity")
+             and len(os.sched_getaffinity(0)) >= 2)
     for _ in range(SWEEP_ITERATIONS):
-        if not live.size:
+        size = live.size
+        if not size:
             break
-        vals, jac = vbuf[:, :live.size], jbuf[:, :live.size]
-        fv, _ = fld.jacobian_batch(zt.T, out=(vals, jac))
-        with np.errstate(all="ignore"):
-            res = norm1_rows(fv)
+        vals, jac = vbuf[:, :size], jbuf[:, :size]
+        fld.jacobian_batch(zt.T, out=(vals, jac))
+        res, keep, step = rbuf[:size], kbuf[:size], sbuf[:, :size]
+        args = zt, vals, jac, lo_big, hi_big, res, keep, step
+        if split and size >= 2 * SPLIT:
+            _split_step(args, size)
+        else:
+            _sweep_step(*args, slice(None))
         done = res <= SWEEP_TOL
         hits.append(live[done])
         points.append(zt[:, done])
-        # the solve overwrites vals and jac, which this step no longer reads
-        step = _solve_rows(jac, vals, out=np.empty_like(zt))
-        zt = np.subtract(zt, step, out=step)
-        # nan and +-inf fail the box test
-        keep = (~done & np.isfinite(res)
-                & np.all(zt >= lo_big, axis=0)
-                & np.all(zt <= hi_big, axis=0))
-        zt, live = np.compress(keep, zt, axis=1), live[keep]
+        zt, live = np.compress(keep, step, axis=1), live[keep]
     return np.concatenate(points, axis=1).T[np.argsort(np.concatenate(hits))]
+
+
+def _sweep_step(zt, vals, jac, lo_big, hi_big, res, keep, step, cols):
+    """One Newton step of _newton_sweep on the columns cols (a slice) of its
+    live stack zt, from the kernel's values vals and Jacobians jac, which
+    the elimination overwrites: the norm-1 residual goes to res, the
+    stepped point to step, and to keep whether the point goes on (its
+    residual is finite and above SWEEP_TOL, and its stepped point lies in
+    [lo_big, hi_big]; nan and +-inf fail that test). Calls nothing public,
+    as it may run in a worker thread."""
+    fv, r, z = vals[:, cols], res[cols], step[:, cols]
+    with np.errstate(all="ignore"):
+        r[...] = _norm1_rows(fv.T)
+    _solve_rows(jac[:, cols], fv, out=z)
+    np.subtract(zt[:, cols], z, out=z)
+    keep[cols] = ((r > SWEEP_TOL) & np.isfinite(r)
+                  & np.all(z >= lo_big, axis=0) & np.all(z <= hi_big, axis=0))
+
+
+def _split_step(args, size):
+    """_sweep_step on the two halves of a stack of size columns: the second
+    in the worker thread under a copy of the caller's context (numpy's
+    errstate lives there), the first in the caller's thread. Returns when
+    both are done, since the worker writes into the caller's arrays, and
+    raises what either raised."""
+    half = size // 2
+    second = _worker().submit(contextvars.copy_context().run, _sweep_step,
+                              *args, slice(half, size))
+    try:
+        _sweep_step(*args, slice(0, half))
+    finally:
+        second.result()
+
+
+@functools.cache
+def _worker():
+    """The one thread that takes the second half of a split sweep step,
+    made on first use and kept for the process. concurrent.futures is
+    imported here, as it imports logging: about 14 ms that a process
+    which never splits a step need not pay."""
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(1, thread_name_prefix="daekit-sweep")
 
 
 def find_zeros(system_or_field, box, grid_per_dim=16):
     """All zeros of the field in the box, deduplicated, with index data.
 
-    Multistart Newton from a grid_per_dim^n grid of cell centers. The
-    converged points inside the box are merged at radius 1e-10, polished,
-    and merged again at radius 1e-6, each time by first-seen clustering
+    Multistart Newton from a grid_per_dim^n grid of cell centers
+    (_newton_sweep, whose large steps run on two threads when the process
+    may run on two CPUs, with the same bits as on one). The converged
+    points inside the box are merged at radius 1e-10, polished, and
+    merged again at radius 1e-6, each time by first-seen clustering
     in sweep order (`_first_seen`). Each survivor gets an AD Jacobian, a
     degeneracy flag (det_sign at relative tolerance 1e-8) and, when
     nondegenerate, the Jacobian sign as its index. Points within 1e-6 of
@@ -244,14 +305,24 @@ def _first_seen(points, radius):
     within radius. points is (N, n), or (N, T, n) for orbits, whose
     distance is the largest norm-1 distance between their rows. Each kept
     entry drops every later entry within the radius in one pass; nan is
-    never within any radius."""
+    never within any radius. Distances of fewer than 8 coordinates are
+    summed column by column, left to right as np.sum adds them."""
     points = np.asarray(points, dtype=float)
+    n = points.shape[-1]
+    # coordinates first: one take gathers every coordinate's entries
+    cols = np.ascontiguousarray(np.moveaxis(points, -1, 0)) if n < 8 else None
     kept = []
     rest = np.arange(len(points))
     while rest.size:
         i, rest = rest[0], rest[1:]
         kept.append(i)
-        dist = np.abs(points[rest] - points[i]).sum(axis=-1)
+        if n < 8:
+            near = np.abs(cols.take(rest, axis=1) - cols[:, i, None])
+            dist = near[0]
+            for c in range(1, n):
+                dist += near[c]
+        else:  # np.sum adds 8 or more contiguous entries pairwise
+            dist = np.abs(points[rest] - points[i]).sum(axis=-1)
         if dist.ndim > 1:
             dist = dist.max(axis=1)
         rest = rest[~(dist <= radius)]
@@ -617,14 +688,10 @@ def degree_via_slice(omega_exprs, box, grid_per_dim=16):
     k = len(omega_exprs)
     if box.dim != 2 * k:
         raise ValueError("box must have twice the dimension of the map")
-    x_names = [f"x{i + 1}" for i in range(k)]
-    y_names = [f"y{i + 1}" for i in range(k)]
     for i in range(k):
         if not (box.lo[k + i] < 0.0 < box.hi[k + i]):
             raise ValueError("the q = 0 slice must cut the box interior")
-    zero_bind = {nm: 0.0 for nm in y_names}
-    slice_exprs = [expr.substitute(e, zero_bind) for e in omega_exprs]
-    slice_fld = VectorField(slice_exprs, x_names)
+    slice_fld, lifted = _slice_fields(tuple(omega_exprs))
     slice_box = box.subbox(range(k))
     zeros = find_zeros(slice_fld, slice_box, grid_per_dim)
     try:
@@ -638,7 +705,6 @@ def degree_via_slice(omega_exprs, box, grid_per_dim=16):
             raise
     result = -slice_deg
     if k == 1:
-        lifted = VectorField([expr.Var("y1"), omega_exprs[0]], ["x1", "y1"])
         direct = _winding_number(lifted, box)
         if direct != result:
             raise DaekitError(
@@ -646,6 +712,21 @@ def degree_via_slice(omega_exprs, box, grid_per_dim=16):
                 f"degree ({direct})"
             )
     return result
+
+
+@functools.lru_cache(maxsize=32)
+def _slice_fields(omega):
+    """The field w(., 0) of the formulas omega of w(p, q) and, for k = 1,
+    the planar field (y1, w) (else None). Each tuple of formula objects
+    gets them once (the last 32), so a reduced system loaded once per text
+    makes their kernels once."""
+    k = len(omega)
+    zero_bind = {f"y{i + 1}": 0.0 for i in range(k)}
+    slice_fld = VectorField([expr.substitute(e, zero_bind) for e in omega],
+                            [f"x{i + 1}" for i in range(k)])
+    if k != 1:
+        return slice_fld, None
+    return slice_fld, VectorField([expr.Var("y1"), omega[0]], ["x1", "y1"])
 
 
 def _interval_degree(fld, box):

@@ -24,9 +24,16 @@ def norm1(v):
 
 def norm1_rows(v):
     """norm1 of every row of v (N, n), with the bits of a C-contiguous v in
-    any layout. np.sum adds fewer than 8 entries left to right in every
-    layout, but sums a contiguous row of 8 or more pairwise, so such rows
-    are summed from a C-contiguous copy."""
+    any layout (_norm1_rows)."""
+    return _norm1_rows(v)
+
+
+def _norm1_rows(v):
+    """norm1_rows for the zero sweep's step, which may run off the caller's
+    thread and so calls no public function (a tracer keeps one span stack
+    for the whole process). np.sum adds fewer than 8 entries left to right
+    in every layout, but sums a contiguous row of 8 or more pairwise, so
+    such rows are summed from a C-contiguous copy."""
     a = np.abs(v)
     if a.shape[1] >= 8:
         a = np.ascontiguousarray(a)

@@ -402,6 +402,14 @@ def reduce_implicit(phi_exprs, h_exprs, period, box, grid_per_dim=16,
     (f, g) over the box, which equals minus the degree of phi(., 0) on the
     q = 0 slice.
     """
+    sysdef = _implicit_system(phi_exprs, h_exprs, period, box)
+    validate(sysdef, samples=samples)
+    deg = degree_via_slice(sysdef.g, box, grid_per_dim=grid_per_dim)
+    return sysdef, deg
+
+
+def _implicit_system(phi_exprs, h_exprs, period, box):
+    """The system reduce_implicit produces, not yet validated."""
     k = len(phi_exprs)
     x_names = [f"x{i + 1}" for i in range(k)]
     if h_exprs is None:
@@ -415,7 +423,4 @@ def reduce_implicit(phi_exprs, h_exprs, period, box, grid_per_dim=16,
             )
     f_exprs = [expr.Var(f"y{i + 1}") for i in range(k)]
     neg_h = [expr.c_neg(h) for h in h_exprs]
-    sysdef = SystemDef(k, k, period, f_exprs, phi_exprs, neg_h, box)
-    validate(sysdef, samples=samples)
-    deg = degree_via_slice(phi_exprs, box, grid_per_dim=grid_per_dim)
-    return sysdef, deg
+    return SystemDef(k, k, period, f_exprs, phi_exprs, neg_h, box)

@@ -26,6 +26,7 @@ import re
 from . import expr
 from .dae import Box, SystemDef
 from .errors import SystemFileError
+from .periodic import _hessenberg_system, _implicit_system
 
 _SCALAR_KEYS = {"dim_x", "dim_y", "period", "constraint_tol"}
 _LIST_KEYS = {"f", "g", "h", "gamma", "phi"}
@@ -189,23 +190,39 @@ def _system(text):
 
 
 def load_hessenberg(path):
-    """Load a reduction input with constraint ``gamma`` depending on x only."""
-    raw, lines = load_raw(_read(path))
+    """Load a reduction input with constraint ``gamma`` depending on x only,
+    as the semi-explicit system periodic.reduce_hessenberg makes of it, not
+    yet validated. Each distinct text gets one SystemDef, kept as
+    load_system keeps its."""
+    return _hessenberg(_read(path))
+
+
+@functools.lru_cache(maxsize=32)
+def _hessenberg(text):
+    raw, lines = load_raw(text)
     k, s, period = _header(raw, lines, "dim_x", "dim_y")
     x_names = [f"x{i + 1}" for i in range(k)]
     state = x_names + [f"y{i + 1}" for i in range(s)]
     f = _formulas(raw, lines, "f", state, k)
     gamma = _formulas(raw, lines, "gamma", x_names, s)
     h = _formulas(raw, lines, "h", state + ["t"], k) if "h" in raw else None
-    return f, gamma, h, period, _box(raw, lines, k + s)
+    return _hessenberg_system(f, gamma, _box(raw, lines, k + s), period, h)
 
 
 def load_implicit(path):
-    """Load an implicit-equation input phi(x, x' + lambda h(t, x)) = 0."""
-    raw, lines = load_raw(_read(path))
+    """Load an implicit-equation input phi(x, x' + lambda h(t, x)) = 0, as
+    the semi-explicit system periodic.reduce_implicit makes of it, not yet
+    validated. Each distinct text gets one SystemDef, kept as load_system
+    keeps its."""
+    return _implicit(_read(path))
+
+
+@functools.lru_cache(maxsize=32)
+def _implicit(text):
+    raw, lines = load_raw(text)
     k, period = _header(raw, lines, "dim_x")
     x_names = [f"x{i + 1}" for i in range(k)]
     y_names = [f"y{i + 1}" for i in range(k)]
     phi = _formulas(raw, lines, "phi", x_names + y_names, k)
     h = _formulas(raw, lines, "h", x_names + ["t"], k) if "h" in raw else None
-    return phi, h, period, _box(raw, lines, 2 * k)
+    return _implicit_system(phi, h, period, _box(raw, lines, 2 * k))

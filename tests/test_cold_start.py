@@ -27,10 +27,6 @@ WITHOUT_EXPM = sorted(
     + ["shoot_equivlien", "resonance_exmults", "branch_equivlien",
        "multiplicity_exmults"])
 
-# the queries that build their SystemDef from the formulas they reduce,
-# not through load_system, so a second run emits their point code again
-REDUCTIONS = {"reduce-hessenberg_hess", "reduce-implicit_implicit"}
-
 SCRIPT = """\
 import builtins, contextlib, io, json, sys
 from daekit import expr
@@ -96,9 +92,10 @@ def test_a_second_run_compiles_nothing(tmp_path):
     # every golden query, then all of them again in the same process: no
     # query loads scipy, the second run finds the code of every emitted
     # function in the process-wide compile cache, and gives the same
-    # reports. load_system returns the first run's SystemDef of each
-    # system text, with its kernels and emitted functions, so the second
-    # run emits no point code either, except in the reductions
+    # reports. load_system, load_hessenberg and load_implicit return the
+    # first run's SystemDef of each input text, with its kernels and
+    # emitted functions, and degree_via_slice keeps its fields per formula
+    # list, so the second run emits no point code either
     names = sorted(QUERIES)
     results = run_fresh(names + names, tmp_path)
     first, second = results[:len(names)], results[len(names):]
@@ -106,6 +103,6 @@ def test_a_second_run_compiles_nothing(tmp_path):
     assert sum(r["compiles"] for r in first) > 0
     assert [r["compiles"] for r in second] == [0] * len(names)
     assert sum(r["emits"] for r in first) > 0
-    assert {name for name, r in zip(names, second) if r["emits"]} == REDUCTIONS
+    assert [r["emits"] for r in second] == [0] * len(names)
     check_reports(names, first)
     check_reports(names, second)

@@ -1,5 +1,8 @@
 import builtins
 import math
+import os
+import sys as _sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -345,6 +348,108 @@ class TestNewtonSweep:
         res = np.abs(fld.value_batch(got)).sum(axis=1)
         assert np.all(res <= SWEEP_TOL)
         assert sorted(set(np.round(got[:, 0], 6))) == [-1.0, 0.0, 1.0]
+
+
+def cpus(monkeypatch, count):
+    """Make the sweep see count CPUs it may run on."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(count)))
+
+
+def r21_at_split_size():
+    """r21's field, box and the 32^3 grid starts: 2 * SPLIT of them, so the
+    first steps of their sweep run on two halves."""
+    sys = load_system(str(GOLDEN / "r21.sys"))
+    starts = _grid_starts(sys.box, 32)
+    assert len(starts) >= 2 * degree_module.SPLIT
+    return system_field(sys), sys.box, starts
+
+
+class TestSplitSweep:
+    @pytest.mark.parametrize("name, grid", [("r22", 16), ("r21", 32)])
+    def test_two_halves_give_the_one_thread_bits(self, name, grid,
+                                                 monkeypatch):
+        sys = load_system(str(GOLDEN / f"{name}.sys"))
+        fld, box = system_field(sys), sys.box
+        starts = _grid_starts(box, grid)
+        splits, split_step = [], degree_module._split_step
+        monkeypatch.setattr(degree_module, "_split_step",
+                            lambda *a: splits.append(a[1]) or split_step(*a))
+        cpus(monkeypatch, 2)
+        two = _newton_sweep(fld, box, starts)
+        assert splits and splits[0] == len(starts)
+        cpus(monkeypatch, 1)
+        del splits[:]
+        one = _newton_sweep(fld, box, starts)
+        assert splits == []
+        assert len(one) > 0
+        assert two.view(np.int64).tolist() == one.view(np.int64).tolist()
+
+    def test_an_error_in_the_worker_half_reaches_the_caller(self,
+                                                           monkeypatch):
+        fld, box, starts = r21_at_split_size()
+        threads, step = [], degree_module._sweep_step
+
+        def failing(*args):
+            if args[-1].start:  # the second half
+                threads.append(threading.current_thread())
+                raise ZeroDivisionError("in the second half")
+            step(*args)
+
+        monkeypatch.setattr(degree_module, "_sweep_step", failing)
+        cpus(monkeypatch, 2)
+        with pytest.raises(ZeroDivisionError, match="second half"):
+            _newton_sweep(fld, box, starts)
+        assert threads and threads[0] is not threading.current_thread()
+
+    def test_the_worker_half_runs_under_the_callers_errstate(self,
+                                                             monkeypatch):
+        fld, box, starts = r21_at_split_size()
+        seen, step = [], degree_module._sweep_step
+
+        def recording(*args):
+            seen.append(np.geterr()["over"])
+            step(*args)
+
+        monkeypatch.setattr(degree_module, "_sweep_step", recording)
+        cpus(monkeypatch, 2)
+        with np.errstate(over="raise"):
+            _newton_sweep(fld, box, starts)
+        assert len(seen) > 2 and set(seen) == {"raise"}
+
+    def test_concurrent_sweeps_share_the_worker(self, monkeypatch):
+        # three callers hand halves to the one worker at once, with thread
+        # switches forced often; each gets the one-thread points
+        fld, box, starts = r21_at_split_size()
+        cpus(monkeypatch, 1)
+        want = _newton_sweep(fld, box, starts).tobytes()
+        cpus(monkeypatch, 2)
+        got = [None] * 3
+
+        def sweep(i):
+            got[i] = _newton_sweep(fld, box, starts).tobytes()
+
+        interval = _sys.getswitchinterval()
+        _sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=sweep, args=(i,))
+                       for i in range(3)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            _sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert got == [want] * 3
+
+    def test_repeated_sweeps_add_at_most_one_thread(self, monkeypatch):
+        fld, box, starts = r21_at_split_size()
+        cpus(monkeypatch, 2)
+        before = threading.active_count()
+        for _ in range(4):
+            _newton_sweep(fld, box, starts)
+        assert threading.active_count() <= before + 1
 
 
 class TestMakeRecord:
