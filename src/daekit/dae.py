@@ -19,24 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import expr
+from . import emit, expr
 from .errors import (
     ConstraintSolveError,
     HypothesisViolationError,
     SingularMatrixError,
     point_text,
 )
-from .linalg import (
-    _FED,
-    _GIVEN,
-    _compile,
-    _dot,
-    _lu_lines,
-    _solve_lines,
-    _unpack,
-    lu_factor,
-    norm1,
-)
+from .linalg import lu_factor, norm1
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 DET_POLISH_ITERATIONS = 100  # per start of validate's |det d2g| polish
@@ -280,7 +270,7 @@ class SystemDef:
         return self._stages[key]
 
     def _point_code(self, part):
-        """The point statements (_kernel_code) of one of the system's
+        """The point statements (expr._kernel_code) of one of the system's
         kernels on the state names, built on first use and kept: "fgh" and
         "g" with their partials, "U" the values of g alone, written to
         U{j}. fgh names its constants k{i}, g and U (which meet the same
@@ -291,8 +281,8 @@ class SystemDef:
                 "fgh": (self.fgh, self.state_names, "V", "k"),
                 "g": (self.g, self.state_names, "V", "kg"),
                 "U": (self.g, [], "U", "kg")}[part]
-            self._lines[part], consts = _kernel_code(exprs, names, value=value,
-                                                     prefix=prefix)
+            self._lines[part], consts = expr._kernel_code(
+                exprs, names, value=value, prefix=prefix)
             self._consts.update(consts)
         return self._lines[part]
 
@@ -338,7 +328,7 @@ def _det_lines(s, n):
                  f"({_det_code(_minor(a, j, i))})"
                  for i in range(s) for j in range(s)]
     lines += [f"DET = {_det_code(a)}"] + [f"G{c} = (0.0" + "".join(
-        f" + {_dot(adj[i], [f'D{j * s + i}_{c}' for j in range(s)])}"
+        f" + {emit.dot(adj[i], [f'D{j * s + i}_{c}' for j in range(s)])}"
         for i in range(s)) + ")" for c in range(n)]
     return ([e for row in a for e in row],
             [f"D{e}_{c}" for e in range(s * s) for c in range(n)]), lines
@@ -346,12 +336,12 @@ def _det_lines(s, n):
 
 @functools.lru_cache(maxsize=32)
 def _det_given(s, n):
-    """``given(V, D)``: _det_lines bound to _GIVEN on the lists of d2g's
-    values and partials, returning (DET, [G0, ...])."""
+    """``given(V, D)``: _det_lines bound to emit.GIVEN on the lists of
+    d2g's values and partials, returning (DET, [G0, ...])."""
     (vs, ders), lines = _det_lines(s, n)
     grad = ", ".join(f"G{c}" for c in range(n))
-    return _compile("def given(V, D):", _unpack(vs, "V") + _unpack(ders, "D")
-                    + lines + [f"return DET, [{grad}]"], {**_GIVEN, "det": _det})
+    return emit.given("def given(V, D):", {"V": vs, "D": ders},
+                      lines + [f"return DET, [{grad}]"], det=_det)
 
 
 def _det_at(sys, z):
@@ -368,7 +358,7 @@ def _emit_det_polish(sys):
     of floats), clipped to the box, as one emitted function; returns (best
     point, best |det|).
 
-    Each iterate runs the d2g point code (_kernel_code, the point at
+    Each iterate runs the d2g point code (expr._kernel_code, the point at
     Z{c}), its finiteness guard and _det_lines, or _det_at where the
     kernel raises or the guard sum is not finite. The step -det / gg times
     the gradient (gg left to right) is clipped to the box. The loop takes
@@ -376,16 +366,16 @@ def _emit_det_polish(sys):
     gg < 1e-30, a step of norm 1 below 1e-15, or an iterate visited
     before, keyed on its bits (struct.pack): the clipped step is a
     function of the point, so from there it would only retrace points
-    already evaluated. The box bounds come in through the namespace, like
-    the kernel's constants."""
-    n, col = sys.k + sys.s, sys._column
+    already evaluated. The box bounds come in through the namespace
+    (emit.box_bounds), like the kernel's constants."""
+    n = sys.k + sys.s
     zs, bs, gs, ss, los, his = ([f"{x}{c}" for c in range(n)]
                                 for x in ("Z", "B", "G", "S", "LO", "HI"))
     (vs, ders), lines = _det_lines(sys.s, n)
-    kernel, consts = _kernel_code(sys.d2g_flat, sys.state_names,
-                                  load=lambda nm: f"Z{col[nm]}")
+    kernel, consts = expr._kernel_code(sys.d2g_flat, sys.state_names, at="Z")
+    bounds, box = emit.box_bounds(sys.box)
     key = f"pack('{n}d', {', '.join(zs)})"
-    step = _guarded(kernel, vs + ders) + ["if FED:"] + _indent(lines) + [
+    step = emit.guarded(kernel, vs + ders) + ["if FED:"] + emit.indent(lines) + [
         "else:",
         f"    DET, ({', '.join(gs)},) = at_point([{', '.join(zs)}])",
         "AD = abs(DET)",
@@ -393,7 +383,7 @@ def _emit_det_polish(sys):
         f"    {', '.join(bs)}, BD = {', '.join(zs)}, AD",
         f"if SIZE < 1e-15 or it == {DET_POLISH_ITERATIONS}:",
         "    break",
-        f"GG = {_dot(gs, gs)}",
+        f"GG = {emit.dot(gs, gs)}",
         "if AD < 1e-14 or GG < 1e-30:",
         "    break",
         "CS = -DET / GG"]
@@ -401,16 +391,15 @@ def _emit_det_polish(sys):
     step += [f"{z} = min(max({z} + {sv}, {lo}), {hi})"
              for z, sv, lo, hi in zip(zs, ss, los, his)]
     step += [f"KEY = {key}", "if KEY in SEEN:", "    break", "SEEN.add(KEY)",
-             "SIZE = (0.0" + "".join(f" + abs({sv})" for sv in ss) + ")"]
-    body = _unpack(zs, "z") + _unpack(los, "LO") + _unpack(his, "HI") + [
+             f"SIZE = {emit.norm_code(ss)}"]
+    body = emit.unpack(zs, "z") + bounds + [
         f"{z} = min(max({z}, {lo}), {hi})" for z, lo, hi in zip(zs, los, his)]
     body += [f"SEEN = {{{key}}}", "SIZE = INF",
              f"for it in range({DET_POLISH_ITERATIONS + 1}):"]
-    body += _indent(step) + [f"return [{', '.join(bs)}], BD"]
-    return _compile("def polish(z):", body, {
-        **_STAGE, **consts, "det": _det, "pack": struct.pack, "INF": math.inf,
-        "LO": tuple(sys.box.lo.tolist()), "HI": tuple(sys.box.hi.tolist()),
-        "at_point": functools.partial(_det_at, sys)})
+    body += emit.indent(step) + [f"return [{', '.join(bs)}], BD"]
+    return emit.function("def polish(z):", body, {
+        **emit.STAGE, **consts, **box, "det": _det, "pack": struct.pack,
+        "INF": math.inf, "at_point": functools.partial(_det_at, sys)})
 
 
 def _polish_det_minimum(sys, z0):
@@ -533,7 +522,7 @@ def validate(sys, samples=512):
 #
 # Per system and variant, one straight-line function (a "stage") evaluates
 # f, g and h at one state with their state partials (compile_kernel's point
-# code, on locals), factors d2g with linalg's emitted LU (_lu_lines, the
+# code, on locals), factors d2g with the emitted LU (emit.lu_lines, the
 # code lu_factor runs), and forms zdot = (w, -[d2g]^-1 d1g w),
 # A = d1w - d2w [d2g]^-1 d1g, and for the flow A Phi and A v + h; every
 # matrix product is a left-to-right float sum. reduced_field calls it once.
@@ -545,44 +534,9 @@ def validate(sys, samples=512):
 # as line lists (_stage_lines, _constraint_lines): their standalone
 # functions are built from them, and so is the flow's step loop
 # (flow._emit_flow), which inlines four stages and a constraint step per
-# RK4 step. The algebra text is compiled with linalg's two bindings: _FED
-# for the kernel's finite values, _GIVEN for the values the point
+# RK4 step. The algebra text is compiled with emit's two bindings: FED
+# for the kernel's finite values, GIVEN for the values the point
 # evaluations give.
-
-
-_STAGE = {**_FED, **expr._POINT, "isfinite": math.isfinite,
-          "ERRORS": expr._KERNEL_ERRORS}
-
-
-def _kernel_code(exprs, names, load=str, value="V", prefix="k"):
-    """compile_kernel's point statements for exprs on locals, with the
-    partials along the variables names: a variable is read as the code
-    load(name) returns (by its own name by default), value i goes to
-    {value}{i} and the partial along names[c] to D{i}_{c}; constants are
-    named {prefix}{i}. Returns (lines, consts)."""
-    lines, consts = expr._kernel_lines(
-        exprs, [{nm: 1.0} for nm in names], load=load,
-        vout=lambda i: f"{value}{i} = ", dout=lambda i, c: f"D{i}_{c} = ",
-        prefix=prefix)
-    return [text for text, *_ in lines], consts
-
-
-def _indent(lines):
-    return ["    " + ln for ln in lines]
-
-
-def _guarded(kernel, checked):
-    """The kernel lines, then FED: whether the sum of the locals checked is
-    finite, False where the kernel raises."""
-    return ["try:"] + _indent(kernel) + [
-        f"    FED = isfinite({' + '.join(checked)})",
-        "except ERRORS:",
-        "    FED = False"]
-
-
-def _norm_code(vs):
-    """|vs|_1 as code, left to right."""
-    return " + ".join(f"abs({v})" for v in vs) or "0.0"
 
 
 def _stage_lines(sys, out_a, sens, lsens, forcing, use_h):
@@ -591,7 +545,7 @@ def _stage_lines(sys, out_a, sens, lsens, forcing, use_h):
     The stage reads the locals inputs: the state names, then Phi as
     P{i}_{j} row by row when sens, then v as Q{i} when lsens, and the time
     t and lam. guarded is the fgh kernel (SystemDef._point_code) and its
-    finiteness guard FED (_guarded) over what the algebra reads;
+    finiteness guard FED (emit.guarded) over what the algebra reads;
     alg, run where FED holds, forms the output expressions out: zdot; then
     A row by row when out_a; A Phi when sens; A v + h when lsens. The base
     field w is f (h with forcing), plus lam * h when use_h."""
@@ -620,37 +574,37 @@ def _stage_lines(sys, out_a, sens, lsens, forcing, use_h):
 
     alg = [f"W{i} = V{b} + lam * V{h}" for i, (b, h) in enumerate(zip(B, H))] * use_h
     w = [f"W{i}" for i in range(k)] if use_h else [f"V{b}" for b in B]
-    alg += [f"R{j} = {_dot([d(g, c) for c in range(k)], w)}"
+    alg += [f"R{j} = {emit.dot([d(g, c) for c in range(k)], w)}"
             for j, g in enumerate(G)]
     rows = [[d(g, k + c) for c in range(s)] for g in G]
     carry = [[f"R{j}"] + [d(g, c) for c in range(k)] * lin
              for j, g in enumerate(G)]
-    alg += _lu_lines(rows, carry, "raise singular({p}, TOL, {col})")
-    alg += _solve_lines(rows, [f"R{j}" for j in range(s)])
+    alg += emit.lu_lines(rows, carry, "raise singular({p}, TOL, {col})")
+    alg += emit.solve_lines(rows, [f"R{j}" for j in range(s)])
     out = w + [f"-R{j}" for j in range(s)]
     if lin:
         xs = [[d(g, c) for g in G] for c in range(k)]  # [d2g]^-1 d1g by column
         for x in xs:
-            alg += _solve_lines(rows, x)
+            alg += emit.solve_lines(rows, x)
         a = [[f"A{i}_{c}" for c in range(k)] for i in range(k)]
         for i in range(k):
             for c in range(k):
                 alg.append(f"{a[i][c]} = {d(B[i], c)} - "
-                           f"({_dot([d(B[i], k + q) for q in range(s)], xs[c])})")
+                           f"({emit.dot([d(B[i], k + q) for q in range(s)], xs[c])})")
                 if use_h:
                     alg.append(f"{a[i][c]} = {a[i][c]} + lam * ({d(H[i], c)} - "
-                               f"({_dot([d(H[i], k + q) for q in range(s)], xs[c])}))")
+                               f"({emit.dot([d(H[i], k + q) for q in range(s)], xs[c])}))")
         out += [e for row in a for e in row] * out_a
-        out += [_dot(a[i], [phi[q][j] for q in range(k)])
+        out += [emit.dot(a[i], [phi[q][j] for q in range(k)])
                 for i in range(k) for j in range(k)] * sens
-        out += [f"{_dot(a[i], vl)} + V{H[i]}" for i in range(k)] * lsens
-    return inputs, _guarded(sys._point_code("fgh"), needed), alg, out
+        out += [f"{emit.dot(a[i], vl)} + V{H[i]}" for i in range(k)] * lsens
+    return inputs, emit.guarded(sys._point_code("fgh"), needed), alg, out
 
 
 def _emit_stage(sys, out_a, sens, lsens, forcing, use_h):
     """The stage function ``stage(Y, t, lam)`` of one variant: Y holds the
     inputs of _stage_lines, and it returns their out as a tuple. Where FED
-    does not hold, it runs the algebra bound to _GIVEN on the point
+    does not hold, it runs the algebra bound to emit.GIVEN on the point
     evaluations, in the order above."""
     k, s, n = sys.k, sys.s, sys.k + sys.s
     lin = out_a or sens or lsens
@@ -660,11 +614,10 @@ def _emit_stage(sys, out_a, sens, lsens, forcing, use_h):
     inputs, guarded, alg, out = _stage_lines(sys, out_a, sens, lsens, forcing,
                                              use_h)
     ret = [f"return ({', '.join(out)},)"]
-    given = functools.cache(lambda: _compile(  # on the first fallback
+    given = functools.cache(lambda: emit.given(  # on the first fallback
         "def given(Y, t, lam, V, D):",
-        _unpack(inputs, "Y") + _unpack([f"V{i}" for i in range(m)], "V")
-        + _unpack([f"D{i}_{c}" for i in range(m) for c in range(n)], "D")
-        + alg + ret, dict(_GIVEN)))
+        {"Y": inputs, "V": [f"V{i}" for i in range(m)],
+         "D": [f"D{i}_{c}" for i in range(m) for c in range(n)]}, alg + ret))
     base = sys.h if forcing else sys.f
 
     def fallback(Y, t, lam):
@@ -695,11 +648,11 @@ def _emit_stage(sys, out_a, sens, lsens, forcing, use_h):
             put(H, sys.eval_h(env))
         return given()(Y, t, lam, vals, ders)
 
-    return _compile(
+    return emit.function(
         "def stage(Y, t, lam):",
-        _unpack(inputs, "Y") + guarded
+        emit.unpack(inputs, "Y") + guarded
         + ["if not FED:", "    return fallback(Y, t, lam)"] + alg + ret,
-        {**_STAGE, **sys._consts, "fallback": fallback})
+        {**emit.STAGE, **sys._consts, "fallback": fallback})
 
 
 def _constraint_lines(sys, fail):
@@ -709,12 +662,12 @@ def _constraint_lines(sys, fail):
     which leaves g in the locals vs and its partials in ders; alg
     sums RN = |g|_1, factors d2g and overwrites vs with the step
     [d2g]^-1 g. fail is the statement run on a rejected pivot, as in
-    _lu_lines."""
+    emit.lu_lines."""
     k, s, n = sys.k, sys.s, sys.k + sys.s
     rows = [[f"D{j}_{k + c}" for c in range(s)] for j in range(s)]
     vs = [f"V{j}" for j in range(s)]
-    alg = [f"RN = {_norm_code(vs)}"]
-    alg += _lu_lines(rows, [[v] for v in vs], fail) + _solve_lines(rows, vs)
+    alg = [f"RN = {emit.norm_code(vs)}"]
+    alg += emit.lu_lines(rows, [[v] for v in vs], fail) + emit.solve_lines(rows, vs)
     ders = [f"D{j}_{c}" for j in range(s) for c in range(n)]
     return sys._point_code("g"), vs, ders, alg
 
@@ -730,9 +683,8 @@ def _emit_constraint_step(sys):
     kernel, vs, ders, alg = _constraint_lines(
         sys, "return RN, singular({p}, TOL, {col})")
     alg += [f"return RN, ({', '.join(vs)},)"]
-    given = functools.cache(lambda: _compile(  # on the first fallback
-        "def given(V, D):", _unpack(vs, "V") + _unpack(ders, "D") + alg,
-        dict(_GIVEN)))
+    given = functools.cache(lambda: emit.given(  # on the first fallback
+        "def given(V, D):", {"V": vs, "D": ders}, alg))
 
     def at_point(env, vals):
         d2g = sys.jac_rows(sys.g, env, sys.y_names)
@@ -754,13 +706,13 @@ def _emit_constraint_step(sys):
         rn = given()(vals, [math.nan] * (s * n))[0]
         return rn, lambda: at_point(env, vals)
 
-    return _compile(
+    return emit.function(
         "def step(Z):",
-        _unpack(sys.state_names, "Z") + ["try:"] + _indent(kernel)
+        emit.unpack(sys.state_names, "Z") + ["try:"] + emit.indent(kernel)
         + ["except ERRORS:", "    return fallback(Z, None, None)",
            f"if not isfinite({' + '.join(vs + ders)}):",
            f"    return fallback(Z, [{', '.join(vs)}], [{', '.join(ders)}])"]
-        + alg, {**_STAGE, **sys._consts, "fallback": fallback})
+        + alg, {**emit.STAGE, **sys._consts, "fallback": fallback})
 
 
 def _solve_constraint_row(sys, p, q, first=None):

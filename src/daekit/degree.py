@@ -21,17 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import expr
-from .dae import (
-    _STAGE,
-    Box,
-    SystemDef,
-    _guarded,
-    _indent,
-    _kernel_code,
-    reduced_field,
-    validate,
-)
+from . import emit, expr
+from .dae import Box, SystemDef, reduced_field, validate
 from .errors import (
     BoundaryZeroError,
     DaekitError,
@@ -41,12 +32,8 @@ from .errors import (
     point_text,
 )
 from .linalg import (
-    _compile,
-    _lu_lines,
     _norm1_rows,
-    _solve_lines,
     _solve_rows,
-    _unpack,
     block_schur_det,
     det_sign,
     norm1,
@@ -355,35 +342,29 @@ def _emit_polish(fld):
     as one emitted function over named locals: (best point, None), or
     (best point so far, the error) where the field's evaluation raises.
 
-    Each iteration runs the field's point code (_kernel_code, the point at
-    Z{i}) and its finiteness guard (_guarded). An iterate where the kernel
-    raises or the guard sum is not finite takes its values from
+    Each iteration runs the field's point code (expr._kernel_code, the point
+    at Z{i}) and its finiteness guard (emit.guarded). An iterate where the
+    kernel raises or the guard sum is not finite takes its values from
     Kernel.values and, past the zero-residual stop, its partials from
     Kernel.dual; an error of either evaluation (ROW_ERRORS) ends the loop
-    with it. Every iterate sums the residual, keeps the best point, stops
-    at a zero residual, factors and solves with linalg's LU bound to _FED
-    (a rejected pivot ends the loop), tests the step and updates the
-    point. Partials that are not finite cannot make that LU divide by
-    zero (a nan first entry makes the threshold and every later pivot nan;
-    any other threshold rejects a zero pivot), so they end the loop at a
-    rejected pivot or at the step test. Residual and step norm
-    are summed in np.sum's order, as norm1 sums them: left to right in the
-    code below 8 entries, by a call of norm1 from 8 on (numpy's pairwise
-    sum starts unrolling at 8)."""
+    with it. Every iterate sums the residual, keeps the best point, stops at
+    a zero residual, factors and solves with emit's LU bound to FED (a
+    rejected pivot ends the loop), tests the step and updates the point.
+    Partials that are not finite cannot make that LU divide by zero (a nan
+    first entry makes the threshold and every later pivot nan; any other
+    threshold rejects a zero pivot), so they end the loop at a rejected
+    pivot or at the step test. Residual and step norm are summed in np.sum's
+    order, as norm1 sums them: left to right in the code below 8 entries, by
+    a call of norm1 from 8 on (numpy's pairwise sum starts unrolling at 8)."""
     n, kern = fld.dim, fld._kernel
-    col = {nm: c for c, nm in enumerate(fld.var_names)}
     zs, bs, vs = ([f"{x}{i}" for i in range(n)] for x in "ZBV")
     rows = [[f"D{i}_{c}" for c in range(n)] for i in range(n)]
-    kernel, consts = _kernel_code(fld.exprs, fld.var_names,
-                                  load=lambda nm: f"Z{col[nm]}")
+    kernel, consts = expr._kernel_code(fld.exprs, fld.var_names, at="Z")
     ders = [e for r in rows for e in r]
     best = f"[{', '.join(bs)}]"
-    if n < 8:
-        norm = " + ".join(f"abs({v})" for v in vs)
-    else:
-        norm = f"norm1([{', '.join(vs)}])"
+    norm = emit.norm_code(vs) if n < 8 else f"norm1([{', '.join(vs)}])"
     guard = [f"({' + '.join(vs)})", f"({' + '.join(ders)})"]
-    step = _guarded(kernel, guard) + [
+    step = emit.guarded(kernel, guard) + [
         "if not FED:",
         f"    ENV = dict(zip(NAMES, ({', '.join(zs)},)))",
         "    try:",
@@ -400,7 +381,8 @@ def _emit_polish(fld):
         f"        {', '.join(ders)}, = dual(ENV)[1].ravel().tolist()",
         "    except ROW_ERRORS as err:",
         f"        return {best}, err"]
-    step += _lu_lines(rows, [[v] for v in vs], "break") + _solve_lines(rows, vs)
+    step += (emit.lu_lines(rows, [[v] for v in vs], "break")
+             + emit.solve_lines(rows, vs))
     # SN is inf or nan where a step entry is not finite, or where its sum
     # overflows
     step += [f"SN = {norm}",
@@ -411,11 +393,11 @@ def _emit_polish(fld):
              "    break",
              f"{', '.join(zs)} = "
              + ", ".join(f"{z} - {v}" for z, v in zip(zs, vs))]
-    body = _unpack(zs, "z") + _unpack(bs, "z") + [
+    body = emit.unpack(zs, "z") + emit.unpack(bs, "z") + [
         "BR = INF", f"for it in range({POLISH_ITERATIONS}):"]
-    body += _indent(step) + [f"return {best}, None"]
-    return _compile("def polish(z):", body, {
-        **_STAGE, **consts, "INF": math.inf, "NAMES": tuple(fld.var_names),
+    body += emit.indent(step) + [f"return {best}, None"]
+    return emit.function("def polish(z):", body, {
+        **emit.STAGE, **consts, "INF": math.inf, "NAMES": tuple(fld.var_names),
         "values": kern.values, "dual": kern.dual,
         "ROW_ERRORS": expr.ROW_ERRORS, "norm1": norm1})
 

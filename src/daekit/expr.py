@@ -14,18 +14,17 @@ to name the offending subexpression.
 """
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import emit
 from .errors import (
     DaekitError,
     ExprDomainError,
     ExprSyntaxError,
     UndeclaredVariableError,
 )
-from .linalg import _compile
 
 FUNCTIONS = ("sin", "cos", "exp", "ln", "sqrt")
 
@@ -280,29 +279,9 @@ def substitute(e, bindings):
 # Compiled kernels: one straight-line function per expression list
 
 
-_KERNEL_ERRORS = (ValueError, ZeroDivisionError, OverflowError, KeyError)
 # what evaluating one row at its point can raise; the row fails alone with it
 ROW_ERRORS = (DaekitError, ArithmeticError, ValueError)
 _MAX_INLINE_DEPTH = 32  # deeper single-use chains get a temporary (parser limits)
-
-
-def _ones(a):
-    return np.ones_like(np.asarray(a, dtype=float))
-
-
-def _power_values(a, n):
-    return np.power(a, n) if n > 0 else np.divide(1.0, np.power(a, -n))
-
-
-# The names a kernel calls: plain float arithmetic at a point, numpy on a
-# batch. "pwv" is the power of values-only batch evaluation (1 / a^-n for
-# negative n), "pw" the one derivative code builds on.
-_POINT = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log,
-          "sqrt": math.sqrt, "div": operator.truediv, "pw": operator.pow,
-          "pwv": operator.pow, "one": lambda a: 1.0}
-_BATCH = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log,
-          "sqrt": np.sqrt, "div": np.divide, "pw": np.power,
-          "pwv": _power_values, "one": _ones}
 _ONE = "1.0"  # the unit seed entry as a derivative term
 
 
@@ -512,6 +491,20 @@ def _kernel_lines(exprs, seeds, load=None, vout=None, dout=None, prefix="k"):
     return lines, consts
 
 
+def _kernel_code(exprs, names, at=None, value="V", prefix="k"):
+    """compile_kernel's point statements for exprs on locals, with the
+    partials along the variables names: a variable is read by its own name,
+    or with at as the local {at}{c}, c its place in names; value i goes to
+    {value}{i} and the partial along names[c] to D{i}_{c}; constants are
+    named {prefix}{i}. Returns (lines, consts)."""
+    lines, consts = _kernel_lines(
+        exprs, [{nm: 1.0} for nm in names],
+        load=str if at is None else lambda nm: f"{at}{names.index(nm)}",
+        vout=lambda i: f"{value}{i} = ", dout=lambda i, c: f"D{i}_{c} = ",
+        prefix=prefix)
+    return [text for text, *_ in lines], consts
+
+
 def compile_kernel(exprs, seeds=()):
     """Emit one straight-line Python function evaluating ``exprs``.
 
@@ -558,8 +551,8 @@ def compile_kernel(exprs, seeds=()):
                       if last.get(nm, idx) == idx)
         if done:
             body.append(pad + "del " + ", ".join(done))
-    return tuple(_compile("def kernel(env, V, D=None):", body or ["pass"],
-                          {**consts, **names}) for names in (_POINT, _BATCH))
+    return tuple(emit.function("def kernel(env, V, D=None):", body or ["pass"],
+                               {**consts, **ns}) for ns in (emit.POINT, emit.BATCH))
 
 
 class Kernel:
@@ -593,7 +586,7 @@ class Kernel:
             self._fn(False)(env, vals)
             if all(map(math.isfinite, vals)):
                 return np.array(vals, dtype=float)
-        except _KERNEL_ERRORS:
+        except emit.KERNEL_ERRORS:
             pass
         return np.array([_strict(e, env) for e in self.exprs], dtype=float)
 
@@ -607,7 +600,7 @@ class Kernel:
         try:
             self._fn(False)(env, vals, ders)
             ok = all(map(math.isfinite, vals)) and all(map(math.isfinite, ders))
-        except _KERNEL_ERRORS:
+        except emit.KERNEL_ERRORS:
             ok = False
         if not ok:
             order = np.arange(n)[slice(None) if cols is None else cols]

@@ -38,18 +38,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import emit
 from .dae import (
-    _STAGE,
     ManifoldPoint,
     _constraint_lines,
-    _guarded,
-    _indent,
-    _norm_code,
     _solve_constraint_row,
     _stage_lines,
 )
 from .errors import DriftExceededError, LeavesBoxError
-from .linalg import _compile, norm1, norm1_rows
+from .linalg import norm1, norm1_rows
 
 MAX_DRIFT = 1e-8
 DEFAULT_STEPS = 512
@@ -127,10 +124,8 @@ def _emit_flow(sys, sens, lsens, use_h):
     m, us = len(inputs), [f"U{j}" for j in range(sys.s)]
     ys = [f"S{i}" for i in range(m)]
     ks = [[f"K{c}{i}" for i in range(m)] for c in "ABCD"]
-
-    def tup(names):  # a tuple display, or an assignment target
-        return "".join(f"{nm}, " for nm in names).rstrip()
-
+    bounds, box = emit.box_bounds(sys.box)
+    tup = emit.tup
     z, p, q = tup(ys[:n]), tup(ys[:k]), tup(ys[k:n])
     points = [(", ".join(ys), "TA"),
               (_rk4_point(ys, "HALF", ks[0]), "TA + HALF"),
@@ -139,30 +134,30 @@ def _emit_flow(sys, sens, lsens, use_h):
     step = ["TA = TS[STEP]"]
     for (point, time), kc in zip(points, ks):
         step += [f"{tup(inputs)} = {point},", f"t = {time}"] + guarded
-        step += ["if FED:"] + _indent(alg + [f"{tup(kc)} = {tup(out)}"])
+        step += ["if FED:"] + emit.indent(alg + [f"{tup(kc)} = {tup(out)}"])
         step += ["else:", f"    {tup(kc)} = stage(({tup(inputs)}), t, lam)"]
     step += [f"{tup(ys)} = {_rk4_sum(ys, ks)},", "if not ({}):".format(
         " and ".join(f"LO{i} <= {y} <= HI{i}" for i, y in enumerate(ys[:n])))]
     step += ["    raise LeavesBoxError('trajectory left the working box', "
              f"TIMES[STEP + 1], state=array(({z})))"]
-    step += [f"{tup(sys.state_names)} = {z}"] + _guarded(kernel, vs + ders)
+    step += [f"{tup(sys.state_names)} = {z}"] + emit.guarded(kernel, vs + ders)
     newton = [f"{tup(sys.y_names)} = "
               + tup(f"{a} - {b}" for a, b in zip(ys[k:n], vs))]
-    newton += _guarded(values, us) + [
+    newton += emit.guarded(values, us) + [
         "if FED:",
-        f"    RM = {_norm_code(us)}",
+        f"    RM = {emit.norm_code(us)}",
         "    FED = RM <= CTOL",
         "if FED:",
         f"    {q} = {tup(sys.y_names)}",
         "    RESIDUAL = RM",
         "else:",
         f"    ({q}), RESIDUAL = solve_row(({p}), ({q}), (RN, ({tup(vs)})))"]
-    step += ["if FED:"] + _indent(calg + [
+    step += ["if FED:"] + emit.indent(calg + [
         "if RN > DRIFT:",
         "    DRIFT = RN",
         "if RN <= CTOL:",
         "    RESIDUAL = RN",
-        "else:"] + _indent(newton))
+        "else:"] + emit.indent(newton))
     step += ["else:",
              f"    FIRST = project(({z}))",
              "    if FIRST[0] > DRIFT:",
@@ -170,21 +165,19 @@ def _emit_flow(sys, sens, lsens, use_h):
              f"    ({q}), RESIDUAL = solve_row(({p}), ({q}), FIRST)",
              f"ZS.append(({z}))",
              "RES.append(RESIDUAL)"]
-    body = [f"{tup(ys)} = Y", f"{tup(f'LO{i}' for i in range(n))} = LO",
-            f"{tup(f'HI{i}' for i in range(n))} = HI", "TS = TIMES.tolist()",
-            "HALF = 0.5 * H", "H6 = H / 6.0", "DRIFT = 0.0",
-            "for STEP in range(len(TS) - 1):"]
-    body += _indent(step) + [f"return DRIFT, ({tup(ys[n:])})"]
+    body = emit.unpack(ys, "Y") + bounds + [
+        "TS = TIMES.tolist()", "HALF = 0.5 * H", "H6 = H / 6.0", "DRIFT = 0.0",
+        "for STEP in range(len(TS) - 1):"]
+    body += emit.indent(step) + [f"return DRIFT, ({tup(ys[n:])})"]
 
     def stage(Y, t, lam):  # compiled on the first stage that needs it
         return sys._stage(sens=sens, lsens=lsens, use_h=use_h)(Y, t, lam)
 
-    return _compile("def flow(Y, TIMES, H, lam, ZS, RES):", body, {
-        **_STAGE, **sys._consts, "stage": stage,
+    return emit.function("def flow(Y, TIMES, H, lam, ZS, RES):", body, {
+        **emit.STAGE, **sys._consts, **box, "stage": stage,
         "project": sys._constraint_step(),
         "solve_row": functools.partial(_solve_constraint_row, sys),
         "LeavesBoxError": LeavesBoxError, "array": np.array,
-        "LO": tuple(sys.box.lo.tolist()), "HI": tuple(sys.box.hi.tolist()),
         "CTOL": sys.constraint_tol})
 
 

@@ -12,9 +12,8 @@ import operator
 
 import numpy as np
 
+from . import emit
 from .errors import MatrixOverflowError, SingularMatrixError
-
-PIVOT_RTOL = 1e-12
 
 
 def norm1(v):
@@ -48,7 +47,7 @@ def row_scale(a):
     return float(np.max(norm1_rows(a)))
 
 
-def lu_factor(a, rtol=PIVOT_RTOL):
+def lu_factor(a, rtol=emit.PIVOT_RTOL):
     """Partial-pivot LU. Returns (lu, piv, swaps); raises on tiny pivots.
 
     Each column takes the first largest |entry| at or below the diagonal as
@@ -113,162 +112,27 @@ def _solve_rows(jac, b, out=None):
     return out
 
 
-def _pivot_error(pivot, tol, col):
-    """The error of a pivot at most its threshold."""
-    return SingularMatrixError(
-        f"pivot {pivot:.3e} below threshold {tol:.3e} at column {col}"
-    )
-
-
-# ---------------------------------------------------------------------------
-# The LU as emitted float code
-#
-# _lu_lines and _solve_lines write the partial-pivot LU and its
-# substitution as straight-line statements on named locals. lu_factor and
-# lu_apply run them through _lu, and dae's reduced-field stage and
-# constraint step emit them inline. Every dot product is a left-to-right
-# float sum. The text binds to two namespaces: _FED for numbers known to be
-# finite (the builtins), and _GIVEN for any numbers, which picks pivots and
-# thresholds in numpy's nan order and divides by zero as numpy does.
-
-
-def _nan_max(*xs):
-    """max as np.max takes it: nan when any entry is nan."""
-    for x in xs:
-        if x != x:
-            return x
-    return max(xs)
-
-
-def _nan_gt(a, b):
-    """a ranks above b in np.argmax: by value, and nan above all else."""
-    return a > b or (a != a and b == b)
-
-
-def _ieee_div(a, b):
-    """a / b, inf or nan (as numpy gives) where Python raises."""
-    if b == 0.0:
-        with np.errstate(all="ignore"):
-            return float(np.divide(a, b))
-    return a / b
-
-
-_FED = {"amax": max, "gt": operator.gt, "dv": operator.truediv,
-        "singular": _pivot_error, "RTOL": PIVOT_RTOL}
-_GIVEN = {**_FED, "amax": _nan_max, "gt": _nan_gt, "dv": _ieee_div}
-
-
-def _dot(us, vs):
-    """The sum of the products us[i] * vs[i] as code: left to right, from
-    0.0 (so a product -0.0 sums to 0.0)."""
-    return "".join(f" + {u} * {v}" for u, v in zip(us, vs)).join(["(0.0", ")"])
-
-
-def _lu_lines(rows, carry, fail):
-    """The partial-pivot LU of the matrix whose entries are the locals
-    rows[r][c], in place. Row exchanges take the locals carry[r] along (the
-    right-hand sides, so they end up permuted like lu_apply's b[piv]). fail
-    is the statement run on a rejected pivot, formatted with the pivot {p}
-    and the column {col}; the threshold is TOL, RTOL times the largest
-    |entry|."""
-    s = len(rows)
-    if s == 0:
-        return []
-    entries = [e for row in rows for e in row]
-    if s == 1:
-        lines = [f"TOL = RTOL * abs({rows[0][0]})"]
-    else:
-        lines = [f"TOL = RTOL * amax({', '.join(f'abs({e})' for e in entries)})"]
-
-    def swap(r1, r2):
-        a, b = rows[r1] + carry[r1], rows[r2] + carry[r2]
-        return f"{', '.join(a + b)} = {', '.join(b + a)}"
-
-    for col in range(s):
-        piv = rows[col][col]
-        below = range(col + 1, s)
-        if len(below) == 1:
-            lines += [f"if gt(abs({rows[col + 1][col]}), abs({piv})):",
-                      "    " + swap(col, col + 1)]
-        elif below:  # the first largest |entry| of the column, as np.argmax
-            lines.append(f"G = abs({piv}); I = {col}")
-            lines += [f"if gt(abs({rows[r][col]}), G): "
-                      f"G = abs({rows[r][col]}); I = {r}" for r in below]
-            for j, r in enumerate(below):
-                lines += [f"{'el' * (j > 0)}if I == {r}:", "    " + swap(col, r)]
-        lines += [f"if abs({piv}) <= TOL:",
-                  "    " + fail.format(p=piv, col=col)]
-        lines += [f"{rows[r][col]} = dv({rows[r][col]}, {piv})" for r in below]
-        lines += [f"{rows[r][c]} = {rows[r][c]} - {rows[r][col]} * {rows[col][c]}"
-                  for r in below for c in below]
-    return lines
-
-
-def _solve_lines(rows, xs):
-    """Forward and back substitution on the permuted locals xs, in place,
-    with the factors _lu_lines left in rows."""
-    s = len(rows)
-    lines = [f"{xs[i]} = {xs[i]} - ({_dot(rows[i][:i], xs[:i])})"
-             for i in range(1, s)]
-    for i in range(s - 1, -1, -1):
-        if i + 1 < s:
-            lines.append(f"{xs[i]} = {xs[i]} - "
-                         f"({_dot(rows[i][i + 1:], xs[i + 1:])})")
-        lines.append(f"{xs[i]} = dv({xs[i]}, {rows[i][i]})")
-    return lines
-
-
-def _unpack(names, source):
-    return [f"{', '.join(names)}, = {source}"] if names else []
-
-
-@functools.lru_cache(maxsize=256)
-def _code(src, name):
-    """The code object of the emitted function src, compiled once per
-    process while it stays among the 256 most recently used sources."""
-    return compile(src, f"<daekit {name}>", "exec")
-
-
-def _compile(header, body, namespace):
-    """The function ``header`` with the statements body, run in namespace.
-    Equal texts share one code object (_code); each caller execs it into
-    its own namespace, which holds its constants and closures."""
-    name = header[4:header.index("(")]
-    exec(_code("\n    ".join([header] + body), name), namespace)
-    return namespace[name]
-
-
 @functools.lru_cache(maxsize=32)
 def _lu(n):
-    """``lu(A, RTOL, b)`` on floats for order n, bound to _GIVEN and
-    compiled once per order. A is the matrix as a flat row-major list; its
-    row indices are exchanged along with its rows. Returns the
-    factors and piv as lists when b is None, else the solution of A x = b
-    (b a list of n floats). With RTOL None, A holds factors already and b
-    is in their row order."""
+    """``lu(A, RTOL, b)`` on floats for order n, emit.lu_lines and
+    emit.solve_lines bound to emit.GIVEN, compiled once per order. A is the
+    matrix as a flat row-major list; its row indices are exchanged along
+    with its rows. Returns the factors and piv as lists when b is None,
+    else the solution of A x = b (b a list of n floats). With RTOL None, A
+    holds factors already and b is in their row order."""
     rows = [[f"M{r}_{c}" for c in range(n)] for r in range(n)]
     flat = [e for row in rows for e in row]
     ps, xs = [f"P{r}" for r in range(n)], [f"X{r}" for r in range(n)]
-    factor = _lu_lines(rows, [[p] for p in ps],
-                       "raise singular({p}, TOL, {col})")
-    body = _unpack(flat, "A") + [f"{p} = {r}" for r, p in enumerate(ps)]
+    factor = emit.lu_lines(rows, [[p] for p in ps],
+                           "raise singular({p}, TOL, {col})")
+    body = [f"{p} = {r}" for r, p in enumerate(ps)]
     if factor:
-        body += ["if RTOL is not None:"] + ["    " + ln for ln in factor]
+        body += ["if RTOL is not None:"] + emit.indent(factor)
     body += ["if b is None:",
              f"    return [{', '.join(flat)}], [{', '.join(ps)}]"]
-    body += [f"{x} = b[{p}]" for x, p in zip(xs, ps)] + _solve_lines(rows, xs)
-    body += [f"return [{', '.join(xs)}]"]
-    return _compile("def lu(A, RTOL, b):", body, dict(_GIVEN))
-
-
-# The elimination of _solve_rows as emitted numpy calls. Only correctly
-# rounded elementwise ufuncs touch the numbers: abs, comparisons, masked
-# copies, and - * / each rounded once and never fused into an FMA. So
-# every host gets the same bits.
-_UFUNCS = {"absolute": np.absolute, "greater": np.greater, "equal": np.equal,
-           "maximum": np.maximum, "logical_or": np.logical_or,
-           "copyto": np.copyto, "multiply": np.multiply,
-           "subtract": np.subtract, "divide": np.divide, "nan": math.nan}
+    body += [f"{x} = b[{p}]" for x, p in zip(xs, ps)]
+    body += emit.solve_lines(rows, xs) + [f"return [{', '.join(xs)}]"]
+    return emit.given("def lu(A, RTOL, b):", {"A": flat}, body)
 
 
 @functools.lru_cache(maxsize=32)
@@ -304,8 +168,8 @@ def _gauss(n):
                 f"    copyto({bs[c]}, {bs[r]}, where={m})",
                 f"    copyto({bs[r]}, X0, where={m})"]
 
-    body = _unpack([e for row in a for e in row], "J")
-    body += _unpack(bs, "B") + _unpack(xs, "X") + _unpack(es, "E")
+    body = emit.unpack([e for row in a for e in row], "J")
+    body += emit.unpack(bs, "B") + emit.unpack(xs, "X") + emit.unpack(es, "E")
     for c in range(n):
         below = range(c + 1, n)
         if below:
@@ -342,7 +206,7 @@ def _gauss(n):
         for i in range(j):
             body += [f"multiply({a[i][j]}, {xs[j]}, out={a[i][j]})",
                      f"subtract({bs[i]}, {a[i][j]}, out={bs[i]})"]
-    return _compile("def gauss(J, B, X, E):", body, dict(_UFUNCS))
+    return emit.function("def gauss(J, B, X, E):", body, dict(emit.UFUNCS))
 
 
 def det_sign(a, tol=1e-12):

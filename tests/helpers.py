@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from daekit import expr
+from daekit import emit, expr
 from daekit.dae import (
     Box,
     ManifoldPoint,
@@ -31,7 +31,7 @@ from daekit.errors import (
     point_text,
 )
 from daekit.flow import MAX_DRIFT, Trajectory, _rk4_point, _rk4_sum
-from daekit.linalg import _compile, lu_solve, norm1, norm1_rows
+from daekit.linalg import lu_solve, norm1, norm1_rows
 
 
 def monomial(names, powers):
@@ -157,15 +157,15 @@ def same_bits(a, b):
 # -- reference implementations kept as test oracles -------------------------
 
 
-def dense_dual_oracle(e, env, seed, ns=expr._POINT):
+def dense_dual_oracle(e, env, seed, ns=emit.POINT):
     """(value, derivative along seed) by dense forward mode, the dual walk
     the kernels and the strict walker did before they dropped structural
     zeros: every product with a 0.0 or 1.0 seed entry and with the 0.0
-    derivative of a constant is kept. With ns=expr._POINT it walks a point
-    on floats with the strict walker's domain checks; with ns=expr._BATCH
+    derivative of a constant is kept. With ns=emit.POINT it walks a point
+    on floats with the strict walker's domain checks; with ns=emit.BATCH
     it walks arrays with the batch kernel's functions and no checks (values
     by pwv, derivative code by pw, as the batch kernel)."""
-    point = ns is expr._POINT
+    point = ns is emit.POINT
 
     def fail(message, e):
         raise ExprDomainError(message, expr.to_string(e))
@@ -749,7 +749,7 @@ def _rk4(m):
     flow_oracle takes, in the order of the emitted flow loop's RK4 sum."""
     y = [f"Y{i}" for i in range(m)]
     ks = [[f"{c}{i}" for i in range(m)] for c in "ABCD"]
-    return _compile("def rk4(stage, Y, t, h, lam):", [
+    return emit.function("def rk4(stage, Y, t, h, lam):", [
         "HALF = 0.5 * h",
         f"{', '.join(y)}, = Y",
         f"{', '.join(ks[0])}, = stage(Y, t, lam)",

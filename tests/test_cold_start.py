@@ -2,12 +2,12 @@
 emitted function once.
 
 daekit needs only numpy at run time: its matrix exponential is its own, on
-floats. The golden queries are run through ``cli.main`` in a new
-interpreter as ``python -m daekit`` does; after each one the test reads
-``"scipy" in sys.modules`` and counts the calls of ``builtins.compile`` and
-of ``expr._kernel_lines`` (the point code every emitted function starts
-from) it made, and its report must still match its golden file. No time
-is measured.
+floats. Every golden query is run twice through ``cli.main`` in one new
+interpreter, as ``python -m daekit`` does; after each run of a query the
+test reads ``"scipy" in sys.modules`` and counts the calls of
+``builtins.compile`` and of ``expr._kernel_lines`` (the point code every
+emitted function starts from) it made, and its report must still match its
+golden file. No time is measured.
 """
 
 import json
@@ -16,16 +16,6 @@ import subprocess
 import sys
 
 from test_golden import GOLDEN, QUERIES, ROOT
-
-# check, degree and zeros never exponentiate a matrix, nor does shoot with
-# --guess; these never loaded scipy even when expm came from scipy.linalg.
-WITHOUT_EXPM = sorted(
-    [f"check_{name}" for name in
-     ("pozzo", "equivlien", "exmults", "eqex1", "eqex2")]
-    + [f"{cmd}_{name}" for cmd in ("degree", "zeros")
-       for name in ("pozzo", "equivlien", "exmults")]
-    + ["shoot_equivlien", "resonance_exmults", "branch_equivlien",
-       "multiplicity_exmults"])
 
 SCRIPT = """\
 import builtins, contextlib, io, json, sys
@@ -79,13 +69,6 @@ def check_reports(names, results):
         assert result["code"] == QUERIES[name][2], name
         assert (result["report"].encode("utf-8")
                 == (GOLDEN / f"{name}.json").read_bytes()), name
-
-
-def test_queries_without_expm_never_load_scipy(tmp_path):
-    results = run_fresh(WITHOUT_EXPM, tmp_path)
-    loaded = [name for name, r in zip(WITHOUT_EXPM, results) if r["scipy"]]
-    assert loaded == []
-    check_reports(WITHOUT_EXPM, results)
 
 
 def test_a_second_run_compiles_nothing(tmp_path):

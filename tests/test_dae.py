@@ -5,9 +5,9 @@ import pytest
 
 from daekit import (
     dae,
+    emit,
     expr,
     forcing_field,
-    linalg,
     perturbed_field,
     solve_constraint,
     tangency_defect,
@@ -202,7 +202,7 @@ class TestDetPolishRows:
         # validate's starts, and starts some of which the box clip moves
         self.check(sysdef, np.vstack([polish_starts(sysdef),
                                       rng.uniform(-1.5, 1.5, (6, k + s))]))
-        # the det algebra bound to _GIVEN on the point evaluations: the
+        # the det algebra bound to emit.GIVEN on the point evaluations: the
         # loop's path at a bad iterate, and the witness refinement's
         for z in rng.uniform(-1.2, 1.2, (40, k + s)):
             d, grad = dae._det_at(sysdef, z.tolist())
@@ -745,7 +745,7 @@ class TestEmittedStage:
 
 
 class TestEmittedLU:
-    """The emitted LU (linalg._lu_lines, which the stage and lu_factor run)
+    """The emitted LU (emit.lu_lines, which the stage and lu_factor run)
     is the numpy loop it replaced (helpers.lu_factor_oracle), bit for bit:
     factors, pivots, the singular verdict and its message (both sides use
     only elementwise arithmetic)."""
@@ -756,9 +756,9 @@ class TestEmittedLU:
         carry = [[f"P{r}"] for r in range(s)]
         flat = [e for row in rows for e in row]
         body = ([f"{', '.join(flat)}, = A"] + [f"P{r} = {r}" for r in range(s)]
-                + linalg._lu_lines(rows, carry, "raise singular({p}, TOL, {col})")
+                + emit.lu_lines(rows, carry, "raise singular({p}, TOL, {col})")
                 + [f"return [{', '.join(flat)}], [{', '.join(c[0] for c in carry)}]"])
-        return linalg._compile("def lu(A):", body, dict(binding))
+        return emit.function("def lu(A):", body, dict(binding))
 
     @staticmethod
     def cases(s, rng):
@@ -779,7 +779,7 @@ class TestEmittedLU:
     @pytest.mark.parametrize("s", [1, 2, 3])
     def test_matches_lu_factor(self, s):
         rng = np.random.default_rng(80 + s)
-        for binding in (linalg._FED, linalg._GIVEN):
+        for binding in (emit.FED, emit.GIVEN):
             lu = self.emitted(s, binding)
             verdicts = set()
             for a in self.cases(s, rng):
@@ -803,7 +803,7 @@ class TestEmittedLU:
         # nan; that binding picks pivots and thresholds as np.argmax and
         # np.max do, and divides by zero as numpy does
         rng = np.random.default_rng(90 + s)
-        lu = self.emitted(s, linalg._GIVEN)
+        lu = self.emitted(s, emit.GIVEN)
         for bad in (np.inf, -np.inf, np.nan):
             for _ in range(40):
                 a = rng.standard_normal((s, s))

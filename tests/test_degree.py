@@ -10,7 +10,7 @@ import pytest
 
 import daekit.degree as degree_module
 from daekit import expr, load_system, sysfile
-from daekit.dae import Box, SystemDef, _emit_det_polish, _kernel_code, validate
+from daekit.dae import Box, SystemDef, _emit_det_polish, validate
 from daekit.degree import (
     VectorField,
     boundary_margin,
@@ -657,7 +657,7 @@ class TestEmittedPolish:
     ])
     def test_non_finite_point_jacobians_end_as_the_oracle(self, f, start):
         # the bad iterate's Kernel.dual Jacobian is not finite but raises
-        # nothing; the loop's solve on it (_lu(n), bound to _GIVEN) ends
+        # nothing; the loop's solve on it (_lu(n), bound to emit.GIVEN) ends
         # the polish at the oracle's best point
         names = ["x1", "y1"]
         fld = VectorField([expr.parse(e, names) for e in f], names)
@@ -726,7 +726,7 @@ class TestCompileCache:
         # which come in through each function's own namespace
         names = ["x1", "y1"]
         (lines_a, consts_a), (lines_b, consts_b) = (
-            _kernel_code([expr.parse(f"{c}*x1 - y1", names)], names)
+            expr._kernel_code([expr.parse(f"{c}*x1 - y1", names)], names)
             for c in (2.5, 3.5))
         assert lines_a == lines_b
         assert (consts_a, consts_b) == ({"k0": 2.5}, {"k0": 3.5})

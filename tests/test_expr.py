@@ -8,7 +8,7 @@ import pytest
 
 import helpers
 from conftest import system_path
-from daekit import dae, expr, load_system
+from daekit import emit, expr, load_system
 from daekit.dae import Box, SystemDef
 from daekit.degree import VectorField, system_field
 from daekit.errors import ExprDomainError, ExprSyntaxError, UndeclaredVariableError
@@ -366,7 +366,7 @@ class TestKernel:
             vals, ders = np.empty((m, n_pts)), np.empty((m * n, n_pts))
             with np.errstate(all="ignore"):
                 batch(env, vals, ders)
-                dense = [[helpers.dense_dual_oracle(e, env, s, expr._BATCH)
+                dense = [[helpers.dense_dual_oracle(e, env, s, emit.BATCH)
                           for s in seeds] for e in trees]
             for i, e in enumerate(trees):
                 for j in range(n):
@@ -413,10 +413,10 @@ class TestKernel:
         texts = [text for text, _, _, in_block in lines if in_block]
         # f2 has no y2 term: its partial along y2 is D[1 * 4 + 3]
         assert "D[7] = 0.0" in texts
-        stage, _ = dae._kernel_code(r22.fgh, r22.state_names)
+        stage, _ = expr._kernel_code(r22.fgh, r22.state_names)
         assert "D1_3 = 0.0" in stage
         pozzo = load_system(system_path("pozzo"))
-        pozzo_stage, _ = dae._kernel_code(pozzo.fgh, pozzo.state_names)
+        pozzo_stage, _ = expr._kernel_code(pozzo.fgh, pozzo.state_names)
         rng = np.random.default_rng(910)
         names = ["x1", "y1"]
         trees = [random_tree(rng, names, exponents=(-2, 0, 1, 2, 3))
