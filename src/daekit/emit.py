@@ -17,23 +17,13 @@ PIVOT_RTOL = 1e-12
 KERNEL_ERRORS = (ValueError, ZeroDivisionError, OverflowError, KeyError)
 
 
-def _ones(a):
-    return np.ones_like(np.asarray(a, dtype=float))
-
-
-def _power_values(a, n):
-    return np.power(a, n) if n > 0 else np.divide(1.0, np.power(a, -n))
-
-
 # The names a kernel calls: plain float arithmetic at a point, numpy on a
-# batch. "pwv" is the power of values-only batch evaluation (1 / a^-n for
-# negative n), "pw" the one derivative code builds on.
+# batch, one function per name (pw is the power of values and derivatives
+# alike).
 POINT = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log,
-         "sqrt": math.sqrt, "div": operator.truediv, "pw": operator.pow,
-         "pwv": operator.pow, "one": lambda a: 1.0}
+         "sqrt": math.sqrt, "div": operator.truediv, "pw": operator.pow}
 BATCH = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log,
-         "sqrt": np.sqrt, "div": np.divide, "pw": np.power,
-         "pwv": _power_values, "one": _ones}
+         "sqrt": np.sqrt, "div": np.divide, "pw": np.power}
 
 
 # ---------------------------------------------------------------------------

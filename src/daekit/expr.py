@@ -356,78 +356,65 @@ def _kernel_lines(exprs, seeds, load=None, vout=None, dout=None, prefix="k"):
         return [y] if x == _ONE else [x] if y == _ONE else [x, " * ", y]
 
     def build(e):
-        """(value, value for derivative code, derivatives) of a node."""
+        """(value, derivatives) of a node."""
         if isinstance(e, Const):
-            k = const(e.value)
-            return k, k, [None] * len(seeds)
+            return const(e.value), [None] * len(seeds)
         if isinstance(e, Var):
             if e.name not in loads:
                 loads[e.name] = (val(f"env[{e.name!r}]") if load is None
                                  else load(e.name))
-            a = loads[e.name]
-            return a, a, [seed_entry(s, e.name) for s in seeds]
+            return loads[e.name], [seed_entry(s, e.name) for s in seeds]
         if isinstance(e, Power):
-            a, ad, da = node(e.a)
             n = e.n
-            if n == 0:
-                v = val("one(", a, ")")
-                vd = v if ad == a else der("one(", ad, ")")
-                return v, vd, [None] * len(seeds)
-            v = val("pwv(", a, f", {n})")
+            if n == 0:  # like the strict walker, never evaluates its base
+                return const(1.0), [None] * len(seeds)
+            a, da = node(e.a)
             if n == 1:
-                return v, ad, da
-            vd = v if ad == a and n > 0 else der("pw(", ad, f", {n})")
-            c = der(f"{n} * ", ad) if n == 2 else der(
-                f"{n} * pw(", ad, f", {n - 1})")
-            return v, vd, each(lambda x: times(c, x), da)
+                return a, da
+            v = val("pw(", a, f", {n})")
+            c = der(f"{n} * ", a) if n == 2 else der(
+                f"{n} * pw(", a, f", {n - 1})")
+            return v, each(lambda x: times(c, x), da)
         if isinstance(e, Unary):
-            (a, ad, da), op = node(e.a), "log" if e.op == "ln" else e.op
-
-            def apply(x):
-                return ["-", x] if op == "neg" else [op + "(", x, ")"]
-
-            v = val(*apply(a))
-            vd = v if ad == a else der(*apply(ad))
+            (a, da), op = node(e.a), "log" if e.op == "ln" else e.op
             if op == "neg":
-                return v, vd, each(apply, da)
+                return val("-", a), each(lambda x: ["-", x], da)
+            v = val(op + "(", a, ")")
             if op == "sin":
-                c = der("cos(", ad, ")")
+                c = der("cos(", a, ")")
             elif op == "cos":
-                c = der("-sin(", ad, ")")
+                c = der("-sin(", a, ")")
             elif op == "exp":
-                c = vd
+                c = v
             elif op == "log":
-                return v, vd, each(lambda x: ["div(", x, ", ", ad, ")"], da)
+                return v, each(lambda x: ["div(", x, ", ", a, ")"], da)
             else:  # sqrt
-                c = der("2.0 * ", vd)
-                return v, vd, each(lambda x: ["div(", x, ", ", c, ")"], da)
-            return v, vd, each(lambda x: times(c, x), da)
-        (a, ad, da), (b, bd, db) = node(e.a), node(e.b)
+                c = der("2.0 * ", v)
+                return v, each(lambda x: ["div(", x, ", ", c, ")"], da)
+            return v, each(lambda x: times(c, x), da)
+        (a, da), (b, db) = node(e.a), node(e.b)
         if e.op == "/":
             v = val("div(", a, ", ", b, ")")
-            vd = v if (ad, bd) == (a, b) else der("div(", ad, ", ", bd, ")")
-            c = der(bd, " * ", bd)
+            c = der(b, " * ", b)
 
             def quotient(x, y):
                 if y is None:
-                    num = times(x, bd)
+                    num = times(x, b)
                 elif x is None:  # 0 - p is -p, and -(a * y) is -a * y
-                    num = ["-", *times(ad, y)]
+                    num = ["-", *times(a, y)]
                 else:
-                    num = [*times(x, bd), " - ", *times(ad, y)]
+                    num = [*times(x, b), " - ", *times(a, y)]
                 return ["div(", *num, ", ", c, ")"]
 
-            return v, vd, each(quotient, da, db)
+            return v, each(quotient, da, db)
         op = f" {e.op} "
-        v = val(a, op, b)
-        vd = v if (ad, bd) == (a, b) else der(ad, op, bd)
 
         def product(x, y):
             if y is None:
-                return times(x, bd)
+                return times(x, b)
             if x is None:
-                return times(ad, y)
-            return [*times(ad, y), " + ", *times(x, bd)]
+                return times(a, y)
+            return [*times(a, y), " + ", *times(x, b)]
 
         def combine(x, y):  # x + y or x - y
             if y is None:
@@ -436,12 +423,12 @@ def _kernel_lines(exprs, seeds, load=None, vout=None, dout=None, prefix="k"):
                 return [y] if e.op == "+" else ["-", y]
             return [x, op, y]
 
-        return v, vd, each(product if e.op == "*" else combine, da, db)
+        return val(a, op, b), each(product if e.op == "*" else combine, da, db)
 
     # per expression: its definitions, value output, derivative outputs
     roots, start = [], 0
     for i, e in enumerate(exprs):
-        v, _, ds = node(e)
+        v, ds = node(e)
         roots.append((range(start, len(defs)), [vout(i), v],
                       [[dout(i, j), "0.0" if d is None else d]
                        for j, d in enumerate(ds)]))
@@ -525,14 +512,13 @@ def compile_kernel(exprs, seeds=()):
     keeps its bits; a derivative that is exactly zero may change sign (a
     structurally zero one reads +0.0), and where an intermediate value is
     inf or nan a derivative may be finite where the dense one was nan.
-    Constants come in through a table, batch values use np.power and
-    np.divide where numpy evaluation of the tree would, and point
-    functions raise plain arithmetic errors that callers turn into
-    diagnostics with the strict walker. Subtrees shared by
-    identity are computed once. As in SymPy's lambdify, a result used once
-    is written inline where it is used, a result used more often gets a
-    temporary that is deleted after its last use, and unused code is
-    dropped. Derivative code runs only when D is given.
+    Constants come in through a table, and point functions raise plain
+    arithmetic errors that callers turn into diagnostics with the strict
+    walker. Subtrees shared by identity are computed once. As in SymPy's
+    lambdify, a result used once is written inline where it is used, a
+    result used more often gets a temporary that is deleted after its last
+    use, and unused code is dropped. Derivative code runs only when D is
+    given.
     """
     lines, consts = _kernel_lines(exprs, seeds)
     # free every temporary after its last read
@@ -659,6 +645,8 @@ def _strict(e, env, seed=None):
             v, d = walk(e.a)
             if e.op == "neg":
                 return -v, None if d is None else -d
+            if e.op in ("sin", "cos") and math.isinf(v):
+                raise ExprDomainError(f"{e.op} of {v}", to_string(e))
             if e.op == "sin":
                 return math.sin(v), None if d is None else math.cos(v) * d
             if e.op == "cos":
@@ -693,6 +681,9 @@ def _strict(e, env, seed=None):
                 return a * b, da * b if db is None else a * db + da * b
             if b == 0.0:
                 raise ExprDomainError("division by zero", to_string(e))
+            if (da, db) != (None, None) and b * b == 0.0:
+                raise ExprDomainError(f"square of divisor {b} underflows",
+                                      to_string(e))
             if da is None:
                 return a / b, None if db is None else -a * db / (b * b)
             return a / b, (da * b if db is None else da * b - a * db) / (b * b)
@@ -703,7 +694,10 @@ def _strict(e, env, seed=None):
             raise ExprDomainError("zero base with negative exponent", to_string(e))
         if e.n == 1:
             return v, d
-        return v**e.n, None if d is None else e.n * v ** (e.n - 1) * d
+        try:
+            return v**e.n, None if d is None else e.n * v ** (e.n - 1) * d
+        except OverflowError:
+            raise ExprDomainError(f"power of {v} overflows", to_string(e)) from None
 
     v, d = walk(e)
     return (v, 0.0 if d is None else d) if dual else v

@@ -163,66 +163,64 @@ def dense_dual_oracle(e, env, seed, ns=emit.POINT):
     zeros: every product with a 0.0 or 1.0 seed entry and with the 0.0
     derivative of a constant is kept. With ns=emit.POINT it walks a point
     on floats with the strict walker's domain checks; with ns=emit.BATCH
-    it walks arrays with the batch kernel's functions and no checks (values
-    by pwv, derivative code by pw, as the batch kernel)."""
+    it walks arrays with the batch kernel's functions and no checks. Like
+    the kernels, it reads one value per node in value and derivative code,
+    and x^0 is 1.0 without a look at its base."""
     point = ns is emit.POINT
 
     def fail(message, e):
         raise ExprDomainError(message, expr.to_string(e))
 
-    def walk(e):  # (value, value for derivative code, derivative)
+    def walk(e):  # (value, derivative)
         if isinstance(e, expr.Const):
-            return e.value, e.value, 0.0
+            return e.value, 0.0
         if isinstance(e, expr.Var):
             v = float(env[e.name]) if point else env[e.name]
-            return v, v, float(seed.get(e.name, 0.0))
+            return v, float(seed.get(e.name, 0.0))
         if isinstance(e, expr.Unary):
-            v, vd, d = walk(e.a)
+            v, d = walk(e.a)
             if e.op == "neg":
-                return -v, -vd, -d
+                return -v, -d
             if e.op == "sin":
-                return ns["sin"](v), ns["sin"](vd), ns["cos"](vd) * d
+                return ns["sin"](v), ns["cos"](v) * d
             if e.op == "cos":
-                return ns["cos"](v), ns["cos"](vd), -ns["sin"](vd) * d
+                return ns["cos"](v), -ns["sin"](v) * d
             if e.op == "exp":
                 if point and v > 709.0:
                     fail("exp overflow", e)
-                evd = ns["exp"](vd)
-                return ns["exp"](v), evd, evd * d
+                ev = ns["exp"](v)
+                return ev, ev * d
             if e.op == "ln":
                 if point and v <= 0.0:
                     fail(f"ln of nonpositive value {v}", e)
-                return ns["log"](v), ns["log"](vd), ns["div"](d, vd)
+                return ns["log"](v), ns["div"](d, v)
             if point and (v < 0.0 or (v == 0.0 and d != 0.0)):
                 fail(f"sqrt not differentiable at {v}", e)
             if point and v == 0.0:
-                return 0.0, 0.0, 0.0
-            rd = ns["sqrt"](vd)
-            return ns["sqrt"](v), rd, ns["div"](d, 2.0 * rd)
+                return 0.0, 0.0
+            r = ns["sqrt"](v)
+            return r, ns["div"](d, 2.0 * r)
         if isinstance(e, expr.Binary):
-            (a, ad, da), (b, bd, db) = walk(e.a), walk(e.b)
+            (a, da), (b, db) = walk(e.a), walk(e.b)
             if e.op == "+":
-                return a + b, ad + bd, da + db
+                return a + b, da + db
             if e.op == "-":
-                return a - b, ad - bd, da - db
+                return a - b, da - db
             if e.op == "*":
-                return a * b, ad * bd, ad * db + da * bd
+                return a * b, a * db + da * b
             if point and b == 0.0:
                 fail("division by zero", e)
-            return (ns["div"](a, b), ns["div"](ad, bd),
-                    ns["div"](da * bd - ad * db, bd * bd))
+            return ns["div"](a, b), ns["div"](da * b - a * db, b * b)
         if e.n == 0:
-            return 1.0, 1.0, 0.0
-        v, vd, d = walk(e.a)
+            return 1.0, 0.0
+        v, d = walk(e.a)
         if point and e.n < 0 and v == 0.0:
             fail("zero base with negative exponent", e)
         if e.n == 1:
-            return ns["pwv"](v, 1), vd, d
-        return (ns["pwv"](v, e.n), ns["pw"](vd, e.n),
-                e.n * ns["pw"](vd, e.n - 1) * d)
+            return v, d
+        return ns["pw"](v, e.n), e.n * ns["pw"](v, e.n - 1) * d
 
-    v, _, d = walk(e)
-    return v, d
+    return walk(e)
 
 
 def lu_factor_oracle(a, rtol=1e-12):

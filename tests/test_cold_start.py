@@ -82,7 +82,8 @@ def test_a_second_run_compiles_nothing(tmp_path):
     names = sorted(QUERIES)
     results = run_fresh(names + names, tmp_path)
     first, second = results[:len(names)], results[len(names):]
-    assert [name for name, r in zip(names, results) if r["scipy"]] == []
+    assert [name for name, r in zip(names + names, results, strict=True)
+            if r["scipy"]] == []
     assert sum(r["compiles"] for r in first) > 0
     assert [r["compiles"] for r in second] == [0] * len(names)
     assert sum(r["emits"] for r in first) > 0

@@ -1,3 +1,4 @@
+import ast
 import math
 import re
 import struct
@@ -12,7 +13,9 @@ from daekit import emit, expr, load_system
 from daekit.dae import Box, SystemDef
 from daekit.degree import VectorField, system_field
 from daekit.errors import ExprDomainError, ExprSyntaxError, UndeclaredVariableError
+from daekit.sysfile import load_hessenberg, load_implicit
 from helpers import random_tree, same_bits, usable_tree_and_point
+from test_golden import QUERIES, ROOT
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -89,6 +92,32 @@ class TestEvaluate:
             expr.evaluate(tree, {"x1": -1.0})
         with pytest.raises(ExprDomainError):
             expr.evaluate(expr.parse("sqrt(x1)", ["x1"]), {"x1": -4.0})
+
+    def test_power_overflow(self):
+        # a float power raises OverflowError where a product would give
+        # inf: in the value, and for x1 = 1e-103 only in the derivative's
+        # x1^-3
+        for text, x in [("x1^400", 10.0), ("x1^-2", 1e-200), ("x1^-2", 1e-103)]:
+            with pytest.raises(ExprDomainError, match="overflows") as err:
+                expr.evaluate_dual(expr.parse(text, ["x1"]), {"x1": x},
+                                   {"x1": 1.0})
+            assert err.value.subexpression == text
+
+    def test_sin_and_cos_of_infinity(self):
+        for text in ("sin(1e308*x1*10)", "cos(1e308*x1*10)"):
+            e = expr.parse(text, ["x1"])
+            with pytest.raises(ExprDomainError, match="of inf") as err:
+                expr.evaluate(e, {"x1": 1.0})
+            assert err.value.subexpression == expr.to_string(e)
+
+    def test_quotient_derivative_underflow(self):
+        # 1 / 1e-200 is finite, but the derivative divides by
+        # 1e-200 * 1e-200, which is 0.0
+        e = expr.parse("1/x1", ["x1"])
+        assert expr.evaluate(e, {"x1": 1e-200}) == 1e200
+        with pytest.raises(ExprDomainError, match="underflows") as err:
+            expr.evaluate_dual(e, {"x1": 1e-200}, {"x1": 1.0})
+        assert err.value.subexpression == "1.0 / x1"
 
 
 class TestDual:
@@ -388,7 +417,7 @@ class TestKernel:
                 try:
                     point(at, v, d)
                 except (ValueError, ZeroDivisionError, OverflowError):
-                    pass  # sqrt at 0, or the base of x^0: the walks decide
+                    pass  # sqrt at 0: the walks decide
                 else:
                     for i in range(m):
                         assert bits(v[i]) == bits(ref[i][0][0])
@@ -425,3 +454,72 @@ class TestKernel:
             trees, [{"x1": 1.0}, {"y1": 1.0}, {"x1": 0.0, "y1": 2.5}])
         texts += stage + pozzo_stage + [text for text, *_ in tree_lines]
         assert texts and not [t for t in texts if literal_product.search(t)]
+
+    def test_kernels_call_only_the_bound_names(self):
+        # every kernel line, of the golden systems and of random trees with
+        # exponents -3..3, calls only names that emit.POINT and emit.BATCH
+        # bind: one power, pw, for values and derivatives alike
+        def lines(exprs, seeds):
+            return [text for text, *_ in expr._kernel_lines(exprs, seeds)[0]]
+
+        loaders = {"reduce-hessenberg": load_hessenberg,
+                   "reduce-implicit": load_implicit}
+        inputs = {(argv[0], argv[1]) for argv, _, _ in QUERIES.values()}
+        texts = []
+        for cmd, path in sorted(inputs):
+            sys = loaders.get(cmd, load_system)(str(ROOT / path))
+            fld = system_field(sys)
+            state = [{nm: 1.0} for nm in sys.state_names]
+            for exprs in (sys.f, sys.g, sys.h, sys.fgh, sys.d2g_flat):
+                texts += lines(exprs, state)
+            texts += lines(fld.exprs, [{nm: 1.0} for nm in fld.var_names])
+            for part in ("fgh", "g", "U"):
+                texts += sys._point_code(part)
+            texts += expr._kernel_code(fld.exprs, fld.var_names, at="Z")[0]
+            texts += expr._kernel_code(sys.d2g_flat, sys.state_names, at="Z")[0]
+        rng = np.random.default_rng(912)
+        names = ["x1", "y1"]
+        trees = [random_tree(rng, names, exponents=range(-3, 4))
+                 for _ in range(200)]
+        texts += lines(trees, [{"x1": 1.0}, {"y1": 1.0}, {"x1": 0.5, "y1": 2.5}])
+        texts += expr._kernel_code(trees, names)[0]
+        calls = {ast.unparse(node.func) for text in texts
+                 for node in ast.walk(ast.parse(text))
+                 if isinstance(node, ast.Call)}
+        assert calls == set(emit.POINT) == set(emit.BATCH) == {
+            "sin", "cos", "exp", "log", "sqrt", "div", "pw"}
+
+    def test_zeroth_power_never_evaluates_its_base(self):
+        # ln(-1) would raise at a point and read nan on a batch
+        point, batch = expr.compile_kernel([expr.parse("ln(x1)^0", ["x1"])],
+                                           [{"x1": 1.0}])
+        v, d = [0.0], [0.0]
+        point({"x1": -1.0}, v, d)
+        assert (bits(v[0]), bits(d[0])) == (bits(1.0), bits(0.0))
+        vals, ders = np.empty((1, 2)), np.empty((1, 2))
+        batch({"x1": np.array([-1.0, 2.0])}, vals, ders)
+        assert same_bits(vals, [[1.0, 1.0]]) and same_bits(ders, [[0.0, 0.0]])
+
+    def test_first_power_is_its_base(self):
+        xs = np.array([-0.0, 0.0, 5e-324, -1.5, 1e308, math.inf, -math.inf,
+                       math.nan])
+        point, batch = expr.compile_kernel([expr.parse("x1^1", ["x1"])],
+                                           [{"x1": 1.0}])
+        for x in xs.tolist():
+            v, d = [0.0], [0.0]
+            point({"x1": x}, v, d)
+            assert (bits(v[0]), bits(d[0])) == (bits(x), bits(1.0))
+        vals, ders = np.empty((1, len(xs))), np.empty((1, len(xs)))
+        batch({"x1": xs}, vals, ders)
+        assert same_bits(vals[0], xs) and same_bits(ders, np.ones((1, len(xs))))
+
+    def test_batch_negative_power_is_np_power(self):
+        # values and derivative code read the one value np.power(x1, -2)
+        xs = np.random.default_rng(913).uniform(-2, 2, 64)
+        kern = expr.Kernel([expr.parse("x1^-2", ["x1"])], [{"x1": 1.0}])
+        only = kern.values_batch({"x1": xs}, np.empty((1, len(xs))))
+        vals, ders = np.empty((1, len(xs))), np.empty((1, len(xs)))
+        kern.dual_batch({"x1": xs}, ders, vals)
+        assert same_bits(only[0], np.power(xs, -2))
+        assert same_bits(vals[0], np.power(xs, -2))
+        assert same_bits(ders[0], -2 * np.power(xs, -3))

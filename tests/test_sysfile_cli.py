@@ -183,6 +183,30 @@ class TestCliExitCodes:
         assert (code, err) == (0, "")
         assert json.loads(out)["count"] == 0
 
+    POWER_SYSTEM = ('dim_x = 1\ndim_y = 1\nperiod = 6.283185307179586\n'
+                    'f = "x1^400"\ng = "y1 - x1"\nbox = [-2, 2], [-2, 2]\n')
+
+    def test_an_overflowing_power_exits_1_naming_it(self, capsys, tmp_path):
+        # the orbit from x1 = 1.9 grows until the float power x1^400
+        # overflows, which the strict walker names
+        path = tmp_path / "power.sys"
+        path.write_text(self.POWER_SYSTEM)
+        code, out, err = run_cli(capsys, "shoot", str(path), "--guess", "1.9",
+                                 "--steps", "16")
+        assert code == 1 and out == "" and err.count("\n") == 1
+        assert err.startswith("error: ") and err.endswith(" in 'x1^400'\n")
+
+    def test_an_overflowing_power_is_a_failed_start(self, capsys, tmp_path):
+        # the start whose map overflows x1^400 fails alone with the
+        # ExprDomainError; the other start finds the orbit near x1 = -0.95
+        path = tmp_path / "power.sys"
+        path.write_text(self.POWER_SYSTEM)
+        code, out, err = run_cli(capsys, "multiplicity", str(path),
+                                 "--lambda", "0.1", "--steps", "16",
+                                 "--grid", "2")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["count"] == 1
+
     @pytest.mark.parametrize("g,value", [
         # the polish of the first start steps to x1 = 0.75390625 and raises
         ("y1*(2+sqrt(0.5 - x1)) - x1", "-0.25390625"),
