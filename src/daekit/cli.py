@@ -385,7 +385,8 @@ def _build_parser():
     p = add("shoot", _cmd_shoot, help="find one T-periodic orbit by shooting")
     p.add_argument("--lambda", dest="lam", type=float, default=0.0)
     p.add_argument("--guess", default=None,
-                   help="initial x components, comma-separated")
+                   help="initial x components, comma-separated; a leading "
+                        "minus needs the = form, --guess=-0.1,0.2")
     p.add_argument("--steps", type=int, default=512)
     p.add_argument("--csv", default=None, help="write the orbit as CSV")
 
@@ -394,7 +395,8 @@ def _build_parser():
     p.add_argument("--lambda-max", dest="lambda_max", type=float, required=True)
     p.add_argument("--norm-bound", dest="norm_bound", type=float, default=1e6)
     p.add_argument("--origin", default=None,
-                   help="state of the anchoring zero, comma-separated")
+                   help="state of the anchoring zero, comma-separated; a "
+                        "leading minus needs the = form, --origin=-1,-1")
     p.add_argument("--steps", type=int, default=512)
     p.add_argument("--max-steps", dest="max_steps", type=int, default=200)
     p.add_argument("--csv", default=None, help="write the branch as CSV")

@@ -527,7 +527,7 @@ def validate(sys, samples=512):
 # A = d1w - d2w [d2g]^-1 d1g, and for the flow A Phi and A v + h; every
 # matrix product is a left-to-right float sum. reduced_field calls it once.
 # Where its kernel raises or gives a non-finite value it needs, a stage
-# evaluates the point with the point kernels (and their strict diagnostics)
+# evaluates the point with the point kernels (and their checked texts)
 # in the order base values, h, g blocks, d2g factorization, partials, which
 # decides the error a point raises, and runs the same algebra on those
 # values. The stage and the constraint Newton step are written once each,
@@ -564,7 +564,7 @@ def _stage_lines(sys, out_a, sens, lsens, forcing, use_h):
     inputs += [e for row in phi for e in row] * sens + vl * lsens
     # what the algebra reads, and the g values: where they are not finite,
     # the point evaluation of g can raise even if its partials are finite
-    # (the strict walker rejects exp beyond 709, which the kernel computes)
+    # (its checked text rejects an exp of inf, which the kernel computes)
     needed = [f"V{i}" for i in [*B, *G]] + [d(i, c) for i in G for c in range(n)]
     if use_h or lsens:
         needed += [f"V{i}" for i in H]

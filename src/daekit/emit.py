@@ -11,7 +11,7 @@ import operator
 
 import numpy as np
 
-from .errors import SingularMatrixError
+from .errors import ExprDomainError, SingularMatrixError
 
 PIVOT_RTOL = 1e-12
 KERNEL_ERRORS = (ValueError, ZeroDivisionError, OverflowError, KeyError)
@@ -24,6 +24,48 @@ POINT = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log,
          "sqrt": math.sqrt, "div": operator.truediv, "pw": operator.pow}
 BATCH = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log,
          "sqrt": np.sqrt, "div": np.divide, "pw": np.power}
+
+# What a checked call's failure means, by the kind of its site: the message,
+# formatted with the call's arguments and then the site's operand. "pw" with
+# a zero base and a negative exponent is "pw0"; "ln'", "sqrt'" and "square"
+# are the divisions of the ln, sqrt and quotient derivatives.
+MESSAGES = {"sin": "sin of {0}", "cos": "cos of {0}", "exp": "exp overflow",
+            "ln": "ln of nonpositive value {0}",
+            "ln'": "ln of nonpositive value {1}",
+            "sqrt": "sqrt of negative value {0}",
+            "sqrt'": "sqrt not differentiable at {1}",
+            "div": "division by zero",
+            "square": "square of divisor {2} underflows",
+            "pw": "power of {0} overflows",
+            "pw0": "zero base with negative exponent"}
+
+
+def _checked(fn):
+    """fn with one more argument, the site (kind, subexpression, operand
+    ...): a failure raises ExprDomainError naming the subexpression, and
+    so does an exp of inf, which math.exp returns; a sqrt derivative with a
+    zero numerator at 0 is 0.0 (2 sqrt(v) is zero only where v is, with
+    v's sign)."""
+    def call(*args):
+        *args, (kind, text, *operand) = args
+        try:
+            out = fn(*args)
+        except (ValueError, ArithmeticError) as err:
+            if kind == "sqrt'" and args[0] == 0.0:
+                return 0.0
+            if kind == "pw" and isinstance(err, ZeroDivisionError):
+                kind = "pw0"
+            raise ExprDomainError(MESSAGES[kind].format(*args, *operand),
+                                  text) from None
+        if kind == "exp" and out == math.inf:
+            raise ExprDomainError(MESSAGES[kind], text)
+        return out
+    return call
+
+
+# POINT with each failure named by the call's site (expr.compile_kernel's
+# checked text)
+CHECKED = {name: _checked(fn) for name, fn in POINT.items()}
 
 
 # ---------------------------------------------------------------------------

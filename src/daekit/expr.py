@@ -9,8 +9,8 @@ reentrant, so expressions can be shared freely across workers.
 Every derivative in the toolkit flows through this module: exact forward-mode
 AD, emitted as one straight-line function per expression list (a ``Kernel``,
 for a point or a batch), and symbolic differentiation where a derivative is
-itself needed as a formula. A strict tree walker re-evaluates failed points
-to name the offending subexpression.
+itself needed as a formula. A failed point runs again through the checked
+text of its kernel, whose calls name the offending subexpression.
 """
 
 import math
@@ -285,7 +285,8 @@ _MAX_INLINE_DEPTH = 32  # deeper single-use chains get a temporary (parser limit
 _ONE = "1.0"  # the unit seed entry as a derivative term
 
 
-def _kernel_lines(exprs, seeds, load=None, vout=None, dout=None, prefix="k"):
+def _kernel_lines(exprs, seeds, load=None, vout=None, dout=None, prefix="k",
+                  checked=False):
     """The statements of compile_kernel's function, before it adds guards
     and frees temporaries: (lines, consts). Each line is (text, temporaries
     read, temporary defined or None, inside the derivative block); the
@@ -295,7 +296,11 @@ def _kernel_lines(exprs, seeds, load=None, vout=None, dout=None, prefix="k"):
     the targets ``vout(i)`` and ``dout(i, j)`` name (text ending in ``=``).
     Constants are named prefix0, prefix1, ... (k0, k1, ... by default) in
     the table consts; kernels inlined into one function take different
-    prefixes.
+    prefixes. With checked, each call takes one more argument, its site:
+    the table constant prefixs0, prefixs1, ... holding (kind, to_string of
+    the node it serves), or for a quotient derivative the tuple of those
+    and the divisor (emit.CHECKED reads them); without, the parts are the
+    point text's.
 
     Derivatives are sparse forward mode: a zero seed entry and the
     derivative of a constant are no term (None); a term that would
@@ -310,7 +315,7 @@ def _kernel_lines(exprs, seeds, load=None, vout=None, dout=None, prefix="k"):
         def dout(i, j):
             return f"D[{i * len(seeds) + j}] = "
 
-    consts, memo, loads = {}, {}, {}
+    consts, sites, memo, loads = {}, {}, {}, {}
     defs, refs, in_derivs = [], [], []  # parts: text, or ints naming defs
 
     def define(in_deriv, parts):
@@ -329,6 +334,13 @@ def _kernel_lines(exprs, seeds, load=None, vout=None, dout=None, prefix="k"):
         name = f"{prefix}{len(consts)}"
         consts[name] = value
         return name
+
+    def site(kind, e, *operand):  # the parts of a call's site argument
+        if not checked:
+            return []
+        name = f"{prefix}s{len(sites)}"
+        sites[name] = (kind, to_string(e))
+        return [", (*", name, ", ", *operand, ")"] if operand else [", ", name]
 
     def seed_entry(seed, name):
         d = seed.get(name, 0.0)
@@ -366,36 +378,37 @@ def _kernel_lines(exprs, seeds, load=None, vout=None, dout=None, prefix="k"):
             return loads[e.name], [seed_entry(s, e.name) for s in seeds]
         if isinstance(e, Power):
             n = e.n
-            if n == 0:  # like the strict walker, never evaluates its base
+            if n == 0:  # never evaluates its base
                 return const(1.0), [None] * len(seeds)
             a, da = node(e.a)
             if n == 1:
                 return a, da
-            v = val("pw(", a, f", {n})")
+            v = val("pw(", a, f", {n}", *site("pw", e), ")")
             c = der(f"{n} * ", a) if n == 2 else der(
-                f"{n} * pw(", a, f", {n - 1})")
+                f"{n} * pw(", a, f", {n - 1}", *site("pw", e), ")")
             return v, each(lambda x: times(c, x), da)
         if isinstance(e, Unary):
             (a, da), op = node(e.a), "log" if e.op == "ln" else e.op
             if op == "neg":
                 return val("-", a), each(lambda x: ["-", x], da)
-            v = val(op + "(", a, ")")
+            v = val(op + "(", a, *site(e.op, e), ")")
             if op == "sin":
-                c = der("cos(", a, ")")
+                c = der("cos(", a, *site("sin", e), ")")
             elif op == "cos":
-                c = der("-sin(", a, ")")
+                c = der("-sin(", a, *site("cos", e), ")")
             elif op == "exp":
                 c = v
             elif op == "log":
-                return v, each(lambda x: ["div(", x, ", ", a, ")"], da)
+                s = site("ln'", e)
+                return v, each(lambda x: ["div(", x, ", ", a, *s, ")"], da)
             else:  # sqrt
-                c = der("2.0 * ", v)
-                return v, each(lambda x: ["div(", x, ", ", c, ")"], da)
+                c, s = der("2.0 * ", v), site("sqrt'", e)
+                return v, each(lambda x: ["div(", x, ", ", c, *s, ")"], da)
             return v, each(lambda x: times(c, x), da)
         (a, da), (b, db) = node(e.a), node(e.b)
         if e.op == "/":
-            v = val("div(", a, ", ", b, ")")
-            c = der(b, " * ", b)
+            v = val("div(", a, ", ", b, *site("div", e), ")")
+            c, s = der(b, " * ", b), site("square", e, b)
 
             def quotient(x, y):
                 if y is None:
@@ -404,7 +417,7 @@ def _kernel_lines(exprs, seeds, load=None, vout=None, dout=None, prefix="k"):
                     num = ["-", *times(a, y)]
                 else:
                     num = [*times(x, b), " - ", *times(a, y)]
-                return ["div(", *num, ", ", c, ")"]
+                return ["div(", *num, ", ", c, *s, ")"]
 
             return v, each(quotient, da, db)
         op = f" {e.op} "
@@ -475,7 +488,7 @@ def _kernel_lines(exprs, seeds, load=None, vout=None, dout=None, prefix="k"):
                 reads = set()
                 text = render(s, reads)
                 lines.append((text, reads, None, in_block))
-    return lines, consts
+    return lines, {**consts, **sites}
 
 
 def _kernel_code(exprs, names, at=None, value="V", prefix="k"):
@@ -492,7 +505,7 @@ def _kernel_code(exprs, names, at=None, value="V", prefix="k"):
     return [text for text, *_ in lines], consts
 
 
-def compile_kernel(exprs, seeds=()):
+def compile_kernel(exprs, seeds=(), checked=False):
     """Emit one straight-line Python function evaluating ``exprs``.
 
     ``seeds`` are directions (maps from variable name to component) to
@@ -502,10 +515,14 @@ def compile_kernel(exprs, seeds=()):
     writes value i to ``V[i]`` and, when ``D`` is given, the derivative of
     expression i along seed j to ``D[i * len(seeds) + j]``. At a point V and
     D are lists; on a batch they are the caller's entry-major output arrays,
-    indexed first by that position, so every write is contiguous.
+    indexed first by that position, so every write is contiguous. With
+    checked, returns the one function bound to emit.CHECKED instead, whose
+    calls take their sites (see _kernel_lines): it computes the point
+    function's numbers, or raises the ExprDomainError naming the node whose
+    call failed.
 
-    Each node runs the dual-number arithmetic the strict walker does along
-    one seed, in the same order, so results are reproducible bit for bit.
+    Each node runs dual-number arithmetic along each seed, in a fixed
+    order, so results are reproducible bit for bit.
     Derivatives drop their structural zeros (see _kernel_lines): a dropped
     term is +-0, and x +- 0 = x and x * 1.0 = x exactly, so every
     derivative that dense forward mode gives as a finite nonzero number
@@ -513,14 +530,13 @@ def compile_kernel(exprs, seeds=()):
     structurally zero one reads +0.0), and where an intermediate value is
     inf or nan a derivative may be finite where the dense one was nan.
     Constants come in through a table, and point functions raise plain
-    arithmetic errors that callers turn into diagnostics with the strict
-    walker. Subtrees shared by identity are computed once. As in SymPy's
-    lambdify, a result used once is written inline where it is used, a
-    result used more often gets a temporary that is deleted after its last
-    use, and unused code is dropped. Derivative code runs only when D is
-    given.
+    arithmetic errors. Subtrees shared by identity are computed once. As
+    in SymPy's lambdify, a result used once is written inline where it is
+    used, a result used more often gets a temporary that is deleted after
+    its last use, and unused code is dropped. Derivative code runs only
+    when D is given.
     """
-    lines, consts = _kernel_lines(exprs, seeds)
+    lines, consts = _kernel_lines(exprs, seeds, checked=checked)
     # free every temporary after its last read
     last = {}
     for idx, (_, reads, _, _) in enumerate(lines):
@@ -537,8 +553,13 @@ def compile_kernel(exprs, seeds=()):
                       if last.get(nm, idx) == idx)
         if done:
             body.append(pad + "del " + ", ".join(done))
-    return tuple(emit.function("def kernel(env, V, D=None):", body or ["pass"],
-                               {**consts, **ns}) for ns in (emit.POINT, emit.BATCH))
+
+    def bind(ns):
+        return emit.function("def kernel(env, V, D=None):", body or ["pass"],
+                             {**consts, **ns})
+
+    return bind(emit.CHECKED) if checked else (bind(emit.POINT),
+                                               bind(emit.BATCH))
 
 
 class Kernel:
@@ -548,22 +569,38 @@ class Kernel:
     their structural zeros dropped (see compile_kernel); the kernel is
     emitted on first use and kept on the instance. When the point
     function raises (ValueError, ZeroDivisionError, OverflowError,
-    KeyError) or gives a non-finite number, the point is re-evaluated with
-    the strict walker, which drops the same terms, so it returns the same
-    result or raises the ExprDomainError naming the offending
-    subexpression. Batch evaluation checks no domain: invalid points yield
-    nan/inf.
+    KeyError) or gives a non-finite number, the point runs again through
+    the checked text of the same kernel (compile_kernel with checked,
+    compiled on first use and kept too), which gives the same numbers or
+    raises the ExprDomainError naming the subexpression whose call failed
+    first in the kernel's order: expression by expression, values before
+    derivatives. A variable missing from env raises
+    UndeclaredVariableError. Batch evaluation checks no domain: invalid
+    points yield nan/inf.
     """
 
     def __init__(self, exprs, seeds=()):
         self.exprs = list(exprs)
         self.seeds = [dict(s) for s in seeds]
         self._fns = None
+        self._checked = {}  # checked functions by cols, None for every seed
 
     def _fn(self, batch):
         if self._fns is None:
             self._fns = compile_kernel(self.exprs, self.seeds)
         return self._fns[batch]
+
+    def _check(self, env, vals, ders=None, cols=None):
+        """Run the point again through the checked text, along the seeds
+        of cols (every seed when None)."""
+        key = None if cols is None else tuple(cols)
+        if key not in self._checked:
+            seeds = self.seeds if cols is None else [self.seeds[j] for j in cols]
+            self._checked[key] = compile_kernel(self.exprs, seeds, checked=True)
+        try:
+            self._checked[key](env, vals, ders)
+        except KeyError as err:
+            raise UndeclaredVariableError(err.args[0]) from None
 
     def values(self, env):
         """Values at a point, as an array."""
@@ -574,13 +611,14 @@ class Kernel:
                 return np.array(vals, dtype=float)
         except emit.KERNEL_ERRORS:
             pass
-        return np.array([_strict(e, env) for e in self.exprs], dtype=float)
+        self._check(env, vals)
+        return np.array(vals, dtype=float)
 
     def dual(self, env, cols=None):
         """(values, Jacobian) at a point: row i of the Jacobian holds the
         derivatives of expression i along the seeds of cols (a list of
-        seed numbers), along every seed when cols is None. The
-        strict walk goes seed by seed, in the order of cols."""
+        seed numbers), along every seed when cols is None. Only the
+        derivatives along those seeds can fail."""
         m, n = len(self.exprs), len(self.seeds)
         vals, ders = [0.0] * m, [0.0] * (m * n)
         try:
@@ -589,14 +627,10 @@ class Kernel:
         except emit.KERNEL_ERRORS:
             ok = False
         if not ok:
-            order = np.arange(n)[slice(None) if cols is None else cols]
-            walks = {j: [_strict(e, env, self.seeds[j]) for e in self.exprs]
-                     for j in order}
-            for j, walk in walks.items():
-                ders[j::n] = [d for _, d in walk]
-            first = next(iter(walks.values()), None)
-            vals = ([v for v, _ in first] if first is not None
-                    else [_strict(e, env, {})[0] for e in self.exprs])
+            width = n if cols is None else len(cols)
+            ders = [0.0] * (m * width)
+            self._check(env, vals, ders, cols)
+            return vals, np.array(ders, dtype=float).reshape(m, width)
         jac = np.array(ders, dtype=float).reshape(m, n)
         if cols is None:
             return vals, jac
@@ -616,91 +650,6 @@ class Kernel:
         with np.errstate(all="ignore"):
             self._fn(True)(env, vout, out)
         return out
-
-
-# ---------------------------------------------------------------------------
-# Strict reference walker (full domain diagnostics)
-
-
-def _strict(e, env, seed=None):
-    """The value at env, or with a seed the pair (value, derivative along
-    seed), raising ExprDomainError naming the offending subexpression.
-    The derivative drops the kernel's structural zeros (None while
-    walking: a zero seed entry, a constant's derivative, and every term
-    built on them), so it does the point kernel's arithmetic; a
-    structurally zero derivative reads +0.0."""
-    dual = seed is not None
-
-    def walk(e):
-        if isinstance(e, Const):
-            return e.value, None
-        if isinstance(e, Var):
-            try:
-                v = float(env[e.name])
-            except KeyError:
-                raise UndeclaredVariableError(e.name) from None
-            d = float(seed.get(e.name, 0.0)) if dual else 0.0
-            return v, None if d == 0.0 else d
-        if isinstance(e, Unary):
-            v, d = walk(e.a)
-            if e.op == "neg":
-                return -v, None if d is None else -d
-            if e.op in ("sin", "cos") and math.isinf(v):
-                raise ExprDomainError(f"{e.op} of {v}", to_string(e))
-            if e.op == "sin":
-                return math.sin(v), None if d is None else math.cos(v) * d
-            if e.op == "cos":
-                return math.cos(v), None if d is None else -math.sin(v) * d
-            if e.op == "exp":
-                if v > 709.0:
-                    raise ExprDomainError("exp overflow", to_string(e))
-                ev = math.exp(v)
-                return ev, None if d is None else ev * d
-            if e.op == "ln":
-                if v <= 0.0:
-                    raise ExprDomainError(f"ln of nonpositive value {v}", to_string(e))
-                return math.log(v), None if d is None else d / v
-            if v < 0.0 or (d is not None and v == 0.0 and d != 0.0):
-                what = "not differentiable at" if dual else "of negative value"
-                raise ExprDomainError(f"sqrt {what} {v}", to_string(e))
-            if d is not None and v == 0.0:
-                return 0.0, 0.0
-            r = math.sqrt(v)
-            return r, None if d is None else d / (2.0 * r)
-        if isinstance(e, Binary):
-            (a, da), (b, db) = walk(e.a), walk(e.b)
-            if e.op == "+":
-                return a + b, db if da is None else da if db is None else da + db
-            if e.op == "-":
-                if da is None:
-                    return a - b, None if db is None else -db
-                return a - b, da if db is None else da - db
-            if e.op == "*":
-                if da is None:
-                    return a * b, None if db is None else a * db
-                return a * b, da * b if db is None else a * db + da * b
-            if b == 0.0:
-                raise ExprDomainError("division by zero", to_string(e))
-            if (da, db) != (None, None) and b * b == 0.0:
-                raise ExprDomainError(f"square of divisor {b} underflows",
-                                      to_string(e))
-            if da is None:
-                return a / b, None if db is None else -a * db / (b * b)
-            return a / b, (da * b if db is None else da * b - a * db) / (b * b)
-        if e.n == 0:
-            return 1.0, None  # like the kernel, never looks at the base
-        v, d = walk(e.a)
-        if e.n < 0 and v == 0.0:
-            raise ExprDomainError("zero base with negative exponent", to_string(e))
-        if e.n == 1:
-            return v, d
-        try:
-            return v**e.n, None if d is None else e.n * v ** (e.n - 1) * d
-        except OverflowError:
-            raise ExprDomainError(f"power of {v} overflows", to_string(e)) from None
-
-    v, d = walk(e)
-    return (v, 0.0 if d is None else d) if dual else v
 
 
 # ---------------------------------------------------------------------------

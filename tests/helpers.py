@@ -159,11 +159,12 @@ def same_bits(a, b):
 
 def dense_dual_oracle(e, env, seed, ns=emit.POINT):
     """(value, derivative along seed) by dense forward mode, the dual walk
-    the kernels and the strict walker did before they dropped structural
-    zeros: every product with a 0.0 or 1.0 seed entry and with the 0.0
-    derivative of a constant is kept. With ns=emit.POINT it walks a point
-    on floats with the strict walker's domain checks; with ns=emit.BATCH
-    it walks arrays with the batch kernel's functions and no checks. Like
+    the kernels did before they dropped structural zeros: every product
+    with a 0.0 or 1.0 seed entry and with the 0.0 derivative of a constant
+    is kept. With ns=emit.POINT it walks a point on floats with domain
+    checks (an exp whose result is inf is an overflow); with
+    ns=emit.BATCH it walks arrays with the batch kernel's functions and no
+    checks. Like
     the kernels, it reads one value per node in value and derivative code,
     and x^0 is 1.0 without a look at its base."""
     point = ns is emit.POINT
@@ -186,9 +187,9 @@ def dense_dual_oracle(e, env, seed, ns=emit.POINT):
             if e.op == "cos":
                 return ns["cos"](v), -ns["sin"](v) * d
             if e.op == "exp":
-                if point and v > 709.0:
-                    fail("exp overflow", e)
                 ev = ns["exp"](v)
+                if point and ev == math.inf:
+                    fail("exp overflow", e)
                 return ev, ev * d
             if e.op == "ln":
                 if point and v <= 0.0:
@@ -197,7 +198,7 @@ def dense_dual_oracle(e, env, seed, ns=emit.POINT):
             if point and (v < 0.0 or (v == 0.0 and d != 0.0)):
                 fail(f"sqrt not differentiable at {v}", e)
             if point and v == 0.0:
-                return 0.0, 0.0
+                return ns["sqrt"](v), 0.0
             r = ns["sqrt"](v)
             return r, ns["div"](d, 2.0 * r)
         if isinstance(e, expr.Binary):

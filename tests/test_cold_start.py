@@ -6,8 +6,9 @@ floats. Every golden query is run twice through ``cli.main`` in one new
 interpreter, as ``python -m daekit`` does; after each run of a query the
 test reads ``"scipy" in sys.modules`` and counts the calls of
 ``builtins.compile`` and of ``expr._kernel_lines`` (the point code every
-emitted function starts from) it made, and its report must still match its
-golden file. No time is measured.
+emitted function starts from) it made, and those of them for a checked
+text, and its report must still match its golden file. No time is
+measured.
 """
 
 import json
@@ -28,7 +29,7 @@ def counting(*args, **kwargs):
 builtins.compile = counting
 emits, kernel_lines = [], expr._kernel_lines
 def emitting(*args, **kwargs):
-    emits.append(None)
+    emits.append(kwargs.get("checked", False))
     return kernel_lines(*args, **kwargs)
 expr._kernel_lines = emitting
 results = []
@@ -39,6 +40,7 @@ for argv in json.loads(sys.argv[1]):
     results.append({"code": code, "scipy": "scipy" in sys.modules,
                     "compiles": len(compiles) - before,
                     "emits": len(emits) - emitted,
+                    "checked": sum(emits[emitted:]),
                     "report": out.getvalue()})
 print(json.dumps(results))
 """
@@ -48,7 +50,8 @@ def run_fresh(names, csv_dir):
     """Run the golden queries of the names, in order, in one new interpreter
     started from the repository root; one dict per query with its exit
     code, whether scipy was loaded after it, its calls of builtins.compile
-    and of expr._kernel_lines, and its report."""
+    and of expr._kernel_lines, those of the latter with checked, and its
+    report."""
     queries = []
     for name in names:
         argv, csv, _ = QUERIES[name]
@@ -78,7 +81,8 @@ def test_a_second_run_compiles_nothing(tmp_path):
     # reports. load_system, load_hessenberg and load_implicit return the
     # first run's SystemDef of each input text, with its kernels and
     # emitted functions, and degree_via_slice keeps its fields per formula
-    # list, so the second run emits no point code either
+    # list, so the second run emits no point code either. No query runs a
+    # point again through a kernel's checked text
     names = sorted(QUERIES)
     results = run_fresh(names + names, tmp_path)
     first, second = results[:len(names)], results[len(names):]
@@ -88,5 +92,6 @@ def test_a_second_run_compiles_nothing(tmp_path):
     assert [r["compiles"] for r in second] == [0] * len(names)
     assert sum(r["emits"] for r in first) > 0
     assert [r["emits"] for r in second] == [0] * len(names)
+    assert [r["checked"] for r in results] == [0] * len(results)
     check_reports(names, first)
     check_reports(names, second)

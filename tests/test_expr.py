@@ -228,25 +228,31 @@ class TestProperties:
 
 
 class TestKernel:
-    def test_point_kernel_matches_strict_walker(self):
+    def test_point_kernel_matches_the_dense_oracle(self):
+        # where the dense walk answers, the point function's value and
+        # Kernel.dual (through the checked text where the point function
+        # raises) have its bits, and so has every nonzero finite dense
+        # derivative; a zero one stays zero (its sign may change)
         rng = np.random.default_rng(505)
         names = ["x1", "y1", "t"]
         seeds = [{nm: 1.0} for nm in names]
         compared = 0
         for _ in range(1000):
             tree, env = usable_tree_and_point(rng, names)
-            point, _ = expr.compile_kernel([tree], seeds)
-            vals, ders = [0.0], [0.0] * len(seeds)
-            point(env, vals)
-            assert bits(vals[0]) == bits(expr._strict(tree, env))
+            kern = expr.Kernel([tree], seeds)
+            vals = [0.0]
+            kern._fn(False)(env, vals)
             try:
-                point(env, vals, ders)
-            except (ValueError, ZeroDivisionError, OverflowError):
-                continue  # the strict walker decides these points
-            for seed, d in zip(seeds, ders):
-                v_ref, d_ref = expr._strict(tree, env, seed)
-                assert bits(vals[0]) == bits(v_ref)
-                assert bits(d) == bits(d_ref)
+                ref = [helpers.dense_dual_oracle(tree, env, s) for s in seeds]
+            except expr.ROW_ERRORS:
+                continue
+            got, jac = kern.dual(env)
+            for (v_ref, d_ref), d in zip(ref, jac[0].tolist()):
+                assert bits(vals[0]) == bits(got[0]) == bits(v_ref)
+                if d_ref == 0.0:
+                    assert d == 0.0
+                elif math.isfinite(d_ref):
+                    assert bits(d) == bits(d_ref)
             compared += 1
         assert compared >= 950
 
@@ -370,14 +376,14 @@ class TestKernel:
         # sparse forward mode against the dense walk (every product with a
         # 0.0 or 1.0 seed entry kept): where every dense value is finite, a
         # nonzero dense derivative keeps its bits at the point kernel, in
-        # each batch column and in the strict walker, and a zero one stays
-        # zero (its sign may change)
+        # each batch column and in Kernel.dual, and a zero one stays zero
+        # (its sign may change)
         rng = np.random.default_rng(909)
         names = ["x1", "y1"]
         seeds = [{"x1": 1.0}, {"y1": 1.0}, {"x1": 0.5, "y1": -1.25}, {}]
         exponents = (-3, -2, -1, 0, 1, 2, 3)
         n_pts, m, n = 8, 2, len(seeds)
-        counts = {"point": 0, "batch": 0, "strict": 0, "zero": 0}
+        counts = {"point": 0, "batch": 0, "kernel": 0, "zero": 0}
 
         def agree(got, dense, where):
             if dense == 0.0:
@@ -389,7 +395,8 @@ class TestKernel:
         for _ in range(1000):
             trees = [random_tree(rng, names, exponents=exponents)
                      for _ in range(m)]
-            point, batch = expr.compile_kernel(trees, seeds)
+            kern = expr.Kernel(trees, seeds)
+            point, batch = kern._fn(False), kern._fn(True)
             zs = rng.uniform(-2, 2, (2, n_pts))
             env = dict(zip(names, zs))
             vals, ders = np.empty((m, n_pts)), np.empty((m * n, n_pts))
@@ -417,20 +424,20 @@ class TestKernel:
                 try:
                     point(at, v, d)
                 except (ValueError, ZeroDivisionError, OverflowError):
-                    pass  # sqrt at 0: the walks decide
+                    pass  # sqrt at 0: the checked text decides
                 else:
                     for i in range(m):
                         assert bits(v[i]) == bits(ref[i][0][0])
                         for j in range(n):
                             agree(d[i * n + j], ref[i][j][1], (trees[i], j, at))
                     counts["point"] += 1
+                kv, kd = kern.dual(at)
                 for i, e in enumerate(trees):
-                    for j, s in enumerate(seeds):
-                        sv, sd = expr._strict(e, at, s)
-                        assert bits(sv) == bits(ref[i][j][0])
-                        agree(sd, ref[i][j][1], (e, j, at))
-                counts["strict"] += 1
-        assert counts["point"] >= 2500 and counts["strict"] >= 2500
+                    for j in range(n):
+                        assert bits(kv[i]) == bits(ref[i][j][0])
+                        agree(kd[i, j], ref[i][j][1], (e, j, at))
+                counts["kernel"] += 1
+        assert counts["point"] >= 2500 and counts["kernel"] >= 2500
         assert counts["batch"] >= 40000 and counts["zero"] >= 10000
 
     def test_derivatives_multiply_by_no_literal_zero_or_one(self):
@@ -523,3 +530,150 @@ class TestKernel:
         assert same_bits(only[0], np.power(xs, -2))
         assert same_bits(vals[0], np.power(xs, -2))
         assert same_bits(ders[0], -2 * np.power(xs, -3))
+
+
+class TestCheckedText:
+    """Kernel names a failure by running the point again through the
+    checked text of its kernel: the point text whose calls take their sites
+    (expr._kernel_lines with checked, bound to emit.CHECKED)."""
+
+    X = ["x1", "x2"]
+
+    def test_exp_past_709_hides_no_other_row(self):
+        # exp(709.5) is 1.35e308: the quotient row names its own failure,
+        # or is simply inf
+        kern = expr.Kernel([expr.parse(t, self.X)
+                            for t in ("exp(x1)", "1/x2")])
+        with pytest.raises(ExprDomainError) as err:
+            kern.values({"x1": 709.5, "x2": 0.0})
+        assert str(err.value) == "division by zero in '1.0 / x2'"
+        vals = kern.values({"x1": 709.5, "x2": 1e-320})
+        assert same_bits(vals, [math.exp(709.5), math.inf])
+        for text, x1 in [("exp(x1 * 1e200 * 1e200)", 1.0), ("exp(x1)", 710.0),
+                         ("exp(x1)", math.inf)]:
+            e = expr.parse(text, self.X)
+            with pytest.raises(ExprDomainError) as err:
+                expr.evaluate(e, {"x1": x1})
+            assert str(err.value) == f"exp overflow in '{expr.to_string(e)}'"
+
+    @pytest.mark.parametrize("text, x1, x2, message", [
+        # the kernel writes an expression's values before its derivatives,
+        # so the ln value fails before the sqrt derivative at 0
+        ("sqrt(x1) + ln(x2)", 0.0, -1.0,
+         "ln of nonpositive value -1.0 in 'ln(x2)'"),
+        ("sqrt(x1) + ln(x2)", 0.0, 1.0,
+         "sqrt not differentiable at 0.0 in 'sqrt(x1)'"),
+        ("sqrt(x1)", -1.0, 0.0, "sqrt of negative value -1.0 in 'sqrt(x1)'"),
+        # messages carry their operands
+        ("1/x1", 1e-200, 0.0,
+         "square of divisor 1e-200 underflows in '1.0 / x1'"),
+        ("x2 + x1^-2", 1e-103, 0.0, "power of 1e-103 overflows in 'x1^-2'"),
+        ("x2 * x1^-3", -0.0, 1.0,
+         "zero base with negative exponent in 'x1^-3'"),
+        ("cos(x1 * 1e308 * 10)", -1.0, 0.0,
+         "cos of -inf in 'cos(x1 * 1e+308 * 10.0)'"),
+    ])
+    def test_dual_names_the_first_failing_call(self, text, x1, x2, message):
+        kern = expr.Kernel([expr.parse(text, self.X)],
+                           [{"x1": 1.0}, {"x2": 1.0}])
+        with pytest.raises(ExprDomainError) as err:
+            kern.dual({"x1": x1, "x2": x2})
+        assert str(err.value) == message
+
+    def test_a_zero_root_with_no_change_has_derivative_zero(self):
+        for x in (0.0, -0.0):
+            v, d = expr.evaluate_dual(expr.parse("sqrt(x1^2)", self.X),
+                                      {"x1": x}, {"x1": 1.0})
+            assert (bits(v), bits(d)) == (bits(0.0), bits(0.0))
+            v, d = expr.evaluate_dual(expr.parse("sqrt(x1 * x2)", self.X),
+                                      {"x1": x, "x2": 0.0}, {"x1": 1.0})
+            assert (bits(v), bits(d)) == (bits(math.sqrt(x * 0.0)), bits(0.0))
+
+    def test_only_the_requested_seeds_can_fail(self):
+        # the sqrt fails along x1 only; cols [1] asks for x2 alone, and its
+        # checked text, over that seed, is kept per cols
+        kern = expr.Kernel([expr.parse("sqrt(x1) + x2", self.X)],
+                           [{"x1": 1.0}, {"x2": 1.0}])
+        at = {"x1": 0.0, "x2": 2.0}
+        vals, jac = kern.dual(at, [1])
+        assert vals == [2.0] and same_bits(jac, [[1.0]])
+        assert jac.flags.c_contiguous
+        with pytest.raises(ExprDomainError, match="not differentiable"):
+            kern.dual(at)
+        with pytest.raises(ExprDomainError, match="not differentiable"):
+            kern.dual(at, [1, 0])
+        assert set(kern._checked) == {None, (1,), (1, 0)}
+
+    def test_a_missing_variable_is_undeclared(self):
+        kern = expr.Kernel([expr.parse("x1 + x2", self.X)], [{"x1": 1.0}])
+        for call in (lambda: kern.values({"x1": 1.0}),
+                     lambda: kern.dual({"x1": 1.0})):
+            with pytest.raises(UndeclaredVariableError) as err:
+                call()
+            assert err.value.name == "x2"
+
+    def test_checked_text_is_the_point_text_plus_sites(self):
+        # the checked text never becomes a second walker: without each
+        # call's last argument, its site, it is the point text line for
+        # line, and its table is the point table plus (kind, node) sites
+        def strip(text):
+            tree = ast.parse(text)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call):
+                    node.args.pop()
+            return ast.unparse(tree)
+
+        rng = np.random.default_rng(914)
+        names = ["x1", "y1"]
+        seeds = [{"x1": 1.0}, {"y1": 1.0}, {"x1": 0.5, "y1": 2.5}]
+        n_sites = 0
+        for _ in range(300):
+            trees = [random_tree(rng, names, exponents=range(-3, 4))
+                     for _ in range(3)]
+            point, consts = expr._kernel_lines(trees, seeds)
+            checked, table = expr._kernel_lines(trees, seeds, checked=True)
+            assert [strip(text) for text, *_ in checked] == [
+                ast.unparse(ast.parse(text)) for text, *_ in point]
+            sites = {k: v for k, v in table.items() if k not in consts}
+            assert {k: table[k] for k in consts} == consts
+            assert all(kind in emit.MESSAGES for kind, _ in sites.values())
+            n_sites += len(sites)
+        assert n_sites >= 2000
+
+    def test_checked_function_gives_the_point_numbers_or_names_a_node(self):
+        # where the point function answers, the checked one gives its bits
+        # or names an exp of inf; where it raises, the checked one names a
+        # node, or answers a sqrt derivative at 0 with no change
+        rng = np.random.default_rng(915)
+        names = ["x1", "y1"]
+        seeds = [{"x1": 1.0}, {"y1": 1.0}]
+        counts = {"same": 0, "named": 0, "answered": 0}
+        for _ in range(300):
+            trees = [random_tree(rng, names, exponents=range(-3, 4))
+                     for _ in range(2)]
+            point, _ = expr.compile_kernel(trees, seeds)
+            checked = expr.compile_kernel(trees, seeds, checked=True)
+            for z in rng.uniform(-2, 2, (8, 2)).tolist():
+                at = dict(zip(names, z))
+                v, d, cv, cd = [0.0] * 2, [0.0] * 4, [0.0] * 2, [0.0] * 4
+                try:
+                    point(at, v, d)
+                    failed = False
+                except (ValueError, ArithmeticError):
+                    failed = True
+                try:
+                    checked(at, cv, cd)
+                except ExprDomainError as err:
+                    assert failed or (str(err).startswith("exp overflow")
+                                      and not all(map(math.isfinite, v)))
+                    counts["named"] += 1
+                    continue
+                if failed:
+                    point(at, v)
+                    assert same_bits(cv, v) and 0.0 in cd
+                    counts["answered"] += 1
+                else:
+                    assert same_bits(cv, v) and same_bits(cd, d)
+                    counts["same"] += 1
+        assert counts["same"] >= 1500 and counts["named"] >= 300
+        assert counts["answered"] >= 10

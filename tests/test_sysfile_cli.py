@@ -188,7 +188,7 @@ class TestCliExitCodes:
 
     def test_an_overflowing_power_exits_1_naming_it(self, capsys, tmp_path):
         # the orbit from x1 = 1.9 grows until the float power x1^400
-        # overflows, which the strict walker names
+        # overflows, which the checked kernel text names
         path = tmp_path / "power.sys"
         path.write_text(self.POWER_SYSTEM)
         code, out, err = run_cli(capsys, "shoot", str(path), "--guess", "1.9",
@@ -246,6 +246,25 @@ class TestCliExitCodes:
             assert code == 1 and out == ""
             assert err.startswith("error: ") and err.count("\n") == 1
             assert why in err
+
+    def test_negative_vectors_take_the_equals_form(self, capsys):
+        # after a space, argparse reads a value starting "-1," as an
+        # option; with "=" the command gets the vector and checks it
+        for cmd, path, opt, value, want in [
+            (["shoot"], "equivlien", "--guess", "-0.1,0.2",
+             "expected 1 numbers, got 2"),
+            (["branch"], "pozzo", "--origin", "-1,-1",
+             "expected 3 numbers, got 2"),
+        ]:
+            argv = cmd + [system_path(path)]
+            argv += ["--lambda-max", "0.1"] * (cmd == ["branch"])
+            code, out, err = run_cli(capsys, *argv, f"{opt}={value}")
+            assert (code, out) == (1, "") and err.count("\n") == 1
+            assert err.startswith("error: ") and want in err
+            code, out, err = run_cli(capsys, *argv, opt, value)
+            assert (code, out) == (1, "")
+            assert err.endswith(f"error: argument {opt}: expected one "
+                                "argument\n")
 
     @pytest.mark.parametrize("argv, message", [
         (["shoot", "equivlien", "--lambda", "-1", "--guess", "0"],
