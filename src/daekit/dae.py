@@ -192,8 +192,6 @@ class SystemDef:
             extra = expr.variables(e) - state - {"t"}
             if extra:
                 raise ValueError(f"forcing uses undeclared variables: {sorted(extra)}")
-        self._d2g_exprs = None
-        self._d2g_flat = None
         self.fgh = self.f + self.g + self.h
         self._kernels = {}
         self._stages = {}
@@ -202,20 +200,14 @@ class SystemDef:
 
     # -- symbolic constraint Jacobian blocks (needed for witness polishing) --
 
-    @property
+    @functools.cached_property
     def d2g_exprs(self):
-        if self._d2g_exprs is None:
-            self._d2g_exprs = [
-                [expr.symbolic_diff(gi, y) for y in self.y_names] for gi in self.g
-            ]
-        return self._d2g_exprs
+        return [[expr.symbolic_diff(gi, y) for y in self.y_names] for gi in self.g]
 
-    @property
+    @functools.cached_property
     def d2g_flat(self):
         """d2g_exprs row by row, as one list (kernels are kept per list)."""
-        if self._d2g_flat is None:
-            self._d2g_flat = [e for row in self.d2g_exprs for e in row]
-        return self._d2g_flat
+        return [e for row in self.d2g_exprs for e in row]
 
     # -- point evaluation helpers --
 
@@ -674,11 +666,12 @@ def _constraint_lines(sys, fail):
 
 def _emit_constraint_step(sys):
     """``step(Z)``: at the state Z, (|g|_1, the Newton step [d2g]^-1 g),
-    where the step is the SingularMatrixError of a singular d2g instead,
-    or a function that computes the step (or that error) from the point
-    evaluation of d2g when the kernel gives no finite g or Jacobian. Values
-    the kernel does not give finitely come from eval_g, which raises the
-    point's error."""
+    where the step is the SingularMatrixError of a singular d2g instead.
+    Where the kernel raises or its guard sum (g and every partial) is not
+    finite, the step falls back on the point alone: |g|_1 from eval_g,
+    which gives the kernel's bits or raises the point's error, and a
+    function that computes the step (or that error) from the point
+    evaluation of d2g."""
     k, s, n = sys.k, sys.s, sys.k + sys.s
     kernel, vs, ders, alg = _constraint_lines(
         sys, "return RN, singular({p}, TOL, {col})")
@@ -693,25 +686,18 @@ def _emit_constraint_step(sys):
             flat[j * n + k:(j + 1) * n] = row
         return given()(vals, flat)[1]
 
-    def fallback(Z, vals, flat):
-        """vals and flat are the kernel's g and Jacobian, None where it
-        raised."""
+    def fallback(Z):
         env = sys.env(Z[:k], Z[k:])
-        if vals is None:
-            vals = flat = [math.nan]
-        if not all(map(math.isfinite, vals)):
-            vals = sys.eval_g(env).tolist()
-        if all(map(math.isfinite, vals + flat)):
-            return given()(vals, flat)
-        rn = given()(vals, [math.nan] * (s * n))[0]
-        return rn, lambda: at_point(env, vals)
+        vals = sys.eval_g(env).tolist()
+        return (given()(vals, [math.nan] * (s * n))[0],
+                lambda: at_point(env, vals))
 
     return emit.function(
         "def step(Z):",
         emit.unpack(sys.state_names, "Z") + ["try:"] + emit.indent(kernel)
-        + ["except ERRORS:", "    return fallback(Z, None, None)",
+        + ["except ERRORS:", "    return fallback(Z)",
            f"if not isfinite({' + '.join(vs + ders)}):",
-           f"    return fallback(Z, [{', '.join(vs)}], [{', '.join(ders)}])"]
+           "    return fallback(Z)"]
         + alg, {**emit.STAGE, **sys._consts, "fallback": fallback})
 
 
@@ -794,10 +780,11 @@ def perturbed_field(sys, t, pt, lam):
 
 
 def tangency_defect(sys, pt, v):
-    """|dg[v]|_1 at the point: exact directional derivative of g along v."""
-    env = sys.env(pt.p, pt.q)
+    """|dg[v]|_1 at the point: exact directional derivative of g along v,
+    from one kernel of g seeded with v."""
     seed = {nm: float(vi) for nm, vi in zip(sys.state_names, v)}
+    ders = expr.Kernel(sys.g, [seed]).dual(sys.env(pt.p, pt.q))[1]
     total = 0.0
-    for gi in sys.g:
-        total += abs(expr.evaluate_dual(gi, env, seed)[1])
+    for d in ders[:, 0].tolist():
+        total += abs(d)
     return total

@@ -34,7 +34,6 @@ from .errors import (
 from .linalg import (
     _norm1_rows,
     _solve_rows,
-    block_schur_det,
     det_sign,
     norm1,
     norm1_rows,
@@ -68,9 +67,9 @@ class VectorField:
     exprs: list
     var_names: list
 
-    # set when the field is the flat extension (f, g) of a DAE system
+    # set when the field is the flat extension (f, g) of a DAE system: the
+    # number of differential components, which the boundary oracle shifts
     k: int = None
-    s: int = None
 
     @property
     def dim(self):
@@ -121,8 +120,7 @@ def system_field(sys):
     are made once per system."""
     if "field" not in sys._stages:
         sys._stages["field"] = VectorField(list(sys.f) + list(sys.g),
-                                           list(sys.state_names),
-                                           k=sys.k, s=sys.s)
+                                           list(sys.state_names), k=sys.k)
     return sys._stages["field"]
 
 
@@ -267,7 +265,8 @@ def find_zeros(system_or_field, box, grid_per_dim=16):
     in sweep order (`_first_seen`). Each survivor gets an AD Jacobian, a
     degeneracy flag (det_sign at relative tolerance 1e-8) and, when
     nondegenerate, the Jacobian sign as its index. Points within 1e-6 of
-    the box boundary are flagged.
+    the box boundary are flagged. Given a system, each record carries
+    schur_sign_pair (_make_record); given a bare field, None.
     """
     if grid_per_dim < 2:
         raise ValueError("grid_per_dim must be at least 2")
@@ -280,7 +279,8 @@ def find_zeros(system_or_field, box, grid_per_dim=16):
     if errors:
         raise errors[min(errors)]
     rows = rows[box.contains_rows(rows, slack=BOUNDARY_SLACK)]
-    records = [_make_record(fld, box, z)
+    sys = system_or_field if isinstance(system_or_field, SystemDef) else None
+    records = [_make_record(fld, sys, box, z)
                for z in rows[_first_seen(rows, DEDUP_RADIUS)]]
     records.sort(key=lambda r: tuple(r.point))
     return records
@@ -402,7 +402,12 @@ def _emit_polish(fld):
         "ROW_ERRORS": expr.ROW_ERRORS, "norm1": norm1})
 
 
-def _make_record(fld, box, z):
+def _make_record(fld, sys, box, z):
+    """The record of the zero z of fld. schur_sign_pair is None unless sys,
+    the system whose flat map fld is, has s >= 1: then it is the signs of
+    det d2g and of det A, the reduced linearization from the system's stage
+    (reduced_matrix), or None where the stage finds d2g singular. An empty
+    A (k = 0) has det 1."""
     fv = fld.value(z)
     jac = fld.jacobian(z)
     sign, _ = det_sign(jac, tol=DEGENERATE_TOL)
@@ -410,12 +415,15 @@ def _make_record(fld, box, z):
     # entries compare to each other (multiple roots evaluate to ~1e-16)
     degenerate = sign == 0 or row_scale(jac) <= DEGENERATE_TOL
     pair = None
-    if fld.k is not None and fld.s:
+    if sys is not None and sys.s:
         try:
-            d22, dschur = block_schur_det(jac, fld.k, fld.s)
-            pair = (int(np.sign(d22)), int(np.sign(dschur)))
+            a = reduced_matrix(sys, z)
         except SingularMatrixError:
-            pair = None
+            pass
+        else:
+            d22 = det_sign(jac[sys.k:, sys.k:], tol=0.0)[1]
+            dschur = det_sign(a, tol=0.0)[1] if sys.k else 1.0
+            pair = (int(np.sign(d22)), int(np.sign(dschur)))
     return ZeroRecord(
         point=z,
         residual=norm1(fv),
@@ -548,7 +556,7 @@ def _perturbed_field(fld, shift):
             new.append(expr.c_add(e, expr.Const(float(c[i]))))
         else:
             new.append(e)
-    return VectorField(new, fld.var_names, k=fld.k, s=fld.s)
+    return VectorField(new, fld.var_names, k=fld.k)
 
 
 def degree_boundary_oracle(system_or_field, box, grid_per_dim=16, rng=None):
@@ -635,7 +643,7 @@ def tangent_field_degree(sys, grid_per_dim=16, samples=512, rng=None):
     box = sys.box
     vr = validate(sys, samples=samples)
     fld = system_field(sys)
-    zeros = find_zeros(fld, box, grid_per_dim)
+    zeros = find_zeros(sys, box, grid_per_dim)
     margin = boundary_margin(fld, box)
     oracle_deg = None
     try:

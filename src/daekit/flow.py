@@ -113,8 +113,9 @@ def _emit_flow(sys, sens, lsens, use_h):
     q; else q - step is kept if its |g|_1 (values only) is within it. Any
     other projection runs _solve_constraint_row from the first step, which
     is the constraint step function's where the g kernel raised or the
-    guard sum is not finite. The kernels' constants come from the
-    system's one table (SystemDef._point_code)."""
+    guard sum is not finite: its fallback on the state alone, |g|_1 from
+    eval_g and a lazy step. The kernels' constants come from the system's
+    one table (SystemDef._point_code)."""
     k, n = sys.k, sys.k + sys.s
     inputs, guarded, alg, out = _stage_lines(sys, False, sens, lsens, False,
                                              use_h)

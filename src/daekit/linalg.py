@@ -354,27 +354,3 @@ def near_singular(a, tol):
     sigma_min = float(np.linalg.svd(a, compute_uv=False)[-1])
     return bool(sigma_min < tol * scale)
 
-
-def block_schur_det(j, k, s):
-    """Split det J into det(d2g) * det(Schur complement of the (2,2) block).
-
-    J is (k+s) x (k+s) with the constraint Jacobian blocks in the bottom rows;
-    returns (det of the s x s lower-right block, det of
-    J11 - J12 [J22]^-1 J21). Raises SingularMatrixError when the lower-right
-    block is singular.
-    """
-    j = np.asarray(j, dtype=float)
-    if j.shape != (k + s, k + s):
-        raise ValueError("block shape mismatch")
-    a11 = j[:k, :k]
-    a12 = j[:k, k:]
-    a21 = j[k:, :k]
-    a22 = j[k:, k:]
-    lu, piv, swaps = lu_factor(a22)
-    det22 = float(np.prod(np.diag(lu))) * (-1.0 if swaps % 2 else 1.0)
-    if k == 0:
-        return det22, 1.0
-    x = lu_apply(lu, piv, a21)
-    schur = a11 - a12 @ x
-    _, det_s = det_sign(schur, tol=0.0)
-    return det22, det_s

@@ -416,6 +416,23 @@ class TestSolveConstraint:
             assert mp.residual <= 1e-10
 
 
+    def test_guard_sum_overflow(self):
+        # g and its partials are finite at (0.5, 1.0), but the guard sum
+        # 1e308 * y1 - x1 + (-1.0) + 1e308 overflows: the step falls back
+        # on the point, with the same bits
+        names = ["x1", "y1"]
+        sys = SystemDef(1, 1, 1.0, [expr.parse("y1", names)],
+                        [expr.parse("1e308*y1 - x1", names)],
+                        box=Box.from_pairs([(-2, 2), (-2, 2)]))
+        rn, step = sys._constraint_step()((0.5, 1.0))
+        assert rn.hex() == (1e308).hex()
+        step = step() if callable(step) else step
+        assert step == (1.0,)
+        mp = solve_constraint(sys, [0.5], [1.0])
+        assert mp.q[0].hex() == (5e-309).hex()
+        assert mp.residual.hex() == (5.551115123125783e-17).hex()
+
+
 class TestTangentField:
     def test_vanishes_at_equilibrium(self, pozzo):
         mp = solve_constraint(pozzo, np.zeros(2), np.zeros(1))

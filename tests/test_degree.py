@@ -19,6 +19,7 @@ from daekit.degree import (
     degree_sum,
     degree_via_slice,
     find_zeros,
+    reduced_matrix,
     system_field,
     tangent_field_degree,
 )
@@ -203,7 +204,7 @@ class TestTangentFieldDegree:
         base = system_field(pozzo)
         fld = VectorField(
             [expr.c_neg(base.exprs[0])] + base.exprs[1:],
-            base.var_names, k=2, s=1,
+            base.var_names, k=2,
         )
         zeros = find_zeros(fld, pozzo.box)
         assert degree_sum(zeros, pozzo.box) == -1
@@ -249,7 +250,7 @@ class TestExcisionAndStability:
                     [expr.c_add(e, expr.Const(float(ci)))
                      for e, ci in zip(fld.exprs[: sys.k], c)]
                     + fld.exprs[sys.k :],
-                    fld.var_names, k=sys.k, s=sys.s,
+                    fld.var_names, k=sys.k,
                 )
                 assert degree_boundary_oracle(shifted, sys.box) == want
 
@@ -462,8 +463,53 @@ class TestMakeRecord:
         fld = planar_field("x1", "y1")
         fld = NanJacobian(fld.exprs, fld.var_names)
         box = Box.from_pairs([(-1, 1), (-1, 1)])
-        rec = _make_record(fld, box, np.zeros(2))
+        rec = _make_record(fld, None, box, np.zeros(2))
         assert rec.degenerate and rec.index is None
+
+
+class TestSchurSignPair:
+    """schur_sign_pair: the signs of det d2g and of det A, the reduced
+    linearization of the system's stage, on the records of find_zeros."""
+
+    def test_product_is_the_index(self):
+        # det J = det d2g * det A at every nondegenerate zero; systems are
+        # drawn until each (k, s) has shown at least 3 zeros
+        rng = np.random.default_rng(17)
+        for k in (1, 2, 3):
+            for s in (1, 2, 3):
+                seen = 0
+                while seen < 3:
+                    sys, zeros = random_system(rng, k, s)
+                    for z in zeros:
+                        d22, dschur = z.schur_sign_pair
+                        assert d22 * dschur == z.index
+                    seen += len(zeros)
+
+    def test_singular_d2g_gives_none(self):
+        # a regular zero of (f, g) at the origin, where d2g = 3 y1^2 = 0
+        names = ["x1", "y1"]
+        sys = SystemDef(1, 1, 1.0, [expr.parse("y1", names)],
+                        [expr.parse("y1^3 - x1", names)],
+                        box=Box.from_pairs([(-1, 1.5), (-1, 1.5)]))
+        [zero] = find_zeros(sys, sys.box)
+        assert np.all(zero.point == 0.0) and zero.index == 1
+        assert zero.schur_sign_pair is None
+
+    @pytest.mark.parametrize("name", ["pozzo", "equivlien", "exmults",
+                                      "degen3", "r12", "r21", "r22"])
+    def test_second_sign_is_the_reduced_det(self, name, request):
+        sys = fixture_system(name, request)
+        for z in find_zeros(sys, sys.box):
+            a = reduced_matrix(sys, z.point)
+            assert z.schur_sign_pair[1] == int(np.sign(np.linalg.det(a)))
+
+    def test_bare_field_gives_none(self, pozzo):
+        assert find_zeros(pozzo, pozzo.box)[0].schur_sign_pair == (1, 1)
+        [zero] = find_zeros(system_field(pozzo), pozzo.box)
+        assert zero.schur_sign_pair is None
+        [zero] = find_zeros(planar_field("x1", "y1"),
+                            Box.from_pairs([(-1, 1.5), (-1, 1.5)]))
+        assert zero.schur_sign_pair is None
 
 
 class TestLockstepPolish:
@@ -569,7 +615,7 @@ class TestEmittedPolish:
         # have made its polish in an earlier test
         sys = fixture_system(name, request)
         fld = VectorField(list(sys.f) + list(sys.g), sys.state_names,
-                          k=sys.k, s=sys.s)
+                          k=sys.k)
         rng = np.random.default_rng(FIELDS.index(name) + 180)
         zs = sys.box.lo + rng.random((96, sys.box.dim)) * sys.box.width
         best, errors = _polish_rows(fld, zs)

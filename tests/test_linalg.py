@@ -281,46 +281,6 @@ class TestNearSingular:
             assert linalg.near_singular(b, 1e-8) is True
 
 
-class TestBlockSchurDet:
-    def test_cubic_well_blocks(self):
-        # k=2, s=1 blocks of the damped-oscillator fixture at the origin
-        j = np.array([
-            [0.0, 1.0, 0.0],
-            [-1.0, -1.0, 1.0],
-            [0.0, 0.0, 1.0],
-        ])
-        d22, ds = linalg.block_schur_det(j, 2, 1)
-        assert d22 == pytest.approx(1.0, rel=1e-14)
-        assert ds == pytest.approx(1.0, rel=1e-14)
-        _, full = linalg.det_sign(j, 0.0)
-        assert d22 * ds == pytest.approx(full, rel=1e-8)
-
-    def test_block_diagonal(self):
-        j = np.zeros((4, 4))
-        j[:2, :2] = np.array([[2.0, 1.0], [0.0, 3.0]])   # d1f
-        j[2:, 2:] = np.array([[4.0, 0.0], [1.0, 0.5]])   # d2g
-        d22, ds = linalg.block_schur_det(j, 2, 2)
-        assert d22 == pytest.approx(2.0, rel=1e-12)
-        assert ds == pytest.approx(6.0, rel=1e-12)
-
-    def test_singular_block(self):
-        j = np.eye(3)
-        j[2, 2] = 0.0
-        with pytest.raises(SingularMatrixError):
-            linalg.block_schur_det(j, 2, 1)
-
-    def test_product_identity(self):
-        rng = np.random.default_rng(17)
-        for _ in range(500):
-            k = int(rng.integers(1, 4))
-            s = int(rng.integers(1, 4))
-            j = rng.uniform(-2, 2, (k + s, k + s))
-            j[k:, k:] += 3.0 * np.eye(s)  # well-conditioned constraint block
-            d22, ds = linalg.block_schur_det(j, k, s)
-            _, full = linalg.det_sign(j, 0.0)
-            assert d22 * ds == pytest.approx(full, rel=1e-8, abs=1e-10)
-
-
 def bits(a):
     return np.asarray(a, dtype=float).view(np.uint64)
 
