@@ -23,7 +23,6 @@ from . import emit, expr
 from .errors import (
     ConstraintSolveError,
     HypothesisViolationError,
-    SingularMatrixError,
     point_text,
 )
 from .linalg import lu_factor, norm1
@@ -31,6 +30,9 @@ from .linalg import lu_factor, norm1
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 DET_POLISH_ITERATIONS = 100  # per start of validate's |det d2g| polish
 WITNESS_ITERATIONS = 100  # of the witness refinement onto det = g = 0
+# Box.inflate's pad of each side: INFLATE_REL of its width plus INFLATE_ABS
+INFLATE_REL = 0.01
+INFLATE_ABS = 1e-3
 
 
 def halton(n, dim, skip=20):
@@ -116,8 +118,8 @@ class Box:
     def subbox(self, idx):
         return Box(self.lo[list(idx)], self.hi[list(idx)])
 
-    def inflate(self, rel=0.01, absolute=1e-3):
-        pad = rel * self.width + absolute
+    def inflate(self):
+        pad = INFLATE_REL * self.width + INFLATE_ABS
         return Box(self.lo - pad, self.hi + pad)
 
 
@@ -665,32 +667,27 @@ def _constraint_lines(sys, fail):
 
 
 def _emit_constraint_step(sys):
-    """``step(Z)``: at the state Z, (|g|_1, the Newton step [d2g]^-1 g),
-    where the step is the SingularMatrixError of a singular d2g instead.
-    Where the kernel raises or its guard sum (g and every partial) is not
-    finite, the step falls back on the point alone: |g|_1 from eval_g,
-    which gives the kernel's bits or raises the point's error, and a
-    function that computes the step (or that error) from the point
-    evaluation of d2g."""
+    """``step(Z)``: at the state Z, (|g|_1, the Newton step [d2g]^-1 g);
+    a singular d2g raises SingularMatrixError. Where the kernel raises or
+    its guard sum (g and every partial) is not finite, the step falls back
+    on the point alone, in the order of its evaluations: g from eval_g,
+    then d2g from jac_rows, each of which gives the kernel's bits or raises
+    the point's error, then the algebra bound to emit.GIVEN."""
     k, s, n = sys.k, sys.s, sys.k + sys.s
     kernel, vs, ders, alg = _constraint_lines(
-        sys, "return RN, singular({p}, TOL, {col})")
+        sys, "raise singular({p}, TOL, {col})")
     alg += [f"return RN, ({', '.join(vs)},)"]
     given = functools.cache(lambda: emit.given(  # on the first fallback
         "def given(V, D):", {"V": vs, "D": ders}, alg))
 
-    def at_point(env, vals):
+    def fallback(Z):
+        env = sys.env(Z[:k], Z[k:])
+        vals = sys.eval_g(env).tolist()
         d2g = sys.jac_rows(sys.g, env, sys.y_names)
         flat = [math.nan] * (s * n)
         for j, row in enumerate(d2g.tolist()):
             flat[j * n + k:(j + 1) * n] = row
-        return given()(vals, flat)[1]
-
-    def fallback(Z):
-        env = sys.env(Z[:k], Z[k:])
-        vals = sys.eval_g(env).tolist()
-        return (given()(vals, [math.nan] * (s * n))[0],
-                lambda: at_point(env, vals))
+        return given()(vals, flat)
 
     return emit.function(
         "def step(Z):",
@@ -701,31 +698,40 @@ def _emit_constraint_step(sys):
         + alg, {**emit.STAGE, **sys._consts, "fallback": fallback})
 
 
+def _residual(sys, p, q):
+    """|g|_1 at (p, q) from eval_g, summed left to right as the constraint
+    step sums it (emit.norm_code)."""
+    rn = 0.0
+    for v in sys.eval_g(sys.env(p, q)).tolist():
+        rn += abs(v)
+    return rn
+
+
 def _solve_constraint_row(sys, p, q, first=None):
     """solve_constraint's Newton on floats: p and q are tuples, first the
-    constraint step at (p, q) when the caller has it. d2g must factor at
-    every iterate, an already solved start included; a step that does not
-    lower the residual halves up to 11 times; at most 50 iterations.
-    Returns (q, |g|_1)."""
+    constraint step at (p, q) when the caller has it. The step is formed,
+    so d2g must factor, at the start (an already solved start included)
+    and at each accepted iterate above tolerance. A trial is judged by its
+    |g|_1 alone (_residual), so a rejected trial never forms a step; a step
+    that does not lower the residual halves up to 11 times; at most 50
+    iterations. Returns (q, |g|_1)."""
     step_at, tol = sys._constraint_step(), sys.constraint_tol
     rn, step = first if first is not None else step_at(p + q)
+    if rn <= tol:
+        return q, rn
     for it in range(50):
-        if type(step) is not tuple:
-            step = step() if callable(step) else step
-            if isinstance(step, SingularMatrixError):
-                raise step
-        if it == 0 and rn <= tol:
-            return q, rn
+        if it:
+            rn, step = step_at(p + q)
         q_new = tuple([a - b for a, b in zip(q, step)])
-        rn_new, step_new = step_at(p + q_new)
+        rn_new = _residual(sys, p, q_new)
         t = 1.0
         for _ in range(11):
             if rn_new < rn or rn_new <= tol:
                 break
             t *= 0.5
             q_new = tuple([a - t * b for a, b in zip(q, step)])
-            rn_new, step_new = step_at(p + q_new)
-        q, rn, step = q_new, rn_new, step_new
+            rn_new = _residual(sys, p, q_new)
+        q, rn = q_new, rn_new
         if rn <= tol:
             return q, rn
     raise ConstraintSolveError(

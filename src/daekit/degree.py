@@ -260,9 +260,11 @@ def find_zeros(system_or_field, box, grid_per_dim=16):
     Multistart Newton from a grid_per_dim^n grid of cell centers
     (_newton_sweep, whose large steps run on two threads when the process
     may run on two CPUs, with the same bits as on one). The converged
-    points inside the box are merged at radius 1e-10, polished, and
-    merged again at radius 1e-6, each time by first-seen clustering
-    in sweep order (`_first_seen`). Each survivor gets an AD Jacobian, a
+    points inside the box are merged at radius 1e-10, polished one after
+    the other (the field's emitted loop, _emit_polish; the first candidate
+    whose evaluation fails raises its error), and merged again at radius
+    1e-6, each time by first-seen clustering in sweep order
+    (`_first_seen`). Each survivor gets an AD Jacobian, a
     degeneracy flag (det_sign at relative tolerance 1e-8) and, when
     nondegenerate, the Jacobian sign as its index. Points within 1e-6 of
     the box boundary are flagged. Given a system, each record carries
@@ -275,9 +277,8 @@ def find_zeros(system_or_field, box, grid_per_dim=16):
         raise ValueError("field and box dimension mismatch")
     rows = _newton_sweep(fld, box, _grid_starts(box, grid_per_dim))
     rows = rows[box.contains_rows(rows, slack=BOUNDARY_SLACK)]
-    rows, errors = _polish_rows(fld, rows[_first_seen(rows, 1e-10)])
-    if errors:
-        raise errors[min(errors)]
+    cand = rows[_first_seen(rows, 1e-10)].tolist()
+    rows = np.array([fld._polish(z) for z in cand]).reshape(-1, fld.dim)
     rows = rows[box.contains_rows(rows, slack=BOUNDARY_SLACK)]
     sys = system_or_field if isinstance(system_or_field, SystemDef) else None
     records = [_make_record(fld, sys, box, z)
@@ -316,46 +317,29 @@ def _first_seen(points, radius):
     return np.array(kept, dtype=np.intp)
 
 
-def _polish_rows(fld, zs):
-    """Sharpen converged candidates, the rows of zs, each alone on floats.
-
-    Degenerate zeros converge linearly, so a candidate keeps taking Newton
-    steps while its residual still drops, for at most POLISH_ITERATIONS,
-    and keeps the best point it met. It stops at a zero residual, a
-    singular Jacobian, or a non-finite or negligible step. Every candidate
-    runs the field's emitted loop (_emit_polish), kept on the field; equal
-    loop texts share one compile in the process. Returns (best points,
-    errors): errors maps each row whose field evaluation raises to its
-    error.
-    """
-    best = np.array(zs, dtype=float)
-    errors = {}
-    for r, z in enumerate(best.tolist()):
-        best[r], exc = fld._polish(z)
-        if exc is not None:
-            errors[r] = exc
-    return best, errors
-
-
 def _emit_polish(fld):
-    """``polish(z)``: the polish of one candidate from its start z (a list)
-    as one emitted function over named locals: (best point, None), or
-    (best point so far, the error) where the field's evaluation raises.
+    """``polish(z)``: the best point of the polish of one candidate from its
+    start z (a list), as one emitted function over named locals, kept on
+    the field (VectorField._polish); equal loop texts share one compile in
+    the process. Degenerate zeros converge linearly, so the candidate keeps
+    taking Newton steps while its residual still drops, for at most
+    POLISH_ITERATIONS, and keeps the best point it met. It stops at a zero
+    residual, a singular Jacobian, or a non-finite or negligible step.
 
     Each iteration runs the field's point code (expr._kernel_code, the point
     at Z{i}) and its finiteness guard (emit.guarded). An iterate where the
     kernel raises or the guard sum is not finite takes its values from
     Kernel.values and, past the zero-residual stop, its partials from
-    Kernel.dual; an error of either evaluation (ROW_ERRORS) ends the loop
-    with it. Every iterate sums the residual, keeps the best point, stops at
-    a zero residual, factors and solves with emit's LU bound to FED (a
-    rejected pivot ends the loop), tests the step and updates the point.
-    Partials that are not finite cannot make that LU divide by zero (a nan
-    first entry makes the threshold and every later pivot nan; any other
-    threshold rejects a zero pivot), so they end the loop at a rejected
-    pivot or at the step test. Residual and step norm are summed in np.sum's
-    order, as norm1 sums them: left to right in the code below 8 entries, by
-    a call of norm1 from 8 on (numpy's pairwise sum starts unrolling at 8)."""
+    Kernel.dual, which raise the point's error. Every iterate sums the
+    residual, keeps the best point, stops at a zero residual, factors and
+    solves with emit's LU bound to FED (a rejected pivot ends the loop),
+    tests the step and updates the point. Partials that are not finite
+    cannot make that LU divide by zero (a nan first entry makes the
+    threshold and every later pivot nan; any other threshold rejects a zero
+    pivot), so they end the loop at a rejected pivot or at the step test.
+    Residual and step norm are summed in np.sum's order, as norm1 sums
+    them: left to right in the code below 8 entries, by a call of norm1
+    from 8 on (numpy's pairwise sum starts unrolling at 8)."""
     n, kern = fld.dim, fld._kernel
     zs, bs, vs = ([f"{x}{i}" for i in range(n)] for x in "ZBV")
     rows = [[f"D{i}_{c}" for c in range(n)] for i in range(n)]
@@ -367,20 +351,14 @@ def _emit_polish(fld):
     step = emit.guarded(kernel, guard) + [
         "if not FED:",
         f"    ENV = dict(zip(NAMES, ({', '.join(zs)},)))",
-        "    try:",
-        f"        {', '.join(vs)}, = values(ENV).tolist()",
-        "    except ROW_ERRORS as err:",
-        f"        return {best}, err",
+        f"    {', '.join(vs)}, = values(ENV).tolist()",
         f"RES = {norm}",
         "if it == 0 or RES < BR:",
         f"    {', '.join(bs)}, BR = {', '.join(zs)}, RES",
         "if RES == 0.0:",
         "    break",
         "if not FED:",
-        "    try:",
-        f"        {', '.join(ders)}, = dual(ENV)[1].ravel().tolist()",
-        "    except ROW_ERRORS as err:",
-        f"        return {best}, err"]
+        f"    {', '.join(ders)}, = dual(ENV)[1].ravel().tolist()"]
     step += (emit.lu_lines(rows, [[v] for v in vs], "break")
              + emit.solve_lines(rows, vs))
     # SN is inf or nan where a step entry is not finite, or where its sum
@@ -395,11 +373,10 @@ def _emit_polish(fld):
              + ", ".join(f"{z} - {v}" for z, v in zip(zs, vs))]
     body = emit.unpack(zs, "z") + emit.unpack(bs, "z") + [
         "BR = INF", f"for it in range({POLISH_ITERATIONS}):"]
-    body += emit.indent(step) + [f"return {best}, None"]
+    body += emit.indent(step) + [f"return {best}"]
     return emit.function("def polish(z):", body, {
         **emit.STAGE, **consts, "INF": math.inf, "NAMES": tuple(fld.var_names),
-        "values": kern.values, "dual": kern.dual,
-        "ROW_ERRORS": expr.ROW_ERRORS, "norm1": norm1})
+        "values": kern.values, "dual": kern.dual, "norm1": norm1})
 
 
 def _make_record(fld, sys, box, z):
@@ -576,7 +553,7 @@ def degree_boundary_oracle(system_or_field, box, grid_per_dim=16, rng=None):
     if box.dim == 2:
         return _winding_number(fld, box)
 
-    inflated = box.inflate(0.01, 1e-3)
+    inflated = box.inflate()
     zeros = find_zeros(fld, inflated, grid_per_dim)
     try:
         return degree_sum(zeros, inflated)

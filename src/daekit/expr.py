@@ -20,7 +20,6 @@ import numpy as np
 
 from . import emit
 from .errors import (
-    DaekitError,
     ExprDomainError,
     ExprSyntaxError,
     UndeclaredVariableError,
@@ -279,8 +278,6 @@ def substitute(e, bindings):
 # Compiled kernels: one straight-line function per expression list
 
 
-# what evaluating one row at its point can raise; the row fails alone with it
-ROW_ERRORS = (DaekitError, ArithmeticError, ValueError)
 _MAX_INLINE_DEPTH = 32  # deeper single-use chains get a temporary (parser limits)
 _ONE = "1.0"  # the unit seed entry as a derivative term
 

@@ -280,14 +280,14 @@ def continue_branch(sys, origin, lambda_max, norm_bound, max_steps=200,
 
 
 def multistart_starts(sys, lam, grid_per_dim=8, steps=DEFAULT_STEPS):
-    """The (p, q) starts of multiplicity_scan, in merge order: each zero
-    of (f, g), followed when lam > 0 by its seed p* + lam * d where it is
-    non-degenerate and non-resonant, then the grid over the x-projection
-    of the box. d is the x-part of the branch's first tangent at the zero
-    (_trivial_tangent on a time-T map of the given steps), so the seed is
-    the point at lambda = lam on continue_branch's first predictor line. A
-    zero whose resonance test, map or solve fails with a start-failure
-    type gets no seed."""
+    """The (p, q) starts of multiplicity_scan, in the order it shoots
+    them: each zero of (f, g), followed when lam > 0 by its seed
+    p* + lam * d where it is non-degenerate and non-resonant, then the grid
+    over the x-projection of the box. d is the x-part of the branch's first
+    tangent at the zero (_trivial_tangent on a time-T map of the given
+    steps), so the seed is the point at lambda = lam on continue_branch's
+    first predictor line. A zero whose resonance test, map or solve fails
+    with a start-failure type gets no seed."""
     if grid_per_dim < 1:
         raise ValueError("grid_per_dim must be at least 1")
     k = sys.k
@@ -307,26 +307,6 @@ def multistart_starts(sys, lam, grid_per_dim=8, steps=DEFAULT_STEPS):
     return starts
 
 
-def merge_orbits(shots):
-    """Distinct orbits among shoot results (Trajectories, or the errors of
-    failed shots) in order. Failed starts are skipped; an error not of a
-    start-failure type is raised (the first one, as shooting the starts in
-    order would). The orbits are then clustered first-seen
-    (`_first_seen`): each is kept unless an earlier kept orbit lies within
-    sampled sup-distance ORBIT_DEDUP."""
-    orbits = []
-    for shot in shots:
-        if isinstance(shot, _START_FAILURES):
-            continue
-        if isinstance(shot, Exception):
-            raise shot
-        orbits.append(shot)
-    if not orbits:
-        return []
-    zs = np.stack([orbit.zs for orbit in orbits])
-    return [orbits[i] for i in _first_seen(zs, ORBIT_DEDUP)]
-
-
 def multiplicity_scan(sys, lam, grid_per_dim=8, steps=DEFAULT_STEPS):
     """Distinct T-periodic orbits at forcing size lam, by multistart shooting.
 
@@ -338,21 +318,25 @@ def multiplicity_scan(sys, lam, grid_per_dim=8, steps=DEFAULT_STEPS):
     the x- and lambda-sensitivities of the time-T map at lambda = 0 on the
     scan's steps (multistart_starts). Each start is shot in turn; a start
     that fails with a start-failure type is skipped, and any other error
-    is raised. Convergent orbits are deduplicated at
-    sampled sup-distance 1e-4; merge order is start order, so the result,
-    a list of the kept orbits' Trajectories, is deterministic.
+    is raised. The convergent orbits are clustered first-seen in start
+    order (`_first_seen`): each is kept unless an earlier kept orbit lies
+    within sampled sup-distance ORBIT_DEDUP (1e-4), so the result, a list
+    of the kept orbits' Trajectories, is deterministic.
     """
     if not math.isfinite(lam):
         raise ValueError("lambda must be finite")
     if lam < 0:
         raise ValueError("lambda must be >= 0")
-    shots = []
+    orbits = []
     for p, q in multistart_starts(sys, lam, grid_per_dim, steps):
         try:
-            shots.append(shoot(sys, lam, p, q, steps))
-        except _START_FAILURES as exc:
-            shots.append(exc)
-    return merge_orbits(shots)
+            orbits.append(shoot(sys, lam, p, q, steps))
+        except _START_FAILURES:
+            pass
+    if not orbits:
+        return []
+    zs = np.stack([orbit.zs for orbit in orbits])
+    return [orbits[i] for i in _first_seen(zs, ORBIT_DEDUP)]
 
 
 # ---------------------------------------------------------------------------

@@ -441,6 +441,24 @@ def polish_oracle(fld, z):
     return best
 
 
+# what the polish of one candidate can raise
+POLISH_ERRORS = (DaekitError, ArithmeticError, ValueError)
+
+
+def polish_rows(fld, zs):
+    """The zero polish of find_zeros on each row of zs alone: (best
+    points, errors), where errors maps each row whose polish raises to its
+    error (and that row of best keeps its start)."""
+    best = np.array(zs, dtype=float)
+    errors = {}
+    for r, z in enumerate(best.tolist()):
+        try:
+            best[r] = fld._polish(z)
+        except POLISH_ERRORS as exc:
+            errors[r] = exc
+    return best, errors
+
+
 def degen3():
     """The three-dimensional system whose only zero (the origin) is
     degenerate: x1' = x2, x2' = -x1^2 + y1 - x2, y1^3 + y1 - x1^3 = 0."""

@@ -426,11 +426,25 @@ class TestSolveConstraint:
                         box=Box.from_pairs([(-2, 2), (-2, 2)]))
         rn, step = sys._constraint_step()((0.5, 1.0))
         assert rn.hex() == (1e308).hex()
-        step = step() if callable(step) else step
         assert step == (1.0,)
         mp = solve_constraint(sys, [0.5], [1.0])
         assert mp.q[0].hex() == (5e-309).hex()
         assert mp.residual.hex() == (5.551115123125783e-17).hex()
+
+    def test_rejected_trial_with_undefined_d2g(self):
+        # the full Newton step from y1 = 0.5 lands on y1 = 0, where |g| is
+        # 0.25 against 0.125 and d2g is undefined (sqrt not differentiable
+        # at 0.0); the trial is rejected without forming its step, and the
+        # half step is accepted
+        names = ["x1", "y1"]
+        sys = SystemDef(1, 1, 1.0, [expr.parse("y1", names)],
+                        [expr.parse("y1^3 - y1 - x1 + 0*sqrt(y1)", names)],
+                        box=Box.from_pairs([(-2, 2), (-2, 2)]))
+        with pytest.raises(ExprDomainError, match="sqrt not differentiable"):
+            sys.jac_rows(sys.g, sys.env([-0.25], [0.0]), sys.y_names)
+        mp = solve_constraint(sys, [-0.25], [0.5])
+        assert mp.q[0].hex() == "0x1.1410905e2dee1p-2"
+        assert mp.residual.hex() == (1.50712775592865e-14).hex()
 
 
 class TestTangentField:

@@ -36,14 +36,15 @@ from daekit.degree import (
     _make_record,
     _newton_sweep,
     _perturbed_field,
-    _polish_rows,
 )
 from conftest import system_path
 from helpers import (
+    POLISH_ERRORS,
     dedup_oracle,
     degen3,
     newton_sweep_oracle,
     polish_oracle,
+    polish_rows,
     random_system,
 )
 
@@ -100,7 +101,7 @@ class TestFindZeros:
         monkeypatch.setattr(degree_module, "_newton_sweep",
                             lambda fld, box, starts: rows)
         box = Box.from_pairs([(-2.0, 4.0), (-1.0, 1.0)])
-        assert sorted(_polish_rows(fld, rows)[1]) == [0, 2]
+        assert sorted(polish_rows(fld, rows)[1]) == [0, 2]
         with pytest.raises(ExprDomainError) as err:
             find_zeros(fld, box, 4)
         assert str(err.value) == "ln of nonpositive value -1.0 in 'ln(x1)'"
@@ -519,7 +520,7 @@ class TestLockstepPolish:
         fld = system_field(sys)
         coarse = coarse_candidates(fld, sys.box, grid)
         assert len(coarse) > 8  # past the point-evaluation cutoff
-        best, errors = _polish_rows(fld, coarse)
+        best, errors = polish_rows(fld, coarse)
         assert not errors
         want = np.array([polish_oracle(fld, z) for z in coarse])
         assert best.tobytes() == want.tobytes()
@@ -527,7 +528,7 @@ class TestLockstepPolish:
     def test_failures_are_per_row(self):
         fld = planar_field("ln(x1)", "y1")
         zs = np.array([[1.5, 0.2], [-1.0, 0.0], [2.0, 0.1], [-2.0, 0.0]])
-        best, errors = _polish_rows(fld, zs)
+        best, errors = polish_rows(fld, zs)
         assert sorted(errors) == [1, 3]
         for i in (1, 3):
             with pytest.raises(type(errors[i])) as alone:
@@ -541,7 +542,7 @@ class TestLockstepPolish:
         # the zero takes no step, so it ends without an error, as alone
         fld = planar_field("sqrt(x1)", "y1")
         zs = np.array([[0.0, 0.0], [0.0, 0.5]])
-        best, errors = _polish_rows(fld, zs)
+        best, errors = polish_rows(fld, zs)
         assert sorted(errors) == [1]
         assert best[0].tobytes() == polish_oracle(fld, zs[0]).tobytes()
         with pytest.raises(type(errors[1])) as alone:
@@ -618,11 +619,11 @@ class TestEmittedPolish:
                           k=sys.k)
         rng = np.random.default_rng(FIELDS.index(name) + 180)
         zs = sys.box.lo + rng.random((96, sys.box.dim)) * sys.box.width
-        best, errors = _polish_rows(fld, zs)
+        best, errors = polish_rows(fld, zs)
         # every candidate on the emitted loop, made once per field
         assert emitted["compiled"] == 1 and emitted["ran"] == len(zs)
         assert_polish_is_oracle(fld, zs, best, errors)
-        again = _polish_rows(fld, zs)
+        again = polish_rows(fld, zs)
         assert emitted["compiled"] == 1
         assert emitted["ran"] == 2 * len(zs)
         assert again[0].tobytes() == best.tobytes()
@@ -667,11 +668,14 @@ class TestEmittedPolish:
         taken = set()
         for r, z in enumerate(zs.tolist()):
             before = len(at_point)
-            fld._polish(z)
+            try:
+                fld._polish(z)
+            except POLISH_ERRORS:
+                pass
             if len(at_point) > before:
                 taken.add(r)
         assert taken == taken_up
-        best, errors = _polish_rows(fld, zs)
+        best, errors = polish_rows(fld, zs)
         assert emitted["ran"] == 2 * len(zs)
         assert_polish_is_oracle(fld, zs, best, errors)
 
@@ -690,7 +694,7 @@ class TestEmittedPolish:
         for f, starts, want in cases:
             names = ["x1", "y1"][:len(f)]
             fld = VectorField([expr.parse(e, names) for e in f], names)
-            errors = _polish_rows(fld, np.array(starts))[1]
+            errors = polish_rows(fld, np.array(starts))[1]
             assert {r: str(exc) for r, exc in errors.items()} == want
             assert all(type(exc) is ExprDomainError for exc in errors.values())
 
@@ -703,8 +707,8 @@ class TestEmittedPolish:
     ])
     def test_non_finite_point_jacobians_end_as_the_oracle(self, f, start):
         # the bad iterate's Kernel.dual Jacobian is not finite but raises
-        # nothing; the loop's solve on it (_lu(n), bound to emit.GIVEN) ends
-        # the polish at the oracle's best point
+        # nothing; the loop's solve on it (emit's LU, bound to FED's
+        # builtins) ends the polish at the oracle's best point
         names = ["x1", "y1"]
         fld = VectorField([expr.parse(e, names) for e in f], names)
         jacobians, dual = [], fld._kernel.dual
@@ -715,7 +719,7 @@ class TestEmittedPolish:
             return vals, jac
 
         fld._kernel.dual = recording
-        best, errors = _polish_rows(fld, np.array([start]))
+        best, errors = polish_rows(fld, np.array([start]))
         assert errors == {} and len(jacobians) == 1
         assert not np.isfinite(jacobians[0]).all()
         assert_polish_is_oracle(fld, [start], best, errors)
@@ -727,7 +731,7 @@ class TestEmittedPolish:
         fld, box = ring_field(n)
         rng = np.random.default_rng(188)
         zs = box.lo + rng.random((24, n)) * box.width
-        best, errors = _polish_rows(fld, zs)
+        best, errors = polish_rows(fld, zs)
         assert emitted["ran"] == len(zs)
         assert_polish_is_oracle(fld, zs, best, errors)
 

@@ -320,8 +320,9 @@ class TestEmittedFlowLoop:
 
     def compare(self, sysdef, start, steps, lam, sens, lsens):
         """The outcome kind of one flow, after asserting that the loop and
-        the oracle agree. The oracle's constraint evaluations are recorded
-        to tell a projection that halved."""
+        the oracle agree. The oracle's constraint evaluations, its steps
+        and its trials' values of g, are recorded to tell a projection that
+        halved."""
         args = (sysdef, lam, start, 0.0, sysdef.period, steps, sens, lsens)
         new = self.outcome(flow._flow, *args)  # emits the loop first
         step, points = sysdef._constraint_step(), []
@@ -330,11 +331,16 @@ class TestEmittedFlowLoop:
             points.append(tuple(z))
             return step(z)
 
-        sysdef._stages["g"] = record
+        def record_g(env):
+            points.append(tuple(env[nm] for nm in sysdef.state_names))
+            return SystemDef.eval_g(sysdef, env)
+
+        sysdef._stages["g"], sysdef.eval_g = record, record_g
         try:
             old = self.outcome(flow_oracle, *args)
         finally:
             sysdef._stages["g"] = step
+            del sysdef.eval_g
         assert new == old
         if new[0] is ConstraintSolveError or halved(points, sysdef.k):
             return "halved or stalled"

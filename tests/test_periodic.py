@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from daekit import expr, load_system
+from daekit import expr, load_system, periodic
 from daekit.dae import Box, ManifoldPoint, _solve_constraint_row
 from daekit.degree import _first_seen, chart_index, find_zeros
 from daekit.errors import (
@@ -18,9 +18,9 @@ from daekit.flow import integrate
 from daekit.linalg import det_sign, lu_solve, norm1
 from daekit.periodic import (
     ORBIT_DEDUP,
+    _START_FAILURES,
     classify_resonance,
     continue_branch,
-    merge_orbits,
     multiplicity_scan,
     multistart_starts,
     reduce_hessenberg,
@@ -189,20 +189,19 @@ class TestMultiplicity:
             assert orbit.sup_amplitude() <= 1e-8
 
     @pytest.mark.parametrize("name, grid", [("exmults", 8), ("pozzo", 3)])
-    def test_lockstep_equals_shooting_each_start_alone(self, name, grid,
-                                                        request):
+    def test_scan_equals_shooting_each_start_alone(self, name, grid, request):
         sys = request.getfixturevalue(name)
         lam, steps = 0.01, 48
         starts = multistart_starts(sys, lam, grid, steps)
         assert len(starts) > 8
-
-        def alone(p, q):
+        orbits = []
+        for p, q in starts:
             try:
-                return shoot(sys, lam, p, q, steps=steps)
-            except Exception as exc:  # merged exactly as the scan merges
-                return exc
-
-        want = merge_orbits([alone(p, q) for p, q in starts])
+                orbits.append(shoot(sys, lam, p, q, steps=steps))
+            except _START_FAILURES:
+                pass
+        zs = np.stack([orbit.zs for orbit in orbits])
+        want = [orbits[i] for i in _first_seen(zs, ORBIT_DEDUP)]
         got = multiplicity_scan(sys, lam, grid_per_dim=grid, steps=steps)
         assert len(got) == len(want) >= 1
         for a, b in zip(got, want):
@@ -251,11 +250,27 @@ class TestMultiplicity:
         assert len(starts) == 3
         assert abs(starts[1][0][0] - lam / 2) <= 1e-4 * lam
 
-    def test_merge_skips_failed_starts_and_raises_the_first_other(self):
+    def test_scan_skips_failed_starts_and_raises_the_first_other(
+            self, equivlien, monkeypatch):
+        # equivlien at lambda 1e-3 has three starts: its zero, the zero's
+        # seed and one grid start
+        def failing(*errors):
+            errors = iter(errors)
+
+            def shot(*args):
+                raise next(errors)
+            return shot
+
+        monkeypatch.setattr(periodic, "shoot", failing(
+            ShootingError("skipped"), ValueError("first"),
+            LeavesBoxError("skipped", 1.0), ValueError("later")))
         with pytest.raises(ValueError, match="first"):
-            merge_orbits([ShootingError("skipped"), ValueError("first"),
-                          LeavesBoxError("skipped", 1.0), ValueError("later")])
-        assert merge_orbits([ShootingError("skipped")]) == []
+            multiplicity_scan(equivlien, 1e-3, grid_per_dim=1, steps=128)
+        monkeypatch.setattr(periodic, "shoot", failing(
+            ShootingError("skipped"), LeavesBoxError("skipped", 1.0),
+            ShootingError("skipped")))
+        assert multiplicity_scan(equivlien, 1e-3, grid_per_dim=1,
+                                 steps=128) == []
 
     def test_first_seen_equals_the_pairwise_orbit_loop(self):
         # stacked (N, T, n) orbits on a lattice of ORBIT_DEDUP, so that
