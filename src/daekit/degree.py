@@ -49,13 +49,12 @@ PERTURB_SIZE = 1e-5
 SWEEP_TOL = 1e-12  # norm-1 residual at which a sweep start has converged
 SWEEP_ITERATIONS = 60  # Newton steps per sweep start
 POLISH_ITERATIONS = 60  # Newton steps per candidate of the zero polish
-# fewest columns in a half of a split sweep step (_newton_sweep). Below
-# about this size the hand-off to the worker and the shorter numpy passes
-# cost more than the second core gives. Median sweep times on a 2-core
-# Xeon (numpy 2.4.6): halves of 8 192 columns made r21's sweep at 26^3
-# starts 27-32 % slower and pozzo's at 26^3 17-20 % slower; halves of
-# 16 384 or more were never slower (r22 at 16^4 starts 22-26 % faster,
-# pozzo at 40^3 9 %)
+# fewest starts in a half of a split sweep (_newton_sweep). Below about
+# this size the hand-off to the worker and the shorter numpy passes cost
+# more than the second core gives. Median warm sweep times as two halves
+# against one thread on a 2-core Xeon (numpy 2.4.6): r22 at 12^4 starts
+# +20 %, r21 at 24^3 +52 %, pozzo at 24^3 -14 %; at 2 * SPLIT starts or
+# more, r21 at 32^3 +4 %, r22 at 16^4 -35 %, pozzo at 40^3 -37 %
 SPLIT = 16384
 
 
@@ -101,15 +100,12 @@ class VectorField:
         out = np.empty((self.dim, len(zs)))
         return self._kernel.values_batch(self.env(zs, batch=True), out).T
 
-    def jacobian_batch(self, zs, out=None):
+    def jacobian_batch(self, zs):
         """(values (N, m), Jacobians (N, m, n)) on the rows of zs, from one
         kernel pass: views of entry-major (m, N) and (m * n, N) arrays, so
-        the kernel writes every entry contiguously. out, when given, is
-        that pair of arrays; a column slice of a larger pair will do."""
+        the kernel writes every entry contiguously."""
         m, n, rows = self.dim, len(self.var_names), len(zs)
-        if out is None:
-            out = np.empty((m, rows)), np.empty((m * n, rows))
-        vals, jac = out
+        vals, jac = np.empty((m, rows)), np.empty((m * n, rows))
         self._kernel.dual_batch(self.env(zs, batch=True), jac, vals)
         return vals.T, jac.reshape(m, n, rows).transpose(2, 0, 1)
 
@@ -169,87 +165,84 @@ def _grid_starts(box, grid_per_dim):
 
 def _newton_sweep(fld, box, starts):
     """The points Newton's method reaches from the rows of starts, in start
-    order. Only live points are carried, entry-major as an (n, N) array,
-    each with its start index. Each step takes one values-and-Jacobian pass
-    over the stack in the caller's thread, then _sweep_step on the kernel's
-    outputs: on two column halves at once, one in a worker thread, when the
-    stack holds at least 2 * SPLIT points and the process may run on two
-    CPUs, else on the whole stack. Every operation of _sweep_step acts on
-    each column alone, so the points do not depend on the split. A point
-    converges at a norm-1 residual of at most SWEEP_TOL. It is dropped at a
-    non-finite residual, at a step that is not finite (a zero pivot leaves
-    it nan) or leaves the box inflated by 5 widths, or after
-    SWEEP_ITERATIONS steps."""
+    order. With at least 2 * SPLIT starts, on a process that may run on two
+    CPUs, the starts are split once into two halves, and each runs the
+    whole Newton loop (_sweep_columns) on its own thread: the second in the
+    worker, under a copy of the caller's context (numpy's errstate lives
+    there), the first in the caller's thread. Both are awaited, and the
+    caller raises what either raised. Else one loop takes every start.
+    Every operation of the loop acts on each start alone, so the points do
+    not depend on the split. A point is dropped where its step leaves the
+    box inflated by 5 widths."""
     zt = np.ascontiguousarray(starts.T, dtype=float)
-    n, rows = zt.shape
+    rows = zt.shape[1]
     live = np.arange(rows)
-    hits, points = [live[:0]], [zt[:, :0]]
     lo_big = (box.lo - 5.0 * box.width)[:, None]
     hi_big = (box.hi + 5.0 * box.width)[:, None]
-    # one set of kernel outputs and step results for the whole sweep,
-    # sliced to the live points, so no step allocates a new stack
-    vbuf, jbuf = np.empty((fld.dim, rows)), np.empty((fld.dim * n, rows))
-    rbuf, kbuf, sbuf = np.empty(rows), np.empty(rows, bool), np.empty((n, rows))
     # platforms without os.sched_getaffinity (macOS, Windows) never split
-    split = (rows >= 2 * SPLIT and hasattr(os, "sched_getaffinity")
-             and len(os.sched_getaffinity(0)) >= 2)
+    if (rows < 2 * SPLIT or not hasattr(os, "sched_getaffinity")
+            or len(os.sched_getaffinity(0)) < 2):
+        hits, points = _sweep_columns(fld, zt, live, lo_big, hi_big)
+    else:
+        # the batch kernel compiles in the caller's thread, as
+        # compile_kernel is public
+        fld._kernel._fn(True)
+        half = rows // 2
+        second = _worker().submit(
+            contextvars.copy_context().run, _sweep_columns,
+            fld, zt[:, half:], live[half:], lo_big, hi_big)
+        try:
+            hits, points = _sweep_columns(fld, zt[:, :half], live[:half],
+                                          lo_big, hi_big)
+        finally:
+            more = second.result()
+        hits, points = hits + more[0], points + more[1]
+    return np.concatenate(points, axis=1).T[np.argsort(np.concatenate(hits))]
+
+
+def _sweep_columns(fld, zt, live, lo_big, hi_big):
+    """The Newton loop of _newton_sweep on the starts zt, entry-major as an
+    (n, N) array, whose start indices are live. Only live points are
+    carried. Each step takes one values-and-Jacobian kernel pass over them,
+    their norm-1 residual, an elimination (linalg._solve_rows) and the
+    step. A point converges at a residual of at most SWEEP_TOL. It is
+    dropped at a non-finite residual, at a step that is not finite (a zero
+    pivot leaves it nan) or leaves [lo_big, hi_big], or after
+    SWEEP_ITERATIONS steps. Returns the lists of start indices and of
+    converged points, one entry per step. Calls nothing public, as it may
+    run in the worker thread (a tracer keeps one span stack for the whole
+    process)."""
+    (n, rows), m = zt.shape, fld.dim
+    hits, points = [live[:0]], [zt[:, :0]]
+    # one set of kernel outputs and steps for these starts, sliced to the
+    # live points, so no step allocates a new stack
+    vbuf, jbuf, sbuf = (np.empty((m, rows)), np.empty((m * n, rows)),
+                        np.empty((n, rows)))
     for _ in range(SWEEP_ITERATIONS):
         size = live.size
         if not size:
             break
-        vals, jac = vbuf[:, :size], jbuf[:, :size]
-        fld.jacobian_batch(zt.T, out=(vals, jac))
-        res, keep, step = rbuf[:size], kbuf[:size], sbuf[:, :size]
-        args = zt, vals, jac, lo_big, hi_big, res, keep, step
-        if split and size >= 2 * SPLIT:
-            _split_step(args, size)
-        else:
-            _sweep_step(*args, slice(None))
+        fv, jac, z = vbuf[:, :size], jbuf[:, :size], sbuf[:, :size]
+        fld._kernel.dual_batch(fld.env(zt.T, batch=True), jac, fv)
+        with np.errstate(all="ignore"):
+            res = _norm1_rows(fv.T)
+        _solve_rows(jac, fv, out=z)
+        np.subtract(zt, z, out=z)
         done = res <= SWEEP_TOL
         hits.append(live[done])
         points.append(zt[:, done])
-        zt, live = np.compress(keep, step, axis=1), live[keep]
-    return np.concatenate(points, axis=1).T[np.argsort(np.concatenate(hits))]
-
-
-def _sweep_step(zt, vals, jac, lo_big, hi_big, res, keep, step, cols):
-    """One Newton step of _newton_sweep on the columns cols (a slice) of its
-    live stack zt, from the kernel's values vals and Jacobians jac, which
-    the elimination overwrites: the norm-1 residual goes to res, the
-    stepped point to step, and to keep whether the point goes on (its
-    residual is finite and above SWEEP_TOL, and its stepped point lies in
-    [lo_big, hi_big]; nan and +-inf fail that test). Calls nothing public,
-    as it may run in a worker thread."""
-    fv, r, z = vals[:, cols], res[cols], step[:, cols]
-    with np.errstate(all="ignore"):
-        r[...] = _norm1_rows(fv.T)
-    _solve_rows(jac[:, cols], fv, out=z)
-    np.subtract(zt[:, cols], z, out=z)
-    keep[cols] = ((r > SWEEP_TOL) & np.isfinite(r)
-                  & np.all(z >= lo_big, axis=0) & np.all(z <= hi_big, axis=0))
-
-
-def _split_step(args, size):
-    """_sweep_step on the two halves of a stack of size columns: the second
-    in the worker thread under a copy of the caller's context (numpy's
-    errstate lives there), the first in the caller's thread. Returns when
-    both are done, since the worker writes into the caller's arrays, and
-    raises what either raised."""
-    half = size // 2
-    second = _worker().submit(contextvars.copy_context().run, _sweep_step,
-                              *args, slice(half, size))
-    try:
-        _sweep_step(*args, slice(0, half))
-    finally:
-        second.result()
+        keep = ((res > SWEEP_TOL) & np.isfinite(res)
+                & np.all(z >= lo_big, axis=0) & np.all(z <= hi_big, axis=0))
+        zt, live = np.compress(keep, z, axis=1), live[keep]
+    return hits, points
 
 
 @functools.cache
 def _worker():
-    """The one thread that takes the second half of a split sweep step,
-    made on first use and kept for the process. concurrent.futures is
-    imported here, as it imports logging: about 14 ms that a process
-    which never splits a step need not pay."""
+    """The one thread that takes the second half of a split sweep, made on
+    first use and kept for the process. concurrent.futures is imported
+    here, as it imports logging: about 14 ms that a process which never
+    splits a sweep need not pay."""
     from concurrent.futures import ThreadPoolExecutor
     return ThreadPoolExecutor(1, thread_name_prefix="daekit-sweep")
 
@@ -258,17 +251,17 @@ def find_zeros(system_or_field, box, grid_per_dim=16):
     """All zeros of the field in the box, deduplicated, with index data.
 
     Multistart Newton from a grid_per_dim^n grid of cell centers
-    (_newton_sweep, whose large steps run on two threads when the process
-    may run on two CPUs, with the same bits as on one). The converged
-    points inside the box are merged at radius 1e-10, polished one after
-    the other (the field's emitted loop, _emit_polish; the first candidate
-    whose evaluation fails raises its error), and merged again at radius
-    1e-6, each time by first-seen clustering in sweep order
-    (`_first_seen`). Each survivor gets an AD Jacobian, a
-    degeneracy flag (det_sign at relative tolerance 1e-8) and, when
-    nondegenerate, the Jacobian sign as its index. Points within 1e-6 of
-    the box boundary are flagged. Given a system, each record carries
-    schur_sign_pair (_make_record); given a bare field, None.
+    (_newton_sweep, which runs a large sweep as two halves of its starts on
+    two threads when the process may run on two CPUs, with the same bits
+    as on one). The converged points inside the box are merged at radius
+    1e-10, polished one after the other (the field's emitted loop,
+    _emit_polish; the first candidate whose evaluation fails raises its
+    error), and merged again at radius 1e-6, each time by first-seen
+    clustering in sweep order (`_first_seen`). Each survivor gets an AD
+    Jacobian, a degeneracy flag (det_sign at relative tolerance 1e-8)
+    and, when nondegenerate, the Jacobian sign as its index. Points within
+    1e-6 of the box boundary are flagged. Given a system, each record
+    carries schur_sign_pair (_make_record); given a bare field, None.
     """
     if grid_per_dim < 2:
         raise ValueError("grid_per_dim must be at least 2")

@@ -1,4 +1,7 @@
 import builtins
+import functools
+import importlib
+import inspect
 import math
 import os
 import sys as _sys
@@ -359,12 +362,54 @@ def cpus(monkeypatch, count):
 
 
 def r21_at_split_size():
-    """r21's field, box and the 32^3 grid starts: 2 * SPLIT of them, so the
-    first steps of their sweep run on two halves."""
+    """r21's field, box and the 32^3 grid starts: 2 * SPLIT of them, so
+    their sweep runs as two halves."""
     sys = load_system(str(GOLDEN / "r21.sys"))
     starts = _grid_starts(sys.box, 32)
     assert len(starts) >= 2 * degree_module.SPLIT
     return system_field(sys), sys.box, starts
+
+
+def record_eliminations(monkeypatch, extra=lambda: None):
+    """Record, for each elimination of the sweep (linalg._solve_rows), its
+    thread, its number of columns and extra(); returns the list."""
+    calls, solve = [], degree_module._solve_rows
+
+    def recording(jac, b, out=None):
+        call = threading.current_thread(), b.shape[1], extra()
+        calls.append(call)
+        if isinstance(call[2], BaseException):
+            raise call[2]
+        return solve(jac, b, out=out)
+
+    monkeypatch.setattr(degree_module, "_solve_rows", recording)
+    return calls
+
+
+def columns_by_thread(calls):
+    """The column counts of the recorded eliminations in the caller's
+    thread and in any other."""
+    me = threading.current_thread()
+    return ([cols for t, cols, _ in calls if t is me],
+            [cols for t, cols, _ in calls if t is not me])
+
+
+def assert_split_sweep_bits(fld, box, starts, monkeypatch):
+    """The sweep of starts on two CPUs runs as two halves of starts, the
+    second off the caller's thread, and gives the bits of one CPU's."""
+    calls = record_eliminations(monkeypatch)
+    cpus(monkeypatch, 2)
+    two = _newton_sweep(fld, box, starts)
+    mine, other = columns_by_thread(calls)
+    half = len(starts) // 2
+    assert mine[0] == half and other[0] == len(starts) - half
+    del calls[:]
+    cpus(monkeypatch, 1)
+    one = _newton_sweep(fld, box, starts)
+    mine, other = columns_by_thread(calls)
+    assert mine[0] == len(starts) and other == []
+    assert len(one) > 0
+    assert two.view(np.int64).tolist() == one.view(np.int64).tolist()
 
 
 class TestSplitSweep:
@@ -372,52 +417,54 @@ class TestSplitSweep:
     def test_two_halves_give_the_one_thread_bits(self, name, grid,
                                                  monkeypatch):
         sys = load_system(str(GOLDEN / f"{name}.sys"))
-        fld, box = system_field(sys), sys.box
-        starts = _grid_starts(box, grid)
-        splits, split_step = [], degree_module._split_step
-        monkeypatch.setattr(degree_module, "_split_step",
-                            lambda *a: splits.append(a[1]) or split_step(*a))
-        cpus(monkeypatch, 2)
-        two = _newton_sweep(fld, box, starts)
-        assert splits and splits[0] == len(starts)
+        assert_split_sweep_bits(system_field(sys), sys.box,
+                                _grid_starts(sys.box, grid), monkeypatch)
+
+    def test_an_odd_count_gives_the_one_thread_bits(self, monkeypatch):
+        # 2 * SPLIT + 1 starts: the worker's half is one start longer
+        sys = load_system(str(GOLDEN / "r22.sys"))
+        starts = _grid_starts(sys.box, 16)[:2 * degree_module.SPLIT + 1]
+        assert_split_sweep_bits(system_field(sys), sys.box, starts,
+                                monkeypatch)
+
+    def test_a_second_half_that_drops_at_once(self, monkeypatch):
+        # every start of the worker's half is nan, so its first step drops
+        # them all; the points are those of the first half alone
+        fld, box, starts = r21_at_split_size()
+        half = len(starts) // 2
+        starts = starts.copy()
+        starts[half:] = np.nan
         cpus(monkeypatch, 1)
-        del splits[:]
-        one = _newton_sweep(fld, box, starts)
-        assert splits == []
-        assert len(one) > 0
-        assert two.view(np.int64).tolist() == one.view(np.int64).tolist()
+        want = _newton_sweep(fld, box, starts[:half])
+        calls = record_eliminations(monkeypatch)
+        cpus(monkeypatch, 2)
+        got = _newton_sweep(fld, box, starts)
+        assert columns_by_thread(calls)[1][:1] == [len(starts) - half]
+        assert len(want) > 0 and got.tobytes() == want.tobytes()
 
     def test_an_error_in_the_worker_half_reaches_the_caller(self,
                                                            monkeypatch):
         fld, box, starts = r21_at_split_size()
-        threads, step = [], degree_module._sweep_step
-
-        def failing(*args):
-            if args[-1].start:  # the second half
-                threads.append(threading.current_thread())
-                raise ZeroDivisionError("in the second half")
-            step(*args)
-
-        monkeypatch.setattr(degree_module, "_sweep_step", failing)
+        me = threading.current_thread()
+        calls = record_eliminations(
+            monkeypatch, lambda: threading.current_thread() is not me
+            and ZeroDivisionError("in the second half"))
         cpus(monkeypatch, 2)
         with pytest.raises(ZeroDivisionError, match="second half"):
             _newton_sweep(fld, box, starts)
-        assert threads and threads[0] is not threading.current_thread()
+        assert any(t is not me for t, _, _ in calls)
 
     def test_the_worker_half_runs_under_the_callers_errstate(self,
                                                              monkeypatch):
         fld, box, starts = r21_at_split_size()
-        seen, step = [], degree_module._sweep_step
-
-        def recording(*args):
-            seen.append(np.geterr()["over"])
-            step(*args)
-
-        monkeypatch.setattr(degree_module, "_sweep_step", recording)
+        calls = record_eliminations(monkeypatch,
+                                    lambda: np.geterr()["over"])
         cpus(monkeypatch, 2)
         with np.errstate(over="raise"):
             _newton_sweep(fld, box, starts)
-        assert len(seen) > 2 and set(seen) == {"raise"}
+        me = threading.current_thread()
+        assert any(t is not me for t, _, _ in calls)
+        assert {over for _, _, over in calls} == {"raise"}
 
     def test_concurrent_sweeps_share_the_worker(self, monkeypatch):
         # three callers hand halves to the one worker at once, with thread
@@ -452,6 +499,47 @@ class TestSplitSweep:
         for _ in range(4):
             _newton_sweep(fld, box, starts)
         assert threading.active_count() <= before + 1
+
+    def test_no_public_call_off_the_callers_thread(self, monkeypatch):
+        # a tracer of the public layers keeps one span stack for the whole
+        # process, so only the caller's thread may call into them; the
+        # system is loaded afresh, so its kernel compiles in this sweep
+        methods = {SystemDef: ("jac_rows",),
+                   VectorField: ("value", "jacobian", "value_batch",
+                                 "jacobian_batch")}
+        layers = [importlib.import_module(f"daekit.{name}") for name in
+                  ("expr", "linalg", "dae", "degree", "flow", "periodic",
+                   "sysfile")]
+        threads = []
+
+        def recorder(fn):
+            @functools.wraps(fn)
+            def recording(*args, **kwargs):
+                threads.append(threading.current_thread())
+                return fn(*args, **kwargs)
+            return recording
+
+        for cls, names in methods.items():
+            for name in names:
+                monkeypatch.setattr(cls, name, recorder(cls.__dict__[name]))
+        wrapped = {}
+        for mod in layers:
+            for name, val in vars(mod).items():
+                if (not name.startswith("_") and inspect.isfunction(val)
+                        and val.__module__ == mod.__name__):
+                    wrapped[id(val)] = val, recorder(val)
+        for mod in [m for name, m in list(_sys.modules.items())
+                    if name == "daekit" or name.startswith("daekit.")]:
+            for name, val in list(vars(mod).items()):
+                if wrapped.get(id(val), (None,))[0] is val:
+                    monkeypatch.setattr(mod, name, wrapped[id(val)][1])
+        calls = record_eliminations(monkeypatch)
+        cpus(monkeypatch, 2)
+        sys = sysfile.load_system(str(GOLDEN / "r22.sys"))
+        zeros = degree_module.find_zeros(sys, sys.box)
+        me = threading.current_thread()
+        assert len(zeros) > 0 and any(t is not me for t, _, _ in calls)
+        assert len(threads) > 10 and set(threads) == {me}
 
 
 class TestMakeRecord:
