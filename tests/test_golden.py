@@ -9,7 +9,8 @@ first predictor; its kept orbits come from the zero starts.
 The degree side is ``check`` on every fixture (eqex1 and eqex2 fail the
 d2g hypothesis and exit 2 with their report) and ``zeros``, ``degree`` and
 ``resonance`` at grid 8 on pozzo, equivlien, exmults and the degenerate
-``bench/systems/degen3.sys``. The pool side is the benchmark's seeded random
+``bench/systems/degen3.sys``, and ``zeros`` and ``resonance`` on exmults at
+the default grid 16, as the benchmark asks them. The pool side is the benchmark's seeded random
 systems at ``--seed 1``, committed as ``tests/golden/r12.sys``, ``r21.sys``
 and ``r22.sys``: ``check`` and ``degree`` on all three, ``zeros`` and
 ``resonance`` on r12 and r21, at the default grid as the benchmark asks
@@ -76,6 +77,9 @@ for _cmd in ("zeros", "degree", "resonance"):
     for _name in ("pozzo", "equivlien", "exmults", "degen3"):
         QUERIES[f"{_cmd}_{_name}"] = ([_cmd, FIXTURES[_name], "--grid", "8"],
                                       False, 0)
+for _cmd in ("zeros", "resonance"):
+    QUERIES[f"{_cmd}_exmults_grid16"] = ([_cmd, FIXTURES["exmults"]],
+                                         False, 0)
 for _name in ("r12", "r21", "r22"):
     _path = f"tests/golden/{_name}.sys"
     _cmds = ("check", "degree") + (("zeros", "resonance")
