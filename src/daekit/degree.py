@@ -48,7 +48,7 @@ FACE_SAMPLES = 256  # quasi-random samples per box face in boundary_margin
 PERTURB_SIZE = 1e-5
 SWEEP_TOL = 1e-12  # norm-1 residual at which a sweep start has converged
 SWEEP_ITERATIONS = 60  # Newton steps per sweep start
-POLISH_ITERATIONS = 60  # Newton steps per candidate of the zero polish
+POLISH_ITERATIONS = 60  # Newton steps per cluster head of the zero polish
 # fewest starts in a half of a split sweep (_newton_sweep). Below about
 # this size the hand-off to the worker and the shorter numpy passes cost
 # more than the second core gives. Median warm sweep times as two halves
@@ -253,10 +253,14 @@ def find_zeros(system_or_field, box, grid_per_dim=16):
     Multistart Newton from a grid_per_dim^n grid of cell centers
     (_newton_sweep, which runs a large sweep as two halves of its starts on
     two threads when the process may run on two CPUs, with the same bits
-    as on one). The converged points inside the box are merged at radius
-    1e-10, polished one after the other (the field's emitted loop,
-    _emit_polish; the first candidate whose evaluation fails raises its
-    error), and merged again at radius 1e-6, each time by first-seen
+    as on one). The converged points inside the box are clustered at
+    DEDUP_RADIUS, and only each cluster's head is polished, one after the
+    other (the field's emitted loop, _emit_polish; the first head whose
+    evaluation fails raises its error): at a degenerate zero, where Newton
+    converges linearly, the sweep leaves a cloud of points a few 1e-6
+    wide, and one polish per cluster stands for all of them. The polished
+    points inside the box are merged again at DEDUP_RADIUS, as heads of
+    one cloud may polish to one zero. Both merges are first-seen
     clustering in sweep order (`_first_seen`). Each survivor gets an AD
     Jacobian, a degeneracy flag (det_sign at relative tolerance 1e-8)
     and, when nondegenerate, the Jacobian sign as its index. Points within
@@ -270,8 +274,8 @@ def find_zeros(system_or_field, box, grid_per_dim=16):
         raise ValueError("field and box dimension mismatch")
     rows = _newton_sweep(fld, box, _grid_starts(box, grid_per_dim))
     rows = rows[box.contains_rows(rows, slack=BOUNDARY_SLACK)]
-    cand = rows[_first_seen(rows, 1e-10)].tolist()
-    rows = np.array([fld._polish(z) for z in cand]).reshape(-1, fld.dim)
+    heads = rows[_first_seen(rows, DEDUP_RADIUS)].tolist()
+    rows = np.array([fld._polish(z) for z in heads]).reshape(-1, fld.dim)
     rows = rows[box.contains_rows(rows, slack=BOUNDARY_SLACK)]
     sys = system_or_field if isinstance(system_or_field, SystemDef) else None
     records = [_make_record(fld, sys, box, z)
@@ -538,7 +542,13 @@ def degree_boundary_oracle(system_or_field, box, grid_per_dim=16, rng=None):
     taking the majority vote.
     """
     fld = as_field(system_or_field)
-    margin = boundary_margin(fld, box)
+    return _oracle_degree(fld, box, boundary_margin(fld, box), grid_per_dim,
+                          rng)
+
+
+def _oracle_degree(fld, box, margin, grid_per_dim, rng):
+    """degree_boundary_oracle on the field, given its boundary_margin over
+    the box, so a caller that has the margin computes it once."""
     if margin <= MIN_BOUNDARY_MARGIN:
         raise BoundaryZeroError(
             f"boundary margin {margin:.3e} too small for a degree"
@@ -619,7 +629,7 @@ def tangent_field_degree(sys, grid_per_dim=16, samples=512, rng=None):
     try:
         deg_f = degree_sum(zeros, box)
     except DegenerateZeroError:
-        deg_f = degree_boundary_oracle(fld, box, grid_per_dim, rng=rng)
+        deg_f = _oracle_degree(fld, box, margin, grid_per_dim, rng)
         oracle_deg = deg_f
     if box.dim == 2 and oracle_deg is None:
         oracle_deg = _winding_number(fld, box)

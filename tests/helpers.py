@@ -15,9 +15,16 @@ from daekit.dae import (
     validate,
 )
 from daekit.degree import (
+    BOUNDARY_SLACK,
+    DEDUP_RADIUS,
     SWEEP_ITERATIONS,
     SWEEP_TOL,
     VectorField,
+    _first_seen,
+    _grid_starts,
+    _make_record,
+    _newton_sweep,
+    as_field,
     boundary_margin,
     find_zeros,
 )
@@ -439,6 +446,33 @@ def polish_oracle(fld, z):
             break
         z = z - step
     return best
+
+
+def sweep_cloud(fld, box, grid_per_dim):
+    """The sweep's points inside the box, merged first-seen at 1e-10: at a
+    degenerate zero, a cloud of points a few 1e-6 wide that Newton reached
+    linearly. find_zeros polishes only the heads of its DEDUP_RADIUS
+    clusters (4 of the 204 points on exmults at grid 16);
+    find_zeros_oracle and the polish tests take every point."""
+    rows = _newton_sweep(fld, box, _grid_starts(box, grid_per_dim))
+    rows = rows[box.contains_rows(rows, slack=BOUNDARY_SLACK)]
+    return rows[_first_seen(rows, 1e-10)]
+
+
+def find_zeros_oracle(system_or_field, box, grid_per_dim=16):
+    """The zero rule find_zeros used to run: every point of sweep_cloud
+    polished (polish_oracle), and the polished points inside the box
+    merged first-seen at DEDUP_RADIUS. Records as find_zeros makes them,
+    sorted by point."""
+    fld = as_field(system_or_field)
+    sys = system_or_field if isinstance(system_or_field, SystemDef) else None
+    cand = sweep_cloud(fld, box, grid_per_dim)
+    rows = np.array([polish_oracle(fld, z) for z in cand]).reshape(-1, fld.dim)
+    rows = rows[box.contains_rows(rows, slack=BOUNDARY_SLACK)]
+    records = [_make_record(fld, sys, box, z)
+               for z in rows[_first_seen(rows, DEDUP_RADIUS)]]
+    records.sort(key=lambda r: tuple(r.point))
+    return records
 
 
 # what the polish of one candidate can raise

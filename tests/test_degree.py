@@ -45,10 +45,13 @@ from helpers import (
     POLISH_ERRORS,
     dedup_oracle,
     degen3,
+    find_zeros_oracle,
     newton_sweep_oracle,
     polish_oracle,
     polish_rows,
+    random_planar_map,
     random_system,
+    sweep_cloud,
 )
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -204,6 +207,27 @@ class TestTangentFieldDegree:
         assert rep.deg_f == 0 and rep.deg_psi == 0
         assert rep.oracle_deg == 0
 
+    @pytest.mark.parametrize("name", ["exmults", "degen3"])
+    def test_the_oracle_takes_the_reports_margin(self, name, request,
+                                                 monkeypatch):
+        # a degenerate zero sends the degree to the boundary oracle, which
+        # takes the margin the report computed; called alone, the oracle
+        # computes it itself
+        sys = fixture_system(name, request)
+        margins = []
+        margin = degree_module.boundary_margin
+
+        def counting(fld, box):
+            margins.append(margin(fld, box))
+            return margins[-1]
+
+        monkeypatch.setattr(degree_module, "boundary_margin", counting)
+        rep = tangent_field_degree(sys, grid_per_dim=8)
+        assert margins == [rep.boundary_margin]
+        assert rep.oracle_deg == rep.deg_f == degree_boundary_oracle(
+            sys, sys.box, 8)
+        assert len(margins) == 2
+
     def test_negating_one_component_flips_degree(self, pozzo):
         base = system_field(pozzo)
         fld = VectorField(
@@ -292,13 +316,6 @@ class TestSliceDegree:
         box = Box.from_pairs([(-1, 1), (0.5, 1.0)])
         with pytest.raises(ValueError):
             degree_via_slice([expr.parse("x1", ["x1", "y1"])], box)
-
-
-def coarse_candidates(fld, box, grid_per_dim):
-    """The candidates find_zeros polishes: sweep, box filter, coarse merge."""
-    found = _newton_sweep(fld, box, _grid_starts(box, grid_per_dim))
-    return np.array(dedup_oracle(
-        [z for z in found if box.contains(z, slack=1e-6)], 1e-10))
 
 
 class TestNewtonSweep:
@@ -606,11 +623,11 @@ class TestLockstepPolish:
     def test_equals_polishing_each_candidate_alone(self, make, grid, request):
         sys = degen3() if make == "degen3" else request.getfixturevalue(make)
         fld = system_field(sys)
-        coarse = coarse_candidates(fld, sys.box, grid)
-        assert len(coarse) > 8  # past the point-evaluation cutoff
-        best, errors = polish_rows(fld, coarse)
+        cloud = sweep_cloud(fld, sys.box, grid)
+        assert len(cloud) > 8  # past the point-evaluation cutoff
+        best, errors = polish_rows(fld, cloud)
         assert not errors
-        want = np.array([polish_oracle(fld, z) for z in coarse])
+        want = np.array([polish_oracle(fld, z) for z in cloud])
         assert best.tobytes() == want.tobytes()
 
     def test_failures_are_per_row(self):
@@ -846,6 +863,61 @@ class TestEmittedPolish:
         assert compiles == []
         # eqex1 (f = 1) has no zero, so no candidate to polish
         assert (emitted["ran"] > ran) == (name != "eqex1")
+
+
+def assert_same_records(got, want):
+    """Equal zero records: point and residual bytes, index, degeneracy,
+    schur_sign_pair and boundary flag."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.point.tobytes() == b.point.tobytes()
+        assert np.float64(a.residual).tobytes() == np.float64(
+            b.residual).tobytes()
+        assert (a.index, a.degenerate, a.schur_sign_pair, a.near_boundary) \
+            == (b.index, b.degenerate, b.schur_sign_pair, b.near_boundary)
+
+
+class TestClusterHeads:
+    @pytest.mark.parametrize("name", ["pozzo", "equivlien", "exmults",
+                                      "degen3"])
+    @pytest.mark.parametrize("grid", [8, 16])
+    def test_fixtures_equal_the_oracle(self, name, grid, request):
+        sys = fixture_system(name, request)
+        assert_same_records(find_zeros(sys, sys.box, grid),
+                            find_zeros_oracle(sys, sys.box, grid))
+
+    @pytest.mark.parametrize("name", ["r12", "r21", "r22"])
+    def test_pool_systems_equal_the_oracle(self, name, request):
+        sys = fixture_system(name, request)
+        assert_same_records(find_zeros(sys, sys.box),
+                            find_zeros_oracle(sys, sys.box))
+
+    def test_random_draws_equal_the_oracle(self):
+        rng = np.random.default_rng(361)
+        for k, s in ((1, 1), (1, 2), (2, 1)):
+            sys, _ = random_system(rng, k, s)
+            for grid in (6, 10):
+                assert_same_records(find_zeros(sys, sys.box, grid),
+                                    find_zeros_oracle(sys, sys.box, grid))
+        for _ in range(4):
+            fld, box, _ = random_planar_map(rng)
+            for grid in (8, 12):
+                assert_same_records(find_zeros(fld, box, grid),
+                                    find_zeros_oracle(fld, box, grid))
+
+    @pytest.mark.parametrize("name, grid, heads, cloud", [
+        ("exmults", 16, 4, 204), ("degen3", 8, 2, 55)])
+    def test_one_polish_per_cluster(self, name, grid, heads, cloud, request,
+                                    emitted):
+        # a new field, whose polish the counting emitter makes; the
+        # oracle polishes every point of the 1e-10 merge
+        sys = fixture_system(name, request)
+        fld = VectorField(list(sys.f) + list(sys.g), sys.state_names,
+                          k=sys.k)
+        zeros = find_zeros(fld, sys.box, grid)
+        assert emitted == {"compiled": 1, "ran": heads}
+        assert len(sweep_cloud(fld, sys.box, grid)) == cloud
+        assert_same_records(zeros, find_zeros_oracle(fld, sys.box, grid))
 
 
 class TestCompileCache:
