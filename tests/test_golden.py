@@ -6,6 +6,8 @@ at 128 steps; the equivlien shoot and branch also write their CSV files.
 ``multiplicity`` on ``tests/golden/r21.sys`` (grid 2, 32 steps) adds a
 k = 2 scan that seeds both of its non-resonant zeros from the branch's
 first predictor; its kept orbits come from the zero starts.
+``multiplicity`` on pozzo at lambda 0.1 runs constraint solves whose
+Newton steps halve (32 halvings in 470 trials).
 The degree side is ``check`` on every fixture (eqex1 and eqex2 fail the
 d2g hypothesis and exit 2 with their report) and ``zeros``, ``degree`` and
 ``resonance`` at grid 8 on pozzo, equivlien, exmults and the degenerate
@@ -62,6 +64,8 @@ QUERIES = {
                           "--steps", "128"], True, 0),
     "multiplicity_exmults": (["multiplicity", "systems/exmults.sys",
                               "--lambda", "0.01", "--steps", "128"], False, 0),
+    "multiplicity_pozzo": (["multiplicity", "systems/pozzo.sys",
+                            "--lambda", "0.1", "--steps", "128"], False, 0),
     "multiplicity_r21": (["multiplicity", "tests/golden/r21.sys",
                           "--lambda", "0.05", "--grid", "2", "--steps", "32"],
                          False, 0),
