@@ -159,7 +159,7 @@ class SystemDef:
     list it evaluates gets its compiled kernel once, kept on the instance;
     f, g and h together (``fgh``) make the kernel of the emitted
     reduced-field stage, whose point code (_point_code), like g's, is built
-    once for all the stages, constraint steps and flow loops emitted for
+    once for all the stages, constraint Newtons and flow loops emitted for
     the instance.
     """
 
@@ -265,26 +265,27 @@ class SystemDef:
 
     def _point_code(self, part):
         """The point statements (expr._kernel_code) of one of the system's
-        kernels on the state names, built on first use and kept: "fgh" and
-        "g" with their partials, "U" the values of g alone, written to
-        U{j}. fgh names its constants k{i}, g and U (which meet the same
-        constants in the same order) kg{i}, all in the one table _consts,
-        so emitted code can inline any of them together."""
+        kernels, built on first use and kept: "fgh" with its partials along
+        the state names, "g" with its partials along the y names (the
+        constraint Newton reads d2g only), "U" the values of g alone,
+        written to U{j}. fgh names its constants k{i}, g and U (which meet
+        the same constants in the same order) kg{i}, all in the one table
+        _consts, so emitted code can inline any of them together."""
         if part not in self._lines:
             exprs, names, value, prefix = {
                 "fgh": (self.fgh, self.state_names, "V", "k"),
-                "g": (self.g, self.state_names, "V", "kg"),
+                "g": (self.g, self.y_names, "V", "kg"),
                 "U": (self.g, [], "U", "kg")}[part]
             self._lines[part], consts = expr._kernel_code(
                 exprs, names, value=value, prefix=prefix)
             self._consts.update(consts)
         return self._lines[part]
 
-    def _constraint_step(self):
-        """The emitted constraint Newton step (_emit_constraint_step)."""
-        if "g" not in self._stages:
-            self._stages["g"] = _emit_constraint_step(self)
-        return self._stages["g"]
+    def _constraint_solve(self):
+        """The emitted constraint Newton (_emit_constraint_solve)."""
+        if "newton" not in self._stages:
+            self._stages["newton"] = _emit_constraint_solve(self)
+        return self._stages["newton"]
 
 
 def _det(rows):
@@ -524,12 +525,15 @@ def validate(sys, samples=512):
 # evaluates the point with the point kernels (and their checked texts)
 # in the order base values, h, g blocks, d2g factorization, partials, which
 # decides the error a point raises, and runs the same algebra on those
-# values. The stage and the constraint Newton step are written once each,
-# as line lists (_stage_lines, _constraint_lines): their standalone
+# values. The constraint Newton (solve_constraint's whole loop: steps on
+# the g kernel's y partials, trials on its values alone, halvings) runs
+# the same way, on the point evaluations of g and d2g where its kernels
+# fail. The stage and the constraint Newton are written once each, as
+# line lists (_stage_lines, _constraint_lines): their standalone
 # functions are built from them, and so is the flow's step loop
-# (flow._emit_flow), which inlines four stages and a constraint step per
-# RK4 step. The algebra text is compiled with emit's two bindings: FED
-# for the kernel's finite values, GIVEN for the values the point
+# (flow._emit_flow), which inlines four stages and a constraint Newton
+# per RK4 step. The algebra text is compiled with emit's two bindings:
+# FED for the kernel's finite values, GIVEN for the values the point
 # evaluations give.
 
 
@@ -649,103 +653,109 @@ def _emit_stage(sys, out_a, sens, lsens, forcing, use_h):
         {**emit.STAGE, **sys._consts, "fallback": fallback})
 
 
-def _constraint_lines(sys, fail):
-    """The constraint Newton step as line lists: (kernel, vs, ders, alg).
+def _constraint_lines(sys, q, first):
+    """The constraint Newton, solve_constraint's whole loop, as statements
+    on locals: (lines, names), names the namespace entries the lines read
+    besides emit.STAGE and the system's constants.
 
-    kernel is the g kernel on the state names (SystemDef._point_code),
-    which leaves g in the locals vs and its partials in ders; alg
-    sums RN = |g|_1, factors d2g and overwrites vs with the step
-    [d2g]^-1 g. fail is the statement run on a rejected pivot, as in
-    emit.lu_lines."""
-    k, s, n = sys.k, sys.s, sys.k + sys.s
-    rows = [[f"D{j}_{k + c}" for c in range(s)] for j in range(s)]
-    vs = [f"V{j}" for j in range(s)]
-    alg = [f"RN = {emit.norm_code(vs)}"]
-    alg += emit.lu_lines(rows, [[v] for v in vs], fail) + emit.solve_lines(rows, vs)
-    ders = [f"D{j}_{c}" for j in range(s) for c in range(n)]
-    return sys._point_code("g"), vs, ders, alg
+    The lines start at the point (p, q) in the locals of the state names,
+    with q also in the locals q, and leave the solution in q and its |g|_1
+    in RN, or raise. A step at the point runs the g kernel on the y
+    partials (SystemDef._point_code) and its finiteness guard FED; where
+    FED holds it sums RN = |g|_1, factors d2g (a rejected pivot raises
+    SingularMatrixError) and overwrites the locals V with the step
+    [d2g]^-1 g. Else step_at runs the point alone, in the order of its
+    evaluations: g from eval_g, then d2g from jac_rows over y, each of
+    which gives the kernel's bits or raises the point's error, then the
+    same algebra bound to emit.GIVEN. A trial sets y to q - T V and takes
+    its |g|_1, RM, from the values-only code U, or from _residual where
+    U's guard fails. The policy: a step at the start, a solved start
+    included, after which the lines first run (they read the start's
+    |g|_1 in RN: the flow's drift); then, above constraint_tol, the full
+    step, halved up to 11 times while RM is neither below RN nor within
+    constraint_tol; a step at each accepted iterate above it; at most 50
+    iterations, after which ConstraintSolveError."""
+    k, s, tup = sys.k, sys.s, emit.tup
+    rows = [[f"D{j}_{c}" for c in range(s)] for j in range(s)]
+    ders = [e for row in rows for e in row]
+    vs, us = ([f"{a}{j}" for j in range(s)] for a in "VU")
+    ys, z = tup(sys.y_names), tup(sys.state_names)
+    alg = [f"RN = {emit.norm_code(vs)}"] + emit.lu_lines(
+        rows, [[v] for v in vs], "raise singular({p}, TOL, {col})")
+    alg += emit.solve_lines(rows, vs)
+    step = emit.guarded(sys._point_code("g"), vs + ders) + ["if FED:"] + (
+        emit.indent(alg) + ["else:", f"    RN, ({tup(vs)}) = step_at(({z}))"])
 
+    def trial(t):
+        return [f"{ys} = {tup(f'{a} - {t}{v}' for a, v in zip(q, vs))}"] + (
+            emit.guarded(sys._point_code("U"), us) + [
+                "if FED:", f"    RM = {emit.norm_code(us)}",
+                "else:", f"    RM = residual_at(({z}))"])
 
-def _emit_constraint_step(sys):
-    """``step(Z)``: at the state Z, (|g|_1, the Newton step [d2g]^-1 g);
-    a singular d2g raises SingularMatrixError. Where the kernel raises or
-    its guard sum (g and every partial) is not finite, the step falls back
-    on the point alone, in the order of its evaluations: g from eval_g,
-    then d2g from jac_rows, each of which gives the kernel's bits or raises
-    the point's error, then the algebra bound to emit.GIVEN."""
-    k, s, n = sys.k, sys.s, sys.k + sys.s
-    kernel, vs, ders, alg = _constraint_lines(
-        sys, "raise singular({p}, TOL, {col})")
-    alg += [f"return RN, ({', '.join(vs)},)"]
+    accept = [f"{tup(q)} = {ys}", "RN = RM"]
+    loop = ["for IT in range(50):"] + emit.indent(
+        ["if IT:"] + emit.indent(step + trial("")) + [
+            "T = 1.0", "for _ in range(11):",
+            "    if RM < RN or RM <= CTOL:", "        break",
+            "    T *= 0.5"] + emit.indent(trial("T * "))
+        + accept + ["if RN <= CTOL:", "    break"])
+    loop += ["else:", f"    raise stalled(RN, ({tup(sys.x_names)}))"]
+    lines = step + first + ["if not RN <= CTOL:"] + emit.indent(
+        trial("") + ["if RM <= CTOL:"] + emit.indent(accept) + ["else:"]
+        + emit.indent(loop))
     given = functools.cache(lambda: emit.given(  # on the first fallback
-        "def given(V, D):", {"V": vs, "D": ders}, alg))
+        "def given(V, D):", {"V": vs, "D": ders},
+        alg + [f"return RN, ({tup(vs)})"]))
 
-    def fallback(Z):
-        env = sys.env(Z[:k], Z[k:])
-        vals = sys.eval_g(env).tolist()
-        d2g = sys.jac_rows(sys.g, env, sys.y_names)
-        flat = [math.nan] * (s * n)
-        for j, row in enumerate(d2g.tolist()):
-            flat[j * n + k:(j + 1) * n] = row
-        return given()(vals, flat)
+    def step_at(z):
+        env = sys.env(z[:k], z[k:])
+        return given()(sys.eval_g(env).tolist(),
+                       sys.jac_rows(sys.g, env, sys.y_names).ravel().tolist())
 
-    return emit.function(
-        "def step(Z):",
-        emit.unpack(sys.state_names, "Z") + ["try:"] + emit.indent(kernel)
-        + ["except ERRORS:", "    return fallback(Z)",
-           f"if not isfinite({' + '.join(vs + ders)}):",
-           "    return fallback(Z)"]
-        + alg, {**emit.STAGE, **sys._consts, "fallback": fallback})
+    return lines, {"step_at": step_at, "stalled": _stalled,
+                   "residual_at": functools.partial(_residual, sys),
+                   "CTOL": sys.constraint_tol}
 
 
-def _residual(sys, p, q):
-    """|g|_1 at (p, q) from eval_g, summed left to right as the constraint
-    step sums it (emit.norm_code)."""
+def _residual(sys, z):
+    """|g|_1 at the state z from eval_g, summed left to right from 0.0 as
+    the constraint trial sums it; a point where g is undefined raises its
+    error."""
     rn = 0.0
-    for v in sys.eval_g(sys.env(p, q)).tolist():
+    for v in sys.eval_g(sys.env(z[: sys.k], z[sys.k :])).tolist():
         rn += abs(v)
     return rn
 
 
-def _solve_constraint_row(sys, p, q, first=None):
-    """solve_constraint's Newton on floats: p and q are tuples, first the
-    constraint step at (p, q) when the caller has it. The step is formed,
-    so d2g must factor, at the start (an already solved start included)
-    and at each accepted iterate above tolerance. A trial is judged by its
-    |g|_1 alone (_residual), so a rejected trial never forms a step; a step
-    that does not lower the residual halves up to 11 times; at most 50
-    iterations. Returns (q, |g|_1)."""
-    step_at, tol = sys._constraint_step(), sys.constraint_tol
-    rn, step = first if first is not None else step_at(p + q)
-    if rn <= tol:
-        return q, rn
-    for it in range(50):
-        if it:
-            rn, step = step_at(p + q)
-        q_new = tuple([a - b for a, b in zip(q, step)])
-        rn_new = _residual(sys, p, q_new)
-        t = 1.0
-        for _ in range(11):
-            if rn_new < rn or rn_new <= tol:
-                break
-            t *= 0.5
-            q_new = tuple([a - t * b for a, b in zip(q, step)])
-            rn_new = _residual(sys, p, q_new)
-        q, rn = q_new, rn_new
-        if rn <= tol:
-            return q, rn
-    raise ConstraintSolveError(
+def _stalled(rn, p):
+    """The error of a constraint Newton that ends at |g|_1 rn above
+    tolerance, at the x-point p."""
+    return ConstraintSolveError(
         f"constraint Newton stalled at residual {rn:.3e} "
         f"for p = {point_text(p)}"
     )
 
 
+def _emit_constraint_solve(sys):
+    """``solve(P, Q)``: the constraint Newton of _constraint_lines from
+    the point (P, Q), tuples of floats, as one emitted function; returns
+    (q, |g|_1)."""
+    qs = [f"Q{j}" for j in range(sys.s)]
+    lines, names = _constraint_lines(sys, qs, [])
+    return emit.function(
+        "def solve(P, Q):",
+        emit.unpack(sys.x_names, "P")
+        + [f"{emit.tup(sys.y_names)} = {emit.tup(qs)} = Q"] + lines
+        + [f"return ({emit.tup(qs)}), RN"],
+        {**emit.STAGE, **sys._consts, **names})
+
+
 def solve_constraint(sys, p, q_guess):
-    """Newton in y on g(p, y) = 0 from q_guess; follows that branch only."""
+    """Newton in y on g(p, y) = 0 from q_guess; follows that branch only.
+    Runs the system's emitted constraint Newton (_emit_constraint_solve)."""
     p = np.asarray(p, dtype=float)
-    q, rn = _solve_constraint_row(
-        sys, tuple(p.tolist()), tuple(np.asarray(q_guess, dtype=float).tolist())
-    )
+    q, rn = sys._constraint_solve()(
+        tuple(p.tolist()), tuple(np.asarray(q_guess, dtype=float).tolist()))
     return ManifoldPoint(p.copy(), np.array(q), float(rn))
 
 

@@ -74,7 +74,7 @@ CHECKED = {name: _checked(fn) for name, fn in POINT.items()}
 # lu_lines and solve_lines write the partial-pivot LU and its substitution
 # as straight-line statements on named locals. linalg's lu_factor and
 # lu_apply run them through linalg._lu, and dae's reduced-field stage and
-# constraint step emit them inline. Every dot product is a left-to-right
+# constraint Newton emit them inline. Every dot product is a left-to-right
 # float sum. The text binds to two namespaces: FED for numbers known to be
 # finite (the builtins), and GIVEN for any numbers, which picks pivots and
 # thresholds in numpy's nan order and divides by zero as numpy does.

@@ -11,14 +11,14 @@ A trajectory is flowed on Python floats by one emitted function per
 system and variant (_emit_flow), which holds the whole step loop: the
 four RK4 stages inline on locals (each dae._stage_lines: the f+g+h kernel,
 the LU of d2g and the reduced-field algebra as straight-line code), the
-RK4 sum, the box test, and the projection's constraint step with its two
-common exits (a residual already within tolerance, or one full Newton
-step that reaches it). A stage whose kernel fails calls the system's
-stage function, and any other projection solve_constraint's Newton on
-floats, so a step in the common case makes no Python call. The
-flow raises the first error it meets: leaving the box, a singular or
-undefined evaluation, or (after the last step) too much constraint
-drift.
+RK4 sum, the box test, and the projection, solve_constraint's whole
+Newton inline (dae._constraint_lines). A stage whose kernel fails calls
+the system's stage function, and a constraint step or trial whose kernel
+fails calls the point evaluation of g, so a step in the common case (a
+residual already within tolerance, or one full Newton step that reaches
+it) makes no Python call. The flow raises the first error it meets: leaving the
+box, a singular or undefined evaluation, a constraint Newton that
+stalls, or (after the last step) too much constraint drift.
 
 Every flow returns one record, a Trajectory: the (steps+1, k+s) array of
 projected states with their residuals, the start and end ManifoldPoints,
@@ -32,19 +32,13 @@ of the reduced system alongside the state (never by differencing); finite
 differences survive only as a test oracle.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import emit
-from .dae import (
-    ManifoldPoint,
-    _constraint_lines,
-    _solve_constraint_row,
-    _stage_lines,
-)
+from .dae import ManifoldPoint, _constraint_lines, _stage_lines
 from .errors import DriftExceededError, LeavesBoxError
 from .linalg import norm1, norm1_rows
 
@@ -107,28 +101,21 @@ def _emit_flow(sys, sens, lsens, use_h):
     or, where the kernel raises or the guard sum is not finite, a call of
     the system's stage function of the variant for that stage only. Then
     the RK4 sum, the box test (false on nan), which raises LeavesBoxError
-    at the step's end time, and the projection: the g kernel and the
-    constraint step of dae._constraint_lines, whose |g|_1 is the step's
-    drift. A singular d2g raises; a residual within constraint_tol keeps
-    q; else q - step is kept if its |g|_1 (values only) is within it. Any
-    other projection runs _solve_constraint_row from the first step, which
-    is the constraint step function's where the g kernel raised or the
-    guard sum is not finite: its fallback on the state alone, which forms
-    |g|_1 and the step from the point evaluations of g and d2g or raises
-    their error. The kernels' constants come from the system's one table
-    (SystemDef._point_code)."""
+    at the step's end time, and the projection: the constraint Newton of
+    dae._constraint_lines from the new state, whose first |g|_1 is the
+    step's drift and whose last is the state's residual. The kernels'
+    constants come from the system's one table (SystemDef._point_code)."""
     k, n = sys.k, sys.k + sys.s
     inputs, guarded, alg, out = _stage_lines(sys, False, sens, lsens, False,
                                              use_h)
-    kernel, vs, ders, calg = _constraint_lines(
-        sys, "raise singular({p}, TOL, {col})")
-    values = sys._point_code("U")
-    m, us = len(inputs), [f"U{j}" for j in range(sys.s)]
+    m = len(inputs)
     ys = [f"S{i}" for i in range(m)]
+    newton, names = _constraint_lines(sys, ys[k:n],
+                                      ["if RN > DRIFT:", "    DRIFT = RN"])
     ks = [[f"K{c}{i}" for i in range(m)] for c in "ABCD"]
     bounds, box = emit.box_bounds(sys.box)
     tup = emit.tup
-    z, p, q = tup(ys[:n]), tup(ys[:k]), tup(ys[k:n])
+    z = tup(ys[:n])
     points = [(", ".join(ys), "TA"),
               (_rk4_point(ys, "HALF", ks[0]), "TA + HALF"),
               (_rk4_point(ys, "HALF", ks[1]), "TA + HALF"),
@@ -142,31 +129,8 @@ def _emit_flow(sys, sens, lsens, use_h):
         " and ".join(f"LO{i} <= {y} <= HI{i}" for i, y in enumerate(ys[:n])))]
     step += ["    raise LeavesBoxError('trajectory left the working box', "
              f"TIMES[STEP + 1], state=array(({z})))"]
-    step += [f"{tup(sys.state_names)} = {z}"] + emit.guarded(kernel, vs + ders)
-    newton = [f"{tup(sys.y_names)} = "
-              + tup(f"{a} - {b}" for a, b in zip(ys[k:n], vs))]
-    newton += emit.guarded(values, us) + [
-        "if FED:",
-        f"    RM = {emit.norm_code(us)}",
-        "    FED = RM <= CTOL",
-        "if FED:",
-        f"    {q} = {tup(sys.y_names)}",
-        "    RESIDUAL = RM",
-        "else:",
-        f"    ({q}), RESIDUAL = solve_row(({p}), ({q}), (RN, ({tup(vs)})))"]
-    step += ["if FED:"] + emit.indent(calg + [
-        "if RN > DRIFT:",
-        "    DRIFT = RN",
-        "if RN <= CTOL:",
-        "    RESIDUAL = RN",
-        "else:"] + emit.indent(newton))
-    step += ["else:",
-             f"    FIRST = project(({z}))",
-             "    if FIRST[0] > DRIFT:",
-             "        DRIFT = FIRST[0]",
-             f"    ({q}), RESIDUAL = solve_row(({p}), ({q}), FIRST)",
-             f"ZS.append(({z}))",
-             "RES.append(RESIDUAL)"]
+    step += [f"{tup(sys.state_names)} = {z}"] + newton
+    step += [f"ZS.append(({z}))", "RES.append(RN)"]
     body = emit.unpack(ys, "Y") + bounds + [
         "TS = TIMES.tolist()", "HALF = 0.5 * H", "H6 = H / 6.0", "DRIFT = 0.0",
         "for STEP in range(len(TS) - 1):"]
@@ -176,11 +140,8 @@ def _emit_flow(sys, sens, lsens, use_h):
         return sys._stage(sens=sens, lsens=lsens, use_h=use_h)(Y, t, lam)
 
     return emit.function("def flow(Y, TIMES, H, lam, ZS, RES):", body, {
-        **emit.STAGE, **sys._consts, **box, "stage": stage,
-        "project": sys._constraint_step(),
-        "solve_row": functools.partial(_solve_constraint_row, sys),
-        "LeavesBoxError": LeavesBoxError, "array": np.array,
-        "CTOL": sys.constraint_tol})
+        **emit.STAGE, **sys._consts, **box, **names, "stage": stage,
+        "LeavesBoxError": LeavesBoxError, "array": np.array})
 
 
 def _flow(sys, lam, start, t0, t1, steps, want_sensitivity=False,
@@ -243,8 +204,8 @@ def time_T_map(sys, lam, p0, q_guess, steps=DEFAULT_STEPS,
     along too.
     """
     p0 = np.array(p0, dtype=float)
-    q0 = tuple(np.asarray(q_guess, dtype=float).tolist())
-    q, rn = _solve_constraint_row(sys, tuple(p0.tolist()), q0)
+    q, rn = sys._constraint_solve()(
+        tuple(p0.tolist()), tuple(np.asarray(q_guess, dtype=float).tolist()))
     start = ManifoldPoint(p0, np.array(q), float(rn))
     return _flow(sys, lam, start, 0.0, sys.period, steps,
                  want_sensitivity=True, want_lambda=want_lambda_sensitivity)

@@ -7,13 +7,7 @@ import math
 import numpy as np
 
 from daekit import emit, expr
-from daekit.dae import (
-    Box,
-    ManifoldPoint,
-    SystemDef,
-    _solve_constraint_row,
-    validate,
-)
+from daekit.dae import Box, ManifoldPoint, SystemDef, validate
 from daekit.degree import (
     BOUNDARY_SLACK,
     DEDUP_RADIUS,
@@ -643,6 +637,69 @@ def solve_constraint_rows_oracle(sys, p, q_guess):
     return q, rn, errors
 
 
+def constraint_step_oracle(sys, z):
+    """(|g|_1, the Newton step [d2g]^-1 g) at the state z, a tuple of
+    floats: g from eval_g, then d2g from jac_rows over y, then lu_solve."""
+    env = sys.env(z[: sys.k], z[sys.k :])
+    g = sys.eval_g(env)
+    d2g = sys.jac_rows(sys.g, env, sys.y_names)
+    return norm1(g), tuple(lu_solve(d2g, g).tolist())
+
+
+def constraint_trial_oracle(sys, z):
+    """|g|_1 at the state z from eval_g, summed left to right from 0.0."""
+    return _sum_left(abs(v) for v in sys.eval_g(
+        sys.env(z[: sys.k], z[sys.k :])).tolist())
+
+
+def solve_constraint_oracle(sys, p, q, first=None, trace=None):
+    """The constraint Newton dae.solve_constraint ran as a Python loop on
+    floats before it was emitted: p and q are tuples, first the step at
+    (p, q) (constraint_step_oracle) when the caller has it. A step is
+    formed at the start, an already solved start included, and at each
+    accepted iterate above tolerance; a trial is judged by its |g|_1 alone
+    (constraint_trial_oracle); a step that does not lower the residual
+    halves up to 11 times; at most 50 iterations. Returns (q, |g|_1).
+    With a list trace, appends ("step",) before each step, ("trial", t)
+    before each trial of q - t * step and ("residual", its |g|_1) after
+    it."""
+    def log(*entry):
+        if trace is not None:
+            trace.append(entry)
+
+    tol = sys.constraint_tol
+    if first is None:
+        log("step")
+        first = constraint_step_oracle(sys, p + q)
+    rn, step = first
+    if rn <= tol:
+        return q, rn
+    for it in range(50):
+        if it:
+            log("step")
+            rn, step = constraint_step_oracle(sys, p + q)
+        t = 1.0
+        log("trial", t)
+        q_new = tuple([a - b for a, b in zip(q, step)])
+        rn_new = constraint_trial_oracle(sys, p + q_new)
+        log("residual", rn_new)
+        for _ in range(11):
+            if rn_new < rn or rn_new <= tol:
+                break
+            t *= 0.5
+            log("trial", t)
+            q_new = tuple([a - t * b for a, b in zip(q, step)])
+            rn_new = constraint_trial_oracle(sys, p + q_new)
+            log("residual", rn_new)
+        q, rn = q_new, rn_new
+        if rn <= tol:
+            return q, rn
+    raise ConstraintSolveError(
+        f"constraint Newton stalled at residual {rn:.3e} "
+        f"for p = {point_text(p)}"
+    )
+
+
 def reduced_field_oracle(sys, z, t=None, lam=0.0, linearize=False,
                          forcing=False, with_h=False):
     """The numpy rows evaluation of the reduced field dae.reduced_field used
@@ -820,8 +877,8 @@ def flow_oracle(sys, lam, start, t0, t1, steps, want_sensitivity=False,
     """The step loop flow._flow ran in Python before it was emitted as one
     function: per step the generic RK4 step through the system's stage
     function, the box test, the constraint step at the new state (its
-    |g|_1 is the drift) and _solve_constraint_row from it. Same signature
-    and Trajectory as flow._flow."""
+    |g|_1 is the drift) and solve_constraint_oracle from it. Same
+    signature and Trajectory as flow._flow."""
     if not math.isfinite(lam):
         raise ValueError("lambda must be finite")
     if lam < 0:
@@ -836,7 +893,7 @@ def flow_oracle(sys, lam, start, t0, t1, steps, want_sensitivity=False,
         (0.0,) * k if want_lambda else ())
     stage = sys._stage(sens=want_sensitivity, lsens=want_lambda,
                        use_h=lam != 0.0)
-    rk4, project = _rk4(n + len(extra)), sys._constraint_step()
+    rk4 = _rk4(n + len(extra))
     lam, ts = float(lam), times.tolist()
     lo, hi = sys.box.lo.tolist(), sys.box.hi.tolist()
     y = tuple(start.z.tolist())
@@ -849,10 +906,10 @@ def flow_oracle(sys, lam, start, t0, t1, steps, want_sensitivity=False,
             if not a <= v <= b:  # also false for nan
                 raise LeavesBoxError("trajectory left the working box",
                                      times[step + 1], state=np.array(z))
-        first = project(z)
+        first = constraint_step_oracle(sys, z)
         if first[0] > drift:
             drift = first[0]
-        q, rn = _solve_constraint_row(sys, z[:k], z[k:], first)
+        q, rn = solve_constraint_oracle(sys, z[:k], z[k:], first)
         y = z[:k] + q + y[n:]
         zs.append(y[:n])
         res.append(rn)

@@ -27,11 +27,14 @@ from daekit.sysfile import load_system
 import helpers
 from conftest import system_path
 from helpers import (
+    constraint_step_oracle,
     failing_system,
     forced_random_system,
     lu_factor_oracle,
     same_bits,
+    solve_constraint_oracle,
 )
+from test_flow import kink_system, pole_system
 
 
 class TestBox:
@@ -417,17 +420,24 @@ class TestSolveConstraint:
 
 
     def test_guard_sum_overflow(self):
-        # g and its partials are finite at (0.5, 1.0), but the guard sum
-        # 1e308 * y1 - x1 + (-1.0) + 1e308 overflows: the step falls back
-        # on the point, with the same bits
+        # g and its y-partial are finite at (0.5, 1.0), but the guard sum
+        # 1e308 * y1 - x1 + 1e308 overflows: the first step falls back on
+        # the point, with the same bits, and the second, at y1 = 0, does not
         names = ["x1", "y1"]
         sys = SystemDef(1, 1, 1.0, [expr.parse("y1", names)],
                         [expr.parse("1e308*y1 - x1", names)],
                         box=Box.from_pairs([(-2, 2), (-2, 2)]))
-        rn, step = sys._constraint_step()((0.5, 1.0))
-        assert rn.hex() == (1e308).hex()
-        assert step == (1.0,)
+        namespace, steps = sys._constraint_solve().__globals__, []
+        step_at = namespace["step_at"]
+
+        def record(z):
+            steps.append(z)
+            return step_at(z)
+
+        namespace["step_at"] = record
+        assert constraint_step_oracle(sys, (0.5, 1.0)) == (1e308, (1.0,))
         mp = solve_constraint(sys, [0.5], [1.0])
+        assert steps == [(0.5, 1.0)]
         assert mp.q[0].hex() == (5e-309).hex()
         assert mp.residual.hex() == (5.551115123125783e-17).hex()
 
@@ -445,6 +455,91 @@ class TestSolveConstraint:
         mp = solve_constraint(sys, [-0.25], [0.5])
         assert mp.q[0].hex() == "0x1.1410905e2dee1p-2"
         assert mp.residual.hex() == (1.50712775592865e-14).hex()
+
+
+class TestConstraintNewton:
+    """solve_constraint's emitted Newton against the Python loop it
+    replaced (helpers.solve_constraint_oracle): the same q and residual bit
+    for bit, or the same error with the same message."""
+
+    # coordinates of a drawn start: uniform, or a value that lands on an
+    # exact zero of d2g (pole_system at x1 = 0, failing_system at y1 = 0),
+    # overflows a power (1e160^2), makes pole_system's step overflow
+    # (0.75 / 1e-320) or makes the start's |g|_1 nan
+    EXACT = (0.0, 0.5, -0.5, 0.75, -0.75, 1.0, -1.0)
+    EXTREME = (1e-320, 1e160, -1e160, 1e100, math.nan)
+    KINDS = {"solved start", "one full step", "several steps", "halving",
+             "non-finite trial", "stall", "singular at the start",
+             "singular at an iterate", "domain error in a step",
+             "domain error in a trial"}
+
+    @classmethod
+    def draw(cls, rng, n):
+        out = []
+        for _ in range(n):
+            r = rng.random()
+            pool = cls.EXACT if r < 0.9 else cls.EXACT + cls.EXTREME
+            out.append(float(rng.uniform(-4, 4)) if r < 0.6
+                       else float(rng.choice(pool)))
+        return tuple(out)
+
+    @staticmethod
+    def compare(sysdef, p, q):
+        """The outcome kinds of the solve from (p, q), after asserting that
+        the emitted Newton and the oracle agree."""
+        def outcome(run):
+            try:
+                q, rn = run()
+            except DaekitError as exc:
+                return type(exc), str(exc)
+            return np.array(q, dtype=float).tobytes(), float(rn).hex()
+
+        def emitted():
+            mp = solve_constraint(sysdef, p, q)
+            return mp.q, mp.residual
+
+        trace = []
+        old = outcome(lambda: solve_constraint_oracle(sysdef, p, q,
+                                                      trace=trace))
+        assert outcome(emitted) == old
+        steps = trace.count(("step",))
+        if old[0] is SingularMatrixError:
+            kinds = {"singular at the start" if steps == 1
+                     else "singular at an iterate"}
+        elif old[0] is ExprDomainError:
+            kinds = {f"domain error in a {trace[-1][0]}"}
+        elif old[0] is ConstraintSolveError:
+            kinds = {"stall"}
+        else:
+            kinds = {{1: "solved start", 3: "one full step"}.get(
+                len(trace), "several steps")}
+        if any(e[0] == "trial" and e[1] < 1.0 for e in trace):
+            kinds.add("halving")
+        if any(e[0] == "residual" and not math.isfinite(e[1])
+               for e in trace):
+            kinds.add("non-finite trial")
+        return kinds
+
+    def test_matches_the_oracle(self):
+        systems = [pole_system(), kink_system()]
+        for k, s in ((1, 1), (2, 1), (1, 2), (2, 2)):
+            systems += [forced_random_system(k, s), failing_system(k, s)]
+        kinds = set()
+        rng = np.random.default_rng(1)
+        for sysdef in systems:
+            for _ in range(150):
+                p, q = self.draw(rng, sysdef.k), self.draw(rng, sysdef.s)
+                kinds |= self.compare(sysdef, p, q)
+        # g1 = y1^2 - x1 at x1 = -3, from y1 = 1: the full step lands on
+        # y1 = -1, whose |g|_1 equals the start's, so it halves to y1 = 0,
+        # where d2g = 2 y1 vanishes
+        names = ["x1", "y1"]
+        sysdef = SystemDef(1, 1, 1.0, [expr.parse("y1", names)],
+                           [expr.parse("y1^2 - x1", names)],
+                           box=Box.from_pairs([(-4, 4), (-2, 2)]))
+        new = self.compare(sysdef, (-3.0,), (1.0,))
+        assert new == {"singular at an iterate", "halving"}
+        assert kinds | new == self.KINDS
 
 
 class TestTangentField:

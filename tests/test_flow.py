@@ -320,26 +320,20 @@ class TestEmittedFlowLoop:
 
     def compare(self, sysdef, start, steps, lam, sens, lsens):
         """The outcome kind of one flow, after asserting that the loop and
-        the oracle agree. The oracle's constraint evaluations, its steps
-        and its trials' values of g, are recorded to tell a projection that
-        halved."""
+        the oracle agree. The oracle's values of g, at its steps and its
+        trials, are recorded to tell a projection that halved."""
         args = (sysdef, lam, start, 0.0, sysdef.period, steps, sens, lsens)
         new = self.outcome(flow._flow, *args)  # emits the loop first
-        step, points = sysdef._constraint_step(), []
-
-        def record(z):
-            points.append(tuple(z))
-            return step(z)
+        points = []
 
         def record_g(env):
             points.append(tuple(env[nm] for nm in sysdef.state_names))
             return SystemDef.eval_g(sysdef, env)
 
-        sysdef._stages["g"], sysdef.eval_g = record, record_g
+        sysdef.eval_g = record_g
         try:
             old = self.outcome(flow_oracle, *args)
         finally:
-            sysdef._stages["g"] = step
             del sysdef.eval_g
         assert new == old
         if new[0] is ConstraintSolveError or halved(points, sysdef.k):
@@ -401,16 +395,16 @@ class TestEmittedFlowLoop:
                            [expr.parse(f"(x1 - {c!r})*(y1 - 0.5)", names)],
                            None, box)
         start = solve_constraint(sysdef, np.array([1.25]), np.array([0.5]))
-        step, points = sysdef._constraint_step(), []
+        points = []
 
-        def record(z):
-            points.append(tuple(z))
-            return step(z)
+        def record_g(env):
+            points.append((env["x1"], env["y1"]))
+            return SystemDef.eval_g(sysdef, env)
 
         for sens, lsens in self.VARIANTS:
             assert self.compare(sysdef, start, 16, 0.0, sens,
                                 lsens) is SingularMatrixError
-        sysdef._stages["g"] = record
+        sysdef.eval_g = record_g
         with pytest.raises(SingularMatrixError):
             flow_oracle(sysdef, 0.0, start, 0.0, 2.0, 16)
         assert points[-1] == (c, 0.5) and len(points) == 4

@@ -12,13 +12,12 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "daekit"
 
 # the zero sweep's numeric steps, which may run off the caller's thread;
-# the stage and constraint step the flow loop inlines, and the float
-# constraint Newton it falls back on; the clustering and start grid the
-# multistart scan shares with find_zeros; the reductions' systems; and
-# expr's point code on locals
-SHARED = {"_norm1_rows", "_solve_rows", "_solve_constraint_row",
-          "_stage_lines", "_constraint_lines", "_first_seen", "_grid_starts",
-          "_hessenberg_system", "_implicit_system", "_kernel_code"}
+# the stage and constraint Newton the flow loop inlines; the clustering
+# and start grid the multistart scan shares with find_zeros; the
+# reductions' systems; and expr's point code on locals
+SHARED = {"_norm1_rows", "_solve_rows", "_stage_lines", "_constraint_lines",
+          "_first_seen", "_grid_starts", "_hessenberg_system",
+          "_implicit_system", "_kernel_code"}
 
 
 def is_private(name):

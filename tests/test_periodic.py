@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from daekit import expr, load_system, periodic
-from daekit.dae import Box, ManifoldPoint, _solve_constraint_row
+from daekit.dae import Box, ManifoldPoint
 from daekit.degree import _first_seen, chart_index, find_zeros
 from daekit.errors import (
     BranchError,
@@ -27,7 +27,11 @@ from daekit.periodic import (
     reduce_implicit,
     shoot,
 )
-from helpers import flow_oracle, merge_orbits_oracle
+from helpers import (
+    flow_oracle,
+    merge_orbits_oracle,
+    solve_constraint_oracle,
+)
 from test_flow import rotation_system
 from test_golden import GOLDEN
 
@@ -228,8 +232,8 @@ class TestMultiplicity:
             assert p.tobytes() == z.point[:k].tobytes()
             if z.degenerate or classify_resonance(sys, z).resonant:
                 continue
-            q0, rn = _solve_constraint_row(sys, tuple(z.point[:k].tolist()),
-                                           tuple(z.point[k:].tolist()))
+            q0, rn = solve_constraint_oracle(
+                sys, tuple(z.point[:k].tolist()), tuple(z.point[k:].tolist()))
             start = ManifoldPoint(z.point[:k].copy(), np.array(q0), rn)
             traj = flow_oracle(sys, 0.0, start, 0.0, sys.period, steps,
                                want_sensitivity=True, want_lambda=True)
